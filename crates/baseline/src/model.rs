@@ -17,7 +17,6 @@ use dlcm_tensor::{Tape, Tensor};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::features::{featurize_pair, NUM_FEATURES};
@@ -113,7 +112,7 @@ impl HalideModel {
         assert!(!indices.is_empty(), "empty baseline training set");
         // Featurize.
         let samples: Vec<(Vec<f64>, f64)> = indices
-            .par_iter()
+            .iter()
             .filter_map(|&i| {
                 let pt = &dataset.points[i];
                 featurize_pair(dataset.program_of(pt), &pt.schedule, &self.machine_cfg)
@@ -183,7 +182,7 @@ impl HalideModel {
     /// Predictions over dataset indices, paired with the ground truth.
     pub fn evaluate(&self, dataset: &Dataset, indices: &[usize]) -> (Vec<f64>, Vec<f64>) {
         let pairs: Vec<(f64, f64)> = indices
-            .par_iter()
+            .iter()
             .map(|&i| {
                 let pt = &dataset.points[i];
                 (

@@ -5,22 +5,21 @@
 //! Training streams minibatches from the sharded corpus (generated here
 //! through the parallel, deduplicating builder when the `datagen` binary
 //! has not already written it), featurizing each batch on demand across
-//! `--threads` workers. The trained model is persisted twice: as the
-//! legacy `model.json` the downstream figure/table experiments load, and
-//! as a versioned `ModelArtifact` directory (`results/model_artifact/`)
-//! that bundles the weights with the featurizer schema, the corpus
-//! content fingerprint, and the held-out metrics. Pass
-//! `--model-artifact DIR` to *reuse* a saved artifact instead of
-//! retraining: the run re-evaluates it on the held-out split and writes
-//! an `accuracy.json` byte-identical to the training run's (CI diffs
-//! them).
+//! `--threads` workers. The trained model is persisted as a versioned
+//! `ModelArtifact` directory (`results/model_artifact/`, which the
+//! downstream figure/table experiments load) that bundles the weights
+//! with the featurizer schema, the corpus content fingerprint, and the
+//! held-out metrics. Pass `--model-artifact DIR` to *reuse* a saved
+//! artifact instead of retraining: the run re-evaluates it on the
+//! held-out split and writes an `accuracy.json` byte-identical to the
+//! training run's (CI diffs them).
 //!
 //! `cargo run --release -p dlcm-bench --bin exp_accuracy [--quick]
 //! [--threads N] [--model-artifact DIR] [epochs]`
 
 use dlcm_bench::{
     accuracy_report, evaluate_artifact, load_artifact, model_artifact_dir, model_artifact_flag,
-    quick_mode, results_dir, shards, threads, train_from_corpus, write_json, AccuracyReport,
+    quick_mode, shards, threads, train_from_corpus, write_json, AccuracyReport,
 };
 use dlcm_model::{evaluate, ModelArtifact};
 
@@ -47,12 +46,6 @@ fn print_metrics(report: &AccuracyReport, unseen_programs: usize) {
             row.spearman
         );
     }
-}
-
-fn write_legacy_model(model: &dlcm_model::CostModel) {
-    let file = std::fs::File::create(results_dir().join("model.json")).expect("create model file");
-    serde_json::to_writer(std::io::BufWriter::new(file), model).expect("serialize model");
-    eprintln!("wrote model.json");
 }
 
 fn main() {
@@ -96,9 +89,6 @@ fn main() {
             "re-evaluated held-out metrics must reproduce the manifest bit for bit"
         );
         let dataset = evaluation.dataset;
-        dataset
-            .save_json(&results_dir().join("dataset.json"))
-            .expect("persist dataset");
         let split = dataset.split(0);
         let epochs = artifact
             .manifest()
@@ -123,16 +113,10 @@ fn main() {
             .len();
         print_metrics(&rep, unseen);
         write_json("accuracy.json", &rep);
-        write_legacy_model(artifact.model());
         return;
     }
 
     let outcome = train_from_corpus(quick, threads, shards(), epochs);
-    outcome
-        .dataset
-        .save_json(&results_dir().join("dataset.json"))
-        .expect("persist dataset");
-
     let rep = accuracy_report(
         &outcome.dataset,
         epochs,
@@ -152,7 +136,6 @@ fn main() {
     print_metrics(&rep, unseen);
     write_json("accuracy.json", &rep);
 
-    write_legacy_model(outcome.artifact.model());
     let artifact_dir = model_artifact_dir();
     outcome
         .artifact

@@ -13,11 +13,11 @@
 use std::collections::BTreeMap;
 
 use dlcm_bench::{
-    corpus_program_families, load_model, load_or_generate_dataset, per_family_metrics, quick_mode,
-    write_csv,
+    corpus_program_families, load_model_and_featurizer, load_or_generate_dataset,
+    per_family_metrics, quick_mode, write_csv,
 };
 use dlcm_datagen::prepare;
-use dlcm_model::{metrics, Featurizer, FeaturizerConfig, LabeledFeatures};
+use dlcm_model::{metrics, LabeledFeatures};
 
 /// Figure 7's "good rank" cut: a test program counts as well-ranked
 /// when its per-program Spearman rho strictly exceeds this. Matches the
@@ -33,9 +33,8 @@ fn main() {
     let quick = quick_mode();
     eprintln!("=== FIG-4/5/7/8: prediction-quality figures (quick={quick}) ===");
     let dataset = load_or_generate_dataset(quick);
-    let model = load_model();
+    let (model, featurizer) = load_model_and_featurizer();
     let split = dataset.split(0);
-    let featurizer = Featurizer::new(FeaturizerConfig::default());
     let test_set: Vec<LabeledFeatures> = prepare(&featurizer, &dataset, &split.test);
     let programs: Vec<usize> = split
         .test

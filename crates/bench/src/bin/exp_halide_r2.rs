@@ -16,12 +16,13 @@
 
 use dlcm_baseline::{HalideModel, HalideTrainConfig};
 use dlcm_bench::{
-    harness, load_model, load_or_generate_dataset, quick_mode, search_threads, write_json,
+    harness, load_model_and_featurizer, load_or_generate_dataset, quick_mode, search_threads,
+    write_json,
 };
 use dlcm_datagen::prepare;
 use dlcm_eval::{Evaluator, ModelEvaluator};
 use dlcm_machine::MachineConfig;
-use dlcm_model::{evaluate, metrics, CostModel, Featurizer, FeaturizerConfig};
+use dlcm_model::{evaluate, metrics, CostModel, Featurizer};
 use dlcm_search::{BeamSearch, SearchDriver, SearchJob, SearchSpace, SearchSpec};
 use serde::Serialize;
 
@@ -69,8 +70,7 @@ fn main() {
     halide.train(&dataset, &split.train, &HalideTrainConfig::default());
     let (y, halide_preds) = halide.evaluate(&dataset, &split.test);
 
-    let model = load_model();
-    let featurizer = Featurizer::new(FeaturizerConfig::default());
+    let (model, featurizer) = load_model_and_featurizer();
     let test_set = prepare(&featurizer, &dataset, &split.test);
     let (_, our_preds) = evaluate(&model, &test_set);
 

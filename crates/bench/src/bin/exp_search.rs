@@ -28,9 +28,9 @@
 //! candidates on the calling thread (fan-out overhead exceeds the win
 //! for tiny batches); scores are bit-identical either way.
 //!
-//! `--model-artifact DIR` scores BSM/MCTS with a saved, validated
-//! `ModelArtifact` (its manifest supplies the featurizer schema) instead
-//! of the legacy `results/model.json`.
+//! BSM/MCTS score with the validated `ModelArtifact` at
+//! `results/model_artifact` (its manifest supplies the featurizer
+//! schema); `--model-artifact DIR` points at another one.
 
 use dlcm_baseline::{HalideModel, HalideTrainConfig};
 use dlcm_bench::{
@@ -79,9 +79,8 @@ fn main() {
          search-threads={search_threads}) ==="
     );
     let scale = if quick { 0.15 } else { 1.0 };
-    // `--model-artifact DIR` loads a validated saved artifact (schema
-    // included) instead of the legacy model.json; either way the model
-    // is whatever exp_accuracy / modelctl train produced — no retraining.
+    // The model is whatever exp_accuracy / modelctl train saved — a
+    // validated artifact, schema included; no retraining here.
     let (model, featurizer) = load_model_and_featurizer();
     let harness = harness();
 

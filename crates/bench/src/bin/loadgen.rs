@@ -1,11 +1,11 @@
-//! Latency-gated load generator for a `modelctl serve --listen` server.
+//! Load generator for a `modelctl serve --listen` server.
 //!
 //! Drives a running dlcm-net server with concurrent TCP clients sending
 //! waves of *distinct* schedule keys (the traffic shape an unbounded
 //! cache could not survive), measures client-observed request latency,
-//! and writes the p50/p99 summary to `results/serve_net.json` — the
-//! `net_p99_us` field there is gated by `bench_gate` against
-//! `ci/bench_baseline.json`.
+//! and prints the p50/p99 summary. (The recorded serving numbers come
+//! from the `benchmark/` package's `serve_cold`/`serve_hot` workloads;
+//! this binary is the smoke driver for a separately launched server.)
 //!
 //! ```text
 //! loadgen [--addr HOST:PORT] [--quick] [--clients N] [--rounds N] [--wave N]
@@ -32,34 +32,13 @@ use std::net::TcpStream;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use dlcm_bench::{load_artifact, positive_flag, quick_mode, string_flag, write_json};
+use dlcm_bench::{load_artifact, positive_flag, quick_mode, string_flag};
 use dlcm_datagen::{ProgramGenConfig, ProgramGenerator, ScheduleGenConfig, ScheduleGenerator};
 use dlcm_eval::{Evaluator, ModelEvaluator};
 use dlcm_ir::{Program, Schedule};
-use dlcm_net::{NetClient, NetStats};
-use dlcm_serve::ServeStats;
+use dlcm_net::NetClient;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::Serialize;
-
-/// What loadgen writes to `results/serve_net.json`.
-#[derive(Serialize)]
-struct NetLoadReport {
-    clients: usize,
-    rounds_per_client: usize,
-    wave_len: usize,
-    requests: usize,
-    queries: usize,
-    wall_seconds: f64,
-    queries_per_second: f64,
-    net_p50_us: f64,
-    net_p99_us: f64,
-    net_mean_us: f64,
-    net_max_us: f64,
-    verified: bool,
-    serve: ServeStats,
-    net: NetStats,
-}
 
 /// The same fixed program pool `modelctl serve --bench` drives (seed
 /// 17), so in-process and served runs see identical queries.
@@ -162,15 +141,10 @@ fn main() {
 
     let programs = program_pool();
 
-    let verified = if std::env::args().any(|a| a == "--verify") {
-        if !verify(&addr, &programs) {
-            eprintln!("loadgen --verify FAILED: served scores differ from in-process evaluation");
-            std::process::exit(1);
-        }
-        true
-    } else {
-        false
-    };
+    if std::env::args().any(|a| a == "--verify") && !verify(&addr, &programs) {
+        eprintln!("loadgen --verify FAILED: served scores differ from in-process evaluation");
+        std::process::exit(1);
+    }
 
     // The load phase proper: each client thread owns one connection and
     // sends `rounds` fresh-keyed waves back-to-back, timing each
@@ -210,46 +184,29 @@ fn main() {
     latencies_us.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
 
     let mut client = connect_with_retry(&addr);
-    let report_stats = client.stats().expect("final stats");
+    let serve = client.stats().expect("final stats").serve;
     if std::env::args().any(|a| a == "--shutdown") {
         client.shutdown_server().expect("shutdown acknowledged");
         eprintln!("loadgen: server draining (shutdown frame acknowledged)");
     }
 
     let requests = latencies_us.len();
-    let report = NetLoadReport {
-        clients,
-        rounds_per_client: rounds,
-        wave_len,
-        requests,
-        queries,
-        wall_seconds: wall,
-        queries_per_second: queries as f64 / wall,
-        net_p50_us: percentile(&latencies_us, 0.50),
-        net_p99_us: percentile(&latencies_us, 0.99),
-        net_mean_us: latencies_us.iter().sum::<f64>() / requests.max(1) as f64,
-        net_max_us: latencies_us.last().copied().unwrap_or(0.0),
-        verified,
-        serve: report_stats.serve,
-        net: report_stats.net,
-    };
     println!(
         "{requests} requests ({queries} queries) in {wall:.2}s: p50 {:.0}us, p99 {:.0}us, \
          mean {:.0}us ({:.0} q/s); server cache {}..{} entries ({} evictions), \
          rejected {} overload / {} deadline",
-        report.net_p50_us,
-        report.net_p99_us,
-        report.net_mean_us,
-        report.queries_per_second,
-        report.serve.cache_entries,
-        report.serve.cache_capacity,
-        report.serve.cache_evictions,
-        report.serve.rejected_overload,
-        report.serve.rejected_deadline,
+        percentile(&latencies_us, 0.50),
+        percentile(&latencies_us, 0.99),
+        latencies_us.iter().sum::<f64>() / requests.max(1) as f64,
+        queries as f64 / wall,
+        serve.cache_entries,
+        serve.cache_capacity,
+        serve.cache_evictions,
+        serve.rejected_overload,
+        serve.rejected_deadline,
     );
     assert!(
-        report.serve.cache_entries <= report.serve.cache_capacity,
+        serve.cache_entries <= serve.cache_capacity,
         "server exceeded its configured cache capacity"
     );
-    write_json("serve_net.json", &report);
 }

@@ -4,8 +4,7 @@
 //!
 //! The smoke job runs this right after its `--threads 4` steps so a
 //! runner that silently schedules everything on one core is visible in
-//! the log (the speedup floors in the bench job assume ≥ 4 usable
-//! cores — see `bench_gate`).
+//! the log (no parallel speed-up can be read off such a run).
 //!
 //! `cargo run --release -p dlcm-bench --bin pool_info [--threads N]`
 

@@ -1,14 +1,15 @@
 //! # dlcm-bench
 //!
-//! Experiment binaries and Criterion benches that regenerate every table
-//! and figure of the paper's evaluation (§6). See DESIGN.md for the
-//! experiment index. Artifacts are written to `results/` at the workspace
-//! root:
+//! Experiment binaries that regenerate every table and figure of the
+//! paper's evaluation (§6). See DESIGN.md for the experiment index;
+//! performance is measured by the separate `benchmark/` package (see
+//! `benchmark/README.md`). Artifacts are written to `results/` at the
+//! workspace root:
 //!
 //! - `datagen` → writes the sharded training corpus
 //!   (`corpus/manifest.json` + `corpus/shard-*.jsonl`);
-//! - `exp_accuracy` → streams training from the corpus, writes
-//!   `model.json`, `dataset.json`, and `accuracy.json` (§6 headline
+//! - `exp_accuracy` → streams training from the corpus, writes the
+//!   versioned `model_artifact/` and `accuracy.json` (§6 headline
 //!   metrics);
 //! - `exp_figures` → Figures 4, 5, 7, 8 CSVs from the trained model;
 //! - `exp_search` → Figure 6 + Table 2 (BSE / BSM / MCTS / Halide);
@@ -236,9 +237,8 @@ pub fn ensure_corpus(
 }
 
 /// Loads the dataset for the downstream figure/table experiments: the
-/// sharded corpus when present, then the `dataset.json` written by
-/// `exp_accuracy`, regenerating through the corpus pipeline as a last
-/// resort.
+/// sharded corpus when present, regenerating through the corpus pipeline
+/// otherwise.
 pub fn load_or_generate_dataset(quick: bool) -> Dataset {
     if let Ok(sharded) = ShardedDataset::open(&corpus_dir()) {
         if sharded.manifest().config == dataset_config(quick) {
@@ -247,23 +247,14 @@ pub fn load_or_generate_dataset(quick: bool) -> Dataset {
             }
         }
     }
-    let path = results_dir().join("dataset.json");
-    if path.exists() {
-        if let Ok(ds) = Dataset::load_json(&path) {
-            return ds;
-        }
-    }
     let (sharded, _) = ensure_corpus(quick, threads(), shards());
-    let ds = sharded.load_dataset().expect("load generated corpus");
-    let _ = ds.save_json(&path);
-    ds
+    sharded.load_dataset().expect("load generated corpus")
 }
 
 /// Family tags for `dataset`'s programs, read from the canonical corpus
 /// when it describes the same program set; all-`None` when the corpus
-/// is absent or disagrees (e.g. the dataset came from a legacy
-/// `dataset.json`), so callers degrade to one `untagged` bucket instead
-/// of mislabeling.
+/// is absent or disagrees, so callers degrade to one `untagged` bucket
+/// instead of mislabeling.
 pub fn corpus_program_families(dataset: &Dataset) -> Vec<Option<String>> {
     if let Ok(sharded) = ShardedDataset::open(&corpus_dir()) {
         if let Ok(families) = sharded.program_families() {
@@ -273,21 +264,6 @@ pub fn corpus_program_families(dataset: &Dataset) -> Vec<Option<String>> {
         }
     }
     vec![None; dataset.programs.len()]
-}
-
-/// Loads the model trained by `exp_accuracy`.
-///
-/// # Panics
-///
-/// Panics with a pointer to `exp_accuracy` when the artifact is missing.
-pub fn load_model() -> CostModel {
-    let path = results_dir().join("model.json");
-    let file = std::fs::File::open(&path).unwrap_or_else(|_| {
-        panic!(
-            "{path:?} not found — run `cargo run --release -p dlcm-bench --bin exp_accuracy` first"
-        )
-    });
-    serde_json::from_reader(std::io::BufReader::new(file)).expect("valid model artifact")
 }
 
 /// Loads and validates a versioned model artifact, exiting with a
@@ -305,23 +281,19 @@ pub fn load_artifact(dir: &Path) -> ModelArtifact {
 }
 
 /// The trained model + featurizer the search/figure experiments score
-/// with: a validated artifact when `--model-artifact DIR` was passed
-/// (the featurizer comes from the artifact's schema), the legacy
-/// `results/model.json` + default schema otherwise.
+/// with: the validated artifact at `--model-artifact DIR`, or at
+/// [`model_artifact_dir`] (where `exp_accuracy` saves it) when the flag
+/// is absent. The featurizer always comes from the artifact's schema.
 pub fn load_model_and_featurizer() -> (CostModel, Featurizer) {
-    match model_artifact_flag() {
-        Some(dir) => {
-            let artifact = load_artifact(&dir);
-            eprintln!(
-                "reusing model artifact at {dir:?} (corpus {}, test MAPE {:.3})",
-                artifact.manifest().corpus_fingerprint,
-                artifact.manifest().metrics.mape
-            );
-            let featurizer = artifact.featurizer();
-            (artifact.into_model(), featurizer)
-        }
-        None => (load_model(), Featurizer::new(FeaturizerConfig::default())),
-    }
+    let dir = model_artifact_flag().unwrap_or_else(model_artifact_dir);
+    let artifact = load_artifact(&dir);
+    eprintln!(
+        "using model artifact at {dir:?} (corpus {}, test MAPE {:.3})",
+        artifact.manifest().corpus_fingerprint,
+        artifact.manifest().metrics.mape
+    );
+    let featurizer = artifact.featurizer();
+    (artifact.into_model(), featurizer)
 }
 
 /// Everything one training run over the canonical corpus produces: the

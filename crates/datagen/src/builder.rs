@@ -8,7 +8,7 @@
 //!    worker pool (`dlcm_eval::pool::parallel_map`), one deterministic
 //!    RNG per program index;
 //! 2. **label** — every sample is scored through one shared
-//!    [`CachedEvaluator`] wrapping a [`ParallelEvaluator`]; the cache
+//!    [`SharedCachedEvaluator`] wrapping a [`ParallelEvaluator`]; the cache
 //!    keys on name-insensitive content, so re-drawn duplicate programs
 //!    and equivalent schedule spellings are *measured once* and every
 //!    later occurrence answers from cache;
@@ -31,7 +31,7 @@ use std::collections::HashSet;
 use std::io;
 use std::path::Path;
 
-use dlcm_eval::{pool, CachedEvaluator, EvalStats, Evaluator, ParallelEvaluator};
+use dlcm_eval::{pool, EvalStats, ParallelEvaluator, SharedCachedEvaluator, SyncEvaluator};
 use dlcm_ir::fingerprint::stable_fingerprint;
 use dlcm_ir::{Program, Schedule};
 use dlcm_machine::Measurement;
@@ -184,14 +184,14 @@ impl ParallelDatasetBuilder {
         // once* and every later occurrence is answered from cache.
         // Values are a pure function of `(seed, program, schedule)`, so
         // this loop is bit-identical at any thread count.
-        let mut evaluator = CachedEvaluator::new(ParallelEvaluator::new(
+        let evaluator = SharedCachedEvaluator::new(ParallelEvaluator::new(
             measurement.clone(),
             ds.seed,
             threads,
         ));
         let labeled: Vec<Vec<f64>> = generated
             .iter()
-            .map(|(program, _, schedules)| evaluator.speedup_batch(program, schedules))
+            .map(|(program, _, schedules)| evaluator.speedup_batch_shared(program, schedules).0)
             .collect();
 
         // Phase 3: cross-shard dedup on exact content. A sample is
@@ -241,7 +241,7 @@ impl ParallelDatasetBuilder {
             num_programs: programs.len(),
             num_points: points.len(),
             duplicates_dropped,
-            eval: evaluator.stats(),
+            eval: evaluator.total_stats(),
         };
         (
             BuiltPrograms {

@@ -15,7 +15,6 @@ use dlcm_ir::{Program, Schedule};
 use dlcm_machine::Measurement;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::progen::{ProgramGenConfig, ProgramGenerator};
@@ -100,42 +99,31 @@ pub struct Dataset {
 
 impl Dataset {
     /// Generates a dataset: programs, schedules, and ground-truth labels
-    /// from `measurement`, in parallel.
+    /// from `measurement`, one program at a time.
     pub fn generate(cfg: &DatasetConfig, measurement: &Measurement) -> Dataset {
         let progen = ProgramGenerator::new(cfg.progen.clone());
         let schedgen = ScheduleGenerator::new(cfg.schedgen.clone());
 
-        let per_program: Vec<(Program, Vec<DataPoint>)> = (0..cfg.num_programs)
-            .into_par_iter()
-            .map(|pi| {
-                let mut rng = ChaCha8Rng::seed_from_u64(
-                    cfg.seed ^ (pi as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                );
-                let program = progen.generate(&mut rng, &format!("rand_{pi}"));
-                let schedules =
-                    schedgen.generate_distinct(&program, cfg.schedules_per_program, &mut rng);
-                let points = schedules
-                    .into_iter()
-                    .map(|schedule| {
-                        let speedup = measurement
-                            .speedup(&program, &schedule, cfg.seed ^ (pi as u64) << 8)
-                            .expect("generated schedules are legal");
-                        DataPoint {
-                            program: pi,
-                            schedule,
-                            speedup,
-                        }
-                    })
-                    .collect();
-                (program, points)
-            })
-            .collect();
-
         let mut programs = Vec::with_capacity(cfg.num_programs);
         let mut points = Vec::new();
-        for (program, pts) in per_program {
+        for pi in 0..cfg.num_programs {
+            let mut rng = ChaCha8Rng::seed_from_u64(
+                cfg.seed ^ (pi as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            );
+            let program = progen.generate(&mut rng, &format!("rand_{pi}"));
+            let schedules =
+                schedgen.generate_distinct(&program, cfg.schedules_per_program, &mut rng);
+            points.extend(schedules.into_iter().map(|schedule| {
+                let speedup = measurement
+                    .speedup(&program, &schedule, cfg.seed ^ (pi as u64) << 8)
+                    .expect("generated schedules are legal");
+                DataPoint {
+                    program: pi,
+                    schedule,
+                    speedup,
+                }
+            }));
             programs.push(program);
-            points.extend(pts);
         }
         Dataset { programs, points }
     }
@@ -236,8 +224,8 @@ impl Dataset {
     /// Serializes the whole dataset as one JSON document.
     ///
     /// This is the legacy single-file interchange format (handy for small
-    /// artifacts like `results/dataset.json`); corpora meant to scale or
-    /// to stream into training should use the sharded format written by
+    /// artifacts); corpora meant to scale or to stream into training
+    /// should use the sharded format written by
     /// [`crate::ParallelDatasetBuilder::write_corpus`] instead.
     ///
     /// # Errors

@@ -10,11 +10,11 @@
 //!
 //! Two generation paths share one determinism story:
 //!
-//! - [`Dataset::generate`] — the small-scale, in-memory path used by
-//!   tests and examples;
+//! - [`Dataset::generate`] — the small-scale, sequential in-memory path
+//!   used by tests and examples;
 //! - [`ParallelDatasetBuilder`] — the corpus path: generation fanned
 //!   across a worker pool, labeling through a shared, deduplicating
-//!   `dlcm_eval::CachedEvaluator`, and output as JSONL shards plus a
+//!   `dlcm_eval::SharedCachedEvaluator`, and output as JSONL shards plus a
 //!   manifest ([`ShardWriter`]/[`ShardReader`]/[`ShardManifest`]) that
 //!   are **byte-identical at any thread count**.
 //!

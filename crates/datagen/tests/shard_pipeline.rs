@@ -170,6 +170,16 @@ fn corpus_dedups_and_reuses_measurements() {
         stats.eval.cache_hits > 0,
         "duplicate programs' remaining schedules should be served from cache"
     );
+    // Pinned across the builder's move to the shared result cache: the
+    // cache tier must not change what is measured versus answered.
+    assert_eq!(
+        (
+            stats.eval.cache_hits,
+            stats.eval.cache_misses,
+            stats.eval.num_evals
+        ),
+        (13, 371, 371)
+    );
 
     // Splits are by *content*: a workload generated twice must never sit
     // in train and test at the same time.
@@ -230,9 +240,6 @@ fn shard_batches_filter_and_group() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `Dataset::generate` (the in-memory rayon path) and the builder agree
-/// on the *shape* of the corpus (programs and schedules come from the
-/// same seeded generators; only the labeling protocol differs).
 #[test]
 fn wide_corpus_tags_every_program_family() {
     let dir = tmp_dir("family_tags");
@@ -285,6 +292,9 @@ fn default_corpus_omits_family_keys_entirely() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `Dataset::generate` (the sequential in-memory path) and the builder
+/// agree on the *shape* of the corpus (programs and schedules come from
+/// the same seeded generators; only the labeling protocol differs).
 #[test]
 fn builder_generates_the_same_programs_as_dataset_generate() {
     let cfg = test_dataset_config(4);

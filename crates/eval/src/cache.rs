@@ -3,10 +3,12 @@
 //! Beam waves re-derive the skip-equivalent schedules of their parents,
 //! MCTS rollouts revisit the same finalized schedules across iterations,
 //! and both searches finalize partial candidates onto a shared tail of
-//! tag transforms. [`CachedEvaluator`] memoizes speedups under a
-//! `(program fingerprint, normalized schedule)` key so every re-derived
-//! candidate is answered without paying the wrapped evaluator's compile /
-//! run / inference cost.
+//! tag transforms. [`crate::SharedCachedEvaluator`] memoizes speedups
+//! under content-derived keys so every re-derived candidate is answered
+//! without paying the wrapped evaluator's compile / run / inference
+//! cost; this module holds the pieces it is built from — the default
+//! capacity, the bounded per-program memo, and the hit/fresh split of a
+//! keyed batch.
 //!
 //! Correctness rests on the determinism contract of [`crate::Evaluator`]:
 //! implementations return the same value for the same `(program,
@@ -14,17 +16,14 @@
 //! is indistinguishable from re-evaluating — `tests/cache_props.rs`
 //! asserts this over randomized schedule sequences.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::hash::Hash;
 
 use dlcm_ir::{Program, Schedule};
 
-use crate::lru::LruMap;
-use crate::{EvalStats, Evaluator};
-
-/// Default entry bound for both result-cache tiers ([`CachedEvaluator`]
-/// and [`crate::SharedCachedEvaluator`]) and for the serving tier built
-/// on them. An entry is a small fingerprint tuple plus an `f64` and
+/// Default entry bound for the result cache
+/// ([`crate::SharedCachedEvaluator`]) and for the serving tier built on
+/// it. An entry is a small fingerprint tuple plus an `f64` and
 /// map/list overhead —
 /// on the order of 100 bytes — so the default bounds a cache at roughly
 /// 100 MB while staying far above any search's working set (suite runs
@@ -32,7 +31,7 @@ use crate::{EvalStats, Evaluator};
 /// assertions in tests and Table 2 accounting are unaffected).
 pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 20;
 
-/// Cap on the per-program memos (fingerprints here and in
+/// Cap on the per-program memos (fingerprints in
 /// [`crate::SharedCachedEvaluator`], baseline times in
 /// [`crate::ParallelEvaluator`]): entries hold whole programs, and a
 /// corpus-scale run labels thousands of distinct programs exactly once
@@ -42,8 +41,8 @@ pub(crate) const PROGRAM_MEMO_CAP: usize = 64;
 
 /// Looks up `program` in a FIFO-bounded `(program, value)` memo,
 /// computing and inserting via `compute` on a miss (evicting the oldest
-/// entry at [`PROGRAM_MEMO_CAP`]). Shared by the fingerprint memos of
-/// both cache tiers and the baseline-time memo of the parallel
+/// entry at [`PROGRAM_MEMO_CAP`]). Shared by the fingerprint memo of
+/// the result cache and the baseline-time memo of the parallel
 /// evaluator.
 pub(crate) fn memoized<T: Copy>(
     memo: &mut Vec<(Program, T)>,
@@ -65,12 +64,9 @@ pub(crate) fn memoized<T: Copy>(
 /// missing key, preserving batch order: the wrapped evaluator must see a
 /// deduplicated sub-batch. The ordered `Vec` carries the batch order; the
 /// `HashSet` answers the "already queued?" probe in O(1) (a linear
-/// `fresh.contains` made large batches quadratic). Shared by both cache
-/// tiers — generic over the key tuple because the exclusive tier keys by
-/// `(program, schedule)` while the sharded tier prepends the model
-/// fingerprint; `lookup` is called exactly once per batch position, and
-/// hit values come back in `cached`, so the sharded tier pays one lock
-/// round-trip per candidate, not two.
+/// `fresh.contains` made large batches quadratic). `lookup` is called
+/// at most once per batch position, and hit values come back in
+/// `cached`, so the caller never probes a key twice.
 pub(crate) struct FreshSplit<K> {
     /// Per batch position: the cached value, or `None` for candidates the
     /// wrapped evaluator must score (first occurrences *and* their
@@ -115,332 +111,5 @@ pub(crate) fn split_fresh<K: Copy + Eq + Hash>(
         fresh,
         fresh_schedules,
         hits,
-    }
-}
-
-/// Memoizing decorator over any [`Evaluator`].
-///
-/// Cache keys are content-derived: the program half is
-/// [`Program::content_fingerprint`] (names are not unique across
-/// generated and scaled programs — and conversely, regenerated programs
-/// that differ *only* by name are the same workload and share an entry),
-/// the schedule half is [`Schedule::cache_key`] (normalized, so
-/// equivalent tag orders share an entry). Hits and misses are surfaced
-/// through [`EvalStats::cache_hits`] / [`EvalStats::cache_misses`].
-///
-/// The cache is **bounded**: at most `capacity` entries
-/// ([`DEFAULT_CACHE_CAPACITY`] unless [`CachedEvaluator::with_capacity`]
-/// says otherwise), evicting least-recently-used keys on overflow so
-/// memory stays bounded under open-ended candidate streams. Values are
-/// pure per key, so eviction never changes a score — only whether a
-/// re-derived candidate is answered from memory or recomputed.
-pub struct CachedEvaluator<E> {
-    inner: E,
-    entries: LruMap<(u64, u64), f64>,
-    /// Fingerprint memo keyed by the program itself, so repeated waves
-    /// over any already-seen program hash it once. A map rather than a
-    /// last-seen slot: interleaving programs (what the concurrent suite
-    /// driver does) must not evict the memo on every alternation.
-    programs: Vec<(Program, u64)>,
-    hits: usize,
-    misses: usize,
-}
-
-impl<E: Evaluator> CachedEvaluator<E> {
-    /// Wraps `inner` with an empty cache bounded at
-    /// [`DEFAULT_CACHE_CAPACITY`] entries.
-    pub fn new(inner: E) -> Self {
-        Self::with_capacity(inner, DEFAULT_CACHE_CAPACITY)
-    }
-
-    /// Wraps `inner` with an empty cache bounded at `capacity` entries
-    /// (clamped to at least 1), evicting least-recently-used keys on
-    /// overflow.
-    pub fn with_capacity(inner: E, capacity: usize) -> Self {
-        Self {
-            inner,
-            entries: LruMap::with_capacity(capacity),
-            programs: Vec::new(),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// The configured entry bound.
-    pub fn capacity(&self) -> usize {
-        self.entries.capacity()
-    }
-
-    /// The wrapped evaluator.
-    pub fn inner(&self) -> &E {
-        &self.inner
-    }
-
-    /// Unwraps, discarding the cache.
-    pub fn into_inner(self) -> E {
-        self.inner
-    }
-
-    /// Number of cached `(program, schedule)` entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Candidates answered from the cache so far (duplicates within one
-    /// batch count as hits: the wrapped evaluator never saw them).
-    pub fn hits(&self) -> usize {
-        self.hits
-    }
-
-    /// Candidates forwarded to the wrapped evaluator so far.
-    pub fn misses(&self) -> usize {
-        self.misses
-    }
-
-    fn program_fingerprint(&mut self, program: &Program) -> u64 {
-        memoized(&mut self.programs, program, || {
-            program.content_fingerprint()
-        })
-        .0
-    }
-
-    /// Number of programs whose fingerprint is currently memoized.
-    pub fn memoized_programs(&self) -> usize {
-        self.programs.len()
-    }
-}
-
-impl<E: Evaluator> Evaluator for CachedEvaluator<E> {
-    fn speedup_batch(&mut self, program: &Program, schedules: &[Schedule]) -> Vec<f64> {
-        let pfp = self.program_fingerprint(program);
-        let keys: Vec<(u64, u64)> = schedules.iter().map(|s| (pfp, s.cache_key())).collect();
-
-        let FreshSplit {
-            cached,
-            fresh,
-            fresh_schedules,
-            hits,
-        } = split_fresh(&keys, schedules, |key| self.entries.get(key).copied());
-        self.hits += hits;
-        self.misses += fresh.len();
-        // Fresh values are kept locally for assembly: with a bounded
-        // cache, an entry inserted early in a large batch may already be
-        // evicted by the batch's own later inserts.
-        let mut fresh_values: HashMap<(u64, u64), f64> = HashMap::new();
-        if !fresh_schedules.is_empty() {
-            let values = self.inner.speedup_batch(program, &fresh_schedules);
-            debug_assert_eq!(values.len(), fresh.len());
-            for (key, value) in fresh.into_iter().zip(values) {
-                self.entries.insert(key, value);
-                fresh_values.insert(key, value);
-            }
-        }
-        keys.iter()
-            .zip(cached)
-            .map(|(key, known)| known.unwrap_or_else(|| fresh_values[key]))
-            .collect()
-    }
-
-    fn stats(&self) -> EvalStats {
-        let mut stats = self.inner.stats();
-        stats.cache_hits += self.hits;
-        stats.cache_misses += self.misses;
-        stats
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::ExecutionEvaluator;
-    use dlcm_ir::{CompId, Expr, ProgramBuilder, Transform};
-    use dlcm_machine::{Machine, Measurement};
-
-    fn program(n: i64) -> Program {
-        let mut b = ProgramBuilder::new("p");
-        let i = b.iter("i", 0, n);
-        let j = b.iter("j", 0, n);
-        let inp = b.input("in", &[n, n]);
-        let out = b.buffer("out", &[n, n]);
-        let acc = b.access(inp, &[i.into(), j.into()], &[i, j]);
-        b.assign("c", &[i, j], out, &[i.into(), j.into()], Expr::Load(acc));
-        b.build().unwrap()
-    }
-
-    fn tile(size: i64) -> Schedule {
-        Schedule::new(vec![Transform::Tile {
-            comp: CompId(0),
-            level_a: 0,
-            level_b: 1,
-            size_a: size,
-            size_b: size,
-        }])
-    }
-
-    #[test]
-    fn repeats_and_duplicates_hit_the_cache() {
-        let p = program(512);
-        let mut ev = CachedEvaluator::new(ExecutionEvaluator::new(
-            Measurement::new(Machine::default()),
-            3,
-        ));
-        // Batch with an internal duplicate: 3 candidates, 2 unique.
-        let batch = vec![tile(32), tile(64), tile(32)];
-        let first = ev.speedup_batch(&p, &batch);
-        assert_eq!(first[0], first[2]);
-        assert_eq!(ev.hits(), 1);
-        assert_eq!(ev.misses(), 2);
-        assert_eq!(ev.stats().num_evals, 2, "inner saw only unique candidates");
-
-        // A later wave re-deriving the same schedules pays nothing.
-        let before = ev.stats();
-        let again = ev.speedup_batch(&p, &batch);
-        assert_eq!(again, first);
-        let delta = ev.stats().since(&before);
-        assert_eq!(delta.num_evals, 0);
-        assert_eq!(delta.search_time, 0.0);
-        assert_eq!(delta.cache_hits, 3);
-        assert_eq!(ev.stats().cache_hit_rate(), Some(4.0 / 6.0));
-    }
-
-    #[test]
-    fn equivalent_tag_orders_share_one_entry() {
-        let p = program(256);
-        let par = Transform::Parallelize {
-            comp: CompId(0),
-            level: 0,
-        };
-        let vec = Transform::Vectorize {
-            comp: CompId(0),
-            factor: 8,
-        };
-        let a = Schedule::new(vec![par.clone(), vec.clone()]);
-        let b = Schedule::new(vec![vec, par]);
-        let mut ev = CachedEvaluator::new(ExecutionEvaluator::new(
-            Measurement::new(Machine::default()),
-            0,
-        ));
-        let sa = ev.speedup(&p, &a);
-        let sb = ev.speedup(&p, &b);
-        assert_eq!(sa, sb);
-        assert_eq!(ev.misses(), 1);
-        assert_eq!(ev.hits(), 1);
-        assert_eq!(ev.len(), 1);
-    }
-
-    #[test]
-    fn renamed_identical_programs_share_entries() {
-        // Random corpora re-draw small programs under fresh names; the
-        // content key must recognize them as one workload.
-        let a = program(256);
-        let mut b = a.clone();
-        b.name = "renamed".into();
-        let mut ev = CachedEvaluator::new(ExecutionEvaluator::new(
-            Measurement::exact(Machine::default()),
-            0,
-        ));
-        let sa = ev.speedup(&a, &Schedule::empty());
-        let sb = ev.speedup(&b, &Schedule::empty());
-        assert_eq!(sa, sb);
-        assert_eq!(ev.misses(), 1, "renamed duplicate must hit the cache");
-        assert_eq!(ev.hits(), 1);
-    }
-
-    #[test]
-    fn interleaved_programs_keep_both_fingerprints_memoized() {
-        // The concurrent driver interleaves batches for different
-        // programs through one cache; the old single-entry memo
-        // recomputed a content fingerprint on every alternation.
-        let a = program(128);
-        let b = program(256);
-        let mut ev = CachedEvaluator::new(ExecutionEvaluator::new(
-            Measurement::exact(Machine::default()),
-            0,
-        ));
-        for _ in 0..4 {
-            ev.speedup(&a, &Schedule::empty());
-            ev.speedup(&b, &Schedule::empty());
-        }
-        assert_eq!(
-            ev.memoized_programs(),
-            2,
-            "alternation must memoize both programs, not thrash one slot"
-        );
-        assert_eq!(ev.misses(), 2, "one real evaluation per program");
-        assert_eq!(ev.hits(), 6);
-    }
-
-    #[test]
-    fn batch_with_many_duplicates_dedups_each_unique_key_once() {
-        // 120 candidates, 3 unique: the HashSet-backed probe must forward
-        // exactly the unique sub-batch (same semantics the linear scan
-        // had, minus the O(n²)).
-        let p = program(128);
-        let mut ev = CachedEvaluator::new(ExecutionEvaluator::new(
-            Measurement::exact(Machine::default()),
-            0,
-        ));
-        let batch: Vec<Schedule> = (0..120).map(|i| tile(16 << (i % 3))).collect();
-        let scores = ev.speedup_batch(&p, &batch);
-        assert_eq!(ev.misses(), 3);
-        assert_eq!(ev.hits(), 117);
-        assert_eq!(ev.stats().num_evals, 3, "inner saw only unique candidates");
-        for (i, s) in scores.iter().enumerate() {
-            assert_eq!(*s, scores[i % 3], "duplicates share their key's value");
-        }
-    }
-
-    #[test]
-    fn bounded_cache_evicts_but_scores_are_unchanged() {
-        let p = program(128);
-        let mut bounded = CachedEvaluator::with_capacity(
-            ExecutionEvaluator::new(Measurement::exact(Machine::default()), 0),
-            2,
-        );
-        assert_eq!(bounded.capacity(), 2);
-        let mut unbounded = CachedEvaluator::new(ExecutionEvaluator::new(
-            Measurement::exact(Machine::default()),
-            0,
-        ));
-        // 3 unique keys + an in-batch duplicate through a capacity-2
-        // cache: the first key is evicted by the batch's own later
-        // inserts, and the duplicate must still resolve (from the
-        // batch-local fresh values, not the cache).
-        let batch = vec![tile(16), tile(32), tile(64), tile(16)];
-        let got = bounded.speedup_batch(&p, &batch);
-        let want = unbounded.speedup_batch(&p, &batch);
-        assert_eq!(got, want, "eviction must never change scores");
-        assert_eq!(bounded.len(), 2);
-        assert_eq!(unbounded.len(), 3);
-        // The evicted key recomputes to the identical value (pure per
-        // key) — it just pays the wrapped evaluator again.
-        let misses_before = bounded.misses();
-        assert_eq!(bounded.speedup(&p, &tile(16)), got[0]);
-        assert_eq!(bounded.misses(), misses_before + 1, "tile(16) fell out");
-    }
-
-    #[test]
-    fn same_named_programs_do_not_collide() {
-        // program(64) and program(128) share the name "p"; the content
-        // fingerprint must keep their entries apart.
-        let small = program(64);
-        let big = program(128);
-        let mut ev = CachedEvaluator::new(ExecutionEvaluator::new(
-            Measurement::exact(Machine::default()),
-            0,
-        ));
-        let s_small = ev.speedup(&small, &Schedule::empty());
-        let s_big = ev.speedup(&big, &Schedule::empty());
-        assert!((s_small - 1.0).abs() < 1e-9);
-        assert!((s_big - 1.0).abs() < 1e-9);
-        assert_eq!(ev.misses(), 2, "different programs must not share entries");
-        // Returning to the first program still hits its entry.
-        ev.speedup(&small, &Schedule::empty());
-        assert_eq!(ev.hits(), 1);
     }
 }

@@ -23,32 +23,29 @@
 //!   same interface;
 //! - [`ParallelEvaluator`] — execution evaluation fanned out across a
 //!   deterministic worker pool, bit-identical to sequential scoring;
-//! - [`CachedEvaluator`] — a memoizing decorator keyed by
-//!   `(program fingerprint, normalized schedule)`, so candidates that
+//! - [`SharedCachedEvaluator`] — the one result cache: a memoizing
+//!   decorator keyed by `(model fingerprint, program fingerprint,
+//!   normalized schedule)`, bounded by a sharded LRU, so candidates that
 //!   beam waves and MCTS rollouts re-derive never pay twice (hit/miss
 //!   counters surface in [`EvalStats`]).
 //!
 //! The trait is object safe: search and bench hold `&mut dyn Evaluator`
 //! (or `Box<dyn Evaluator>`) and never know which backend is scoring.
-//! The parallel/cached layers compose with it:
-//!
-//! ```text
-//!   CachedEvaluator<ParallelEvaluator>   // dedup first, fan out misses
-//! ```
 //!
 //! On top of the exclusive tier sits the **shared** tier for concurrent
 //! search (see the [`mod@shared`] module docs): [`SyncEvaluator`] is the
 //! `&self` counterpart of [`Evaluator`] whose calls return their own
-//! [`EvalStats`] deltas, [`SharedCachedEvaluator`] is the sharded-lock
-//! result cache several searches can borrow at once, and
-//! [`ScopedEvaluator`] gives each such search standalone accounting.
-//! A blanket adapter makes `&E` an [`Evaluator`] for every
-//! `E: SyncEvaluator`, so existing call-sites take shared evaluators
-//! unchanged:
+//! [`EvalStats`] deltas, [`SharedCachedEvaluator`] wraps any such
+//! evaluator in the sharded-lock result cache several searches can
+//! borrow at once, and [`ScopedEvaluator`] gives each such search
+//! standalone accounting. A blanket adapter makes `&E` an [`Evaluator`]
+//! for every `E: SyncEvaluator`, so `&mut dyn Evaluator` call-sites take
+//! shared evaluators unchanged (an exclusive evaluator enters the shared
+//! tier behind a `Mutex`):
 //!
 //! ```text
-//!   SharedCachedEvaluator<ParallelEvaluator>   // one cache, N searches
-//!        ↑ ScopedEvaluator per search          // standalone EvalStats
+//!   SharedCachedEvaluator<ParallelEvaluator>   // dedup first, fan out misses;
+//!        ↑ ScopedEvaluator per search          // one cache, N searches
 //! ```
 //!
 //! Determinism contract: every evaluator is a pure function of
@@ -93,7 +90,7 @@ mod stats;
 
 use dlcm_ir::{Program, Schedule};
 
-pub use cache::{CachedEvaluator, DEFAULT_CACHE_CAPACITY};
+pub use cache::DEFAULT_CACHE_CAPACITY;
 pub use exec::ExecutionEvaluator;
 pub use lru::LruMap;
 pub use model::ModelEvaluator;

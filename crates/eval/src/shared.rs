@@ -24,12 +24,13 @@
 //!   to lift any exclusive evaluator into the shared tier (serialized, but
 //!   correct; fine for model evaluators whose batches are microseconds).
 //!
-//! [`SharedCachedEvaluator`] is the centerpiece: the concurrent analogue
-//! of [`crate::CachedEvaluator`], memoizing speedups under `(model
-//! fingerprint, program content fingerprint, normalized schedule)` keys
-//! behind sharded locks so concurrent searches share measurements without
-//! serializing on one table — and so a serving tier that hot-swaps model
-//! artifacts can never alias entries across them.
+//! [`SharedCachedEvaluator`] is the centerpiece: the one result cache,
+//! memoizing speedups under `(model fingerprint, program content
+//! fingerprint, normalized schedule)` keys behind sharded locks so
+//! concurrent searches share measurements without serializing on one
+//! table — and so a serving tier that hot-swaps model artifacts can
+//! never alias entries across them. A single search loop uses it through
+//! the `&E` adapter like any other [`Evaluator`].
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -203,15 +204,18 @@ const CACHE_SHARDS: usize = 16;
 /// models leave it at the default `0`.
 pub type SharedCacheKey = (u64, u64, u64);
 
-/// Thread-safe memoizing decorator over any [`SyncEvaluator`]: the
-/// concurrent counterpart of [`crate::CachedEvaluator`].
+/// Thread-safe memoizing decorator over any [`SyncEvaluator`].
 ///
 /// Cache keys are content-derived triples — the active model fingerprint
 /// (see [`SharedCachedEvaluator::set_model_fingerprint`]; `0` for
-/// evaluators whose model never changes), [`Program::content_fingerprint`],
-/// [`Schedule::cache_key`] — held in 16 independently locked shards
-/// selected by key hash, so concurrent searches hit disjoint shards with
-/// high probability and never serialize on one table.
+/// evaluators whose model never changes), [`Program::content_fingerprint`]
+/// (names are not unique across generated and scaled programs — and
+/// conversely, regenerated programs that differ *only* by name are the
+/// same workload and share an entry), [`Schedule::cache_key`]
+/// (normalized, so equivalent tag orders share an entry) — held in 16
+/// independently locked shards selected by key hash, so concurrent
+/// searches hit disjoint shards with high probability and never
+/// serialize on one table.
 ///
 /// Lock traffic is **batched**: each `speedup_batch_shared` call builds a
 /// local view of its keys with one lock acquisition per *touched* shard
@@ -514,7 +518,7 @@ impl<E: SyncEvaluator> SyncEvaluator for SharedCachedEvaluator<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CachedEvaluator, ExecutionEvaluator, ParallelEvaluator};
+    use crate::{ExecutionEvaluator, ParallelEvaluator};
     use dlcm_ir::{CompId, Expr, ProgramBuilder, Transform};
     use dlcm_machine::{Machine, Measurement};
 
@@ -543,11 +547,19 @@ mod tests {
         vec![tile(16), tile(32), tile(64), tile(16)]
     }
 
+    fn exact_cache() -> SharedCachedEvaluator<ParallelEvaluator> {
+        SharedCachedEvaluator::new(ParallelEvaluator::new(
+            Measurement::exact(Machine::default()),
+            0,
+            1,
+        ))
+    }
+
     #[test]
-    fn shared_cache_matches_the_exclusive_cache_on_interleaved_programs() {
+    fn shared_cache_matches_uncached_scoring_on_interleaved_programs() {
         // Interleaved multi-program batches — exactly the access pattern
-        // the concurrent driver produces — must return the same values and
-        // the same hit/miss accounting as the exclusive CachedEvaluator.
+        // the concurrent driver produces — must return the values an
+        // uncached evaluator measures, paying for each unique key once.
         let a = program("a", 96);
         let b = program("b", 128);
         let shared = SharedCachedEvaluator::new(ParallelEvaluator::new(
@@ -555,31 +567,150 @@ mod tests {
             7,
             1,
         ));
-        let mut exclusive = CachedEvaluator::new(ExecutionEvaluator::new(
-            Measurement::new(Machine::default()),
-            7,
-        ));
+        let mut uncached = ExecutionEvaluator::new(Measurement::new(Machine::default()), 7);
         for round in 0..3 {
             for p in [&a, &b] {
                 let (got, _) = shared.speedup_batch_shared(p, &wave());
-                let want = exclusive.speedup_batch(p, &wave());
+                let want = uncached.speedup_batch(p, &wave());
                 assert_eq!(got, want, "round {round}, program {}", p.name);
             }
         }
-        assert_eq!(shared.hits(), exclusive.hits());
-        assert_eq!(shared.misses(), exclusive.misses());
-        assert_eq!(shared.len(), 6, "3 unique tiles per program");
+        assert_eq!(shared.misses(), 6, "3 unique tiles per program");
+        assert_eq!(shared.hits(), 18, "everything else answers from cache");
+        assert_eq!(shared.len(), 6);
+        assert_eq!(
+            shared.programs.lock().unwrap().len(),
+            2,
+            "alternation must memoize both fingerprints, not thrash one slot"
+        );
+    }
+
+    #[test]
+    fn repeats_and_duplicates_hit_the_cache() {
+        let p = program("p", 512);
+        let shared = SharedCachedEvaluator::new(ParallelEvaluator::new(
+            Measurement::new(Machine::default()),
+            3,
+            1,
+        ));
+        let mut ev = &shared;
+        // Batch with an internal duplicate: 3 candidates, 2 unique.
+        let batch = vec![tile(32), tile(64), tile(32)];
+        let first = ev.speedup_batch(&p, &batch);
+        assert_eq!(first[0], first[2]);
+        assert_eq!(shared.hits(), 1);
+        assert_eq!(shared.misses(), 2);
+        assert_eq!(ev.stats().num_evals, 2, "inner saw only unique candidates");
+
+        // A later wave re-deriving the same schedules pays nothing.
+        let before = ev.stats();
+        let again = ev.speedup_batch(&p, &batch);
+        assert_eq!(again, first);
+        let delta = ev.stats().since(&before);
+        assert_eq!(delta.num_evals, 0);
+        assert_eq!(delta.search_time, 0.0);
+        assert_eq!(delta.cache_hits, 3);
+        assert_eq!(ev.stats().cache_hit_rate(), Some(4.0 / 6.0));
+    }
+
+    #[test]
+    fn equivalent_tag_orders_share_one_entry() {
+        let p = program("p", 256);
+        let par = Transform::Parallelize {
+            comp: CompId(0),
+            level: 0,
+        };
+        let vec = Transform::Vectorize {
+            comp: CompId(0),
+            factor: 8,
+        };
+        let a = Schedule::new(vec![par.clone(), vec.clone()]);
+        let b = Schedule::new(vec![vec, par]);
+        let shared = exact_cache();
+        let sa = shared.speedup_shared(&p, &a).0;
+        let sb = shared.speedup_shared(&p, &b).0;
+        assert_eq!(sa, sb);
+        assert_eq!(shared.misses(), 1);
+        assert_eq!(shared.hits(), 1);
+        assert_eq!(shared.len(), 1);
+    }
+
+    #[test]
+    fn keys_follow_program_content_not_names() {
+        // Random corpora re-draw small programs under fresh names; the
+        // content key must recognize them as one workload — and keep two
+        // different programs that share a name apart.
+        let a = program("p", 64);
+        let renamed = program("renamed", 64);
+        let big = program("p", 128);
+        let shared = exact_cache();
+        let sa = shared.speedup_shared(&a, &Schedule::empty()).0;
+        let sr = shared.speedup_shared(&renamed, &Schedule::empty()).0;
+        assert_eq!(sa, sr);
+        assert_eq!(shared.misses(), 1, "renamed duplicate must hit the cache");
+        assert_eq!(shared.hits(), 1);
+        let s_big = shared.speedup_shared(&big, &Schedule::empty()).0;
+        assert!((s_big - 1.0).abs() < 1e-9);
+        assert_eq!(
+            shared.misses(),
+            2,
+            "different programs must not share entries"
+        );
+        // Returning to the first program still hits its entry.
+        shared.speedup_shared(&a, &Schedule::empty());
+        assert_eq!(shared.hits(), 2);
+    }
+
+    #[test]
+    fn batch_with_many_duplicates_dedups_each_unique_key_once() {
+        // 120 candidates, 3 unique: the HashSet-backed probe must forward
+        // exactly the unique sub-batch (same semantics the linear scan
+        // had, minus the O(n²)).
+        let p = program("p", 128);
+        let shared = exact_cache();
+        let batch: Vec<Schedule> = (0..120).map(|i| tile(16 << (i % 3))).collect();
+        let (scores, delta) = shared.speedup_batch_shared(&p, &batch);
+        assert_eq!(shared.misses(), 3);
+        assert_eq!(shared.hits(), 117);
+        assert_eq!(delta.num_evals, 3, "inner saw only unique candidates");
+        for (i, s) in scores.iter().enumerate() {
+            assert_eq!(*s, scores[i % 3], "duplicates share their key's value");
+        }
+    }
+
+    #[test]
+    fn in_batch_duplicate_resolves_after_its_entry_is_evicted() {
+        // One entry per shard, and a batch of 64 unique keys followed by
+        // a duplicate of the first: whichever keys share the first key's
+        // shard evict it before the duplicate is assembled, so the
+        // duplicate must resolve from the batch-local fresh values, not
+        // the cache.
+        let p = program("p", 128);
+        let bounded = SharedCachedEvaluator::with_capacity(
+            ParallelEvaluator::new(Measurement::exact(Machine::default()), 0, 1),
+            1,
+        );
+        assert_eq!(bounded.capacity(), CACHE_SHARDS);
+        let unbounded = exact_cache();
+        let mut batch: Vec<Schedule> = (1..=64).map(tile).collect();
+        batch.push(tile(1));
+        let (got, _) = bounded.speedup_batch_shared(&p, &batch);
+        let (want, _) = unbounded.speedup_batch_shared(&p, &batch);
+        assert_eq!(got, want, "eviction must never change scores");
+        assert_eq!(bounded.len(), CACHE_SHARDS);
+        assert_eq!(unbounded.len(), 64);
+        // The evicted key recomputes to the identical value (pure per
+        // key) — it just pays the wrapped evaluator again.
+        let (again, delta) = bounded.speedup_shared(&p, &tile(1));
+        assert_eq!(again, got[0]);
+        assert_eq!(delta.cache_misses, 1, "tile(1) fell out");
     }
 
     #[test]
     fn scoped_stats_stay_standalone() {
         let p = program("p", 96);
         let q = program("q", 128);
-        let shared = SharedCachedEvaluator::new(ParallelEvaluator::new(
-            Measurement::exact(Machine::default()),
-            0,
-            1,
-        ));
+        let shared = exact_cache();
         let mut scope_p = ScopedEvaluator::new(&shared);
         let mut scope_q = ScopedEvaluator::new(&shared);
         scope_p.speedup_batch(&p, &wave());
@@ -604,11 +735,7 @@ mod tests {
         // The blanket adapter: `&mut &shared` drives any Evaluator
         // call-site without changes.
         let p = program("p", 64);
-        let shared = SharedCachedEvaluator::new(ParallelEvaluator::new(
-            Measurement::exact(Machine::default()),
-            0,
-            1,
-        ));
+        let shared = exact_cache();
         let mut handle: &SharedCachedEvaluator<_> = &shared;
         let ev: &mut dyn Evaluator = &mut handle;
         let s = ev.speedup(&p, &Schedule::empty());
@@ -677,11 +804,7 @@ mod tests {
         // An evicted key recomputes to the exact same value a fresh cache
         // produces: eviction is invisible in scores.
         let recomputed = shared.speedup_shared(&p, &tile(1)).0;
-        let fresh = SharedCachedEvaluator::new(ParallelEvaluator::new(
-            Measurement::exact(Machine::default()),
-            0,
-            1,
-        ));
+        let fresh = exact_cache();
         assert_eq!(recomputed, fresh.speedup_shared(&p, &tile(1)).0);
     }
 
@@ -694,11 +817,7 @@ mod tests {
         // recompute (a miss), and switching back must find the original
         // entry still resident.
         let p = program("p", 96);
-        let shared = SharedCachedEvaluator::new(ParallelEvaluator::new(
-            Measurement::exact(Machine::default()),
-            0,
-            1,
-        ));
+        let shared = exact_cache();
         assert_eq!(shared.model_fingerprint(), 0);
         let (_, first) = shared.speedup_batch_shared(&p, &wave());
         assert_eq!(first.cache_misses, 3);
@@ -723,11 +842,7 @@ mod tests {
         // must follow the *pinned* identity, not the evaluator-wide
         // current fingerprint.
         let p = program("p", 96);
-        let shared = SharedCachedEvaluator::new(ParallelEvaluator::new(
-            Measurement::exact(Machine::default()),
-            0,
-            1,
-        ));
+        let shared = exact_cache();
         let score_as = |bias: f64| {
             move |fresh: &[Schedule]| {
                 let values = vec![bias; fresh.len()];

@@ -6,7 +6,7 @@
 //! [`EvalStats`] carries both on the same struct so every consumer — beam,
 //! MCTS, the experiment binaries — reads one shape of number regardless of
 //! the evaluator behind the trait object. The caching layer
-//! ([`crate::CachedEvaluator`]) reports its hit/miss counters on the same
+//! ([`crate::SharedCachedEvaluator`]) reports its hit/miss counters on the same
 //! struct, so search logs can show how much re-derived work was skipped.
 
 use std::ops::{Add, AddAssign, Sub};
@@ -36,10 +36,10 @@ pub struct EvalStats {
     pub infer_time: f64,
     /// Candidates answered from the schedule-keyed result cache without
     /// touching the wrapped evaluator (zero unless a
-    /// [`crate::CachedEvaluator`] is in the stack).
+    /// [`crate::SharedCachedEvaluator`] is in the stack).
     pub cache_hits: usize,
     /// Candidates that missed the cache and were forwarded to the wrapped
-    /// evaluator (zero unless a [`crate::CachedEvaluator`] is in the
+    /// evaluator (zero unless a [`crate::SharedCachedEvaluator`] is in the
     /// stack).
     pub cache_misses: usize,
 }

@@ -4,8 +4,10 @@
 //! cached, and parallel evaluation without changing any search result —
 //! the cached and parallel paths are held to the same equality below.
 
+use std::sync::Mutex;
+
 use dlcm_eval::{
-    CachedEvaluator, Evaluator, ExecutionEvaluator, ModelEvaluator, ParallelEvaluator,
+    Evaluator, ExecutionEvaluator, ModelEvaluator, ParallelEvaluator, SharedCachedEvaluator,
 };
 use dlcm_ir::{BinOp, CompId, Expr, Program, ProgramBuilder, Schedule, Transform};
 use dlcm_machine::{Machine, Measurement};
@@ -173,17 +175,17 @@ fn cached_evaluator_batch_equals_sequential() {
         .map(|s| sequential.speedup(&program, s))
         .collect();
 
-    let mut cached = CachedEvaluator::new(ExecutionEvaluator::new(
+    let mut cached = &SharedCachedEvaluator::new(Mutex::new(ExecutionEvaluator::new(
         Measurement::new(Machine::default()),
         seed,
-    ));
+    )));
     let batch = cached.speedup_batch(&program, &schedules);
     assert_eq!(batch, one_by_one, "cached batch must match sequential");
     assert_eq!(cached.stats().cache_hits, 3);
     assert_eq!(cached.stats().num_evals, candidates().len());
 
     // Cached over parallel: the composition exp_search uses.
-    let mut stack = CachedEvaluator::new(ParallelEvaluator::new(
+    let mut stack = &SharedCachedEvaluator::new(ParallelEvaluator::new(
         Measurement::new(Machine::default()),
         seed,
         4,

@@ -1,15 +1,15 @@
 //! Property tests for the caching layer: over randomized schedule
 //! sequences — interleaving programs, duplicating candidates, mixing
-//! single and batched calls — `CachedEvaluator` must return exactly the
-//! values its inner evaluator would have produced, including across
-//! programs that share a name (the content-keyed baseline behavior of
-//! `ExecutionEvaluator`).
+//! single and batched calls — `SharedCachedEvaluator` (driven through the
+//! `&E: Evaluator` adapter) must return exactly the values an uncached
+//! evaluator would have produced, including across programs that share a
+//! name (the content-keyed baseline behavior of `ExecutionEvaluator`).
 //!
 //! Written as seeded loops in the style of the rest of the suite (no
 //! proptest in this environment).
 
 use dlcm_datagen::{ProgramGenConfig, ProgramGenerator, ScheduleGenConfig, ScheduleGenerator};
-use dlcm_eval::{CachedEvaluator, Evaluator, ExecutionEvaluator};
+use dlcm_eval::{Evaluator, ExecutionEvaluator, ParallelEvaluator, SharedCachedEvaluator};
 use dlcm_ir::{Program, Schedule};
 use dlcm_machine::{Machine, Measurement};
 use rand::{Rng, SeedableRng};
@@ -41,10 +41,12 @@ fn cached_matches_inner_over_randomized_sequences() {
         let mut rng = ChaCha8Rng::seed_from_u64(trial);
 
         let mut reference = ExecutionEvaluator::new(Measurement::new(Machine::default()), seed);
-        let mut cached = CachedEvaluator::new(ExecutionEvaluator::new(
+        let shared = SharedCachedEvaluator::new(ParallelEvaluator::new(
             Measurement::new(Machine::default()),
             seed,
+            1,
         ));
+        let mut cached = &shared;
 
         for _ in 0..25 {
             let (program, schedules) = &corpus[rng.gen_range(0..corpus.len())];
@@ -71,8 +73,8 @@ fn cached_matches_inner_over_randomized_sequences() {
             reference.stats().num_evals,
             "every candidate is either a hit or a miss"
         );
-        assert_eq!(cached.stats().num_evals, cached.misses());
-        total_hits += cached.hits();
+        assert_eq!(cached.stats().num_evals, shared.misses());
+        total_hits += shared.hits();
     }
     assert!(
         total_hits > 0,
@@ -87,10 +89,12 @@ fn cache_never_leaks_across_same_named_programs() {
     // exactly 1.0 only if each is measured against its own baseline.
     for trial in 0..4u64 {
         let corpus = corpus(trial);
-        let mut cached = CachedEvaluator::new(ExecutionEvaluator::new(
+        let shared = SharedCachedEvaluator::new(ParallelEvaluator::new(
             Measurement::exact(Machine::default()),
             0,
+            1,
         ));
+        let mut cached = &shared;
         for (program, _) in &corpus {
             let s = cached.speedup(program, &Schedule::empty());
             assert!(
@@ -103,7 +107,7 @@ fn cache_never_leaks_across_same_named_programs() {
             let s = cached.speedup(program, &Schedule::empty());
             assert!((s - 1.0).abs() < 1e-9);
         }
-        assert_eq!(cached.hits(), corpus.len());
-        assert_eq!(cached.misses(), corpus.len());
+        assert_eq!(shared.hits(), corpus.len());
+        assert_eq!(shared.misses(), corpus.len());
     }
 }

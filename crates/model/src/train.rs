@@ -16,7 +16,6 @@ use dlcm_tensor::{Tape, Tensor};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::costmodel::{train_rng, SpeedupPredictor};
@@ -53,13 +52,13 @@ pub struct SampleRef<'a> {
     pub group: u64,
 }
 
-/// Featurizes a slice of samples in parallel.
+/// Featurizes a slice of samples, in order.
 pub fn featurize_samples(
     featurizer: &Featurizer,
     samples: &[SampleRef<'_>],
 ) -> Vec<LabeledFeatures> {
     samples
-        .par_iter()
+        .iter()
         .map(|s| LabeledFeatures {
             feats: featurizer.featurize(s.program, s.schedule),
             target: s.speedup,
@@ -337,7 +336,7 @@ pub fn evaluate<M: SpeedupPredictor>(model: &M, set: &[LabeledFeatures]) -> (f64
         .flat_map(|g| g.chunks(64).map(<[usize]>::to_vec))
         .collect();
     let scattered: Vec<Vec<(usize, f64)>> = chunks
-        .par_iter()
+        .iter()
         .map(|chunk| {
             let refs: Vec<&ProgramFeatures> = chunk.iter().map(|&i| &set[i].feats).collect();
             let mut tape = Tape::new();

@@ -40,6 +40,23 @@ fn assert_still_serving(server: &NetServer<CostModel>) {
 }
 
 #[test]
+fn stats_before_the_first_query_keeps_the_connection_open() {
+    // A fresh service has answered nothing: every ratio in its report
+    // must still be a finite, encodable number, or the reply cannot be
+    // written and the worker drops the connection.
+    let server = bind_server(NetConfig::default());
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+    let report = client.stats().expect("a fresh server must answer Stats");
+    assert_eq!(report.serve.queries, 0);
+    assert_eq!(report.serve.hit_rate, 0.0);
+    let scores = client
+        .speedups(&program(), &[Schedule::empty()])
+        .expect("the same connection must still answer queries");
+    assert_eq!(scores.len(), 1);
+    server.shutdown();
+}
+
+#[test]
 fn truncated_frame_then_disconnect_never_wedges_the_server() {
     let server = bind_server(NetConfig::default());
 

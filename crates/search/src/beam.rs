@@ -228,9 +228,8 @@ mod tests {
         let result = BeamSearch::new(4, space.clone()).search(&p, &mut ev);
         // Finalization funnels many decision prefixes onto shared
         // schedules; the evaluator must have seen each unique one once.
-        let mut cached = dlcm_eval::CachedEvaluator::new(ExecutionEvaluator::new(
-            Measurement::exact(Machine::default()),
-            0,
+        let mut cached = &dlcm_eval::SharedCachedEvaluator::new(std::sync::Mutex::new(
+            ExecutionEvaluator::new(Measurement::exact(Machine::default()), 0),
         ));
         let cached_result = BeamSearch::new(4, space).search(&p, &mut cached);
         assert_eq!(cached_result.schedule, result.schedule);

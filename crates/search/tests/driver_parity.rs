@@ -5,6 +5,8 @@
 //! scoped deltas, and cross-job cache interaction is nil for distinct
 //! programs.
 
+use std::sync::Mutex;
+
 use dlcm_eval::{
     EvalStats, Evaluator, ExecutionEvaluator, ParallelEvaluator, ScopedEvaluator,
     SharedCachedEvaluator, SyncEvaluator,
@@ -220,8 +222,8 @@ fn model_only_suite_needs_no_execution_tier() {
 #[test]
 fn scoped_deltas_sum_to_plain_evaluator_stats() {
     // A single search through a scope over a fresh shared evaluator must
-    // report exactly what the exclusive stack reports: same evals, same
-    // hit/miss counts.
+    // report exactly what the evaluator-wide totals of a plain `&E`
+    // handle report: same evals, same hit/miss counts.
     let program = stencil("parity", 96);
     let beam = BeamSearch::new(3, small_space());
 
@@ -233,16 +235,16 @@ fn scoped_deltas_sum_to_plain_evaluator_stats() {
     let mut scoped = ScopedEvaluator::new(&shared);
     let via_shared = beam.search(&program, &mut scoped);
 
-    let mut exclusive = dlcm_eval::CachedEvaluator::new(ExecutionEvaluator::new(
+    let mut plain = &SharedCachedEvaluator::new(Mutex::new(ExecutionEvaluator::new(
         Measurement::new(Machine::default()),
         0,
-    ));
-    let via_exclusive = beam.search(&program, &mut exclusive);
+    )));
+    let via_plain = beam.search(&program, &mut plain);
 
-    assert_eq!(via_shared.schedule, via_exclusive.schedule);
-    assert_eq!(via_shared.score, via_exclusive.score);
+    assert_eq!(via_shared.schedule, via_plain.schedule);
+    assert_eq!(via_shared.score, via_plain.score);
     let a: EvalStats = via_shared.stats;
-    let b: EvalStats = via_exclusive.stats;
+    let b: EvalStats = via_plain.stats;
     assert_eq!(a.num_evals, b.num_evals);
     assert_eq!(a.cache_hits, b.cache_hits);
     assert_eq!(a.cache_misses, b.cache_misses);

@@ -79,8 +79,8 @@ pub struct ServeStats {
     pub cache_hits: usize,
     /// Queries that missed the cache and went through a forward pass.
     pub cache_misses: usize,
-    /// `cache_hits / (cache_hits + cache_misses)`, `NaN` before the
-    /// first query.
+    /// `cache_hits / (cache_hits + cache_misses)`, `0.0` before the
+    /// first query (the wire's JSON cannot carry a `NaN`).
     pub hit_rate: f64,
     /// Entries currently resident in the shared result cache.
     pub cache_entries: usize,
@@ -456,7 +456,11 @@ impl<M: SpeedupPredictor> InferenceService<M> {
             client_calls: ledger.calls,
             cache_hits: hits,
             cache_misses: misses,
-            hit_rate: hits as f64 / (hits + misses) as f64,
+            hit_rate: if hits + misses > 0 {
+                hits as f64 / (hits + misses) as f64
+            } else {
+                0.0
+            },
             cache_entries: self.cache.len(),
             cache_capacity: self.cache.capacity(),
             cache_evictions: self.cache.evictions(),

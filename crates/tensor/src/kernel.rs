@@ -28,13 +28,11 @@ use crate::tensor::Tensor;
 /// [`crate::Tensor::matmul`] and [`Arena::matmul`] both call it — an
 /// i-k-j loop with a zero-skip on `a` (featurization vectors are mostly
 /// zeros, so the skip is worth more than vectorization-friendliness).
-/// Large products split output rows across rayon workers; rows are
-/// independent, so the split never changes a bit of the result.
 pub fn matmul_into(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
-    let row_kernel = |i: usize, orow: &mut [f32]| {
+    for (i, orow) in out.chunks_mut(n).enumerate() {
         let arow = &a[i * k..(i + 1) * k];
         for (kk, &av) in arow.iter().enumerate() {
             if av == 0.0 {
@@ -44,16 +42,6 @@ pub fn matmul_into(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut
             for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
                 *o += av * bv;
             }
-        }
-    };
-    if m * k * n >= 1 << 20 {
-        use rayon::prelude::*;
-        out.par_chunks_mut(n)
-            .enumerate()
-            .for_each(|(i, orow)| row_kernel(i, orow));
-    } else {
-        for (i, orow) in out.chunks_mut(n).enumerate() {
-            row_kernel(i, orow);
         }
     }
 }

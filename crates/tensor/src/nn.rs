@@ -115,7 +115,7 @@ impl GradAccumulator {
         self.count += 1;
     }
 
-    /// Merges another accumulator (e.g. from a rayon worker).
+    /// Merges another accumulator (e.g. one filled by a worker thread).
     pub fn merge(&mut self, other: GradAccumulator) {
         for (slot, g) in self.grads.iter_mut().zip(other.grads) {
             match (slot.as_mut(), g) {
