@@ -214,15 +214,18 @@ impl Evaluator for HalideModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlcm_datagen::DatasetConfig;
+    use dlcm_datagen::{BuildConfig, DatasetConfig, ParallelDatasetBuilder};
     use dlcm_machine::{Machine, Measurement};
+
+    fn tiny_dataset(seed: u64) -> Dataset {
+        ParallelDatasetBuilder::new(BuildConfig::new(DatasetConfig::tiny(seed)))
+            .generate(&Measurement::exact(Machine::default()))
+            .0
+    }
 
     #[test]
     fn training_improves_fit() {
-        let ds = Dataset::generate(
-            &DatasetConfig::tiny(21),
-            &Measurement::exact(Machine::default()),
-        );
+        let ds = tiny_dataset(21);
         let idx: Vec<usize> = (0..ds.len()).collect();
         let mut model = HalideModel::new(MachineConfig::default(), 0);
         let (y, p0) = model.evaluate(&ds, &idx);
@@ -249,10 +252,7 @@ mod tests {
 
     #[test]
     fn predict_is_positive_for_any_schedule() {
-        let ds = Dataset::generate(
-            &DatasetConfig::tiny(22),
-            &Measurement::exact(Machine::default()),
-        );
+        let ds = tiny_dataset(22);
         let model = HalideModel::new(MachineConfig::default(), 1);
         let pt = &ds.points[0];
         assert!(model.predict(ds.program_of(pt), &pt.schedule) > 0.0);

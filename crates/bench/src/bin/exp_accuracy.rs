@@ -12,7 +12,7 @@
 //! held-out metrics. Pass `--model-artifact DIR` to *reuse* a saved
 //! artifact instead of retraining: the run re-evaluates it on the
 //! held-out split and writes an `accuracy.json` byte-identical to the
-//! training run's (CI diffs them).
+//! training run's and to `modelctl eval`'s (CI diffs all three).
 //!
 //! `cargo run --release -p dlcm-bench --bin exp_accuracy [--quick]
 //! [--threads N] [--model-artifact DIR] [epochs]`
@@ -74,82 +74,52 @@ fn main() {
     };
     eprintln!("=== EXP-ACC: model accuracy (quick={quick}, threads={threads}) ===");
 
-    if let Some(dir) = model_artifact_flag() {
-        // Reuse path: no training. Validate the artifact, re-evaluate it
-        // on the held-out split, and require the stored metrics to
-        // reproduce exactly — evaluation is deterministic, so anything
-        // else means the artifact does not describe these weights.
-        let artifact = load_artifact(&dir);
-        eprintln!("reusing model artifact at {dir:?} (no training)");
-        let evaluation = evaluate_artifact(&artifact, quick, threads, shards());
-        let held_out = evaluation.metrics;
-        assert_eq!(
-            held_out,
-            artifact.manifest().metrics,
-            "re-evaluated held-out metrics must reproduce the manifest bit for bit"
-        );
-        let dataset = evaluation.dataset;
-        let split = dataset.split(0);
-        let epochs = artifact
-            .manifest()
-            .train
-            .as_ref()
-            .map_or(epochs, |t| t.epochs);
-        let rep = accuracy_report(
-            &dataset,
-            epochs,
-            split.train.len(),
-            &held_out,
-            &evaluation.program_families,
-            &evaluation.test_indices,
-            &evaluation.test_set,
-            &evaluation.test_preds,
-        );
-        let unseen = split
-            .test
-            .iter()
-            .map(|&i| dataset.points[i].program)
-            .collect::<std::collections::HashSet<_>>()
-            .len();
-        print_metrics(&rep, unseen);
-        write_json("accuracy.json", &rep);
-        return;
-    }
-
-    let outcome = train_from_corpus(quick, threads, shards(), epochs);
-    let rep = accuracy_report(
-        &outcome.dataset,
-        epochs,
-        outcome.dataset.split(0).train.len(),
-        &outcome.artifact.manifest().metrics,
-        &outcome.program_families,
-        &outcome.test_indices,
-        &outcome.test_set,
-        &outcome.test_preds,
+    // Obtain the artifact — reuse a saved one, or train and save it —
+    // then report on its held-out evaluation through one code path.
+    let (artifact, evaluation) = match model_artifact_flag() {
+        Some(dir) => {
+            let artifact = load_artifact(&dir);
+            eprintln!("reusing model artifact at {dir:?} (no training)");
+            let evaluation = evaluate_artifact(&artifact, quick, threads, shards());
+            (artifact, evaluation)
+        }
+        None => {
+            let (artifact, evaluation) = train_from_corpus(quick, threads, shards(), epochs);
+            let artifact_dir = model_artifact_dir();
+            artifact.save(&artifact_dir).expect("save model artifact");
+            eprintln!("wrote model artifact to {artifact_dir:?}");
+            // The acceptance contract: a reloaded artifact reproduces
+            // the trained model's predictions bit for bit.
+            let reloaded = ModelArtifact::load(&artifact_dir).expect("reload saved artifact");
+            assert_eq!(
+                evaluation.test_preds,
+                evaluate(reloaded.model(), &evaluation.test_set).1,
+                "reloaded artifact must reproduce in-memory predictions bit-identically"
+            );
+            eprintln!("artifact roundtrip verified: reloaded predictions are bit-identical");
+            (artifact, evaluation)
+        }
+    };
+    // Evaluation is deterministic, so anything else means the artifact
+    // does not describe these weights.
+    assert_eq!(
+        evaluation.metrics,
+        artifact.manifest().metrics,
+        "re-evaluated held-out metrics must reproduce the manifest bit for bit"
     );
-    let unseen = outcome
-        .test_indices
+    let epochs = artifact
+        .manifest()
+        .train
+        .as_ref()
+        .map_or(epochs, |t| t.epochs);
+    let rep = accuracy_report(&evaluation, epochs);
+    let unseen = evaluation
+        .split
+        .test
         .iter()
-        .map(|&i| outcome.dataset.points[i].program)
+        .map(|&i| evaluation.dataset.points[i].program)
         .collect::<std::collections::HashSet<_>>()
         .len();
     print_metrics(&rep, unseen);
     write_json("accuracy.json", &rep);
-
-    let artifact_dir = model_artifact_dir();
-    outcome
-        .artifact
-        .save(&artifact_dir)
-        .expect("save model artifact");
-    eprintln!("wrote model artifact to {artifact_dir:?}");
-
-    // The acceptance contract: a reloaded artifact reproduces the
-    // trained model's predictions bit for bit.
-    let reloaded = ModelArtifact::load(&artifact_dir).expect("reload saved artifact");
-    let (_mape, reload_preds) = evaluate(reloaded.model(), &outcome.test_set);
-    assert_eq!(
-        outcome.test_preds, reload_preds,
-        "reloaded artifact must reproduce in-memory predictions bit-identically"
-    );
-    eprintln!("artifact roundtrip verified: reloaded predictions are bit-identical");
 }

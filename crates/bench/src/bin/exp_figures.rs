@@ -13,8 +13,7 @@
 use std::collections::BTreeMap;
 
 use dlcm_bench::{
-    corpus_program_families, load_model_and_featurizer, load_or_generate_dataset,
-    per_family_metrics, quick_mode, write_csv,
+    load_model_and_featurizer, load_or_generate_dataset, per_family_metrics, quick_mode, write_csv,
 };
 use dlcm_datagen::prepare;
 use dlcm_model::{metrics, LabeledFeatures};
@@ -167,8 +166,7 @@ fn main() {
 
     // ---- Per-family breakdown: the same partition accuracy.json
     // carries, as a CSV for plotting alongside the figures.
-    let families = corpus_program_families(&dataset);
-    let rows = per_family_metrics(&families, &dataset, &split.test, &targets, &preds);
+    let rows = per_family_metrics(&dataset, &split.test, &targets, &preds);
     write_csv(
         "family_accuracy.csv",
         "family,test_points,mape,r2,spearman,ss_res",

@@ -21,12 +21,7 @@
 //! `--threads` / `--search-threads` setting (CI diffs them).
 //!
 //! `cargo run --release -p dlcm-bench --bin exp_search [--quick]
-//! [--threads N] [--search-threads N] [--par-cutover N]
-//! [--model-artifact DIR]`
-//!
-//! `--par-cutover N` keeps execution batches smaller than `N`
-//! candidates on the calling thread (fan-out overhead exceeds the win
-//! for tiny batches); scores are bit-identical either way.
+//! [--threads N] [--search-threads N] [--model-artifact DIR]`
 //!
 //! BSM/MCTS score with the validated `ModelArtifact` at
 //! `results/model_artifact` (its manifest supplies the featurizer
@@ -36,7 +31,7 @@ use dlcm_baseline::{HalideModel, HalideTrainConfig};
 use dlcm_bench::{
     harness, load_model_and_featurizer, quick_mode, search_threads, threads, write_csv,
 };
-use dlcm_datagen::{Dataset, DatasetConfig, ProgramGenConfig};
+use dlcm_datagen::{BuildConfig, DatasetConfig, ParallelDatasetBuilder, ProgramGenConfig};
 use dlcm_eval::{
     Evaluator, ModelEvaluator, ParallelEvaluator, SharedCachedEvaluator, SyncEvaluator,
 };
@@ -85,10 +80,12 @@ fn main() {
     let harness = harness();
 
     // Halide-style baseline trained on image/DL-flavoured programs only
-    // (no reductions), reproducing its §6 domain gap.
+    // (no reductions), reproducing its §6 domain gap. Labeled by the
+    // same builder protocol as the corpus it is compared against.
     eprintln!("training the Halide-style baseline ...");
-    let halide_ds = Dataset::generate(
-        &DatasetConfig {
+    let (halide_ds, _stats) = ParallelDatasetBuilder::new(BuildConfig {
+        threads,
+        ..BuildConfig::new(DatasetConfig {
             num_programs: if quick { 32 } else { 192 },
             schedules_per_program: 12,
             seed: 99,
@@ -101,9 +98,9 @@ fn main() {
                 ..ProgramGenConfig::default()
             },
             ..DatasetConfig::default()
-        },
-        &harness,
-    );
+        })
+    })
+    .generate(&harness);
     let mut halide = HalideModel::new(MachineConfig::default(), 0);
     let idx: Vec<usize> = (0..halide_ds.len()).collect();
     halide.train(&halide_ds, &idx, &HalideTrainConfig::default());
@@ -149,10 +146,8 @@ fn main() {
     // The one execution evaluator every search that pays (simulated)
     // compile+run shares: candidate batches fan out across `threads`
     // workers, concurrent searches across `search_threads`.
-    let shared_exec = SharedCachedEvaluator::new(
-        ParallelEvaluator::new(harness.clone(), 0, threads)
-            .with_par_cutover(dlcm_bench::par_cutover()),
-    );
+    let shared_exec =
+        SharedCachedEvaluator::new(ParallelEvaluator::new(harness.clone(), 0, threads));
     let factory = model_factory(&model, &featurizer, &halide);
     let results = SearchDriver::new(search_threads).run_suite(&jobs, &shared_exec, &factory);
 

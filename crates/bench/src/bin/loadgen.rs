@@ -32,28 +32,16 @@ use std::net::TcpStream;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use dlcm_bench::{load_artifact, positive_flag, quick_mode, string_flag};
-use dlcm_datagen::{ProgramGenConfig, ProgramGenerator, ScheduleGenConfig, ScheduleGenerator};
+use dlcm_bench::{
+    load_artifact, positive_flag, quick_mode, replay_programs, replay_wave, string_flag,
+};
 use dlcm_eval::{Evaluator, ModelEvaluator};
 use dlcm_ir::{Program, Schedule};
 use dlcm_net::NetClient;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
-/// The same fixed program pool `modelctl serve --bench` drives (seed
-/// 17), so in-process and served runs see identical queries.
-fn program_pool() -> Vec<Program> {
-    let generator = ProgramGenerator::new(ProgramGenConfig::default());
-    let mut rng = ChaCha8Rng::seed_from_u64(17);
-    (0..8)
-        .map(|i| generator.generate(&mut rng, &format!("serve{i}")))
-        .collect()
-}
-
+/// Loadgen's slice of the replay seed space: `(client << 32) | round`.
 fn wave_for(program: &Program, client: usize, round: usize, wave_len: usize) -> Vec<Schedule> {
-    let schedgen = ScheduleGenerator::new(ScheduleGenConfig::default());
-    let mut rng = ChaCha8Rng::seed_from_u64((client as u64) << 32 | round as u64);
-    schedgen.generate_distinct(program, wave_len, &mut rng)
+    replay_wave(program, wave_len, (client as u64) << 32 | round as u64)
 }
 
 /// Retries the TCP connect until the server is up (or 60s pass).
@@ -139,7 +127,7 @@ fn main() {
          quick={quick}) ==="
     );
 
-    let programs = program_pool();
+    let programs = replay_programs();
 
     if std::env::args().any(|a| a == "--verify") && !verify(&addr, &programs) {
         eprintln!("loadgen --verify FAILED: served scores differ from in-process evaluation");

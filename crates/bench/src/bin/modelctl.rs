@@ -11,12 +11,9 @@
 //!   split of its training corpus, and **fail unless the stored metrics
 //!   reproduce exactly** (evaluation is deterministic, so any drift
 //!   means the artifact does not describe these weights);
-//! - `serve --bench` — stand up a `dlcm_serve::InferenceService` over
-//!   the artifact and drive it with concurrent clients, reporting
-//!   ns/query throughput, mean latency, micro-batch coalescing, and
-//!   cache hit rate (written to `results/serve_bench.json`);
-//! - `serve --listen ADDR` — put the same service on a TCP socket via
-//!   `dlcm_net::NetServer` and run in the foreground until a client
+//! - `serve --listen ADDR` — put a `dlcm_serve::InferenceService` over
+//!   the artifact on a TCP socket via `dlcm_net::NetServer` and run in
+//!   the foreground until a client
 //!   sends the protocol's `Shutdown` frame (which `loadgen --shutdown`
 //!   does), then drain and print the final serving counters. Drive it
 //!   with the `loadgen` binary or any `dlcm_net::NetClient`;
@@ -47,7 +44,6 @@
 //! modelctl train [--quick] [--threads N] [--shards K] [--epochs N] [--out DIR]
 //! modelctl info  [--artifact DIR]
 //! modelctl eval  [--quick] [--threads N] [--artifact DIR]
-//! modelctl serve --bench [--quick] [--artifact DIR] [--clients N] [--threads N] [--rounds N]
 //! modelctl serve --listen ADDR [--artifact DIR] [--threads N] [--cache-capacity N]
 //!                [--max-connections N] [--max-in-flight N]
 //! modelctl reload ADDR --artifact DIR
@@ -68,18 +64,14 @@ use std::time::Instant;
 use dlcm_bench::harness;
 use dlcm_bench::{
     accuracy_report, corpus_dir, evaluate_artifact, load_artifact, model_artifact_dir,
-    positive_flag, quick_mode, results_dir, run_flywheel, shards, string_flag, threads,
-    train_from_corpus, write_json, FlywheelConfig,
+    positive_flag, quick_mode, replay_programs, replay_wave, results_dir, run_flywheel, shards,
+    string_flag, threads, train_from_corpus, write_json, FlywheelConfig,
 };
-use dlcm_datagen::{ProgramGenConfig, ProgramGenerator, ScheduleGenConfig, ScheduleGenerator};
-use dlcm_eval::pool::parallel_map;
-use dlcm_eval::{Evaluator, ExecutionEvaluator, ModelEvaluator, SyncEvaluator};
+use dlcm_eval::{Evaluator, ExecutionEvaluator, ModelEvaluator};
 use dlcm_ir::fingerprint::to_hex;
 use dlcm_model::{CostModel, Featurizer};
 use dlcm_net::{NetClient, NetConfig, NetServer};
-use dlcm_serve::{InferenceService, ServeConfig, ServeStats};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use dlcm_serve::{InferenceService, ServeConfig};
 use serde::Serialize;
 
 fn artifact_dir_arg() -> PathBuf {
@@ -130,9 +122,9 @@ fn train() {
     let epochs = positive_flag("epochs", if quick { 8 } else { 60 });
     let out = artifact_dir_arg();
     eprintln!("=== modelctl train (quick={quick}, threads={threads}, epochs={epochs}) ===");
-    let outcome = train_from_corpus(quick, threads, shards(), epochs);
-    outcome.artifact.save(&out).expect("save model artifact");
-    let m = outcome.artifact.manifest();
+    let (artifact, _evaluation) = train_from_corpus(quick, threads, shards(), epochs);
+    artifact.save(&out).expect("save model artifact");
+    let m = artifact.manifest();
     println!(
         "saved model artifact to {out:?}: corpus {}, test MAPE {:.3}, Pearson {:.3}, \
          Spearman {:.3} over {} held-out points",
@@ -189,16 +181,7 @@ fn eval() {
     // byte-identical to a training/reuse run over the same artifact and
     // corpus (CI diffs them).
     let epochs = artifact.manifest().train.as_ref().map_or(0, |t| t.epochs);
-    let rep = accuracy_report(
-        &evaluation.dataset,
-        epochs,
-        evaluation.dataset.split(0).train.len(),
-        &held_out,
-        &evaluation.program_families,
-        &evaluation.test_indices,
-        &evaluation.test_set,
-        &evaluation.test_preds,
-    );
+    let rep = accuracy_report(&evaluation, epochs);
     println!(
         "{:<20} {:>6} {:>9} {:>8} {:>8}",
         "family", "points", "MAPE%", "R^2", "rho"
@@ -220,99 +203,17 @@ fn eval() {
     );
 }
 
-/// What `serve --bench` writes to `results/serve_bench.json`.
-#[derive(Serialize)]
-struct ServeBenchReport {
-    clients: usize,
-    rounds_per_client: usize,
-    queries: usize,
-    wall_seconds: f64,
-    ns_per_query: f64,
-    queries_per_second: f64,
-    stats: ServeStats,
-}
-
 fn serve() {
-    if let Some(addr) = string_flag("listen") {
-        serve_listen(&addr);
-        return;
-    }
-    if !std::env::args().any(|a| a == "--bench") {
-        eprintln!(
-            "modelctl serve needs a mode: --bench (in-process throughput driver) or \
-             --listen ADDR (TCP server via dlcm-net)"
-        );
-        std::process::exit(2);
-    }
-    let quick = quick_mode();
-    let clients = positive_flag("clients", 4);
-    let threads = threads();
-    let rounds = positive_flag("rounds", if quick { 12 } else { 100 });
-    let dir = artifact_dir_arg();
-    eprintln!(
-        "=== modelctl serve --bench (artifact={dir:?}, clients={clients}, threads={threads}, \
-         rounds={rounds}) ==="
-    );
-    let artifact = load_artifact(&dir);
-    let service = InferenceService::from_artifact(
-        artifact,
-        ServeConfig {
-            threads,
-            ..ServeConfig::default()
-        },
-    );
-
-    // Workload: a fixed pool of generated programs; every client round
-    // draws a (mostly fresh) wave of distinct schedules for one of them,
-    // so the drive mixes cold featurize+forward traffic with natural
-    // repeats that exercise the shared cache.
-    let generator = ProgramGenerator::new(ProgramGenConfig::default());
-    let mut rng = ChaCha8Rng::seed_from_u64(17);
-    let programs: Vec<dlcm_ir::Program> = (0..8)
-        .map(|i| generator.generate(&mut rng, &format!("serve{i}")))
-        .collect();
-    let schedgen = ScheduleGenerator::new(ScheduleGenConfig::default());
-    let wave_len = 8;
-
-    let start = Instant::now();
-    let served: Vec<usize> = parallel_map(clients, clients, |c| {
-        let mut queries = 0;
-        for round in 0..rounds {
-            let p = &programs[(c + round) % programs.len()];
-            let mut rng = ChaCha8Rng::seed_from_u64((c as u64) << 32 | round as u64);
-            let wave = schedgen.generate_distinct(p, wave_len, &mut rng);
-            let (scores, _delta) = service.speedup_batch_shared(p, &wave);
-            assert_eq!(scores.len(), wave.len());
-            queries += wave.len();
+    match string_flag("listen") {
+        Some(addr) => serve_listen(&addr),
+        None => {
+            eprintln!(
+                "usage: modelctl serve --listen ADDR [--artifact DIR] [--threads N] \
+                 [--cache-capacity N] [--max-connections N] [--max-in-flight N]"
+            );
+            std::process::exit(2);
         }
-        queries
-    });
-    let wall = start.elapsed().as_secs_f64();
-    let queries: usize = served.iter().sum();
-    let stats = service.stats();
-
-    let report = ServeBenchReport {
-        clients,
-        rounds_per_client: rounds,
-        queries,
-        wall_seconds: wall,
-        ns_per_query: 1e9 * wall / queries as f64,
-        queries_per_second: queries as f64 / wall,
-        stats,
-    };
-    println!(
-        "served {queries} queries from {clients} clients in {wall:.2}s: {:.0} ns/query \
-         ({:.0} q/s), {:.0}% cache hits, {} micro-batches ({} coalesced across clients, \
-         mean {:.1} rows), mean client-call latency {:.2}ms",
-        report.ns_per_query,
-        report.queries_per_second,
-        100.0 * stats.hit_rate,
-        stats.micro_batches,
-        stats.coalesced_batches,
-        stats.mean_batch_rows,
-        1e3 * stats.mean_latency,
-    );
-    write_json("serve_bench.json", &report);
+    }
 }
 
 fn connect(addr: &str, verb: &str) -> NetClient {
@@ -466,23 +367,17 @@ fn promote() {
         }
     }
 
-    // Mirrored traffic: the serve bench's fixed program pool (seed 17)
-    // with promote-reserved wave seeds, so the window never collides
-    // with loadgen's keys and replays identically across runs.
-    let generator = ProgramGenerator::new(ProgramGenConfig::default());
-    let mut rng = ChaCha8Rng::seed_from_u64(17);
-    let programs: Vec<dlcm_ir::Program> = (0..8)
-        .map(|i| generator.generate(&mut rng, &format!("serve{i}")))
-        .collect();
-    let schedgen = ScheduleGenerator::new(ScheduleGenConfig::default());
+    // Mirrored traffic: the shared replay pool with promote-reserved
+    // wave seeds, so the window never collides with loadgen's keys and
+    // replays identically across runs.
+    let programs = replay_programs();
 
     let mut incumbent_err = 0.0f64;
     let mut incumbent_us = 0.0f64;
     let mut probe_wave: Option<(dlcm_ir::Program, Vec<dlcm_ir::Schedule>)> = None;
     for round in 0..window {
         let program = &programs[round % programs.len()];
-        let mut wave_rng = ChaCha8Rng::seed_from_u64(0xAB00 + round as u64);
-        let wave = schedgen.generate_distinct(program, wave_len, &mut wave_rng);
+        let wave = replay_wave(program, wave_len, 0xAB00 + round as u64);
 
         let sent = Instant::now();
         let incumbent = client.speedups(program, &wave).unwrap_or_else(|e| {

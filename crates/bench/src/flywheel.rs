@@ -27,17 +27,17 @@
 //! the same incumbent and corpus reproduce bit-identical generation
 //! fingerprints and candidate weights at any `--threads` setting.
 
-use std::collections::HashSet;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use dlcm_datagen::{
-    append_generation, prepare, AppendSample, GenerationInfo, ProgramGenConfig, ProgramGenerator,
-    ScheduleGenConfig, ScheduleGenerator, ShardBatches, ShardedDataset,
+    append_generation, open_split, AppendSample, GenerationInfo, ProgramGenConfig,
+    ProgramGenerator, ScheduleGenConfig, ScheduleGenerator, ShardedDataset,
 };
 use dlcm_eval::{ParallelEvaluator, SyncEvaluator};
 use dlcm_ir::fingerprint::to_hex;
-use dlcm_model::{evaluate, metrics, train_stream, HeldOutMetrics, ModelArtifact, TrainConfig};
+use dlcm_ir::{Program, Schedule};
+use dlcm_model::{train_stream, HeldOutMetrics, ModelArtifact, TrainConfig};
 use dlcm_serve::{InferenceService, MispredictConfig, MispredictCounters, ServeConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -46,9 +46,30 @@ use serde::Serialize;
 use crate::harness;
 
 /// Wave-seed base reserved for flywheel replay traffic: disjoint from
-/// the serve bench's `(client, round)` seeds and promote's `0xAB00 +
+/// loadgen's `(client << 32) | round` seeds and promote's `0xAB00 +
 /// round` window, so flywheel cache keys never collide with either.
 pub const FLYWHEEL_WAVE_SEED: u64 = 0xF1_0000;
+
+/// The fixed pool of eight generated programs (`serve0`…`serve7`, seed
+/// 17) every replay driver draws from — `loadgen`, `modelctl promote`
+/// and the flywheel window — so served and in-process runs see the
+/// same queries.
+pub fn replay_programs() -> Vec<Program> {
+    let generator = ProgramGenerator::new(ProgramGenConfig::default());
+    let mut rng = ChaCha8Rng::seed_from_u64(17);
+    (0..8)
+        .map(|i| generator.generate(&mut rng, &format!("serve{i}")))
+        .collect()
+}
+
+/// One replay wave: up to `wave_len` distinct schedules of `program`,
+/// drawn from `seed`. Each driver owns a disjoint seed range (see
+/// [`FLYWHEEL_WAVE_SEED`]).
+pub fn replay_wave(program: &Program, wave_len: usize, seed: u64) -> Vec<Schedule> {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    ScheduleGenerator::new(ScheduleGenConfig::default())
+        .generate_distinct(program, wave_len, &mut rng)
+}
 
 /// Everything one flywheel run needs; no environment variables are
 /// consulted, so tests can point every path at a temp directory.
@@ -177,17 +198,11 @@ pub fn run_flywheel(cfg: &FlywheelConfig) -> io::Result<FlywheelReport> {
             ..MispredictConfig::default()
         },
     );
-    let generator = ProgramGenerator::new(ProgramGenConfig::default());
-    let mut rng = ChaCha8Rng::seed_from_u64(17);
-    let programs: Vec<dlcm_ir::Program> = (0..8)
-        .map(|i| generator.generate(&mut rng, &format!("serve{i}")))
-        .collect();
-    let schedgen = ScheduleGenerator::new(ScheduleGenConfig::default());
+    let programs = replay_programs();
     let mut queries = 0usize;
     for round in 0..cfg.window {
         let program = &programs[round % programs.len()];
-        let mut wave_rng = ChaCha8Rng::seed_from_u64(FLYWHEEL_WAVE_SEED + round as u64);
-        let wave = schedgen.generate_distinct(program, cfg.wave_len, &mut wave_rng);
+        let wave = replay_wave(program, cfg.wave_len, FLYWHEEL_WAVE_SEED + round as u64);
         queries += wave.len();
         let (scores, _) = service.speedup_batch_shared(program, &wave);
         debug_assert_eq!(scores.len(), wave.len());
@@ -213,19 +228,16 @@ pub fn run_flywheel(cfg: &FlywheelConfig) -> io::Result<FlywheelReport> {
         threads,
     )?;
 
-    // Stage 4: warm-start retrain over the union corpus.
+    // Stage 4: warm-start retrain over the union corpus, read once for
+    // every candidate.
     let sharded = ShardedDataset::open(&cfg.corpus_dir)?;
     let corpus_fingerprint = sharded.manifest().content_fingerprint();
-    let dataset = sharded.load_dataset()?;
-    let split = dataset.split(0);
-    let train_programs: HashSet<usize> = split
-        .train
-        .iter()
-        .map(|&i| dataset.points[i].program)
-        .collect();
-    let val_set = prepare(&featurizer, &dataset, &split.val);
-    let test_set = prepare(&featurizer, &dataset, &split.test);
-    let targets: Vec<f64> = test_set.iter().map(|s| s.target).collect();
+    let corpus = open_split(
+        &sharded,
+        &featurizer,
+        TrainConfig::default().batch_size,
+        threads,
+    )?;
 
     let mut candidates = Vec::with_capacity(cfg.candidates.max(1));
     for k in 0..cfg.candidates.max(1) {
@@ -234,23 +246,9 @@ pub fn run_flywheel(cfg: &FlywheelConfig) -> io::Result<FlywheelReport> {
             seed: k as u64,
             ..TrainConfig::default()
         };
-        let source = ShardBatches::open_filtered(
-            &cfg.corpus_dir,
-            featurizer.clone(),
-            train_cfg.batch_size,
-            threads,
-            Some(&train_programs),
-        )?;
         let mut model = warm.clone();
-        train_stream(&mut model, &source, &val_set, &train_cfg);
-        let (mape, preds) = evaluate(&model, &test_set);
-        let held_out = HeldOutMetrics {
-            mape,
-            pearson: metrics::pearson(&targets, &preds),
-            spearman: metrics::spearman(&targets, &preds),
-            r2: metrics::r2(&targets, &preds),
-            test_points: test_set.len(),
-        };
+        train_stream(&mut model, &corpus.train, &corpus.val_set, &train_cfg);
+        let (held_out, _preds) = HeldOutMetrics::evaluate(&model, &corpus.test_set);
         let candidate =
             ModelArtifact::new(model, featurizer.config(), corpus_fingerprint, held_out)
                 .with_train_config(train_cfg);
@@ -260,7 +258,7 @@ pub fn run_flywheel(cfg: &FlywheelConfig) -> io::Result<FlywheelReport> {
             dir: dir.display().to_string(),
             weights_fingerprint: to_hex(candidate.weights_fingerprint()),
             seed: k as u64,
-            held_out_mape: mape,
+            held_out_mape: held_out.mape,
         });
     }
 
@@ -274,15 +272,4 @@ pub fn run_flywheel(cfg: &FlywheelConfig) -> io::Result<FlywheelReport> {
         corpus_fingerprint: to_hex(corpus_fingerprint),
         candidates,
     })
-}
-
-/// `Path`-taking convenience over [`FlywheelConfig::new`] defaults used
-/// by benches and tests that only vary the window.
-pub fn quick_flywheel_config(artifact: &Path, corpus: &Path, out: &Path) -> FlywheelConfig {
-    FlywheelConfig::new(
-        artifact.to_path_buf(),
-        corpus.to_path_buf(),
-        out.to_path_buf(),
-        true,
-    )
 }

@@ -23,21 +23,20 @@
 mod flywheel;
 
 pub use flywheel::{
-    quick_flywheel_config, run_flywheel, FlywheelCandidate, FlywheelConfig, FlywheelReport,
+    replay_programs, replay_wave, run_flywheel, FlywheelCandidate, FlywheelConfig, FlywheelReport,
     FLYWHEEL_WAVE_SEED,
 };
 
-use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
 use dlcm_datagen::{
-    prepare, BuildConfig, BuildStats, Dataset, DatasetConfig, ParallelDatasetBuilder, Pattern,
-    ProgramGenConfig, ShardBatches, ShardedDataset,
+    open_split, prepare, BuildConfig, BuildStats, Dataset, DatasetConfig, ParallelDatasetBuilder,
+    Pattern, ProgramGenConfig, ShardedDataset, Split,
 };
 use dlcm_machine::{Machine, Measurement};
 use dlcm_model::{
-    evaluate, metrics, train_stream, BatchSource, CostModel, CostModelConfig, Featurizer,
-    FeaturizerConfig, HeldOutMetrics, LabeledFeatures, ModelArtifact, TrainConfig,
+    metrics, train_stream, BatchSource, CostModel, CostModelConfig, Featurizer, FeaturizerConfig,
+    HeldOutMetrics, LabeledFeatures, ModelArtifact, TrainConfig,
 };
 
 /// Directory where experiment artifacts are written.
@@ -135,15 +134,6 @@ pub fn threads() -> usize {
 /// changes the sample set — only how it is laid out across files.
 pub fn shards() -> usize {
     positive_flag("shards", 4)
-}
-
-/// Seq-vs-par batch-size cutover for parallel evaluation:
-/// `--par-cutover N` (or `--par-cutover=N`), defaulting to
-/// [`dlcm_eval::DEFAULT_PAR_CUTOVER`]. Batches smaller than N run
-/// inline instead of waking the worker pool; `1` disables the cutover.
-/// Like `--threads`, this never changes results — only wall-clock.
-pub fn par_cutover() -> usize {
-    positive_flag("par-cutover", dlcm_eval::DEFAULT_PAR_CUTOVER)
 }
 
 /// Concurrent-search count for the suite driver: `--search-threads N`
@@ -251,21 +241,6 @@ pub fn load_or_generate_dataset(quick: bool) -> Dataset {
     sharded.load_dataset().expect("load generated corpus")
 }
 
-/// Family tags for `dataset`'s programs, read from the canonical corpus
-/// when it describes the same program set; all-`None` when the corpus
-/// is absent or disagrees, so callers degrade to one `untagged` bucket
-/// instead of mislabeling.
-pub fn corpus_program_families(dataset: &Dataset) -> Vec<Option<String>> {
-    if let Ok(sharded) = ShardedDataset::open(&corpus_dir()) {
-        if let Ok(families) = sharded.program_families() {
-            if families.len() == dataset.programs.len() {
-                return families;
-            }
-        }
-    }
-    vec![None; dataset.programs.len()]
-}
-
 /// Loads and validates a versioned model artifact, exiting with a
 /// pointer to the producer binaries on any [`dlcm_model::ArtifactError`].
 pub fn load_artifact(dir: &Path) -> ModelArtifact {
@@ -296,32 +271,30 @@ pub fn load_model_and_featurizer() -> (CostModel, Featurizer) {
     (artifact.into_model(), featurizer)
 }
 
-/// Everything one training run over the canonical corpus produces: the
-/// packaged artifact plus the in-memory pieces the caller needs to
-/// report on it (dataset, held-out split, predictions).
-pub struct TrainOutcome {
-    /// The trained model, packaged with schema + provenance + metrics.
-    pub artifact: ModelArtifact,
-    /// The full dataset the corpus holds.
+/// A model scored on the held-out test split of its training corpus:
+/// what [`train_from_corpus`] and [`evaluate_artifact`] both hand to
+/// [`accuracy_report`], so a training run and a reload of its artifact
+/// report through the same code.
+pub struct Evaluation {
+    /// The full dataset the corpus holds (family tags included).
     pub dataset: Dataset,
-    /// Dataset indices of the held-out test points.
-    pub test_indices: Vec<usize>,
+    /// Its by-program split; `split.test` indexes the points behind
+    /// [`Evaluation::test_set`].
+    pub split: Split,
     /// Featurized held-out test set.
     pub test_set: Vec<LabeledFeatures>,
-    /// Model predictions over [`TrainOutcome::test_set`], in order.
+    /// Model predictions over [`Evaluation::test_set`], in order.
     pub test_preds: Vec<f64>,
-    /// Scenario-family tag of each corpus program, indexed by global
-    /// program index ([`dlcm_datagen::Pattern::name`]; `None` for
-    /// untagged legacy programs).
-    pub program_families: Vec<Option<String>>,
+    /// Held-out metrics computed from those predictions.
+    pub metrics: HeldOutMetrics,
 }
 
 /// The one training pipeline behind `exp_accuracy` and `modelctl train`:
 /// ensure the canonical sharded corpus, stream-train the cost model on
-/// its training split (appendix A.1 loop), evaluate on the held-out
-/// test programs, and package the result as a versioned
-/// [`ModelArtifact`] carrying the corpus content fingerprint and the
-/// held-out metrics.
+/// its training split (appendix A.1 loop) from a single read of the
+/// shards, evaluate on the held-out test programs, and package the
+/// result as a versioned [`ModelArtifact`] carrying the corpus content
+/// fingerprint and the held-out metrics.
 ///
 /// Deterministic end to end: the same `(quick, epochs)` pair yields
 /// byte-identical artifacts at any `threads`/`num_shards` setting.
@@ -330,86 +303,43 @@ pub fn train_from_corpus(
     threads: usize,
     num_shards: usize,
     epochs: usize,
-) -> TrainOutcome {
+) -> (ModelArtifact, Evaluation) {
     let (sharded, _build_stats) = ensure_corpus(quick, threads, num_shards);
-    let corpus_fingerprint = sharded.manifest().content_fingerprint();
-    let program_families = sharded.program_families().expect("read family tags");
-    let dataset = sharded.load_dataset().expect("load corpus");
-    let split = dataset.split(0);
-
     let featurizer = Featurizer::new(FeaturizerConfig::default());
-    // Stream training minibatches from the shards (featurized on demand,
-    // in parallel); only the small val/test sets are featurized up front.
-    let train_programs: HashSet<usize> = split
-        .train
-        .iter()
-        .map(|&i| dataset.points[i].program)
-        .collect();
     let train_cfg = TrainConfig {
         epochs,
         verbose: true,
         eval_every: 5,
         ..TrainConfig::default()
     };
-    let source = ShardBatches::open_filtered(
-        &corpus_dir(),
-        featurizer.clone(),
-        train_cfg.batch_size,
-        threads,
-        Some(&train_programs),
-    )
-    .expect("open corpus for streaming");
-    assert_eq!(source.num_points(), split.train.len());
-    let val_set = prepare(&featurizer, &dataset, &split.val);
-    let test_set = prepare(&featurizer, &dataset, &split.test);
+    let corpus = open_split(&sharded, &featurizer, train_cfg.batch_size, threads)
+        .expect("open corpus for streaming");
 
     let mut model = CostModel::new(CostModelConfig::fast(featurizer.config().vector_width()), 0);
     eprintln!(
         "training {} params for {epochs} epochs on {} streamed samples ({} minibatches) ...",
         model.num_params(),
-        source.num_points(),
-        source.num_batches()
+        corpus.train.num_points(),
+        corpus.train.num_batches()
     );
-    train_stream(&mut model, &source, &val_set, &train_cfg);
+    train_stream(&mut model, &corpus.train, &corpus.val_set, &train_cfg);
 
-    let (mape, test_preds) = evaluate(&model, &test_set);
-    let targets: Vec<f64> = test_set.iter().map(|s| s.target).collect();
-    let held_out = HeldOutMetrics {
-        mape,
-        pearson: metrics::pearson(&targets, &test_preds),
-        spearman: metrics::spearman(&targets, &test_preds),
-        r2: metrics::r2(&targets, &test_preds),
-        test_points: test_set.len(),
-    };
-    let artifact = ModelArtifact::new(model, featurizer.config(), corpus_fingerprint, held_out)
-        .with_train_config(train_cfg);
-    TrainOutcome {
-        artifact,
-        dataset,
-        test_indices: split.test,
-        test_set,
+    let (held_out, test_preds) = HeldOutMetrics::evaluate(&model, &corpus.test_set);
+    let artifact = ModelArtifact::new(
+        model,
+        featurizer.config(),
+        sharded.manifest().content_fingerprint(),
+        held_out,
+    )
+    .with_train_config(train_cfg);
+    let evaluation = Evaluation {
+        dataset: corpus.dataset,
+        split: corpus.split,
+        test_set: corpus.test_set,
         test_preds,
-        program_families,
-    }
-}
-
-/// What [`evaluate_artifact`] produces: the re-computed held-out
-/// metrics plus the corpus pieces it loaded along the way (so callers
-/// never re-parse the shards).
-pub struct ArtifactEvaluation {
-    /// Held-out metrics recomputed from the loaded weights.
-    pub metrics: HeldOutMetrics,
-    /// The full dataset reassembled from the corpus shards.
-    pub dataset: Dataset,
-    /// Dataset indices of the held-out test points.
-    pub test_indices: Vec<usize>,
-    /// Featurized held-out test set.
-    pub test_set: Vec<LabeledFeatures>,
-    /// Model predictions over the test set, in order.
-    pub test_preds: Vec<f64>,
-    /// Scenario-family tag of each corpus program, indexed by global
-    /// program index (`None` for untagged legacy programs).
-    pub program_families: Vec<Option<String>>,
+        metrics: held_out,
+    };
+    (artifact, evaluation)
 }
 
 /// Re-evaluates a loaded artifact on the held-out test split of its
@@ -423,7 +353,7 @@ pub fn evaluate_artifact(
     quick: bool,
     threads: usize,
     num_shards: usize,
-) -> ArtifactEvaluation {
+) -> Evaluation {
     // Open whatever corpus is on disk first: if it exists but is not
     // the artifact's training corpus, fail *without* touching it (a
     // full training corpus must never be clobbered by e.g. a --quick
@@ -444,27 +374,16 @@ pub fn evaluate_artifact(
         );
         std::process::exit(1);
     }
-    let program_families = sharded.program_families().expect("read family tags");
     let dataset = sharded.load_dataset().expect("load corpus");
     let split = dataset.split(0);
-    let featurizer = artifact.featurizer();
-    let test_set = prepare(&featurizer, &dataset, &split.test);
-    let (mape, test_preds) = evaluate(artifact.model(), &test_set);
-    let targets: Vec<f64> = test_set.iter().map(|s| s.target).collect();
-    let metrics = HeldOutMetrics {
-        mape,
-        pearson: metrics::pearson(&targets, &test_preds),
-        spearman: metrics::spearman(&targets, &test_preds),
-        r2: metrics::r2(&targets, &test_preds),
-        test_points: test_set.len(),
-    };
-    ArtifactEvaluation {
-        metrics,
+    let test_set = prepare(&artifact.featurizer(), &dataset, &split.test);
+    let (held_out, test_preds) = HeldOutMetrics::evaluate(artifact.model(), &test_set);
+    Evaluation {
         dataset,
-        test_indices: split.test,
+        split,
         test_set,
         test_preds,
-        program_families,
+        metrics: held_out,
     }
 }
 
@@ -529,14 +448,13 @@ fn family_row(family: String, targets: &[f64], preds: &[f64]) -> FamilyMetrics {
 ///
 /// `test_indices[k]` is the dataset point behind `targets[k]` /
 /// `preds[k]`; the point's program index selects the family from
-/// `program_families`. Row order is deterministic:
+/// [`Dataset::families`]. Row order is deterministic:
 /// [`dlcm_datagen::Pattern::ALL`] order, then [`UNTAGGED_FAMILY`] last
 /// (only when non-empty). The partition is exact — every test point
 /// lands in exactly one row, so `Σ_f test_points_f` equals the
 /// aggregate count and `Σ_f test_points_f · mape_f` recombines to the
 /// aggregate MAPE.
 pub fn per_family_metrics(
-    program_families: &[Option<String>],
     dataset: &Dataset,
     test_indices: &[usize],
     targets: &[f64],
@@ -551,7 +469,7 @@ pub fn per_family_metrics(
     let mut untagged: (Vec<f64>, Vec<f64>) = (Vec::new(), Vec::new());
     for (k, &pi) in test_indices.iter().enumerate() {
         let program = dataset.points[pi].program;
-        let family = program_families.get(program).and_then(|f| f.as_deref());
+        let family = dataset.families[program].as_deref();
         match family.and_then(|name| buckets.iter_mut().find(|(b, _, _)| *b == name)) {
             Some((_, t, p)) => {
                 t.push(targets[k]);
@@ -581,7 +499,7 @@ pub fn per_family_metrics(
 /// eval`: §6 headline metrics plus the per-family breakdown. Both the
 /// training and artifact-reuse paths build it through
 /// [`accuracy_report`], so the emitted JSON is byte-identical whenever
-/// the underlying evaluation is (CI diffs the two).
+/// the underlying evaluation is (CI diffs all three producers).
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct AccuracyReport {
     /// Distinct programs in the corpus.
@@ -612,26 +530,22 @@ pub struct AccuracyReport {
     pub per_family: Vec<FamilyMetrics>,
 }
 
-/// Builds the shared [`AccuracyReport`] from an evaluation's pieces.
-// The argument list mirrors TrainOutcome/ArtifactEvaluation field for
-// field; bundling them into a struct would just duplicate those types.
-#[allow(clippy::too_many_arguments)]
-pub fn accuracy_report(
-    dataset: &Dataset,
-    epochs: usize,
-    train_points: usize,
-    held_out: &HeldOutMetrics,
-    program_families: &[Option<String>],
-    test_indices: &[usize],
-    test_set: &[LabeledFeatures],
-    test_preds: &[f64],
-) -> AccuracyReport {
+/// Builds the shared [`AccuracyReport`] for weights trained for
+/// `epochs` epochs.
+pub fn accuracy_report(evaluation: &Evaluation, epochs: usize) -> AccuracyReport {
+    let Evaluation {
+        dataset,
+        split,
+        test_set,
+        test_preds,
+        metrics: held_out,
+    } = evaluation;
     let targets: Vec<f64> = test_set.iter().map(|s| s.target).collect();
     AccuracyReport {
         num_programs: dataset.programs.len(),
         num_points: dataset.len(),
         epochs,
-        train_points,
+        train_points: split.train.len(),
         test_points: held_out.test_points,
         test_mape: held_out.mape,
         pearson: held_out.pearson,
@@ -640,13 +554,7 @@ pub fn accuracy_report(
         paper_mape: 0.16,
         paper_pearson: 0.90,
         paper_spearman: 0.95,
-        per_family: per_family_metrics(
-            program_families,
-            dataset,
-            test_indices,
-            &targets,
-            test_preds,
-        ),
+        per_family: per_family_metrics(dataset, &split.test, &targets, test_preds),
     }
 }
 

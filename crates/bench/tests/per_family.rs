@@ -13,7 +13,7 @@ use dlcm_datagen::{
 use dlcm_machine::{Machine, Measurement};
 use dlcm_model::metrics;
 
-fn wide_corpus(name: &str) -> (Vec<Option<String>>, Dataset) {
+fn wide_corpus(name: &str) -> Dataset {
     let dir = std::env::temp_dir().join(format!("dlcm_per_family_{name}"));
     let _ = std::fs::remove_dir_all(&dir);
     let cfg = BuildConfig {
@@ -33,11 +33,12 @@ fn wide_corpus(name: &str) -> (Vec<Option<String>>, Dataset) {
     ParallelDatasetBuilder::new(cfg)
         .write_corpus(&Measurement::new(Machine::default()), &dir)
         .expect("write corpus");
-    let sharded = ShardedDataset::open(&dir).expect("open");
-    let families = sharded.program_families().expect("families");
-    let dataset = sharded.load_dataset().expect("load");
+    let dataset = ShardedDataset::open(&dir)
+        .expect("open")
+        .load_dataset()
+        .expect("load");
     let _ = std::fs::remove_dir_all(&dir);
-    (families, dataset)
+    dataset
 }
 
 /// Deterministic stand-in predictions: a fixed multiplicative skew so
@@ -52,7 +53,7 @@ fn fake_preds(targets: &[f64]) -> Vec<f64> {
 
 #[test]
 fn partition_is_exact_and_recombines_to_the_aggregate() {
-    let (families, dataset) = wide_corpus("recombine");
+    let dataset = wide_corpus("recombine");
     let split = dataset.split(0);
     let targets: Vec<f64> = split
         .test
@@ -60,7 +61,7 @@ fn partition_is_exact_and_recombines_to_the_aggregate() {
         .map(|&i| dataset.points[i].speedup)
         .collect();
     let preds = fake_preds(&targets);
-    let rows = per_family_metrics(&families, &dataset, &split.test, &targets, &preds);
+    let rows = per_family_metrics(&dataset, &split.test, &targets, &preds);
 
     // Wide corpus: every program tagged, so exactly the nine family
     // rows in Pattern::ALL order, no untagged bucket.
@@ -106,7 +107,7 @@ fn partition_is_exact_and_recombines_to_the_aggregate() {
 
 #[test]
 fn untagged_and_unknown_tags_fall_into_the_catch_all_bucket() {
-    let (_, dataset) = wide_corpus("untagged");
+    let mut dataset = wide_corpus("untagged");
     let split = dataset.split(0);
     let targets: Vec<f64> = split
         .test
@@ -117,8 +118,8 @@ fn untagged_and_unknown_tags_fall_into_the_catch_all_bucket() {
 
     // All-None families: nine zero rows plus one untagged row holding
     // everything.
-    let none: Vec<Option<String>> = vec![None; dataset.programs.len()];
-    let rows = per_family_metrics(&none, &dataset, &split.test, &targets, &preds);
+    dataset.families = vec![None; dataset.programs.len()];
+    let rows = per_family_metrics(&dataset, &split.test, &targets, &preds);
     assert_eq!(rows.len(), Pattern::ALL.len() + 1);
     for row in &rows[..Pattern::ALL.len()] {
         assert_eq!(row.test_points, 0);
@@ -133,16 +134,15 @@ fn untagged_and_unknown_tags_fall_into_the_catch_all_bucket() {
 
     // A tag this build does not know (future family, corrupted shard)
     // routes to untagged rather than silently dropping points.
-    let unknown: Vec<Option<String>> =
-        vec![Some("warp_shuffle".to_string()); dataset.programs.len()];
-    let rows = per_family_metrics(&unknown, &dataset, &split.test, &targets, &preds);
+    dataset.families = vec![Some("warp_shuffle".to_string()); dataset.programs.len()];
+    let rows = per_family_metrics(&dataset, &split.test, &targets, &preds);
     assert_eq!(rows.last().unwrap().family, UNTAGGED_FAMILY);
     assert_eq!(rows.last().unwrap().test_points, targets.len());
 }
 
 #[test]
 fn per_family_rows_are_deterministic() {
-    let (families, dataset) = wide_corpus("deterministic");
+    let dataset = wide_corpus("deterministic");
     let split = dataset.split(0);
     let targets: Vec<f64> = split
         .test
@@ -150,7 +150,7 @@ fn per_family_rows_are_deterministic() {
         .map(|&i| dataset.points[i].speedup)
         .collect();
     let preds = fake_preds(&targets);
-    let a = per_family_metrics(&families, &dataset, &split.test, &targets, &preds);
-    let b = per_family_metrics(&families, &dataset, &split.test, &targets, &preds);
+    let a = per_family_metrics(&dataset, &split.test, &targets, &preds);
+    let b = per_family_metrics(&dataset, &split.test, &targets, &preds);
     assert_eq!(a, b);
 }

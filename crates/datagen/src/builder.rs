@@ -104,8 +104,8 @@ struct BuiltPrograms {
     families: Vec<Option<String>>,
 }
 
-/// Sharded, parallel, deduplicating dataset builder — the corpus-scale
-/// replacement for [`Dataset::generate`].
+/// Sharded, parallel, deduplicating dataset builder: the one producer
+/// of labeled [`Dataset`]s, in memory or on disk.
 ///
 /// ```no_run
 /// use dlcm_datagen::{BuildConfig, DatasetConfig, ParallelDatasetBuilder};
@@ -153,9 +153,8 @@ impl ParallelDatasetBuilder {
         let tag_families = ds.progen.tags_families();
 
         // Phase 1: generation, fanned across the worker pool. Each program
-        // index seeds its own RNG (same derivation as `Dataset::generate`),
-        // and `parallel_map` returns results in index order, so the fan-out
-        // is invisible in the output.
+        // index seeds its own RNG, and `parallel_map` returns results in
+        // index order, so the fan-out is invisible in the output.
         let generated: Vec<(Program, Pattern, Vec<Schedule>)> =
             pool::parallel_map(threads, ds.num_programs, |pi| {
                 let mut rng = ChaCha8Rng::seed_from_u64(
@@ -264,6 +263,7 @@ impl ParallelDatasetBuilder {
         let (built, points, stats) = self.build(measurement);
         let dataset = Dataset {
             programs: built.programs,
+            families: built.families,
             points: points
                 .into_iter()
                 .map(|p| DataPoint {

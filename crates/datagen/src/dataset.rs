@@ -3,22 +3,17 @@
 //! §3 of the paper: 56,250 random algorithms x 32 random transformation
 //! sequences = 1.8 M labeled programs, measured as the median of 30 runs
 //! on a 16-node cluster over three weeks. [`Dataset`] is the in-memory
-//! representation of such a corpus plus [`Dataset::generate`], the
-//! small-scale generation path used by tests and examples. Corpus-scale
-//! generation goes through [`crate::ParallelDatasetBuilder`] instead,
-//! which writes the sharded JSONL format of [`crate::ShardWriter`] —
-//! deduplicated, labeled through a shared evaluation cache, and
-//! byte-reproducible at any thread count ([`crate::ShardedDataset`]
-//! loads it back into this type).
+//! representation of such a corpus. It has one producer protocol:
+//! [`crate::ParallelDatasetBuilder`] generates, labels and deduplicates
+//! it — in memory ([`crate::ParallelDatasetBuilder::generate`]) or as
+//! the sharded JSONL format of [`crate::ShardWriter`], which
+//! [`crate::ShardedDataset::load_dataset`] loads back into this type.
 
 use dlcm_ir::{Program, Schedule};
-use dlcm_machine::Measurement;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::progen::{ProgramGenConfig, ProgramGenerator};
-use crate::schedgen::{ScheduleGenConfig, ScheduleGenerator};
+use crate::progen::ProgramGenConfig;
+use crate::schedgen::ScheduleGenConfig;
 
 /// One labeled triplet. `program` indexes [`Dataset::programs`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -89,45 +84,20 @@ pub struct Split {
 }
 
 /// A fully labeled dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     /// Generated programs.
     pub programs: Vec<Program>,
     /// Labeled (program, schedule, speedup) triplets.
     pub points: Vec<DataPoint>,
+    /// Scenario-family tag ([`crate::Pattern::name`]) of each program,
+    /// parallel to [`Dataset::programs`]; `None` for programs of
+    /// untagged (default-weight) configurations and for appended
+    /// samples of unknown provenance.
+    pub families: Vec<Option<String>>,
 }
 
 impl Dataset {
-    /// Generates a dataset: programs, schedules, and ground-truth labels
-    /// from `measurement`, one program at a time.
-    pub fn generate(cfg: &DatasetConfig, measurement: &Measurement) -> Dataset {
-        let progen = ProgramGenerator::new(cfg.progen.clone());
-        let schedgen = ScheduleGenerator::new(cfg.schedgen.clone());
-
-        let mut programs = Vec::with_capacity(cfg.num_programs);
-        let mut points = Vec::new();
-        for pi in 0..cfg.num_programs {
-            let mut rng = ChaCha8Rng::seed_from_u64(
-                cfg.seed ^ (pi as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            );
-            let program = progen.generate(&mut rng, &format!("rand_{pi}"));
-            let schedules =
-                schedgen.generate_distinct(&program, cfg.schedules_per_program, &mut rng);
-            points.extend(schedules.into_iter().map(|schedule| {
-                let speedup = measurement
-                    .speedup(&program, &schedule, cfg.seed ^ (pi as u64) << 8)
-                    .expect("generated schedules are legal");
-                DataPoint {
-                    program: pi,
-                    schedule,
-                    speedup,
-                }
-            }));
-            programs.push(program);
-        }
-        Dataset { programs, points }
-    }
-
     /// Number of labeled points.
     pub fn len(&self) -> usize {
         self.points.len()
@@ -220,45 +190,18 @@ impl Dataset {
         }
         split
     }
-
-    /// Serializes the whole dataset as one JSON document.
-    ///
-    /// This is the legacy single-file interchange format (handy for small
-    /// artifacts); corpora meant to scale or to stream into training
-    /// should use the sharded format written by
-    /// [`crate::ParallelDatasetBuilder::write_corpus`] instead.
-    ///
-    /// # Errors
-    ///
-    /// Propagates serialization/IO failures.
-    pub fn save_json(&self, path: &std::path::Path) -> std::io::Result<()> {
-        let file = std::fs::File::create(path)?;
-        serde_json::to_writer(std::io::BufWriter::new(file), self).map_err(std::io::Error::other)
-    }
-
-    /// Loads a dataset from the single-document JSON format of
-    /// [`Dataset::save_json`]. Sharded corpora load through
-    /// [`crate::ShardedDataset::load_dataset`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates deserialization/IO failures.
-    pub fn load_json(path: &std::path::Path) -> std::io::Result<Dataset> {
-        let file = std::fs::File::open(path)?;
-        serde_json::from_reader(std::io::BufReader::new(file)).map_err(std::io::Error::other)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlcm_machine::Machine;
+    use crate::{BuildConfig, ParallelDatasetBuilder};
+    use dlcm_machine::{Machine, Measurement};
 
     fn tiny_dataset(seed: u64) -> Dataset {
-        Dataset::generate(
-            &DatasetConfig::tiny(seed),
-            &Measurement::exact(Machine::default()),
-        )
+        ParallelDatasetBuilder::new(BuildConfig::new(DatasetConfig::tiny(seed)))
+            .generate(&Measurement::exact(Machine::default()))
+            .0
     }
 
     #[test]
@@ -304,22 +247,5 @@ mod tests {
         let a = tiny_dataset(3);
         let b = tiny_dataset(3);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let ds = tiny_dataset(4);
-        let dir = std::env::temp_dir().join("dlcm_test_ds.json");
-        ds.save_json(&dir).unwrap();
-        let back = Dataset::load_json(&dir).unwrap();
-        assert_eq!(ds.programs, back.programs);
-        assert_eq!(ds.len(), back.len());
-        for (a, b) in ds.points.iter().zip(&back.points) {
-            assert_eq!(a.program, b.program);
-            assert_eq!(a.schedule, b.schedule);
-            // serde_json's fast float path may be 1 ULP off.
-            assert!((a.speedup - b.speedup).abs() <= f64::EPSILON * a.speedup.abs());
-        }
-        let _ = std::fs::remove_file(dir);
     }
 }

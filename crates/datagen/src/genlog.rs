@@ -20,7 +20,7 @@
 //!    the corpus history is a hash chain: same traffic in, bit-identical
 //!    generation out.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -30,8 +30,8 @@ use dlcm_ir::{Program, Schedule};
 use dlcm_model::{Featurizer, FeaturizerConfig};
 
 use crate::shard::{
-    chain_fingerprint, fingerprint_hex, parse_fingerprint, GenerationInfo, ShardReader,
-    ShardRecord, ShardWriter, ShardedDataset,
+    chain_fingerprint, fingerprint_hex, parse_fingerprint, GenerationInfo, ShardRecord,
+    ShardWriter, ShardedDataset,
 };
 
 /// One labeled sample offered for corpus append: the serving tier's
@@ -99,7 +99,8 @@ impl DedupIndex {
     ///
     /// Propagates IO/parse failures (a *present but corrupt* index file
     /// is an error, not a rebuild trigger — silently rebuilding could
-    /// mask divergence between index and corpus).
+    /// mask divergence between index and corpus); a rebuild fails on
+    /// any corpus [`ShardedDataset::load_dataset`] rejects.
     pub fn load_or_rebuild(sharded: &ShardedDataset) -> io::Result<DedupIndex> {
         let path = Self::path(sharded.dir());
         if path.exists() {
@@ -118,31 +119,13 @@ impl DedupIndex {
             }
             return Ok(index);
         }
+        let corpus = sharded.read()?;
         let mut index = DedupIndex::default();
-        let mut program_fps: HashMap<usize, u64> = HashMap::new();
-        for shard_path in sharded.shard_paths() {
-            for record in ShardReader::open(&shard_path)? {
-                match record? {
-                    ShardRecord::Program {
-                        index: pi,
-                        fingerprint,
-                        ..
-                    } => {
-                        let fp = parse_fingerprint(&fingerprint).ok_or_else(|| {
-                            io::Error::other(format!("malformed program fingerprint {fingerprint}"))
-                        })?;
-                        program_fps.insert(pi, fp);
-                    }
-                    ShardRecord::Point {
-                        program, schedule, ..
-                    } => {
-                        let fp = *program_fps.get(&program).ok_or_else(|| {
-                            io::Error::other(format!("point references unknown program {program}"))
-                        })?;
-                        index.insert(fp, stable_fingerprint(&schedule));
-                    }
-                }
-            }
+        for point in &corpus.dataset.points {
+            index.insert(
+                corpus.fingerprints[point.program],
+                stable_fingerprint(&point.schedule),
+            );
         }
         Ok(index)
     }

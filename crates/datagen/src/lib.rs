@@ -8,15 +8,15 @@
 //! labeled `(program, schedule, speedup)` triplets measured on the
 //! simulated machine of `dlcm-machine`.
 //!
-//! Two generation paths share one determinism story:
-//!
-//! - [`Dataset::generate`] — the small-scale, sequential in-memory path
-//!   used by tests and examples;
-//! - [`ParallelDatasetBuilder`] — the corpus path: generation fanned
-//!   across a worker pool, labeling through a shared, deduplicating
-//!   `dlcm_eval::SharedCachedEvaluator`, and output as JSONL shards plus a
-//!   manifest ([`ShardWriter`]/[`ShardReader`]/[`ShardManifest`]) that
-//!   are **byte-identical at any thread count**.
+//! There is one generation path and one labeling protocol:
+//! [`ParallelDatasetBuilder`] fans generation across a worker pool,
+//! labels through a shared, deduplicating
+//! `dlcm_eval::SharedCachedEvaluator`, and returns the corpus in memory
+//! ([`ParallelDatasetBuilder::generate`]) or writes it as JSONL shards
+//! plus a manifest ([`ShardWriter`]/[`ShardReader`]/[`ShardManifest`])
+//! that are **byte-identical at any thread count**. One reader decodes
+//! and validates that format; [`ShardedDataset::load_dataset`],
+//! [`ShardBatches`] and the [`DedupIndex`] rebuild are views of it.
 //!
 //! Corpora are *generation-versioned*: the builder's output is
 //! generation 0 of an append-only history, and [`append_generation`]
@@ -28,20 +28,22 @@
 //! Training streams minibatches straight from shards through
 //! [`ShardBatches`] (a `dlcm_model::BatchSource`), featurizing each
 //! batch on demand — the stream is the union of every generation, in
-//! manifest order; [`prepare`] is the in-memory equivalent. See
-//! DESIGN.md § "Dataset pipeline" and § "Data flywheel" for the on-disk
-//! format specification.
+//! manifest order; [`prepare`] is the in-memory equivalent, and
+//! [`open_split`] turns one read of a corpus into the split, the
+//! streamed training source and the featurized validation/test sets.
+//! See DESIGN.md § "Dataset pipeline" and § "Data flywheel" for the
+//! on-disk format specification.
 //!
 //! # Examples
 //!
 //! In-memory generation:
 //!
 //! ```
-//! use dlcm_datagen::{Dataset, DatasetConfig};
+//! use dlcm_datagen::{BuildConfig, DatasetConfig, ParallelDatasetBuilder};
 //! use dlcm_machine::{Machine, Measurement};
 //!
-//! let cfg = DatasetConfig::tiny(42);
-//! let dataset = Dataset::generate(&cfg, &Measurement::exact(Machine::default()));
+//! let builder = ParallelDatasetBuilder::new(BuildConfig::new(DatasetConfig::tiny(42)));
+//! let (dataset, _stats) = builder.generate(&Measurement::exact(Machine::default()));
 //! assert!(!dataset.is_empty());
 //! let split = dataset.split(0);
 //! assert!(!split.train.is_empty());
@@ -50,7 +52,9 @@
 //! Sharded corpus generation + streamed training:
 //!
 //! ```no_run
-//! use dlcm_datagen::{BuildConfig, DatasetConfig, ParallelDatasetBuilder, ShardBatches};
+//! use dlcm_datagen::{
+//!     open_split, BuildConfig, DatasetConfig, ParallelDatasetBuilder, ShardedDataset,
+//! };
 //! use dlcm_machine::{Machine, Measurement};
 //! use dlcm_model::{Featurizer, FeaturizerConfig};
 //! use std::path::Path;
@@ -71,9 +75,9 @@
 //!     stats.duplicates_dropped,
 //!     stats.eval.cache_hits
 //! );
-//! let source =
-//!     ShardBatches::open(dir, Featurizer::new(FeaturizerConfig::default()), 32, 4).unwrap();
-//! // … dlcm_model::train_stream(&mut model, &source, &val_set, &cfg)
+//! let featurizer = Featurizer::new(FeaturizerConfig::default());
+//! let corpus = open_split(&ShardedDataset::open(dir).unwrap(), &featurizer, 32, 4).unwrap();
+//! // … dlcm_model::train_stream(&mut model, &corpus.train, &corpus.val_set, &cfg)
 //! ```
 
 #![warn(missing_docs)]
@@ -95,4 +99,4 @@ pub use shard::{
     chain_fingerprint, fingerprint_hex, parse_fingerprint, GenerationInfo, ShardInfo,
     ShardManifest, ShardReader, ShardRecord, ShardWriter, ShardedDataset, SHARD_FORMAT_VERSION,
 };
-pub use stream::{prepare, ShardBatches};
+pub use stream::{open_split, prepare, CorpusSplit, ShardBatches};

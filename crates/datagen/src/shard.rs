@@ -493,28 +493,6 @@ impl ShardedDataset {
             .collect()
     }
 
-    /// Scans every shard's `Program` records and returns the per-program
-    /// scenario-family tags, indexed by global program index. Untagged
-    /// programs (default-weight or pre-tag corpora) map to `None`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates IO/parse errors and rejects out-of-range indices.
-    pub fn program_families(&self) -> io::Result<Vec<Option<String>>> {
-        let mut families: Vec<Option<String>> = vec![None; self.manifest.total_programs];
-        for path in self.shard_paths() {
-            for record in ShardReader::open(&path)? {
-                if let ShardRecord::Program { index, family, .. } = record? {
-                    let slot = families.get_mut(index).ok_or_else(|| {
-                        io::Error::other(format!("program index {index} out of range"))
-                    })?;
-                    *slot = family;
-                }
-            }
-        }
-        Ok(families)
-    }
-
     /// Recomputes every shard's byte fingerprint and checks it against
     /// the manifest.
     ///
@@ -546,25 +524,37 @@ impl ShardedDataset {
     }
 
     /// Reads every shard and reassembles the in-memory [`Dataset`]:
-    /// programs ordered by global index, points ordered by
-    /// `(program index, within-program generation order)` — exactly the
-    /// order the builder produced them in.
+    /// programs (and their family tags) ordered by global index, points
+    /// ordered by `(program index, within-program generation order)` —
+    /// exactly the order the builder produced them in.
     ///
     /// # Errors
     ///
     /// Propagates IO/parse errors and rejects corpora whose records
-    /// disagree with the manifest totals.
+    /// disagree with each other or with the manifest totals.
     pub fn load_dataset(&self) -> io::Result<Dataset> {
+        Ok(self.read()?.dataset)
+    }
+
+    /// The one decoder of the shard format. Every consumer of corpus
+    /// records — [`Self::load_dataset`], [`crate::ShardBatches`], the
+    /// [`crate::DedupIndex`] rebuild — projects from what this returns,
+    /// so they all accept and reject the same corpora. Checked here:
+    /// program indices are in range and declared once, every program
+    /// body hashes to its record's fingerprint, every point references
+    /// a program of the manifest and carries a well-formed structure
+    /// key, and the program and point counts equal the manifest totals.
+    pub(crate) fn read(&self) -> io::Result<LoadedCorpus> {
         let n = self.manifest.total_programs;
-        let mut programs: Vec<Option<Program>> = vec![None; n];
-        let mut points_by_program: Vec<Vec<DataPoint>> = vec![Vec::new(); n];
+        let mut programs: Vec<Option<(Program, u64, Option<String>)>> = vec![None; n];
+        let mut points_by_program: Vec<Vec<(DataPoint, u64)>> = vec![Vec::new(); n];
         for path in self.shard_paths() {
             for record in ShardReader::open(&path)? {
                 match record? {
                     ShardRecord::Program {
                         index,
                         fingerprint,
-                        family: _,
+                        family,
                         program,
                     } => {
                         if index >= n || programs[index].is_some() {
@@ -572,48 +562,81 @@ impl ShardedDataset {
                                 "invalid or duplicate program index {index}"
                             )));
                         }
-                        if fingerprint != fingerprint_hex(program.content_fingerprint()) {
+                        let content = program.content_fingerprint();
+                        if fingerprint != fingerprint_hex(content) {
                             return Err(io::Error::other(format!(
                                 "program {index} fingerprint mismatch"
                             )));
                         }
-                        programs[index] = Some(program);
+                        programs[index] = Some((program, content, family));
                     }
                     ShardRecord::Point {
                         program,
+                        structure,
                         speedup,
                         schedule,
-                        ..
                     } => {
                         if program >= n {
                             return Err(io::Error::other(format!(
                                 "point references unknown program {program}"
                             )));
                         }
-                        points_by_program[program].push(DataPoint {
+                        let structure = parse_fingerprint(&structure).ok_or_else(|| {
+                            io::Error::other(format!("bad structure key `{structure}`"))
+                        })?;
+                        let point = DataPoint {
                             program,
                             schedule,
                             speedup,
-                        });
+                        };
+                        points_by_program[program].push((point, structure));
                     }
                 }
             }
         }
-        let programs: Vec<Program> = programs
-            .into_iter()
-            .enumerate()
-            .map(|(i, p)| p.ok_or_else(|| io::Error::other(format!("missing program {i}"))))
-            .collect::<io::Result<_>>()?;
-        let points: Vec<DataPoint> = points_by_program.into_iter().flatten().collect();
-        if points.len() != self.manifest.total_points {
+        let mut corpus = LoadedCorpus {
+            dataset: Dataset {
+                programs: Vec::with_capacity(n),
+                points: Vec::with_capacity(self.manifest.total_points),
+                families: Vec::with_capacity(n),
+            },
+            structures: Vec::with_capacity(self.manifest.total_points),
+            fingerprints: Vec::with_capacity(n),
+        };
+        for (i, declared) in programs.into_iter().enumerate() {
+            let (program, fingerprint, family) =
+                declared.ok_or_else(|| io::Error::other(format!("missing program {i}")))?;
+            corpus.dataset.programs.push(program);
+            corpus.dataset.families.push(family);
+            corpus.fingerprints.push(fingerprint);
+        }
+        for (point, structure) in points_by_program.into_iter().flatten() {
+            corpus.dataset.points.push(point);
+            corpus.structures.push(structure);
+        }
+        if corpus.dataset.points.len() != self.manifest.total_points {
             return Err(io::Error::other(format!(
                 "manifest claims {} points, shards hold {}",
                 self.manifest.total_points,
-                points.len()
+                corpus.dataset.points.len()
             )));
         }
-        Ok(Dataset { programs, points })
+        Ok(corpus)
     }
+}
+
+/// A decoded, validated corpus ([`ShardedDataset::read`]): the
+/// [`Dataset`] plus the per-record metadata the shard format stores
+/// beside it.
+pub(crate) struct LoadedCorpus {
+    /// Programs, family tags and points, in [`ShardedDataset::load_dataset`] order.
+    pub(crate) dataset: Dataset,
+    /// Feature-tree structure key of each point, parallel to
+    /// [`Dataset::points`].
+    pub(crate) structures: Vec<u64>,
+    /// Content fingerprint of each program, parallel to
+    /// [`Dataset::programs`].
+    pub(crate) fingerprints: Vec<u64>,
 }
 
 #[cfg(test)]

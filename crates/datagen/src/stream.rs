@@ -7,23 +7,26 @@
 //! are computed per minibatch, in parallel, when the training loop asks
 //! for it. Batches are structure-identical by construction: the shard
 //! format stores each point's feature-tree structure key, so grouping
-//! needs no up-front featurization pass.
+//! needs no up-front featurization pass. [`open_split`] is the whole
+//! recipe in one call: one read of the corpus becomes the by-program
+//! split, the streamed training source and the featurized
+//! validation/test sets.
 
 use std::collections::HashSet;
 use std::io;
 use std::path::Path;
 
 use dlcm_eval::pool;
-use dlcm_ir::{Program, Schedule};
+use dlcm_ir::Program;
 use dlcm_model::{
     featurize_samples, group_into_batches, BatchSource, Featurizer, LabeledFeatures, SampleRef,
 };
 
-use crate::dataset::Dataset;
-use crate::shard::{parse_fingerprint, ShardReader, ShardRecord, ShardedDataset};
+use crate::dataset::{DataPoint, Dataset, Split};
+use crate::shard::ShardedDataset;
 
 /// Featurizes a subset of a dataset (indices into [`Dataset::points`]),
-/// in parallel.
+/// in order.
 ///
 /// The in-memory convenience path; the streaming equivalent is
 /// [`ShardBatches`], which featurizes lazily per minibatch.
@@ -47,12 +50,60 @@ pub fn prepare(
     featurize_samples(featurizer, &samples)
 }
 
-/// One raw point held by [`ShardBatches`] awaiting featurization.
-#[derive(Debug, Clone)]
-struct StreamPoint {
-    program: usize,
-    speedup: f64,
-    schedule: Schedule,
+/// A corpus cut for one training run ([`open_split`]).
+#[derive(Debug)]
+pub struct CorpusSplit {
+    /// The whole corpus, every generation.
+    pub dataset: Dataset,
+    /// Its 60/20/20 by-program split (`Dataset::split(0)`).
+    pub split: Split,
+    /// The training programs' points as streamed minibatches.
+    pub train: ShardBatches,
+    /// Featurized validation points.
+    pub val_set: Vec<LabeledFeatures>,
+    /// Featurized held-out test points.
+    pub test_set: Vec<LabeledFeatures>,
+}
+
+/// Reads `corpus` once and cuts it for training: the by-program split,
+/// the training programs as a [`ShardBatches`] stream (so validation and
+/// test points never enter the training pipeline) and the — much
+/// smaller — validation and test sets featurized up front.
+///
+/// # Errors
+///
+/// Propagates shard IO, parse and validation failures.
+pub fn open_split(
+    corpus: &ShardedDataset,
+    featurizer: &Featurizer,
+    batch_size: usize,
+    threads: usize,
+) -> io::Result<CorpusSplit> {
+    let loaded = corpus.read()?;
+    let dataset = loaded.dataset;
+    let split = dataset.split(0);
+    let train_programs: HashSet<usize> = split
+        .train
+        .iter()
+        .map(|&i| dataset.points[i].program)
+        .collect();
+    let train = ShardBatches::over(
+        &dataset,
+        &loaded.structures,
+        featurizer.clone(),
+        batch_size,
+        threads,
+        Some(&train_programs),
+    );
+    let val_set = prepare(featurizer, &dataset, &split.val);
+    let test_set = prepare(featurizer, &dataset, &split.test);
+    Ok(CorpusSplit {
+        dataset,
+        split,
+        train,
+        val_set,
+        test_set,
+    })
 }
 
 /// A [`BatchSource`] over a shard directory: minibatches of
@@ -68,7 +119,7 @@ pub struct ShardBatches {
     featurizer: Featurizer,
     threads: usize,
     programs: Vec<Option<Program>>,
-    points: Vec<StreamPoint>,
+    points: Vec<DataPoint>,
     batches: Vec<Vec<usize>>,
 }
 
@@ -77,7 +128,7 @@ impl ShardBatches {
     ///
     /// # Errors
     ///
-    /// Propagates manifest/shard IO and parse failures.
+    /// Propagates manifest/shard IO, parse and validation failures.
     pub fn open(
         dir: &Path,
         featurizer: Featurizer,
@@ -94,7 +145,7 @@ impl ShardBatches {
     ///
     /// # Errors
     ///
-    /// Propagates manifest/shard IO and parse failures.
+    /// Propagates manifest/shard IO, parse and validation failures.
     pub fn open_filtered(
         dir: &Path,
         featurizer: Featurizer,
@@ -102,67 +153,52 @@ impl ShardBatches {
         threads: usize,
         keep: Option<&HashSet<usize>>,
     ) -> io::Result<ShardBatches> {
-        let sharded = ShardedDataset::open(dir)?;
-        let mut programs: Vec<Option<Program>> = vec![None; sharded.manifest().total_programs];
-        let mut points: Vec<StreamPoint> = Vec::new();
-        let mut structures: Vec<u64> = Vec::new();
-        for path in sharded.shard_paths() {
-            for record in ShardReader::open(&path)? {
-                match record? {
-                    ShardRecord::Program { index, program, .. } => {
-                        if index >= programs.len() {
-                            return Err(io::Error::other(format!(
-                                "program index {index} out of range for manifest"
-                            )));
-                        }
-                        if keep.is_none_or(|k| k.contains(&index)) {
-                            programs[index] = Some(program);
-                        }
-                    }
-                    ShardRecord::Point {
-                        program,
-                        structure,
-                        speedup,
-                        schedule,
-                    } => {
-                        if program >= programs.len() {
-                            return Err(io::Error::other(format!(
-                                "point references program {program} out of range for manifest"
-                            )));
-                        }
-                        if keep.is_none_or(|k| k.contains(&program)) {
-                            structures.push(parse_fingerprint(&structure).ok_or_else(|| {
-                                io::Error::other(format!("bad structure key `{structure}`"))
-                            })?);
-                            points.push(StreamPoint {
-                                program,
-                                speedup,
-                                schedule,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-
-        // Group into structure-identical batches through the same helper
-        // the in-memory source uses, so streamed and in-memory training
-        // see identical batch layouts.
-        let batches = group_into_batches(
-            points
-                .iter()
-                .enumerate()
-                .map(|(i, point)| (point.program as u64, structures[i])),
+        let loaded = ShardedDataset::open(dir)?.read()?;
+        Ok(Self::over(
+            &loaded.dataset,
+            &loaded.structures,
+            featurizer,
             batch_size,
-        );
+            threads,
+            keep,
+        ))
+    }
 
-        Ok(ShardBatches {
+    /// Streams the points of `dataset` whose program is in `keep`
+    /// (`None`: all); `structures` holds each point's structure key.
+    fn over(
+        dataset: &Dataset,
+        structures: &[u64],
+        featurizer: Featurizer,
+        batch_size: usize,
+        threads: usize,
+        keep: Option<&HashSet<usize>>,
+    ) -> ShardBatches {
+        let kept = |program: usize| keep.is_none_or(|k| k.contains(&program));
+        let programs: Vec<Option<Program>> = dataset
+            .programs
+            .iter()
+            .enumerate()
+            .map(|(index, program)| kept(index).then(|| program.clone()))
+            .collect();
+        let (points, keys): (Vec<DataPoint>, Vec<(u64, u64)>) = dataset
+            .points
+            .iter()
+            .zip(structures)
+            .filter(|(point, _)| kept(point.program))
+            .map(|(point, structure)| (point.clone(), (point.program as u64, *structure)))
+            .unzip();
+
+        ShardBatches {
             featurizer,
             threads: threads.max(1),
             programs,
             points,
-            batches,
-        })
+            // The same helper the in-memory source groups with, so
+            // streamed and in-memory training see identical batch
+            // layouts.
+            batches: group_into_batches(keys, batch_size),
+        }
     }
 
     /// Number of points that passed the filter.

@@ -275,8 +275,9 @@ fn family_tags_survive_append_generation() {
     seed_corpus(&dir, 17);
     let seed_families = ShardedDataset::open(&dir)
         .unwrap()
-        .program_families()
-        .unwrap();
+        .load_dataset()
+        .unwrap()
+        .families;
     let seed_programs = seed_families.len();
     // The wide seed corpus tags every program.
     assert!(seed_families.iter().all(|f| f.is_some()));
@@ -331,8 +332,9 @@ fn family_tags_survive_append_generation() {
 
     let families = ShardedDataset::open(&dir)
         .unwrap()
-        .program_families()
-        .unwrap();
+        .load_dataset()
+        .unwrap()
+        .families;
     assert_eq!(families.len(), seed_programs + 3);
     assert_eq!(&families[..seed_programs], &seed_families[..]);
     for (k, (_, family)) in expected.iter().enumerate() {

@@ -1,12 +1,13 @@
 //! The corpus pipeline's contracts: byte-identical generation at any
-//! thread count, lossless shard round trips, and content dedup.
+//! thread count, lossless shard round trips, content dedup, and one
+//! validation verdict from every reader of the shard format.
 
 use std::collections::HashSet;
 use std::path::Path;
 
 use dlcm_datagen::{
-    BuildConfig, Dataset, DatasetConfig, ParallelDatasetBuilder, ProgramGenConfig, ShardBatches,
-    ShardedDataset,
+    BuildConfig, DatasetConfig, DedupIndex, ParallelDatasetBuilder, ProgramGenConfig, ShardBatches,
+    ShardReader, ShardRecord, ShardWriter, ShardedDataset,
 };
 use dlcm_ir::fingerprint::stable_fingerprint;
 use dlcm_machine::{Machine, Measurement};
@@ -94,6 +95,7 @@ fn shard_roundtrip_matches_in_memory_build() {
     let reloaded = sharded.load_dataset().unwrap();
 
     assert_eq!(in_memory.programs, reloaded.programs);
+    assert_eq!(in_memory.families, reloaded.families);
     assert_eq!(in_memory.len(), reloaded.len());
     for (a, b) in in_memory.points.iter().zip(&reloaded.points) {
         assert_eq!(a.program, b.program);
@@ -247,7 +249,7 @@ fn wide_corpus_tags_every_program_family() {
         .write_corpus(&harness(), &dir)
         .expect("write corpus");
     let sharded = ShardedDataset::open(&dir).expect("open");
-    let families = sharded.program_families().expect("families");
+    let families = sharded.load_dataset().expect("load").families;
     assert_eq!(families.len(), manifest.total_programs);
     let known: Vec<String> = dlcm_datagen::Pattern::ALL
         .iter()
@@ -262,7 +264,7 @@ fn wide_corpus_tags_every_program_family() {
     // Tags must survive a second open (i.e. they live in the shard
     // bytes, not in builder state).
     let reopened = ShardedDataset::open(&dir).expect("reopen");
-    assert_eq!(reopened.program_families().expect("families"), families);
+    assert_eq!(reopened.load_dataset().expect("load").families, families);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -279,7 +281,7 @@ fn default_corpus_omits_family_keys_entirely() {
     .write_corpus(&harness(), &dir)
     .expect("write corpus");
     let sharded = ShardedDataset::open(&dir).expect("open");
-    for family in sharded.program_families().expect("families") {
+    for family in sharded.load_dataset().expect("load").families {
         assert_eq!(family, None);
     }
     for path in sharded.shard_paths() {
@@ -292,18 +294,85 @@ fn default_corpus_omits_family_keys_entirely() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `Dataset::generate` (the sequential in-memory path) and the builder
-/// agree on the *shape* of the corpus (programs and schedules come from
-/// the same seeded generators; only the labeling protocol differs).
+/// Program `i` is drawn from its own RNG, seeded
+/// `seed ^ i * 0x9E37_79B9_7F4A_7C15`: changing that derivation (or the
+/// generators behind it) would silently re-draw every corpus, so a few
+/// programs of a fixed configuration are pinned by content.
 #[test]
-fn builder_generates_the_same_programs_as_dataset_generate() {
-    let cfg = test_dataset_config(4);
-    let legacy = Dataset::generate(&cfg, &harness());
-    let (built, _) = ParallelDatasetBuilder::new(BuildConfig {
-        threads: 2,
-        num_shards: 2,
-        ..BuildConfig::new(cfg)
-    })
-    .generate(&harness());
-    assert_eq!(legacy.programs, built.programs);
+fn per_index_rng_derivation_is_pinned() {
+    let (built, _) = ParallelDatasetBuilder::new(build_config(4, 2, 2)).generate(&harness());
+    let fingerprint = |i: usize| built.programs[i].content_fingerprint();
+    assert_eq!(
+        (fingerprint(0), fingerprint(3), fingerprint(9)),
+        (0x534f4ee6ab2c1d66, 0xfec7d3e93c8f2e77, 0xa5d00ca05d99f645)
+    );
+}
+
+/// An in-place edit of one shard's records.
+type ShardEdit<'a> = &'a dyn Fn(&mut Vec<ShardRecord>);
+
+/// Rewrites shard 0 of the corpus at `dir` through `edit`, leaving the
+/// manifest as it was.
+fn tamper_first_shard(dir: &Path, edit: ShardEdit<'_>) {
+    let first = &ShardedDataset::open(dir).unwrap().shard_paths()[0];
+    let mut records: Vec<ShardRecord> = ShardReader::open(first)
+        .unwrap()
+        .collect::<std::io::Result<_>>()
+        .unwrap();
+    edit(&mut records);
+    let mut writer = ShardWriter::create(dir, 0).unwrap();
+    for record in &records {
+        writer.write(record).unwrap();
+    }
+    writer.finish().unwrap();
+}
+
+/// Every reader of the shard format is a view of one decoder, so a
+/// corpus one of them rejects is rejected by all of them.
+#[test]
+fn every_reader_rejects_a_tampered_corpus() {
+    let is_program = |r: &ShardRecord| matches!(r, ShardRecord::Program { .. });
+    let duplicate_program = |records: &mut Vec<ShardRecord>| {
+        let declared = records.iter().find(|r| is_program(r)).unwrap().clone();
+        records.push(declared);
+    };
+    // The record keeps its fingerprint string; the body no longer
+    // hashes to it.
+    let edit_body = |records: &mut Vec<ShardRecord>| {
+        let Some(ShardRecord::Program { program, .. }) = records.iter_mut().find(|r| is_program(r))
+        else {
+            unreachable!("every shard declares a program")
+        };
+        program.iters[0].upper -= 1;
+    };
+    let drop_point = |records: &mut Vec<ShardRecord>| {
+        let at = records.iter().rposition(|r| !is_program(r)).unwrap();
+        records.remove(at);
+    };
+    let edits: [(&str, ShardEdit<'_>); 3] = [
+        ("duplicate Program record", &duplicate_program),
+        ("program body edited under the old fingerprint", &edit_body),
+        ("dropped Point line", &drop_point),
+    ];
+    for (what, edit) in edits {
+        let dir = tmp_dir("tampered");
+        ParallelDatasetBuilder::new(build_config(12, 1, 2))
+            .write_corpus(&harness(), &dir)
+            .unwrap();
+        tamper_first_shard(&dir, edit);
+        let sharded = ShardedDataset::open(&dir).unwrap();
+        assert!(sharded.load_dataset().is_err(), "load_dataset: {what}");
+        let featurizer = Featurizer::new(FeaturizerConfig::default());
+        assert!(
+            ShardBatches::open(&dir, featurizer, 4, 1).is_err(),
+            "ShardBatches::open: {what}"
+        );
+        // Without dedup.json the index is rebuilt from the shards.
+        std::fs::remove_file(DedupIndex::path(&dir)).unwrap();
+        assert!(
+            DedupIndex::load_or_rebuild(&sharded).is_err(),
+            "DedupIndex rebuild: {what}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

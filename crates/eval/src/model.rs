@@ -2,7 +2,8 @@
 //!
 //! Works with any [`SpeedupPredictor`] (the recursive model or the §4.4
 //! ablation architectures). Batched evaluation groups structure-identical
-//! candidates and runs one [`SpeedupPredictor::forward_batch`] per group —
+//! candidates and runs one `dlcm_model::infer_scores` pass (the model's
+//! [`SpeedupPredictor::infer_batch`], outputs clamped positive) per group —
 //! the appendix A.1 observation that "it is faster to operate on data
 //! points having the same tree structure", applied at inference time.
 //! Grouped inference is bit-identical to one forward pass per candidate

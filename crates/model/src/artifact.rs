@@ -66,9 +66,10 @@ use std::path::{Path, PathBuf};
 use dlcm_ir::fingerprint::{fnv1a, parse_hex, to_hex, FNV1A_INIT};
 use serde::{Deserialize, Serialize};
 
-use crate::costmodel::{CostModel, CostModelConfig};
+use crate::costmodel::{CostModel, CostModelConfig, SpeedupPredictor};
 use crate::featurize::{Featurizer, FeaturizerConfig};
-use crate::train::TrainConfig;
+use crate::metrics;
+use crate::train::{evaluate, LabeledFeatures, TrainConfig};
 
 /// Version tag written into every artifact manifest; bump on any change
 /// to the manifest or weights layout.
@@ -96,6 +97,27 @@ pub struct HeldOutMetrics {
     pub r2: f64,
     /// Number of held-out points the metrics were computed on.
     pub test_points: usize,
+}
+
+impl HeldOutMetrics {
+    /// Scores `model` on a featurized held-out set: the metrics an
+    /// artifact records, plus the predictions they were computed from
+    /// (in `test_set` order).
+    pub fn evaluate<M: SpeedupPredictor>(
+        model: &M,
+        test_set: &[LabeledFeatures],
+    ) -> (HeldOutMetrics, Vec<f64>) {
+        let (mape, preds) = evaluate(model, test_set);
+        let targets: Vec<f64> = test_set.iter().map(|s| s.target).collect();
+        let held_out = HeldOutMetrics {
+            mape,
+            pearson: metrics::pearson(&targets, &preds),
+            spearman: metrics::spearman(&targets, &preds),
+            r2: metrics::r2(&targets, &preds),
+            test_points: test_set.len(),
+        };
+        (held_out, preds)
+    }
 }
 
 /// `manifest.json`: everything needed to validate and use an artifact

@@ -26,13 +26,14 @@
 //! Train a small model on a generated dataset and evaluate it:
 //!
 //! ```no_run
-//! use dlcm_datagen::{prepare, Dataset, DatasetConfig};
+//! use dlcm_datagen::{prepare, BuildConfig, DatasetConfig, ParallelDatasetBuilder};
 //! use dlcm_machine::{Machine, Measurement};
 //! use dlcm_model::{
 //!     evaluate, train, CostModel, CostModelConfig, Featurizer, FeaturizerConfig, TrainConfig,
 //! };
 //!
-//! let dataset = Dataset::generate(&DatasetConfig::tiny(0), &Measurement::exact(Machine::default()));
+//! let (dataset, _stats) = ParallelDatasetBuilder::new(BuildConfig::new(DatasetConfig::tiny(0)))
+//!     .generate(&Measurement::exact(Machine::default()));
 //! let split = dataset.split(0);
 //! let featurizer = Featurizer::new(FeaturizerConfig::default());
 //! let train_set = prepare(&featurizer, &dataset, &split.train);

@@ -321,7 +321,9 @@ pub fn train_stream<M: SpeedupPredictor, B: BatchSource + ?Sized>(
 }
 
 /// Evaluates a model: returns `(MAPE, predictions)` over a sample set.
-/// Samples are grouped by structure and predicted in batches.
+/// Samples are grouped by structure and predicted in batches of at most
+/// 64 rows through [`SpeedupPredictor::infer_batch`] — the one
+/// inference forward every surface shares.
 pub fn evaluate<M: SpeedupPredictor>(model: &M, set: &[LabeledFeatures]) -> (f64, Vec<f64>) {
     let mut by_structure: std::collections::BTreeMap<u64, Vec<usize>> = Default::default();
     for (i, s) in set.iter().enumerate() {
@@ -330,29 +332,14 @@ pub fn evaluate<M: SpeedupPredictor>(model: &M, set: &[LabeledFeatures]) -> (f64
             .or_default()
             .push(i);
     }
-    let groups: Vec<Vec<usize>> = by_structure.into_values().collect();
-    let chunks: Vec<Vec<usize>> = groups
-        .iter()
-        .flat_map(|g| g.chunks(64).map(<[usize]>::to_vec))
-        .collect();
-    let scattered: Vec<Vec<(usize, f64)>> = chunks
-        .iter()
-        .map(|chunk| {
-            let refs: Vec<&ProgramFeatures> = chunk.iter().map(|&i| &set[i].feats).collect();
-            let mut tape = Tape::new();
-            let mut rng = crate::costmodel::train_rng(0, 0);
-            let out = model.forward_batch(&mut tape, &refs, &mut rng);
-            let values = tape.value(out);
-            chunk
-                .iter()
-                .enumerate()
-                .map(|(row, &i)| (i, f64::from(values.get(row, 0))))
-                .collect()
-        })
-        .collect();
     let mut preds = vec![0.0; set.len()];
-    for (i, p) in scattered.into_iter().flatten() {
-        preds[i] = p;
+    for group in by_structure.values() {
+        for chunk in group.chunks(64) {
+            let refs: Vec<&ProgramFeatures> = chunk.iter().map(|&i| &set[i].feats).collect();
+            for (&i, pred) in chunk.iter().zip(model.infer_batch(&refs)) {
+                preds[i] = pred;
+            }
+        }
     }
     let targets: Vec<f64> = set.iter().map(|s| s.target).collect();
     (metrics::mape(&targets, &preds), preds)
@@ -363,8 +350,14 @@ mod tests {
     use super::*;
     use crate::costmodel::{CostModel, CostModelConfig};
     use crate::featurize::FeaturizerConfig;
-    use dlcm_datagen::{Dataset, DatasetConfig};
+    use dlcm_datagen::{BuildConfig, Dataset, DatasetConfig, ParallelDatasetBuilder};
     use dlcm_machine::{Machine, Measurement};
+
+    fn tiny_dataset(seed: u64) -> Dataset {
+        ParallelDatasetBuilder::new(BuildConfig::new(DatasetConfig::tiny(seed)))
+            .generate(&Measurement::exact(Machine::default()))
+            .0
+    }
 
     // NOTE: datagen's `prepare` cannot be used here — inside dlcm-model's
     // own tests the dev-dependency on dlcm-datagen links a *second* copy
@@ -387,10 +380,7 @@ mod tests {
     }
 
     fn tiny_setup() -> (Vec<LabeledFeatures>, Vec<LabeledFeatures>) {
-        let ds = Dataset::generate(
-            &DatasetConfig::tiny(11),
-            &Measurement::exact(Machine::default()),
-        );
+        let ds = tiny_dataset(11);
         let split = ds.split(0);
         let f = Featurizer::new(FeaturizerConfig::default());
         (
@@ -436,10 +426,7 @@ mod tests {
 
     #[test]
     fn featurize_samples_covers_all_inputs() {
-        let ds = Dataset::generate(
-            &DatasetConfig::tiny(12),
-            &Measurement::exact(Machine::default()),
-        );
+        let ds = tiny_dataset(12);
         let f = Featurizer::new(FeaturizerConfig::default());
         let samples: Vec<SampleRef<'_>> = ds
             .points

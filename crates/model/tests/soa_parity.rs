@@ -88,9 +88,10 @@ fn soa_kernel_is_bit_identical_to_the_tape_forward() {
         let model = tiny_model(model_seed);
         for (si, (tree, comps)) in structures().into_iter().enumerate() {
             // Batch sizes include 1 (structure groups of size one — the
-            // serve/search grouping edge) and sizes straddling typical
-            // chunk grains.
-            for batch_size in [1usize, 2, 3, 8, 17] {
+            // serve/search grouping edge), sizes straddling typical
+            // chunk grains, and 64 — the largest structure group
+            // `dlcm_model::evaluate` hands the kernel.
+            for batch_size in [1usize, 2, 3, 8, 17, 64] {
                 let mut rng = ChaCha8Rng::seed_from_u64(
                     model_seed ^ (si as u64) << 8 ^ (batch_size as u64) << 16,
                 );

@@ -6,8 +6,7 @@
 //! Run with: `cargo run --release --example model_guided_search`
 
 use dlcm::benchsuite;
-use dlcm::datagen::prepare;
-use dlcm::datagen::{Dataset, DatasetConfig};
+use dlcm::datagen::{prepare, BuildConfig, DatasetConfig, ParallelDatasetBuilder};
 use dlcm::eval::{ExecutionEvaluator, ModelEvaluator};
 use dlcm::machine::{parallel_baseline, Machine, Measurement};
 use dlcm::model::{train, CostModel, CostModelConfig, Featurizer, FeaturizerConfig, TrainConfig};
@@ -17,15 +16,13 @@ fn main() {
     // --- Train a model on random programs ---------------------------------
     println!("generating training data ...");
     let harness = Measurement::new(Machine::default());
-    let dataset = Dataset::generate(
-        &DatasetConfig {
-            num_programs: 64,
-            schedules_per_program: 24,
-            seed: 3,
-            ..DatasetConfig::default()
-        },
-        &harness,
-    );
+    let (dataset, _stats) = ParallelDatasetBuilder::new(BuildConfig::new(DatasetConfig {
+        num_programs: 64,
+        schedules_per_program: 24,
+        seed: 3,
+        ..DatasetConfig::default()
+    }))
+    .generate(&harness);
     let split = dataset.split(0);
     let featurizer = Featurizer::new(FeaturizerConfig::default());
     let train_set = prepare(&featurizer, &dataset, &split.train);

@@ -8,16 +8,14 @@
 //!
 //! Run with: `cargo run --release --example train_cost_model [programs] [epochs] [threads]`
 
-use std::collections::HashSet;
-
 use dlcm::datagen::{
-    prepare, BuildConfig, DatasetConfig, ParallelDatasetBuilder, ProgramGenConfig, ShardBatches,
+    open_split, BuildConfig, DatasetConfig, ParallelDatasetBuilder, ProgramGenConfig,
     ShardedDataset,
 };
 use dlcm::machine::{Machine, Measurement};
 use dlcm::model::{
-    evaluate, metrics, train_stream, BatchSource, CostModel, CostModelConfig, Featurizer,
-    FeaturizerConfig, TrainConfig,
+    train_stream, BatchSource, CostModel, CostModelConfig, Featurizer, FeaturizerConfig,
+    HeldOutMetrics, TrainConfig,
 };
 
 fn main() {
@@ -53,38 +51,21 @@ fn main() {
     );
 
     // --- split + streamed featurization -----------------------------------
-    let sharded = ShardedDataset::open(&corpus).expect("open corpus");
-    let dataset = sharded.load_dataset().expect("load corpus");
-    let split = dataset.split(0);
-    println!(
-        "dataset: {} points (train {} / val {} / test {})",
-        dataset.len(),
-        split.train.len(),
-        split.val.len(),
-        split.test.len()
-    );
-
     let featurizer = Featurizer::new(FeaturizerConfig::default());
-    let train_programs: HashSet<usize> = split
-        .train
-        .iter()
-        .map(|&i| dataset.points[i].program)
-        .collect();
     let cfg = TrainConfig {
         epochs,
         verbose: true,
         ..TrainConfig::default()
     };
-    let source = ShardBatches::open_filtered(
-        &corpus,
-        featurizer.clone(),
-        cfg.batch_size,
-        threads,
-        Some(&train_programs),
-    )
-    .expect("stream corpus");
-    let val_set = prepare(&featurizer, &dataset, &split.val);
-    let test_set = prepare(&featurizer, &dataset, &split.test);
+    let sharded = ShardedDataset::open(&corpus).expect("open corpus");
+    let data = open_split(&sharded, &featurizer, cfg.batch_size, threads).expect("stream corpus");
+    println!(
+        "dataset: {} points (train {} / val {} / test {})",
+        data.dataset.len(),
+        data.split.train.len(),
+        data.split.val.len(),
+        data.split.test.len()
+    );
 
     // --- §4 + A.1: model, trained on streamed minibatches -----------------
     let model_cfg = CostModelConfig::fast(featurizer.config().vector_width());
@@ -92,30 +73,29 @@ fn main() {
     println!(
         "model: {} parameters; streaming {} minibatches/epoch",
         model.num_params(),
-        source.num_batches()
+        data.train.num_batches()
     );
-    let report = train_stream(&mut model, &source, &val_set, &cfg);
+    let report = train_stream(&mut model, &data.train, &data.val_set, &cfg);
     println!("final validation MAPE: {:.3}", report.final_val_mape);
 
     // --- §6: test metrics ----------------------------------------------------
-    let (test_mape, preds) = evaluate(&model, &test_set);
-    let targets: Vec<f64> = test_set.iter().map(|s| s.target).collect();
+    let (held_out, _preds) = HeldOutMetrics::evaluate(&model, &data.test_set);
     println!("--- test set ---");
     println!(
         "MAPE              : {:.1}%   (paper: 16%)",
-        100.0 * test_mape
+        100.0 * held_out.mape
     );
     println!(
         "Pearson r         : {:.3}   (paper: 0.90)",
-        metrics::pearson(&targets, &preds)
+        held_out.pearson
     );
     println!(
         "Spearman rho      : {:.3}   (paper: 0.95)",
-        metrics::spearman(&targets, &preds)
+        held_out.spearman
     );
     println!(
         "R^2               : {:.3}   (paper: 0.89 with MSE loss)",
-        metrics::r2(&targets, &preds)
+        held_out.r2
     );
     let _ = std::fs::remove_dir_all(&corpus);
 }

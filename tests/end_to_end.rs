@@ -1,7 +1,7 @@
 //! End-to-end integration: dataset generation → featurization → training
 //! → model-guided search, spanning every crate in the workspace.
 
-use dlcm::datagen::{prepare, Dataset, DatasetConfig};
+use dlcm::datagen::{prepare, BuildConfig, Dataset, DatasetConfig, ParallelDatasetBuilder};
 use dlcm::eval::{ExecutionEvaluator, ModelEvaluator};
 use dlcm::machine::{Machine, Measurement};
 use dlcm::model::{
@@ -19,15 +19,14 @@ fn quick() -> bool {
 
 fn small_dataset(seed: u64) -> Dataset {
     let (num_programs, schedules_per_program) = if quick() { (8, 12) } else { (16, 24) };
-    Dataset::generate(
-        &DatasetConfig {
-            num_programs,
-            schedules_per_program,
-            seed,
-            ..DatasetConfig::tiny(seed)
-        },
-        &Measurement::exact(Machine::default()),
-    )
+    ParallelDatasetBuilder::new(BuildConfig::new(DatasetConfig {
+        num_programs,
+        schedules_per_program,
+        seed,
+        ..DatasetConfig::tiny(seed)
+    }))
+    .generate(&Measurement::exact(Machine::default()))
+    .0
 }
 
 fn tiny_model_cfg() -> CostModelConfig {
@@ -187,7 +186,7 @@ fn sharded_corpus_streams_into_training() {
     // manifest-verified reload → streamed minibatch training — and the
     // streamed model must match training from the equivalent in-memory
     // dataset exactly (same batches, same seeds, same trajectory).
-    use dlcm::datagen::{BuildConfig, ParallelDatasetBuilder, ShardBatches, ShardedDataset};
+    use dlcm::datagen::{ShardBatches, ShardedDataset};
     use dlcm::model::train_stream;
 
     let dir = std::env::temp_dir().join("dlcm_e2e_corpus");
@@ -238,21 +237,4 @@ fn sharded_corpus_streams_into_training() {
     }
 
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn dataset_roundtrip_preserves_training_behaviour() {
-    let dataset = small_dataset(7);
-    let path = std::env::temp_dir().join("dlcm_e2e_ds.json");
-    dataset.save_json(&path).unwrap();
-    let reloaded = Dataset::load_json(&path).unwrap();
-    let _ = std::fs::remove_file(&path);
-
-    let featurizer = Featurizer::new(FeaturizerConfig::default());
-    let idx: Vec<usize> = (0..dataset.len().min(16)).collect();
-    let a = prepare(&featurizer, &dataset, &idx);
-    let b = prepare(&featurizer, &reloaded, &idx);
-    for (x, y) in a.iter().zip(&b) {
-        assert_eq!(x.feats, y.feats, "features must survive serialization");
-    }
 }
