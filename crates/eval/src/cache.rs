@@ -7,8 +7,7 @@
 //! under content-derived keys so every re-derived candidate is answered
 //! without paying the wrapped evaluator's compile / run / inference
 //! cost; this module holds the pieces it is built from — the default
-//! capacity, the bounded per-program memo, and the hit/fresh split of a
-//! keyed batch.
+//! capacity and the bounded per-program memo.
 //!
 //! Correctness rests on the determinism contract of [`crate::Evaluator`]:
 //! implementations return the same value for the same `(program,
@@ -16,10 +15,7 @@
 //! is indistinguishable from re-evaluating — `tests/cache_props.rs`
 //! asserts this over randomized schedule sequences.
 
-use std::collections::HashSet;
-use std::hash::Hash;
-
-use dlcm_ir::{Program, Schedule};
+use dlcm_ir::Program;
 
 /// Default entry bound for the result cache
 /// ([`crate::SharedCachedEvaluator`]) and for the serving tier built on
@@ -58,58 +54,4 @@ pub(crate) fn memoized<T: Copy>(
     }
     memo.push((program.clone(), value));
     (value, false)
-}
-
-/// Splits a keyed batch into cache hits and the first occurrence of each
-/// missing key, preserving batch order: the wrapped evaluator must see a
-/// deduplicated sub-batch. The ordered `Vec` carries the batch order; the
-/// `HashSet` answers the "already queued?" probe in O(1) (a linear
-/// `fresh.contains` made large batches quadratic). `lookup` is called
-/// at most once per batch position, and hit values come back in
-/// `cached`, so the caller never probes a key twice.
-pub(crate) struct FreshSplit<K> {
-    /// Per batch position: the cached value, or `None` for candidates the
-    /// wrapped evaluator must score (first occurrences *and* their
-    /// in-batch duplicates — resolve the latter from the fresh values).
-    pub cached: Vec<Option<f64>>,
-    /// Unique missing keys, in first-occurrence batch order.
-    pub fresh: Vec<K>,
-    /// The schedules behind `fresh`, index-aligned.
-    pub fresh_schedules: Vec<Schedule>,
-    /// Candidates answered without touching the wrapped evaluator.
-    pub hits: usize,
-}
-
-pub(crate) fn split_fresh<K: Copy + Eq + Hash>(
-    keys: &[K],
-    schedules: &[Schedule],
-    mut lookup: impl FnMut(&K) -> Option<f64>,
-) -> FreshSplit<K> {
-    let mut cached: Vec<Option<f64>> = Vec::with_capacity(keys.len());
-    let mut fresh: Vec<K> = Vec::new();
-    let mut fresh_set: HashSet<K> = HashSet::new();
-    let mut fresh_schedules: Vec<Schedule> = Vec::new();
-    let mut hits = 0;
-    for (key, schedule) in keys.iter().zip(schedules) {
-        if fresh_set.contains(key) {
-            hits += 1;
-            cached.push(None);
-            continue;
-        }
-        let known = lookup(key);
-        if known.is_some() {
-            hits += 1;
-        } else {
-            fresh.push(*key);
-            fresh_set.insert(*key);
-            fresh_schedules.push(schedule.clone());
-        }
-        cached.push(known);
-    }
-    FreshSplit {
-        cached,
-        fresh,
-        fresh_schedules,
-        hits,
-    }
 }

@@ -93,7 +93,7 @@ use dlcm_ir::{Program, Schedule};
 pub use cache::DEFAULT_CACHE_CAPACITY;
 pub use exec::ExecutionEvaluator;
 pub use lru::LruMap;
-pub use model::ModelEvaluator;
+pub use model::{score_wave, ModelEvaluator};
 pub use parallel::{ParallelEvaluator, DEFAULT_PAR_CUTOVER};
 pub use shared::{ScopedEvaluator, SharedCacheKey, SharedCachedEvaluator, SyncEvaluator};
 pub use stats::EvalStats;

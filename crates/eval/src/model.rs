@@ -1,11 +1,14 @@
 //! Evaluation by a learned cost model: the fast path of Table 2.
 //!
 //! Works with any [`SpeedupPredictor`] (the recursive model or the §4.4
-//! ablation architectures). Batched evaluation groups structure-identical
-//! candidates and runs one `dlcm_model::infer_scores` pass (the model's
+//! ablation architectures). [`score_wave`], the one wave scorer of the
+//! workspace, groups structure-identical candidates and runs one
+//! `dlcm_model::infer_scores` pass (the model's
 //! [`SpeedupPredictor::infer_batch`], outputs clamped positive) per group —
 //! the appendix A.1 observation that "it is faster to operate on data
 //! points having the same tree structure", applied at inference time.
+//! [`ModelEvaluator`] calls it inline and `dlcm-serve` calls it for the
+//! cache misses of a client call, so the two agree by being one function.
 //! Grouped inference is bit-identical to one forward pass per candidate
 //! (each batch row is computed independently), so batching changes
 //! throughput, never scores.
@@ -15,7 +18,41 @@ use std::time::Instant;
 use dlcm_ir::{Program, Schedule};
 use dlcm_model::{Featurizer, ProgramFeatures, SpeedupPredictor};
 
+use crate::pool::parallel_map;
 use crate::{EvalStats, Evaluator};
+
+/// Scores one wave of candidate schedules: featurize, group rows by
+/// feature-tree structure in first-seen order (fusion changes the tree
+/// shape, so a wave can span several groups), one batched forward pass
+/// per group, scatter to input order. Returns the scores and the number
+/// of forward passes run.
+///
+/// Featurization and the groups fan over [`parallel_map`]`(threads, …)`
+/// (`threads <= 1` runs inline). Rows are pure per `(model, featurizer,
+/// program, schedule)`, so `threads` changes wall-clock, never a score.
+pub fn score_wave(
+    model: &dyn SpeedupPredictor,
+    featurizer: &Featurizer,
+    threads: usize,
+    program: &Program,
+    schedules: &[Schedule],
+) -> (Vec<f64>, usize) {
+    let feats: Vec<ProgramFeatures> = parallel_map(threads, schedules.len(), |i| {
+        featurizer.featurize(program, &schedules[i])
+    });
+    let groups = dlcm_model::group_by_structure(feats.iter().map(|f| f.structure_key()));
+    let scored: Vec<Vec<f64>> = parallel_map(threads, groups.len(), |g| {
+        let rows: Vec<&ProgramFeatures> = groups[g].1.iter().map(|&i| &feats[i]).collect();
+        dlcm_model::infer_scores(model, &rows)
+    });
+    let mut out = vec![0.0; schedules.len()];
+    for ((_, idxs), scores) in groups.iter().zip(scored) {
+        for (&i, score) in idxs.iter().zip(scores) {
+            out[i] = score;
+        }
+    }
+    (out, groups.len())
+}
 
 /// Evaluation by a trained cost model behind [`SpeedupPredictor`].
 pub struct ModelEvaluator<'m> {
@@ -62,24 +99,7 @@ impl<'m> ModelEvaluator<'m> {
 impl Evaluator for ModelEvaluator<'_> {
     fn speedup_batch(&mut self, program: &Program, schedules: &[Schedule]) -> Vec<f64> {
         let start = Instant::now();
-        let feats: Vec<ProgramFeatures> = schedules
-            .iter()
-            .map(|s| self.featurizer.featurize(program, s))
-            .collect();
-
-        // Group structure-identical candidates so each group is one
-        // batched forward pass (fusion changes the tree shape, so a wave
-        // can span several groups), scored through the shared inference
-        // kernel — the same one the serving tier uses.
-        let groups = dlcm_model::group_by_structure(feats.iter().map(|f| f.structure_key()));
-        let mut out = vec![0.0; schedules.len()];
-        for (_, idxs) in &groups {
-            let batch: Vec<&ProgramFeatures> = idxs.iter().map(|&i| &feats[i]).collect();
-            let scores = dlcm_model::infer_scores(self.model, &batch);
-            for (&i, score) in idxs.iter().zip(scores) {
-                out[i] = score;
-            }
-        }
+        let (out, _) = score_wave(self.model, &self.featurizer, 1, program, schedules);
 
         self.stats.num_evals += schedules.len();
         let dt = start.elapsed().as_secs_f64();

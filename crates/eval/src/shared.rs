@@ -32,8 +32,8 @@
 //! never alias entries across them. A single search loop uses it through
 //! the `&E` adapter like any other [`Evaluator`].
 
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use dlcm_ir::{Program, Schedule};
@@ -201,14 +201,16 @@ const CACHE_SHARDS: usize = 16;
 /// what keeps entries from aliasing across model swaps — two artifacts
 /// scoring the identical `(program, schedule)` produce different values,
 /// so they must occupy different entries. Evaluators that never swap
-/// models leave it at the default `0`.
+/// models key under the constant `0`.
 pub type SharedCacheKey = (u64, u64, u64);
 
 /// Thread-safe memoizing decorator over any [`SyncEvaluator`].
 ///
-/// Cache keys are content-derived triples — the active model fingerprint
-/// (see [`SharedCachedEvaluator::set_model_fingerprint`]; `0` for
-/// evaluators whose model never changes), [`Program::content_fingerprint`]
+/// Cache keys are content-derived triples — a model fingerprint (`0` on
+/// the [`SyncEvaluator`] path, whose wrapped evaluator never changes
+/// model; the epoch's fingerprint on the serving tier's
+/// [`SharedCachedEvaluator::speedup_batch_pinned`] path),
+/// [`Program::content_fingerprint`]
 /// (names are not unique across generated and scaled programs — and
 /// conversely, regenerated programs that differ *only* by name are the
 /// same workload and share an entry), [`Schedule::cache_key`]
@@ -217,13 +219,13 @@ pub type SharedCacheKey = (u64, u64, u64);
 /// searches hit disjoint shards with high probability and never
 /// serialize on one table.
 ///
-/// Lock traffic is **batched**: each `speedup_batch_shared` call builds a
-/// local view of its keys with one lock acquisition per *touched* shard
-/// (probing every unique key in first-occurrence order), scores misses
-/// entirely lock-free against that view, and merges fresh values back
-/// with one more acquisition per touched shard at batch end. A 64-wide
-/// candidate wave thus takes at most 2×16 shard locks instead of 64
-/// probes + up to 64 insert locks on the hot path.
+/// Lock traffic is **batched**: each call deduplicates its keys once,
+/// probes them with one lock acquisition per *touched* shard (every
+/// unique key in first-occurrence order), scores misses entirely
+/// lock-free, and merges fresh values back with one more acquisition per
+/// touched shard at batch end. A 64-wide candidate wave thus takes at
+/// most 2×16 shard locks instead of 64 probes + up to 64 insert locks on
+/// the hot path.
 ///
 /// The cache is **bounded**: a shared capacity budget
 /// ([`DEFAULT_CACHE_CAPACITY`] unless
@@ -254,17 +256,12 @@ pub struct SharedCachedEvaluator<E> {
     /// Content-fingerprint memo, keyed by the program itself (a map, not
     /// a last-seen slot: concurrent searches interleave programs).
     programs: Mutex<Vec<(Program, u64)>>,
-    /// Model component of every key built by the un-pinned
-    /// [`SyncEvaluator`] path. Callers that swap models mid-flight must
-    /// use [`SharedCachedEvaluator::speedup_batch_pinned`] instead, which
-    /// takes the fingerprint explicitly per call.
-    model_fingerprint: AtomicU64,
     hits: AtomicUsize,
     misses: AtomicUsize,
     evictions: AtomicUsize,
 }
 
-impl<E: SyncEvaluator> SharedCachedEvaluator<E> {
+impl<E> SharedCachedEvaluator<E> {
     /// Wraps `inner` with an empty sharded cache bounded at
     /// [`DEFAULT_CACHE_CAPACITY`] entries.
     pub fn new(inner: E) -> Self {
@@ -276,6 +273,10 @@ impl<E: SyncEvaluator> SharedCachedEvaluator<E> {
     /// the 16 lock shards (rounded up to a whole entry per shard, so the
     /// effective bound — what [`SharedCachedEvaluator::capacity`]
     /// reports — is `capacity` rounded up to the next multiple of 16).
+    ///
+    /// `inner` need not be a [`SyncEvaluator`]: a caller that only uses
+    /// [`SharedCachedEvaluator::speedup_batch_pinned`] (the serving
+    /// tier) supplies the scorer per call and keeps its own state here.
     pub fn with_capacity(inner: E, capacity: usize) -> Self {
         let per_shard = capacity.max(1).div_ceil(CACHE_SHARDS);
         Self {
@@ -284,33 +285,10 @@ impl<E: SyncEvaluator> SharedCachedEvaluator<E> {
                 .map(|_| Mutex::new(LruMap::with_capacity(per_shard)))
                 .collect(),
             programs: Mutex::new(Vec::new()),
-            model_fingerprint: AtomicU64::new(0),
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
             evictions: AtomicUsize::new(0),
         }
-    }
-
-    /// The model fingerprint the un-pinned [`SyncEvaluator`] path keys
-    /// entries under (`0` until [`set_model_fingerprint`] is called).
-    ///
-    /// [`set_model_fingerprint`]: SharedCachedEvaluator::set_model_fingerprint
-    pub fn model_fingerprint(&self) -> u64 {
-        self.model_fingerprint.load(Ordering::Relaxed)
-    }
-
-    /// Declares the identity of the model the wrapped evaluator now
-    /// answers with: subsequent un-pinned calls key their entries under
-    /// `fingerprint`, so values cached for the previous model can no
-    /// longer be returned (they age out of the LRU shards naturally).
-    ///
-    /// This alone is not an atomic swap — a caller racing this update can
-    /// build keys under one fingerprint and score against the other
-    /// model. A serving tier must pin each call instead:
-    /// [`SharedCachedEvaluator::speedup_batch_pinned`] takes the
-    /// fingerprint *and* the scoring closure from the same pinned epoch.
-    pub fn set_model_fingerprint(&self, fingerprint: u64) {
-        self.model_fingerprint.store(fingerprint, Ordering::Relaxed);
     }
 
     /// The wrapped evaluator.
@@ -382,17 +360,16 @@ impl<E: SyncEvaluator> SharedCachedEvaluator<E> {
     /// Scores a batch with the model identity **pinned for the whole
     /// call**: every cache key carries `model_fp`, and every miss is
     /// scored by `score` — a closure the caller derives from the same
-    /// pinned model. This is the hot-swap-safe entry point: a model swap
-    /// landing mid-call can neither mix fingerprints within the batch nor
-    /// make keyed-under-A entries hold model-B values, because both the
-    /// keys and the scorer come from one epoch the caller captured up
-    /// front.
+    /// pinned model. This is the only way to key the cache by model, and
+    /// it is hot-swap-safe: a model swap landing mid-call can neither mix
+    /// fingerprints within the batch nor make keyed-under-A entries hold
+    /// model-B values, because both the keys and the scorer come from one
+    /// epoch the caller captured up front.
     ///
     /// `score` receives the deduplicated fresh sub-batch (first-occurrence
     /// order) and must return one value per schedule plus the stats delta
     /// it charged. The plain [`SyncEvaluator`] path is this method with
-    /// `model_fp` = [`SharedCachedEvaluator::model_fingerprint`] and
-    /// `score` = the wrapped evaluator.
+    /// `model_fp = 0` and `score` = the wrapped evaluator.
     pub fn speedup_batch_pinned(
         &self,
         model_fp: u64,
@@ -401,52 +378,49 @@ impl<E: SyncEvaluator> SharedCachedEvaluator<E> {
         score: impl FnOnce(&[Schedule]) -> (Vec<f64>, EvalStats),
     ) -> (Vec<f64>, EvalStats) {
         let pfp = self.program_fingerprint(program);
-        let keys: Vec<SharedCacheKey> = schedules
+
+        // The one dedupe of the call: unique keys in first-occurrence
+        // order (each with the schedule it first occurred on) and, per
+        // batch position, the index of its key among them.
+        let mut unique: Vec<(SharedCacheKey, &Schedule)> = Vec::with_capacity(schedules.len());
+        let mut index_of: HashMap<SharedCacheKey, usize> = HashMap::with_capacity(schedules.len());
+        let positions: Vec<usize> = schedules
             .iter()
-            .map(|s| (model_fp, pfp, s.cache_key()))
+            .map(|schedule| {
+                let key = (model_fp, pfp, schedule.cache_key());
+                *index_of.entry(key).or_insert_with(|| {
+                    unique.push((key, schedule));
+                    unique.len() - 1
+                })
+            })
             .collect();
 
-        // Build this caller's local cache view: dedupe keys in
-        // first-occurrence order, group them by shard, and take each
-        // *touched* shard's lock exactly once to probe all of its keys —
-        // the per-candidate lock round-trip the old hot path paid is now
-        // one lock per shard per batch (at most 16, typically 1–2). Each
-        // unique key is still probed exactly once, in first-occurrence
-        // order within its shard, so per-shard LRU recency is updated in
-        // the same relative order as per-candidate probing produced.
-        let mut unique: Vec<SharedCacheKey> = Vec::with_capacity(keys.len());
-        let mut seen: HashSet<SharedCacheKey> = HashSet::with_capacity(keys.len());
-        for &key in &keys {
-            if seen.insert(key) {
-                unique.push(key);
-            }
+        // Probe: take each *touched* shard's lock exactly once for all of
+        // its keys (at most 16 locks, typically 1–2). Each unique key is
+        // probed exactly once, in first-occurrence order within its
+        // shard, so per-shard LRU recency is updated in the same relative
+        // order as per-candidate probing would produce.
+        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); CACHE_SHARDS];
+        for (u, &(key, _)) in unique.iter().enumerate() {
+            by_shard[self.shard_index(key)].push(u);
         }
-        let mut by_shard: Vec<Vec<SharedCacheKey>> = vec![Vec::new(); CACHE_SHARDS];
-        for &key in &unique {
-            by_shard[self.shard_index(key)].push(key);
-        }
-        let mut view: HashMap<SharedCacheKey, f64> = HashMap::with_capacity(unique.len());
-        for (idx, shard_keys) in by_shard.iter().enumerate() {
-            if shard_keys.is_empty() {
+        let mut values: Vec<Option<f64>> = vec![None; unique.len()];
+        for (idx, members) in by_shard.iter().enumerate() {
+            if members.is_empty() {
                 continue;
             }
             let mut shard = self.shards[idx].lock().expect("cache shard");
-            for key in shard_keys {
-                if let Some(v) = shard.get(key) {
-                    view.insert(*key, *v);
-                }
+            for &u in members {
+                values[u] = shard.get(&unique[u].0).copied();
             }
         }
 
-        // The split resolves against the local view only — scoring and
-        // assembly below touch no shard lock at all (and cannot depend on
-        // what concurrent callers insert meanwhile).
-        let crate::cache::FreshSplit {
-            cached,
-            fresh,
-            fresh_schedules,
-            hits: call_hits,
-        } = crate::cache::split_fresh(&keys, schedules, |key| view.get(key).copied());
+        // Fresh = unique keys still unanswered. Everything else — cached
+        // keys and every in-batch duplicate — is a hit: the scorer never
+        // sees it. Scoring and assembly below touch no shard lock (and
+        // cannot depend on what concurrent callers insert meanwhile).
+        let fresh: Vec<usize> = (0..unique.len()).filter(|&u| values[u].is_none()).collect();
+        let call_hits = schedules.len() - fresh.len();
         self.hits.fetch_add(call_hits, Ordering::Relaxed);
         self.misses.fetch_add(fresh.len(), Ordering::Relaxed);
 
@@ -455,10 +429,11 @@ impl<E: SyncEvaluator> SharedCachedEvaluator<E> {
             cache_misses: fresh.len(),
             ..EvalStats::default()
         };
-        let mut fresh_values: HashMap<SharedCacheKey, f64> = HashMap::new();
-        if !fresh_schedules.is_empty() {
-            let (values, inner_delta) = score(&fresh_schedules);
-            debug_assert_eq!(values.len(), fresh.len());
+        if !fresh.is_empty() {
+            let fresh_schedules: Vec<Schedule> =
+                fresh.iter().map(|&u| unique[u].1.clone()).collect();
+            let (scores, inner_delta) = score(&fresh_schedules);
+            debug_assert_eq!(scores.len(), fresh.len());
             delta += inner_delta;
             // Deterministic merge at batch end: fresh values are grouped
             // by shard (first-occurrence order preserved within each) and
@@ -467,9 +442,9 @@ impl<E: SyncEvaluator> SharedCachedEvaluator<E> {
             // same keys inserts the identical values — merge order only
             // moves the already-caveated hit/miss split, never a score.
             let mut merges: Vec<Vec<(SharedCacheKey, f64)>> = vec![Vec::new(); CACHE_SHARDS];
-            for (key, value) in fresh.into_iter().zip(values) {
-                fresh_values.insert(key, value);
-                merges[self.shard_index(key)].push((key, value));
+            for (&u, value) in fresh.iter().zip(scores) {
+                values[u] = Some(value);
+                merges[self.shard_index(unique[u].0)].push((unique[u].0, value));
             }
             for (idx, batch) in merges.into_iter().enumerate() {
                 if batch.is_empty() {
@@ -484,10 +459,9 @@ impl<E: SyncEvaluator> SharedCachedEvaluator<E> {
             }
         }
 
-        let out = keys
+        let out = positions
             .iter()
-            .zip(cached)
-            .map(|(key, known)| known.unwrap_or_else(|| fresh_values[key]))
+            .map(|&u| values[u].expect("every unique key is cached or freshly scored"))
             .collect();
         (out, delta)
     }
@@ -499,10 +473,9 @@ impl<E: SyncEvaluator> SyncEvaluator for SharedCachedEvaluator<E> {
         program: &Program,
         schedules: &[Schedule],
     ) -> (Vec<f64>, EvalStats) {
-        // The un-pinned path: key under the evaluator's current model
-        // fingerprint and score misses with the wrapped evaluator. Safe
-        // because callers of this path never swap the model mid-flight.
-        self.speedup_batch_pinned(self.model_fingerprint(), program, schedules, |fresh| {
+        // One wrapped evaluator, one model: the key's model component is
+        // the constant 0.
+        self.speedup_batch_pinned(0, program, schedules, |fresh| {
             self.inner.speedup_batch_shared(program, fresh)
         })
     }
@@ -813,34 +786,37 @@ mod tests {
         // Regression: keys used to be (program, schedule) only, so two
         // models scoring the identical candidate would alias one entry —
         // the second model silently served the first model's value. With
-        // the model fingerprint in the key, changing it must force a
-        // recompute (a miss), and switching back must find the original
-        // entry still resident.
+        // the model fingerprint in the key, a different pin must force a
+        // recompute (a miss), and pinning the first identity again must
+        // find the original entries still resident.
         let p = program("p", 96);
         let shared = exact_cache();
-        assert_eq!(shared.model_fingerprint(), 0);
-        let (_, first) = shared.speedup_batch_shared(&p, &wave());
-        assert_eq!(first.cache_misses, 3);
-
-        shared.set_model_fingerprint(0xfeed);
-        let (_, other_model) = shared.speedup_batch_shared(&p, &wave());
+        let pinned = |fp: u64| {
+            shared
+                .speedup_batch_pinned(fp, &p, &wave(), |fresh| {
+                    shared.inner().speedup_batch_shared(&p, fresh)
+                })
+                .1
+        };
+        assert_eq!(pinned(1).cache_misses, 3);
         assert_eq!(
-            other_model.cache_misses, 3,
+            pinned(0xfeed).cache_misses,
+            3,
             "a new model identity must never be answered from the old model's entries"
         );
         assert_eq!(shared.len(), 6, "both models' entries coexist");
-
-        shared.set_model_fingerprint(0);
-        let (_, back) = shared.speedup_batch_shared(&p, &wave());
-        assert_eq!(back.cache_misses, 0, "original entries stayed resident");
+        assert_eq!(
+            pinned(1).cache_misses,
+            0,
+            "original entries stayed resident"
+        );
     }
 
     #[test]
     fn pinned_calls_key_and_score_against_the_pinned_model() {
         // The hot-swap-safe entry point: the caller pins a fingerprint and
         // supplies the matching scorer. Scores and hit/miss accounting
-        // must follow the *pinned* identity, not the evaluator-wide
-        // current fingerprint.
+        // must follow the *pinned* identity.
         let p = program("p", 96);
         let shared = exact_cache();
         let score_as = |bias: f64| {

@@ -352,9 +352,10 @@ pub fn train_rng(seed: u64, sample: usize) -> ChaCha8Rng {
 /// kernel for [`CostModel`], the reference tape for everything else),
 /// outputs clamped positive.
 ///
-/// This is *the* scoring kernel every inference surface shares — the
-/// in-process `dlcm_eval::ModelEvaluator` and the `dlcm-serve`
-/// micro-batcher both call it — so "served answers are bit-identical to
+/// This is *the* scoring kernel every inference surface shares: its one
+/// caller outside this crate is `dlcm_eval::score_wave`, the wave scorer
+/// behind both the in-process `dlcm_eval::ModelEvaluator` and the
+/// `dlcm-serve` miss path — so "served answers are bit-identical to
 /// in-process evaluation" is a structural fact, not two hand-kept
 /// copies of the same seed/clamp/tape recipe.
 pub fn infer_scores(model: &dyn SpeedupPredictor, rows: &[&ProgramFeatures]) -> Vec<f64> {
@@ -367,8 +368,8 @@ pub fn infer_scores(model: &dyn SpeedupPredictor, rows: &[&ProgramFeatures]) -> 
 
 /// Groups row indices by structure key in first-seen order — the
 /// batching precondition of [`SpeedupPredictor::forward_batch`]
-/// (appendix A.1: batches must be structure-identical). Shared by the
-/// same two surfaces as [`infer_scores`], for the same reason.
+/// (appendix A.1: batches must be structure-identical). Called beside
+/// [`infer_scores`] by `dlcm_eval::score_wave`, for the same reason.
 pub fn group_by_structure(keys: impl IntoIterator<Item = u64>) -> Vec<(u64, Vec<usize>)> {
     let mut groups: Vec<(u64, Vec<usize>)> = Vec::new();
     for (i, key) in keys.into_iter().enumerate() {

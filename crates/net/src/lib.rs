@@ -9,12 +9,11 @@
 //!
 //! The tier exists for the deployment shape the paper's integration
 //! implies: one trained cost model serving *many* concurrent
-//! autoscheduler searches. In-process, PR 5's service already shares
-//! the cache and coalesces micro-batches across searches in one
-//! process; this crate extends that sharing across process and machine
-//! boundaries while keeping the repo-wide determinism contract — a
-//! served score is **bit-identical** to in-process evaluation at any
-//! client count, any cache state, and any batch coalescing.
+//! autoscheduler searches. In-process, the service already shares one
+//! result cache across the searches of one process; this crate extends
+//! that sharing across process and machine boundaries while keeping the
+//! repo-wide determinism contract — a served score is **bit-identical**
+//! to in-process evaluation at any client count and any cache state.
 //!
 //! - [`wire`] — the frame format and message types (spec in the module
 //!   docs; mirrored in `DESIGN.md` § Network serving).

@@ -10,12 +10,18 @@
 //! until the client hangs up. A socket arriving while the queue is full
 //! is turned away immediately with a typed
 //! [`ErrorReply::Overloaded`] frame — the server sheds load instead of
-//! accumulating unbounded connection state. Evaluation itself fans out
-//! over the shared `dlcm_eval::pool` through the service's coalescing
-//! micro-batcher, so worker threads block on I/O and scoring, never on
-//! each other.
+//! accumulating unbounded connection state. Each worker scores its own
+//! request's cache misses (fanned over the shared `dlcm_eval::pool` when
+//! the service has `threads > 1`), so worker threads block on I/O and
+//! scoring, never on each other.
 //!
 //! # Admission control
+//!
+//! A `Speedups` program that fails `Program::validate` is answered
+//! [`ErrorReply::BadRequest`] (validate's message) before any gate
+//! below; the connection stays usable. Schedules are not pre-applied:
+//! an illegal one panics inside its own request, which `catch_unwind`
+//! answers `BadRequest` — nothing in the service outlives the request.
 //!
 //! Three gates, each with a typed rejection:
 //!
@@ -550,6 +556,10 @@ where
                 schedules,
                 deadline_ms,
             } => {
+                if let Err(message) = program.validate() {
+                    shared.send_error(&mut stream, &ErrorReply::BadRequest { message });
+                    continue;
+                }
                 if !shared.permits.try_acquire() {
                     shared.service.note_rejected_overload();
                     shared.send_error(
@@ -574,8 +584,8 @@ where
                     );
                     continue;
                 }
-                // Evaluation panics (adversarial schedules, poisoned
-                // batcher) become typed errors, not dead workers.
+                // Evaluation panics (adversarial schedules) become typed
+                // errors, not dead workers.
                 let scored = panic::catch_unwind(AssertUnwindSafe(|| {
                     shared.service.speedup_batch_shared(&program, &schedules).0
                 }));

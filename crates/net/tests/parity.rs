@@ -79,7 +79,6 @@ fn eight_concurrent_clients_get_bit_identical_scores() {
     let server = bind_server(
         ServeConfig {
             threads: 2,
-            max_batch: 8,
             ..ServeConfig::default()
         },
         NetConfig {

@@ -6,7 +6,8 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
 
-use dlcm_ir::{Expr, Program, ProgramBuilder, Schedule};
+use dlcm_eval::{Evaluator, ModelEvaluator};
+use dlcm_ir::{CompId, Expr, Program, ProgramBuilder, Schedule, Transform};
 use dlcm_model::{CostModel, CostModelConfig, Featurizer, FeaturizerConfig};
 use dlcm_net::wire::{self, FrameKind, HEADER_LEN, MAGIC, WIRE_VERSION};
 use dlcm_net::{ErrorReply, NetClient, NetConfig, NetError, NetServer};
@@ -148,6 +149,54 @@ fn malformed_json_gets_a_typed_error_and_the_connection_survives() {
 
     drop(raw);
     assert_still_serving(&server);
+    server.shutdown();
+}
+
+#[test]
+fn invalid_program_is_rejected_at_the_boundary_and_serving_continues() {
+    // A program that decodes but fails `Program::validate` (its tree
+    // still references the computation that was cleared) must be turned
+    // away with validate's own message before it reaches the scoring
+    // path — and must cost nobody else anything: the same connection
+    // and a fresh one both still get exact in-process scores.
+    let server = bind_server(NetConfig::default());
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+
+    let mut hollow = program();
+    hollow.comps.clear();
+    match client.speedups(&hollow, &[Schedule::empty()]) {
+        Err(NetError::Remote(ErrorReply::BadRequest { message })) => assert!(
+            message.contains("unknown computation CompId(0)"),
+            "the rejection must carry validate's text, got {message:?}"
+        ),
+        other => panic!("expected a typed BadRequest, got {other:?}"),
+    }
+
+    let feat_cfg = FeaturizerConfig::default();
+    let model = CostModel::new(CostModelConfig::fast(feat_cfg.vector_width()), 0);
+    let wave = [
+        Schedule::empty(),
+        Schedule::new(vec![Transform::Unroll {
+            comp: CompId(0),
+            factor: 4,
+        }]),
+    ];
+    let expected: Vec<u64> = ModelEvaluator::new(&model, Featurizer::new(feat_cfg))
+        .speedup_batch(&program(), &wave)
+        .iter()
+        .map(|s| s.to_bits())
+        .collect();
+    let mut second = NetClient::connect(server.local_addr()).expect("second connection");
+    for (who, conn) in [("same", &mut client), ("second", &mut second)] {
+        let served: Vec<u64> = conn
+            .speedups(&program(), &wave)
+            .unwrap_or_else(|e| panic!("{who} connection must still be served: {e}"))
+            .iter()
+            .map(|s| s.to_bits())
+            .collect();
+        assert_eq!(served, expected, "{who} connection");
+    }
+    assert_eq!(server.stats().serve.queries, wave.len() * 2);
     server.shutdown();
 }
 

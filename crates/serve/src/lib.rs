@@ -11,13 +11,16 @@
 //! - [`InferenceService`] answers concurrent `(program, schedule)`
 //!   speedup queries. Queries are deduplicated through one shared,
 //!   schedule-keyed result cache (`dlcm_eval::SharedCachedEvaluator`);
-//!   misses are featurized in parallel and coalesced — across client
-//!   calls — into structure-pure micro-batches fanned over the
-//!   persistent evaluation pool (`dlcm_eval::pool`);
-//! - [`ServeConfig`] tunes the pool width, micro-batch cap, and the
+//!   the misses of a call are scored by `dlcm_eval::score_wave` — the
+//!   function in-process `ModelEvaluator` runs: featurize, group by
+//!   tree structure, one forward pass per group — fanned over the
+//!   persistent evaluation pool (`dlcm_eval::pool`). Calls share the
+//!   cache and nothing else, so a forward pass that panics unwinds the
+//!   one call that ran it;
+//! - [`ServeConfig`] tunes the pool width, the cache bound, and the
 //!   deterministic simulated per-query inference charge;
-//! - [`ServeStats`] exposes throughput, latency, batch-coalescing,
-//!   cache hit-rate, model-swap, and mispredict-capture counters;
+//! - [`ServeStats`] exposes throughput, latency, forward-pass, cache
+//!   hit-rate, model-swap, and mispredict-capture counters;
 //! - mispredict capture
 //!   ([`InferenceService::enable_mispredict_capture`]) spot-checks a
 //!   content-keyed sample of served rows against ground truth, bands
@@ -30,8 +33,8 @@
 //! [`ArtifactReloadable::reload_artifact`]): the active model lives in an
 //! atomically swappable epoch slot ([`ModelEpoch`]), each client call
 //! pins one epoch for its whole lifetime (cache keys carry the epoch's
-//! fingerprint, misses score against the epoch's model, queued
-//! micro-batch rows group by epoch), and a failed reload — corrupt
+//! fingerprint, misses score against the epoch's model), and a failed
+//! reload — corrupt
 //! artifact, mismatched featurizer schema ([`ReloadError`]) — leaves the
 //! incumbent serving untouched. `tests/lifecycle.rs` enforces swap
 //! atomicity under concurrent load.
@@ -43,14 +46,13 @@
 //!
 //! Determinism contract (the workspace-wide one, extended to serving):
 //! served scores are **bit-identical** to in-process evaluation through
-//! `dlcm_eval::ModelEvaluator` at any client-thread count, any batch
-//! coalescing, and any cache state — every row is a pure function of
-//! `(model, featurizer schema, program, schedule)`. `tests/parity.rs`
-//! enforces this under concurrency.
+//! `dlcm_eval::ModelEvaluator` at any client-thread count and any cache
+//! state — every row is a pure function of `(model, featurizer schema,
+//! program, schedule)`, computed by the same function either way.
+//! `tests/parity.rs` enforces this under concurrency.
 
 #![warn(missing_docs)]
 
-mod batcher;
 mod epoch;
 mod mispredict;
 mod service;

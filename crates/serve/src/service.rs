@@ -1,18 +1,19 @@
-//! The inference service: cached, coalescing, concurrent speedup queries
-//! over a hot-swappable model.
+//! The inference service: cached, concurrent speedup queries over a
+//! hot-swappable model. Calls share the result cache and counters,
+//! nothing else, so a panicking forward pass unwinds only its own call.
 
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use dlcm_eval::pool::parallel_map;
-use dlcm_eval::{EvalStats, SharedCachedEvaluator, SyncEvaluator, DEFAULT_CACHE_CAPACITY};
+use dlcm_eval::{
+    score_wave, EvalStats, SharedCachedEvaluator, SyncEvaluator, DEFAULT_CACHE_CAPACITY,
+};
 use dlcm_ir::{Program, Schedule};
-use dlcm_model::{Featurizer, ModelArtifact, ProgramFeatures, SpeedupPredictor};
+use dlcm_model::{Featurizer, ModelArtifact, SpeedupPredictor};
 use serde::{Deserialize, Serialize};
 
-use crate::batcher::MicroBatcher;
 use crate::epoch::{ModelEpoch, ModelSlot};
 use crate::mispredict::{CaptureState, MispredictConfig, MispredictCounters, MispredictRecord};
 
@@ -20,12 +21,10 @@ use crate::mispredict::{CaptureState, MispredictConfig, MispredictCounters, Misp
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ServeConfig {
     /// Worker-pool width used for parallel featurization and for fanning
-    /// structure groups of one micro-batch across forward passes. Like
-    /// every `--threads` knob in this workspace, it changes wall-clock
-    /// only, never scores.
+    /// the structure groups of one call's misses across forward passes.
+    /// Like every `--threads` knob in this workspace, it changes
+    /// wall-clock only, never scores.
     pub threads: usize,
-    /// Maximum rows one micro-batch drains from the query queue.
-    pub max_batch: usize,
     /// Simulated seconds charged into `search_time` per *queried*
     /// candidate (cache hits included), instead of measured wall-clock —
     /// same semantics as `ModelEvaluator::with_simulated_cost`, extended
@@ -46,7 +45,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             threads: 1,
-            max_batch: 32,
             sim_infer_cost: None,
             cache_capacity: DEFAULT_CACHE_CAPACITY,
         }
@@ -55,15 +53,15 @@ impl Default for ServeConfig {
 
 /// Observability snapshot of an [`InferenceService`]: throughput,
 /// latency, cache effectiveness, and admission-control outcomes.
-/// Counters describe *how* queries were served (batch composition
-/// depends on arrival timing); the scores themselves are deterministic
-/// regardless.
+/// Counters describe *how* queries were served (which calls hit the
+/// cache depends on arrival order under concurrency); the scores
+/// themselves are deterministic regardless.
 ///
 /// Snapshot coherence: the client-call ledger fields (`queries`,
 /// `client_calls`, `total_latency`, and the `mean_latency` derived from
 /// them) are read as **one coherent snapshot** under the ledger lock —
 /// they always describe the same set of completed calls. The cache,
-/// batcher, and admission counters are owned by their subsystems and
+/// forward-pass, and admission counters are owned by their subsystems and
 /// sampled separately: each is monotonic and internally consistent, but
 /// across groups a snapshot taken while requests are in flight may
 /// observe e.g. a query already counted whose forward rows are not yet
@@ -91,15 +89,13 @@ pub struct ServeStats {
     pub cache_evictions: usize,
     /// Structure-pure forward passes run.
     pub micro_batches: usize,
-    /// Micro-batches that coalesced rows from more than one client call.
+    /// Always 0: a forward pass only holds rows of one client call. The
+    /// field stays because the frozen `benchmark/` reads it.
     pub coalesced_batches: usize,
     /// Rows scored by forward passes (`== cache_misses` after dedup).
     pub forward_rows: usize,
     /// Mean rows per forward pass.
     pub mean_batch_rows: f64,
-    /// Rows waiting in the micro-batch queue at snapshot time (the
-    /// queue-depth gauge; 0 in a quiesced service).
-    pub queue_depth: usize,
     /// Requests turned away at admission because the front end was at
     /// its in-flight limit (always 0 for a bare in-process service —
     /// populated through [`InferenceService::note_rejected_overload`]
@@ -143,35 +139,44 @@ struct ClientLedger {
     calls: usize,
     queries: usize,
     latency: f64,
+    /// What the cache and the miss path charged, before the per-query
+    /// simulated cost (`total_stats` applies that to the query total).
+    charged: EvalStats,
 }
 
-/// The miss path under the service's cache: featurize over the pool,
-/// score through the coalescing micro-batcher against a pinned epoch.
+/// What the service keeps beside its result cache: the swappable model,
+/// the query schema, and the forward-pass counters.
 struct ServeCore<M> {
     slot: ModelSlot<M>,
     featurizer: Featurizer,
     threads: usize,
     sim_infer_cost: Option<f64>,
-    batcher: MicroBatcher<M>,
-    totals: Mutex<EvalStats>,
+    micro_batches: AtomicUsize,
+    forward_rows: AtomicUsize,
 }
 
 impl<M: SpeedupPredictor> ServeCore<M> {
-    /// Scores `schedules` against exactly `epoch` — the hot-swap-safe
-    /// miss path. The caller pins the epoch before building cache keys,
-    /// so keys and forward passes always agree on the model identity no
-    /// matter when a swap lands.
+    /// Scores the deduplicated fresh rows of one call against exactly
+    /// `epoch` — the hot-swap-safe miss path. The caller pins the epoch
+    /// before building cache keys, so keys and forward passes always
+    /// agree on the model identity no matter when a swap lands.
     fn speedup_batch_epoch(
         &self,
-        epoch: &Arc<ModelEpoch<M>>,
+        epoch: &ModelEpoch<M>,
         program: &Program,
         schedules: &[Schedule],
     ) -> (Vec<f64>, EvalStats) {
         let start = Instant::now();
-        let feats: Vec<ProgramFeatures> = parallel_map(self.threads, schedules.len(), |i| {
-            self.featurizer.featurize(program, &schedules[i])
-        });
-        let values = self.batcher.score_rows(epoch, feats);
+        let (values, passes) = score_wave(
+            epoch.model(),
+            &self.featurizer,
+            self.threads,
+            program,
+            schedules,
+        );
+        self.micro_batches.fetch_add(passes, Ordering::Relaxed);
+        self.forward_rows
+            .fetch_add(schedules.len(), Ordering::Relaxed);
         let dt = start.elapsed().as_secs_f64();
         let delta = EvalStats {
             num_evals: schedules.len(),
@@ -186,26 +191,7 @@ impl<M: SpeedupPredictor> ServeCore<M> {
             infer_time: dt,
             ..EvalStats::default()
         };
-        *self.totals.lock().expect("serve totals") += delta;
         (values, delta)
-    }
-}
-
-impl<M: SpeedupPredictor> SyncEvaluator for ServeCore<M> {
-    fn speedup_batch_shared(
-        &self,
-        program: &Program,
-        schedules: &[Schedule],
-    ) -> (Vec<f64>, EvalStats) {
-        // Un-pinned entry (not used by the service's own hot path, which
-        // pins an epoch *before* key construction): pin here so at least
-        // this one call is internally consistent.
-        let epoch = self.slot.load();
-        self.speedup_batch_epoch(&epoch, program, schedules)
-    }
-
-    fn total_stats(&self) -> EvalStats {
-        *self.totals.lock().expect("serve totals")
     }
 }
 
@@ -250,8 +236,9 @@ pub trait ArtifactReloadable {
 
 /// A served cost model: answers concurrent `(program, schedule)` speedup
 /// queries through one shared, schedule-keyed result cache
-/// ([`SharedCachedEvaluator`]) and a coalescing, structure-pure
-/// micro-batcher over the persistent evaluation pool.
+/// ([`SharedCachedEvaluator`]); each call's misses are scored in
+/// structure-pure batches ([`dlcm_eval::score_wave`]) over the
+/// persistent evaluation pool.
 ///
 /// The service implements [`SyncEvaluator`], so everything built on the
 /// shared evaluation tier — `dlcm_search::SearchDriver` suites,
@@ -261,8 +248,9 @@ pub trait ArtifactReloadable {
 ///
 /// Determinism contract: served scores are bit-identical to in-process
 /// evaluation (`dlcm_eval::ModelEvaluator` over the same model and
-/// featurizer) at any client-thread count, any batch coalescing, and
-/// any cache state. `tests/parity.rs` enforces this.
+/// featurizer) at any client-thread count and any cache state — the
+/// miss path *is* `ModelEvaluator`'s scoring function.
+/// `tests/parity.rs` enforces this.
 ///
 /// # Examples
 ///
@@ -292,7 +280,6 @@ pub trait ArtifactReloadable {
 /// ```
 pub struct InferenceService<M: SpeedupPredictor> {
     cache: SharedCachedEvaluator<ServeCore<M>>,
-    sim_infer_cost: Option<f64>,
     ledger: Mutex<ClientLedger>,
     rejected_overload: AtomicUsize,
     rejected_deadline: AtomicUsize,
@@ -326,15 +313,13 @@ impl<M: SpeedupPredictor> InferenceService<M> {
                 featurizer,
                 threads: cfg.threads.max(1),
                 sim_infer_cost: cfg.sim_infer_cost,
-                batcher: MicroBatcher::new(cfg.max_batch, cfg.threads),
-                totals: Mutex::new(EvalStats::default()),
+                micro_batches: AtomicUsize::new(0),
+                forward_rows: AtomicUsize::new(0),
             },
             cfg.cache_capacity,
         );
-        cache.set_model_fingerprint(fingerprint);
         Self {
             cache,
-            sim_infer_cost: cfg.sim_infer_cost,
             ledger: Mutex::new(ClientLedger::default()),
             rejected_overload: AtomicUsize::new(0),
             rejected_deadline: AtomicUsize::new(0),
@@ -393,8 +378,6 @@ impl<M: SpeedupPredictor> InferenceService<M> {
     /// checked path.
     pub fn reload(&self, model: M, fingerprint: u64) {
         self.cache.inner().slot.swap(model, fingerprint);
-        // Keep the un-pinned cache path coherent with the new epoch.
-        self.cache.set_model_fingerprint(fingerprint);
     }
 
     /// Fingerprint of the epoch new queries currently pin.
@@ -446,8 +429,8 @@ impl<M: SpeedupPredictor> InferenceService<M> {
     pub fn stats(&self) -> ServeStats {
         let core = self.cache.inner();
         let ledger = *self.ledger.lock().expect("client ledger");
-        let micro_batches = core.batcher.micro_batches();
-        let forward_rows = core.batcher.forward_rows();
+        let micro_batches = core.micro_batches.load(Ordering::Relaxed);
+        let forward_rows = core.forward_rows.load(Ordering::Relaxed);
         let hits = self.cache.hits();
         let misses = self.cache.misses();
         let mispredict = self.mispredict_counters();
@@ -465,14 +448,13 @@ impl<M: SpeedupPredictor> InferenceService<M> {
             cache_capacity: self.cache.capacity(),
             cache_evictions: self.cache.evictions(),
             micro_batches,
-            coalesced_batches: core.batcher.coalesced_batches(),
+            coalesced_batches: 0,
             forward_rows,
             mean_batch_rows: if micro_batches > 0 {
                 forward_rows as f64 / micro_batches as f64
             } else {
                 0.0
             },
-            queue_depth: core.batcher.queue_depth(),
             rejected_overload: self.rejected_overload.load(Ordering::Relaxed),
             rejected_deadline: self.rejected_deadline.load(Ordering::Relaxed),
             deadline_missed: self.deadline_missed.load(Ordering::Relaxed),
@@ -540,16 +522,17 @@ impl<M: SpeedupPredictor> SyncEvaluator for InferenceService<M> {
         // the cache with wrong-keyed entries.
         let core = self.cache.inner();
         let epoch = core.slot.load();
-        let (values, mut delta) =
+        let (values, charged) =
             self.cache
                 .speedup_batch_pinned(epoch.fingerprint(), program, schedules, |fresh| {
                     core.speedup_batch_epoch(&epoch, program, fresh)
                 });
+        let mut delta = charged;
         // With a simulated cost configured, every queried candidate —
         // hit or miss — charges the same deterministic amount, so a
         // served search's search_time is a pure function of its own
         // query trace (what in-process ModelEvaluator charges too).
-        if let Some(per_candidate) = self.sim_infer_cost {
+        if let Some(per_candidate) = core.sim_infer_cost {
             delta.search_time += per_candidate * schedules.len() as f64;
         }
         delta.num_evals = schedules.len();
@@ -565,14 +548,16 @@ impl<M: SpeedupPredictor> SyncEvaluator for InferenceService<M> {
             ledger.calls += 1;
             ledger.queries += schedules.len();
             ledger.latency += start.elapsed().as_secs_f64();
+            ledger.charged += charged;
         }
         (values, delta)
     }
 
     fn total_stats(&self) -> EvalStats {
-        let mut stats = self.cache.total_stats();
-        stats.num_evals = self.ledger.lock().expect("client ledger").queries;
-        if let Some(per_candidate) = self.sim_infer_cost {
+        let ledger = *self.ledger.lock().expect("client ledger");
+        let mut stats = ledger.charged;
+        stats.num_evals = ledger.queries;
+        if let Some(per_candidate) = self.cache.inner().sim_infer_cost {
             stats.search_time += per_candidate * stats.num_evals as f64;
         }
         stats

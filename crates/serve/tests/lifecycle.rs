@@ -104,7 +104,6 @@ fn hot_swap_under_concurrent_load_is_atomic() {
         Featurizer::new(FeaturizerConfig::default()),
         ServeConfig {
             threads: 2,
-            max_batch: 8,
             ..ServeConfig::default()
         },
     );
@@ -158,7 +157,6 @@ fn hot_swap_under_concurrent_load_is_atomic() {
     assert_eq!(stats.queries, (CLIENTS * rounds + programs.len()) * 5);
     assert_eq!(stats.cache_hits + stats.cache_misses, stats.queries);
     assert_eq!(stats.forward_rows, stats.cache_misses);
-    assert_eq!(stats.queue_depth, 0);
 }
 
 #[test]

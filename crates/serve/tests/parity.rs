@@ -101,7 +101,6 @@ fn concurrent_clients_get_bit_identical_answers() {
             featurizer.clone(),
             ServeConfig {
                 threads: 2,
-                max_batch: 8,
                 ..ServeConfig::default()
             },
         );
@@ -207,13 +206,16 @@ fn artifact_backed_service_reproduces_the_trained_model() {
 }
 
 #[test]
-fn panicked_forward_poisons_the_service_instead_of_hanging() {
+fn panicked_forward_fails_its_own_call_and_nothing_after_it() {
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    // A model whose input_dim disagrees with the featurizer schema: the
-    // forward pass asserts on the width mismatch. The first query's
-    // leader must re-raise that panic, and every later query must fail
-    // fast on the poisoned batcher rather than wait for rows that will
-    // never be answered.
+    let featurizer = Featurizer::new(FeaturizerConfig::default());
+    let p = program("p", 64);
+
+    // (a) A model whose input_dim disagrees with the featurizer schema:
+    // the forward pass asserts on the width mismatch, so the first query
+    // must fail fast (never hang). Nothing of that failure may outlive
+    // the call: after a reload to a good model the same query answers
+    // with exactly the in-process score.
     let bad = CostModel::new(
         CostModelConfig {
             input_dim: FeaturizerConfig::default().vector_width() + 1,
@@ -224,20 +226,39 @@ fn panicked_forward_poisons_the_service_instead_of_hanging() {
         },
         0,
     );
-    let service = InferenceService::new(
-        bad,
-        Featurizer::new(FeaturizerConfig::default()),
-        ServeConfig::default(),
-    );
-    let p = program("p", 64);
+    let service = InferenceService::new(bad, featurizer.clone(), ServeConfig::default());
     let first = catch_unwind(AssertUnwindSafe(|| {
         service.speedup_batch_shared(&p, &wave())
     }));
     assert!(first.is_err(), "schema-mismatched forward must panic");
-    let second = catch_unwind(AssertUnwindSafe(|| {
-        service.speedup_shared(&p, &Schedule::empty())
+    let good = model();
+    service.reload(good.clone(), 1);
+    assert_eq!(
+        service.speedup_batch_shared(&p, &wave()).0,
+        ModelEvaluator::new(&good, featurizer.clone()).speedup_batch(&p, &wave()),
+        "a reload to a good model must serve again after a panicked pass"
+    );
+
+    // (b) A hollow program (decodes, fails `Program::validate`) panics
+    // inside the forward pass of its own call only; the next valid query
+    // on the same service answers.
+    let service = InferenceService::new(good.clone(), featurizer.clone(), ServeConfig::default());
+    let mut hollow = p.clone();
+    hollow.comps.clear();
+    assert!(hollow
+        .validate()
+        .unwrap_err()
+        .to_string()
+        .contains("unknown computation CompId(0)"));
+    let bad_call = catch_unwind(AssertUnwindSafe(|| {
+        service.speedup_shared(&hollow, &Schedule::empty())
     }));
-    assert!(second.is_err(), "later queries must fail fast, not hang");
+    assert!(bad_call.is_err(), "a hollow program cannot be scored");
+    assert_eq!(
+        service.speedup_shared(&p, &Schedule::empty()).0,
+        ModelEvaluator::new(&good, featurizer).speedup(&p, &Schedule::empty()),
+        "one bad request must not take the scoring path down for the next"
+    );
 }
 
 #[test]

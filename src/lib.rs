@@ -23,9 +23,10 @@
 //!   shares;
 //! - [`search`] — beam search and MCTS, driven by any [`eval::Evaluator`];
 //! - [`serve`] — the batched cost-model inference service: concurrent
-//!   speedup queries coalesced into structure-pure micro-batches behind
-//!   one shared result cache, loading versioned
-//!   [`model::ModelArtifact`]s;
+//!   speedup queries behind one shared result cache, each call's misses
+//!   scored in structure-pure batches by the function
+//!   [`eval::ModelEvaluator`] runs ([`eval::score_wave`]), over
+//!   hot-swappable versioned [`model::ModelArtifact`]s;
 //! - [`net`] — the network-facing serving tier: a length-prefixed TCP
 //!   frame protocol over [`serve`] with admission control (bounded
 //!   accept queue, in-flight permits, per-request deadlines), typed
