@@ -1,6 +1,6 @@
 //! Corpus generation CLI: the §3 data-generation pipeline, sharded.
 //!
-//! Generates the canonical training corpus (six scenario families,
+//! Generates the canonical training corpus (nine scenario families,
 //! paper-protocol labeling) as JSONL shards plus a manifest under
 //! `results/corpus/`, fanning work across `--threads` workers and
 //! deduplicating samples by content fingerprint. Thread count never
@@ -13,55 +13,44 @@
 //!     [--threads N] [--shards K] [--quick] [--force]
 //! ```
 //!
-//! `--force` regenerates even when a matching corpus already exists.
+//! Whether the corpus on disk is reused is the decision every consumer
+//! makes too (`dlcm_bench::ensure_corpus`: same dataset configuration
+//! and seed-shard count — generations appended by the flywheel are kept);
+//! `--force` regenerates even then.
 
-use dlcm_bench::{corpus_config, corpus_dir, quick_mode, shards, threads, write_json};
-use dlcm_datagen::{ParallelDatasetBuilder, ShardedDataset};
+use dlcm_bench::{corpus_config, corpus_dir, ensure_corpus, write_json, Flags};
+use dlcm_datagen::ShardManifest;
+
+const USAGE: &str = "datagen [--quick] [--threads N] [--shards K] [--force]";
 
 fn main() {
-    let quick = quick_mode();
-    let threads = threads();
-    let num_shards = shards();
-    let force = std::env::args().any(|a| a == "--force");
+    let flags = Flags::parse(std::env::args().skip(1), USAGE);
+    let quick = flags.has("quick");
+    let threads = flags.positive("threads", 1);
+    let num_shards = flags.positive("shards", 4);
     let dir = corpus_dir();
 
     eprintln!(
         "=== DATAGEN: sharded corpus (quick={quick}, threads={threads}, shards={num_shards}) ==="
     );
-    let cfg = corpus_config(quick, threads, num_shards);
-    if !force {
-        if let Ok(existing) = ShardedDataset::open(&dir) {
-            // An explicit --shards request counts as a config change.
-            if existing.manifest().config == cfg.dataset
-                && existing.manifest().shards.len() == cfg.num_shards
-            {
-                existing.verify().expect("corpus shard fingerprints");
-                println!(
-                    "corpus up to date at {dir:?}: {} programs, {} points in {} shards (pass --force to regenerate)",
-                    existing.manifest().total_programs,
-                    existing.manifest().total_points,
-                    existing.manifest().shards.len()
-                );
-                return;
-            }
-            eprintln!("existing corpus has a different configuration; regenerating");
-        }
+    if flags.has("force") {
+        // Without its commit point the resolver finds no corpus here.
+        let _ = std::fs::remove_file(ShardManifest::path(&dir));
     }
-
-    eprintln!(
-        "generating {} programs x {} schedules ...",
-        cfg.dataset.num_programs, cfg.dataset.schedules_per_program
-    );
     let start = std::time::Instant::now();
-    let builder = ParallelDatasetBuilder::new(cfg);
-    let (manifest, stats) = builder
-        .write_corpus(&dlcm_bench::harness(), &dir)
-        .expect("write corpus");
+    let (corpus, stats) = ensure_corpus(&dir, corpus_config(quick, threads, num_shards));
     let elapsed = start.elapsed().as_secs_f64();
-
-    ShardedDataset::open(&dir)
-        .and_then(|s| s.verify())
-        .expect("written corpus verifies");
+    corpus.verify().expect("corpus shard fingerprints");
+    let manifest = corpus.manifest();
+    let Some(stats) = stats else {
+        println!(
+            "corpus up to date at {dir:?}: {} programs, {} points in {} shards (pass --force to regenerate)",
+            manifest.total_programs,
+            manifest.total_points,
+            manifest.shards.len()
+        );
+        return;
+    };
 
     println!("--- corpus written to {dir:?} in {elapsed:.1}s ---");
     println!("programs            : {}", manifest.total_programs);

@@ -3,9 +3,10 @@
 //! the same split. The paper reports relative test-MAPE increases of
 //! 1.15x (flat LSTM) and 1.39x (concat FFN).
 //!
-//! `cargo run --release -p dlcm-bench --bin exp_ablation [--quick] [epochs]`
+//! `cargo run --release -p dlcm-bench --bin exp_ablation [--quick]
+//! [--threads N] [--shards K] [--epochs N]`
 
-use dlcm_bench::{load_or_generate_dataset, quick_mode, write_json};
+use dlcm_bench::{load_or_generate_dataset, write_json, Flags};
 use dlcm_datagen::prepare;
 use dlcm_model::ablation::{ConcatFfnModel, FlatLstmModel};
 use dlcm_model::{
@@ -25,16 +26,15 @@ struct AblationReport {
     paper_ffn_relative: f64,
 }
 
+const USAGE: &str = "exp_ablation [--quick] [--threads N] [--shards K] [--epochs N]";
+
 fn main() {
-    let quick = quick_mode();
-    let epochs: usize = std::env::args()
-        .filter(|a| a != "--quick")
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(if quick { 6 } else { 30 });
+    let flags = Flags::parse(std::env::args().skip(1), USAGE);
+    let quick = flags.has("quick");
+    let epochs = flags.positive("epochs", if quick { 6 } else { 30 });
 
     eprintln!("=== EXP-ABL: architecture ablation (quick={quick}, {epochs} epochs) ===");
-    let dataset = load_or_generate_dataset(quick);
+    let dataset = load_or_generate_dataset(&flags);
     let split = dataset.split(0);
     let featurizer = Featurizer::new(FeaturizerConfig::default());
     let train_set = prepare(&featurizer, &dataset, &split.train);

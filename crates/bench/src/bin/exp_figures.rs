@@ -1,5 +1,5 @@
 //! FIG-4, FIG-5, FIG-7, FIG-8: the prediction-quality figures of §6,
-//! regenerated from the model trained by `exp_accuracy`.
+//! regenerated from the model artifact `modelctl train` saved.
 //!
 //! - Figure 4: predicted vs measured speedups for 100 test programs x
 //!   their schedules, sorted ascending (`fig4.csv`);
@@ -8,12 +8,13 @@
 //! - Figure 7: per-program Pearson/Spearman coefficients (`fig7.csv`);
 //! - Figure 8: 16 per-program measured/predicted scatters (`fig8.csv`).
 //!
-//! `cargo run --release -p dlcm-bench --bin exp_figures [--quick]`
+//! `cargo run --release -p dlcm-bench --bin exp_figures [--quick]
+//! [--threads N] [--shards K] [--model-artifact DIR]`
 
 use std::collections::BTreeMap;
 
 use dlcm_bench::{
-    load_model_and_featurizer, load_or_generate_dataset, per_family_metrics, quick_mode, write_csv,
+    load_model_and_featurizer, load_or_generate_dataset, per_family_metrics, write_csv, Flags,
 };
 use dlcm_datagen::prepare;
 use dlcm_model::{metrics, LabeledFeatures};
@@ -28,11 +29,14 @@ fn fig7_good_rank(spearman: f64) -> bool {
     spearman > FIG7_SPEARMAN_THRESHOLD
 }
 
+const USAGE: &str = "exp_figures [--quick] [--threads N] [--shards K] [--model-artifact DIR]";
+
 fn main() {
-    let quick = quick_mode();
+    let flags = Flags::parse(std::env::args().skip(1), USAGE);
+    let quick = flags.has("quick");
     eprintln!("=== FIG-4/5/7/8: prediction-quality figures (quick={quick}) ===");
-    let dataset = load_or_generate_dataset(quick);
-    let (model, featurizer) = load_model_and_featurizer();
+    let dataset = load_or_generate_dataset(&flags);
+    let (model, featurizer) = load_model_and_featurizer(flags.string("model-artifact"));
     let split = dataset.split(0);
     let test_set: Vec<LabeledFeatures> = prepare(&featurizer, &dataset, &split.test);
     let programs: Vec<usize> = split

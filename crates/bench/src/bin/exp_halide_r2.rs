@@ -12,13 +12,10 @@
 //! setting.
 //!
 //! `cargo run --release -p dlcm-bench --bin exp_halide_r2 [--quick]
-//! [--search-threads N]`
+//! [--threads N] [--shards K] [--search-threads N] [--model-artifact DIR]`
 
 use dlcm_baseline::{HalideModel, HalideTrainConfig};
-use dlcm_bench::{
-    harness, load_model_and_featurizer, load_or_generate_dataset, quick_mode, search_threads,
-    write_json,
-};
+use dlcm_bench::{harness, load_model_and_featurizer, load_or_generate_dataset, write_json, Flags};
 use dlcm_datagen::prepare;
 use dlcm_eval::{Evaluator, ModelEvaluator};
 use dlcm_machine::MachineConfig;
@@ -53,11 +50,15 @@ struct R2Report {
 const ROLE_OURS: usize = 0;
 const ROLE_HALIDE: usize = 1;
 
+const USAGE: &str = "exp_halide_r2 [--quick] [--threads N] [--shards K] [--search-threads N] \
+         [--model-artifact DIR]";
+
 fn main() {
-    let quick = quick_mode();
-    let search_threads = search_threads();
+    let flags = Flags::parse(std::env::args().skip(1), USAGE);
+    let quick = flags.has("quick");
+    let search_threads = flags.positive("search-threads", 1);
     eprintln!("=== EXP-R2: Halide-style baseline vs our model (quick={quick}) ===");
-    let dataset = load_or_generate_dataset(quick);
+    let dataset = load_or_generate_dataset(&flags);
     let split = dataset.split(0);
 
     // The Halide-style model trains on the same random-program training
@@ -70,7 +71,7 @@ fn main() {
     halide.train(&dataset, &split.train, &HalideTrainConfig::default());
     let (y, halide_preds) = halide.evaluate(&dataset, &split.test);
 
-    let (model, featurizer) = load_model_and_featurizer();
+    let (model, featurizer) = load_model_and_featurizer(flags.string("model-artifact"));
     let test_set = prepare(&featurizer, &dataset, &split.test);
     let (_, our_preds) = evaluate(&model, &test_set);
 

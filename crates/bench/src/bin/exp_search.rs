@@ -28,9 +28,7 @@
 //! schema); `--model-artifact DIR` points at another one.
 
 use dlcm_baseline::{HalideModel, HalideTrainConfig};
-use dlcm_bench::{
-    harness, load_model_and_featurizer, quick_mode, search_threads, threads, write_csv,
-};
+use dlcm_bench::{harness, load_model_and_featurizer, write_csv, Flags};
 use dlcm_datagen::{BuildConfig, DatasetConfig, ParallelDatasetBuilder, ProgramGenConfig};
 use dlcm_eval::{
     Evaluator, ModelEvaluator, ParallelEvaluator, SharedCachedEvaluator, SyncEvaluator,
@@ -65,18 +63,22 @@ fn model_factory<'m>(
     }
 }
 
+const USAGE: &str =
+    "exp_search [--quick] [--threads N] [--search-threads N] [--model-artifact DIR]";
+
 fn main() {
-    let quick = quick_mode();
-    let threads = threads();
-    let search_threads = search_threads();
+    let flags = Flags::parse(std::env::args().skip(1), USAGE);
+    let quick = flags.has("quick");
+    let threads = flags.positive("threads", 1);
+    let search_threads = flags.positive("search-threads", 1);
     eprintln!(
         "=== FIG-6 / TAB-2: benchmark search (quick={quick}, threads={threads}, \
          search-threads={search_threads}) ==="
     );
     let scale = if quick { 0.15 } else { 1.0 };
-    // The model is whatever exp_accuracy / modelctl train saved — a
-    // validated artifact, schema included; no retraining here.
-    let (model, featurizer) = load_model_and_featurizer();
+    // The model is whatever `modelctl train` saved — a validated
+    // artifact, schema included; no retraining here.
+    let (model, featurizer) = load_model_and_featurizer(flags.string("model-artifact"));
     let harness = harness();
 
     // Halide-style baseline trained on image/DL-flavoured programs only

@@ -29,20 +29,13 @@
 //! same queries (latency, of course, still varies with the machine).
 
 use std::net::TcpStream;
+use std::path::{Path, PathBuf};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use dlcm_bench::{
-    load_artifact, positive_flag, quick_mode, replay_programs, replay_wave, string_flag,
-};
+use dlcm_bench::{load_artifact, model_artifact_dir, replay_window, Flags};
 use dlcm_eval::{Evaluator, ModelEvaluator};
-use dlcm_ir::{Program, Schedule};
 use dlcm_net::NetClient;
-
-/// Loadgen's slice of the replay seed space: `(client << 32) | round`.
-fn wave_for(program: &Program, client: usize, round: usize, wave_len: usize) -> Vec<Schedule> {
-    replay_wave(program, wave_len, (client as u64) << 32 | round as u64)
-}
 
 /// Retries the TCP connect until the server is up (or 60s pass).
 fn connect_with_retry(addr: &str) -> NetClient {
@@ -80,21 +73,18 @@ fn percentile(sorted_us: &[f64], p: f64) -> f64 {
 /// Replays the fixed verification set through the server and through an
 /// in-process evaluator over the same artifact; every score must match
 /// bit-for-bit.
-fn verify(addr: &str, programs: &[Program]) -> bool {
-    let dir = string_flag("artifact")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(dlcm_bench::model_artifact_dir);
-    let artifact = load_artifact(&dir);
+fn verify(addr: &str, artifact_dir: &Path) -> bool {
+    let artifact = load_artifact(artifact_dir);
     let featurizer = artifact.featurizer();
     let model = artifact.into_model();
     let mut direct = ModelEvaluator::new(&model, featurizer);
     let mut client = connect_with_retry(addr);
 
     let mut compared = 0usize;
-    for (pi, program) in programs.iter().take(3).enumerate() {
-        let wave = wave_for(program, 999, pi, 6);
-        let expected = direct.speedup_batch(program, &wave);
-        let served = match client.speedups(program, &wave) {
+    // Pseudo-client 999, started at program 0: keys no load client sends.
+    for (pi, (program, wave)) in replay_window(999 << 32, 0, 6).take(3).enumerate() {
+        let expected = direct.speedup_batch(&program, &wave);
+        let served = match client.speedups(&program, &wave) {
             Ok(scores) => scores,
             Err(e) => {
                 eprintln!("loadgen --verify: query failed: {e}");
@@ -116,20 +106,26 @@ fn verify(addr: &str, programs: &[Program]) -> bool {
     true
 }
 
+const USAGE: &str =
+    "loadgen [--addr HOST:PORT] [--quick] [--clients N] [--rounds N] [--wave N] [--verify] \
+         [--artifact DIR] [--shutdown]";
+
 fn main() {
-    let quick = quick_mode();
-    let addr = string_flag("addr").unwrap_or_else(|| "127.0.0.1:7199".into());
-    let clients = positive_flag("clients", if quick { 2 } else { 4 });
-    let rounds = positive_flag("rounds", if quick { 10 } else { 100 });
-    let wave_len = positive_flag("wave", 8);
+    let flags = Flags::parse(std::env::args().skip(1), USAGE);
+    let quick = flags.has("quick");
+    let addr = flags.string("addr").unwrap_or("127.0.0.1:7199").to_string();
+    let clients = flags.positive("clients", if quick { 2 } else { 4 });
+    let rounds = flags.positive("rounds", if quick { 10 } else { 100 });
+    let wave_len = flags.positive("wave", 8);
     eprintln!(
         "=== loadgen (addr={addr}, clients={clients}, rounds={rounds}, wave={wave_len}, \
          quick={quick}) ==="
     );
 
-    let programs = replay_programs();
-
-    if std::env::args().any(|a| a == "--verify") && !verify(&addr, &programs) {
+    let artifact_dir = flags
+        .string("artifact")
+        .map_or_else(model_artifact_dir, PathBuf::from);
+    if flags.has("verify") && !verify(&addr, &artifact_dir) {
         eprintln!("loadgen --verify FAILED: served scores differ from in-process evaluation");
         std::process::exit(1);
     }
@@ -141,17 +137,17 @@ fn main() {
     let handles: Vec<_> = (0..clients)
         .map(|c| {
             let addr = addr.clone();
-            let programs = programs.clone();
             thread::spawn(move || {
                 let mut client = connect_with_retry(&addr);
                 let mut latencies_us = Vec::with_capacity(rounds);
                 let mut queries = 0usize;
-                for round in 0..rounds {
-                    let program = &programs[(c + round) % programs.len()];
-                    let wave = wave_for(program, c, round, wave_len);
+                // Loadgen's slice of the replay traffic: client `c` starts
+                // at program `c` and owns the wave seeds `c << 32 ..`.
+                let window = replay_window((c as u64) << 32, c, wave_len);
+                for (program, wave) in window.take(rounds) {
                     let sent = Instant::now();
                     let scores = client
-                        .speedups(program, &wave)
+                        .speedups(&program, &wave)
                         .expect("loadgen request failed");
                     latencies_us.push(sent.elapsed().as_secs_f64() * 1e6);
                     assert_eq!(scores.len(), wave.len());
@@ -173,7 +169,7 @@ fn main() {
 
     let mut client = connect_with_retry(&addr);
     let serve = client.stats().expect("final stats").serve;
-    if std::env::args().any(|a| a == "--shutdown") {
+    if flags.has("shutdown") {
         client.shutdown_server().expect("shutdown acknowledged");
         eprintln!("loadgen: server draining (shutdown frame acknowledged)");
     }

@@ -18,8 +18,10 @@
 //!    incumbent's weights (`dlcm_model::ModelArtifact::warm_start`) and
 //!    trained over the *union* corpus, differing only in their
 //!    minibatch-shuffle seed;
-//! 5. **gate** — the saved candidates are what `modelctl promote
-//!    --candidates` ranks against the incumbent.
+//! 5. **gate** — [`run_promotion`] (`modelctl promote --candidates`)
+//!    ranks the saved candidates against a live incumbent over a
+//!    mirrored window and swaps the winner in only if it is strictly
+//!    better.
 //!
 //! Every stage is deterministic: the replay window is fixed-seed and
 //! sequential, sampling is content-keyed, appended shards are sorted by
@@ -27,17 +29,20 @@
 //! the same incumbent and corpus reproduce bit-identical generation
 //! fingerprints and candidate weights at any `--threads` setting.
 
+use std::fmt;
 use std::io;
 use std::path::PathBuf;
+use std::time::Instant;
 
 use dlcm_datagen::{
     append_generation, open_split, AppendSample, GenerationInfo, ProgramGenConfig,
     ProgramGenerator, ScheduleGenConfig, ScheduleGenerator, ShardedDataset,
 };
-use dlcm_eval::{ParallelEvaluator, SyncEvaluator};
+use dlcm_eval::{Evaluator, ExecutionEvaluator, ModelEvaluator, ParallelEvaluator, SyncEvaluator};
 use dlcm_ir::fingerprint::to_hex;
 use dlcm_ir::{Program, Schedule};
 use dlcm_model::{train_stream, HeldOutMetrics, ModelArtifact, TrainConfig};
+use dlcm_net::NetClient;
 use dlcm_serve::{InferenceService, MispredictConfig, MispredictCounters, ServeConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -45,30 +50,38 @@ use serde::Serialize;
 
 use crate::harness;
 
-/// Wave-seed base reserved for flywheel replay traffic: disjoint from
-/// loadgen's `(client << 32) | round` seeds and promote's `0xAB00 +
-/// round` window, so flywheel cache keys never collide with either.
-pub const FLYWHEEL_WAVE_SEED: u64 = 0xF1_0000;
+/// Wave-seed bases reserved per replay driver, so no two of them ever
+/// share a cache key: `loadgen` owns `client << 32`, the promotion gate
+/// and the flywheel window own the two below.
+const PROMOTE_WAVE_SEED: u64 = 0xAB00;
+const FLYWHEEL_WAVE_SEED: u64 = 0xF1_0000;
 
-/// The fixed pool of eight generated programs (`serve0`…`serve7`, seed
-/// 17) every replay driver draws from — `loadgen`, `modelctl promote`
-/// and the flywheel window — so served and in-process runs see the
-/// same queries.
-pub fn replay_programs() -> Vec<Program> {
+/// Schedules per wave of the promotion and flywheel windows.
+const WAVE_LEN: usize = 6;
+
+/// The replay traffic every driver sends — `loadgen`, the promotion
+/// gate and the flywheel window — so served and in-process runs see the
+/// same queries. Round `r` is a program of the fixed pool of eight
+/// (`serve0`…`serve7`, seed 17), starting at `first_program` and cycling,
+/// with up to `wave_len` distinct schedules of it drawn from seed
+/// `seed_base + r`. Endless; callers `take` their window.
+pub fn replay_window(
+    seed_base: u64,
+    first_program: usize,
+    wave_len: usize,
+) -> impl Iterator<Item = (Program, Vec<Schedule>)> {
     let generator = ProgramGenerator::new(ProgramGenConfig::default());
     let mut rng = ChaCha8Rng::seed_from_u64(17);
-    (0..8)
+    let programs: Vec<Program> = (0..8)
         .map(|i| generator.generate(&mut rng, &format!("serve{i}")))
-        .collect()
-}
-
-/// One replay wave: up to `wave_len` distinct schedules of `program`,
-/// drawn from `seed`. Each driver owns a disjoint seed range (see
-/// [`FLYWHEEL_WAVE_SEED`]).
-pub fn replay_wave(program: &Program, wave_len: usize, seed: u64) -> Vec<Schedule> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    ScheduleGenerator::new(ScheduleGenConfig::default())
-        .generate_distinct(program, wave_len, &mut rng)
+        .collect();
+    let schedgen = ScheduleGenerator::new(ScheduleGenConfig::default());
+    (0usize..).map(move |round| {
+        let program = programs[(first_program + round) % programs.len()].clone();
+        let mut rng = ChaCha8Rng::seed_from_u64(seed_base + round as u64);
+        let wave = schedgen.generate_distinct(&program, wave_len, &mut rng);
+        (program, wave)
+    })
 }
 
 /// Everything one flywheel run needs; no environment variables are
@@ -88,8 +101,6 @@ pub struct FlywheelConfig {
     pub candidates: usize,
     /// Replay rounds in the serve window.
     pub window: usize,
-    /// Schedules per replay wave.
-    pub wave_len: usize,
     /// Warm-start retraining epochs per candidate.
     pub epochs: usize,
     /// Check one in `sample_every` served rows against ground truth
@@ -111,7 +122,6 @@ impl FlywheelConfig {
             out_dir,
             candidates: 2,
             window: if quick { 6 } else { 24 },
-            wave_len: 6,
             epochs: if quick { 4 } else { 12 },
             sample_every: 1,
             capacity: 1024,
@@ -198,13 +208,10 @@ pub fn run_flywheel(cfg: &FlywheelConfig) -> io::Result<FlywheelReport> {
             ..MispredictConfig::default()
         },
     );
-    let programs = replay_programs();
     let mut queries = 0usize;
-    for round in 0..cfg.window {
-        let program = &programs[round % programs.len()];
-        let wave = replay_wave(program, cfg.wave_len, FLYWHEEL_WAVE_SEED + round as u64);
+    for (program, wave) in replay_window(FLYWHEEL_WAVE_SEED, 0, WAVE_LEN).take(cfg.window) {
         queries += wave.len();
-        let (scores, _) = service.speedup_batch_shared(program, &wave);
+        let (scores, _) = service.speedup_batch_shared(&program, &wave);
         debug_assert_eq!(scores.len(), wave.len());
     }
     let mispredicts = service.mispredict_counters();
@@ -265,11 +272,235 @@ pub fn run_flywheel(cfg: &FlywheelConfig) -> io::Result<FlywheelReport> {
     Ok(FlywheelReport {
         incumbent_fingerprint: to_hex(incumbent_fp),
         window: cfg.window,
-        wave_len: cfg.wave_len,
+        wave_len: WAVE_LEN,
         queries,
         mispredicts,
         generation,
         corpus_fingerprint: to_hex(corpus_fingerprint),
         candidates,
+    })
+}
+
+/// One side of the promotion gate in `results/promotion.json`.
+#[derive(Debug, Clone, Serialize)]
+pub struct PromotionSide {
+    /// Weights fingerprint (hex) the server reported before the window.
+    pub fingerprint: String,
+    /// Window MAPE against simulated ground truth.
+    pub mape_vs_ground_truth: f64,
+    /// Informational only (wall-clock, machine-dependent): the verdict
+    /// is computed purely from the deterministic score metrics.
+    mean_latency_us: f64,
+}
+
+/// One ranked candidate of the promotion gate (report order = the order
+/// the candidates were given in; `rank` 0 is the winner).
+#[derive(Debug, Clone, Serialize)]
+pub struct CandidateVerdict {
+    dir: String,
+    /// The candidate's weights fingerprint (hex).
+    pub fingerprint: String,
+    /// Position by window MAPE; ties resolve to the earlier candidate.
+    pub rank: usize,
+    /// Window MAPE against simulated ground truth.
+    pub mape_vs_ground_truth: f64,
+    mean_latency_us: f64,
+    mean_abs_score_delta: f64,
+    max_abs_score_delta: f64,
+}
+
+/// What [`run_promotion`] decided; `modelctl promote` prints it and
+/// writes it to `results/promotion.json`.
+#[derive(Debug, Clone, Serialize)]
+pub struct PromotionReport {
+    addr: String,
+    window_requests: usize,
+    wave_len: usize,
+    queries: usize,
+    /// The model the server was serving during the window.
+    pub incumbent: PromotionSide,
+    /// Every candidate, in the order given.
+    pub candidates: Vec<CandidateVerdict>,
+    /// Weights fingerprint (hex) of the rank-0 candidate.
+    pub winner_fingerprint: String,
+    /// `"promote"` when the winner's window MAPE is strictly below the
+    /// incumbent's, `"rollback"` otherwise.
+    pub verdict: String,
+    /// `"swapped"`, `"none"` (verdict was rollback) or `"dry-run"`.
+    pub action: String,
+    /// The fingerprint the server reported after the swap, when one
+    /// happened.
+    pub post_swap_fingerprint: Option<String>,
+}
+
+impl fmt::Display for PromotionReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut ranked: Vec<&CandidateVerdict> = self.candidates.iter().collect();
+        ranked.sort_by_key(|c| c.rank);
+        write!(
+            f,
+            "promotion verdict: {} (action: {}) over {} mirrored queries x {} candidates — \
+             incumbent MAPE {:.4} ({:.0}us/req served), winner {} MAPE {:.4}",
+            self.verdict,
+            self.action,
+            self.queries,
+            ranked.len(),
+            self.incumbent.mape_vs_ground_truth,
+            self.incumbent.mean_latency_us,
+            self.winner_fingerprint,
+            ranked[0].mape_vs_ground_truth,
+        )?;
+        for c in ranked {
+            write!(
+                f,
+                "\n  #{} {}: MAPE {:.4} ({:.0}us/req in-process), mean |Δscore| vs incumbent \
+                 {:.4}, max {:.4}{}",
+                c.rank,
+                c.dir,
+                c.mape_vs_ground_truth,
+                c.mean_latency_us,
+                c.mean_abs_score_delta,
+                c.max_abs_score_delta,
+                if c.rank == 0 { "  <- winner" } else { "" },
+            )?;
+        }
+        Ok(())
+    }
+}
+
+/// The shadow A/B promotion gate. A fixed-seed query window is mirrored
+/// to the incumbent (served at `addr`, over the wire) and to every
+/// artifact in `candidates` (in-process); all sides are scored against
+/// the deterministic simulated-execution ground truth, candidates are
+/// ranked by window MAPE (ties resolve to the earlier one), and the
+/// winner is promoted — an atomic `Reload` plus a bit-identical post-swap
+/// probe — only if its window error is strictly lower than the
+/// incumbent's; `dry_run` records the verdict without swapping. Latency
+/// is recorded but never decides: the verdict is a pure function of the
+/// artifacts and the window, so two runs of the gate agree.
+///
+/// # Errors
+///
+/// An unloadable candidate, an unreachable or failing server, a refused
+/// swap (the incumbent keeps serving) and a post-swap probe that does
+/// not answer from the winner bit for bit.
+pub fn run_promotion(
+    addr: &str,
+    candidates: &[PathBuf],
+    window: usize,
+    dry_run: bool,
+) -> io::Result<PromotionReport> {
+    // Each candidate's report row doubles as its accumulator: sums over
+    // the window first, normalized once the ranking is known.
+    let mut cands = candidates
+        .iter()
+        .map(|dir| {
+            // The server resolves the winner's path on *its* filesystem;
+            // send it absolute so the swap does not depend on the
+            // server's working directory.
+            let dir = dir.canonicalize().unwrap_or_else(|_| dir.clone());
+            let artifact = ModelArtifact::load(&dir).map_err(io::Error::other)?;
+            let row = CandidateVerdict {
+                dir: dir.display().to_string(),
+                fingerprint: to_hex(artifact.weights_fingerprint()),
+                rank: 0,
+                mape_vs_ground_truth: 0.0,
+                mean_latency_us: 0.0,
+                mean_abs_score_delta: 0.0,
+                max_abs_score_delta: 0.0,
+            };
+            Ok((artifact, row))
+        })
+        .collect::<io::Result<Vec<(ModelArtifact, CandidateVerdict)>>>()?;
+    if cands.is_empty() {
+        return Err(io::Error::other("the gate needs at least one candidate"));
+    }
+    let score = |artifact: &ModelArtifact, program: &Program, wave: &[Schedule]| {
+        ModelEvaluator::new(artifact.model(), artifact.featurizer()).speedup_batch(program, wave)
+    };
+    // Paper-protocol measurement harness under a fixed seed: the ground
+    // truth for the window is deterministic, so the verdict is too.
+    let mut truth_eval = ExecutionEvaluator::new(harness(), 0);
+    let mut client = NetClient::connect(addr)?;
+    let mut incumbent = PromotionSide {
+        fingerprint: client.model_info().map_err(io::Error::other)?.fingerprint,
+        mape_vs_ground_truth: 0.0,
+        mean_latency_us: 0.0,
+    };
+    for (program, wave) in replay_window(PROMOTE_WAVE_SEED, 0, WAVE_LEN).take(window) {
+        let sent = Instant::now();
+        let served = client.speedups(&program, &wave).map_err(io::Error::other)?;
+        incumbent.mean_latency_us += sent.elapsed().as_secs_f64() * 1e6;
+        let truth = truth_eval.speedup_batch(&program, &wave);
+        for (i, t) in served.iter().zip(&truth) {
+            incumbent.mape_vs_ground_truth += (i - t).abs() / t;
+        }
+        for (artifact, row) in &mut cands {
+            let sent = Instant::now();
+            let scores = score(artifact, &program, &wave);
+            row.mean_latency_us += sent.elapsed().as_secs_f64() * 1e6;
+            for ((c, i), t) in scores.iter().zip(&served).zip(&truth) {
+                row.mape_vs_ground_truth += (c - t).abs() / t;
+                let delta = (c - i).abs();
+                row.mean_abs_score_delta += delta;
+                row.max_abs_score_delta = row.max_abs_score_delta.max(delta);
+            }
+        }
+    }
+    // The one ranking: a stable sort by summed window error, so equal
+    // candidates keep the order they were given in.
+    let mut order: Vec<usize> = (0..cands.len()).collect();
+    order.sort_by(|&a, &b| {
+        let err = |i: usize| cands[i].1.mape_vs_ground_truth;
+        err(a).total_cmp(&err(b))
+    });
+    let queries = window * WAVE_LEN;
+    incumbent.mape_vs_ground_truth /= queries as f64;
+    incumbent.mean_latency_us /= window as f64;
+    for (rank, &i) in order.iter().enumerate() {
+        let row = &mut cands[i].1;
+        row.rank = rank;
+        row.mape_vs_ground_truth /= queries as f64;
+        row.mean_latency_us /= window as f64;
+        row.mean_abs_score_delta /= queries as f64;
+    }
+    let (winner_artifact, winner) = &cands[order[0]];
+
+    let promote = winner.mape_vs_ground_truth < incumbent.mape_vs_ground_truth;
+    let (action, post_swap_fingerprint) = if dry_run {
+        ("dry-run", None)
+    } else if promote {
+        let info = client.reload(&winner.dir).map_err(|e| {
+            io::Error::other(format!("swap refused ({e}); the incumbent keeps serving"))
+        })?;
+        // Post-swap probe: the first window request, replayed through
+        // the server, must now answer from the winner bit for bit.
+        let (program, wave) = replay_window(PROMOTE_WAVE_SEED, 0, WAVE_LEN)
+            .next()
+            .expect("the replay window is endless");
+        let served = client.speedups(&program, &wave).map_err(io::Error::other)?;
+        let expected = score(winner_artifact, &program, &wave);
+        let bits = |scores: &[f64]| scores.iter().map(|s| s.to_bits()).collect::<Vec<u64>>();
+        if bits(&served) != bits(&expected) {
+            return Err(io::Error::other(format!(
+                "post-swap probe MISMATCH: served {served:?} vs winner {expected:?}"
+            )));
+        }
+        ("swapped", Some(info.fingerprint))
+    } else {
+        ("none", None)
+    };
+
+    Ok(PromotionReport {
+        addr: addr.to_string(),
+        window_requests: window,
+        wave_len: WAVE_LEN,
+        queries,
+        incumbent,
+        winner_fingerprint: winner.fingerprint.clone(),
+        verdict: if promote { "promote" } else { "rollback" }.into(),
+        action: action.into(),
+        post_swap_fingerprint,
+        candidates: cands.into_iter().map(|(_, row)| row).collect(),
     })
 }

@@ -18,7 +18,8 @@
 //!    contribute an identical (features, label) pair to training and is
 //!    dropped, across all shards;
 //! 4. **shard** — programs land in `index % num_shards`, each followed by
-//!    its points, and the manifest records counts + content fingerprints.
+//!    its points; the manifest (counts + content fingerprints), saved
+//!    last, is the only other file and the corpus's commit point.
 //!
 //! The determinism contract of PR 2 composes through every stage: worker
 //! results return in index order, the evaluator is a pure function of
@@ -41,7 +42,6 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::dataset::{DataPoint, Dataset, DatasetConfig};
-use crate::genlog::DedupIndex;
 use crate::progen::{Pattern, ProgramGenerator};
 use crate::schedgen::ScheduleGenerator;
 use crate::shard::{
@@ -281,6 +281,7 @@ impl ParallelDatasetBuilder {
     ///
     /// Program `i` lands in shard `i % num_shards`, immediately followed
     /// by its points, so every shard is self-contained for streaming.
+    /// The manifest is written after every shard and nothing after it.
     ///
     /// # Errors
     ///
@@ -355,19 +356,6 @@ impl ParallelDatasetBuilder {
             generations: vec![seed_generation],
         };
         manifest.save(dir)?;
-        // Persist the dedup index so later appended generations
-        // ([`crate::append_generation`]) dedup against the seed history.
-        // The retained points' keys *are* the full seen-set: a dropped
-        // duplicate's key is by definition already carried by a retained
-        // point.
-        let mut dedup = DedupIndex::default();
-        for point in &points {
-            dedup.insert(
-                built.fingerprints[point.program],
-                stable_fingerprint(&point.schedule),
-            );
-        }
-        dedup.save(dir)?;
         Ok((manifest, stats))
     }
 }

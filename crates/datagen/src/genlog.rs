@@ -9,9 +9,9 @@
 //! 1. samples are sorted by content key `(program fingerprint, schedule
 //!    fingerprint)`, so the appended shard is independent of arrival
 //!    order (and therefore of serve-side thread count);
-//! 2. they are deduplicated against the *entire* corpus history via the
-//!    persistent [`DedupIndex`] (`dedup.json`, rebuilt by scanning the
-//!    shards when missing) and within the batch itself;
+//! 2. they are deduplicated against the *entire* corpus history — the
+//!    [`DedupIndex`] built from the shards themselves — and within the
+//!    batch itself;
 //! 3. survivors land in one new shard continuing the
 //!    `shard-NNNN.jsonl` sequence, with fresh global program indices so
 //!    every shard stays self-contained;
@@ -19,10 +19,15 @@
 //!    folds the parent generation's chain ([`chain_fingerprint`]), so
 //!    the corpus history is a hash chain: same traffic in, bit-identical
 //!    generation out.
+//!
+//! The manifest is the corpus's single commit point: the new shard is
+//! written first and becomes part of the corpus only when the manifest
+//! naming it is saved. Nothing else is persisted (a `dedup.json` left by
+//! an older build is ignored).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use dlcm_eval::pool;
 use dlcm_ir::fingerprint::stable_fingerprint;
@@ -30,8 +35,7 @@ use dlcm_ir::{Program, Schedule};
 use dlcm_model::{Featurizer, FeaturizerConfig};
 
 use crate::shard::{
-    chain_fingerprint, fingerprint_hex, parse_fingerprint, GenerationInfo, ShardRecord,
-    ShardWriter, ShardedDataset,
+    chain_fingerprint, fingerprint_hex, GenerationInfo, ShardRecord, ShardWriter, ShardedDataset,
 };
 
 /// One labeled sample offered for corpus append: the serving tier's
@@ -52,97 +56,42 @@ pub struct AppendSample {
     pub family: Option<String>,
 }
 
-/// The persistent cross-generation dedup index: every `(program
-/// content fingerprint, schedule fingerprint)` key retained anywhere in
-/// the corpus history.
-///
-/// Stored as `dedup.json` next to the manifest — a sorted JSON array of
-/// `"proghex:schedhex"` strings, so the file itself is deterministic.
-/// When the file is missing (pre-generation-log corpora, or deleted),
-/// the index is rebuilt by scanning every shard.
+/// The cross-generation dedup index: every `(program content
+/// fingerprint, schedule fingerprint)` key retained anywhere in the
+/// corpus history. Derived from the shards, never stored beside them,
+/// so it cannot disagree with the corpus it describes.
 #[derive(Debug, Clone, Default)]
 pub struct DedupIndex {
     keys: BTreeSet<(u64, u64)>,
 }
 
 impl DedupIndex {
-    /// Path of the index inside a corpus directory.
-    pub fn path(dir: &Path) -> PathBuf {
-        dir.join("dedup.json")
-    }
-
-    /// Number of keys in the index.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Whether the index holds no keys.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
     /// Whether `(program fingerprint, schedule fingerprint)` already
     /// occurred in the corpus history.
     pub fn contains(&self, program_fp: u64, schedule_fp: u64) -> bool {
         self.keys.contains(&(program_fp, schedule_fp))
     }
 
-    /// Records a key; returns `false` if it was already present.
-    pub fn insert(&mut self, program_fp: u64, schedule_fp: u64) -> bool {
-        self.keys.insert((program_fp, schedule_fp))
-    }
-
-    /// Loads `dedup.json`, or rebuilds the index by scanning every shard
-    /// of `sharded` when the file is missing.
+    /// Builds the index of `sharded` through the one validated shard
+    /// reader.
     ///
     /// # Errors
     ///
-    /// Propagates IO/parse failures (a *present but corrupt* index file
-    /// is an error, not a rebuild trigger — silently rebuilding could
-    /// mask divergence between index and corpus); a rebuild fails on
-    /// any corpus [`ShardedDataset::load_dataset`] rejects.
-    pub fn load_or_rebuild(sharded: &ShardedDataset) -> io::Result<DedupIndex> {
-        let path = Self::path(sharded.dir());
-        if path.exists() {
-            let file = std::fs::File::open(&path)?;
-            let keys: Vec<String> =
-                serde_json::from_reader(io::BufReader::new(file)).map_err(io::Error::other)?;
-            let mut index = DedupIndex::default();
-            for key in &keys {
-                let (prog, sched) = key
-                    .split_once(':')
-                    .ok_or_else(|| io::Error::other(format!("malformed dedup key {key:?}")))?;
-                let (prog, sched) = parse_fingerprint(prog)
-                    .zip(parse_fingerprint(sched))
-                    .ok_or_else(|| io::Error::other(format!("malformed dedup key {key:?}")))?;
-                index.insert(prog, sched);
-            }
-            return Ok(index);
-        }
+    /// Fails on any corpus [`ShardedDataset::load_dataset`] rejects.
+    pub fn build(sharded: &ShardedDataset) -> io::Result<DedupIndex> {
         let corpus = sharded.read()?;
-        let mut index = DedupIndex::default();
-        for point in &corpus.dataset.points {
-            index.insert(
-                corpus.fingerprints[point.program],
-                stable_fingerprint(&point.schedule),
-            );
-        }
-        Ok(index)
-    }
-
-    /// Writes `dedup.json` (sorted, deterministic).
-    ///
-    /// # Errors
-    ///
-    /// Propagates serialization/IO failures.
-    pub fn save(&self, dir: &Path) -> io::Result<()> {
-        let keys: Vec<String> = self
-            .keys
+        let keys = corpus
+            .dataset
+            .points
             .iter()
-            .map(|(p, s)| format!("{}:{}", fingerprint_hex(*p), fingerprint_hex(*s)))
+            .map(|point| {
+                (
+                    corpus.fingerprints[point.program],
+                    stable_fingerprint(&point.schedule),
+                )
+            })
             .collect();
-        let file = std::fs::File::create(Self::path(dir))?;
-        serde_json::to_writer_pretty(io::BufWriter::new(file), &keys).map_err(io::Error::other)
+        Ok(DedupIndex { keys })
     }
 }
 
@@ -163,7 +112,8 @@ impl DedupIndex {
 ///
 /// # Errors
 ///
-/// Propagates IO failures and manifest/index corruption.
+/// Propagates IO failures and rejects a corpus the shard reader
+/// rejects.
 pub fn append_generation(
     dir: &Path,
     label: &str,
@@ -172,7 +122,7 @@ pub fn append_generation(
 ) -> io::Result<GenerationInfo> {
     let sharded = ShardedDataset::open(dir)?;
     let mut manifest = sharded.manifest().clone();
-    let mut dedup = DedupIndex::load_or_rebuild(&sharded)?;
+    let mut dedup = DedupIndex::build(&sharded)?;
 
     // Key, sort, and dedup. Sorting by content key first makes the
     // retained set — and the shard bytes — a pure function of the sample
@@ -193,7 +143,7 @@ pub fn append_generation(
     let offered = keyed.len();
     let mut retained: Vec<((u64, u64), AppendSample)> = Vec::new();
     for (key, sample) in keyed {
-        if dedup.insert(key.0, key.1) {
+        if dedup.keys.insert(key) {
             retained.push((key, sample));
         }
     }
@@ -266,6 +216,5 @@ pub fn append_generation(
     manifest.duplicates_dropped += duplicates_dropped;
     manifest.generations.push(generation.clone());
     manifest.save(dir)?;
-    dedup.save(dir)?;
     Ok(generation)
 }

@@ -2,11 +2,13 @@
 //!
 //! The data-generation pipeline of the DLCM reproduction of *"A Deep
 //! Learning Based Cost Model for Automatic Code Optimization"* (MLSys
-//! 2021), §3: random Tiramisu-like programs over six scenario families
-//! (the paper's assignments/stencils/reductions plus convs, reduction
-//! pipelines, and scans), random legal transformation sequences, and
-//! labeled `(program, schedule, speedup)` triplets measured on the
-//! simulated machine of `dlcm-machine`.
+//! 2021), §3: random Tiramisu-like programs over nine scenario families
+//! ([`Pattern::ALL`]: the paper's assignments/stencils/reductions plus
+//! convs, reduction pipelines, scans, attention pipelines, boundary
+//! stencils and gather/scatter streams — the canonical corpus enables
+//! all nine through [`ProgramGenConfig::wide`]), random legal
+//! transformation sequences, and labeled `(program, schedule, speedup)`
+//! triplets measured on the simulated machine of `dlcm-machine`.
 //!
 //! There is one generation path and one labeling protocol:
 //! [`ParallelDatasetBuilder`] fans generation across a worker pool,
@@ -16,14 +18,15 @@
 //! plus a manifest ([`ShardWriter`]/[`ShardReader`]/[`ShardManifest`])
 //! that are **byte-identical at any thread count**. One reader decodes
 //! and validates that format; [`ShardedDataset::load_dataset`],
-//! [`ShardBatches`] and the [`DedupIndex`] rebuild are views of it.
+//! [`ShardBatches`] and the [`DedupIndex`] are views of it.
 //!
 //! Corpora are *generation-versioned*: the builder's output is
 //! generation 0 of an append-only history, and [`append_generation`]
 //! adds later generations (e.g. mispredicts captured by the serving
 //! tier) as new shards whose [`GenerationInfo::chain`] fingerprints
 //! chain onto the parent's, deduplicated against the whole history via
-//! the persistent [`DedupIndex`].
+//! the [`DedupIndex`] built from the shards. The manifest is the only
+//! record of that history and the single commit point of an append.
 //!
 //! Training streams minibatches straight from shards through
 //! [`ShardBatches`] (a `dlcm_model::BatchSource`), featurizing each

@@ -538,7 +538,7 @@ impl ShardedDataset {
 
     /// The one decoder of the shard format. Every consumer of corpus
     /// records — [`Self::load_dataset`], [`crate::ShardBatches`], the
-    /// [`crate::DedupIndex`] rebuild — projects from what this returns,
+    /// [`crate::DedupIndex`] — projects from what this returns,
     /// so they all accept and reject the same corpora. Checked here:
     /// program indices are in range and declared once, every program
     /// body hashes to its record's fingerprint, every point references

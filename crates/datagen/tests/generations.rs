@@ -1,8 +1,9 @@
 //! The generation-versioned corpus contract: appended generations dedup
 //! against the entire history (and within the batch), the union corpus
 //! streams every generation, append results are independent of sample
-//! arrival order, the dedup index survives deletion via shard-scan
-//! rebuild, and generation chains link parent to child.
+//! arrival order, the dedup index comes from the shards alone (a
+//! leftover `dedup.json` from an older build is ignored), and generation
+//! chains link parent to child.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -53,11 +54,11 @@ fn seed_corpus(dir: &Path, seed: u64) {
 
 /// Samples guaranteed fresh against the corpus: schedules generated
 /// under a disjoint seed for corpus programs, filtered against the
-/// persisted dedup index so the test knows the exact retained count.
+/// dedup index so the test knows the exact retained count.
 fn fresh_samples(dir: &Path, count: usize) -> Vec<AppendSample> {
     let sharded = ShardedDataset::open(dir).unwrap();
     let dataset = sharded.load_dataset().unwrap();
-    let dedup = DedupIndex::load_or_rebuild(&sharded).unwrap();
+    let dedup = DedupIndex::build(&sharded).unwrap();
     let schedgen = ScheduleGenerator::new(ScheduleGenConfig::default());
     let mut rng = ChaCha8Rng::seed_from_u64(0xFEED);
     let mut samples = Vec::new();
@@ -221,13 +222,11 @@ fn append_is_independent_of_arrival_order_and_threads() {
     assert_eq!(gen_a.num_points, gen_b.num_points);
     assert_eq!(gen_a.num_programs, gen_b.num_programs);
 
-    for file in ["manifest.json", "dedup.json"] {
-        assert_eq!(
-            std::fs::read(dir_a.join(file)).unwrap(),
-            std::fs::read(dir_b.join(file)).unwrap(),
-            "{file} differs between arrival orders"
-        );
-    }
+    assert_eq!(
+        std::fs::read(dir_a.join("manifest.json")).unwrap(),
+        std::fs::read(dir_b.join("manifest.json")).unwrap(),
+        "manifest.json differs between arrival orders"
+    );
     let shard_a = ShardedDataset::open(&dir_a).unwrap();
     let shard_b = ShardedDataset::open(&dir_b).unwrap();
     let last_a = shard_a.shard_paths().last().unwrap().clone();
@@ -241,32 +240,36 @@ fn append_is_independent_of_arrival_order_and_threads() {
     let _ = std::fs::remove_dir_all(&dir_b);
 }
 
+/// Corpora written before the manifest became the only record of the
+/// history carry a `dedup.json`; whatever it holds, an append reads the
+/// shards instead.
 #[test]
-fn dedup_index_rebuild_matches_persisted_index() {
-    let dir = tmp_dir("rebuild");
-    seed_corpus(&dir, 9);
-    append_generation(&dir, "wave", fresh_samples(&dir, 4), 1).unwrap();
-
-    let persisted_bytes = std::fs::read(DedupIndex::path(&dir)).unwrap();
-    let sharded = ShardedDataset::open(&dir).unwrap();
-    let persisted = DedupIndex::load_or_rebuild(&sharded).unwrap();
-
-    // Delete the file: the index must be reconstructible from shards
-    // alone (pre-generation-log corpora have no dedup.json).
-    std::fs::remove_file(DedupIndex::path(&dir)).unwrap();
-    let rebuilt = DedupIndex::load_or_rebuild(&sharded).unwrap();
-    assert_eq!(rebuilt.len(), persisted.len());
-    rebuilt.save(&dir).unwrap();
+fn leftover_dedup_file_is_ignored() {
+    let mut outcomes = Vec::new();
+    for leftover in [None, Some(&b"[]"[..]), Some(&b"{not json"[..])] {
+        let dir = tmp_dir("leftover");
+        seed_corpus(&dir, 9);
+        let mut offered = fresh_samples(&dir, 4);
+        offered.extend(duplicate_samples(&dir, 3));
+        if let Some(bytes) = leftover {
+            std::fs::write(dir.join("dedup.json"), bytes).unwrap();
+        }
+        let generation = append_generation(&dir, "wave", offered, 1).unwrap();
+        assert_eq!(generation.num_points, 4);
+        assert_eq!(generation.duplicates_dropped, 3);
+        let sharded = ShardedDataset::open(&dir).unwrap();
+        let shard = std::fs::read(sharded.shard_paths().last().unwrap()).unwrap();
+        outcomes.push((generation.chain, shard));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
     assert_eq!(
-        std::fs::read(DedupIndex::path(&dir)).unwrap(),
-        persisted_bytes,
-        "shard-scan rebuild diverged from the persisted index"
+        outcomes[0], outcomes[1],
+        "an empty leftover index changed the append"
     );
-
-    // A present-but-corrupt index is an error, never a silent rebuild.
-    std::fs::write(DedupIndex::path(&dir), b"{not json").unwrap();
-    assert!(DedupIndex::load_or_rebuild(&sharded).is_err());
-    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        outcomes[0], outcomes[2],
+        "a garbled leftover index changed the append"
+    );
 }
 
 #[test]
@@ -286,7 +289,7 @@ fn family_tags_survive_append_generation() {
     // appended generation declares exactly three programs.
     let sharded = ShardedDataset::open(&dir).unwrap();
     let dataset = sharded.load_dataset().unwrap();
-    let dedup = DedupIndex::load_or_rebuild(&sharded).unwrap();
+    let dedup = DedupIndex::build(&sharded).unwrap();
     let schedgen = ScheduleGenerator::new(ScheduleGenConfig::default());
     let mut rng = ChaCha8Rng::seed_from_u64(0xFA);
     let mut samples: Vec<AppendSample> = Vec::new();

@@ -367,11 +367,9 @@ fn every_reader_rejects_a_tampered_corpus() {
             ShardBatches::open(&dir, featurizer, 4, 1).is_err(),
             "ShardBatches::open: {what}"
         );
-        // Without dedup.json the index is rebuilt from the shards.
-        std::fs::remove_file(DedupIndex::path(&dir)).unwrap();
         assert!(
-            DedupIndex::load_or_rebuild(&sharded).is_err(),
-            "DedupIndex rebuild: {what}"
+            DedupIndex::build(&sharded).is_err(),
+            "DedupIndex::build: {what}"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -171,11 +171,6 @@ impl<'a, E: SyncEvaluator + ?Sized> ScopedEvaluator<'a, E> {
     pub fn shared(&self) -> &'a E {
         self.shared
     }
-
-    /// Stats accumulated by this scope's calls alone.
-    pub fn local_stats(&self) -> EvalStats {
-        self.local
-    }
 }
 
 impl<E: SyncEvaluator + ?Sized> Evaluator for ScopedEvaluator<'_, E> {

@@ -53,14 +53,6 @@ impl Dist {
             Dist::Star => true,
         }
     }
-
-    /// `true` when the component could be positive.
-    pub fn may_be_positive(self) -> bool {
-        match self {
-            Dist::Exact(v) => v > 0,
-            Dist::Star => true,
-        }
-    }
 }
 
 /// A dependence between two computations (possibly the same one).

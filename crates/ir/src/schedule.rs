@@ -49,12 +49,6 @@ impl LoopSource {
             | LoopSource::TileInner { iter, .. } => iter,
         }
     }
-
-    /// `true` for tile-outer loops or untiled originals — the loop that
-    /// strides across the iteration space in large steps.
-    pub fn is_outer_of_iter(&self) -> bool {
-        matches!(self, LoopSource::Orig { .. } | LoopSource::TileOuter { .. })
-    }
 }
 
 /// A loop of the scheduled program.
@@ -219,24 +213,6 @@ impl ScheduledProgram {
             out.push(l.as_ref());
             node = &l.children[idx];
         }
-        out
-    }
-
-    /// Original loop level of `comp` that scheduled loop `sloop` iterates,
-    /// or `None` when the loop belongs to a different computation's range.
-    pub fn source_level(&self, comp: CompId, sloop: &SLoop) -> Option<usize> {
-        let target = self.resolve(sloop.source.iter());
-        self.program
-            .comp(comp)
-            .iters
-            .iter()
-            .position(|&it| self.resolve(it) == target)
-    }
-
-    /// All computations contained in a subtree.
-    pub fn comps_in(&self, node: &SNode) -> Vec<CompId> {
-        let mut out = Vec::new();
-        collect_comps(node, &mut out);
         out
     }
 }

@@ -93,38 +93,6 @@ impl MachineConfig {
         }
     }
 
-    /// A tiny machine for fast unit tests (2 cores, small caches) —
-    /// exaggerates cache effects so tests can observe them on small
-    /// programs.
-    pub fn small_test_machine() -> Self {
-        Self {
-            cores: 2,
-            freq_hz: 1e9,
-            vector_lanes: 4,
-            issue_width: 1.0,
-            div_cost: 8.0,
-            line_bytes: 64,
-            caches: vec![
-                CacheLevel {
-                    size_bytes: 4 * 1024,
-                    fill_bandwidth: 20e9,
-                    shared: false,
-                },
-                CacheLevel {
-                    size_bytes: 64 * 1024,
-                    fill_bandwidth: 10e9,
-                    shared: true,
-                },
-            ],
-            mem_bandwidth: 2e9,
-            loop_overhead_cycles: 1.5,
-            parallel_fork_cost: 5e-6,
-            parallel_friction: 0.02,
-            mem_parallel_cores: 1.5,
-            simd_efficiency: 0.85,
-        }
-    }
-
     /// Effective parallel speedup when `trips` iterations are spread over
     /// the cores (Amdahl-style friction, capped by the trip count).
     pub fn parallel_speedup(&self, trips: i64) -> f64 {

@@ -95,24 +95,6 @@ impl Measurement {
         let opt = self.measure_schedule(program, schedule, seed)?;
         Ok(base / opt.max(f64::MIN_POSITIVE))
     }
-
-    /// Speedup of `schedule` relative to the paper's *benchmark* baseline
-    /// (§6): the original program with the outermost loop parallelized.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ScheduleError`] when the schedule is illegal.
-    pub fn speedup_vs_parallel_baseline(
-        &self,
-        program: &Program,
-        schedule: &Schedule,
-        seed: u64,
-    ) -> Result<f64, ScheduleError> {
-        let baseline = parallel_baseline(program);
-        let base = self.measure_schedule(program, &baseline, seed ^ 0xBA5E)?;
-        let opt = self.measure_schedule(program, schedule, seed)?;
-        Ok(base / opt.max(f64::MIN_POSITIVE))
-    }
 }
 
 /// The paper's §6 baseline schedule: every computation's outermost loop is

@@ -65,19 +65,6 @@ impl CostModelConfig {
         }
     }
 
-    /// A mid-sized configuration used by the recorded experiments: large
-    /// enough to generalize across hundreds of random programs, small
-    /// enough to train on a 2-core CPU in minutes.
-    pub fn medium(input_dim: usize) -> Self {
-        Self {
-            input_dim,
-            embed_widths: vec![256, 160, 96],
-            merge_hidden: 128,
-            regress_widths: vec![96, 64],
-            dropout: 0.05,
-        }
-    }
-
     /// Embedding dimension (output of layer 1, state size of layer 2).
     pub fn hidden(&self) -> usize {
         *self.embed_widths.last().expect("non-empty embed widths")

@@ -153,6 +153,33 @@ fn malformed_json_gets_a_typed_error_and_the_connection_survives() {
 }
 
 #[test]
+fn a_two_mib_string_body_is_refused_promptly() {
+    // Decoding must be linear in the body: one long JSON string is well
+    // inside the default frame cap, and a decoder that is quadratic in
+    // string length would hold this worker for minutes.
+    let server = bind_server(NetConfig::default());
+    let mut raw = TcpStream::connect(server.local_addr()).expect("connect raw");
+    raw.set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let mut body = vec![b'a'; 2 << 20];
+    *body.first_mut().unwrap() = b'"';
+    *body.last_mut().unwrap() = b'"';
+    wire::write_frame(&mut raw, FrameKind::Request, &body).expect("send long string");
+    let frame = wire::read_frame(&mut raw, 4 << 20).expect("typed reply within 5 s");
+    assert_eq!(frame.kind, FrameKind::Error);
+    assert!(matches!(
+        wire::decode_body::<ErrorReply>(&frame.body).expect("error body"),
+        ErrorReply::BadRequest { .. }
+    ));
+
+    wire::write_message(&mut raw, FrameKind::Request, &wire::Request::Ping)
+        .expect("ping after the long string");
+    let frame = wire::read_frame(&mut raw, 1 << 20).expect("pong");
+    assert_eq!(frame.kind, FrameKind::Response);
+    server.shutdown();
+}
+
+#[test]
 fn invalid_program_is_rejected_at_the_boundary_and_serving_continues() {
     // A program that decodes but fails `Program::validate` (its tree
     // still references the computation that was cleared) must be turned

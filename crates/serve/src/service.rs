@@ -4,7 +4,7 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use dlcm_eval::{
@@ -407,12 +407,6 @@ impl<M: SpeedupPredictor> InferenceService<M> {
     /// deadline (the caller may have already given up on the answer).
     pub fn note_deadline_missed(&self) {
         self.deadline_missed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Pins and returns the currently served model epoch: a stable
-    /// snapshot of (model, fingerprint) that later reloads do not touch.
-    pub fn active_epoch(&self) -> Arc<ModelEpoch<M>> {
-        self.cache.inner().slot.load()
     }
 
     /// The featurizer queries are encoded with. Fixed for the service's

@@ -120,11 +120,6 @@ impl Tape {
         }
     }
 
-    /// `true` while the tape is in training mode.
-    pub fn is_training(&self) -> bool {
-        self.train
-    }
-
     /// Number of recorded nodes.
     pub fn len(&self) -> usize {
         self.nodes.len()
