@@ -99,7 +99,7 @@ impl HalideModel {
         };
         let x = self.normalize(&raw);
         let mut tape = Tape::new();
-        let xv = tape.leaf(Tensor::row(x));
+        let xv = tape.constant(Tensor::row(x));
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let y = self.net.forward(&mut tape, &self.store, xv, &mut rng);
         let pos = tape.softplus(y);
@@ -165,10 +165,10 @@ impl HalideModel {
                 let target =
                     Tensor::from_vec(chunk.len(), 1, chunk.iter().map(|&i| ys[i]).collect());
                 let mut tape = Tape::for_training();
-                let xv = tape.leaf(x);
+                let xv = tape.constant(x);
                 let raw = self.net.forward(&mut tape, &self.store, xv, &mut rng);
                 let pred = tape.softplus(raw);
-                let tv = tape.leaf(target);
+                let tv = tape.constant(target);
                 let loss = mse(&mut tape, pred, tv);
                 let grads = tape.backward(loss);
                 let mut acc = GradAccumulator::new(&self.store);

@@ -4,6 +4,7 @@
 //! re-evaluation ([`evaluate_artifact`], `modelctl eval`).
 
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 use dlcm_datagen::{
     open_split, prepare, BuildConfig, BuildStats, Dataset, DatasetConfig, ParallelDatasetBuilder,
@@ -214,7 +215,17 @@ pub fn train_from_corpus(
         corpus.train.num_points(),
         corpus.train.num_batches()
     );
+    let start = Instant::now();
     train_stream(&mut model, &corpus.train, &corpus.val_set, &train_cfg);
+    let seconds = start.elapsed().as_secs_f64();
+    // Training throughput in the benchmark's `work_per_s` unit (rows x
+    // epochs per second of `train_stream`, validation passes included),
+    // so a larger run can be budgeted from a smaller one's output.
+    let rows = corpus.train.num_points();
+    println!(
+        "trained {rows} rows × {epochs} epochs in {seconds:.1} s ({:.0} row-epochs/s)",
+        (rows * epochs) as f64 / seconds
+    );
 
     let evaluation = Evaluation::new(&model, corpus.dataset, corpus.split, corpus.test_set);
     let artifact = ModelArtifact::new(

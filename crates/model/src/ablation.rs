@@ -89,7 +89,7 @@ impl SpeedupPredictor for FlatLstmModel {
                 data.extend_from_slice(v);
             }
         }
-        let x = tape.leaf(Tensor::from_vec(b * n, d, data));
+        let x = tape.constant(Tensor::from_vec(b * n, d, data));
         let rows = self.embed.forward(tape, &self.store, x, rng);
         // Sequence over computations in textual order, ignoring the tree.
         let seq: Vec<Var> = (0..n)
@@ -188,7 +188,7 @@ impl SpeedupPredictor for ConcatFfnModel {
                 data.extend_from_slice(v);
             }
         }
-        let x = tape.leaf(Tensor::from_vec(b * n, d, data));
+        let x = tape.constant(Tensor::from_vec(b * n, d, data));
         let rows = self.embed.forward(tape, &self.store, x, rng);
         let mut cat = {
             let idx: Vec<usize> = (0..b).map(|s| s * n).collect();
@@ -199,7 +199,7 @@ impl SpeedupPredictor for ConcatFfnModel {
                 let idx: Vec<usize> = (0..b).map(|s| s * n + i).collect();
                 tape.gather_rows(rows, &idx)
             } else {
-                tape.leaf(Tensor::zeros(b, h))
+                tape.constant(Tensor::zeros(b, h))
             };
             cat = tape.concat_cols(cat, next);
         }

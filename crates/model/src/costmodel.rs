@@ -245,37 +245,21 @@ impl CostModel {
             }
         }
     }
-}
 
-impl SpeedupPredictor for CostModel {
-    fn forward_batch(
+    /// The three layers over `x`, the `(rows * comps) x input_dim`
+    /// sample-major matrix of a batch's computation vectors; `shared` is
+    /// any sample of the batch (they share one tree).
+    fn forward_packed(
         &self,
         tape: &mut Tape,
-        batch: &[&ProgramFeatures],
+        x: Var,
+        shared: &ProgramFeatures,
+        rows: usize,
         rng: &mut ChaCha8Rng,
     ) -> Var {
-        assert!(!batch.is_empty(), "empty batch");
-        let rows = batch.len();
-        let shared = batch[0];
-        let comps = shared.comp_vectors.len();
-        debug_assert!(
-            batch
-                .iter()
-                .all(|f| f.structure_key() == shared.structure_key()),
-            "batch must be structure-identical"
-        );
-
         // Layer 1: embed every computation vector of every sample in one
-        // batched matmul (sample-major rows).
-        let d = self.cfg.input_dim;
-        let mut data = Vec::with_capacity(rows * comps * d);
-        for f in batch {
-            for v in &f.comp_vectors {
-                assert_eq!(v.len(), d, "feature width mismatch");
-                data.extend_from_slice(v);
-            }
-        }
-        let x = tape.leaf(Tensor::from_vec(rows * comps, d, data));
+        // batched matmul.
+        let comps = shared.comp_vectors.len();
         let comp_rows = self.embed.forward(tape, &self.store, x, rng);
 
         // Layer 2: recursive loop embedding over the shared forest; a
@@ -297,6 +281,41 @@ impl SpeedupPredictor for CostModel {
             .regress
             .forward(tape, &self.store, program_embedding, rng);
         exp_head(tape, raw)
+    }
+}
+
+impl SpeedupPredictor for CostModel {
+    fn forward_batch(
+        &self,
+        tape: &mut Tape,
+        batch: &[&ProgramFeatures],
+        rng: &mut ChaCha8Rng,
+    ) -> Var {
+        assert!(!batch.is_empty(), "empty batch");
+        let rows = batch.len();
+        let shared = batch[0];
+        let comps = shared.comp_vectors.len();
+        debug_assert!(
+            batch
+                .iter()
+                .all(|f| f.structure_key() == shared.structure_key()),
+            "batch must be structure-identical"
+        );
+
+        // Pack every computation vector of every sample into one matrix
+        // (sample-major rows).
+        let d = self.cfg.input_dim;
+        let mut data = Vec::with_capacity(rows * comps * d);
+        for f in batch {
+            for v in &f.comp_vectors {
+                assert_eq!(v.len(), d, "feature width mismatch");
+                data.extend_from_slice(v);
+            }
+        }
+        // A constant: nothing reads the gradient of the features, and
+        // skipping it spares the backward pass its largest product.
+        let x = tape.constant(Tensor::from_vec(rows * comps, d, data));
+        self.forward_packed(tape, x, shared, rows, rng)
     }
 
     fn store(&self) -> &ParamStore {
@@ -431,6 +450,61 @@ mod tests {
             m.store().len(),
             "all parameters should receive gradients"
         );
+    }
+
+    #[test]
+    fn constant_inputs_leave_every_parameter_gradient_bit_identical() {
+        // The training graph (dropout on, three rows, MAPE loss) with the
+        // feature matrix and targets bound as constants, as `forward_batch`
+        // and `train_stream` bind them, against the same graph with both
+        // bound as differentiable leaves: skipping the gradients nothing
+        // reads must not move one bit of the ones the optimizer reads.
+        let m = CostModel::new(
+            CostModelConfig {
+                dropout: 0.2,
+                ..tiny_model().cfg
+            },
+            4,
+        );
+        let feats = tiny_feats();
+        let rows = 3;
+        let width = m.cfg.input_dim;
+        let mut data = Vec::new();
+        for row in 0..rows {
+            for v in &feats.comp_vectors {
+                data.extend(v.iter().map(|x| x * (1.0 + row as f32)));
+            }
+        }
+        let x = Tensor::from_vec(rows * feats.comp_vectors.len(), width, data);
+        let targets = Tensor::from_vec(rows, 1, vec![0.5, 2.0, 4.0]);
+
+        let run = |constant: bool| {
+            let mut tape = Tape::for_training();
+            let bind = |tape: &mut Tape, t: &Tensor| {
+                if constant {
+                    tape.constant(t.clone())
+                } else {
+                    tape.leaf(t.clone())
+                }
+            };
+            let xv = bind(&mut tape, &x);
+            let mut rng = train_rng(9, 1);
+            let pred = m.forward_packed(&mut tape, xv, &feats, rows, &mut rng);
+            let tv = bind(&mut tape, &targets);
+            let loss = dlcm_tensor::loss::mape(&mut tape, pred, tv);
+            let grads = tape.backward(loss);
+            let params: Vec<(dlcm_tensor::ParamId, Vec<u32>)> = grads
+                .params()
+                .map(|(id, g)| (id, g.as_slice().iter().map(|v| v.to_bits()).collect()))
+                .collect();
+            (params, grads.get(xv).is_some(), grads.get(tv).is_some())
+        };
+        let (with_constants, x_grad, target_grad) = run(true);
+        assert!(!x_grad && !target_grad, "a constant receives no gradient");
+        let (with_leaves, x_grad, target_grad) = run(false);
+        assert!(x_grad && target_grad, "a leaf receives its gradient");
+        assert!(with_constants.len() >= m.store().len());
+        assert_eq!(with_constants, with_leaves);
     }
 
     #[test]

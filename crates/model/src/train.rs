@@ -284,12 +284,16 @@ pub fn train_stream<M: SpeedupPredictor, B: BatchSource + ?Sized>(
             let mut tape = Tape::for_training();
             let mut srng = train_rng(cfg.seed ^ ((step as u64) << 20), step);
             let pred = model.forward_batch(&mut tape, &refs, &mut srng);
-            let tv = tape.leaf(Tensor::from_vec(refs.len(), 1, targets));
+            let tv = tape.constant(Tensor::from_vec(refs.len(), 1, targets));
             let loss = mape_loss(&mut tape, pred, tv);
             epoch_loss += f64::from(tape.value(loss).item());
             let grads = tape.backward(loss);
             let mut acc = GradAccumulator::new(model.store());
             acc.add(grads.params());
+            // The tape shares every weight buffer it bound; released, the
+            // optimizer updates the weights in place rather than through
+            // a copy-on-write clone of each.
+            drop(tape);
             opt.step(model.store_mut(), &acc, lr);
         }
         let train_mape = epoch_loss / num_batches as f64;

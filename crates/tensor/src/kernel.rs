@@ -25,9 +25,11 @@ use crate::tensor::Tensor;
 /// row-major.
 ///
 /// This is the *single* f32 matmul evaluation order in the workspace —
-/// [`crate::Tensor::matmul`] and [`Arena::matmul`] both call it — an
-/// i-k-j loop with a zero-skip on `a` (featurization vectors are mostly
-/// zeros, so the skip is worth more than vectorization-friendliness).
+/// [`crate::Tensor::matmul`], [`crate::Tensor::matmul_t`] (the backward
+/// pass's `g x Bᵀ`, over a transposed `B`) and [`Arena::matmul`] all
+/// call it — an i-k-j loop whose inner loop is a contiguous
+/// multiply-accumulate the compiler vectorizes, with a zero-skip on `a`
+/// (featurization vectors are mostly zeros).
 pub fn matmul_into(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);

@@ -9,7 +9,8 @@
 //!
 //! - [`Tensor`]: dense `f32` matrices with cheap clones,
 //! - [`Tape`]: define-by-run reverse-mode autodiff (dynamic graphs, which
-//!   the *recursive* loop-embedding layer requires),
+//!   the *recursive* loop-embedding layer requires); gradients are
+//!   computed only where a parameter or differentiable leaf is upstream,
 //! - [`nn`]: [`nn::Linear`], [`nn::Mlp`] (ELU + dropout), [`nn::LstmCell`],
 //! - [`optim`]: [`optim::AdamW`] and the [`optim::OneCycleLr`] policy,
 //! - [`loss`]: MAPE (the paper's objective) and MSE (the baseline's),
@@ -33,9 +34,10 @@
 //! for _ in 0..50 {
 //!     let mut acc = GradAccumulator::new(&store);
 //!     let mut tape = Tape::new();
-//!     let x = tape.leaf(Tensor::from_vec(4, 1, vec![-1.0, 0.0, 0.5, 1.0]));
+//!     // Data nobody differentiates is a constant; weights are params.
+//!     let x = tape.constant(Tensor::from_vec(4, 1, vec![-1.0, 0.0, 0.5, 1.0]));
 //!     let y = mlp.forward(&mut tape, &store, x, &mut rng);
-//!     let t = tape.leaf(Tensor::from_vec(4, 1, vec![1.0, 0.0, 0.25, 1.0]));
+//!     let t = tape.constant(Tensor::from_vec(4, 1, vec![1.0, 0.0, 0.25, 1.0]));
 //!     let loss = dlcm_tensor::loss::mse(&mut tape, y, t);
 //!     acc.add(tape.backward(loss).params());
 //!     opt.step(&mut store, &acc, 1e-2);

@@ -2,7 +2,7 @@
 //! and LSTM cells.
 //!
 //! Parameters live in a [`ParamStore`] that owns the tensors across training
-//! steps; a forward pass *binds* them into a per-sample [`Tape`] (a cheap
+//! steps; a forward pass *binds* them into a per-minibatch [`Tape`] (a cheap
 //! `Arc` clone) so gradients can be collected by [`ParamId`] and applied by
 //! an optimizer.
 
@@ -132,16 +132,27 @@ impl GradAccumulator {
         self.count
     }
 
+    /// Summed (not yet averaged) gradient for parameter `id`, if any:
+    /// what the optimizer reads, scaling by
+    /// [`GradAccumulator::mean_scale`] as it goes.
+    pub(crate) fn sum_grad(&self, id: ParamId) -> Option<&Tensor> {
+        self.grads[id.0].as_ref()
+    }
+
+    /// The factor that turns a summed gradient into the mean over samples.
+    pub(crate) fn mean_scale(&self) -> f32 {
+        1.0 / self.count.max(1) as f32
+    }
+
     /// Mean gradient for parameter `id` (averaged over samples), if any.
     pub fn mean_grad(&self, id: ParamId) -> Option<Tensor> {
-        let g = self.grads[id.0].as_ref()?;
-        let scale = 1.0 / self.count.max(1) as f32;
-        Some(g.map(|x| x * scale))
+        let scale = self.mean_scale();
+        Some(self.sum_grad(id)?.map(|x| x * scale))
     }
 
     /// Global gradient norm over all parameters (of the mean gradients).
     pub fn global_norm(&self) -> f32 {
-        let scale = 1.0 / self.count.max(1) as f32;
+        let scale = self.mean_scale();
         self.grads
             .iter()
             .flatten()
@@ -354,9 +365,9 @@ pub struct LstmCell {
 /// Hidden and cell state of an [`LstmCell`] on a tape.
 #[derive(Debug, Clone, Copy)]
 pub struct LstmState {
-    /// Hidden vector, `1 x hidden_dim`.
+    /// Hidden state, `rows x hidden_dim` (one row per batched sequence).
     pub h: Var,
-    /// Cell vector, `1 x hidden_dim`.
+    /// Cell state, `rows x hidden_dim`.
     pub c: Var,
 }
 
@@ -409,11 +420,12 @@ impl LstmCell {
         self.hidden_dim
     }
 
-    /// Zero initial state for a batch of `rows` sequences.
+    /// Zero initial state for a batch of `rows` sequences (constants: no
+    /// gradient flows into the initial state).
     pub fn zero_state(&self, tape: &mut Tape, rows: usize) -> LstmState {
         LstmState {
-            h: tape.leaf(Tensor::zeros(rows, self.hidden_dim)),
-            c: tape.leaf(Tensor::zeros(rows, self.hidden_dim)),
+            h: tape.constant(Tensor::zeros(rows, self.hidden_dim)),
+            c: tape.constant(Tensor::zeros(rows, self.hidden_dim)),
         }
     }
 

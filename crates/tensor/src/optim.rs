@@ -93,26 +93,26 @@ impl AdamW {
         };
         let bias1 = 1.0 - c.beta1.powi(t);
         let bias2 = 1.0 - c.beta2.powi(t);
-        for i in 0..store.len() {
+        let scale = acc.mean_scale();
+        for (i, (m, v)) in self.m.iter_mut().zip(&mut self.v).enumerate() {
             let id = ParamId(i);
-            let Some(mut g) = acc.mean_grad(id) else {
+            let Some(g) = acc.sum_grad(id) else {
                 continue;
             };
-            if clip_scale != 1.0 {
-                g = g.map(|x| x * clip_scale);
-            }
-            // m = b1*m + (1-b1)*g ; v = b2*v + (1-b2)*g^2
-            let m = &mut self.m[i];
-            *m = m.zip_map(&g, |mv, gv| c.beta1 * mv + (1.0 - c.beta1) * gv);
-            let v = &mut self.v[i];
-            *v = v.zip_map(&g, |vv, gv| c.beta2 * vv + (1.0 - c.beta2) * gv * gv);
-
-            let p = store.get_mut(id);
-            let (m, v) = (&self.m[i], &self.v[i]);
-            let data = p.as_mut_slice();
-            for ((pv, &mv), &vv) in data.iter_mut().zip(m.as_slice()).zip(v.as_slice()) {
-                let mhat = mv / bias1;
-                let vhat = vv / bias2;
+            // One in-place pass per parameter over (weight, moments,
+            // summed gradient). The mean and the clip are two separate
+            // roundings, as when each was its own pass over the tensor
+            // (`x * 1.0` is exact, so an inactive clip changes nothing).
+            let p = store.get_mut(id).as_mut_slice();
+            assert_eq!(p.len(), g.len(), "gradient shape mismatch for {id:?}");
+            let moments = m.as_mut_slice().iter_mut().zip(v.as_mut_slice());
+            for ((pv, (mv, vv)), &gsum) in p.iter_mut().zip(moments).zip(g.as_slice()) {
+                let gv = gsum * scale * clip_scale;
+                // m = b1*m + (1-b1)*g ; v = b2*v + (1-b2)*g^2
+                *mv = c.beta1 * *mv + (1.0 - c.beta1) * gv;
+                *vv = c.beta2 * *vv + (1.0 - c.beta2) * gv * gv;
+                let mhat = *mv / bias1;
+                let vhat = *vv / bias2;
                 // Decoupled weight decay.
                 *pv -= lr * (mhat / (vhat.sqrt() + c.eps) + c.weight_decay * *pv);
             }
@@ -240,6 +240,123 @@ mod tests {
             after < before,
             "decay should shrink the weight: {before} -> {after}"
         );
+    }
+
+    /// `AdamW::step` as it was before the passes were fused: mean-gradient
+    /// map, clip map, one `zip_map` per moment, then the update loop. Kept
+    /// as the reference the single-pass body must match bit for bit.
+    struct MultiPassAdamW {
+        cfg: AdamWConfig,
+        m: Vec<Tensor>,
+        v: Vec<Tensor>,
+        t: u64,
+    }
+
+    impl MultiPassAdamW {
+        fn step(&mut self, store: &mut ParamStore, acc: &GradAccumulator, lr: f32) {
+            self.t += 1;
+            let t = self.t as i32;
+            let c = self.cfg;
+            let clip_scale = match c.grad_clip {
+                Some(max) => {
+                    let norm = acc.global_norm();
+                    if norm > max && norm > 0.0 {
+                        max / norm
+                    } else {
+                        1.0
+                    }
+                }
+                None => 1.0,
+            };
+            let bias1 = 1.0 - c.beta1.powi(t);
+            let bias2 = 1.0 - c.beta2.powi(t);
+            for i in 0..store.len() {
+                let id = ParamId(i);
+                let Some(mut g) = acc.mean_grad(id) else {
+                    continue;
+                };
+                if clip_scale != 1.0 {
+                    g = g.map(|x| x * clip_scale);
+                }
+                self.m[i] = self.m[i].zip_map(&g, |mv, gv| c.beta1 * mv + (1.0 - c.beta1) * gv);
+                self.v[i] =
+                    self.v[i].zip_map(&g, |vv, gv| c.beta2 * vv + (1.0 - c.beta2) * gv * gv);
+                let (m, v) = (&self.m[i], &self.v[i]);
+                let data = store.get_mut(id).as_mut_slice();
+                for ((pv, &mv), &vv) in data.iter_mut().zip(m.as_slice()).zip(v.as_slice()) {
+                    let mhat = mv / bias1;
+                    let vhat = vv / bias2;
+                    *pv -= lr * (mhat / (vhat.sqrt() + c.eps) + c.weight_decay * *pv);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn single_pass_step_is_bit_identical_to_the_multi_pass_reference() {
+        use rand::Rng;
+        for grad_clip in [Some(5.0), None] {
+            let mut rng = ChaCha8Rng::seed_from_u64(16);
+            let mut store = ParamStore::new();
+            Linear::new(&mut store, "a", 7, 5, &mut rng);
+            Linear::new(&mut store, "b", 5, 1, &mut rng);
+            let mut reference_store = store.clone();
+            let cfg = AdamWConfig {
+                grad_clip,
+                ..AdamWConfig::default()
+            };
+            let mut opt = AdamW::new(&store, cfg);
+            let mut reference = MultiPassAdamW {
+                cfg,
+                m: opt.m.clone(),
+                v: opt.v.clone(),
+                t: 0,
+            };
+            let sched = OneCycleLr::new(1e-2, 50);
+            let mut clipped = 0;
+            for step in 0..50 {
+                // One to three samples per step (`count` 1..=3), large
+                // gradients on every third step so the clip engages on
+                // some steps and not on others, and the last parameter
+                // left without a gradient on odd steps.
+                let magnitude = if step % 3 == 0 { 40.0 } else { 0.5 };
+                let mut acc = GradAccumulator::new(&store);
+                for _ in 0..1 + step % 3 {
+                    let sample: Vec<(ParamId, Tensor)> = store
+                        .iter()
+                        .filter(|(id, _)| step % 2 == 0 || id.0 + 1 < store.len())
+                        .map(|(id, p)| {
+                            let data = (0..p.len())
+                                .map(|_| rng.gen_range(-1.0f32..1.0) * magnitude)
+                                .collect();
+                            (id, Tensor::from_vec(p.rows(), p.cols(), data))
+                        })
+                        .collect();
+                    acc.add(sample.iter().map(|(id, g)| (*id, g)));
+                }
+                clipped += usize::from(acc.global_norm() > 5.0);
+                let lr = sched.lr_at(step);
+                opt.step(&mut store, &acc, lr);
+                reference.step(&mut reference_store, &acc, lr);
+                let state = |s: &ParamStore, m: &[Tensor], v: &[Tensor]| -> Vec<u32> {
+                    let weights = s.iter().map(|(_, t)| t);
+                    weights
+                        .chain(m)
+                        .chain(v)
+                        .flat_map(|t| t.as_slice().iter().map(|x| x.to_bits()))
+                        .collect()
+                };
+                assert_eq!(
+                    state(&store, &opt.m, &opt.v),
+                    state(&reference_store, &reference.m, &reference.v),
+                    "weights or moments diverged at step {step} (clip {grad_clip:?})"
+                );
+            }
+            assert!(
+                clipped > 0 && clipped < 50,
+                "{clipped} of 50 steps over the clip"
+            );
+        }
     }
 
     #[test]

@@ -3,8 +3,16 @@
 //! A [`Tape`] records every operation applied to [`Var`] handles and can
 //! replay them backwards to compute gradients. The dynamic-graph design is
 //! what makes the paper's *recursive* loop-embedding layer possible: each
-//! training sample has its own program tree, so the computation graph is
-//! rebuilt per sample exactly like PyTorch's define-by-run graphs.
+//! program tree shape needs its own computation graph, so the graph is
+//! rebuilt per structure-pure minibatch (every sample of a batch shares
+//! one tree) exactly like PyTorch's define-by-run graphs.
+//!
+//! Every node records whether a differentiable leaf ([`Tape::leaf`],
+//! [`Tape::param`]) is upstream of it. [`Tape::backward`] computes a
+//! gradient only for nodes where one is: data bound with
+//! [`Tape::constant`] — feature matrices, targets, zero states — and
+//! everything derived from constants alone is skipped, so a training
+//! step costs the arithmetic its parameter gradients need and no more.
 //!
 //! # Examples
 //!
@@ -59,10 +67,48 @@ enum Op {
     StackRows(Vec<Var>),
 }
 
+impl Op {
+    /// Whether `pred` holds for any operand (leaves have none).
+    fn any_input(&self, pred: impl Fn(Var) -> bool) -> bool {
+        match self {
+            Op::Leaf => false,
+            Op::Matmul(a, b)
+            | Op::Add(a, b)
+            | Op::Sub(a, b)
+            | Op::Mul(a, b)
+            | Op::Div(a, b)
+            | Op::AddRowBroadcast(a, b)
+            | Op::ConcatCols(a, b) => pred(*a) || pred(*b),
+            Op::Scale(a, _)
+            | Op::AddScalar(a, _)
+            | Op::Sigmoid(a)
+            | Op::Tanh(a)
+            | Op::Relu(a)
+            | Op::Elu(a, _)
+            | Op::Softplus(a)
+            | Op::Exp(a)
+            | Op::Ln(a)
+            | Op::Abs(a)
+            | Op::Neg(a)
+            | Op::Mean(a)
+            | Op::Sum(a)
+            | Op::Dropout(a, _)
+            | Op::RowSelect(a, _)
+            | Op::MeanRows(a)
+            | Op::GatherRows(a, _) => pred(*a),
+            Op::StackRows(vars) => vars.iter().any(|&v| pred(v)),
+        }
+    }
+}
+
 struct Node {
     value: Tensor,
     op: Op,
     param: Option<ParamId>,
+    /// A differentiable leaf is upstream: `backward` computes this
+    /// node's gradient. `false` for constants and whatever is derived
+    /// from constants only.
+    needs_grad: bool,
 }
 
 /// Gradients produced by [`Tape::backward`], indexed by [`Var`].
@@ -74,7 +120,8 @@ pub struct Gradients {
 
 impl Gradients {
     /// Gradient of the backward target with respect to `var`, if it was
-    /// reached during backpropagation.
+    /// reached during backpropagation. `None` for a [`Tape::constant`]
+    /// and for nodes computed from constants alone.
     pub fn get(&self, var: Var) -> Option<&Tensor> {
         self.grads.get(var.0).and_then(|g| g.as_ref())
     }
@@ -90,7 +137,8 @@ impl Gradients {
 
 /// A define-by-run autodiff tape.
 ///
-/// Typical flow: bind leaves with [`Tape::leaf`] / [`Tape::param`], apply
+/// Typical flow: bind data with [`Tape::constant`] (or [`Tape::leaf`]
+/// when its gradient is wanted) and weights with [`Tape::param`], apply
 /// ops, then call [`Tape::backward`] on a scalar output.
 pub struct Tape {
     nodes: Vec<Node>,
@@ -140,23 +188,39 @@ impl Tape {
             !value.has_non_finite() || matches!(op, Op::Leaf),
             "non-finite value from {op:?}"
         );
+        let needs_grad = op.any_input(|v| self.nodes[v.0].needs_grad);
         self.nodes.push(Node {
             value,
             op,
             param: None,
+            needs_grad,
         });
         Var(self.nodes.len() - 1)
     }
 
-    /// Records a data leaf (no parameter identity).
+    /// Records a differentiable data leaf (no parameter identity): its
+    /// gradient is retrievable through [`Gradients::get`]. Training code
+    /// that never reads an input's gradient binds it with
+    /// [`Tape::constant`] instead.
     pub fn leaf(&mut self, value: Tensor) -> Var {
+        let v = self.push(value, Op::Leaf);
+        self.nodes[v.0].needs_grad = true;
+        v
+    }
+
+    /// Records non-differentiable data — features, targets, initial
+    /// states. [`Tape::backward`] computes no gradient for it, nor for
+    /// anything derived only from constants; the gradients of every
+    /// other node are bit-identical to what a [`Tape::leaf`] in its
+    /// place would give.
+    pub fn constant(&mut self, value: Tensor) -> Var {
         self.push(value, Op::Leaf)
     }
 
     /// Records a parameter leaf. Gradients for it are retrievable through
     /// [`Gradients::params`] keyed by `id`.
     pub fn param(&mut self, id: ParamId, value: Tensor) -> Var {
-        let v = self.push(value, Op::Leaf);
+        let v = self.leaf(value);
         self.nodes[v.0].param = Some(id);
         v
     }
@@ -375,9 +439,7 @@ impl Tape {
             "dropout probability must be in [0,1)"
         );
         if !self.train || p == 0.0 {
-            let value = self.value(a).clone();
-            let mask = Tensor::ones(value.rows(), value.cols());
-            return self.push(value, Op::Dropout(a, mask));
+            return a;
         }
         let (m, n) = self.value(a).shape();
         let keep = 1.0 - p;
@@ -398,7 +460,8 @@ impl Tape {
         self.push(value, Op::Dropout(a, mask))
     }
 
-    /// Backpropagates from `target` (must be `1 x 1`) and returns gradients.
+    /// Backpropagates from `target` (must be `1 x 1`) and returns gradients
+    /// for every node with a differentiable leaf upstream.
     ///
     /// # Panics
     ///
@@ -429,17 +492,29 @@ impl Tape {
     }
 
     fn accumulate(&self, idx: usize, g: &Tensor, grads: &mut [Option<Tensor>]) {
-        let add = |grads: &mut [Option<Tensor>], v: Var, contrib: Tensor| match &mut grads[v.0] {
-            Some(existing) => existing.add_scaled(&contrib, 1.0),
-            slot => *slot = Some(contrib),
+        let needs_grad = |v: Var| self.nodes[v.0].needs_grad;
+        // A contribution owed to a node with no differentiable leaf
+        // upstream is dropped: nothing reads it.
+        let add = |grads: &mut [Option<Tensor>], v: Var, contrib: Tensor| {
+            if !needs_grad(v) {
+                return;
+            }
+            match &mut grads[v.0] {
+                Some(existing) => existing.add_scaled(&contrib, 1.0),
+                slot => *slot = Some(contrib),
+            }
         };
         match &self.nodes[idx].op {
             Op::Leaf => {}
             Op::Matmul(a, b) => {
-                let da = g.matmul_t(self.value(*b));
-                let db = self.value(*a).t_matmul(g);
-                add(grads, *a, da);
-                add(grads, *b, db);
+                // The two products dominate the backward pass, so each
+                // is computed only for a side that keeps its gradient.
+                if needs_grad(*a) {
+                    add(grads, *a, g.matmul_t(self.value(*b)));
+                }
+                if needs_grad(*b) {
+                    add(grads, *b, self.value(*a).t_matmul(g));
+                }
             }
             Op::Add(a, b) => {
                 add(grads, *a, g.clone());
@@ -831,6 +906,32 @@ mod tests {
         assert_eq!(collected.len(), 1);
         assert_eq!(collected[0].0, ParamId(3));
         assert_eq!(collected[0].1.as_slice(), &[5.0]);
+    }
+
+    #[test]
+    fn constants_and_what_derives_from_them_get_no_gradient() {
+        let a0 = Tensor::from_rows(&[&[0.5, -1.0], &[2.0, 0.25]]);
+        let w0 = Tensor::from_rows(&[&[1.0, 0.5, -0.5], &[0.25, -1.0, 2.0]]);
+        let run = |constant: bool| {
+            let mut tape = Tape::new();
+            let a = if constant {
+                tape.constant(a0.clone())
+            } else {
+                tape.leaf(a0.clone())
+            };
+            let e = tape.exp(a); // derived from `a` alone
+            let w = tape.param(ParamId(0), w0.clone());
+            let y = tape.matmul(e, w);
+            let s = tape.sum(y);
+            let grads = tape.backward(s);
+            let dw = grads.get(w).unwrap().clone();
+            (grads.get(a).is_some(), grads.get(e).is_some(), dw)
+        };
+        let (a_grad, e_grad, dw_constant) = run(true);
+        assert!(!a_grad && !e_grad);
+        let (a_grad, e_grad, dw_leaf) = run(false);
+        assert!(a_grad && e_grad);
+        assert_eq!(dw_constant, dw_leaf);
     }
 
     #[test]

@@ -234,7 +234,17 @@ impl Tensor {
         Tensor::from_vec(m, n, out)
     }
 
-    /// Matrix product `self x otherᵀ` without materializing the transpose.
+    /// Matrix product `self x otherᵀ`.
+    ///
+    /// Transposes `other` once and runs the shared
+    /// [`crate::kernel::matmul_into`], whose inner loop is a contiguous
+    /// multiply-accumulate: each output element still sums its `k`
+    /// products in ascending order from `+0.0`, so (for finite inputs)
+    /// the result equals the row-by-row dot product bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols() != other.cols()`.
     pub fn matmul_t(&self, other: &Tensor) -> Tensor {
         assert_eq!(
             self.cols,
@@ -243,21 +253,7 @@ impl Tensor {
             self.shape(),
             other.shape()
         );
-        let (m, k, n) = (self.rows, self.cols, other.rows);
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            let arow = &self.data[i * k..(i + 1) * k];
-            let orow = &mut out[i * n..(i + 1) * n];
-            for (j, o) in orow.iter_mut().enumerate() {
-                let brow = &other.data[j * k..(j + 1) * k];
-                let mut acc = 0.0f32;
-                for (&av, &bv) in arow.iter().zip(brow.iter()) {
-                    acc += av * bv;
-                }
-                *o = acc;
-            }
-        }
-        Tensor::from_vec(m, n, out)
+        self.matmul(&other.transpose())
     }
 
     /// Returns the transposed matrix.
@@ -442,6 +438,69 @@ mod tests {
         let a = Tensor::from_rows(&[&[1.0, 2.0, 3.0]]);
         let b = Tensor::from_rows(&[&[1.0, 0.0, 1.0], &[2.0, 1.0, 0.0]]);
         assert_eq!(a.matmul_t(&b), a.matmul(&b.transpose()));
+    }
+
+    /// The row-by-row dot product `matmul_t` used to be: one scalar
+    /// accumulator per output element, `k` ascending from `+0.0`. Kept as
+    /// the reference the kernel-backed body must match bit for bit.
+    fn matmul_t_dot_reference(a: &Tensor, b: &Tensor) -> Tensor {
+        let (m, k, n) = (a.rows, a.cols, b.rows);
+        let mut out = vec![0.0f32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for kk in 0..k {
+                    acc += a.data[i * k + kk] * b.data[j * k + kk];
+                }
+                out[i * n + j] = acc;
+            }
+        }
+        Tensor::from_vec(m, n, out)
+    }
+
+    #[test]
+    fn matmul_t_is_bit_identical_to_the_dot_product_loop() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(16);
+        // Mostly dense values, with exact zeros of both signs mixed in.
+        let mut random = |rows: usize, cols: usize, zero_rows: bool| {
+            let mut t = Tensor::zeros(rows, cols);
+            for r in 0..rows {
+                let zero_row = zero_rows && r % 2 == 0;
+                for c in 0..cols {
+                    let v = match rng.gen_range(0..8) {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => rng.gen_range(-2.0f32..2.0),
+                    };
+                    let v = if zero_row { 0.0 } else { v };
+                    t.set(r, c, v);
+                }
+            }
+            t
+        };
+        let mut shapes = vec![(1, 1, 1), (1, 7, 5), (4, 1, 3), (5, 9, 1), (31, 160, 100)];
+        for i in 0..24 {
+            shapes.push((1 + i % 6, 1 + (i * 7) % 23, 1 + (i * 5) % 17));
+        }
+        for (case, &(m, k, n)) in shapes.iter().enumerate() {
+            let a = random(m, k, case % 3 == 0);
+            let b = random(n, k, case % 4 == 0);
+            let got = a.matmul_t(&b);
+            let want = matmul_t_dot_reference(&a, &b);
+            assert_eq!(got.shape(), (m, n));
+            for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
+                assert_eq!(g.to_bits(), w.to_bits(), "{m}x{k} · ({n}x{k})ᵀ: {g} vs {w}");
+            }
+        }
+        // All-negative-zero operands: the dot product ends on +0.0, and
+        // so must the zero-skipping kernel.
+        let neg = Tensor::full(2, 3, -0.0);
+        let out = neg.matmul_t(&Tensor::full(4, 3, 1.5));
+        assert!(out
+            .as_slice()
+            .iter()
+            .all(|v| v.to_bits() == 0.0f32.to_bits()));
     }
 
     #[test]
