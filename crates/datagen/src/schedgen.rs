@@ -4,13 +4,15 @@
 //! rules are used to guarantee that code transformations are valid (for
 //! example, tiling is not applied if the loop extent is smaller than the
 //! tile size)." Candidates are built transform-by-transform in the
-//! canonical phase order, re-validating against
-//! [`dlcm_ir::apply_schedule`] after every appended transform and dropping
-//! pieces that turn out illegal — random schedules therefore include
-//! *bad-but-legal* choices (strided interchanges, tiny tiles, inner-loop
-//! parallelism), exactly the slowdowns visible in the paper's Figure 4.
+//! canonical phase order: each proposed transform is one
+//! [`dlcm_ir::Legality::extend`] on top of the prefix validated so far
+//! (one context per program, shared by every schedule drawn for it), and
+//! pieces that turn out illegal are dropped — random schedules therefore
+//! include *bad-but-legal* choices (strided interchanges, tiny tiles,
+//! inner-loop parallelism), exactly the slowdowns visible in the paper's
+//! Figure 4.
 
-use dlcm_ir::{apply_schedule, CompId, Program, Schedule, Transform};
+use dlcm_ir::{CompId, Legality, Program, Schedule, Transform};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -70,24 +72,29 @@ impl ScheduleGenerator {
         Self { cfg }
     }
 
-    /// Tries to append `t` to `schedule`; keeps it only when the extended
-    /// schedule is legal. Returns whether the transform was kept.
-    fn try_push(program: &Program, schedule: &mut Schedule, t: Transform) -> bool {
-        schedule.transforms.push(t);
-        if apply_schedule(program, schedule).is_ok() {
-            true
-        } else {
-            schedule.transforms.pop();
-            false
-        }
+    /// Generates one random legal schedule.
+    pub fn generate(&self, program: &Program, rng: &mut impl Rng) -> Schedule {
+        self.generate_in(&Legality::new(program), rng)
     }
 
-    /// Generates one random legal schedule.
+    /// [`ScheduleGenerator::generate`] against a caller-held legality
+    /// context.
     // `c` is a computation id (used to build CompId and index per-comp
     // state), not a bare slice index.
     #[allow(clippy::needless_range_loop)]
-    pub fn generate(&self, program: &Program, rng: &mut impl Rng) -> Schedule {
+    fn generate_in(&self, legality: &Legality<'_>, rng: &mut impl Rng) -> Schedule {
+        let program = legality.program();
         let mut schedule = Schedule::empty();
+        let mut state = legality.root();
+        // Appends `t` when it is legal on top of the schedule so far;
+        // returns whether it was kept.
+        let mut try_push = |t: Transform| {
+            let kept = legality.extend(&mut state, &t).is_ok();
+            if kept {
+                schedule.transforms.push(t);
+            }
+            kept
+        };
         let n = program.num_comps();
 
         // --- Phase 0: fusion ------------------------------------------------
@@ -99,15 +106,11 @@ impl ScheduleGenerator {
                 let depth = rng.gen_range(1..=max_depth);
                 // Prefer the deepest legal fusion, falling back outward.
                 for d in (1..=depth).rev() {
-                    if Self::try_push(
-                        program,
-                        &mut schedule,
-                        Transform::Fuse {
-                            comp: b,
-                            with: a,
-                            depth: d,
-                        },
-                    ) {
+                    if try_push(Transform::Fuse {
+                        comp: b,
+                        with: a,
+                        depth: d,
+                    }) {
                         break;
                     }
                 }
@@ -129,15 +132,11 @@ impl ScheduleGenerator {
                 if a == b {
                     b = (b + 1) % depth;
                 }
-                if Self::try_push(
-                    program,
-                    &mut schedule,
-                    Transform::Interchange {
-                        comp: CompId(c),
-                        level_a: a,
-                        level_b: b,
-                    },
-                ) {
+                if try_push(Transform::Interchange {
+                    comp: CompId(c),
+                    level_a: a,
+                    level_b: b,
+                }) {
                     let pa = orders[c]
                         .iter()
                         .position(|&l| l == a)
@@ -168,17 +167,13 @@ impl ScheduleGenerator {
                     pick(rng, ea, &self.cfg.tile_sizes),
                     pick(rng, eb, &self.cfg.tile_sizes),
                 ) {
-                    Self::try_push(
-                        program,
-                        &mut schedule,
-                        Transform::Tile {
-                            comp: CompId(c),
-                            level_a: la,
-                            level_b: lb,
-                            size_a: sa,
-                            size_b: sb,
-                        },
-                    );
+                    try_push(Transform::Tile {
+                        comp: CompId(c),
+                        level_a: la,
+                        level_b: lb,
+                        size_a: sa,
+                        size_b: sb,
+                    });
                 }
             }
         }
@@ -196,33 +191,20 @@ impl ScheduleGenerator {
                 } else {
                     orders[c][rng.gen_range(0..depth)]
                 };
-                Self::try_push(
-                    program,
-                    &mut schedule,
-                    Transform::Parallelize { comp, level },
-                );
+                try_push(Transform::Parallelize { comp, level });
             }
             if rng.gen_bool(self.cfg.p_vectorize) {
                 if let Some(&f) = self.cfg.vector_factors.choose(rng) {
-                    Self::try_push(
-                        program,
-                        &mut schedule,
-                        Transform::Vectorize { comp, factor: f },
-                    );
+                    try_push(Transform::Vectorize { comp, factor: f });
                 }
             }
             if rng.gen_bool(self.cfg.p_unroll) {
                 if let Some(&f) = self.cfg.unroll_factors.choose(rng) {
-                    Self::try_push(
-                        program,
-                        &mut schedule,
-                        Transform::Unroll { comp, factor: f },
-                    );
+                    try_push(Transform::Unroll { comp, factor: f });
                 }
             }
         }
 
-        debug_assert!(apply_schedule(program, &schedule).is_ok());
         schedule
     }
 
@@ -235,11 +217,12 @@ impl ScheduleGenerator {
         count: usize,
         rng: &mut impl Rng,
     ) -> Vec<Schedule> {
+        let legality = Legality::new(program);
         let mut out: Vec<Schedule> = Vec::with_capacity(count);
         let mut tries = 0;
         while out.len() < count && tries < count * 20 {
             tries += 1;
-            let s = self.generate(program, rng);
+            let s = self.generate_in(&legality, rng);
             if !out.contains(&s) {
                 out.push(s);
             }
@@ -252,6 +235,7 @@ impl ScheduleGenerator {
 mod tests {
     use super::*;
     use crate::progen::{ProgramGenConfig, ProgramGenerator};
+    use dlcm_ir::apply_schedule;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 

@@ -224,6 +224,32 @@ fn solve_distance(src: &AccessMatrix, dst: &AccessMatrix, common: usize, extents
     Solve::Uniform(dist)
 }
 
+/// Why fusing an access pair would break a dependence. Carries the solved
+/// distance rather than a rendered message: fusion checks sit on the
+/// search's rejection path and only [`std::fmt::Display`] reads the text.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FusionViolation {
+    /// The two accesses index buffers of different rank.
+    RankMismatch,
+    /// The pair has no constant distance over the fused levels.
+    NonUniform,
+    /// The donor would touch the element before the host does.
+    Negative(Vec<Dist>),
+    /// A `Star` component leaves the direction undetermined.
+    Ambiguous,
+}
+
+impl std::fmt::Display for FusionViolation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FusionViolation::RankMismatch => f.write_str("rank mismatch"),
+            FusionViolation::NonUniform => f.write_str("non-uniform access pair"),
+            FusionViolation::Negative(d) => write!(f, "negative distance {d:?}"),
+            FusionViolation::Ambiguous => f.write_str("ambiguous (star) distance"),
+        }
+    }
+}
+
 /// Outcome of checking one access pair for fusion legality.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FusionCheck {
@@ -232,8 +258,8 @@ pub enum FusionCheck {
     /// Aliasing occurs only at lexicographically non-negative distances:
     /// the consumer reads values already produced. Fusion is safe.
     NonNegative,
-    /// Fusion would break the dependence (reason attached).
-    Violates(String),
+    /// Fusion would break the dependence.
+    Violates(FusionViolation),
 }
 
 /// Checks one `(host access, donor access)` pair for fusion at `depth`
@@ -253,19 +279,17 @@ pub fn fusion_distance(
     extents: &[i64],
 ) -> FusionCheck {
     if host.dims() != donor.dims() {
-        return FusionCheck::Violates("rank mismatch".into());
+        return FusionCheck::Violates(FusionViolation::RankMismatch);
     }
     match solve_distance(host, donor, depth, extents) {
         Solve::NoAlias => FusionCheck::NoAlias,
-        Solve::Unknown => FusionCheck::Violates("non-uniform access pair".into()),
+        Solve::Unknown => FusionCheck::Violates(FusionViolation::NonUniform),
         Solve::Uniform(d) => match lex_sign(&d) {
             Some(std::cmp::Ordering::Greater) | Some(std::cmp::Ordering::Equal) => {
                 FusionCheck::NonNegative
             }
-            Some(std::cmp::Ordering::Less) => {
-                FusionCheck::Violates(format!("negative distance {d:?}"))
-            }
-            None => FusionCheck::Violates("ambiguous (star) distance".into()),
+            Some(std::cmp::Ordering::Less) => FusionCheck::Violates(FusionViolation::Negative(d)),
+            None => FusionCheck::Violates(FusionViolation::Ambiguous),
         },
     }
 }

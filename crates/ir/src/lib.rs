@@ -14,8 +14,15 @@
 //! - [`Schedule`] / [`Transform`]: loop fusion, interchange, tiling,
 //!   unrolling, plus the parallelize/vectorize tags (§4);
 //! - [`deps`]: uniform dependence analysis with distance vectors;
-//! - [`apply_schedule`]: legality checking + structural application,
-//!   producing a [`ScheduledProgram`];
+//! - [`Legality`] / [`LegalPrefix`]: the one legality engine. A
+//!   `Legality` is built once per program (it owns the dependence
+//!   analysis, run lazily and at most once); a `LegalPrefix` is the
+//!   validated state after some transforms, extended one transform at a
+//!   time with [`Legality::extend`] — what searches and generators use to
+//!   try many children of one candidate;
+//! - [`apply_schedule`]: the one-shot wrapper over the same engine
+//!   (legality checking + structural application), producing a
+//!   [`ScheduledProgram`];
 //! - [`interpret`]: a reference interpreter used as a semantics oracle —
 //!   legal schedules must not change program outputs.
 //!
@@ -85,7 +92,8 @@ pub use program::{
     ProgramBuilder, TreeNode,
 };
 pub use schedule::{
-    apply_schedule, is_legal, LoopSource, SLoop, SNode, ScheduleError, ScheduledProgram,
+    apply_schedule, Detail, LegalPrefix, Legality, LoopSource, SLoop, SNode, ScheduleError,
+    ScheduledProgram,
 };
 pub use transform::{Schedule, Transform};
 

@@ -5,13 +5,36 @@
 //! compiler checks the validity of each candidate"). Each transform is
 //! validated against the dependence analysis of [`crate::deps`] and then
 //! applied structurally to a scheduled loop tree ([`SNode`]).
+//!
+//! There is one engine, split by what its state depends on:
+//!
+//! - [`Legality`] is **per program**: the borrowed [`Program`] and its
+//!   dependence analysis. The analysis runs lazily, at most once per
+//!   context, on the first transform that reads a dependence
+//!   (interchange, tile, parallelize, vectorize) — fusion solves its own
+//!   access pairs and unroll only sets a tag, so the empty schedule,
+//!   fusion-only structure passes and unroll-only extensions never pay
+//!   for it. Laziness changes cost, never a verdict.
+//! - [`LegalPrefix`] is **per validated schedule prefix**: the loop
+//!   forest, fusion aliases and nesting orders after the transforms
+//!   applied so far, plus the last transform's phase so canonical order
+//!   is checked per extension. It is a plain value: clone it to try
+//!   several one-transform extensions of the same prefix.
+//!
+//! [`Legality::extend`] validates and applies one transform on top of a
+//! prefix; [`Legality::prefix`] and [`Legality::apply`] replay a whole
+//! schedule through it, and [`apply_schedule`] is the one-shot wrapper
+//! (fresh context, `apply`). A search that tries a dozen children of one
+//! candidate therefore analyzes once, replays the candidate once, and
+//! pays one `extend` per child — not a from-scratch re-application each.
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
-use crate::deps::{analyze, Dependence, Dist};
+use crate::deps::{analyze, Dependence, Dist, FusionCheck, FusionViolation};
 use crate::expr::AccessMatrix;
 use crate::program::{CompId, IterId, LoopNode, Program, TreeNode};
 use crate::transform::{Schedule, Transform};
@@ -91,6 +114,132 @@ pub enum SNode {
     Comp(CompId),
 }
 
+/// The values behind a [`ScheduleError`] explanation.
+///
+/// Rejections are the hot path of a search (about half of all legality
+/// checks), and only [`fmt::Display`] ever reads the explanation — so an
+/// error carries the offending values and renders them on demand instead
+/// of formatting a `String` per rejection.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Detail {
+    /// A fixed explanation with no values to carry.
+    Fixed(&'static str),
+    /// A loop between two interchanged levels has several children.
+    LoopChildren {
+        /// Depth of the branching loop in the computation's nest.
+        depth: usize,
+        /// Its number of children.
+        children: usize,
+    },
+    /// A tile size below 2 or above the tiled loop's extent.
+    TileSize {
+        /// The offending size.
+        size: i64,
+        /// Original level it was meant for.
+        level: usize,
+        /// Extent of that level's loop.
+        extent: i64,
+    },
+    /// An unroll factor below 2 or above the innermost extent.
+    UnrollFactor {
+        /// The offending factor.
+        factor: i64,
+        /// Extent of the innermost loop.
+        extent: i64,
+    },
+    /// A vector factor below 2 or above the innermost extent.
+    VectorFactor {
+        /// The offending factor.
+        factor: i64,
+        /// Extent of the innermost loop.
+        extent: i64,
+    },
+    /// An interchange would read this distance vector lexicographically
+    /// negative.
+    Reversed(Vec<Dist>),
+    /// The tiled band is not permutable at `level`.
+    BandNotPermutable {
+        /// Original level of the band.
+        level: usize,
+        /// The possibly-negative distance component there.
+        dist: Dist,
+    },
+    /// A dependence is carried by the loop being parallelized.
+    Carried {
+        /// Original level of that loop.
+        level: usize,
+        /// The non-zero distance component there.
+        dist: Dist,
+    },
+    /// A dependence is carried by the innermost loop being vectorized.
+    CarriedInnermost {
+        /// Original level of that loop.
+        level: usize,
+    },
+    /// An access pair of the two fused nests breaks a dependence.
+    Fusion(FusionViolation),
+    /// The fusion depth exceeds the depth of one of the two nests.
+    FusionDepth {
+        /// The requested depth.
+        depth: usize,
+    },
+    /// Host and donor loops at a fused level have different bounds.
+    BoundsMismatch {
+        /// The fused level.
+        level: usize,
+        /// Host loop `(lower, upper)`.
+        host: (i64, i64),
+        /// Donor loop `(lower, upper)`.
+        donor: (i64, i64),
+    },
+}
+
+impl fmt::Display for Detail {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Detail::Fixed(text) => f.write_str(text),
+            Detail::LoopChildren { depth, children } => {
+                write!(f, "loop at depth {depth} has {children} children")
+            }
+            Detail::TileSize {
+                size,
+                level,
+                extent,
+            } => write!(
+                f,
+                "tile size {size} invalid for level L{level} with extent {extent}"
+            ),
+            Detail::UnrollFactor { factor, extent } => {
+                write!(f, "unroll factor {factor} for extent {extent}")
+            }
+            Detail::VectorFactor { factor, extent } => {
+                write!(f, "vector factor {factor} for extent {extent}")
+            }
+            Detail::Reversed(distance) => {
+                write!(f, "dependence {:?} would be reversed", Some(distance))
+            }
+            Detail::BandNotPermutable { level, dist } => {
+                write!(f, "band not permutable at L{level}: {dist:?}")
+            }
+            Detail::Carried { level, dist } => {
+                write!(f, "dependence carried at L{level}: {dist:?}")
+            }
+            Detail::CarriedInnermost { level } => {
+                write!(f, "dependence carried at innermost L{level}")
+            }
+            Detail::Fusion(violation) => write!(f, "{violation}"),
+            Detail::FusionDepth { depth } => {
+                write!(f, "fusion depth {depth} exceeds a nest depth")
+            }
+            Detail::BoundsMismatch { level, host, donor } => write!(
+                f,
+                "bounds mismatch at L{level}: {}..{} vs {}..{}",
+                host.0, host.1, donor.0, donor.1
+            ),
+        }
+    }
+}
+
 /// Errors raised while validating or applying a schedule.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScheduleError {
@@ -110,7 +259,7 @@ pub enum ScheduleError {
         /// Target computation.
         comp: CompId,
         /// Explanation.
-        detail: String,
+        detail: Detail,
     },
     /// Tiled levels are not adjacent in the current nesting order.
     NotAdjacent {
@@ -120,24 +269,24 @@ pub enum ScheduleError {
     /// Factor/size constraints violated (tile size vs extent, etc.).
     BadFactor {
         /// Explanation.
-        detail: String,
+        detail: Detail,
     },
     /// A transform would violate a dependence.
     IllegalDependence {
         /// The transform being applied.
-        transform: String,
+        transform: Transform,
         /// Explanation.
-        detail: String,
+        detail: Detail,
     },
     /// Fusion preconditions failed (extents, structure, ordering).
     FusionMismatch {
         /// Explanation.
-        detail: String,
+        detail: Detail,
     },
     /// The same structural transform was applied twice to a loop.
     AlreadyTransformed {
         /// Explanation.
-        detail: String,
+        detail: Detail,
     },
 }
 
@@ -166,7 +315,18 @@ impl fmt::Display for ScheduleError {
             }
             ScheduleError::BadFactor { detail } => write!(f, "invalid factor: {detail}"),
             ScheduleError::IllegalDependence { transform, detail } => {
-                write!(f, "{transform} violates a dependence: {detail}")
+                // Tile sizes play no part in band permutability: a tile is
+                // named by its band alone.
+                match *transform {
+                    Transform::Tile {
+                        comp,
+                        level_a,
+                        level_b,
+                        ..
+                    } => write!(f, "tile(c{}, L{level_a}, L{level_b})", comp.0)?,
+                    ref other => f.write_str(&other.describe())?,
+                }
+                write!(f, " violates a dependence: {detail}")
             }
             ScheduleError::FusionMismatch { detail } => write!(f, "illegal fusion: {detail}"),
             ScheduleError::AlreadyTransformed { detail } => {
@@ -293,36 +453,214 @@ fn convert_tree(program: &Program, node: &TreeNode) -> SNode {
     }
 }
 
-/// Internal mutable state while applying a schedule.
-struct Applier<'p> {
+/// The per-program half of the legality engine: everything a verdict
+/// needs that depends on the program alone.
+///
+/// Build one per program and validate any number of schedules against
+/// it; see the module docs for what lives here and what lives in a
+/// [`LegalPrefix`].
+///
+/// # Examples
+///
+/// Try several one-transform extensions of the same validated prefix:
+///
+/// ```
+/// use dlcm_ir::{CompId, Legality, Schedule, Transform};
+/// # use dlcm_ir::{Expr, LinExpr, ProgramBuilder};
+/// # let mut b = ProgramBuilder::new("p");
+/// # let i = b.iter("i", 0, 64);
+/// # let j = b.iter("j", 0, 64);
+/// # let inp = b.input("in", &[64, 64]);
+/// # let out = b.buffer("out", &[64, 64]);
+/// # let acc = b.access(inp, &[LinExpr::from(i), LinExpr::from(j)], &[i, j]);
+/// # b.assign("c", &[i, j], out, &[LinExpr::from(i), LinExpr::from(j)], Expr::Load(acc));
+/// # let program = b.build().unwrap();
+/// let legality = Legality::new(&program);
+/// let base = legality.prefix(&Schedule::new(vec![Transform::Interchange {
+///     comp: CompId(0), level_a: 0, level_b: 1,
+/// }]))?;
+/// let legal_factors: Vec<i64> = [4, 16, 256]
+///     .into_iter()
+///     .filter(|&factor| {
+///         let unroll = Transform::Unroll { comp: CompId(0), factor };
+///         legality.extend(&mut base.clone(), &unroll).is_ok()
+///     })
+///     .collect();
+/// assert_eq!(legal_factors, [4, 16]); // 256 exceeds the extent
+/// # Ok::<(), dlcm_ir::ScheduleError>(())
+/// ```
+#[derive(Debug)]
+pub struct Legality<'p> {
     program: &'p Program,
+    /// `deps::analyze(program)`, run by the first transform that reads a
+    /// dependence.
+    deps: OnceLock<Vec<Dependence>>,
+}
+
+/// The per-prefix half of the legality engine: the scheduled loop forest
+/// after a validated sequence of transforms, and what the next
+/// extension's checks need to know about that sequence.
+///
+/// Only [`Legality`] builds and advances one, so holding a `LegalPrefix`
+/// means every transform behind it passed validation. Use it with the
+/// context that produced it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LegalPrefix {
     roots: Vec<SNode>,
     aliases: HashMap<IterId, IterId>,
-    deps: Vec<Dependence>,
     /// Per-computation current nesting order: `nest_order[c][position] =
     /// original level`.
     nest_order: Vec<Vec<usize>>,
+    /// [`Transform::phase`] of the last transform applied (0 when none).
+    phase: u8,
 }
 
-impl<'p> Applier<'p> {
-    fn new(program: &'p Program) -> Self {
+impl LegalPrefix {
+    /// The transformed loop forest so far.
+    pub fn roots(&self) -> &[SNode] {
+        &self.roots
+    }
+
+    /// Iterator aliases introduced by fusion so far (fused iter → host
+    /// iter).
+    pub fn aliases(&self) -> &HashMap<IterId, IterId> {
+        &self.aliases
+    }
+}
+
+impl<'p> Legality<'p> {
+    /// Creates the context for `program`. Cheap: nothing is analyzed
+    /// until a transform needs it.
+    pub fn new(program: &'p Program) -> Self {
         Self {
             program,
+            deps: OnceLock::new(),
+        }
+    }
+
+    /// The program this context validates against.
+    pub fn program(&self) -> &'p Program {
+        self.program
+    }
+
+    fn deps(&self) -> &[Dependence] {
+        self.deps.get_or_init(|| analyze(self.program))
+    }
+
+    /// The empty prefix: the unscheduled program.
+    pub fn root(&self) -> LegalPrefix {
+        let program = self.program;
+        LegalPrefix {
             roots: program
                 .roots
                 .iter()
                 .map(|r| convert_tree(program, r))
                 .collect(),
             aliases: HashMap::new(),
-            deps: analyze(program),
             nest_order: program
                 .comps
                 .iter()
                 .map(|c| (0..c.depth()).collect())
                 .collect(),
+            phase: 0,
         }
     }
 
+    /// Validates `schedule` transform by transform and returns the state
+    /// it leaves behind.
+    ///
+    /// # Errors
+    ///
+    /// [`ScheduleError::NonCanonical`] when the schedule as a whole is
+    /// out of phase order, otherwise the first transform's violation.
+    pub fn prefix(&self, schedule: &Schedule) -> Result<LegalPrefix, ScheduleError> {
+        if !schedule.is_canonical() {
+            return Err(ScheduleError::NonCanonical);
+        }
+        let mut state = self.root();
+        for t in &schedule.transforms {
+            self.extend(&mut state, t)?;
+        }
+        Ok(state)
+    }
+
+    /// Validates `t` on top of `state` and, when legal, applies it.
+    ///
+    /// # Errors
+    ///
+    /// Returns the violation and leaves `state` exactly as it was — a
+    /// rejected extension costs nothing to retry from.
+    pub fn extend(&self, state: &mut LegalPrefix, t: &Transform) -> Result<(), ScheduleError> {
+        if t.phase() < state.phase {
+            return Err(ScheduleError::NonCanonical);
+        }
+        match *t {
+            Transform::Interchange {
+                comp,
+                level_a,
+                level_b,
+            } => state.interchange(self, t, comp, level_a, level_b),
+            Transform::Tile {
+                comp,
+                level_a,
+                level_b,
+                size_a,
+                size_b,
+            } => state.tile(self, t, comp, level_a, level_b, size_a, size_b),
+            Transform::Unroll { comp, factor } => state.unroll(self, comp, factor),
+            Transform::Parallelize { comp, level } => state.parallelize(self, t, comp, level),
+            Transform::Vectorize { comp, factor } => state.vectorize(self, t, comp, factor),
+            Transform::Fuse { comp, with, depth } => state.fuse(self, t, comp, with, depth),
+        }?;
+        state.phase = t.phase();
+        Ok(())
+    }
+
+    /// Validates and applies a whole schedule.
+    ///
+    /// # Errors
+    ///
+    /// As [`Legality::prefix`].
+    pub fn apply(&self, schedule: &Schedule) -> Result<ScheduledProgram, ScheduleError> {
+        let state = self.prefix(schedule)?;
+        Ok(ScheduledProgram {
+            program: self.program.clone(),
+            schedule: schedule.clone(),
+            roots: state.roots,
+            aliases: state.aliases,
+        })
+    }
+}
+
+/// Checks that a dependence distance vector, read in `order` (positions
+/// → original levels), stays lexicographically non-negative.
+fn dist_lex_ok(d: &[Dist], order: &[usize]) -> bool {
+    for &level in order {
+        if level >= d.len() {
+            continue;
+        }
+        match d[level] {
+            Dist::Exact(v) if v > 0 => return true,
+            Dist::Exact(0) => {}
+            _ => return false,
+        }
+    }
+    true // all-zero: loop independent, textual order preserved
+}
+
+/// The dependences whose two ends are both in `comps`.
+fn deps_between<'a>(
+    deps: &'a [Dependence],
+    comps: &'a [CompId],
+) -> impl Iterator<Item = &'a Dependence> {
+    deps.iter()
+        .filter(move |d| comps.contains(&d.src) && comps.contains(&d.dst))
+}
+
+/// One method per transform. Each runs every check before its first
+/// mutation, which is what lets [`Legality::extend`] promise that a
+/// rejection leaves the state untouched.
+impl LegalPrefix {
     fn resolve(&self, mut it: IterId) -> IterId {
         while let Some(&next) = self.aliases.get(&it) {
             it = next;
@@ -330,23 +668,17 @@ impl<'p> Applier<'p> {
         it
     }
 
-    fn check_comp(&self, comp: CompId) -> Result<(), ScheduleError> {
-        if comp.0 >= self.program.num_comps() {
-            return Err(ScheduleError::UnknownComp(comp));
-        }
-        Ok(())
-    }
-
     /// Position (prefix length - 1 into the comp path) of the loop deriving
     /// from original level `level` of `comp`, preferring the outermost
     /// match (tile-outer before tile-inner).
     fn find_level_loop(
         &self,
+        program: &Program,
         comp: CompId,
         level: usize,
         outer: bool,
     ) -> Result<(Vec<usize>, usize), ScheduleError> {
-        let c = self.program.comp(comp);
+        let c = program.comp(comp);
         if level >= c.depth() {
             return Err(ScheduleError::LevelOutOfRange { comp, level });
         }
@@ -378,64 +710,22 @@ impl<'p> Applier<'p> {
         out
     }
 
-    /// Checks that a dependence distance vector, read in `order` (positions
-    /// → original levels), stays lexicographically non-negative.
-    fn dist_lex_ok(d: &[Dist], order: &[usize]) -> bool {
-        for &level in order {
-            if level >= d.len() {
-                continue;
-            }
-            match d[level] {
-                Dist::Exact(v) if v > 0 => return true,
-                Dist::Exact(0) => {}
-                _ => return false,
-            }
-        }
-        true // all-zero: loop independent, textual order preserved
-    }
-
-    fn deps_between(&self, comps: &[CompId]) -> impl Iterator<Item = &Dependence> {
-        let set: Vec<CompId> = comps.to_vec();
-        self.deps
-            .iter()
-            .filter(move |d| set.contains(&d.src) && set.contains(&d.dst))
-    }
-
-    fn apply(&mut self, t: &Transform) -> Result<(), ScheduleError> {
-        match *t {
-            Transform::Interchange {
-                comp,
-                level_a,
-                level_b,
-            } => self.interchange(comp, level_a, level_b),
-            Transform::Tile {
-                comp,
-                level_a,
-                level_b,
-                size_a,
-                size_b,
-            } => self.tile(comp, level_a, level_b, size_a, size_b),
-            Transform::Unroll { comp, factor } => self.unroll(comp, factor),
-            Transform::Parallelize { comp, level } => self.parallelize(comp, level),
-            Transform::Vectorize { comp, factor } => self.vectorize(comp, factor),
-            Transform::Fuse { comp, with, depth } => self.fuse(comp, with, depth),
-        }
-    }
-
     fn interchange(
         &mut self,
+        ctx: &Legality<'_>,
+        t: &Transform,
         comp: CompId,
         level_a: usize,
         level_b: usize,
     ) -> Result<(), ScheduleError> {
-        self.check_comp(comp)?;
+        check_comp(ctx.program, comp)?;
         if level_a == level_b {
             return Err(ScheduleError::BadFactor {
-                detail: "interchange of a level with itself".into(),
+                detail: Detail::Fixed("interchange of a level with itself"),
             });
         }
-        let (path_a, pa) = self.find_level_loop(comp, level_a, true)?;
-        let (_, pb) = self.find_level_loop(comp, level_b, true)?;
+        let (path_a, pa) = self.find_level_loop(ctx.program, comp, level_a, true)?;
+        let (_, pb) = self.find_level_loop(ctx.program, comp, level_b, true)?;
         let (pa, pb) = (pa.min(pb), pa.max(pb));
         // Branch-free chain from outer to inner.
         for plen in pa..pb {
@@ -443,11 +733,10 @@ impl<'p> Applier<'p> {
             if l.children.len() != 1 {
                 return Err(ScheduleError::NotBranchFree {
                     comp,
-                    detail: format!(
-                        "loop at depth {} has {} children",
-                        plen - 1,
-                        l.children.len()
-                    ),
+                    detail: Detail::LoopChildren {
+                        depth: plen - 1,
+                        children: l.children.len(),
+                    },
                 });
             }
         }
@@ -466,27 +755,20 @@ impl<'p> Applier<'p> {
                 (c, order)
             })
             .collect();
-        for dep in self.deps_between(&affected) {
+        for dep in deps_between(ctx.deps(), &affected) {
             if dep.reorderable {
                 continue;
             }
-            if let Some(d) = &dep.distance {
-                let order = &new_orders
-                    .iter()
-                    .find(|(c, _)| *c == dep.dst)
-                    .expect("dst affected")
-                    .1;
-                if !Self::dist_lex_ok(d, order) {
-                    return Err(ScheduleError::IllegalDependence {
-                        transform: format!("interchange(c{}, L{level_a}, L{level_b})", comp.0),
-                        detail: format!("dependence {:?} would be reversed", dep.distance),
-                    });
-                }
-            } else {
-                return Err(ScheduleError::IllegalDependence {
-                    transform: format!("interchange(c{}, L{level_a}, L{level_b})", comp.0),
-                    detail: "non-uniform dependence".into(),
-                });
+            let Some(d) = &dep.distance else {
+                return Err(illegal(t, Detail::Fixed("non-uniform dependence")));
+            };
+            let order = &new_orders
+                .iter()
+                .find(|(c, _)| *c == dep.dst)
+                .expect("dst affected")
+                .1;
+            if !dist_lex_ok(d, order) {
+                return Err(illegal(t, Detail::Reversed(d.clone())));
             }
         }
         // Structurally swap the two loop headers.
@@ -537,17 +819,22 @@ impl<'p> Applier<'p> {
         Ok(())
     }
 
+    // `t` is the transform whose fields the other arguments are; it rides
+    // along so a dependence violation can name it without rebuilding it.
+    #[allow(clippy::too_many_arguments)]
     fn tile(
         &mut self,
+        ctx: &Legality<'_>,
+        t: &Transform,
         comp: CompId,
         level_a: usize,
         level_b: usize,
         size_a: i64,
         size_b: i64,
     ) -> Result<(), ScheduleError> {
-        self.check_comp(comp)?;
-        let (path, pa) = self.find_level_loop(comp, level_a, true)?;
-        let (_, pb) = self.find_level_loop(comp, level_b, true)?;
+        check_comp(ctx.program, comp)?;
+        let (path, pa) = self.find_level_loop(ctx.program, comp, level_a, true)?;
+        let (_, pb) = self.find_level_loop(ctx.program, comp, level_b, true)?;
         if pb != pa + 1 {
             return Err(ScheduleError::NotAdjacent { comp });
         }
@@ -556,7 +843,7 @@ impl<'p> Applier<'p> {
             if outer.children.len() != 1 {
                 return Err(ScheduleError::NotBranchFree {
                     comp,
-                    detail: "tiled outer loop has siblings inside".into(),
+                    detail: Detail::Fixed("tiled outer loop has siblings inside"),
                 });
             }
             let inner = loop_at(&self.roots, &path[..pb]);
@@ -564,16 +851,17 @@ impl<'p> Applier<'p> {
                 || !matches!(inner.source, LoopSource::Orig { .. })
             {
                 return Err(ScheduleError::AlreadyTransformed {
-                    detail: "loop is already tiled".into(),
+                    detail: Detail::Fixed("loop is already tiled"),
                 });
             }
-            for (lvl, size, l) in [(level_a, size_a, outer), (level_b, size_b, inner)] {
+            for (level, size, l) in [(level_a, size_a, outer), (level_b, size_b, inner)] {
                 if size < 2 || size > l.extent {
                     return Err(ScheduleError::BadFactor {
-                        detail: format!(
-                            "tile size {size} invalid for level L{lvl} with extent {}",
-                            l.extent
-                        ),
+                        detail: Detail::TileSize {
+                            size,
+                            level,
+                            extent: l.extent,
+                        },
                     });
                 }
             }
@@ -581,15 +869,12 @@ impl<'p> Applier<'p> {
         // Legality: the band must be fully permutable unless carried by an
         // outer loop.
         let affected = self.affected_comps(&path[..pa]);
-        for dep in self.deps_between(&affected) {
+        for dep in deps_between(ctx.deps(), &affected) {
             if dep.reorderable {
                 continue;
             }
             let Some(d) = &dep.distance else {
-                return Err(ScheduleError::IllegalDependence {
-                    transform: format!("tile(c{}, L{level_a}, L{level_b})", comp.0),
-                    detail: "non-uniform dependence".into(),
-                });
+                return Err(illegal(t, Detail::Fixed("non-uniform dependence")));
             };
             // Carried by an outer loop (before position pa in nest order)?
             let order = &self.nest_order[dep.dst.0];
@@ -612,12 +897,15 @@ impl<'p> Applier<'p> {
             if carried_outside {
                 continue;
             }
-            for lvl in [level_a, level_b] {
-                if lvl < d.len() && d[lvl].may_be_negative() {
-                    return Err(ScheduleError::IllegalDependence {
-                        transform: format!("tile(c{}, L{level_a}, L{level_b})", comp.0),
-                        detail: format!("band not permutable at L{lvl}: {:?}", d[lvl]),
-                    });
+            for level in [level_a, level_b] {
+                if level < d.len() && d[level].may_be_negative() {
+                    return Err(illegal(
+                        t,
+                        Detail::BandNotPermutable {
+                            level,
+                            dist: d[level],
+                        },
+                    ));
                 }
             }
         }
@@ -664,41 +952,53 @@ impl<'p> Applier<'p> {
     }
 
     fn innermost_loop_prefix(&self, comp: CompId) -> Result<Vec<usize>, ScheduleError> {
-        let path = comp_path(&self.roots, comp).ok_or(ScheduleError::UnknownComp(comp))?;
+        let mut path = comp_path(&self.roots, comp).ok_or(ScheduleError::UnknownComp(comp))?;
         if path.len() < 2 {
             return Err(ScheduleError::LevelOutOfRange { comp, level: 0 });
         }
-        Ok(path[..path.len() - 1].to_vec())
+        path.pop();
+        Ok(path)
     }
 
-    fn unroll(&mut self, comp: CompId, factor: i64) -> Result<(), ScheduleError> {
-        self.check_comp(comp)?;
+    fn unroll(
+        &mut self,
+        ctx: &Legality<'_>,
+        comp: CompId,
+        factor: i64,
+    ) -> Result<(), ScheduleError> {
+        check_comp(ctx.program, comp)?;
         let prefix = self.innermost_loop_prefix(comp)?;
         let l = loop_at_mut(&mut self.roots, &prefix);
         if factor < 2 || factor > l.extent {
             return Err(ScheduleError::BadFactor {
-                detail: format!("unroll factor {factor} for extent {}", l.extent),
+                detail: Detail::UnrollFactor {
+                    factor,
+                    extent: l.extent,
+                },
             });
         }
         if l.unroll_factor.is_some() {
             return Err(ScheduleError::AlreadyTransformed {
-                detail: "loop already unrolled".into(),
+                detail: Detail::Fixed("loop already unrolled"),
             });
         }
         l.unroll_factor = Some(factor);
         Ok(())
     }
 
-    fn parallelize(&mut self, comp: CompId, level: usize) -> Result<(), ScheduleError> {
-        self.check_comp(comp)?;
-        let (path, plen) = self.find_level_loop(comp, level, true)?;
+    fn parallelize(
+        &mut self,
+        ctx: &Legality<'_>,
+        t: &Transform,
+        comp: CompId,
+        level: usize,
+    ) -> Result<(), ScheduleError> {
+        check_comp(ctx.program, comp)?;
+        let (path, plen) = self.find_level_loop(ctx.program, comp, level, true)?;
         let affected = self.affected_comps(&path[..plen]);
-        for dep in self.deps_between(&affected) {
+        for dep in deps_between(ctx.deps(), &affected) {
             let Some(d) = &dep.distance else {
-                return Err(ScheduleError::IllegalDependence {
-                    transform: format!("parallelize(c{}, L{level})", comp.0),
-                    detail: "non-uniform dependence".into(),
-                });
+                return Err(illegal(t, Detail::Fixed("non-uniform dependence")));
             };
             // Carried by a loop outside the parallel one?
             let order = &self.nest_order[dep.dst.0];
@@ -710,10 +1010,13 @@ impl<'p> Applier<'p> {
                 continue;
             }
             if level < d.len() && !d[level].is_zero() {
-                return Err(ScheduleError::IllegalDependence {
-                    transform: format!("parallelize(c{}, L{level})", comp.0),
-                    detail: format!("dependence carried at L{level}: {:?}", d[level]),
-                });
+                return Err(illegal(
+                    t,
+                    Detail::Carried {
+                        level,
+                        dist: d[level],
+                    },
+                ));
             }
         }
         let l = loop_at_mut(&mut self.roots, &path[..plen]);
@@ -721,13 +1024,19 @@ impl<'p> Applier<'p> {
         Ok(())
     }
 
-    fn vectorize(&mut self, comp: CompId, factor: i64) -> Result<(), ScheduleError> {
-        self.check_comp(comp)?;
+    fn vectorize(
+        &mut self,
+        ctx: &Legality<'_>,
+        t: &Transform,
+        comp: CompId,
+        factor: i64,
+    ) -> Result<(), ScheduleError> {
+        check_comp(ctx.program, comp)?;
         let prefix = self.innermost_loop_prefix(comp)?;
         let (level, extent, already) = {
             let l = loop_at(&self.roots, &prefix);
             let target = self.resolve(l.source.iter());
-            let lvl = self
+            let lvl = ctx
                 .program
                 .comp(comp)
                 .iters
@@ -741,26 +1050,23 @@ impl<'p> Applier<'p> {
         };
         if already {
             return Err(ScheduleError::AlreadyTransformed {
-                detail: "loop already vectorized".into(),
+                detail: Detail::Fixed("loop already vectorized"),
             });
         }
         if factor < 2 || factor > extent {
             return Err(ScheduleError::BadFactor {
-                detail: format!("vector factor {factor} for extent {extent}"),
+                detail: Detail::VectorFactor { factor, extent },
             });
         }
         let affected = self.affected_comps(&prefix);
-        for dep in self.deps_between(&affected) {
+        for dep in deps_between(ctx.deps(), &affected) {
             // Associative reductions may be vectorized (lane-wise partial
             // accumulators), as production compilers do under fast-math.
             if dep.reorderable {
                 continue;
             }
             let Some(d) = &dep.distance else {
-                return Err(ScheduleError::IllegalDependence {
-                    transform: format!("vectorize(c{}, {factor})", comp.0),
-                    detail: "non-uniform dependence".into(),
-                });
+                return Err(illegal(t, Detail::Fixed("non-uniform dependence")));
             };
             let order = &self.nest_order[dep.dst.0];
             let vec_pos = order.iter().position(|&l| l == level).unwrap_or(usize::MAX);
@@ -771,10 +1077,7 @@ impl<'p> Applier<'p> {
                 continue;
             }
             if level < d.len() && !d[level].is_zero() {
-                return Err(ScheduleError::IllegalDependence {
-                    transform: format!("vectorize(c{}, {factor})", comp.0),
-                    detail: format!("dependence carried at innermost L{level}"),
-                });
+                return Err(illegal(t, Detail::CarriedInnermost { level }));
             }
         }
         let l = loop_at_mut(&mut self.roots, &prefix);
@@ -782,30 +1085,35 @@ impl<'p> Applier<'p> {
         Ok(())
     }
 
-    fn fuse(&mut self, comp: CompId, with: CompId, depth: usize) -> Result<(), ScheduleError> {
-        self.check_comp(comp)?;
-        self.check_comp(with)?;
+    fn fuse(
+        &mut self,
+        ctx: &Legality<'_>,
+        t: &Transform,
+        comp: CompId,
+        with: CompId,
+        depth: usize,
+    ) -> Result<(), ScheduleError> {
+        let program = ctx.program;
+        check_comp(program, comp)?;
+        check_comp(program, with)?;
+        let mismatch = |detail| ScheduleError::FusionMismatch { detail };
         if depth == 0 {
-            return Err(ScheduleError::FusionMismatch {
-                detail: "fusion depth must be at least 1".into(),
-            });
+            return Err(mismatch(Detail::Fixed("fusion depth must be at least 1")));
         }
         let path_b = comp_path(&self.roots, comp).ok_or(ScheduleError::UnknownComp(comp))?;
         let path_a = comp_path(&self.roots, with).ok_or(ScheduleError::UnknownComp(with))?;
         if path_a[0] == path_b[0] {
-            return Err(ScheduleError::FusionMismatch {
-                detail: "computations already share a root nest".into(),
-            });
+            return Err(mismatch(Detail::Fixed(
+                "computations already share a root nest",
+            )));
         }
         if path_a[0] > path_b[0] {
-            return Err(ScheduleError::FusionMismatch {
-                detail: "fusion host must be textually earlier".into(),
-            });
+            return Err(mismatch(Detail::Fixed(
+                "fusion host must be textually earlier",
+            )));
         }
         if depth + 1 > path_a.len() || depth + 1 > path_b.len() {
-            return Err(ScheduleError::FusionMismatch {
-                detail: format!("fusion depth {depth} exceeds a nest depth"),
-            });
+            return Err(mismatch(Detail::FusionDepth { depth }));
         }
         // The donor's outer loops must form a branch-free chain so the
         // whole remainder moves as one unit.
@@ -814,31 +1122,30 @@ impl<'p> Applier<'p> {
             if plen < depth && l.children.len() != 1 {
                 return Err(ScheduleError::NotBranchFree {
                     comp,
-                    detail: "donor nest branches above the fusion depth".into(),
+                    detail: Detail::Fixed("donor nest branches above the fusion depth"),
                 });
             }
             if !matches!(l.source, LoopSource::Orig { .. }) {
                 return Err(ScheduleError::AlreadyTransformed {
-                    detail: "cannot fuse through tiled loops".into(),
+                    detail: Detail::Fixed("cannot fuse through tiled loops"),
                 });
             }
         }
         // Matching bounds: after fusion the donor's iterators alias the
         // host's *values*, so both lower and upper bounds must coincide
         // (equal extents alone would shift the donor's accesses).
-        let ca = self.program.comp(with);
-        let cb = self.program.comp(comp);
+        let ca = program.comp(with);
+        let cb = program.comp(comp);
         let mut shared_extents = Vec::with_capacity(depth);
-        for l in 0..depth {
-            let ia = self.program.iter_of(self.resolve(ca.iters[l]));
-            let ib = self.program.iter_of(self.resolve(cb.iters[l]));
+        for level in 0..depth {
+            let ia = program.iter_of(self.resolve(ca.iters[level]));
+            let ib = program.iter_of(self.resolve(cb.iters[level]));
             if ia.lower != ib.lower || ia.upper != ib.upper {
-                return Err(ScheduleError::FusionMismatch {
-                    detail: format!(
-                        "bounds mismatch at L{l}: {}..{} vs {}..{}",
-                        ia.lower, ia.upper, ib.lower, ib.upper
-                    ),
-                });
+                return Err(mismatch(Detail::BoundsMismatch {
+                    level,
+                    host: (ia.lower, ia.upper),
+                    donor: (ib.lower, ib.upper),
+                }));
             }
             shared_extents.push(ia.extent());
         }
@@ -857,8 +1164,8 @@ impl<'p> Applier<'p> {
         };
         for &x in &host_comps {
             for &y in &donor_comps {
-                let cx = self.program.comp(x);
-                let cy = self.program.comp(y);
+                let cx = program.comp(x);
+                let cy = program.comp(y);
                 let x_acc: Vec<(&AccessMatrix, crate::program::BufferId, bool)> =
                     std::iter::once((&cx.store.matrix, cx.store.buffer, true))
                         .chain(
@@ -883,16 +1190,9 @@ impl<'p> Applier<'p> {
                             continue;
                         }
                         match crate::deps::fusion_distance(mx, my, depth, &shared_extents) {
-                            crate::deps::FusionCheck::NoAlias => {}
-                            crate::deps::FusionCheck::NonNegative => {}
-                            crate::deps::FusionCheck::Violates(reason) => {
-                                return Err(ScheduleError::IllegalDependence {
-                                    transform: format!(
-                                        "fuse(c{}, into c{}, depth {depth})",
-                                        comp.0, with.0
-                                    ),
-                                    detail: reason,
-                                });
+                            FusionCheck::NoAlias | FusionCheck::NonNegative => {}
+                            FusionCheck::Violates(violation) => {
+                                return Err(illegal(t, Detail::Fusion(violation)));
                             }
                         }
                     }
@@ -901,7 +1201,7 @@ impl<'p> Applier<'p> {
         }
         // Record aliases for every donor computation's outer iterators.
         for &y in &donor_comps {
-            let cy = self.program.comp(y);
+            let cy = program.comp(y);
             for l in 0..depth.min(cy.depth()) {
                 let from = self.resolve(cy.iters[l]);
                 let to = self.resolve(ca.iters[l]);
@@ -928,7 +1228,24 @@ impl<'p> Applier<'p> {
     }
 }
 
-/// Validates and applies `schedule` to `program`.
+/// `t` would violate a dependence.
+fn illegal(t: &Transform, detail: Detail) -> ScheduleError {
+    ScheduleError::IllegalDependence {
+        transform: t.clone(),
+        detail,
+    }
+}
+
+fn check_comp(program: &Program, comp: CompId) -> Result<(), ScheduleError> {
+    if comp.0 >= program.num_comps() {
+        return Err(ScheduleError::UnknownComp(comp));
+    }
+    Ok(())
+}
+
+/// Validates and applies `schedule` to `program`: the one-shot form of
+/// [`Legality::apply`], for callers with one schedule to check. Callers
+/// validating many schedules of one program build a [`Legality`] once.
 ///
 /// # Errors
 ///
@@ -959,22 +1276,211 @@ pub fn apply_schedule(
     program: &Program,
     schedule: &Schedule,
 ) -> Result<ScheduledProgram, ScheduleError> {
-    if !schedule.is_canonical() {
-        return Err(ScheduleError::NonCanonical);
-    }
-    let mut applier = Applier::new(program);
-    for t in &schedule.transforms {
-        applier.apply(t)?;
-    }
-    Ok(ScheduledProgram {
-        program: program.clone(),
-        schedule: schedule.clone(),
-        roots: applier.roots,
-        aliases: applier.aliases,
-    })
+    Legality::new(program).apply(schedule)
 }
 
-/// `true` when the schedule passes validation for the program.
-pub fn is_legal(program: &Program, schedule: &Schedule) -> bool {
-    apply_schedule(program, schedule).is_ok()
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::expr::{BinOp, Expr};
+    use crate::program::{LinExpr, ProgramBuilder};
+
+    /// `out[i][j] = out[i-1][j+1] + 1` over a 14x14 interior (distance
+    /// `(1, -1)` on `c0`), two computations sharing an outer loop (a
+    /// branching loop above `c1`/`c2`), and a 1-D scan (`c3`, distance
+    /// `(1)` on its innermost loop).
+    fn program() -> Program {
+        let mut b = ProgramBuilder::new("errors");
+        let i = b.iter("i", 1, 15);
+        let j = b.iter("j", 1, 15);
+        let out = b.buffer("out", &[16, 16]);
+        let load = b.access(out, &[LinExpr::from(i) - 1, LinExpr::from(j) + 1], &[i, j]);
+        b.assign(
+            "c0",
+            &[i, j],
+            out,
+            &[i.into(), j.into()],
+            Expr::binary(BinOp::Add, Expr::Load(load), Expr::Const(1.0)),
+        );
+        let a = b.iter("a", 0, 8);
+        let k = b.iter("k", 0, 8);
+        let l = b.iter("l", 0, 8);
+        let acc = b.buffer("acc", &[8, 8]);
+        let acc2 = b.buffer("acc2", &[8, 8]);
+        b.assign("c1", &[a, k], acc, &[a.into(), k.into()], Expr::Const(1.0));
+        b.assign("c2", &[a, l], acc2, &[a.into(), l.into()], Expr::Const(2.0));
+        let x = b.iter("x", 1, 16);
+        let scan = b.buffer("scan", &[16]);
+        let prev = b.access(scan, &[LinExpr::from(x) - 1], &[x]);
+        b.assign("c3", &[x], scan, &[x.into()], Expr::Load(prev));
+        b.build().unwrap()
+    }
+
+    fn rejection(transforms: Vec<Transform>) -> String {
+        apply_schedule(&program(), &Schedule::new(transforms))
+            .expect_err("schedule must be rejected")
+            .to_string()
+    }
+
+    /// One rendered message per variant, each from a real rejection:
+    /// errors carry values and render on demand, and this is what keeps
+    /// the text from drifting.
+    #[test]
+    fn rendered_errors_are_pinned() {
+        let c0 = CompId(0);
+        let tile = |size_a, size_b| Transform::Tile {
+            comp: c0,
+            level_a: 0,
+            level_b: 1,
+            size_a,
+            size_b,
+        };
+        let unroll = Transform::Unroll {
+            comp: c0,
+            factor: 2,
+        };
+        let interchange = |comp, level_a, level_b| Transform::Interchange {
+            comp,
+            level_a,
+            level_b,
+        };
+        assert_eq!(
+            rejection(vec![unroll.clone(), tile(2, 2)]),
+            "schedule is not in canonical fuse/interchange/tile/tag order"
+        );
+        assert_eq!(
+            rejection(vec![Transform::Unroll {
+                comp: CompId(9),
+                factor: 2
+            }]),
+            "unknown computation c9"
+        );
+        assert_eq!(
+            rejection(vec![Transform::Parallelize { comp: c0, level: 5 }]),
+            "level L5 out of range for computation c0"
+        );
+        assert_eq!(
+            rejection(vec![Transform::Fuse {
+                comp: CompId(2),
+                with: c0,
+                depth: 2
+            }]),
+            "loops of c2 are not a branch-free chain: donor nest branches above the fusion depth"
+        );
+        assert_eq!(
+            rejection(vec![Transform::Tile {
+                comp: c0,
+                level_a: 1,
+                level_b: 0,
+                size_a: 2,
+                size_b: 2
+            }]),
+            "tiled levels of c0 are not adjacent"
+        );
+        assert_eq!(
+            rejection(vec![tile(2, 32)]),
+            "invalid factor: tile size 32 invalid for level L1 with extent 14"
+        );
+        assert_eq!(
+            rejection(vec![interchange(c0, 0, 1)]),
+            "interchange(c0, L0, L1) violates a dependence: \
+             dependence Some([Exact(1), Exact(-1)]) would be reversed"
+        );
+        assert_eq!(
+            rejection(vec![tile(2, 2)]),
+            "tile(c0, L0, L1) violates a dependence: band not permutable at L1: Exact(-1)"
+        );
+        assert_eq!(
+            rejection(vec![Transform::Parallelize { comp: c0, level: 0 }]),
+            "parallelize(c0, L0) violates a dependence: dependence carried at L0: Exact(1)"
+        );
+        assert_eq!(
+            rejection(vec![Transform::Fuse {
+                comp: CompId(1),
+                with: c0,
+                depth: 1
+            }]),
+            "illegal fusion: bounds mismatch at L0: 1..15 vs 0..8"
+        );
+        assert_eq!(
+            rejection(vec![unroll.clone(), unroll]),
+            "transform applied twice: loop already unrolled"
+        );
+        // The values behind the other dynamic explanations.
+        assert_eq!(
+            rejection(vec![Transform::Unroll {
+                comp: c0,
+                factor: 64
+            }]),
+            "invalid factor: unroll factor 64 for extent 14"
+        );
+        assert_eq!(
+            rejection(vec![Transform::Vectorize {
+                comp: CompId(1),
+                factor: 1
+            }]),
+            "invalid factor: vector factor 1 for extent 8"
+        );
+        assert_eq!(
+            rejection(vec![Transform::Vectorize {
+                comp: CompId(3),
+                factor: 4
+            }]),
+            "vectorize(c3, 4) violates a dependence: dependence carried at innermost L0"
+        );
+        assert_eq!(
+            rejection(vec![Transform::Fuse {
+                comp: CompId(1),
+                with: c0,
+                depth: 3
+            }]),
+            "illegal fusion: fusion depth 3 exceeds a nest depth"
+        );
+    }
+
+    /// The analysis is deferred to the first transform that reads a
+    /// dependence and is then kept: the empty schedule, fusion and unroll
+    /// never run it.
+    #[test]
+    fn analysis_is_lazy_and_runs_at_most_once() {
+        let p = program();
+        let ctx = Legality::new(&p);
+        let mut state = ctx.root();
+        assert!(ctx.apply(&Schedule::empty()).is_ok());
+        // Rejected on bounds, after walking both nests — no dependence read.
+        let fuse = Transform::Fuse {
+            comp: CompId(1),
+            with: CompId(0),
+            depth: 1,
+        };
+        assert!(ctx.extend(&mut state, &fuse).is_err());
+        let unroll = Transform::Unroll {
+            comp: CompId(0),
+            factor: 2,
+        };
+        ctx.extend(&mut state, &unroll).unwrap();
+        assert!(ctx.deps.get().is_none(), "nothing has read a dependence");
+
+        let par = Transform::Parallelize {
+            comp: CompId(1),
+            level: 0,
+        };
+        ctx.extend(&mut state, &par).unwrap();
+        let analyzed = ctx.deps.get().expect("parallelize reads dependences");
+        assert_eq!(analyzed, &analyze(&p));
+        let first = analyzed.as_ptr();
+        ctx.extend(
+            &mut state,
+            &Transform::Vectorize {
+                comp: CompId(1),
+                factor: 4,
+            },
+        )
+        .unwrap();
+        assert_eq!(
+            ctx.deps.get().unwrap().as_ptr(),
+            first,
+            "the first analysis is the one every later transform reads"
+        );
+    }
 }

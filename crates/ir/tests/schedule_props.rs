@@ -201,3 +201,196 @@ fn stencil_distances_match_construction() {
         }
     }
 }
+
+/// A two-computation family for the parity battery below, so `Fuse`,
+/// aliases, branching loops and cross-computation dependences are
+/// exercised: a producer `tmp[i+1][j+1] = in[i][j] + 1`, then a consumer
+/// `out[..] = tmp[..+e] * 2`, optionally adding its own earlier output
+/// `out[..-s]` (an in-place stencil with distance `s`). The consumer
+/// either has a nest of its own — with the producer's bounds (fusable)
+/// or one row short (bounds mismatch) — or shares the producer's outer
+/// loop (a branching loop, common depth 1).
+fn arb_pipeline(rng: &mut ChaCha8Rng) -> Program {
+    let n = rng.gen_range(8i64..24);
+    let m = rng.gen_range(8i64..24);
+    let (ei, ej) = (rng.gen_range(-1i64..=1), rng.gen_range(-1i64..=1));
+    let stencil = rng
+        .gen_bool(0.5)
+        .then(|| (rng.gen_range(-1i64..=1), rng.gen_range(-1i64..=1)));
+    let shared_outer = rng.gen_bool(0.3);
+    let short_row = rng.gen_bool(0.3);
+
+    let mut b = ProgramBuilder::new("pipe");
+    let i = b.iter("i", 0, n);
+    let j = b.iter("j", 0, m);
+    let inp = b.input("in", &[n, m]);
+    let tmp = b.buffer("tmp", &[n + 2, m + 2]);
+    let out = b.buffer("out", &[n + 2, m + 2]);
+    let load = b.access(inp, &[i.into(), j.into()], &[i, j]);
+    b.assign(
+        "prod",
+        &[i, j],
+        tmp,
+        &[LinExpr::from(i) + 1, LinExpr::from(j) + 1],
+        Expr::binary(BinOp::Add, Expr::Load(load), Expr::Const(1.0)),
+    );
+    let i2 = if shared_outer {
+        i
+    } else {
+        b.iter("i2", 0, if short_row { n - 1 } else { n })
+    };
+    let j2 = b.iter("j2", 0, m);
+    let iters = [i2, j2];
+    let taken = b.access(
+        tmp,
+        &[LinExpr::from(i2) + 1 + ei, LinExpr::from(j2) + 1 + ej],
+        &iters,
+    );
+    let mut rhs = Expr::binary(BinOp::Mul, Expr::Load(taken), Expr::Const(2.0));
+    if let Some((si, sj)) = stencil {
+        let earlier = b.access(
+            out,
+            &[LinExpr::from(i2) + 1 - si, LinExpr::from(j2) + 1 - sj],
+            &iters,
+        );
+        rhs = Expr::binary(BinOp::Add, rhs, Expr::Load(earlier));
+    }
+    b.assign(
+        "cons",
+        &iters,
+        out,
+        &[LinExpr::from(i2) + 1, LinExpr::from(j2) + 1],
+        rhs,
+    );
+    b.build().expect("family is valid by construction")
+}
+
+/// Any transform, legal or not. Mostly well-formed for a program of
+/// `num_comps` two-deep computations (so sequences get past the range
+/// checks and into the dependence checks); one draw in ten runs a
+/// computation, level or depth past what the families have.
+fn arb_transform(rng: &mut ChaCha8Rng, num_comps: usize) -> Transform {
+    const FACTORS: [i64; 6] = [1, 2, 3, 4, 8, 32];
+    let wild = rng.gen_bool(0.1);
+    let comp = CompId(rng.gen_range(0..num_comps + usize::from(wild)));
+    let level = |rng: &mut ChaCha8Rng| rng.gen_range(0..2 + usize::from(wild));
+    let (level_a, level_b) = (level(rng), level(rng));
+    let level_b = if wild { level_b } else { 1 - level_a };
+    let factor = FACTORS[rng.gen_range(0..FACTORS.len())];
+    match rng.gen_range(0..6) {
+        0 if wild => Transform::Fuse {
+            comp,
+            with: CompId(rng.gen_range(0..num_comps)),
+            depth: rng.gen_range(0..4),
+        },
+        0 => Transform::Fuse {
+            comp: CompId(num_comps - 1),
+            with: CompId(0),
+            depth: rng.gen_range(1..3),
+        },
+        1 => Transform::Interchange {
+            comp,
+            level_a,
+            level_b,
+        },
+        2 => Transform::Tile {
+            comp,
+            level_a,
+            level_b,
+            size_a: factor,
+            size_b: FACTORS[rng.gen_range(0..FACTORS.len())],
+        },
+        3 => Transform::Unroll { comp, factor },
+        4 => Transform::Parallelize {
+            comp,
+            level: level_a,
+        },
+        _ => Transform::Vectorize { comp, factor },
+    }
+}
+
+/// The incremental engine against its one-shot form. Over both families
+/// and random transform sequences (legal and illegal; mostly phase-ordered
+/// so prefixes grow long, sometimes shuffled so `NonCanonical` occurs):
+///
+/// - step-wise `extend` agrees with `apply_schedule(prefix + t)` on
+///   accept/reject and on the error itself;
+/// - an accepted state's forest and aliases are the one-shot
+///   `ScheduledProgram`'s;
+/// - a rejected `extend` leaves the state equal to what it was, and the
+///   walk goes on from it;
+/// - a context that has already analyzed and one that has not give the
+///   same verdicts as the fresh context behind every `apply_schedule`
+///   call (lazy analysis changes cost, never an answer).
+#[test]
+fn incremental_extension_matches_one_shot_application() {
+    let (mut accepted, mut rejected) = (0, 0);
+    let mut rejections = std::collections::HashSet::new();
+    for case in 0..8 * CASES {
+        let mut rng = ChaCha8Rng::seed_from_u64(0xE0 ^ (case << 8));
+        let p = if case % 4 == 0 {
+            arb_program(&mut rng)
+        } else {
+            arb_pipeline(&mut rng)
+        };
+        let mut sequence: Vec<Transform> = (0..rng.gen_range(1..10))
+            .map(|_| arb_transform(&mut rng, p.num_comps()))
+            .collect();
+        if rng.gen_bool(0.8) {
+            sequence.sort_by_key(Transform::phase);
+        }
+
+        let cold = Legality::new(&p);
+        let warm = Legality::new(&p);
+        // Reads dependences whatever the verdict: `warm` has analyzed.
+        let _ = warm.prefix(&Schedule::new(vec![Transform::Parallelize {
+            comp: CompId(0),
+            level: 0,
+        }]));
+        let mut state = cold.root();
+        let mut warm_state = warm.root();
+        let mut prefix = Schedule::empty();
+        for t in sequence {
+            let before = state.clone();
+            let step = cold.extend(&mut state, &t);
+            assert_eq!(
+                warm.extend(&mut warm_state, &t),
+                step,
+                "case {case}: {} after [{}]",
+                t.describe(),
+                prefix.describe()
+            );
+            assert_eq!(warm_state, state, "case {case}");
+            match apply_schedule(&p, &prefix.clone().with(t.clone())) {
+                Ok(sp) => {
+                    assert_eq!(step, Ok(()), "case {case}: {}", sp.schedule.describe());
+                    assert_eq!(state.roots(), sp.roots, "case {case}");
+                    assert_eq!(state.aliases(), &sp.aliases, "case {case}");
+                    assert_eq!(cold.prefix(&sp.schedule).as_ref(), Ok(&state));
+                    prefix = sp.schedule;
+                    accepted += 1;
+                }
+                Err(one_shot) => {
+                    rejections.insert(std::mem::discriminant(&one_shot));
+                    assert_eq!(
+                        step,
+                        Err(one_shot),
+                        "case {case}: {} after [{}]",
+                        t.describe(),
+                        prefix.describe()
+                    );
+                    assert_eq!(state, before, "case {case}: a rejection moved the state");
+                    rejected += 1;
+                }
+            }
+        }
+    }
+    // The battery means something only if both outcomes and all nine
+    // kinds of rejection occur.
+    assert!(accepted > 100 && rejected > 100, "{accepted} / {rejected}");
+    assert_eq!(
+        rejections.len(),
+        9,
+        "a ScheduleError variant never occurred"
+    );
+}

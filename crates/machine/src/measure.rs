@@ -6,7 +6,9 @@
 //! that protocol over the deterministic [`Machine`] by adding seeded
 //! log-normal measurement noise and taking the median of `repeats` runs.
 
-use dlcm_ir::{apply_schedule, Program, Schedule, ScheduleError, ScheduledProgram, Transform};
+use dlcm_ir::{
+    apply_schedule, Legality, Program, Schedule, ScheduleError, ScheduledProgram, Transform,
+};
 
 use crate::cost::Machine;
 
@@ -100,17 +102,12 @@ impl Measurement {
 /// The paper's §6 baseline schedule: every computation's outermost loop is
 /// parallelized when legal, and nothing else is applied.
 pub fn parallel_baseline(program: &Program) -> Schedule {
+    let legality = Legality::new(program);
+    let mut state = legality.root();
     let mut transforms = Vec::new();
     for comp in program.comp_ids() {
         let candidate = Transform::Parallelize { comp, level: 0 };
-        let trial = Schedule::new(
-            transforms
-                .iter()
-                .cloned()
-                .chain(std::iter::once(candidate.clone()))
-                .collect(),
-        );
-        if apply_schedule(program, &trial).is_ok() {
+        if legality.extend(&mut state, &candidate).is_ok() {
             transforms.push(candidate);
         }
     }

@@ -22,9 +22,7 @@
 //! the program ... are directly applied to the program structure
 //! representation").
 
-use dlcm_ir::{
-    apply_schedule, CompId, LoopSource, Program, SNode, Schedule, ScheduledProgram, Transform,
-};
+use dlcm_ir::{CompId, Legality, LoopSource, Program, SNode, Schedule, Transform};
 use serde::{Deserialize, Serialize};
 
 /// Size limits of the fixed-width encoding.
@@ -167,18 +165,18 @@ impl Featurizer {
             .collect();
 
         // Structure: apply only the fusion transforms, then mirror the
-        // resulting nesting.
-        let fuse_only = Schedule::new(
-            schedule
-                .transforms
-                .iter()
-                .filter(|t| matches!(t, Transform::Fuse { .. }))
-                .cloned()
-                .collect(),
-        );
-        let structural: ScheduledProgram =
-            apply_schedule(program, &fuse_only).expect("fusion subset of a legal schedule");
-        let tree = structural.roots.iter().map(convert).collect();
+        // resulting nesting. Fusion reads no dependence analysis, so this
+        // pass never runs one.
+        let legality = Legality::new(program);
+        let mut structural = legality.root();
+        for t in &schedule.transforms {
+            if matches!(t, Transform::Fuse { .. }) {
+                legality
+                    .extend(&mut structural, t)
+                    .expect("fusion subset of a legal schedule");
+            }
+        }
+        let tree = structural.roots().iter().map(convert).collect();
 
         ProgramFeatures { comp_vectors, tree }
     }

@@ -16,10 +16,10 @@
 use std::collections::HashMap;
 
 use dlcm_eval::{EvalStats, Evaluator};
-use dlcm_ir::{Program, Schedule};
+use dlcm_ir::{Legality, Program, Schedule};
 use serde::{Deserialize, Serialize};
 
-use crate::space::{expand, finalize, Candidate, SearchSpace};
+use crate::space::{expand_in, finalize_in, Candidate, SearchSpace};
 
 /// Outcome of one search run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -60,6 +60,7 @@ impl BeamSearch {
     /// Runs the search, scoring candidates through `evaluator`.
     pub fn search(&self, program: &Program, evaluator: &mut dyn Evaluator) -> SearchResult {
         let stats_before = evaluator.stats();
+        let legality = Legality::new(program);
 
         // Finalized schedules already scored in an earlier wave, keyed by
         // their normalized cache key.
@@ -68,7 +69,7 @@ impl BeamSearch {
         let mut frontier: Vec<(Candidate, f64, Schedule)> = Vec::new();
         {
             let root = Candidate::root(program);
-            let finalized = finalize(program, &self.space, &root.schedule);
+            let finalized = finalize_in(&legality, &self.space, &root.schedule);
             let score = evaluator.speedup(program, &finalized);
             seen.insert(finalized.cache_key(), score);
             frontier.push((root, score, finalized));
@@ -87,14 +88,14 @@ impl BeamSearch {
                     next.push((cand, Some(score), finalized));
                     continue;
                 }
-                for child in expand(program, &self.space, &cand) {
+                for child in expand_in(&legality, &self.space, &cand) {
                     // The skip child has the same transforms: reuse the
                     // parent's score rather than re-evaluating.
                     if child.schedule == cand.schedule {
                         next.push((child, Some(score), finalized.clone()));
                         continue;
                     }
-                    let child_final = finalize(program, &self.space, &child.schedule);
+                    let child_final = finalize_in(&legality, &self.space, &child.schedule);
                     let key = child_final.cache_key();
                     if let Some(&known) = seen.get(&key) {
                         next.push((child, Some(known), child_final));
@@ -142,6 +143,7 @@ impl BeamSearch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::space::finalize;
     use dlcm_eval::ExecutionEvaluator;
     use dlcm_ir::{BinOp, Expr, ProgramBuilder};
     use dlcm_machine::{Machine, Measurement};

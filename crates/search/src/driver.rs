@@ -16,6 +16,10 @@
 //! - **scores** are a pure function of `(seed, program, schedule)`, so a
 //!   search returns the same `SearchResult::schedule`/`score` no matter
 //!   what runs next to it;
+//! - **validity** is per search — each `BeamSearch::search` /
+//!   `Mcts::search` call builds its own `dlcm_ir::Legality` context
+//!   (dependence analysis at most once per search, every child one
+//!   `extend`), so nothing about legality is shared between jobs;
 //! - **per-search stats stay standalone** — each execution-backed search
 //!   scores through its own [`dlcm_eval::ScopedEvaluator`], which
 //!   accumulates only that search's [`dlcm_eval::EvalStats`] deltas, so

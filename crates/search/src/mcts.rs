@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 
 use dlcm_eval::Evaluator;
-use dlcm_ir::{Program, Schedule};
+use dlcm_ir::{Legality, Program, Schedule};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
@@ -18,7 +18,7 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::beam::SearchResult;
-use crate::space::{expand, finalize, Candidate, SearchSpace};
+use crate::space::{expand_in, finalize_in, Candidate, SearchSpace};
 
 /// MCTS configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -71,6 +71,7 @@ impl Mcts {
         let model_before = model_eval.stats();
         let exec_before = exec_eval.stats();
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
+        let legality = Legality::new(program);
 
         let mut nodes = vec![Node {
             candidate: Candidate::root(program),
@@ -128,7 +129,7 @@ impl Mcts {
             // --- Expansion --------------------------------------------------
             let leaf = *path.last().expect("non-empty path");
             if !nodes[leaf].expanded && !nodes[leaf].candidate.is_complete() {
-                let children = expand(program, &self.space, &nodes[leaf].candidate);
+                let children = expand_in(&legality, &self.space, &nodes[leaf].candidate);
                 for child in children {
                     nodes.push(Node {
                         candidate: child,
@@ -151,7 +152,7 @@ impl Mcts {
             let mut cand = nodes[start].candidate.clone();
             let mut guard = 0;
             while !cand.is_complete() {
-                let options = expand(program, &self.space, &cand);
+                let options = expand_in(&legality, &self.space, &cand);
                 cand = options
                     .into_iter()
                     .max_by_key(|_| rng.gen::<u32>())
@@ -159,7 +160,7 @@ impl Mcts {
                 guard += 1;
                 assert!(guard < 64, "rollout did not terminate");
             }
-            let finalized = finalize(program, &self.space, &cand.schedule);
+            let finalized = finalize_in(&legality, &self.space, &cand.schedule);
             let key = finalized.cache_key();
             let score = match rollout_scores.get(&key) {
                 Some(&known) => known,

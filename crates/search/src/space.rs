@@ -5,8 +5,16 @@
 //! complete candidate is *finalized* by the Halide-style heuristics of §4:
 //! parallelize the outermost legal loop and vectorize the innermost loop
 //! when the conditions are met.
+//!
+//! Validity (the paper's step 2) goes through one [`Legality`] context
+//! per program: [`expand`] and [`finalize`] replay the candidate's prefix
+//! once and then try each child as one [`Legality::extend`] on top of
+//! it. The searches build the context once per search and call the
+//! crate-internal `expand_in` / `finalize_in`; the public functions wrap
+//! them with a throw-away context, so even a lone call analyzes the
+//! program once rather than once per child.
 
-use dlcm_ir::{apply_schedule, CompId, Program, Schedule, Transform};
+use dlcm_ir::{CompId, Legality, Program, Schedule, Transform};
 use serde::{Deserialize, Serialize};
 
 /// Pools and toggles defining the candidate space.
@@ -100,7 +108,10 @@ fn next_stage(program: &Program, stage: Stage) -> Stage {
 }
 
 /// Current nesting order of a computation's original levels under the
-/// interchanges chosen so far.
+/// interchanges chosen so far *for that computation*. Deliberately a
+/// function of the schedule alone: the legality engine's own nesting
+/// order also moves when a fused sibling is interchanged, and reading
+/// that here would change which tiles and tags get enumerated.
 fn current_order(program: &Program, schedule: &Schedule, comp: CompId) -> Vec<usize> {
     let mut order: Vec<usize> = (0..program.comp(comp).depth()).collect();
     for t in &schedule.transforms {
@@ -130,19 +141,18 @@ fn current_order(program: &Program, schedule: &Schedule, comp: CompId) -> Vec<us
 /// includes the "skip this transformation" child). Children whose
 /// transform fails validation are dropped — the paper's step 2.
 pub fn expand(program: &Program, space: &SearchSpace, cand: &Candidate) -> Vec<Candidate> {
-    let mut out = Vec::new();
+    expand_in(&Legality::new(program), space, cand)
+}
+
+/// [`expand`] against a caller-held legality context.
+pub(crate) fn expand_in(
+    legality: &Legality<'_>,
+    space: &SearchSpace,
+    cand: &Candidate,
+) -> Vec<Candidate> {
+    let program = legality.program();
     let advance = next_stage(program, cand.stage);
-    // The skip child.
-    out.push(Candidate {
-        schedule: cand.schedule.clone(),
-        stage: advance,
-    });
-    let mut push_if_legal = |t: Transform, stage: Stage| {
-        let s = cand.schedule.clone().with(t);
-        if apply_schedule(program, &s).is_ok() {
-            out.push(Candidate { schedule: s, stage });
-        }
-    };
+    let mut trials = Vec::new();
     match cand.stage {
         Stage::Fusion if space.explore_fusion => {
             let n = program.num_comps();
@@ -153,14 +163,11 @@ pub fn expand(program: &Program, space: &SearchSpace, cand: &Candidate) -> Vec<C
                         .depth()
                         .min(program.comp(CompId(b)).depth());
                     for depth in 1..=max_depth {
-                        push_if_legal(
-                            Transform::Fuse {
-                                comp: CompId(b),
-                                with: CompId(a),
-                                depth,
-                            },
-                            advance,
-                        );
+                        trials.push(Transform::Fuse {
+                            comp: CompId(b),
+                            with: CompId(a),
+                            depth,
+                        });
                     }
                 }
             }
@@ -170,14 +177,11 @@ pub fn expand(program: &Program, space: &SearchSpace, cand: &Candidate) -> Vec<C
             let depth = program.comp(CompId(c)).depth();
             for a in 0..depth {
                 for b in a + 1..depth {
-                    push_if_legal(
-                        Transform::Interchange {
-                            comp: CompId(c),
-                            level_a: a,
-                            level_b: b,
-                        },
-                        advance,
-                    );
+                    trials.push(Transform::Interchange {
+                        comp: CompId(c),
+                        level_a: a,
+                        level_b: b,
+                    });
                 }
             }
         }
@@ -189,32 +193,50 @@ pub fn expand(program: &Program, space: &SearchSpace, cand: &Candidate) -> Vec<C
                 let (la, lb) = (order[pos], order[pos + 1]);
                 for &sa in &space.tile_sizes {
                     for &sb in &space.tile_sizes {
-                        push_if_legal(
-                            Transform::Tile {
-                                comp,
-                                level_a: la,
-                                level_b: lb,
-                                size_a: sa,
-                                size_b: sb,
-                            },
-                            advance,
-                        );
+                        trials.push(Transform::Tile {
+                            comp,
+                            level_a: la,
+                            level_b: lb,
+                            size_a: sa,
+                            size_b: sb,
+                        });
                     }
                 }
             }
         }
         Stage::Unroll(c) => {
             for &f in &space.unroll_factors {
-                push_if_legal(
-                    Transform::Unroll {
-                        comp: CompId(c),
-                        factor: f,
-                    },
-                    advance,
-                );
+                trials.push(Transform::Unroll {
+                    comp: CompId(c),
+                    factor: f,
+                });
             }
         }
         Stage::Done => {}
+    }
+    // The skip child.
+    let mut out = vec![Candidate {
+        schedule: cand.schedule.clone(),
+        stage: advance,
+    }];
+    if trials.is_empty() {
+        return out;
+    }
+    // An illegal prefix has no legal extension: the skip child only.
+    let Ok(base) = legality.prefix(&cand.schedule) else {
+        return out;
+    };
+    // A rejected `extend` leaves its state untouched, so the scratch copy
+    // is renewed only after a child was accepted into it.
+    let mut scratch = base.clone();
+    for t in trials {
+        if legality.extend(&mut scratch, &t).is_ok() {
+            out.push(Candidate {
+                schedule: cand.schedule.clone().with(t),
+                stage: advance,
+            });
+            scratch = base.clone();
+        }
     }
     out
 }
@@ -223,16 +245,29 @@ pub fn expand(program: &Program, space: &SearchSpace, cand: &Candidate) -> Vec<C
 /// outermost legal loop of each computation and vectorize the innermost
 /// loop when its extent is large enough. Returns the finalized schedule.
 pub fn finalize(program: &Program, space: &SearchSpace, schedule: &Schedule) -> Schedule {
+    finalize_in(&Legality::new(program), space, schedule)
+}
+
+/// [`finalize`] against a caller-held legality context.
+pub(crate) fn finalize_in(
+    legality: &Legality<'_>,
+    space: &SearchSpace,
+    schedule: &Schedule,
+) -> Schedule {
+    let program = legality.program();
     let mut s = schedule.clone();
+    // No tag is legal on top of an illegal schedule.
+    let Ok(mut state) = legality.prefix(schedule) else {
+        return s;
+    };
     for comp in program.comp_ids() {
         let order = current_order(program, &s, comp);
         // Parallelize the outermost loop whose parallelization is legal,
         // scanning outside-in (Halide-style heuristic).
         for &level in &order {
             let t = Transform::Parallelize { comp, level };
-            let trial = s.clone().with(t.clone());
-            if apply_schedule(program, &trial).is_ok() {
-                s = trial;
+            if legality.extend(&mut state, &t).is_ok() {
+                s.transforms.push(t);
                 break;
             }
         }
@@ -240,12 +275,12 @@ pub fn finalize(program: &Program, space: &SearchSpace, schedule: &Schedule) -> 
         if let Some(&inner) = order.last() {
             let extent = program.extent(program.comp(comp).iters[inner]);
             if extent >= space.min_vector_extent {
-                let trial = s.clone().with(Transform::Vectorize {
+                let t = Transform::Vectorize {
                     comp,
                     factor: space.vector_factor,
-                });
-                if apply_schedule(program, &trial).is_ok() {
-                    s = trial;
+                };
+                if legality.extend(&mut state, &t).is_ok() {
+                    s.transforms.push(t);
                 }
             }
         }
@@ -256,7 +291,7 @@ pub fn finalize(program: &Program, space: &SearchSpace, schedule: &Schedule) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlcm_ir::{BinOp, Expr, ProgramBuilder};
+    use dlcm_ir::{apply_schedule, BinOp, Expr, ProgramBuilder};
 
     fn mm(n: i64) -> Program {
         let mut b = ProgramBuilder::new("mm");

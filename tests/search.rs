@@ -1,0 +1,114 @@
+//! Tier-1 golden of the search path: MCTS (fixed seed) → beam search
+//! with execution → beam search with the model on the ten §6 programs at
+//! a reduced scale, through [`SearchDriver`], must find exactly the
+//! schedules, scores and evaluation counts it found when this golden was
+//! captured — at one and at two search threads. MCTS draws one random
+//! number per legal child, so a single flipped legality verdict moves
+//! every schedule downstream of it: "search results are byte-identical"
+//! is the contract every change to the legality engine, the candidate
+//! space or the search loops is held to.
+
+use dlcm::benchsuite;
+use dlcm::eval::{Evaluator, ModelEvaluator, ParallelEvaluator, SharedCachedEvaluator};
+use dlcm::ir::fingerprint::{fnv1a, to_hex, FNV1A_INIT};
+use dlcm::machine::Measurement;
+use dlcm::model::{CostModel, CostModelConfig, Featurizer, FeaturizerConfig};
+use dlcm::search::{
+    BeamSearch, Mcts, SearchDriver, SearchJob, SearchResult, SearchSpace, SearchSpec,
+};
+
+/// Captured on the commit *before* legality became incremental (PR 17):
+/// every verdict behind it came from a from-scratch `apply_schedule`.
+const SUITE_GOLDEN: &str = "9e62c9e9edae1614";
+
+const SCALE: f64 = 0.1;
+
+/// Sizes that fit the scaled-down extents on some levels and not on
+/// others, so both accepted and `BadFactor` tiles are part of the golden.
+fn space() -> SearchSpace {
+    SearchSpace {
+        tile_sizes: vec![8, 32, 128],
+        unroll_factors: vec![4, 16],
+        ..SearchSpace::default()
+    }
+}
+
+fn jobs() -> Vec<SearchJob> {
+    benchsuite::suite()
+        .iter()
+        .map(|bench| SearchJob {
+            program: (bench.build)(SCALE),
+            specs: vec![
+                SearchSpec::Mcts {
+                    search: Mcts {
+                        iterations: 24,
+                        space: space(),
+                        seed: 17,
+                        ..Mcts::default()
+                    },
+                    role: 0,
+                },
+                SearchSpec::BeamExec(BeamSearch::new(3, space())),
+                SearchSpec::BeamModel {
+                    search: BeamSearch::new(3, space()),
+                    role: 0,
+                },
+            ],
+        })
+        .collect()
+}
+
+/// One line per search: what it found and what finding it cost.
+fn render(results: &[Vec<SearchResult>]) -> Vec<String> {
+    results
+        .iter()
+        .flatten()
+        .map(|r| {
+            format!(
+                "{} | {:016x} | {} | {}",
+                r.schedule.describe(),
+                r.score.to_bits(),
+                r.stats.num_evals,
+                r.stats.cache_hits
+            )
+        })
+        .collect()
+}
+
+fn fingerprint(lines: &[String]) -> String {
+    let state = lines.iter().fold(FNV1A_INIT, |state, line| {
+        fnv1a(fnv1a(state, line.as_bytes()), b"\n")
+    });
+    to_hex(state)
+}
+
+/// The suite at `search_threads` jobs in flight: a seeded random-init
+/// model plays the cost model (the golden pins the search, not the
+/// model's accuracy), the default noisy harness plays the machine.
+fn run(search_threads: usize) -> Vec<String> {
+    let featurizer = Featurizer::new(FeaturizerConfig::default());
+    let model = CostModel::new(
+        CostModelConfig::fast(FeaturizerConfig::default().vector_width()),
+        0,
+    );
+    let exec = SharedCachedEvaluator::new(ParallelEvaluator::new(Measurement::default(), 0, 1));
+    let model_eval = |_role: usize| -> Box<dyn Evaluator + '_> {
+        Box::new(ModelEvaluator::new(&model, featurizer.clone()).with_simulated_cost(0.004))
+    };
+    let results = SearchDriver::new(search_threads).run_suite(&jobs(), &exec, &model_eval);
+    assert_eq!(results.len(), 10, "the whole §6 suite");
+    render(&results)
+}
+
+#[test]
+fn suite_searches_find_the_golden_schedules_at_any_search_thread_count() {
+    for search_threads in [1, 2] {
+        let lines = run(search_threads);
+        assert_eq!(
+            fingerprint(&lines),
+            SUITE_GOLDEN,
+            "search_threads={search_threads}: a schedule, score or evaluation count moved:\n{}",
+            lines.join("\n")
+        );
+    }
+}
