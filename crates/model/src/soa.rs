@@ -1,24 +1,29 @@
 //! Arena-backed SoA inference for [`CostModel`]: the hot-path
 //! counterpart of [`crate::SpeedupPredictor::forward_batch`].
 //!
-//! The tape forward pass dominates per-candidate inference cost (the
-//! bench baseline puts it near 50µs/candidate against ~4.5µs for a
-//! simulated execution): every op grows the node vector, allocates a
-//! fresh `Tensor`, and re-binds parameters as graph leaves — pure
-//! overhead when no gradient will ever be asked for. This module walks
-//! the *same* three layers (embed MLP → recursive loop embedding →
-//! regression + exp head) over a thread-local
+//! A search waits on this function: MCTS scores one rollout per
+//! iteration, so nearly every row arrives in a batch of one, and a row
+//! costs about three simulated executions (`model.infer_ns_per_row` vs
+//! `eval.exec_ns_per_candidate` in the benchmark of record; ROADMAP
+//! item 3 has the trajectory). On the tape every op grows the node
+//! vector, allocates a fresh `Tensor`, and re-binds parameters as graph
+//! leaves — pure overhead when no gradient will ever be asked for. This
+//! module walks the *same* three layers (embed MLP → recursive loop
+//! embedding → regression + exp head) over a thread-local
 //! [`dlcm_tensor::kernel::Arena`] of flat, recycled `f32` buffers.
 //!
 //! **Bit-identity** with the tape path is a hard contract (serving
 //! parity, search determinism, and the cached evaluator's key reuse all
-//! depend on scores being pure in `(weights, features)`): the matmul
-//! inner loop is literally shared (`kernel::matmul_into`), the
-//! elementwise kernels reproduce the tape ops' scalar expressions and
-//! association order, and inference-mode dropout is an identity that
-//! consumes no randomness, so eliding it is exact. `tests/soa_parity.rs`
-//! pins the equivalence over random models, batch shapes, and tree
-//! structures.
+//! depend on scores being pure in `(weights, features)`): every product
+//! on either path is the one `kernel::matmul_into` (one zero test per
+//! `(row, k)`, register accumulators — its docs carry the bit-identity
+//! argument for each), the elementwise kernels reproduce the tape ops'
+//! scalar expressions and association order, an LSTM's first step drops
+//! only terms the zero state annihilates (`LstmCell::run_soa`), and
+//! inference-mode dropout is an identity that consumes no randomness,
+//! so eliding it is exact.
+//! `tests/soa_parity.rs` pins the equivalence over random models, batch
+//! shapes, and tree structures.
 
 use dlcm_tensor::kernel::{Arena, MatId};
 
@@ -115,8 +120,7 @@ fn embed_node(
 ) -> MatId {
     match node {
         FeatNode::Comp(i) => {
-            let indices: Vec<usize> = (0..rows).map(|b| b * comps_per_sample + i).collect();
-            arena.gather_rows(comp_rows, &indices)
+            arena.gather_rows(comp_rows, (0..rows).map(|b| b * comps_per_sample + i))
         }
         FeatNode::Loop(children) => {
             let mut comp_embeds = Vec::new();

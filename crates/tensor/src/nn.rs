@@ -492,10 +492,62 @@ impl LstmCell {
         xw
     }
 
+    /// Arena counterpart of [`LstmCell::step`]: returns the new `(h, c)`.
+    fn step_soa(
+        &self,
+        arena: &mut Arena,
+        store: &ParamStore,
+        x: MatId,
+        (h, c): (MatId, MatId),
+    ) -> (MatId, MatId) {
+        let i = self.gate_soa(arena, store, 0, x, h);
+        let f = self.gate_soa(arena, store, 1, x, h);
+        let g = self.gate_soa(arena, store, 2, x, h);
+        let o = self.gate_soa(arena, store, 3, x, h);
+        arena.apply(i, sigmoid);
+        arena.apply(f, sigmoid);
+        arena.apply(g, f32::tanh);
+        arena.apply(o, sigmoid);
+        let c = arena.lstm_cell_state(f, c, i, g);
+        (arena.lstm_hidden(o, c), c)
+    }
+
+    /// [`LstmCell::step_soa`] from the zero state, computing only what
+    /// zero does not annihilate. Bit for bit what the general step
+    /// yields on explicit zero `h` and `c`, term by term — unless the
+    /// forget gate alone is NaN (non-finite forget weights, or an
+    /// overflow in that one product), which the general step spreads
+    /// into `c` through `NaN * 0.0` and this one never computes:
+    ///
+    /// - `h·Wh` is all `+0.0` (the kernel skips every zero of `h`), and
+    ///   `x·Wx`, a sum that starts from `+0.0`, is never `-0.0`; so
+    ///   `(x·Wx + h·Wh) + b` is `x·Wx + b` and the four `h·Wh` products
+    ///   are dropped.
+    /// - `f ⊙ c` is all `+0.0` (a sigmoid is never negative), so the
+    ///   forget gate — product, bias and sigmoids — is dropped and
+    ///   `c' = (f ⊙ c) + (i ⊙ g)` becomes `0.0 + (i ⊙ g)`; the `0.0 +`
+    ///   stays because it turns a `-0.0` product into `+0.0`.
+    fn first_step_soa(&self, arena: &mut Arena, store: &ParamStore, x: MatId) -> (MatId, MatId) {
+        let mut gate = |idx: usize| {
+            let xw = arena.matmul(x, store.get(self.wx[idx]));
+            arena.add_bias(xw, store.get(self.b[idx]));
+            xw
+        };
+        let (i, g, o) = (gate(0), gate(2), gate(3));
+        arena.apply(i, sigmoid);
+        arena.apply(g, f32::tanh);
+        arena.apply(o, sigmoid);
+        arena.lstm_cell_state_from_zero(i, g);
+        (arena.lstm_hidden(o, i), i)
+    }
+
     /// Arena counterpart of [`LstmCell::run`] (inference): returns the
     /// final hidden state, a zeroed `rows x hidden_dim` matrix for an
     /// empty sequence — exactly what the tape's zero initial state
-    /// yields.
+    /// yields. The tape stays the general step throughout (it is the
+    /// training graph and the reference this is tested against); here
+    /// the first step is `first_step_soa`, which in the
+    /// chain-shaped nests searches score is nearly every step there is.
     pub fn run_soa(
         &self,
         arena: &mut Arena,
@@ -503,22 +555,20 @@ impl LstmCell {
         inputs: &[MatId],
         rows: usize,
     ) -> MatId {
-        let mut h = arena.alloc(rows, self.hidden_dim);
-        let mut c = arena.alloc(rows, self.hidden_dim);
-        for &x in inputs {
-            let i_pre = self.gate_soa(arena, store, 0, x, h);
-            let f_pre = self.gate_soa(arena, store, 1, x, h);
-            let g_pre = self.gate_soa(arena, store, 2, x, h);
-            let o_pre = self.gate_soa(arena, store, 3, x, h);
-            arena.apply(i_pre, |v| 1.0 / (1.0 + (-v).exp()));
-            arena.apply(f_pre, |v| 1.0 / (1.0 + (-v).exp()));
-            arena.apply(g_pre, f32::tanh);
-            arena.apply(o_pre, |v| 1.0 / (1.0 + (-v).exp()));
-            c = arena.lstm_cell_state(f_pre, c, i_pre, g_pre);
-            h = arena.lstm_hidden(o_pre, c);
+        let Some((&first, rest)) = inputs.split_first() else {
+            return arena.alloc(rows, self.hidden_dim);
+        };
+        let mut state = self.first_step_soa(arena, store, first);
+        for &x in rest {
+            state = self.step_soa(arena, store, x, state);
         }
-        h
+        state.0
     }
+}
+
+/// The logistic function exactly as [`Tape::sigmoid`] evaluates it.
+fn sigmoid(v: f32) -> f32 {
+    1.0 / (1.0 + (-v).exp())
 }
 
 #[cfg(test)]
@@ -592,6 +642,84 @@ mod tests {
         let mut tape = Tape::new();
         let st = cell.run(&mut tape, &store, &[], 1);
         assert_eq!(tape.value(st.h).sum(), 0.0);
+    }
+
+    /// Copies `t` into a fresh arena matrix.
+    fn arena_mat(arena: &mut Arena, t: &Tensor) -> MatId {
+        let id = arena.alloc(t.rows(), t.cols());
+        arena.data_mut(id).copy_from_slice(t.as_slice());
+        id
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// LSTM inputs that reach the corners of the cell: ordinary values,
+    /// zeros of both signs (the kernel's skip), and magnitudes that
+    /// saturate the gates — a sigmoid of exactly `0.0` or `1.0`, a tanh
+    /// of exactly `±1.0` — so `i ⊙ g` comes out `-0.0` somewhere.
+    fn lstm_inputs(rng: &mut ChaCha8Rng, steps: usize, rows: usize, dim: usize) -> Vec<Tensor> {
+        (0..steps)
+            .map(|_| {
+                let data = (0..rows * dim)
+                    .map(|_| match rng.gen_range(0..6) {
+                        0 => 0.0,
+                        1 => -0.0,
+                        2 => rng.gen_range(-400.0f32..400.0),
+                        _ => rng.gen_range(-2.0f32..2.0),
+                    })
+                    .collect();
+                Tensor::from_vec(rows, dim, data)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lstm_run_soa_is_bit_identical_to_the_tape_run() {
+        let mut rng = ChaCha8Rng::seed_from_u64(18);
+        let mut store = ParamStore::new();
+        let cell = LstmCell::new(&mut store, "lstm", 5, 7, &mut rng);
+        let mut arena = Arena::new();
+        for steps in 0..=3 {
+            for rows in 1..=3 {
+                for _ in 0..8 {
+                    let xs = lstm_inputs(&mut rng, steps, rows, 5);
+                    let mut tape = Tape::new();
+                    let vars: Vec<Var> = xs.iter().map(|x| tape.constant(x.clone())).collect();
+                    let want = cell.run(&mut tape, &store, &vars, rows);
+
+                    arena.reset();
+                    let mats: Vec<MatId> = xs.iter().map(|x| arena_mat(&mut arena, x)).collect();
+                    let got = cell.run_soa(&mut arena, &store, &mats, rows);
+                    assert_eq!(
+                        bits(arena.data(got)),
+                        bits(tape.value(want.h).as_slice()),
+                        "{steps} steps x {rows} rows"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lstm_first_step_matches_the_general_step_from_explicit_zeros() {
+        let mut rng = ChaCha8Rng::seed_from_u64(19);
+        let mut store = ParamStore::new();
+        let cell = LstmCell::new(&mut store, "lstm", 5, 7, &mut rng);
+        let mut arena = Arena::new();
+        for rows in 1..=3 {
+            for _ in 0..16 {
+                let x = &lstm_inputs(&mut rng, 1, rows, 5)[0];
+                arena.reset();
+                let x = arena_mat(&mut arena, x);
+                let zeros = (arena.alloc(rows, 7), arena.alloc(rows, 7));
+                let (want_h, want_c) = cell.step_soa(&mut arena, &store, x, zeros);
+                let (got_h, got_c) = cell.first_step_soa(&mut arena, &store, x);
+                assert_eq!(bits(arena.data(got_h)), bits(arena.data(want_h)));
+                assert_eq!(bits(arena.data(got_c)), bits(arena.data(want_c)));
+            }
+        }
     }
 
     #[test]

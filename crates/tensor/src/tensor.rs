@@ -183,10 +183,8 @@ impl Tensor {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Matrix product `self x other`.
-    ///
-    /// Uses an i-k-j loop order so the inner loop is a contiguous
-    /// multiply-accumulate that the compiler auto-vectorizes.
+    /// Matrix product `self x other`, through the crate's one product
+    /// kernel ([`crate::kernel::matmul_into`]).
     ///
     /// # Panics
     ///
@@ -207,7 +205,18 @@ impl Tensor {
         Tensor::from_vec(m, n, out)
     }
 
-    /// Matrix product `selfᵀ x other` without materializing the transpose.
+    /// Matrix product `selfᵀ x other` (the backward pass's `Aᵀ x g`).
+    ///
+    /// Transposes `self` once and runs the shared
+    /// [`crate::kernel::matmul_into`]: each output element sums its
+    /// products in ascending order over the shared dimension from
+    /// `+0.0`, skipping the zeros of `self` — exactly what a traversal
+    /// of the untransposed `self` evaluates (the test-only reference),
+    /// so the two are bit-identical.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.rows() != other.rows()`.
     pub fn t_matmul(&self, other: &Tensor) -> Tensor {
         assert_eq!(
             self.rows,
@@ -216,22 +225,7 @@ impl Tensor {
             self.shape(),
             other.shape()
         );
-        let (m, k, n) = (self.cols, self.rows, other.cols);
-        let mut out = vec![0.0f32; m * n];
-        for kk in 0..k {
-            let arow = &self.data[kk * m..(kk + 1) * m];
-            let brow = &other.data[kk * n..(kk + 1) * n];
-            for (i, &av) in arow.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let orow = &mut out[i * n..(i + 1) * n];
-                for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
-                    *o += av * bv;
-                }
-            }
-        }
-        Tensor::from_vec(m, n, out)
+        self.transpose().matmul(other)
     }
 
     /// Matrix product `self x otherᵀ`.
@@ -458,40 +452,82 @@ mod tests {
         Tensor::from_vec(m, n, out)
     }
 
-    #[test]
-    fn matmul_t_is_bit_identical_to_the_dot_product_loop() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(16);
-        // Mostly dense values, with exact zeros of both signs mixed in.
-        let mut random = |rows: usize, cols: usize, zero_rows: bool| {
-            let mut t = Tensor::zeros(rows, cols);
-            for r in 0..rows {
-                let zero_row = zero_rows && r % 2 == 0;
-                for c in 0..cols {
-                    let v = match rng.gen_range(0..8) {
-                        0 => 0.0,
-                        1 => -0.0,
-                        _ => rng.gen_range(-2.0f32..2.0),
-                    };
-                    let v = if zero_row { 0.0 } else { v };
-                    t.set(r, c, v);
+    /// The in-place traversal `t_matmul` used to be: `k` outermost, one
+    /// read-modify-write of an output row per non-zero `a[k][i]`. Kept
+    /// as the reference the kernel-backed body must match bit for bit.
+    fn t_matmul_loop_reference(a: &Tensor, b: &Tensor) -> Tensor {
+        let (m, k, n) = (a.cols, a.rows, b.cols);
+        let mut out = vec![0.0f32; m * n];
+        for kk in 0..k {
+            let arow = &a.data[kk * m..(kk + 1) * m];
+            let brow = &b.data[kk * n..(kk + 1) * n];
+            for (i, &av) in arow.iter().enumerate() {
+                if av == 0.0 {
+                    continue;
+                }
+                let orow = &mut out[i * n..(i + 1) * n];
+                for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
+                    *o += av * bv;
                 }
             }
-            t
-        };
+        }
+        Tensor::from_vec(m, n, out)
+    }
+
+    /// Mostly dense values, with exact zeros of both signs mixed in and,
+    /// on request, every other row zeroed.
+    fn random_with_zeros(
+        rng: &mut rand_chacha::ChaCha8Rng,
+        rows: usize,
+        cols: usize,
+        zero_rows: bool,
+    ) -> Tensor {
+        use rand::Rng;
+        let mut t = Tensor::zeros(rows, cols);
+        for r in 0..rows {
+            let zero_row = zero_rows && r % 2 == 0;
+            for c in 0..cols {
+                let v = match rng.gen_range(0..8) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => rng.gen_range(-2.0f32..2.0),
+                };
+                let v = if zero_row { 0.0 } else { v };
+                t.set(r, c, v);
+            }
+        }
+        t
+    }
+
+    /// `(m, k, n)` triples: degenerate edges, one backward-pass-sized
+    /// product, and a sweep of small odd shapes.
+    fn product_shapes() -> Vec<(usize, usize, usize)> {
         let mut shapes = vec![(1, 1, 1), (1, 7, 5), (4, 1, 3), (5, 9, 1), (31, 160, 100)];
         for i in 0..24 {
             shapes.push((1 + i % 6, 1 + (i * 7) % 23, 1 + (i * 5) % 17));
         }
-        for (case, &(m, k, n)) in shapes.iter().enumerate() {
-            let a = random(m, k, case % 3 == 0);
-            let b = random(n, k, case % 4 == 0);
-            let got = a.matmul_t(&b);
-            let want = matmul_t_dot_reference(&a, &b);
-            assert_eq!(got.shape(), (m, n));
-            for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
-                assert_eq!(g.to_bits(), w.to_bits(), "{m}x{k} · ({n}x{k})ᵀ: {g} vs {w}");
-            }
+        shapes
+    }
+
+    fn assert_same_bits(got: &Tensor, want: &Tensor, what: &str) {
+        assert_eq!(got.shape(), want.shape(), "{what}");
+        for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: {g} vs {w}");
+        }
+    }
+
+    #[test]
+    fn matmul_t_is_bit_identical_to_the_dot_product_loop() {
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(16);
+        for (case, &(m, k, n)) in product_shapes().iter().enumerate() {
+            let a = random_with_zeros(&mut rng, m, k, case % 3 == 0);
+            let b = random_with_zeros(&mut rng, n, k, case % 4 == 0);
+            assert_same_bits(
+                &a.matmul_t(&b),
+                &matmul_t_dot_reference(&a, &b),
+                &format!("{m}x{k} · ({n}x{k})ᵀ"),
+            );
         }
         // All-negative-zero operands: the dot product ends on +0.0, and
         // so must the zero-skipping kernel.
@@ -501,6 +537,23 @@ mod tests {
             .as_slice()
             .iter()
             .all(|v| v.to_bits() == 0.0f32.to_bits()));
+    }
+
+    #[test]
+    fn t_matmul_is_bit_identical_to_the_in_place_loop() {
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(18);
+        for (case, &(m, k, n)) in product_shapes().iter().enumerate() {
+            // `a` is `k x m`: zeroed rows of `a` are zeroed *columns* of
+            // `aᵀ`, the batch rows a sparse feature column leaves empty.
+            let a = random_with_zeros(&mut rng, k, m, case % 3 == 0);
+            let b = random_with_zeros(&mut rng, k, n, case % 4 == 0);
+            assert_same_bits(
+                &a.t_matmul(&b),
+                &t_matmul_loop_reference(&a, &b),
+                &format!("({k}x{m})ᵀ · {k}x{n}"),
+            );
+        }
     }
 
     #[test]
