@@ -105,73 +105,113 @@ pub enum ShardRecord {
 
 impl serde::Serialize for ShardRecord {
     fn to_value(&self) -> serde::Value {
-        use serde::Value;
-        let inner = match self {
+        serde::json::to_value(self)
+    }
+
+    fn write_json(&self, w: &mut serde::json::Writer) {
+        w.begin_object();
+        match self {
             ShardRecord::Program {
                 index,
                 fingerprint,
                 family,
                 program,
             } => {
-                let mut fields = vec![
-                    ("index".to_string(), index.to_value()),
-                    ("fingerprint".to_string(), fingerprint.to_value()),
-                ];
+                w.key("Program");
+                w.begin_object();
+                w.field("index", index);
+                w.field("fingerprint", fingerprint);
                 if let Some(family) = family {
-                    fields.push(("family".to_string(), family.to_value()));
+                    w.field("family", family);
                 }
-                fields.push(("program".to_string(), program.to_value()));
-                ("Program", fields)
+                w.field("program", program);
             }
             ShardRecord::Point {
                 program,
                 structure,
                 speedup,
                 schedule,
-            } => (
-                "Point",
-                vec![
-                    ("program".to_string(), program.to_value()),
-                    ("structure".to_string(), structure.to_value()),
-                    ("speedup".to_string(), speedup.to_value()),
-                    ("schedule".to_string(), schedule.to_value()),
-                ],
-            ),
-        };
-        Value::Obj(vec![(inner.0.to_string(), Value::Obj(inner.1))])
+            } => {
+                w.key("Point");
+                w.begin_object();
+                w.field("program", program);
+                w.field("structure", structure);
+                w.field("speedup", speedup);
+                w.field("schedule", schedule);
+            }
+        }
+        w.end_object();
+        w.end_object();
     }
+}
+
+/// The derive's layout of a [`ShardRecord::Point`] payload.
+#[derive(Deserialize)]
+struct StoredPoint {
+    program: usize,
+    structure: String,
+    speedup: f64,
+    schedule: Schedule,
 }
 
 impl serde::Deserialize for ShardRecord {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        use serde::Value;
-        let Value::Obj(fields) = v else {
-            return Err(serde::Error::msg("expected externally tagged ShardRecord"));
+        serde::json::from_value(v)
+    }
+
+    fn from_json(p: &mut serde::json::Parser<'_>) -> Result<Self, serde::Error> {
+        use serde::json::Tag;
+        use serde::Error;
+        let tag = match p.begin_enum("ShardRecord")? {
+            Tag::Keyed(tag) => tag,
+            Tag::Unit(_) => return Err(Error::msg("expected externally tagged ShardRecord")),
         };
-        let [(tag, inner)] = fields.as_slice() else {
-            return Err(serde::Error::msg("expected single-variant ShardRecord"));
+        let record = match &*tag {
+            "Program" => {
+                let (mut index, mut fingerprint, mut family, mut program) =
+                    (None, None, None, None);
+                p.begin_object()?;
+                while let Some(key) = p.next_key()? {
+                    match &*key {
+                        "index" if index.is_none() => index = Some(usize::from_json(p)?),
+                        "fingerprint" if fingerprint.is_none() => {
+                            fingerprint = Some(String::from_json(p)?);
+                        }
+                        "family" if family.is_none() => family = Some(String::from_json(p)?),
+                        "program" if program.is_none() => program = Some(Program::from_json(p)?),
+                        _ => p.skip_value()?,
+                    }
+                }
+                ShardRecord::Program {
+                    index: index.ok_or_else(|| Error::missing_field("index"))?,
+                    fingerprint: fingerprint.ok_or_else(|| Error::missing_field("fingerprint"))?,
+                    // Absent on untagged and pre-tag corpora.
+                    family,
+                    program: program.ok_or_else(|| Error::missing_field("program"))?,
+                }
+            }
+            "Point" => {
+                let StoredPoint {
+                    program,
+                    structure,
+                    speedup,
+                    schedule,
+                } = StoredPoint::from_json(p)?;
+                ShardRecord::Point {
+                    program,
+                    structure,
+                    speedup,
+                    schedule,
+                }
+            }
+            other => {
+                return Err(Error::msg(format!(
+                    "unknown variant `{other}` of ShardRecord"
+                )))
+            }
         };
-        match tag.as_str() {
-            "Program" => Ok(ShardRecord::Program {
-                index: usize::from_value(inner.get_field("index")?)?,
-                fingerprint: String::from_value(inner.get_field("fingerprint")?)?,
-                // Absent on untagged and pre-tag corpora.
-                family: match inner.get_field("family") {
-                    Ok(value) => Some(String::from_value(value)?),
-                    Err(_) => None,
-                },
-                program: Program::from_value(inner.get_field("program")?)?,
-            }),
-            "Point" => Ok(ShardRecord::Point {
-                program: usize::from_value(inner.get_field("program")?)?,
-                structure: String::from_value(inner.get_field("structure")?)?,
-                speedup: f64::from_value(inner.get_field("speedup")?)?,
-                schedule: Schedule::from_value(inner.get_field("schedule")?)?,
-            }),
-            other => Err(serde::Error::msg(format!(
-                "unknown variant `{other}` of ShardRecord"
-            ))),
-        }
+        p.end_enum("ShardRecord")?;
+        Ok(record)
     }
 }
 

@@ -33,7 +33,16 @@
 //! The body length is capped ([`DEFAULT_MAX_FRAME_LEN`], configurable
 //! per peer): a frame claiming more is rejected *before* any allocation
 //! with [`FrameError::Oversized`], so a hostile or corrupt length field
-//! cannot make the server allocate unbounded memory.
+//! cannot make the server allocate unbounded memory. What a body may
+//! *nest* is capped too (`serde::json::MAX_DEPTH`): a frame of `[[[[…`
+//! decodes to an error, not a stack overflow.
+//!
+//! One frame is one write: [`write_message`] streams the body into a
+//! buffer behind room for the header and sends both with a single
+//! `write_all`, so a `TCP_NODELAY` socket carries one segment and the
+//! peer is never woken by a bare header. [`read_frame`] reads the
+//! header in one go and the body in another; [`decode_body`] validates
+//! the body as UTF-8 once and the parser borrows from that `&str`.
 
 use std::fmt;
 use std::io::{self, ErrorKind, Read, Write};
@@ -397,8 +406,9 @@ fn fill<R: Read>(
 /// Reads one frame, enforcing the `max_len` body cap before allocating.
 pub fn read_frame<R: Read>(r: &mut R, max_len: u32) -> Result<Frame, FrameError> {
     let mut header = [0u8; HEADER_LEN];
-    fill(r, &mut header[..1], "header", true)?;
-    fill(r, &mut header[1..], "header", false)?;
+    // Idle and closed are told from truncated by whether the *first*
+    // byte came, which `fill` sees for itself.
+    fill(r, &mut header, "header", true)?;
     if header[..4] != MAGIC {
         let mut m = [0u8; 4];
         m.copy_from_slice(&header[..4]);
@@ -417,29 +427,42 @@ pub fn read_frame<R: Read>(r: &mut R, max_len: u32) -> Result<Frame, FrameError>
     Ok(Frame { kind, body })
 }
 
-/// Writes one frame. Fails if the body exceeds the u32 length field.
-pub fn write_frame<W: Write>(w: &mut W, kind: FrameKind, body: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(body.len())
+fn header(kind: FrameKind, body_len: usize) -> io::Result<[u8; HEADER_LEN]> {
+    let len = u32::try_from(body_len)
         .map_err(|_| io::Error::new(ErrorKind::InvalidInput, "frame body exceeds u32 length"))?;
     let mut header = [0u8; HEADER_LEN];
     header[..4].copy_from_slice(&MAGIC);
     header[4] = WIRE_VERSION;
     header[5] = kind.to_byte();
     header[6..].copy_from_slice(&len.to_be_bytes());
-    w.write_all(&header)?;
+    Ok(header)
+}
+
+/// Writes one frame. Fails if the body exceeds the u32 length field.
+pub fn write_frame<W: Write>(w: &mut W, kind: FrameKind, body: &[u8]) -> io::Result<()> {
+    w.write_all(&header(kind, body.len())?)?;
     w.write_all(body)?;
     w.flush()
 }
 
-/// Serializes `msg` as JSON and writes it as one frame of `kind`.
+/// Serializes `msg` as JSON and writes it as one frame of `kind`, in one
+/// `write_all`: the body is streamed into a buffer behind room for the
+/// header, the header is filled in once the length is known, and the
+/// peer is never woken by ten bytes to wait for the rest.
 pub fn write_message<W: Write, T: Serialize>(
     w: &mut W,
     kind: FrameKind,
     msg: &T,
 ) -> io::Result<()> {
-    let body = serde_json::to_string(msg)
+    let mut json = serde::json::Writer::append_to(vec![0u8; HEADER_LEN]);
+    msg.write_json(&mut json);
+    let mut frame = json
+        .finish()
         .map_err(|e| io::Error::new(ErrorKind::InvalidData, e.to_string()))?;
-    write_frame(w, kind, body.as_bytes())
+    let header = header(kind, frame.len() - HEADER_LEN)?;
+    frame[..HEADER_LEN].copy_from_slice(&header);
+    w.write_all(&frame)?;
+    w.flush()
 }
 
 /// Parses a frame body as a JSON message of type `T`.

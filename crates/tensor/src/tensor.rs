@@ -374,20 +374,34 @@ impl fmt::Debug for Tensor {
 
 impl Serialize for Tensor {
     fn to_value(&self) -> serde::Value {
-        serde::Value::Obj(vec![
-            ("rows".to_string(), self.rows.to_value()),
-            ("cols".to_string(), self.cols.to_value()),
-            ("data".to_string(), self.data.as_ref().to_value()),
-        ])
+        serde::json::to_value(self)
     }
+
+    fn write_json(&self, w: &mut serde::json::Writer) {
+        w.begin_object();
+        w.field("rows", &self.rows);
+        w.field("cols", &self.cols);
+        w.field("data", self.data.as_ref());
+        w.end_object();
+    }
+}
+
+/// What a [`Tensor`] is on disk, before its shape is checked.
+#[derive(Deserialize)]
+struct StoredTensor {
+    rows: usize,
+    cols: usize,
+    data: Vec<f32>,
 }
 
 impl Deserialize for Tensor {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let rows = usize::from_value(v.get_field("rows")?)?;
-        let cols = usize::from_value(v.get_field("cols")?)?;
-        let data = Vec::<f32>::from_value(v.get_field("data")?)?;
-        if data.len() != rows * cols {
+        serde::json::from_value(v)
+    }
+
+    fn from_json(p: &mut serde::json::Parser<'_>) -> Result<Self, serde::Error> {
+        let StoredTensor { rows, cols, data } = StoredTensor::from_json(p)?;
+        if rows.checked_mul(cols) != Some(data.len()) {
             return Err(serde::Error::msg("tensor buffer/shape mismatch"));
         }
         Ok(Tensor::from_vec(rows, cols, data))
