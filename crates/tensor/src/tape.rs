@@ -111,6 +111,17 @@ struct Node {
     needs_grad: bool,
 }
 
+/// Transposes taken during one [`Tape::backward`] call, keyed by the
+/// buffer transposed. An LSTM or merge weight is bound once per use
+/// (every level of a nest, every step of a sequence) and every bind of a
+/// parameter shares one buffer, so the backward pass would otherwise
+/// transpose the same matrix over and over. The key is the buffer, not
+/// the [`ParamId`]: nothing stops a caller of [`Tape::param`] from
+/// binding two different tensors under one id. The tape keeps every
+/// node's value alive for the whole call, so a buffer's identity cannot
+/// be reused while the map exists.
+type Transposed = std::collections::HashMap<*const Vec<f32>, Tensor>;
+
 /// Gradients produced by [`Tape::backward`], indexed by [`Var`].
 #[derive(Debug)]
 pub struct Gradients {
@@ -475,10 +486,11 @@ impl Tape {
         );
         let mut grads: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
         grads[target.0] = Some(Tensor::ones(1, 1));
+        let mut transposed = Transposed::new();
 
         for idx in (0..=target.0).rev() {
             let Some(g) = grads[idx].take() else { continue };
-            self.accumulate(idx, &g, &mut grads);
+            self.accumulate(idx, &g, &mut grads, &mut transposed);
             grads[idx] = Some(g);
         }
 
@@ -491,7 +503,13 @@ impl Tape {
         Gradients { grads, params }
     }
 
-    fn accumulate(&self, idx: usize, g: &Tensor, grads: &mut [Option<Tensor>]) {
+    fn accumulate(
+        &self,
+        idx: usize,
+        g: &Tensor,
+        grads: &mut [Option<Tensor>],
+        transposed: &mut Transposed,
+    ) {
         let needs_grad = |v: Var| self.nodes[v.0].needs_grad;
         // A contribution owed to a node with no differentiable leaf
         // upstream is dropped: nothing reads it.
@@ -510,7 +528,13 @@ impl Tape {
                 // The two products dominate the backward pass, so each
                 // is computed only for a side that keeps its gradient.
                 if needs_grad(*a) {
-                    add(grads, *a, g.matmul_t(self.value(*b)));
+                    // `g x Bᵀ` as `Tensor::matmul_t` computes it, with
+                    // the transpose taken once per weight, not per use.
+                    let b = self.value(*b);
+                    let bt = transposed
+                        .entry(b.buffer_id())
+                        .or_insert_with(|| b.transpose());
+                    add(grads, *a, g.matmul(bt));
                 }
                 if needs_grad(*b) {
                     add(grads, *b, self.value(*a).t_matmul(g));

@@ -30,6 +30,12 @@ pub struct Tensor {
     data: Arc<Vec<f32>>,
 }
 
+/// Side of the square tiles [`Tensor::transpose`] copies.
+const TRANSPOSE_TILE: usize = 16;
+
+/// How many elements [`Tensor::norm`] tests for "all zero" at once.
+const NORM_BLOCK: usize = 32;
+
 impl Tensor {
     /// Creates a tensor filled with zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
@@ -250,15 +256,33 @@ impl Tensor {
         self.matmul(&other.transpose())
     }
 
-    /// Returns the transposed matrix.
+    /// Returns the transposed matrix. Copied tile by tile
+    /// (`TRANSPOSE_TILE` square), so both the rows read and the rows
+    /// written stay in cache instead of one side striding through the
+    /// whole matrix per element.
     pub fn transpose(&self) -> Tensor {
+        let (rows, cols) = (self.rows, self.cols);
         let mut out = vec![0.0f32; self.len()];
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out[c * self.rows + r] = self.data[r * self.cols + c];
+        for r0 in (0..rows).step_by(TRANSPOSE_TILE) {
+            let r1 = (r0 + TRANSPOSE_TILE).min(rows);
+            for c0 in (0..cols).step_by(TRANSPOSE_TILE) {
+                let c1 = (c0 + TRANSPOSE_TILE).min(cols);
+                for r in r0..r1 {
+                    let src = &self.data[r * cols + c0..r * cols + c1];
+                    for (c, &v) in (c0..c1).zip(src) {
+                        out[c * rows + r] = v;
+                    }
+                }
             }
         }
-        Tensor::from_vec(self.cols, self.rows, out)
+        Tensor::from_vec(cols, rows, out)
+    }
+
+    /// Identity of the shared backing buffer: equal for a tensor and its
+    /// clones (until one is written to), distinct for any two buffers
+    /// alive at the same time.
+    pub(crate) fn buffer_id(&self) -> *const Vec<f32> {
+        Arc::as_ptr(&self.data)
     }
 
     /// Elementwise map.
@@ -326,9 +350,30 @@ impl Tensor {
         Tensor::row(out)
     }
 
-    /// L2 norm of all elements.
+    /// L2 norm of all elements: the square root of their squares summed
+    /// one at a time, in order, from `+0.0`.
+    ///
+    /// A gradient is mostly exact zeros (a batch touches a few dozen of
+    /// the ~1 000 feature columns, so most rows of the first layer's
+    /// gradient are empty) and the sum is a latency-bound chain of
+    /// dependent additions, so blocks of `NORM_BLOCK` elements that
+    /// are all `±0.0` are found with one vectorisable OR of their
+    /// magnitudes' bits and skipped. A sum of squares is never negative,
+    /// so the `+0.0` squares left out would not have changed it: the
+    /// result is the plain loop's, bit for bit.
     pub fn norm(&self) -> f32 {
-        self.data.iter().map(|&x| x * x).sum::<f32>().sqrt()
+        let mut acc = 0.0f32;
+        for block in self.data.chunks(NORM_BLOCK) {
+            let magnitudes = block
+                .iter()
+                .fold(0u32, |m, x| m | (x.to_bits() & 0x7fff_ffff));
+            if magnitudes != 0 {
+                for &x in block {
+                    acc += x * x;
+                }
+            }
+        }
+        acc.sqrt()
     }
 
     /// Returns `true` if any element is NaN or infinite.
@@ -574,6 +619,70 @@ mod tests {
     fn transpose_involution() {
         let a = Tensor::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         assert_eq!(a.transpose().transpose(), a);
+    }
+
+    #[test]
+    fn transpose_moves_every_element_at_every_tile_remainder() {
+        for (rows, cols) in [
+            (0, 3),
+            (1, 1),
+            (1, 40),
+            (15, 17),
+            (16, 16),
+            (33, 50),
+            (160, 7),
+        ] {
+            let a = Tensor::from_vec(rows, cols, (0..rows * cols).map(|i| i as f32).collect());
+            let t = a.transpose();
+            assert_eq!(t.shape(), (cols, rows));
+            for r in 0..rows {
+                for c in 0..cols {
+                    assert_eq!(t.get(c, r), a.get(r, c), "{rows}x{cols} at ({r},{c})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn norm_is_bit_identical_to_the_plain_sum_of_squares() {
+        use rand::{Rng, SeedableRng};
+        let plain = |v: &[f32]| {
+            let mut acc = 0.0f32;
+            for &x in v {
+                acc += x * x;
+            }
+            acc.sqrt()
+        };
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(20);
+        let mut cases: Vec<Vec<f32>> = vec![
+            vec![],
+            vec![0.0; 100],
+            vec![-0.0; 100],
+            // Subnormals: not zeros, though their squares are.
+            vec![1e-40; 70],
+            (0..70)
+                .map(|i| if i % 2 == 0 { -0.0 } else { 1e-42 })
+                .collect(),
+        ];
+        for len in [1, 31, 32, 33, 64, 1000] {
+            // Dense, then sparse the way a first-layer gradient is:
+            // whole runs of zeros of both signs between a few values.
+            cases.push((0..len).map(|_| rng.gen_range(-3.0f32..3.0)).collect());
+            cases.push(
+                (0..len)
+                    .map(|i| match (i / 40) % 3 {
+                        0 => rng.gen_range(-3.0f32..3.0),
+                        1 => 0.0,
+                        _ => -0.0,
+                    })
+                    .collect(),
+            );
+        }
+        for v in cases {
+            let want = plain(&v);
+            let got = Tensor::row(v).norm();
+            assert_eq!(got.to_bits(), want.to_bits(), "{got:e} vs {want:e}");
+        }
     }
 
     #[test]
