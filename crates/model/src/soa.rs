@@ -3,7 +3,7 @@
 //!
 //! A search waits on this function: MCTS scores one rollout per
 //! iteration, so nearly every row arrives in a batch of one, and a row
-//! costs about three simulated executions (`model.infer_ns_per_row` vs
+//! costs about two and a half simulated executions (`model.infer_ns_per_row` vs
 //! `eval.exec_ns_per_candidate` in the benchmark of record; ROADMAP
 //! item 3 has the trajectory). On the tape every op grows the node
 //! vector, allocates a fresh `Tensor`, and re-binds parameters as graph
@@ -17,15 +17,17 @@
 //! depend on scores being pure in `(weights, features)`): every product
 //! on either path is the one `kernel::matmul_into` (one zero test per
 //! `(row, k)`, register accumulators — its docs carry the bit-identity
-//! argument for each), the elementwise kernels reproduce the tape ops'
-//! scalar expressions and association order, an LSTM's first step drops
-//! only terms the zero state annihilates (`LstmCell::run_soa`), and
-//! inference-mode dropout is an identity that consumes no randomness,
-//! so eliding it is exact.
+//! argument for each), every activation on either path is
+//! `dlcm_tensor::math` (plain Rust, no libm), the elementwise kernels
+//! reproduce the tape ops' scalar expressions and association order, an
+//! LSTM's first step drops only terms the zero state annihilates
+//! (`LstmCell::run_soa`), and inference-mode dropout is an identity
+//! that consumes no randomness, so eliding it is exact.
 //! `tests/soa_parity.rs` pins the equivalence over random models, batch
 //! shapes, and tree structures.
 
 use dlcm_tensor::kernel::{Arena, MatId};
+use dlcm_tensor::math;
 
 use crate::costmodel::CostModel;
 use crate::featurize::{FeatNode, ProgramFeatures};
@@ -95,11 +97,12 @@ fn forward(model: &CostModel, arena: &mut Arena, batch: &[&ProgramFeatures]) -> 
 
     // Layer 3: regression, then the positive head fused per element —
     // `exp(8*tanh(raw/8))`, the exact op order of `exp_head` (scale by
-    // 1/8, tanh, scale by 8, exp; Rust never contracts the chain).
+    // 1/8, tanh, scale by 8, exp — the tape's own `math::tanh` and
+    // `math::exp`; Rust never contracts the chain).
     let raw = model
         .regress
         .infer_soa(arena, &model.store, program_embedding);
-    arena.apply(raw, |v| ((v * (1.0 / 8.0)).tanh() * 8.0).exp());
+    arena.apply(raw, |v| math::exp(math::tanh(v * (1.0 / 8.0)) * 8.0));
 
     let out = arena.data(raw);
     debug_assert_eq!(arena.shape(raw), (rows, 1));

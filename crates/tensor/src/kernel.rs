@@ -12,14 +12,16 @@
 //!
 //! **Bit-identity contract**: every kernel reproduces the corresponding
 //! tape op's floating-point evaluation exactly — same summation order,
-//! same association, same scalar functions. Every matrix product in the
-//! crate — [`crate::Tensor::matmul`], [`crate::Tensor::matmul_t`],
-//! [`crate::Tensor::t_matmul`] and [`Arena::matmul`] — is *one* function,
-//! [`matmul_into`], so the tape and arena paths cannot drift apart; the
-//! elementwise kernels state their tape counterpart next to each
-//! expression. `dlcm-model` has a property test pinning arena inference
+//! same association, same scalar functions (both sides call
+//! [`crate::math`] for every `exp`, sigmoid and `tanh`). Every matrix
+//! product in the crate — [`crate::Tensor::matmul`],
+//! [`crate::Tensor::matmul_t`], [`crate::Tensor::t_matmul`] and
+//! [`Arena::matmul`] — is *one* function, [`matmul_into`], so the tape
+//! and arena paths cannot drift apart; the elementwise kernels state
+//! their tape counterpart next to each expression. `dlcm-model` has a property test pinning arena inference
 //! to the tape forward pass bit for bit.
 
+use crate::math;
 use crate::tensor::Tensor;
 
 /// How many non-zeros of one row of `a` [`matmul_into`] compacts before
@@ -367,7 +369,7 @@ impl Arena {
         assert_eq!(self.shape(c), (m, n), "lstm_hidden shape mismatch");
         let (out, dst, older) = self.alloc_output(m, n);
         for ((h, &o), &c) in dst.iter_mut().zip(&older[o.0].data).zip(&older[c.0].data) {
-            *h = o * c.tanh();
+            *h = o * math::tanh(c);
         }
         out
     }

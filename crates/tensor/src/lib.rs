@@ -14,7 +14,9 @@
 //! - [`nn`]: [`nn::Linear`], [`nn::Mlp`] (ELU + dropout), [`nn::LstmCell`],
 //! - [`optim`]: [`optim::AdamW`] and the [`optim::OneCycleLr`] policy,
 //! - [`loss`]: MAPE (the paper's objective) and MSE (the baseline's),
-//! - [`init`]: Glorot initialization (appendix A.1).
+//! - [`init`]: Glorot initialization (appendix A.1),
+//! - [`math`]: the `exp` / `sigmoid` / `tanh` every activation above is
+//!   made of — plain Rust, no libm.
 //!
 //! # Examples
 //!
@@ -49,6 +51,7 @@
 pub mod init;
 pub mod kernel;
 pub mod loss;
+pub mod math;
 pub mod nn;
 pub mod optim;
 mod tape;

@@ -11,6 +11,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::init::glorot_uniform;
 use crate::kernel::{Arena, MatId};
+use crate::math;
 use crate::tape::{ParamId, Tape, Var};
 use crate::tensor::Tensor;
 
@@ -250,9 +251,9 @@ impl Activation {
     /// the exact scalar expression its tape op evaluates.
     pub fn apply_soa(self, arena: &mut Arena, x: MatId) {
         match self {
-            Activation::Elu => arena.apply(x, |v| if v > 0.0 { v } else { v.exp() - 1.0 }),
+            Activation::Elu => arena.apply(x, |v| if v > 0.0 { v } else { math::exp(v) - 1.0 }),
             Activation::Relu => arena.apply(x, |v| v.max(0.0)),
-            Activation::Tanh => arena.apply(x, f32::tanh),
+            Activation::Tanh => arena.apply(x, math::tanh),
             Activation::Identity => {}
         }
     }
@@ -504,10 +505,10 @@ impl LstmCell {
         let f = self.gate_soa(arena, store, 1, x, h);
         let g = self.gate_soa(arena, store, 2, x, h);
         let o = self.gate_soa(arena, store, 3, x, h);
-        arena.apply(i, sigmoid);
-        arena.apply(f, sigmoid);
-        arena.apply(g, f32::tanh);
-        arena.apply(o, sigmoid);
+        arena.apply(i, math::sigmoid);
+        arena.apply(f, math::sigmoid);
+        arena.apply(g, math::tanh);
+        arena.apply(o, math::sigmoid);
         let c = arena.lstm_cell_state(f, c, i, g);
         (arena.lstm_hidden(o, c), c)
     }
@@ -534,9 +535,9 @@ impl LstmCell {
             xw
         };
         let (i, g, o) = (gate(0), gate(2), gate(3));
-        arena.apply(i, sigmoid);
-        arena.apply(g, f32::tanh);
-        arena.apply(o, sigmoid);
+        arena.apply(i, math::sigmoid);
+        arena.apply(g, math::tanh);
+        arena.apply(o, math::sigmoid);
         arena.lstm_cell_state_from_zero(i, g);
         (arena.lstm_hidden(o, i), i)
     }
@@ -564,11 +565,6 @@ impl LstmCell {
         }
         state.0
     }
-}
-
-/// The logistic function exactly as [`Tape::sigmoid`] evaluates it.
-fn sigmoid(v: f32) -> f32 {
-    1.0 / (1.0 + (-v).exp())
 }
 
 #[cfg(test)]

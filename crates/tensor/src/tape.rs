@@ -25,6 +25,7 @@
 //! assert_eq!(grads.get(x).unwrap().as_slice(), &[4.0]); // dy/dx = 2x
 //! ```
 
+use crate::math;
 use crate::tensor::Tensor;
 
 /// Handle to a node recorded on a [`Tape`].
@@ -297,13 +298,13 @@ impl Tape {
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(|x| 1.0 / (1.0 + (-x).exp()));
+        let value = self.value(a).map(math::sigmoid);
         self.push(value, Op::Sigmoid(a))
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(f32::tanh);
+        let value = self.value(a).map(math::tanh);
         self.push(value, Op::Tanh(a))
     }
 
@@ -315,9 +316,13 @@ impl Tape {
 
     /// Exponential linear unit with slope `alpha` (the paper's activation).
     pub fn elu(&mut self, a: Var, alpha: f32) -> Var {
-        let value = self
-            .value(a)
-            .map(|x| if x > 0.0 { x } else { alpha * (x.exp() - 1.0) });
+        let value = self.value(a).map(|x| {
+            if x > 0.0 {
+                x
+            } else {
+                alpha * (math::exp(x) - 1.0)
+            }
+        });
         self.push(value, Op::Elu(a, alpha))
     }
 
@@ -327,9 +332,9 @@ impl Tape {
             if x > 20.0 {
                 x
             } else if x < -20.0 {
-                x.exp()
+                math::exp(x)
             } else {
-                x.exp().ln_1p()
+                math::exp(x).ln_1p()
             }
         });
         self.push(value, Op::Softplus(a))
@@ -337,7 +342,7 @@ impl Tape {
 
     /// Elementwise exponential.
     pub fn exp(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(f32::exp);
+        let value = self.value(a).map(math::exp);
         self.push(value, Op::Exp(a))
     }
 
@@ -593,7 +598,7 @@ impl Tape {
             }
             Op::Softplus(a) => {
                 let x = self.value(*a);
-                add(grads, *a, g.zip_map(x, |gv, xv| gv / (1.0 + (-xv).exp())));
+                add(grads, *a, g.zip_map(x, |gv, xv| gv * math::sigmoid(xv)));
             }
             Op::Exp(a) => {
                 let out = &self.nodes[idx].value;
