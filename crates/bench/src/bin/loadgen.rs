@@ -8,8 +8,8 @@
 //! this binary is the smoke driver for a separately launched server.)
 //!
 //! ```text
-//! loadgen [--addr HOST:PORT] [--quick] [--clients N] [--rounds N] [--wave N]
-//!         [--verify] [--artifact DIR] [--shutdown]
+//! loadgen [--addr HOST:PORT] [--quick] [--clients N] [--rounds N] [--verify]
+//!         [--artifact DIR] [--shutdown]
 //! ```
 //!
 //! - `--verify` replays a **fixed query set** through the server and
@@ -106,9 +106,11 @@ fn verify(addr: &str, artifact_dir: &Path) -> bool {
     true
 }
 
-const USAGE: &str =
-    "loadgen [--addr HOST:PORT] [--quick] [--clients N] [--rounds N] [--wave N] [--verify] \
-         [--artifact DIR] [--shutdown]";
+/// Schedules per request wave.
+const WAVE_LEN: usize = 8;
+
+const USAGE: &str = "loadgen [--addr HOST:PORT] [--quick] [--clients N] [--rounds N] [--verify] \
+                     [--artifact DIR] [--shutdown]";
 
 fn main() {
     let flags = Flags::parse(std::env::args().skip(1), USAGE);
@@ -116,9 +118,8 @@ fn main() {
     let addr = flags.string("addr").unwrap_or("127.0.0.1:7199").to_string();
     let clients = flags.positive("clients", if quick { 2 } else { 4 });
     let rounds = flags.positive("rounds", if quick { 10 } else { 100 });
-    let wave_len = flags.positive("wave", 8);
     eprintln!(
-        "=== loadgen (addr={addr}, clients={clients}, rounds={rounds}, wave={wave_len}, \
+        "=== loadgen (addr={addr}, clients={clients}, rounds={rounds}, wave={WAVE_LEN}, \
          quick={quick}) ==="
     );
 
@@ -143,7 +144,7 @@ fn main() {
                 let mut queries = 0usize;
                 // Loadgen's slice of the replay traffic: client `c` starts
                 // at program `c` and owns the wave seeds `c << 32 ..`.
-                let window = replay_window((c as u64) << 32, c, wave_len);
+                let window = replay_window((c as u64) << 32, c, WAVE_LEN);
                 for (program, wave) in window.take(rounds) {
                     let sent = Instant::now();
                     let scores = client

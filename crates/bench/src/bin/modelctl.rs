@@ -39,9 +39,9 @@
 //! - `flywheel` — close the data loop in-process: serve a fixed-seed
 //!   replay window from the incumbent with mispredict capture on, drain
 //!   the WARN+ divergences into a new corpus generation, warm-start
-//!   retrain N candidate artifacts over the union corpus, and write
+//!   retrain two candidate artifacts over the union corpus, and write
 //!   `results/flywheel.json`. The candidates land in `--out DIR`
-//!   (default `results/flywheel/candN`), ready for
+//!   (default `results/flywheel/cand0` and `cand1`), ready for
 //!   `promote --candidates`.
 //!
 //! ```text
@@ -53,9 +53,8 @@
 //! modelctl reload [ADDR | --addr ADDR] --artifact DIR
 //! modelctl promote [ADDR | --addr ADDR] [--artifact DIR | --candidates DIR1,DIR2,...]
 //!                  [--window N] [--dry-run] [--quick]
-//! modelctl flywheel [--artifact DIR] [--corpus DIR] [--out DIR] [--candidates N]
-//!                   [--window N] [--epochs N] [--sample-every N] [--capacity N]
-//!                   [--quick] [--threads N]
+//! modelctl flywheel [--artifact DIR] [--corpus DIR] [--out DIR] [--window N]
+//!                   [--epochs N] [--quick] [--threads N]
 //! ```
 //!
 //! `DIR` defaults to `results/model_artifact` (what `train` writes);
@@ -84,8 +83,7 @@ const PROMOTE: &str = "modelctl promote [ADDR | --addr ADDR] \
                        [--artifact DIR | --candidates DIR1,DIR2,...] [--window N] [--dry-run] \
                        [--quick]";
 const FLYWHEEL: &str = "modelctl flywheel [--artifact DIR] [--corpus DIR] [--out DIR] \
-                        [--candidates N] [--window N] [--epochs N] [--sample-every N] \
-                        [--capacity N] [--quick] [--threads N]";
+                        [--window N] [--epochs N] [--quick] [--threads N]";
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -290,7 +288,7 @@ fn promote(flags: Flags) {
 /// `flywheel`: the whole data loop in one command — serve a fixed-seed
 /// replay window from the incumbent with mispredict capture on, append
 /// the drained WARN+ rows to the corpus as a new generation, warm-start
-/// retrain N candidates over the union corpus, and write
+/// retrain two candidates over the union corpus, and write
 /// `results/flywheel.json`. Hand the candidates to
 /// `promote --candidates` to close the loop.
 fn flywheel(flags: Flags) {
@@ -303,23 +301,12 @@ fn flywheel(flags: Flags) {
         flags.has("quick"),
     );
     cfg.threads = flags.positive("threads", 1);
-    cfg.candidates = flags.positive("candidates", cfg.candidates);
     cfg.window = flags.positive("window", cfg.window);
     cfg.epochs = flags.positive("epochs", cfg.epochs);
-    cfg.sample_every = flags.positive("sample-every", cfg.sample_every as usize) as u64;
-    cfg.capacity = flags.positive("capacity", cfg.capacity);
     eprintln!(
-        "=== modelctl flywheel (artifact={:?}, corpus={:?}, out={:?}, candidates={}, \
-         window={}, epochs={}, sample_every={}, capacity={}, threads={}) ===",
-        cfg.artifact_dir,
-        cfg.corpus_dir,
-        cfg.out_dir,
-        cfg.candidates,
-        cfg.window,
-        cfg.epochs,
-        cfg.sample_every,
-        cfg.capacity,
-        cfg.threads,
+        "=== modelctl flywheel (artifact={:?}, corpus={:?}, out={:?}, window={}, epochs={}, \
+         threads={}) ===",
+        cfg.artifact_dir, cfg.corpus_dir, cfg.out_dir, cfg.window, cfg.epochs, cfg.threads,
     );
     let report = run_flywheel(&cfg).unwrap_or_else(|e| {
         eprintln!("modelctl flywheel failed: {e}");
@@ -365,12 +352,10 @@ fn serve(flags: Flags) {
     let net_cfg = NetConfig {
         max_connections: flags.positive("max-connections", NetConfig::default().max_connections),
         max_in_flight: flags.positive("max-in-flight", NetConfig::default().max_in_flight),
-        ..NetConfig::default()
     };
     let serve_cfg = ServeConfig {
         threads,
         cache_capacity: flags.positive("cache-capacity", ServeConfig::default().cache_capacity),
-        ..ServeConfig::default()
     };
     eprintln!(
         "=== modelctl serve --listen {addr} (artifact={dir:?}, threads={threads}, \

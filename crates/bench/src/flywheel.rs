@@ -14,7 +14,7 @@
 //! 3. **append** — `dlcm_datagen::append_generation` adds them to the
 //!    corpus as a new generation, deduplicated against the whole
 //!    history, chain-fingerprinted onto the parent generation;
-//! 4. **retrain** — N candidate artifacts are warm-started from the
+//! 4. **retrain** — two candidate artifacts are warm-started from the
 //!    incumbent's weights (`dlcm_model::ModelArtifact::warm_start`) and
 //!    trained over the *union* corpus, differing only in their
 //!    minibatch-shuffle seed;
@@ -24,8 +24,8 @@
 //!    better.
 //!
 //! Every stage is deterministic: the replay window is fixed-seed and
-//! sequential, sampling is content-keyed, appended shards are sorted by
-//! content key before dedup, and training is byte-deterministic — so
+//! sequential, every first-seen row is checked, appended shards are
+//! sorted by content key before dedup, and training is byte-deterministic — so
 //! the same incumbent and corpus reproduce bit-identical generation
 //! fingerprints and candidate weights at any `--threads` setting.
 
@@ -38,12 +38,12 @@ use dlcm_datagen::{
     append_generation, open_split, AppendSample, GenerationInfo, ProgramGenConfig,
     ProgramGenerator, ScheduleGenConfig, ScheduleGenerator, ShardedDataset,
 };
-use dlcm_eval::{Evaluator, ExecutionEvaluator, ModelEvaluator, ParallelEvaluator, SyncEvaluator};
+use dlcm_eval::{Evaluator, ModelEvaluator, ParallelEvaluator, SyncEvaluator};
 use dlcm_ir::fingerprint::to_hex;
 use dlcm_ir::{Program, Schedule};
 use dlcm_model::{train_stream, HeldOutMetrics, ModelArtifact, TrainConfig};
 use dlcm_net::NetClient;
-use dlcm_serve::{InferenceService, MispredictConfig, MispredictCounters, ServeConfig};
+use dlcm_serve::{InferenceService, MispredictCounters, ServeConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
@@ -58,6 +58,10 @@ const FLYWHEEL_WAVE_SEED: u64 = 0xF1_0000;
 
 /// Schedules per wave of the promotion and flywheel windows.
 const WAVE_LEN: usize = 6;
+
+/// Candidate artifacts one flywheel turn retrains, each under its own
+/// minibatch-shuffle seed (`0..CANDIDATES`).
+const CANDIDATES: usize = 2;
 
 /// The replay traffic every driver sends — `loadgen`, the promotion
 /// gate and the flywheel window — so served and in-process runs see the
@@ -94,37 +98,26 @@ pub struct FlywheelConfig {
     /// The generation-versioned corpus to append mispredicts to — must
     /// already exist (the corpus that trained the incumbent).
     pub corpus_dir: PathBuf,
-    /// Where candidate artifacts land: `out_dir/cand0`, `cand1`, …
+    /// Where the candidate artifacts land: `out_dir/cand0` and `cand1`.
     pub out_dir: PathBuf,
-    /// Candidate artifacts to retrain (each with a distinct
-    /// minibatch-shuffle seed). At least 1.
-    pub candidates: usize,
     /// Replay rounds in the serve window.
     pub window: usize,
     /// Warm-start retraining epochs per candidate.
     pub epochs: usize,
-    /// Check one in `sample_every` served rows against ground truth
-    /// (content-keyed; `1` checks every row).
-    pub sample_every: u64,
-    /// Bound of the serve-side mispredict log.
-    pub capacity: usize,
     /// Worker threads (wall-clock only, never results).
     pub threads: usize,
 }
 
 impl FlywheelConfig {
-    /// The canonical flywheel over explicit paths: 2 candidates, a
-    /// `quick`-scaled window, and capture of every served row.
+    /// The canonical flywheel over explicit paths, with a `quick`-scaled
+    /// window and epoch count.
     pub fn new(artifact_dir: PathBuf, corpus_dir: PathBuf, out_dir: PathBuf, quick: bool) -> Self {
         Self {
             artifact_dir,
             corpus_dir,
             out_dir,
-            candidates: 2,
             window: if quick { 6 } else { 24 },
             epochs: if quick { 4 } else { 12 },
-            sample_every: 1,
-            capacity: 1024,
             threads: 1,
         }
     }
@@ -191,7 +184,7 @@ pub fn run_flywheel(cfg: &FlywheelConfig) -> io::Result<FlywheelReport> {
 
     // Stage 1+2: serve the fixed replay window with capture on, then
     // drain. The client loop is sequential on purpose — determinism
-    // comes free, and capture sampling is content-keyed anyway.
+    // comes free, and the checked rows depend on content alone anyway.
     let service = InferenceService::from_artifact(
         artifact,
         ServeConfig {
@@ -200,14 +193,7 @@ pub fn run_flywheel(cfg: &FlywheelConfig) -> io::Result<FlywheelReport> {
         },
     );
     let truth = ParallelEvaluator::new(harness(), corpus_seed, threads);
-    service.enable_mispredict_capture(
-        Box::new(truth),
-        MispredictConfig {
-            sample_every: cfg.sample_every,
-            capacity: cfg.capacity,
-            ..MispredictConfig::default()
-        },
-    );
+    service.enable_mispredict_capture(Box::new(truth));
     let mut queries = 0usize;
     for (program, wave) in replay_window(FLYWHEEL_WAVE_SEED, 0, WAVE_LEN).take(cfg.window) {
         queries += wave.len();
@@ -246,8 +232,8 @@ pub fn run_flywheel(cfg: &FlywheelConfig) -> io::Result<FlywheelReport> {
         threads,
     )?;
 
-    let mut candidates = Vec::with_capacity(cfg.candidates.max(1));
-    for k in 0..cfg.candidates.max(1) {
+    let mut candidates = Vec::with_capacity(CANDIDATES);
+    for k in 0..CANDIDATES {
         let train_cfg = TrainConfig {
             epochs: cfg.epochs,
             seed: k as u64,
@@ -420,7 +406,7 @@ pub fn run_promotion(
     };
     // Paper-protocol measurement harness under a fixed seed: the ground
     // truth for the window is deterministic, so the verdict is too.
-    let mut truth_eval = ExecutionEvaluator::new(harness(), 0);
+    let mut truth_eval = ParallelEvaluator::new(harness(), 0, 1);
     let mut client = NetClient::connect(addr)?;
     let mut incumbent = PromotionSide {
         fingerprint: client.model_info().map_err(io::Error::other)?.fingerprint,

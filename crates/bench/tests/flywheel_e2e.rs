@@ -75,7 +75,6 @@ fn config(artifact: &Path, corpus: &Path, out: &Path, threads: usize) -> Flywhee
     );
     cfg.window = window();
     cfg.epochs = 1;
-    cfg.candidates = 2;
     cfg.threads = threads;
     cfg
 }

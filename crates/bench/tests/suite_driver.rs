@@ -6,13 +6,13 @@
 //! `cargo test` without needing the trained model artifact — execution
 //! evaluators stand in for the model roles.)
 
-use dlcm_eval::{Evaluator, ExecutionEvaluator, ParallelEvaluator, SharedCachedEvaluator};
+use dlcm_eval::{Evaluator, ParallelEvaluator, SharedCachedEvaluator};
 use dlcm_ir::Schedule;
 use dlcm_machine::parallel_baseline;
 use dlcm_search::{BeamSearch, Mcts, SearchDriver, SearchJob, SearchSpace, SearchSpec};
 
 fn exec_model(_role: usize) -> Box<dyn Evaluator> {
-    Box::new(ExecutionEvaluator::new(dlcm_bench::harness(), 0))
+    Box::new(ParallelEvaluator::new(dlcm_bench::harness(), 0, 1))
 }
 
 /// A scaled-down exp_search: MCTS first, then BSE, per benchmark, through

@@ -18,11 +18,11 @@
 //!   search time, and its compile/inference components) replacing the old
 //!   per-evaluator `num_evals()`/`search_time()` methods, so Table 2's
 //!   time-vs-quality tradeoff reads the same numbers for every evaluator;
-//! - [`ExecutionEvaluator`] — ground truth by (simulated) compile + run;
+//! - [`ParallelEvaluator`] — ground truth by (simulated) compile + run,
+//!   fanned out across a deterministic worker pool and bit-identical to
+//!   sequential scoring (one thread *is* sequential scoring);
 //! - [`ModelEvaluator`] — any [`dlcm_model::SpeedupPredictor`] behind the
 //!   same interface;
-//! - [`ParallelEvaluator`] — execution evaluation fanned out across a
-//!   deterministic worker pool, bit-identical to sequential scoring;
 //! - [`SharedCachedEvaluator`] — the one result cache: a memoizing
 //!   decorator keyed by `(model fingerprint, program fingerprint,
 //!   normalized schedule)`, bounded by a sharded LRU, so candidates that
@@ -40,8 +40,7 @@
 //! borrow at once, and [`ScopedEvaluator`] gives each such search
 //! standalone accounting. A blanket adapter makes `&E` an [`Evaluator`]
 //! for every `E: SyncEvaluator`, so `&mut dyn Evaluator` call-sites take
-//! shared evaluators unchanged (an exclusive evaluator enters the shared
-//! tier behind a `Mutex`):
+//! shared evaluators unchanged:
 //!
 //! ```text
 //!   SharedCachedEvaluator<ParallelEvaluator>   // dedup first, fan out misses;
@@ -57,7 +56,7 @@
 //!
 //! ```
 //! # use dlcm_ir::*;
-//! use dlcm_eval::{Evaluator, ExecutionEvaluator};
+//! use dlcm_eval::{Evaluator, ParallelEvaluator};
 //! use dlcm_machine::{Machine, Measurement};
 //! # let mut b = ProgramBuilder::new("p");
 //! # let i = b.iter("i", 0, 512);
@@ -67,7 +66,7 @@
 //! # b.assign("c", &[i], out, &[i.into()], Expr::Load(acc));
 //! # let program = b.build().unwrap();
 //! let mut ev: Box<dyn Evaluator> =
-//!     Box::new(ExecutionEvaluator::new(Measurement::exact(Machine::default()), 0));
+//!     Box::new(ParallelEvaluator::new(Measurement::exact(Machine::default()), 0, 1));
 //! let candidates = vec![
 //!     Schedule::empty(),
 //!     Schedule::new(vec![Transform::Parallelize { comp: CompId(0), level: 0 }]),
@@ -80,7 +79,6 @@
 #![warn(missing_docs)]
 
 mod cache;
-mod exec;
 pub mod lru;
 mod model;
 mod parallel;
@@ -91,10 +89,9 @@ mod stats;
 use dlcm_ir::{Program, Schedule};
 
 pub use cache::DEFAULT_CACHE_CAPACITY;
-pub use exec::ExecutionEvaluator;
 pub use lru::LruMap;
 pub use model::{score_wave, ModelEvaluator};
-pub use parallel::{ParallelEvaluator, DEFAULT_PAR_CUTOVER};
+pub use parallel::ParallelEvaluator;
 pub use shared::{ScopedEvaluator, SharedCacheKey, SharedCachedEvaluator, SyncEvaluator};
 pub use stats::EvalStats;
 
@@ -153,9 +150,10 @@ mod tests {
     #[test]
     fn trait_is_object_safe_and_boxable() {
         let p = program();
-        let mut ev: Box<dyn Evaluator> = Box::new(ExecutionEvaluator::new(
+        let mut ev: Box<dyn Evaluator> = Box::new(ParallelEvaluator::new(
             Measurement::exact(Machine::default()),
             0,
+            1,
         ));
         let s = ev.speedup(&p, &Schedule::empty());
         assert!((s - 1.0).abs() < 1e-9);

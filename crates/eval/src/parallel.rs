@@ -1,12 +1,21 @@
-//! Parallel execution evaluation: the throughput path of Table 2.
+//! Evaluation by (simulated) compilation and execution: the paper's
+//! ground-truth evaluator and the slow path of Table 2.
 //!
-//! The paper evaluates candidates on a cluster (dual-socket 12-core nodes,
-//! median of 30 runs); [`ParallelEvaluator`] is that fan-out applied to the
-//! simulated harness. Scoring goes through the *pure* `ExecCore`, so a
-//! batch scored across N workers returns exactly the sequential values —
-//! same measurements, same simulated time accounting, folded in candidate
-//! order so even the floating-point sums match bit for bit.
-//! [`crate::ExecutionEvaluator`] is this type with one worker.
+//! Every candidate pays a simulated compile (Tiramisu → Halide → LLVM is
+//! not cheap) plus `repeats` measured runs on the simulated machine. The
+//! paper evaluates candidates on a cluster (dual-socket 12-core nodes,
+//! median of 30 runs); [`ParallelEvaluator`] is that fan-out applied to
+//! the simulated harness, and with one thread it is the plain sequential
+//! evaluator.
+//!
+//! Scoring is *pure*: every score is a function of `(measurement, seed,
+//! program, schedule)` only, so a batch scored across N workers returns
+//! exactly the sequential values — same measurements, same simulated time
+//! accounting, folded in candidate order so even the floating-point sums
+//! match bit for bit. Deliberately, the candidate's position in a batch
+//! does **not** enter the seed: the same `(program, schedule)` must
+//! measure the same at any batch index, or the result cache would perturb
+//! results.
 //!
 //! Mutable bookkeeping (accumulated stats, per-program baseline times)
 //! lives behind a mutex, so the evaluator is also a [`SyncEvaluator`]:
@@ -20,34 +29,34 @@ use std::sync::Mutex;
 use dlcm_ir::{Program, Schedule};
 use dlcm_machine::Measurement;
 
-use crate::exec::ExecCore;
 use crate::{pool, EvalStats, Evaluator, SyncEvaluator};
 
-/// Default [`ParallelEvaluator::par_cutover`]: batches smaller than this
-/// run inline on the caller's thread. At ~4.5µs per simulated execution,
-/// a sub-8-candidate batch finishes in the same order of magnitude as
-/// the pool's enqueue + wakeup cost, so fanning it out can only lose.
-pub const DEFAULT_PAR_CUTOVER: usize = 8;
+/// Batches smaller than this run inline on the caller's thread. At
+/// ~4.5µs per simulated execution, a sub-8-candidate batch finishes in the
+/// same order of magnitude as the pool's enqueue + wakeup cost, so
+/// fanning it out can only lose.
+const PAR_CUTOVER: usize = 8;
+
+/// Simulated seconds charged to compile one candidate.
+const COMPILE_COST: f64 = 2.0;
 
 /// Execution evaluation fanned out across the persistent worker pool.
 ///
-/// Semantically identical to [`crate::ExecutionEvaluator`] with the same
-/// `(measurement, seed)` — `tests/batch_parity.rs` enforces equality of
-/// both scores and accounted stats — but a batch of candidates is scored
-/// by up to `threads` concurrent workers. The accounted `search_time`
+/// A batch of candidates is scored by up to `threads` concurrent workers,
+/// with scores and accounted stats equal to one-thread scoring —
+/// `tests/batch_parity.rs` enforces both. The accounted `search_time`
 /// remains the *simulated* sequential cost (the paper's cluster hides
 /// compile+run latency the same way; Table 2 still reports total machine
 /// seconds).
 ///
-/// Batches smaller than the **cutover** ([`DEFAULT_PAR_CUTOVER`] unless
-/// [`ParallelEvaluator::with_par_cutover`] says otherwise) skip the pool
-/// and run inline — scores are bit-identical either way (the pool
-/// assembles by index), so the cutover is purely a latency knob.
+/// Batches smaller than 8 candidates skip the pool and run inline —
+/// scores are bit-identical either way (the pool assembles by index), so
+/// the cutover is purely a latency choice.
 #[derive(Debug)]
 pub struct ParallelEvaluator {
-    core: ExecCore,
+    measurement: Measurement,
+    seed: u64,
     threads: usize,
-    par_cutover: usize,
     state: Mutex<State>,
 }
 
@@ -72,64 +81,25 @@ struct State {
 impl Clone for ParallelEvaluator {
     fn clone(&self) -> Self {
         Self {
-            core: self.core.clone(),
+            measurement: self.measurement.clone(),
+            seed: self.seed,
             threads: self.threads,
-            par_cutover: self.par_cutover,
             state: Mutex::new(self.state.lock().expect("evaluator state").clone()),
         }
     }
 }
 
 impl ParallelEvaluator {
-    /// Creates a parallel execution evaluator with `threads` workers and
-    /// the default 2-second simulated compile cost per candidate.
-    /// `threads == 1` degenerates to inline sequential scoring.
+    /// Creates an execution evaluator scoring each batch on up to
+    /// `threads` workers, charging a 2-second simulated compile per
+    /// candidate. `threads == 1` is inline sequential scoring.
     pub fn new(measurement: Measurement, seed: u64, threads: usize) -> Self {
         Self {
-            core: ExecCore {
-                measurement,
-                seed,
-                compile_cost: 2.0,
-            },
+            measurement,
+            seed,
             threads: threads.max(1),
-            par_cutover: DEFAULT_PAR_CUTOVER,
             state: Mutex::new(State::default()),
         }
-    }
-
-    /// Number of worker threads used per batch.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Overrides the seq-vs-par cutover: batches with fewer than
-    /// `cutover` candidates run inline instead of enlisting pool
-    /// helpers. `1` disables the cutover entirely (every multi-candidate
-    /// batch fans out); results never change either way.
-    #[must_use]
-    pub fn with_par_cutover(mut self, cutover: usize) -> Self {
-        self.par_cutover = cutover.max(1);
-        self
-    }
-
-    /// The current seq-vs-par batch-size cutover.
-    pub fn par_cutover(&self) -> usize {
-        self.par_cutover
-    }
-
-    /// The underlying harness.
-    pub fn measurement(&self) -> &Measurement {
-        &self.core.measurement
-    }
-
-    /// Simulated seconds charged to compile one candidate.
-    pub fn compile_cost(&self) -> f64 {
-        self.core.compile_cost
-    }
-
-    /// Overrides the simulated per-candidate compile cost.
-    pub fn set_compile_cost(&mut self, seconds: f64) {
-        self.core.compile_cost = seconds;
     }
 
     /// Accounting snapshot (inherent, so callers never need to pick
@@ -145,15 +115,54 @@ impl ParallelEvaluator {
     /// program still measure it once.
     fn base_time(&self, program: &Program) -> (f64, EvalStats) {
         let mut state = self.state.lock().expect("evaluator state");
-        let core = &self.core;
         let mut charged = EvalStats::default();
         let (t, _) = crate::cache::memoized(&mut state.base_times, program, || {
-            let (t, delta) = core.measure_base(program);
-            charged = delta;
+            let repeats = f64::from(self.measurement.repeats.max(1));
+            let t = self
+                .measurement
+                .measure_schedule(program, &Schedule::empty(), self.seed ^ 0xBA5E)
+                .expect("empty schedule is legal");
+            charged = EvalStats {
+                compile_time: COMPILE_COST,
+                search_time: COMPILE_COST + repeats * t,
+                ..EvalStats::default()
+            };
             t
         });
         state.stats += charged;
         (t, charged)
+    }
+
+    /// Scores one candidate against a baseline time, returning the speedup
+    /// and the stats to charge for it. Pure: no `&mut`, no batch-position
+    /// dependence.
+    fn score(&self, program: &Program, base: f64, schedule: &Schedule) -> (f64, EvalStats) {
+        let repeats = f64::from(self.measurement.repeats.max(1));
+        match self
+            .measurement
+            .measure_schedule(program, schedule, self.seed)
+        {
+            Ok(t) => (
+                base / t.max(f64::MIN_POSITIVE),
+                EvalStats {
+                    num_evals: 1,
+                    compile_time: COMPILE_COST,
+                    search_time: COMPILE_COST + repeats * t,
+                    ..EvalStats::default()
+                },
+            ),
+            // Candidates are validated before evaluation; an illegal one
+            // contributes a failed compile.
+            Err(_) => (
+                0.0,
+                EvalStats {
+                    num_evals: 1,
+                    compile_time: COMPILE_COST,
+                    search_time: COMPILE_COST,
+                    ..EvalStats::default()
+                },
+            ),
+        }
     }
 }
 
@@ -167,19 +176,18 @@ impl SyncEvaluator for ParallelEvaluator {
             return (Vec::new(), EvalStats::default());
         }
         // The baseline is charged once, before the fan-out, exactly like
-        // the sequential evaluator does on its first candidate.
+        // a sequence of single-candidate calls charges it on the first.
         let (base, mut delta) = self.base_time(program);
-        let core = &self.core;
-        // Adaptive cutover: a batch too small to amortize the pool's
-        // enqueue + wakeup runs inline (threads = 1 short-circuits to a
-        // plain sequential loop inside `parallel_map`).
-        let threads = if schedules.len() < self.par_cutover {
+        // A batch too small to amortize the pool's enqueue + wakeup runs
+        // inline (threads = 1 short-circuits to a plain sequential loop
+        // inside `parallel_map`).
+        let threads = if schedules.len() < PAR_CUTOVER {
             1
         } else {
             self.threads
         };
         let scored = pool::parallel_map(threads, schedules.len(), |i| {
-            core.score(program, base, &schedules[i])
+            self.score(program, base, &schedules[i])
         });
         // Fold stats in candidate order, one += per candidate on both the
         // global accumulator and the returned delta: the same association
@@ -214,7 +222,6 @@ impl Evaluator for ParallelEvaluator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ExecutionEvaluator;
     use dlcm_ir::{BinOp, CompId, Expr, ProgramBuilder, Transform};
     use dlcm_machine::Machine;
 
@@ -237,6 +244,18 @@ mod tests {
             &[i.into(), j.into()],
             Expr::binary(BinOp::Mul, Expr::Load(a_acc), Expr::Load(b_acc)),
         );
+        b.build().unwrap()
+    }
+
+    /// An `n × n` copy: one computation, two loops.
+    fn copy(n: i64) -> Program {
+        let mut b = ProgramBuilder::new("p");
+        let i = b.iter("i", 0, n);
+        let j = b.iter("j", 0, n);
+        let inp = b.input("in", &[n, n]);
+        let out = b.buffer("out", &[n, n]);
+        let acc = b.access(inp, &[i.into(), j.into()], &[i, j]);
+        b.assign("c", &[i, j], out, &[i.into(), j.into()], Expr::Load(acc));
         b.build().unwrap()
     }
 
@@ -266,11 +285,68 @@ mod tests {
     }
 
     #[test]
+    fn execution_evaluator_tracks_time_and_count() {
+        let p = copy(1024);
+        let mut ev = ParallelEvaluator::new(Measurement::exact(Machine::default()), 0, 1);
+        let s1 = ev.speedup(&p, &Schedule::empty());
+        assert!((s1 - 1.0).abs() < 1e-9);
+        let s2 = ev.speedup(
+            &p,
+            &Schedule::new(vec![Transform::Parallelize {
+                comp: CompId(0),
+                level: 0,
+            }]),
+        );
+        assert!(s2 > 1.0);
+        assert_eq!(ev.stats().num_evals, 2);
+        assert!(ev.stats().search_time > 2.0 * COMPILE_COST);
+        assert!(ev.stats().compile_time >= 3.0 * COMPILE_COST);
+        assert_eq!(ev.stats().infer_time, 0.0);
+    }
+
+    #[test]
+    fn baseline_tracks_the_program_being_scored() {
+        // One evaluator scoring candidates for two different programs
+        // must not reuse the first program's baseline for the second —
+        // even when the programs share a name (generated programs and
+        // scaled benchmark builders reuse names).
+        let small = {
+            let mut b = ProgramBuilder::new("p");
+            let i = b.iter("i", 0, 64);
+            let inp = b.input("in", &[64]);
+            let out = b.buffer("out", &[64]);
+            let acc = b.access(inp, &[i.into()], &[i]);
+            b.assign("c", &[i], out, &[i.into()], Expr::Load(acc));
+            b.build().unwrap()
+        };
+        let big = copy(1024);
+        let mut ev = ParallelEvaluator::new(Measurement::exact(Machine::default()), 0, 1);
+        let s_small = ev.speedup(&small, &Schedule::empty());
+        let s_big = ev.speedup(&big, &Schedule::empty());
+        // Empty schedule over the correct baseline is exactly 1.0 for
+        // both; with a stale baseline the second would be wildly off.
+        assert!((s_small - 1.0).abs() < 1e-9);
+        assert!((s_big - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn execution_base_time_charged_once() {
+        let p = copy(1024);
+        let mut ev = ParallelEvaluator::new(Measurement::exact(Machine::default()), 0, 1);
+        ev.speedup(&p, &Schedule::empty());
+        let t1 = ev.stats().search_time;
+        ev.speedup(&p, &Schedule::empty());
+        let t2 = ev.stats().search_time;
+        // The second call pays one compile+run, not two.
+        assert!(t2 - t1 < t1);
+    }
+
+    #[test]
     fn parallel_matches_sequential_bit_for_bit() {
         let p = mm(128);
         let schedules = wave();
-        let mut seq = ExecutionEvaluator::new(Measurement::new(Machine::default()), 11);
-        let expected = seq.speedup_batch(&p, &schedules);
+        let mut seq = ParallelEvaluator::new(Measurement::new(Machine::default()), 11, 1);
+        let expected: Vec<f64> = schedules.iter().map(|s| seq.speedup(&p, s)).collect();
         for threads in [1, 2, 4, 8] {
             let mut par = ParallelEvaluator::new(Measurement::new(Machine::default()), 11, threads);
             let got = par.speedup_batch(&p, &schedules);
@@ -283,25 +359,44 @@ mod tests {
 
     #[test]
     fn cutover_never_changes_scores_or_stats() {
+        // Batches of 7 (below the cutover: inline) and 9 (above it: fans
+        // out) at 4 threads must both equal one-thread scoring.
+        const { assert!(7 < PAR_CUTOVER && 9 >= PAR_CUTOVER) };
         let p = mm(96);
-        let schedules = wave(); // 5 candidates
-        let reference = {
-            let mut ev = ParallelEvaluator::new(Measurement::new(Machine::default()), 11, 1);
-            let scores = ev.speedup_batch(&p, &schedules);
-            (scores, ev.stats())
-        };
-        // Cutover above the batch (runs inline), at it, below it (fans
-        // out), and disabled: all four bit-identical.
-        for cutover in [1, 5, 6, 64] {
-            let mut ev = ParallelEvaluator::new(Measurement::new(Machine::default()), 11, 4)
-                .with_par_cutover(cutover);
-            assert_eq!(ev.par_cutover(), cutover);
-            let scores = ev.speedup_batch(&p, &schedules);
-            assert_eq!(scores, reference.0, "cutover={cutover} changed scores");
+        let mut schedules = wave();
+        schedules.extend([
+            Schedule::new(vec![Transform::Parallelize {
+                comp: CompId(0),
+                level: 1,
+            }]),
+            Schedule::new(vec![Transform::Unroll {
+                comp: CompId(0),
+                factor: 8,
+            }]),
+            Schedule::new(vec![Transform::Vectorize {
+                comp: CompId(0),
+                factor: 4,
+            }]),
+            Schedule::new(vec![Transform::Tile {
+                comp: CompId(0),
+                level_a: 0,
+                level_b: 1,
+                size_a: 16,
+                size_b: 16,
+            }]),
+        ]);
+        for len in [7, 9] {
+            let batch = &schedules[..len];
+            let mut one = ParallelEvaluator::new(Measurement::new(Machine::default()), 11, 1);
+            let mut four = ParallelEvaluator::new(Measurement::new(Machine::default()), 11, 4);
+            let want = one.speedup_batch(&p, batch);
+            let got = four.speedup_batch(&p, batch);
+            assert_eq!(got, want, "batch of {len} changed scores");
+            assert_eq!(four.stats().num_evals, one.stats().num_evals);
             assert_eq!(
-                ev.stats().search_time,
-                reference.1.search_time,
-                "cutover={cutover} changed accounting"
+                four.stats().search_time,
+                one.stats().search_time,
+                "batch of {len} changed accounting"
             );
         }
     }

@@ -13,13 +13,10 @@
 //! Distribution is **chunked**: each `fetch_add` on the cursor claims a
 //! contiguous range of `grain` indices, not a single item, so the
 //! per-item cost of dispatch is one atomic RMW divided by the grain
-//! rather than one per candidate. [`auto_grain`] picks the default —
-//! several chunks per worker, so stragglers still rebalance — and
-//! [`parallel_map_grained`] exposes the grain for callers with their own
-//! cost model (the suite driver hands out whole searches; candidate
-//! batches want finer slicing). Chunking changes *which thread* computes
-//! an index, never the result: assembly is by index, so any grain is
-//! bit-identical to sequential.
+//! rather than one per candidate. The grain is `len / (threads * 4)`, at
+//! least 1 — several chunks per worker, so stragglers still rebalance.
+//! Chunking changes *which thread* computes an index, never the result:
+//! assembly is by index, so any grain is bit-identical to sequential.
 //!
 //! Workers are **persistent**: the first call spawns OS threads into a
 //! process-wide pool and later calls reuse them, so the per-batch cost is
@@ -44,7 +41,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
-/// How many chunks [`auto_grain`] aims to hand each worker. More chunks
+/// How many chunks `auto_grain` aims to hand each worker. More chunks
 /// per worker = better rebalancing when per-item cost is skewed; fewer =
 /// less cursor traffic. Four is comfortably past the point where the
 /// atomic RMW disappears from profiles while still letting a straggler
@@ -55,14 +52,14 @@ const CHUNKS_PER_WORKER: usize = 4;
 /// `len / (threads * 4)`, clamped to at least 1. Small batches degrade to
 /// grain 1 (identical to per-item dispatch); large batches claim ranges
 /// big enough that dispatch cost vanishes per item.
-pub fn auto_grain(len: usize, threads: usize) -> usize {
+fn auto_grain(len: usize, threads: usize) -> usize {
     (len / (threads.max(1) * CHUNKS_PER_WORKER)).max(1)
 }
 
 /// Maps `f` over `0..len` using up to `threads` concurrent workers (the
 /// caller plus pool helpers), returning `f(0), f(1), …` in index order.
-/// Work is claimed in contiguous chunks of [`auto_grain`] items; use
-/// [`parallel_map_grained`] to pick the grain explicitly.
+/// Work is claimed in contiguous chunks of several items each (see the
+/// module docs).
 ///
 /// `f` must be pure with respect to ordering: it is called at most once
 /// per index, but from arbitrary threads in arbitrary order. With
@@ -86,7 +83,7 @@ where
 /// it never affects results — assembly is by index, so every grain
 /// (including `grain >= len`, which runs single-chunk) returns exactly
 /// the sequential output.
-pub fn parallel_map_grained<R, F>(threads: usize, len: usize, grain: usize, f: F) -> Vec<R>
+fn parallel_map_grained<R, F>(threads: usize, len: usize, grain: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
@@ -155,15 +152,6 @@ where
         .into_iter()
         .map(|s| s.expect("every index computed exactly once"))
         .collect()
-}
-
-/// Number of OS threads the persistent pool has spawned so far.
-///
-/// The pool grows on demand to the largest helper count any
-/// [`parallel_map`] call has requested (`threads - 1` per call) and never
-/// shrinks; repeated calls at the same width reuse the same workers.
-pub fn worker_count() -> usize {
-    *pool().spawned.lock().expect("pool size")
 }
 
 /// State shared between the caller of [`parallel_map`] and the pool
@@ -275,7 +263,10 @@ impl Drop for HelperGuard<'_> {
 }
 
 /// The process-wide persistent pool: a queue of pending helper jobs and
-/// the count of spawned workers.
+/// the count of spawned workers. The pool grows on demand to the largest
+/// helper count any [`parallel_map`] call has requested (`threads - 1`
+/// per call) and never shrinks; repeated calls at the same width reuse
+/// the same workers.
 struct Pool {
     queue: Mutex<VecDeque<Arc<Job>>>,
     available: Condvar,
@@ -364,6 +355,25 @@ mod tests {
     }
 
     #[test]
+    fn grains_around_the_auto_choice_keep_index_order() {
+        // Grains straddling the auto choice land chunk edges mid-batch at
+        // every alignment; `tests/chunk_boundaries.rs` checks the same
+        // edges stay invisible through the evaluator and the cache.
+        let len = 23;
+        let auto = auto_grain(len, 4);
+        let reference: Vec<usize> = (0..len).map(|i| i * i + 1).collect();
+        for grain in [1, auto, auto + 1, 7, len, len + 5] {
+            for threads in [2, 4, 9] {
+                let got = parallel_map_grained(threads, len, grain, |i| i * i + 1);
+                assert_eq!(
+                    got, reference,
+                    "threads={threads}, grain={grain}: chunk assembly broke index order"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn auto_grain_is_sane() {
         // Small batches never skip indices or starve workers…
         assert_eq!(auto_grain(3, 8), 1);
@@ -411,11 +421,11 @@ mod tests {
             let out = parallel_map(4, 32, |i| i + 1);
             assert_eq!(out.len(), 32);
         }
-        assert!(worker_count() >= 3, "first batch must have grown the pool");
+        let workers = *pool().spawned.lock().unwrap();
+        assert!(workers >= 3, "first batch must have grown the pool");
         assert!(
-            worker_count() <= 8,
-            "pool grew past the largest request: {} workers",
-            worker_count()
+            workers <= 8,
+            "pool grew past the largest request: {workers} workers"
         );
     }
 

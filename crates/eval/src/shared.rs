@@ -11,7 +11,7 @@
 //! a shared evaluator's global counters would interleave other searches'
 //! work).
 //!
-//! Three adapters tie the tiers together:
+//! Two adapters tie the tiers together:
 //!
 //! - `impl Evaluator for &E where E: SyncEvaluator` — a shared reference
 //!   to any sync evaluator *is* an ordinary evaluator, so every existing
@@ -19,10 +19,12 @@
 //!   binaries) accepts a shared evaluator unchanged;
 //! - [`ScopedEvaluator`] — the same adapter with standalone stats: it
 //!   accumulates only the deltas of its own calls, which is what a search
-//!   running concurrently with others must report;
-//! - `impl SyncEvaluator for Mutex<E> where E: Evaluator` — the cheap way
-//!   to lift any exclusive evaluator into the shared tier (serialized, but
-//!   correct; fine for model evaluators whose batches are microseconds).
+//!   running concurrently with others must report.
+//!
+//! Every shareable evaluator implements [`SyncEvaluator`] natively, so
+//! its scoring runs outside any lock: [`crate::ParallelEvaluator`],
+//! [`SharedCachedEvaluator`], and the serving tier's
+//! `dlcm_serve::InferenceService`.
 //!
 //! [`SharedCachedEvaluator`] is the centerpiece: the one result cache,
 //! memoizing speedups under `(model fingerprint, program content
@@ -95,32 +97,6 @@ impl<E: SyncEvaluator + ?Sized> Evaluator for &E {
     }
 }
 
-/// Any exclusive [`Evaluator`] becomes a (serialized) [`SyncEvaluator`]
-/// behind a mutex: calls take the lock, run the batch, and report the
-/// stats delta the batch produced.
-///
-/// This is the adapter of last resort — it shares correctness, not
-/// throughput. Evaluators with real per-candidate cost should implement
-/// [`SyncEvaluator`] natively (as [`crate::ParallelEvaluator`] does) so
-/// scoring runs outside any lock.
-impl<E: Evaluator + Send> SyncEvaluator for Mutex<E> {
-    fn speedup_batch_shared(
-        &self,
-        program: &Program,
-        schedules: &[Schedule],
-    ) -> (Vec<f64>, EvalStats) {
-        let mut inner = self.lock().expect("shared evaluator");
-        let before = inner.stats();
-        let values = inner.speedup_batch(program, schedules);
-        let delta = inner.stats().since(&before);
-        (values, delta)
-    }
-
-    fn total_stats(&self) -> EvalStats {
-        self.lock().expect("shared evaluator").stats()
-    }
-}
-
 /// Per-search adapter over a shared evaluator: forwards scoring to the
 /// shared instance but accumulates only the stats deltas of **its own**
 /// calls, so [`Evaluator::stats`] (and the before/after snapshots the
@@ -165,11 +141,6 @@ impl<'a, E: SyncEvaluator + ?Sized> ScopedEvaluator<'a, E> {
             shared,
             local: EvalStats::default(),
         }
-    }
-
-    /// The shared evaluator behind this scope.
-    pub fn shared(&self) -> &'a E {
-        self.shared
     }
 }
 
@@ -486,7 +457,7 @@ impl<E: SyncEvaluator> SyncEvaluator for SharedCachedEvaluator<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ExecutionEvaluator, ParallelEvaluator};
+    use crate::ParallelEvaluator;
     use dlcm_ir::{CompId, Expr, ProgramBuilder, Transform};
     use dlcm_machine::{Machine, Measurement};
 
@@ -535,7 +506,7 @@ mod tests {
             7,
             1,
         ));
-        let mut uncached = ExecutionEvaluator::new(Measurement::new(Machine::default()), 7);
+        let mut uncached = ParallelEvaluator::new(Measurement::new(Machine::default()), 7, 1);
         for round in 0..3 {
             for p in [&a, &b] {
                 let (got, _) = shared.speedup_batch_shared(p, &wave());
@@ -709,20 +680,6 @@ mod tests {
         let s = ev.speedup(&p, &Schedule::empty());
         assert!((s - 1.0).abs() < 1e-9);
         assert_eq!(ev.stats().num_evals, 1);
-    }
-
-    #[test]
-    fn mutex_lifts_exclusive_evaluators_into_the_shared_tier() {
-        let p = program("p", 64);
-        let shared = Mutex::new(ExecutionEvaluator::new(
-            Measurement::exact(Machine::default()),
-            0,
-        ));
-        let (s, delta) = shared.speedup_shared(&p, &Schedule::empty());
-        assert!((s - 1.0).abs() < 1e-9);
-        assert_eq!(delta.num_evals, 1);
-        assert!(delta.search_time > 0.0);
-        assert_eq!(shared.total_stats().num_evals, 1);
     }
 
     #[test]

@@ -4,11 +4,7 @@
 //! cached, and parallel evaluation without changing any search result —
 //! the cached and parallel paths are held to the same equality below.
 
-use std::sync::Mutex;
-
-use dlcm_eval::{
-    Evaluator, ExecutionEvaluator, ModelEvaluator, ParallelEvaluator, SharedCachedEvaluator,
-};
+use dlcm_eval::{Evaluator, ModelEvaluator, ParallelEvaluator, SharedCachedEvaluator};
 use dlcm_ir::{BinOp, CompId, Expr, Program, ProgramBuilder, Schedule, Transform};
 use dlcm_machine::{Machine, Measurement};
 use dlcm_model::{CostModel, CostModelConfig, Featurizer, FeaturizerConfig};
@@ -87,13 +83,13 @@ fn execution_evaluator_batch_equals_sequential() {
     let schedules = candidates();
     let seed = 42;
 
-    let mut sequential = ExecutionEvaluator::new(Measurement::new(Machine::default()), seed);
+    let mut sequential = ParallelEvaluator::new(Measurement::new(Machine::default()), seed, 1);
     let one_by_one: Vec<f64> = schedules
         .iter()
         .map(|s| sequential.speedup(&program, s))
         .collect();
 
-    let mut batched = ExecutionEvaluator::new(Measurement::new(Machine::default()), seed);
+    let mut batched = ParallelEvaluator::new(Measurement::new(Machine::default()), seed, 1);
     let batch = batched.speedup_batch(&program, &schedules);
 
     assert_eq!(
@@ -138,7 +134,7 @@ fn parallel_evaluator_batch_equals_sequential() {
     let schedules = candidates();
     let seed = 42;
 
-    let mut sequential = ExecutionEvaluator::new(Measurement::new(Machine::default()), seed);
+    let mut sequential = ParallelEvaluator::new(Measurement::new(Machine::default()), seed, 1);
     let one_by_one: Vec<f64> = schedules
         .iter()
         .map(|s| sequential.speedup(&program, s))
@@ -169,16 +165,17 @@ fn cached_evaluator_batch_equals_sequential() {
     schedules.extend(candidates().into_iter().take(3));
     let seed = 42;
 
-    let mut sequential = ExecutionEvaluator::new(Measurement::new(Machine::default()), seed);
+    let mut sequential = ParallelEvaluator::new(Measurement::new(Machine::default()), seed, 1);
     let one_by_one: Vec<f64> = schedules
         .iter()
         .map(|s| sequential.speedup(&program, s))
         .collect();
 
-    let mut cached = &SharedCachedEvaluator::new(Mutex::new(ExecutionEvaluator::new(
+    let mut cached = &SharedCachedEvaluator::new(ParallelEvaluator::new(
         Measurement::new(Machine::default()),
         seed,
-    )));
+        1,
+    ));
     let batch = cached.speedup_batch(&program, &schedules);
     assert_eq!(batch, one_by_one, "cached batch must match sequential");
     assert_eq!(cached.stats().cache_hits, 3);
@@ -223,15 +220,15 @@ fn long_wave() -> Vec<Schedule> {
 
 /// The chunked-dispatch contract: odd batch sizes, batches smaller than
 /// the worker count, and single-candidate batches all score exactly like
-/// the sequential evaluator, at every thread count. Cutover is forced to
-/// 1 so even the tiny batches genuinely enlist pool helpers.
+/// the sequential evaluator, at every thread count (batches under the
+/// cutover of 8 run inline, the 13-wide wave fans out).
 #[test]
 fn chunked_dispatch_covers_odd_batches_and_batch_smaller_than_workers() {
     let program = pipeline(128);
     let wave = long_wave();
     let seed = 42;
 
-    let mut sequential = ExecutionEvaluator::new(Measurement::new(Machine::default()), seed);
+    let mut sequential = ParallelEvaluator::new(Measurement::new(Machine::default()), seed, 1);
     let reference: Vec<f64> = wave
         .iter()
         .map(|s| sequential.speedup(&program, s))
@@ -240,8 +237,7 @@ fn chunked_dispatch_covers_odd_batches_and_batch_smaller_than_workers() {
     for threads in [2, 5, 16] {
         for take in [1usize, 3, 7, 13] {
             let mut par =
-                ParallelEvaluator::new(Measurement::new(Machine::default()), seed, threads)
-                    .with_par_cutover(1);
+                ParallelEvaluator::new(Measurement::new(Machine::default()), seed, threads);
             let got = par.speedup_batch(&program, &wave[..take]);
             assert_eq!(
                 got,
@@ -250,8 +246,7 @@ fn chunked_dispatch_covers_odd_batches_and_batch_smaller_than_workers() {
             );
         }
         // Full wave again, checking the folded accounting too.
-        let mut par = ParallelEvaluator::new(Measurement::new(Machine::default()), seed, threads)
-            .with_par_cutover(1);
+        let mut par = ParallelEvaluator::new(Measurement::new(Machine::default()), seed, threads);
         let got = par.speedup_batch(&program, &wave);
         assert_eq!(got, reference);
         assert_eq!(par.stats().num_evals, sequential.stats().num_evals);

@@ -3,13 +3,13 @@
 //! single and batched calls — `SharedCachedEvaluator` (driven through the
 //! `&E: Evaluator` adapter) must return exactly the values an uncached
 //! evaluator would have produced, including across programs that share a
-//! name (the content-keyed baseline behavior of `ExecutionEvaluator`).
+//! name (the content-keyed baseline behavior of `ParallelEvaluator`).
 //!
 //! Written as seeded loops in the style of the rest of the suite (no
 //! proptest in this environment).
 
 use dlcm_datagen::{ProgramGenConfig, ProgramGenerator, ScheduleGenConfig, ScheduleGenerator};
-use dlcm_eval::{Evaluator, ExecutionEvaluator, ParallelEvaluator, SharedCachedEvaluator};
+use dlcm_eval::{Evaluator, ParallelEvaluator, SharedCachedEvaluator};
 use dlcm_ir::{Program, Schedule};
 use dlcm_machine::{Machine, Measurement};
 use rand::{Rng, SeedableRng};
@@ -40,7 +40,7 @@ fn cached_matches_inner_over_randomized_sequences() {
         let seed = 1000 + trial;
         let mut rng = ChaCha8Rng::seed_from_u64(trial);
 
-        let mut reference = ExecutionEvaluator::new(Measurement::new(Machine::default()), seed);
+        let mut reference = ParallelEvaluator::new(Measurement::new(Machine::default()), seed, 1);
         let shared = SharedCachedEvaluator::new(ParallelEvaluator::new(
             Measurement::new(Machine::default()),
             seed,

@@ -1,19 +1,21 @@
 //! Chunk-boundary regression suite (the chunked-dispatch contract under
 //! a realistic call pattern): a `SharedCachedEvaluator` over a
 //! `ParallelEvaluator` is driven through a fixed sequence of overlapping
-//! batches whose sizes deliberately straddle every auto-grain boundary,
-//! at two different thread counts — and every per-call observable
-//! (scores, stats delta, cache hit/miss delta) must be identical.
+//! batches whose sizes deliberately straddle the pool's grain boundaries
+//! and the evaluator's batch-size cutover, at two different thread
+//! counts — and every per-call observable (scores, stats delta, cache
+//! hit/miss delta) must be identical.
 //!
-//! Why this shape: `pool::auto_grain` picks a grain from `(len,
-//! threads)`, so the same wave splits into *different* contiguous chunks
-//! at different thread counts, and batched cache probing groups keys by
-//! shard in first-occurrence order. If chunking or the per-shard merge
-//! ever leaked into scoring order, stats folding, or LRU accounting, the
-//! diffs below would catch it on the exact batch sizes where chunk
-//! boundaries interleave (odd sizes, size < workers, size 1).
+//! Why this shape: the pool picks its grain from `(len, threads)`, so the
+//! same wave splits into *different* contiguous chunks at different
+//! thread counts, and batched cache probing groups keys by shard in
+//! first-occurrence order. If chunking or the per-shard merge ever leaked
+//! into scoring order, stats folding, or LRU accounting, the diffs below
+//! would catch it on the exact batch sizes where chunk boundaries
+//! interleave (odd sizes, size < workers, size 1). The pool's own
+//! explicit-grain sweeps are unit tests in `src/pool.rs`.
 
-use dlcm_eval::{pool, EvalStats, ParallelEvaluator, SharedCachedEvaluator, SyncEvaluator};
+use dlcm_eval::{EvalStats, ParallelEvaluator, SharedCachedEvaluator, SyncEvaluator};
 use dlcm_ir::{BinOp, CompId, Expr, Program, ProgramBuilder, Schedule, Transform};
 use dlcm_machine::{Machine, Measurement};
 
@@ -90,11 +92,12 @@ fn pool_of_schedules() -> Vec<Schedule> {
     out
 }
 
-/// Overlapping windows into the schedule pool: sizes straddle the
-/// auto-grain boundaries of both thread counts under test (for 23 items:
-/// grain 2 at 2 threads vs grain 1 at 5 threads), include batches
-/// smaller than the worker count, a single-candidate batch, and warm
-/// repeats that must answer partly from the cache.
+/// Overlapping windows into the schedule pool: sizes straddle the grain
+/// boundaries of both thread counts under test (for 23 items: grain 2 at
+/// 2 threads vs grain 1 at 5 threads) and the cutover of 8 (below it a
+/// batch runs inline), include batches smaller than the worker count, a
+/// single-candidate batch, and warm repeats that must answer partly from
+/// the cache.
 fn batch_plan() -> Vec<(usize, usize)> {
     vec![
         (0, 23), // cold full sweep
@@ -103,7 +106,7 @@ fn batch_plan() -> Vec<(usize, usize)> {
         (22, 1), // single candidate, batch < workers
         (5, 16),
         (0, 23), // fully warm repeat
-        (17, 6), // batch just under the default cutover
+        (17, 6), // batch just under the cutover
         (1, 9),
     ]
 }
@@ -113,10 +116,11 @@ fn batch_plan() -> Vec<(usize, usize)> {
 fn run_plan(threads: usize) -> Vec<(Vec<f64>, EvalStats)> {
     let program = mm(96);
     let schedules = pool_of_schedules();
-    let shared = SharedCachedEvaluator::new(
-        ParallelEvaluator::new(Measurement::new(Machine::default()), 7, threads)
-            .with_par_cutover(1),
-    );
+    let shared = SharedCachedEvaluator::new(ParallelEvaluator::new(
+        Measurement::new(Machine::default()),
+        7,
+        threads,
+    ));
     batch_plan()
         .into_iter()
         .map(|(start, len)| shared.speedup_batch_shared(&program, &schedules[start..start + len]))
@@ -157,23 +161,4 @@ fn interleaved_chunk_boundaries_are_invisible_across_thread_counts() {
     let misses: usize = at_two.iter().map(|(_, d)| d.cache_misses).sum();
     assert_eq!(misses, 23, "23 distinct schedules, each missed once");
     assert!(hits > 23, "warm windows must answer from the cache");
-}
-
-#[test]
-fn explicit_grains_shift_chunk_boundaries_without_changing_results() {
-    // Drive the pool directly with grains around the auto choice so
-    // chunk edges land mid-batch at every alignment; the evaluator-level
-    // test above then guarantees those edges stay invisible upstream.
-    let len = 23;
-    let auto = pool::auto_grain(len, 4);
-    let reference: Vec<usize> = (0..len).map(|i| i * i + 1).collect();
-    for grain in [1, auto, auto + 1, 7, len, len + 5] {
-        for threads in [2, 4, 9] {
-            let got = pool::parallel_map_grained(threads, len, grain, |i| i * i + 1);
-            assert_eq!(
-                got, reference,
-                "threads={threads}, grain={grain}: chunk assembly broke index order"
-            );
-        }
-    }
 }

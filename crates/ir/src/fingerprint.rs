@@ -87,8 +87,8 @@ mod tests {
     #[test]
     fn equal_programs_share_a_fingerprint() {
         assert_eq!(
-            program("p", 64).fingerprint(),
-            program("p", 64).fingerprint()
+            program("p", 64).content_fingerprint(),
+            program("q", 64).content_fingerprint()
         );
     }
 
@@ -96,8 +96,8 @@ mod tests {
     fn structure_changes_the_fingerprint() {
         // Same name, different extent: names alone must not collide.
         assert_ne!(
-            program("p", 64).fingerprint(),
-            program("p", 128).fingerprint()
+            program("p", 64).content_fingerprint(),
+            program("p", 128).content_fingerprint()
         );
     }
 

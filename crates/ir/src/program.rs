@@ -217,19 +217,11 @@ impl Program {
         self.comps.iter().map(Computation::depth).max().unwrap_or(0)
     }
 
-    /// Stable structural fingerprint of the whole program, covering the
-    /// name, buffers, iterators, computations, and the loop tree.
-    /// Programs that merely share a name (generated programs, scaled
-    /// benchmark builders) get distinct fingerprints. Evaluation caches
-    /// and corpus dedup key on the name-insensitive
-    /// [`Program::content_fingerprint`] instead.
-    pub fn fingerprint(&self) -> u64 {
-        crate::fingerprint::stable_fingerprint(self)
-    }
-
-    /// Like [`Program::fingerprint`], but ignoring [`Program::name`]: two
-    /// programs with identical buffers, iterators, computations, and loop
-    /// trees share one content fingerprint even when named apart. Random
+    /// Stable structural fingerprint of the buffers, iterators,
+    /// computations, and loop tree — everything but [`Program::name`]:
+    /// programs that merely share a name (generated programs, scaled
+    /// benchmark builders) get distinct fingerprints, and two programs
+    /// with identical content share one even when named apart. Random
     /// corpora re-draw small programs under different generated names —
     /// this is the key under which result caches and corpus dedup
     /// recognize them as the same workload.

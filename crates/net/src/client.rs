@@ -56,30 +56,21 @@ impl From<io::Error> for NetError {
 /// See [`crate::NetServer`] for a connect-query-shutdown example.
 pub struct NetClient {
     stream: TcpStream,
-    max_frame_len: u32,
 }
 
 impl NetClient {
-    /// Connects with the default frame cap.
+    /// Connects; received frames are capped at [`DEFAULT_MAX_FRAME_LEN`].
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
-        Self::connect_with_cap(addr, DEFAULT_MAX_FRAME_LEN)
-    }
-
-    /// Connects with an explicit frame body cap for *received* frames.
-    pub fn connect_with_cap(addr: impl ToSocketAddrs, max_frame_len: u32) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(Self {
-            stream,
-            max_frame_len,
-        })
+        Ok(Self { stream })
     }
 
     /// Sends one request frame and reads the matching reply, lifting
     /// typed server rejections into [`NetError::Remote`].
     fn call(&mut self, request: &Request) -> Result<Response, NetError> {
         wire::write_message(&mut self.stream, FrameKind::Request, request)?;
-        let frame = wire::read_frame(&mut self.stream, self.max_frame_len)?;
+        let frame = wire::read_frame(&mut self.stream, DEFAULT_MAX_FRAME_LEN)?;
         match frame.kind {
             FrameKind::Response => wire::decode_body(&frame.body).map_err(NetError::Protocol),
             FrameKind::Error => {

@@ -25,7 +25,7 @@
 //!
 //! Three gates, each with a typed rejection:
 //!
-//! 1. **Accept queue** (`accept_queue`): full → `Overloaded` at connect.
+//! 1. **Accept queue** (16 sockets): full → `Overloaded` at connect.
 //! 2. **In-flight permits** (`max_in_flight`): a `Speedups` request that
 //!    cannot take a permit is answered `Overloaded` without touching the
 //!    evaluator (the connection stays usable).
@@ -78,29 +78,27 @@ use crate::wire::{
 /// request wakes its worker immediately through the socket).
 const POLL_INTERVAL: Duration = Duration::from_millis(20);
 
+/// Accepted sockets allowed to wait for a free worker before new
+/// arrivals are rejected with `Overloaded`.
+const ACCEPT_QUEUE: usize = 16;
+
 /// Network-tier tuning knobs. Like `ServeConfig`, none of these change
-/// scores — only throughput, memory bounds, and rejection behavior.
+/// scores — only throughput and rejection behavior. Request frames are
+/// capped at [`DEFAULT_MAX_FRAME_LEN`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetConfig {
     /// Worker threads, i.e. connections served concurrently.
     pub max_connections: usize,
-    /// Accepted sockets allowed to wait for a free worker before new
-    /// arrivals are rejected with `Overloaded`.
-    pub accept_queue: usize,
     /// `Speedups` requests allowed into evaluation at once; the rest
     /// are rejected with `Overloaded` (never queued blind).
     pub max_in_flight: usize,
-    /// Frame body cap for this server (see `wire::DEFAULT_MAX_FRAME_LEN`).
-    pub max_frame_len: u32,
 }
 
 impl Default for NetConfig {
     fn default() -> Self {
         Self {
             max_connections: 8,
-            accept_queue: 16,
             max_in_flight: 8,
-            max_frame_len: DEFAULT_MAX_FRAME_LEN,
         }
     }
 }
@@ -346,14 +344,14 @@ fn accept_loop<M: SpeedupPredictor>(shared: &Shared<M>, listener: TcpListener) {
             Ok((mut stream, _peer)) => {
                 shared.connections_accepted.fetch_add(1, Ordering::Relaxed);
                 let mut queue = shared.queue.lock().expect("accept queue");
-                if queue.len() >= shared.cfg.accept_queue.max(1) {
+                if queue.len() >= ACCEPT_QUEUE {
                     drop(queue);
                     shared.rejected_queue_full.fetch_add(1, Ordering::Relaxed);
                     shared.service.note_rejected_overload();
                     shared.send_error(
                         &mut stream,
                         &ErrorReply::Overloaded {
-                            limit: shared.cfg.accept_queue,
+                            limit: ACCEPT_QUEUE,
                         },
                     );
                     // Closing `stream` here sheds the connection.
@@ -426,7 +424,7 @@ where
             shared.send_error(&mut stream, &ErrorReply::ShuttingDown);
             return;
         }
-        let frame = match wire::read_frame(&mut stream, shared.cfg.max_frame_len) {
+        let frame = match wire::read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN) {
             Ok(frame) => frame,
             Err(FrameError::Idle) => continue,
             Err(FrameError::Closed) | Err(FrameError::Truncated { .. }) => return,

@@ -30,8 +30,8 @@
 //! in-process value (the parity tests assert exact equality, not
 //! approximate).
 //!
-//! The body length is capped ([`DEFAULT_MAX_FRAME_LEN`], configurable
-//! per peer): a frame claiming more is rejected *before* any allocation
+//! The body length is capped at [`DEFAULT_MAX_FRAME_LEN`] on both ends:
+//! a frame claiming more is rejected *before* any allocation
 //! with [`FrameError::Oversized`], so a hostile or corrupt length field
 //! cannot make the server allocate unbounded memory. What a body may
 //! *nest* is capped too (`serde::json::MAX_DEPTH`): a frame of `[[[[…`

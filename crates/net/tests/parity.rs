@@ -84,7 +84,6 @@ fn eight_concurrent_clients_get_bit_identical_scores() {
         NetConfig {
             max_connections: 8,
             max_in_flight: 8,
-            ..NetConfig::default()
         },
     );
     let addr = server.local_addr();

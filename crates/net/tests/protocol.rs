@@ -9,7 +9,7 @@ use std::time::Duration;
 use dlcm_eval::{Evaluator, ModelEvaluator};
 use dlcm_ir::{CompId, Expr, Program, ProgramBuilder, Schedule, Transform};
 use dlcm_model::{CostModel, CostModelConfig, Featurizer, FeaturizerConfig};
-use dlcm_net::wire::{self, FrameKind, HEADER_LEN, MAGIC, WIRE_VERSION};
+use dlcm_net::wire::{self, FrameKind, DEFAULT_MAX_FRAME_LEN, HEADER_LEN, MAGIC, WIRE_VERSION};
 use dlcm_net::{ErrorReply, NetClient, NetConfig, NetError, NetServer};
 use dlcm_serve::{InferenceService, ServeConfig};
 
@@ -84,20 +84,18 @@ fn truncated_frame_then_disconnect_never_wedges_the_server() {
 
 #[test]
 fn oversized_frame_is_rejected_by_the_length_cap() {
-    let server = bind_server(NetConfig {
-        max_frame_len: 1024,
-        ..NetConfig::default()
-    });
+    let server = bind_server(NetConfig::default());
     let mut raw = TcpStream::connect(server.local_addr()).expect("connect raw");
     raw.set_read_timeout(Some(Duration::from_secs(10)))
         .expect("read timeout");
-    // A header *claiming* 2 MiB: the rejection must arrive from the
-    // length field alone, before any body bytes are sent.
+    // A header claiming one byte past the cap, and no body: the rejection
+    // must arrive from the length field alone, so the server neither
+    // waits for nor allocates a body.
     let mut header = [0u8; HEADER_LEN];
     header[..4].copy_from_slice(&MAGIC);
     header[4] = WIRE_VERSION;
     header[5] = 1;
-    header[6..].copy_from_slice(&(2u32 << 20).to_be_bytes());
+    header[6..].copy_from_slice(&(DEFAULT_MAX_FRAME_LEN + 1).to_be_bytes());
     raw.write_all(&header).expect("header");
 
     let frame = wire::read_frame(&mut raw, 1 << 20).expect("typed reply");
@@ -106,8 +104,8 @@ fn oversized_frame_is_rejected_by_the_length_cap() {
     assert_eq!(
         reply,
         ErrorReply::FrameTooLarge {
-            len: 2 << 20,
-            max: 1024
+            len: DEFAULT_MAX_FRAME_LEN + 1,
+            max: DEFAULT_MAX_FRAME_LEN
         }
     );
     drop(raw);
@@ -267,12 +265,11 @@ fn wrong_magic_and_wrong_version_are_typed_then_closed() {
 
 #[test]
 fn full_accept_queue_sheds_connections_with_a_typed_overload() {
-    // One worker, a one-slot accept queue: the worker parks on a held
-    // connection, a second connection waits in the queue, and a third
+    // One worker and the 16-socket accept queue: the worker parks on a
+    // held connection, sixteen more wait in the queue, and the next one
     // must be turned away with a typed Overloaded frame.
     let server = bind_server(NetConfig {
         max_connections: 1,
-        accept_queue: 1,
         ..NetConfig::default()
     });
     let addr = server.local_addr();
@@ -287,15 +284,17 @@ fn full_accept_queue_sheds_connections_with_a_typed_overload() {
         );
         std::thread::sleep(Duration::from_millis(5));
     }
-    let queued = NetClient::connect(addr).expect("queued connection");
-    while server.stats().net.accept_queue_depth < 1 {
+    let queued: Vec<NetClient> = (0..16)
+        .map(|_| NetClient::connect(addr).expect("queued connection"))
+        .collect();
+    while server.stats().net.accept_queue_depth < 16 {
         assert!(std::time::Instant::now() < deadline, "queue never filled");
         std::thread::sleep(Duration::from_millis(5));
     }
 
     let mut rejected = NetClient::connect(addr).expect("tcp accepts, server rejects");
     match rejected.ping() {
-        Err(NetError::Remote(ErrorReply::Overloaded { limit: 1 })) => {}
+        Err(NetError::Remote(ErrorReply::Overloaded { limit: 16 })) => {}
         // The server may close before the reply is readable; a frame
         // error is an acceptable shed, a hang is not.
         Err(NetError::Frame(_)) => {}

@@ -144,7 +144,7 @@ impl BeamSearch {
 mod tests {
     use super::*;
     use crate::space::finalize;
-    use dlcm_eval::ExecutionEvaluator;
+    use dlcm_eval::ParallelEvaluator;
     use dlcm_ir::{BinOp, Expr, ProgramBuilder};
     use dlcm_machine::{Machine, Measurement};
 
@@ -173,7 +173,7 @@ mod tests {
     #[test]
     fn beam_with_execution_beats_heuristic_baseline() {
         let p = mm(256);
-        let mut ev = ExecutionEvaluator::new(Measurement::exact(Machine::default()), 0);
+        let mut ev = ParallelEvaluator::new(Measurement::exact(Machine::default()), 0, 1);
         let beam = BeamSearch::new(
             3,
             SearchSpace {
@@ -185,7 +185,7 @@ mod tests {
         let result = beam.search(&p, &mut ev);
         // Empty-schedule finalized (parallel+vector only) is the first
         // candidate; the search must do at least as well.
-        let mut ev2 = ExecutionEvaluator::new(Measurement::exact(Machine::default()), 0);
+        let mut ev2 = ParallelEvaluator::new(Measurement::exact(Machine::default()), 0, 1);
         let baseline = finalize(&p, &beam.space, &Schedule::empty());
         let base_score = ev2.speedup(&p, &baseline);
         assert!(
@@ -207,7 +207,7 @@ mod tests {
             ..SearchSpace::default()
         };
         let run = |w: usize| {
-            let mut ev = ExecutionEvaluator::new(Measurement::exact(Machine::default()), 0);
+            let mut ev = ParallelEvaluator::new(Measurement::exact(Machine::default()), 0, 1);
             BeamSearch::new(w, space.clone()).search(&p, &mut ev).score
         };
         let narrow = run(1);
@@ -226,12 +226,14 @@ mod tests {
             unroll_factors: vec![2, 4],
             ..SearchSpace::default()
         };
-        let mut ev = ExecutionEvaluator::new(Measurement::exact(Machine::default()), 0);
+        let mut ev = ParallelEvaluator::new(Measurement::exact(Machine::default()), 0, 1);
         let result = BeamSearch::new(4, space.clone()).search(&p, &mut ev);
         // Finalization funnels many decision prefixes onto shared
         // schedules; the evaluator must have seen each unique one once.
-        let mut cached = &dlcm_eval::SharedCachedEvaluator::new(std::sync::Mutex::new(
-            ExecutionEvaluator::new(Measurement::exact(Machine::default()), 0),
+        let mut cached = &dlcm_eval::SharedCachedEvaluator::new(ParallelEvaluator::new(
+            Measurement::exact(Machine::default()),
+            0,
+            1,
         ));
         let cached_result = BeamSearch::new(4, space).search(&p, &mut cached);
         assert_eq!(cached_result.schedule, result.schedule);
@@ -246,7 +248,7 @@ mod tests {
     #[test]
     fn result_schedule_is_legal() {
         let p = mm(64);
-        let mut ev = ExecutionEvaluator::new(Measurement::exact(Machine::default()), 0);
+        let mut ev = ParallelEvaluator::new(Measurement::exact(Machine::default()), 0, 1);
         let result = BeamSearch::default().search(&p, &mut ev);
         assert!(dlcm_ir::apply_schedule(&p, &result.schedule).is_ok());
     }
@@ -255,9 +257,10 @@ mod tests {
     fn boxed_evaluator_drives_search() {
         // `Box<dyn Evaluator>` must work end to end (object safety).
         let p = mm(64);
-        let mut ev: Box<dyn Evaluator> = Box::new(ExecutionEvaluator::new(
+        let mut ev: Box<dyn Evaluator> = Box::new(ParallelEvaluator::new(
             Measurement::exact(Machine::default()),
             0,
+            1,
         ));
         let result = BeamSearch::default().search(&p, &mut *ev);
         assert!(result.stats.num_evals > 0);

@@ -96,7 +96,7 @@ pub struct SearchJob {
 /// ```no_run
 /// # use dlcm_ir::*;
 /// use dlcm_eval::{
-///     Evaluator, ExecutionEvaluator, ParallelEvaluator, SharedCachedEvaluator,
+///     Evaluator, ParallelEvaluator, SharedCachedEvaluator,
 /// };
 /// use dlcm_machine::{Machine, Measurement};
 /// use dlcm_search::{BeamSearch, SearchDriver, SearchJob, SearchSpec};
@@ -113,7 +113,7 @@ pub struct SearchJob {
 ///     2,
 /// ));
 /// fn model(_role: usize) -> Box<dyn Evaluator> {
-///     Box::new(ExecutionEvaluator::new(Measurement::new(Machine::default()), 0))
+///     Box::new(ParallelEvaluator::new(Measurement::new(Machine::default()), 0, 1))
 /// }
 /// let jobs = vec![SearchJob {
 ///     program,

@@ -25,7 +25,7 @@
 //!
 //! ```no_run
 //! # use dlcm_ir::*;
-//! use dlcm_eval::{Evaluator, ExecutionEvaluator};
+//! use dlcm_eval::{Evaluator, ParallelEvaluator};
 //! use dlcm_machine::{Machine, Measurement};
 //! use dlcm_search::BeamSearch;
 //! # let mut b = ProgramBuilder::new("p");
@@ -35,7 +35,7 @@
 //! # let acc = b.access(inp, &[i.into()], &[i]);
 //! # b.assign("c", &[i], out, &[i.into()], Expr::Load(acc));
 //! # let program = b.build().unwrap();
-//! let mut evaluator = ExecutionEvaluator::new(Measurement::exact(Machine::default()), 0);
+//! let mut evaluator = ParallelEvaluator::new(Measurement::exact(Machine::default()), 0, 1);
 //! let result = BeamSearch::default().search(&program, &mut evaluator);
 //! println!(
 //!     "best: {} ({}x, {} evals)",

@@ -200,7 +200,7 @@ impl Mcts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlcm_eval::ExecutionEvaluator;
+    use dlcm_eval::ParallelEvaluator;
     use dlcm_ir::{BinOp, Expr, ProgramBuilder};
     use dlcm_machine::{Machine, Measurement};
 
@@ -231,8 +231,8 @@ mod tests {
     #[test]
     fn mcts_finds_a_legal_improving_schedule() {
         let p = mm(128);
-        let mut model_ev = ExecutionEvaluator::new(Measurement::exact(Machine::default()), 0);
-        let mut exec_ev = ExecutionEvaluator::new(Measurement::exact(Machine::default()), 0);
+        let mut model_ev = ParallelEvaluator::new(Measurement::exact(Machine::default()), 0, 1);
+        let mut exec_ev = ParallelEvaluator::new(Measurement::exact(Machine::default()), 0, 1);
         let mcts = Mcts {
             iterations: 40,
             space: SearchSpace {
@@ -261,8 +261,8 @@ mod tests {
     fn mcts_is_deterministic_per_seed() {
         let p = mm(64);
         let run = || {
-            let mut m = ExecutionEvaluator::new(Measurement::exact(Machine::default()), 0);
-            let mut e = ExecutionEvaluator::new(Measurement::exact(Machine::default()), 0);
+            let mut m = ParallelEvaluator::new(Measurement::exact(Machine::default()), 0, 1);
+            let mut e = ParallelEvaluator::new(Measurement::exact(Machine::default()), 0, 1);
             Mcts {
                 iterations: 15,
                 seed: 9,

@@ -5,11 +5,8 @@
 //! scoped deltas, and cross-job cache interaction is nil for distinct
 //! programs.
 
-use std::sync::Mutex;
-
 use dlcm_eval::{
-    EvalStats, Evaluator, ExecutionEvaluator, ParallelEvaluator, ScopedEvaluator,
-    SharedCachedEvaluator, SyncEvaluator,
+    EvalStats, Evaluator, ParallelEvaluator, ScopedEvaluator, SharedCachedEvaluator, SyncEvaluator,
 };
 use dlcm_ir::{BinOp, Expr, Program, ProgramBuilder};
 use dlcm_machine::{Machine, Measurement};
@@ -61,9 +58,10 @@ fn small_space() -> SearchSpace {
 /// Execution evaluator standing in for the model role (the same stand-in
 /// the MCTS unit tests use): deterministic, needs no trained artifact.
 fn exec_model(_role: usize) -> Box<dyn Evaluator> {
-    Box::new(ExecutionEvaluator::new(
+    Box::new(ParallelEvaluator::new(
         Measurement::exact(Machine::default()),
         0,
+        1,
     ))
 }
 
@@ -100,51 +98,29 @@ fn suite_jobs() -> Vec<SearchJob> {
         .collect()
 }
 
-fn run_suite_with_cutover(
-    search_threads: usize,
-    eval_threads: usize,
-    par_cutover: usize,
-) -> Vec<Vec<SearchResult>> {
-    let jobs = suite_jobs();
-    let shared = SharedCachedEvaluator::new(
-        ParallelEvaluator::new(Measurement::new(Machine::default()), 0, eval_threads)
-            .with_par_cutover(par_cutover),
-    );
-    SearchDriver::new(search_threads).run_suite(&jobs, &shared, &exec_model)
-}
-
 fn run_suite(search_threads: usize, eval_threads: usize) -> Vec<Vec<SearchResult>> {
-    run_suite_with_cutover(search_threads, eval_threads, 1)
+    let jobs = suite_jobs();
+    let shared = SharedCachedEvaluator::new(ParallelEvaluator::new(
+        Measurement::new(Machine::default()),
+        0,
+        eval_threads,
+    ));
+    SearchDriver::new(search_threads).run_suite(&jobs, &shared, &exec_model)
 }
 
 #[test]
 fn suite_results_are_identical_at_any_search_thread_count() {
     let reference = run_suite(1, 1);
     assert_eq!(reference.len(), 5);
-    // eval_threads=8 exceeds most beam-wave batch sizes here, so chunked
-    // dispatch runs with more workers than items; cutover is pinned to 1
-    // throughout so small batches still fan out.
-    for (search_threads, eval_threads) in [(2, 1), (4, 1), (4, 2), (2, 8)] {
+    // Waves of 8 or more candidates fan out over the evaluation pool,
+    // smaller ones run inline; at eval_threads=8 chunked dispatch runs
+    // with more workers than most waves have items.
+    for (search_threads, eval_threads) in [(2, 1), (4, 1), (4, 2), (2, 4), (2, 8)] {
         let got = run_suite(search_threads, eval_threads);
         assert_eq!(
             got, reference,
             "search_threads={search_threads}, eval_threads={eval_threads} changed \
              a SearchResult (schedule, score, or per-search stats)"
-        );
-    }
-}
-
-#[test]
-fn par_cutover_is_a_latency_knob_not_a_semantic_one() {
-    // Cutover 1 (everything fans out), the default 8, and a value larger
-    // than any batch in these searches (everything runs inline) must all
-    // reproduce the sequential suite exactly.
-    let reference = run_suite(1, 1);
-    for cutover in [1, dlcm_eval::DEFAULT_PAR_CUTOVER, 10_000] {
-        let got = run_suite_with_cutover(2, 4, cutover);
-        assert_eq!(
-            got, reference,
-            "par_cutover={cutover} changed a SearchResult"
         );
     }
 }
@@ -235,10 +211,11 @@ fn scoped_deltas_sum_to_plain_evaluator_stats() {
     let mut scoped = ScopedEvaluator::new(&shared);
     let via_shared = beam.search(&program, &mut scoped);
 
-    let mut plain = &SharedCachedEvaluator::new(Mutex::new(ExecutionEvaluator::new(
+    let mut plain = &SharedCachedEvaluator::new(ParallelEvaluator::new(
         Measurement::new(Machine::default()),
         0,
-    )));
+        1,
+    ));
     let via_plain = beam.search(&program, &mut plain);
 
     assert_eq!(via_shared.schedule, via_plain.schedule);

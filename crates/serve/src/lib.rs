@@ -17,17 +17,15 @@
 //!   persistent evaluation pool (`dlcm_eval::pool`). Calls share the
 //!   cache and nothing else, so a forward pass that panics unwinds the
 //!   one call that ran it;
-//! - [`ServeConfig`] tunes the pool width, the cache bound, and the
-//!   deterministic simulated per-query inference charge;
+//! - [`ServeConfig`] sets the pool width and the cache bound;
 //! - [`ServeStats`] exposes throughput, latency, forward-pass, cache
 //!   hit-rate, model-swap, and mispredict-capture counters;
 //! - mispredict capture
-//!   ([`InferenceService::enable_mispredict_capture`]) spot-checks a
-//!   content-keyed sample of served rows against ground truth, bands
-//!   divergences PASS/WARN/HIGH/CRITICAL by relative error
-//!   ([`band_for`]), and retains WARN+ rows in a bounded
-//!   [`MispredictLog`] — the capture half of the data flywheel (see
-//!   DESIGN.md § "Data flywheel").
+//!   ([`InferenceService::enable_mispredict_capture`]) spot-checks every
+//!   first-seen served row against ground truth, bands divergences
+//!   PASS/WARN/HIGH/CRITICAL by relative error ([`band_for`]), and
+//!   retains WARN+ rows in a bounded log — the capture half of the data
+//!   flywheel (see DESIGN.md § "Data flywheel").
 //!
 //! The served model is **hot-swappable** ([`InferenceService::reload`] /
 //! [`ArtifactReloadable::reload_artifact`]): the active model lives in an
@@ -59,8 +57,8 @@ mod service;
 
 pub use epoch::ModelEpoch;
 pub use mispredict::{
-    band_for, ErrorBand, MispredictConfig, MispredictCounters, MispredictLog, MispredictRecord,
-    BAND_CRITICAL_THRESHOLD, BAND_HIGH_THRESHOLD, BAND_WARN_THRESHOLD,
+    band_for, ErrorBand, MispredictCounters, MispredictRecord, BAND_CRITICAL_THRESHOLD,
+    BAND_HIGH_THRESHOLD, BAND_WARN_THRESHOLD,
 };
 pub use service::{ArtifactReloadable, InferenceService, ReloadError, ServeConfig, ServeStats};
 

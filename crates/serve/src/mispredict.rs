@@ -1,34 +1,33 @@
-//! Mispredict capture: sampled ground-truth spot checks of served
-//! predictions, banded by relative error, retained in a bounded log.
+//! Mispredict capture: ground-truth spot checks of served predictions,
+//! banded by relative error, retained in a bounded log.
 //!
 //! The serving tier sees exactly the traffic that exposes the cost
 //! model's blind spots; this module is the capture half of the data
 //! flywheel that turns those blind spots into training data:
 //!
-//! - **sampling** is content-keyed ([`MispredictConfig::sample_every`]):
-//!   whether a row is checked is a pure function of `(program
-//!   fingerprint, schedule fingerprint, model fingerprint)`, never of
+//! - **every first-seen row is checked**: whether a row is checked
+//!   depends only on whether its `(model fingerprint, program
+//!   fingerprint, schedule fingerprint)` was checked before, never on
 //!   thread interleaving or cache state — so a fixed-seed serve window
 //!   checks the same rows at any `--threads` setting;
 //! - **ground truth** comes from a caller-supplied [`SyncEvaluator`]
 //!   (in practice `dlcm_eval::ParallelEvaluator` over the execution
 //!   harness, fanned behind the shared worker pool), queried only for
-//!   sampled, not-yet-seen rows;
+//!   not-yet-seen rows;
 //! - **banding** ([`band_for`]) grades each divergence
 //!   PASS/WARN/HIGH/CRITICAL by relative error — a pure function of
 //!   `(predicted, measured)` — and only WARN+ rows are retained;
-//! - **bounding**: the [`MispredictLog`] holds at most `capacity`
-//!   records, dropping oldest-first with an exact
-//!   [`MispredictCounters::dropped`] count, and a bounded seen-set LRU
-//!   ensures a row whose cache entry was evicted and re-served is never
-//!   double-counted.
+//! - **bounding**: the log holds at most 1024 records, dropping
+//!   oldest-first with an exact [`MispredictCounters::dropped`] count,
+//!   and a seen-set LRU of 2¹⁶ rows ensures a row whose cache entry was
+//!   evicted and re-served is never double-counted.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use dlcm_eval::{LruMap, SyncEvaluator};
-use dlcm_ir::fingerprint::{fnv1a, stable_fingerprint, FNV1A_INIT};
+use dlcm_ir::fingerprint::stable_fingerprint;
 use dlcm_ir::{Program, Schedule};
 use serde::{Deserialize, Serialize};
 
@@ -38,6 +37,14 @@ pub const BAND_WARN_THRESHOLD: f64 = 0.10;
 pub const BAND_HIGH_THRESHOLD: f64 = 0.25;
 /// Relative error at which a divergence escalates from HIGH to CRITICAL.
 pub const BAND_CRITICAL_THRESHOLD: f64 = 0.50;
+
+/// Records the mispredict log retains; oldest records are dropped first
+/// on overflow.
+const LOG_CAPACITY: usize = 1024;
+
+/// Entry bound of the seen-set LRU that de-duplicates repeat checks of
+/// the same `(model, program, schedule)` row.
+const SEEN_CAPACITY: usize = 1 << 16;
 
 /// Severity of one prediction's divergence from ground truth, by
 /// relative error (see [`band_for`]). Ordered: `Pass < Warn < High <
@@ -108,31 +115,6 @@ pub struct MispredictRecord {
     pub model_fingerprint: u64,
 }
 
-/// Capture knobs; see the module docs for semantics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MispredictConfig {
-    /// Check one in `sample_every` rows (content-keyed, so the sampled
-    /// subset is deterministic); `1` checks every row. Clamped to at
-    /// least 1.
-    pub sample_every: u64,
-    /// Maximum records the [`MispredictLog`] retains; oldest records
-    /// are dropped first on overflow.
-    pub capacity: usize,
-    /// Entry bound of the seen-set LRU that de-duplicates repeat
-    /// checks of the same `(model, program, schedule)` row.
-    pub seen_capacity: usize,
-}
-
-impl Default for MispredictConfig {
-    fn default() -> Self {
-        Self {
-            sample_every: 1,
-            capacity: 1024,
-            seen_capacity: 1 << 16,
-        }
-    }
-}
-
 /// Monotonic capture accounting, surfaced through
 /// `dlcm_serve::ServeStats` (and thence the network `Stats` frame).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -160,53 +142,28 @@ struct LogInner {
 }
 
 /// A bounded, thread-safe FIFO of retained mispredicts: at most
-/// `capacity` records, oldest dropped first, with exact `logged` /
+/// [`LOG_CAPACITY`] records, oldest dropped first, with exact `logged` /
 /// `dropped` accounting. Draining returns records in capture order.
-#[derive(Debug)]
-pub struct MispredictLog {
-    capacity: usize,
+#[derive(Debug, Default)]
+pub(crate) struct MispredictLog {
     inner: Mutex<LogInner>,
 }
 
 impl MispredictLog {
-    /// An empty log holding at most `capacity` records (clamped to at
-    /// least 1).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            capacity: capacity.max(1),
-            inner: Mutex::new(LogInner::default()),
-        }
-    }
-
-    /// The configured record bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Records currently retained (always `<=` capacity).
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("mispredict log").entries.len()
-    }
-
-    /// `true` when no records are retained.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Records pushed so far (monotonic).
-    pub fn logged(&self) -> usize {
+    fn logged(&self) -> usize {
         self.inner.lock().expect("mispredict log").logged
     }
 
     /// Records dropped oldest-first to stay within capacity (monotonic).
-    pub fn dropped(&self) -> usize {
+    fn dropped(&self) -> usize {
         self.inner.lock().expect("mispredict log").dropped
     }
 
     /// Appends a record, evicting the oldest if the log is full.
-    pub fn push(&self, record: MispredictRecord) {
+    fn push(&self, record: MispredictRecord) {
         let mut inner = self.inner.lock().expect("mispredict log");
-        if inner.entries.len() == self.capacity {
+        if inner.entries.len() == LOG_CAPACITY {
             inner.entries.pop_front();
             inner.dropped += 1;
         }
@@ -217,28 +174,16 @@ impl MispredictLog {
     /// Removes and returns every retained record, oldest first. The
     /// `logged`/`dropped` counters are unaffected (they are monotonic
     /// totals, not gauges).
-    pub fn drain(&self) -> Vec<MispredictRecord> {
+    fn drain(&self) -> Vec<MispredictRecord> {
         let mut inner = self.inner.lock().expect("mispredict log");
         inner.entries.drain(..).collect()
     }
-}
-
-/// Content-keyed sampling hash: FNV-1a over the three identity
-/// fingerprints, so the sampled subset is a pure function of *what* was
-/// served, not when or by which thread.
-fn sample_key(program_fp: u64, schedule_fp: u64, model_fp: u64) -> u64 {
-    let mut state = FNV1A_INIT;
-    for v in [program_fp, schedule_fp, model_fp] {
-        state = fnv1a(state, &v.to_le_bytes());
-    }
-    state
 }
 
 /// The capture half of the flywheel, installed once per service via
 /// `InferenceService::enable_mispredict_capture`.
 pub(crate) struct CaptureState {
     truth: Box<dyn SyncEvaluator>,
-    sample_every: u64,
     log: MispredictLog,
     /// `(model_fp, program_fp, schedule_fp)` rows already checked —
     /// bounded, so sustained traffic cannot grow it; checked under one
@@ -252,12 +197,11 @@ pub(crate) struct CaptureState {
 }
 
 impl CaptureState {
-    pub(crate) fn new(truth: Box<dyn SyncEvaluator>, cfg: MispredictConfig) -> Self {
+    pub(crate) fn new(truth: Box<dyn SyncEvaluator>) -> Self {
         Self {
             truth,
-            sample_every: cfg.sample_every.max(1),
-            log: MispredictLog::new(cfg.capacity),
-            seen: Mutex::new(LruMap::with_capacity(cfg.seen_capacity)),
+            log: MispredictLog::default(),
+            seen: Mutex::new(LruMap::with_capacity(SEEN_CAPACITY)),
             checked: AtomicUsize::new(0),
             warn: AtomicUsize::new(0),
             high: AtomicUsize::new(0),
@@ -265,10 +209,10 @@ impl CaptureState {
         }
     }
 
-    /// Spot-checks one served batch: samples rows by content key,
-    /// claims the not-yet-seen ones, scores them against ground truth,
-    /// and retains WARN+ divergences. Runs after the response values
-    /// are fixed — it can never change an answer, only observe it.
+    /// Spot-checks one served batch: claims the not-yet-seen rows,
+    /// scores them against ground truth, and retains WARN+ divergences.
+    /// Runs after the response values are fixed — it can never change an
+    /// answer, only observe it.
     pub(crate) fn observe(
         &self,
         program: &Program,
@@ -277,24 +221,11 @@ impl CaptureState {
         model_fp: u64,
     ) {
         let program_fp = program.content_fingerprint();
-        let sampled: Vec<(usize, u64)> = schedules
-            .iter()
-            .enumerate()
-            .filter_map(|(i, schedule)| {
-                let schedule_fp = stable_fingerprint(schedule);
-                (sample_key(program_fp, schedule_fp, model_fp) % self.sample_every == 0)
-                    .then_some((i, schedule_fp))
-            })
-            .collect();
-        if sampled.is_empty() {
-            return;
-        }
-        let fresh: Vec<(usize, u64)> = {
+        let fresh: Vec<usize> = {
             let mut seen = self.seen.lock().expect("mispredict seen set");
-            sampled
-                .into_iter()
-                .filter(|(_, schedule_fp)| {
-                    let key = (model_fp, program_fp, *schedule_fp);
+            (0..schedules.len())
+                .filter(|&i| {
+                    let key = (model_fp, program_fp, stable_fingerprint(&schedules[i]));
                     if seen.get(&key).is_some() {
                         false
                     } else {
@@ -307,10 +238,10 @@ impl CaptureState {
         if fresh.is_empty() {
             return;
         }
-        let subset: Vec<Schedule> = fresh.iter().map(|(i, _)| schedules[*i].clone()).collect();
+        let subset: Vec<Schedule> = fresh.iter().map(|&i| schedules[i].clone()).collect();
         let (measured, _) = self.truth.speedup_batch_shared(program, &subset);
         self.checked.fetch_add(fresh.len(), Ordering::Relaxed);
-        for ((i, _), measured) in fresh.iter().zip(&measured) {
+        for (i, measured) in fresh.iter().zip(&measured) {
             let band = band_for(predicted[*i], *measured);
             let counter = match band {
                 ErrorBand::Pass => continue,
@@ -349,7 +280,6 @@ impl CaptureState {
 impl std::fmt::Debug for CaptureState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CaptureState")
-            .field("sample_every", &self.sample_every)
             .field("counters", &self.counters())
             .finish_non_exhaustive()
     }
@@ -399,26 +329,26 @@ mod tests {
 
     #[test]
     fn bounded_log_drops_oldest_first() {
-        let log = MispredictLog::new(3);
-        for tag in 0..5 {
+        let log = MispredictLog::default();
+        let pushed = LOG_CAPACITY as u64 + 5;
+        for tag in 0..pushed {
             log.push(record(tag));
         }
-        assert_eq!(log.len(), 3);
-        assert_eq!(log.logged(), 5);
-        assert_eq!(log.dropped(), 2);
+        assert_eq!(log.logged(), LOG_CAPACITY + 5);
+        assert_eq!(log.dropped(), 5, "one drop per record past the bound");
         let drained = log.drain();
         let tags: Vec<u64> = drained.iter().map(|r| r.model_fingerprint).collect();
-        assert_eq!(tags, vec![2, 3, 4], "oldest records fell out first");
-        assert!(log.is_empty());
-        assert_eq!(log.logged(), 5, "monotonic counters survive a drain");
-        assert_eq!(log.dropped(), 2);
-    }
-
-    #[test]
-    fn sample_key_is_content_pure() {
-        let a = sample_key(1, 2, 3);
-        assert_eq!(a, sample_key(1, 2, 3));
-        assert_ne!(a, sample_key(2, 1, 3), "argument order matters");
-        assert_ne!(a, sample_key(1, 2, 4), "model identity is in the key");
+        assert_eq!(
+            tags,
+            (5..pushed).collect::<Vec<u64>>(),
+            "oldest records fell out first"
+        );
+        assert!(log.drain().is_empty());
+        assert_eq!(
+            log.logged(),
+            LOG_CAPACITY + 5,
+            "monotonic counters survive a drain"
+        );
+        assert_eq!(log.dropped(), 5);
     }
 }

@@ -15,7 +15,7 @@ use dlcm_model::{Featurizer, ModelArtifact, SpeedupPredictor};
 use serde::{Deserialize, Serialize};
 
 use crate::epoch::{ModelEpoch, ModelSlot};
-use crate::mispredict::{CaptureState, MispredictConfig, MispredictCounters, MispredictRecord};
+use crate::mispredict::{CaptureState, MispredictCounters, MispredictRecord};
 
 /// Service tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -25,13 +25,6 @@ pub struct ServeConfig {
     /// Like every `--threads` knob in this workspace, it changes
     /// wall-clock only, never scores.
     pub threads: usize,
-    /// Simulated seconds charged into `search_time` per *queried*
-    /// candidate (cache hits included), instead of measured wall-clock —
-    /// same semantics as `ModelEvaluator::with_simulated_cost`, extended
-    /// to hits so a served search's accounting does not depend on what
-    /// other clients happened to warm. `None` charges measured
-    /// wall-clock (misses only).
-    pub sim_infer_cost: Option<f64>,
     /// Entry bound for the shared result cache (rounded up to a whole
     /// entry per lock shard). Under open-loop traffic every request can
     /// carry fresh `(program, schedule)` keys, so the serving tier's
@@ -45,7 +38,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             threads: 1,
-            sim_infer_cost: None,
             cache_capacity: DEFAULT_CACHE_CAPACITY,
         }
     }
@@ -139,8 +131,7 @@ struct ClientLedger {
     calls: usize,
     queries: usize,
     latency: f64,
-    /// What the cache and the miss path charged, before the per-query
-    /// simulated cost (`total_stats` applies that to the query total).
+    /// What the cache and the miss path charged.
     charged: EvalStats,
 }
 
@@ -150,7 +141,6 @@ struct ServeCore<M> {
     slot: ModelSlot<M>,
     featurizer: Featurizer,
     threads: usize,
-    sim_infer_cost: Option<f64>,
     micro_batches: AtomicUsize,
     forward_rows: AtomicUsize,
 }
@@ -180,14 +170,7 @@ impl<M: SpeedupPredictor> ServeCore<M> {
         let dt = start.elapsed().as_secs_f64();
         let delta = EvalStats {
             num_evals: schedules.len(),
-            // The simulated charge (when configured) is applied per
-            // *query* at the service layer, hits included; the miss path
-            // charges wall-clock into search_time only when unsimulated.
-            search_time: if self.sim_infer_cost.is_some() {
-                0.0
-            } else {
-                dt
-            },
+            search_time: dt,
             infer_time: dt,
             ..EvalStats::default()
         };
@@ -312,7 +295,6 @@ impl<M: SpeedupPredictor> InferenceService<M> {
                 slot: ModelSlot::new(model, fingerprint),
                 featurizer,
                 threads: cfg.threads.max(1),
-                sim_infer_cost: cfg.sim_infer_cost,
                 micro_batches: AtomicUsize::new(0),
                 forward_rows: AtomicUsize::new(0),
             },
@@ -328,22 +310,18 @@ impl<M: SpeedupPredictor> InferenceService<M> {
         }
     }
 
-    /// Installs mispredict capture (at most once per service): sampled
-    /// served rows are spot-checked against `truth` — ground truth, in
-    /// practice a `dlcm_eval::ParallelEvaluator` over the execution
-    /// harness — and WARN+ divergences are retained in a bounded log
-    /// (see [`crate::MispredictLog`]). Returns `false` (and changes
-    /// nothing) if capture was already enabled.
+    /// Installs mispredict capture (at most once per service): every
+    /// first-seen served row is spot-checked against `truth` — ground
+    /// truth, in practice a `dlcm_eval::ParallelEvaluator` over the
+    /// execution harness — and WARN+ divergences are retained in a log
+    /// bounded at 1024 records (oldest dropped first). Returns `false`
+    /// (and changes nothing) if capture was already enabled.
     ///
     /// The check runs *after* a response's values are fixed, so capture
     /// can never change an answer; it adds truth-evaluation latency
-    /// only to calls that carry sampled, first-seen rows.
-    pub fn enable_mispredict_capture(
-        &self,
-        truth: Box<dyn SyncEvaluator>,
-        cfg: MispredictConfig,
-    ) -> bool {
-        self.capture.set(CaptureState::new(truth, cfg)).is_ok()
+    /// only to calls that carry first-seen rows.
+    pub fn enable_mispredict_capture(&self, truth: Box<dyn SyncEvaluator>) -> bool {
+        self.capture.set(CaptureState::new(truth)).is_ok()
     }
 
     /// Removes and returns every retained mispredict record, oldest
@@ -522,13 +500,6 @@ impl<M: SpeedupPredictor> SyncEvaluator for InferenceService<M> {
                     core.speedup_batch_epoch(&epoch, program, fresh)
                 });
         let mut delta = charged;
-        // With a simulated cost configured, every queried candidate —
-        // hit or miss — charges the same deterministic amount, so a
-        // served search's search_time is a pure function of its own
-        // query trace (what in-process ModelEvaluator charges too).
-        if let Some(per_candidate) = core.sim_infer_cost {
-            delta.search_time += per_candidate * schedules.len() as f64;
-        }
         delta.num_evals = schedules.len();
         // Mispredict capture observes the *final* values under the same
         // pinned epoch that produced them — it can never change an
@@ -551,9 +522,6 @@ impl<M: SpeedupPredictor> SyncEvaluator for InferenceService<M> {
         let ledger = *self.ledger.lock().expect("client ledger");
         let mut stats = ledger.charged;
         stats.num_evals = ledger.queries;
-        if let Some(per_candidate) = self.cache.inner().sim_infer_cost {
-            stats.search_time += per_candidate * stats.num_evals as f64;
-        }
         stats
     }
 }

@@ -1,19 +1,15 @@
 //! The capture half of the data flywheel, tested at the service
 //! boundary: banding is a pure function of `(predicted, measured)` and
-//! stable across thread counts, the sampled/checked row set is
-//! content-keyed (identical at any `--threads`), the mispredict log
-//! never exceeds its capacity and accounts every drop, and a row whose
-//! cache entry was evicted and re-served is never double-counted.
-
-use std::sync::Mutex;
+//! stable across thread counts, the checked row set is every first-seen
+//! row (identical at any `--threads`), the mispredict log never exceeds
+//! its 1024-record bound and accounts every drop, and a row whose cache
+//! entry was evicted and re-served is never double-counted.
 
 use dlcm_eval::{EvalStats, ModelEvaluator, SyncEvaluator};
 use dlcm_ir::fingerprint::stable_fingerprint;
 use dlcm_ir::{CompId, Expr, Program, ProgramBuilder, Schedule, Transform};
 use dlcm_model::{CostModel, CostModelConfig, Featurizer, FeaturizerConfig};
-use dlcm_serve::{
-    band_for, ErrorBand, InferenceService, MispredictConfig, MispredictRecord, ServeConfig,
-};
+use dlcm_serve::{band_for, ErrorBand, InferenceService, MispredictRecord, ServeConfig};
 
 fn program(name: &str, n: i64) -> Program {
     let mut b = ProgramBuilder::new(name);
@@ -172,13 +168,7 @@ fn capture_is_identical_across_thread_counts() {
                 ..ServeConfig::default()
             },
         );
-        assert!(service.enable_mispredict_capture(
-            Box::new(ConstTruth(1.0e6)),
-            MispredictConfig {
-                sample_every: 3,
-                ..MispredictConfig::default()
-            },
-        ));
+        assert!(service.enable_mispredict_capture(Box::new(ConstTruth(1.0e6))));
         let programs: Vec<Program> = (0..6)
             .map(|k| program(&format!("p{k}"), 16 + 8 * k))
             .collect();
@@ -198,13 +188,9 @@ fn capture_is_identical_across_thread_counts() {
     assert_eq!(c1, c4, "capture counters depend on thread count");
     assert_eq!(r1, r4, "retained record sets depend on thread count");
 
-    // sample_every=3 thinned the traffic: some of the 48 distinct rows
-    // were checked, not all, and none twice.
-    assert!(c1.checked > 0, "content-keyed sampling selected nothing");
-    assert!(
-        c1.checked < 48,
-        "sample_every=3 should skip some of the 48 distinct rows"
-    );
+    // Each of the 48 distinct rows was checked exactly once: the repeat
+    // of every wave checked nothing.
+    assert_eq!(c1.checked, 48);
     // Truth is 1e6, predictions are small: every check is CRITICAL and
     // every checked row is retained.
     assert_eq!(c1.critical, c1.checked);
@@ -217,12 +203,12 @@ fn capture_is_identical_across_thread_counts() {
     }
 }
 
-/// Sustained distinct traffic: the log never exceeds its capacity, the
-/// survivors are the newest records, and `logged`/`dropped` account for
-/// every push exactly.
+/// Sustained distinct traffic past the log's 1024-record bound: the log
+/// never exceeds it, the survivors are the newest records, and
+/// `logged`/`dropped` account for every push exactly.
 #[test]
 fn bounded_log_keeps_newest_and_accounts_drops() {
-    const CAPACITY: usize = 4;
+    const CAPACITY: usize = 1024;
     let service = InferenceService::new(
         model(2),
         featurizer(),
@@ -231,29 +217,22 @@ fn bounded_log_keeps_newest_and_accounts_drops() {
             ..ServeConfig::default()
         },
     );
-    assert!(service.enable_mispredict_capture(
-        Box::new(ConstTruth(1.0e6)),
-        MispredictConfig {
-            sample_every: 1,
-            capacity: CAPACITY,
-            ..MispredictConfig::default()
-        },
-    ));
+    assert!(service.enable_mispredict_capture(Box::new(ConstTruth(1.0e6))));
     // Capture is installed exactly once; a second truth is refused.
-    assert!(
-        !service.enable_mispredict_capture(Box::new(ConstTruth(0.0)), MispredictConfig::default())
-    );
+    assert!(!service.enable_mispredict_capture(Box::new(ConstTruth(0.0))));
 
     let wave = wave();
+    // Two waves past the bound: 16 records must be dropped.
+    let rounds = CAPACITY / wave.len() + 2;
     let mut served_keys: Vec<(u64, u64)> = Vec::new();
-    for round in 0..rounds() {
+    for round in 0..rounds {
         // A fresh program per round: every row is a first occurrence.
         let p = program("fresh", 16 + 2 * round as i64);
         service.speedup_batch_shared(&p, &wave);
         let fp = p.content_fingerprint();
         served_keys.extend(wave.iter().map(|s| (fp, stable_fingerprint(s))));
     }
-    let total = rounds() * wave.len();
+    let total = rounds * wave.len();
     let counters = service.mispredict_counters();
     assert_eq!(counters.checked, total);
     assert_eq!(counters.critical, total);
@@ -288,12 +267,9 @@ fn evicted_cache_replay_never_double_counts() {
         ServeConfig {
             threads: 1,
             cache_capacity: 1,
-            ..ServeConfig::default()
         },
     );
-    assert!(
-        service.enable_mispredict_capture(Box::new(ConstTruth(1.0e6)), MispredictConfig::default())
-    );
+    assert!(service.enable_mispredict_capture(Box::new(ConstTruth(1.0e6))));
 
     let wave = wave();
     let programs: Vec<Program> = (0..rounds())
@@ -370,9 +346,7 @@ fn retained_predictions_match_served_scores() {
             ..ServeConfig::default()
         },
     );
-    assert!(
-        service.enable_mispredict_capture(Box::new(ConstTruth(1.0e6)), MispredictConfig::default())
-    );
+    assert!(service.enable_mispredict_capture(Box::new(ConstTruth(1.0e6))));
     let p = program("parity", 32);
     let wave = wave();
     let (served, _) = service.speedup_batch_shared(&p, &wave);
@@ -396,19 +370,20 @@ fn retained_predictions_match_served_scores() {
     }
 }
 
-/// A truth evaluator can also be a `Mutex`-lifted exclusive evaluator —
-/// and when it answers exactly what the model predicts, every check
-/// passes and nothing is retained.
+/// A truth evaluator can be any `SyncEvaluator` — here a second service
+/// over the same model — and when it answers exactly what the model
+/// predicts, every check passes and nothing is retained.
 #[test]
 fn agreeing_truth_retains_nothing() {
-    // The boxed truth must be 'static; leaking one small test model is
-    // the cheap way to lend it out forever.
-    let m: &'static CostModel = Box::leak(Box::new(model(6)));
+    let m = model(6);
     let service = InferenceService::new(m.clone(), featurizer(), ServeConfig::default());
-    assert!(service.enable_mispredict_capture(
-        Box::new(Mutex::new(ModelEvaluator::new(m, featurizer()))),
-        MispredictConfig::default(),
-    ));
+    assert!(
+        service.enable_mispredict_capture(Box::new(InferenceService::new(
+            m,
+            featurizer(),
+            ServeConfig::default(),
+        )))
+    );
     let p = program("agree", 24);
     service.speedup_batch_shared(&p, &wave());
     let counters = service.mispredict_counters();

@@ -260,28 +260,3 @@ fn panicked_forward_fails_its_own_call_and_nothing_after_it() {
         "one bad request must not take the scoring path down for the next"
     );
 }
-
-#[test]
-fn simulated_cost_makes_served_accounting_deterministic() {
-    let m = model();
-    let featurizer = Featurizer::new(FeaturizerConfig::default());
-    let service = InferenceService::new(
-        m,
-        featurizer,
-        ServeConfig {
-            sim_infer_cost: Some(0.004),
-            ..ServeConfig::default()
-        },
-    );
-    let p = program("p", 64);
-    let (_, first) = service.speedup_batch_shared(&p, &wave());
-    let (_, warm) = service.speedup_batch_shared(&p, &wave());
-    // Hits and misses charge identically: search_time is a pure function
-    // of the query count, not of cache state or neighbours.
-    assert_eq!(first.search_time, 0.004 * wave().len() as f64);
-    assert_eq!(warm.search_time, first.search_time);
-    assert_eq!(
-        service.total_stats().search_time,
-        0.004 * (2 * wave().len()) as f64
-    );
-}

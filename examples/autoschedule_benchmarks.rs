@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example autoschedule_benchmarks [scale]`
 
 use dlcm::benchsuite;
-use dlcm::eval::ExecutionEvaluator;
+use dlcm::eval::ParallelEvaluator;
 use dlcm::ir::apply_schedule;
 use dlcm::machine::{parallel_baseline, Machine, Measurement};
 use dlcm::search::{BeamSearch, SearchSpace};
@@ -29,7 +29,7 @@ fn main() {
     );
     for bench in benchsuite::suite() {
         let program = (bench.build)(scale);
-        let mut evaluator = ExecutionEvaluator::new(harness.clone(), 0);
+        let mut evaluator = ParallelEvaluator::new(harness.clone(), 0, 1);
         let result = BeamSearch::new(4, space.clone()).search(&program, &mut evaluator);
         assert!(apply_schedule(&program, &result.schedule).is_ok());
 

@@ -7,7 +7,7 @@
 
 use dlcm::benchsuite;
 use dlcm::datagen::{prepare, BuildConfig, DatasetConfig, ParallelDatasetBuilder};
-use dlcm::eval::{ExecutionEvaluator, ModelEvaluator};
+use dlcm::eval::{ModelEvaluator, ParallelEvaluator};
 use dlcm::machine::{parallel_baseline, Machine, Measurement};
 use dlcm::model::{train, CostModel, CostModelConfig, Featurizer, FeaturizerConfig, TrainConfig};
 use dlcm::search::{BeamSearch, Mcts, SearchSpace};
@@ -54,7 +54,7 @@ fn main() {
         };
 
         // BSE: beam search with execution (ground truth, slow).
-        let mut exec_ev = ExecutionEvaluator::new(harness.clone(), 0);
+        let mut exec_ev = ParallelEvaluator::new(harness.clone(), 0, 1);
         let bse = BeamSearch::new(4, space.clone()).search(&program, &mut exec_ev);
 
         // BSM: beam search with the model (fast).
@@ -63,7 +63,7 @@ fn main() {
 
         // MCTS with the model + top-k execution correction.
         let mut model_ev2 = ModelEvaluator::new(&model, featurizer.clone());
-        let mut exec_ev2 = ExecutionEvaluator::new(harness.clone(), 0);
+        let mut exec_ev2 = ParallelEvaluator::new(harness.clone(), 0, 1);
         let mcts = Mcts {
             iterations: 80,
             space: space.clone(),

@@ -2,7 +2,7 @@
 //! machine and the search behave sensibly on the real workloads of §6.
 
 use dlcm::benchsuite::{self, Category};
-use dlcm::eval::ExecutionEvaluator;
+use dlcm::eval::ParallelEvaluator;
 use dlcm::ir::{apply_schedule, Schedule};
 use dlcm::machine::{parallel_baseline, Machine, Measurement};
 use dlcm::search::{BeamSearch, SearchSpace};
@@ -59,7 +59,7 @@ fn beam_search_improves_over_parallel_baseline_on_most_benchmarks() {
         // Large benches are slow through full beam search in debug builds;
         // use a reduced scale.
         let p = (bench.build)(0.12);
-        let mut ev = ExecutionEvaluator::new(harness.clone(), 0);
+        let mut ev = ParallelEvaluator::new(harness.clone(), 0, 1);
         let result = BeamSearch::new(3, space.clone()).search(&p, &mut ev);
         let t_base = harness
             .measure_schedule(&p, &parallel_baseline(&p), 0)

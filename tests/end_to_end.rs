@@ -2,7 +2,7 @@
 //! → model-guided search, spanning every crate in the workspace.
 
 use dlcm::datagen::{prepare, BuildConfig, Dataset, DatasetConfig, ParallelDatasetBuilder};
-use dlcm::eval::{ExecutionEvaluator, ModelEvaluator};
+use dlcm::eval::{ModelEvaluator, ParallelEvaluator};
 use dlcm::machine::{Machine, Measurement};
 use dlcm::model::{
     evaluate, metrics, train, CostModel, CostModelConfig, Featurizer, FeaturizerConfig, TrainConfig,
@@ -140,7 +140,7 @@ fn model_guided_beam_search_runs_on_unseen_program() {
     let bsm = BeamSearch::new(beam, space.clone()).search(&program, &mut model_ev);
     assert!(dlcm::ir::apply_schedule(&program, &bsm.schedule).is_ok());
 
-    let mut exec_ev = ExecutionEvaluator::new(Measurement::exact(Machine::default()), 0);
+    let mut exec_ev = ParallelEvaluator::new(Measurement::exact(Machine::default()), 0, 1);
     let bse = BeamSearch::new(beam, space).search(&program, &mut exec_ev);
     assert!(
         bse.stats.search_time > bsm.stats.search_time,
