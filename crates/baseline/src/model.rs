@@ -11,7 +11,7 @@ use dlcm_eval::{EvalStats, Evaluator};
 use dlcm_ir::{Program, Schedule};
 use dlcm_machine::MachineConfig;
 use dlcm_tensor::loss::mse;
-use dlcm_tensor::nn::{Activation, GradAccumulator, Mlp, ParamStore};
+use dlcm_tensor::nn::{Activation, Mlp, ParamStore};
 use dlcm_tensor::optim::{AdamW, AdamWConfig, OneCycleLr};
 use dlcm_tensor::{Tape, Tensor};
 use rand::seq::SliceRandom;
@@ -171,9 +171,10 @@ impl HalideModel {
                 let tv = tape.constant(target);
                 let loss = mse(&mut tape, pred, tv);
                 let grads = tape.backward(loss);
-                let mut acc = GradAccumulator::new(&self.store);
-                acc.add(grads.params());
-                opt.step(&mut self.store, &acc, sched.lr_at(step));
+                // Released, the tape no longer shares the weight buffers:
+                // the step updates them in place.
+                drop(tape);
+                opt.step(&mut self.store, &grads, sched.lr_at(step));
                 step += 1;
             }
         }

@@ -82,13 +82,13 @@ mod cache;
 pub mod lru;
 mod model;
 mod parallel;
-pub mod pool;
 pub mod shared;
 mod stats;
 
 use dlcm_ir::{Program, Schedule};
 
 pub use cache::DEFAULT_CACHE_CAPACITY;
+pub use dlcm_tensor::pool;
 pub use lru::LruMap;
 pub use model::{score_wave, ModelEvaluator};
 pub use parallel::ParallelEvaluator;

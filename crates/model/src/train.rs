@@ -10,7 +10,6 @@
 
 use dlcm_ir::{Program, Schedule};
 use dlcm_tensor::loss::mape as mape_loss;
-use dlcm_tensor::nn::GradAccumulator;
 use dlcm_tensor::optim::{AdamW, AdamWConfig, OneCycleLr};
 use dlcm_tensor::{Tape, Tensor};
 use rand::seq::SliceRandom;
@@ -288,13 +287,11 @@ pub fn train_stream<M: SpeedupPredictor, B: BatchSource + ?Sized>(
             let loss = mape_loss(&mut tape, pred, tv);
             epoch_loss += f64::from(tape.value(loss).item());
             let grads = tape.backward(loss);
-            let mut acc = GradAccumulator::new(model.store());
-            acc.add(grads.params());
             // The tape shares every weight buffer it bound; released, the
             // optimizer updates the weights in place rather than through
             // a copy-on-write clone of each.
             drop(tape);
-            opt.step(model.store_mut(), &acc, lr);
+            opt.step(model.store_mut(), &grads, lr);
         }
         let train_mape = epoch_loss / num_batches as f64;
         let val_mape = if val_set.is_empty() {

@@ -14,9 +14,9 @@
 //! tape op's floating-point evaluation exactly — same summation order,
 //! same association, same scalar functions (both sides call
 //! [`crate::math`] for every `exp`, sigmoid and `tanh`). Every matrix
-//! product in the crate — [`crate::Tensor::matmul`],
-//! [`crate::Tensor::matmul_t`], [`crate::Tensor::t_matmul`] and
-//! [`Arena::matmul`] — is *one* function, [`matmul_into`], so the tape
+//! product in the crate — [`crate::Tensor::matmul`] (the backward pass's
+//! `g x Bᵀ` too, against a transposed `B`), [`crate::Tensor::t_matmul`]
+//! and [`Arena::matmul`] — is *one* function, [`matmul_into`], so the tape
 //! and arena paths cannot drift apart; the elementwise kernels state
 //! their tape counterpart next to each expression. `dlcm-model` has a property test pinning arena inference
 //! to the tape forward pass bit for bit.
@@ -39,8 +39,8 @@ const TILE: usize = 32;
 /// zeroed `out`.
 ///
 /// This is the *single* f32 product loop in the crate —
-/// [`crate::Tensor::matmul`], [`crate::Tensor::matmul_t`] (the backward
-/// pass's `g x Bᵀ`), [`crate::Tensor::t_matmul`] (its `Aᵀ x g`) and
+/// [`crate::Tensor::matmul`] (also the backward pass's `g x Bᵀ`, against
+/// a transposed `B`), [`crate::Tensor::t_matmul`] (its `Aᵀ x g`) and
 /// [`Arena::matmul`] all call it. Two facts shape it, and each leaves
 /// every output bit where the plain i-k-j loop
 /// (`for i { for k { if a[i][k] != 0 { out[i][..] += a[i][k] * b[k][..] } } }`)

@@ -16,7 +16,9 @@
 //! - [`loss`]: MAPE (the paper's objective) and MSE (the baseline's),
 //! - [`init`]: Glorot initialization (appendix A.1),
 //! - [`math`]: the `exp` / `sigmoid` / `tanh` every activation above is
-//!   made of — plain Rust, no libm.
+//!   made of — plain Rust, no libm,
+//! - [`pool`]: the persistent worker pool a training step's second lane
+//!   runs on (and, through `dlcm_eval::pool`, evaluation and search).
 //!
 //! # Examples
 //!
@@ -24,7 +26,7 @@
 //!
 //! ```
 //! use dlcm_tensor::{Tape, Tensor};
-//! use dlcm_tensor::nn::{Activation, GradAccumulator, Mlp, ParamStore};
+//! use dlcm_tensor::nn::{Activation, Mlp, ParamStore};
 //! use dlcm_tensor::optim::{AdamW, AdamWConfig};
 //! use rand::SeedableRng;
 //!
@@ -34,15 +36,17 @@
 //! let mut opt = AdamW::new(&store, AdamWConfig::default());
 //!
 //! for _ in 0..50 {
-//!     let mut acc = GradAccumulator::new(&store);
 //!     let mut tape = Tape::new();
 //!     // Data nobody differentiates is a constant; weights are params.
 //!     let x = tape.constant(Tensor::from_vec(4, 1, vec![-1.0, 0.0, 0.5, 1.0]));
 //!     let y = mlp.forward(&mut tape, &store, x, &mut rng);
 //!     let t = tape.constant(Tensor::from_vec(4, 1, vec![1.0, 0.0, 0.25, 1.0]));
 //!     let loss = dlcm_tensor::loss::mse(&mut tape, y, t);
-//!     acc.add(tape.backward(loss).params());
-//!     opt.step(&mut store, &acc, 1e-2);
+//!     let grads = tape.backward(loss);
+//!     // Released, the tape no longer shares the weight buffers: the
+//!     // step updates them in place.
+//!     drop(tape);
+//!     opt.step(&mut store, &grads, 1e-2);
 //! }
 //! ```
 
@@ -54,6 +58,7 @@ pub mod loss;
 pub mod math;
 pub mod nn;
 pub mod optim;
+pub mod pool;
 mod tape;
 mod tensor;
 

@@ -87,82 +87,10 @@ impl ParamStore {
     pub fn bind(&self, tape: &mut Tape, id: ParamId) -> Var {
         tape.param(id, self.get(id).clone())
     }
-}
 
-/// Accumulates gradients per parameter across samples of a batch.
-#[derive(Debug)]
-pub struct GradAccumulator {
-    grads: Vec<Option<Tensor>>,
-    count: usize,
-}
-
-impl GradAccumulator {
-    /// Creates an accumulator sized for `store`.
-    pub fn new(store: &ParamStore) -> Self {
-        Self {
-            grads: vec![None; store.len()],
-            count: 0,
-        }
-    }
-
-    /// Adds one sample's gradients (from [`crate::tape::Gradients::params`]).
-    pub fn add<'a>(&mut self, params: impl Iterator<Item = (ParamId, &'a Tensor)>) {
-        for (id, g) in params {
-            match &mut self.grads[id.0] {
-                Some(acc) => acc.add_scaled(g, 1.0),
-                slot => *slot = Some(g.clone()),
-            }
-        }
-        self.count += 1;
-    }
-
-    /// Merges another accumulator (e.g. one filled by a worker thread).
-    pub fn merge(&mut self, other: GradAccumulator) {
-        for (slot, g) in self.grads.iter_mut().zip(other.grads) {
-            match (slot.as_mut(), g) {
-                (Some(acc), Some(g)) => acc.add_scaled(&g, 1.0),
-                (None, Some(g)) => *slot = Some(g),
-                _ => {}
-            }
-        }
-        self.count += other.count;
-    }
-
-    /// Number of samples accumulated.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Summed (not yet averaged) gradient for parameter `id`, if any:
-    /// what the optimizer reads, scaling by
-    /// [`GradAccumulator::mean_scale`] as it goes.
-    pub(crate) fn sum_grad(&self, id: ParamId) -> Option<&Tensor> {
-        self.grads[id.0].as_ref()
-    }
-
-    /// The factor that turns a summed gradient into the mean over samples.
-    pub(crate) fn mean_scale(&self) -> f32 {
-        1.0 / self.count.max(1) as f32
-    }
-
-    /// Mean gradient for parameter `id` (averaged over samples), if any.
-    pub fn mean_grad(&self, id: ParamId) -> Option<Tensor> {
-        let scale = self.mean_scale();
-        Some(self.sum_grad(id)?.map(|x| x * scale))
-    }
-
-    /// Global gradient norm over all parameters (of the mean gradients).
-    pub fn global_norm(&self) -> f32 {
-        let scale = self.mean_scale();
-        self.grads
-            .iter()
-            .flatten()
-            .map(|g| {
-                let n = g.norm() * scale;
-                n * n
-            })
-            .sum::<f32>()
-            .sqrt()
+    /// Every parameter tensor, mutably, in [`ParamId`] order.
+    pub(crate) fn tensors_mut(&mut self) -> std::slice::IterMut<'_, Tensor> {
+        self.tensors.iter_mut()
     }
 }
 
@@ -737,25 +665,6 @@ mod tests {
             store.len(),
             "every LSTM parameter should get a gradient"
         );
-    }
-
-    #[test]
-    fn grad_accumulator_averages() {
-        let mut store = ParamStore::new();
-        let id = store.register("p", Tensor::row(vec![1.0]));
-        let mut acc = GradAccumulator::new(&store);
-
-        for v in [2.0f32, 4.0] {
-            let mut tape = Tape::new();
-            let p = store.bind(&mut tape, id);
-            let x = tape.leaf(Tensor::row(vec![v]));
-            let y = tape.mul(p, x);
-            let s = tape.sum(y);
-            let g = tape.backward(s);
-            acc.add(g.params());
-        }
-        assert_eq!(acc.count(), 2);
-        assert_eq!(acc.mean_grad(id).unwrap().as_slice(), &[3.0]);
     }
 
     #[test]

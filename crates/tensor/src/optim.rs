@@ -4,11 +4,19 @@
 //! under the One-Cycle learning-rate policy (max LR 1e-3); both are
 //! implemented here from their original formulations.
 
+use std::sync::Mutex;
+
 use serde::{Deserialize, Serialize};
 
-use crate::nn::{GradAccumulator, ParamStore};
-use crate::tape::ParamId;
+use crate::nn::ParamStore;
+use crate::pool;
+use crate::tape::{Gradients, LANES};
 use crate::tensor::Tensor;
+
+/// Elements per work item of the element-wise update: small enough that
+/// two lanes split a step evenly, large enough that claiming one costs
+/// nothing next to updating it.
+const UPDATE_CHUNK: usize = 4096;
 
 /// Configuration for [`AdamW`].
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -74,15 +82,62 @@ impl AdamW {
         self.cfg
     }
 
-    /// Applies one update using the mean gradients in `acc`, at learning
-    /// rate `lr` (pass `self.config().lr` when no schedule is active).
-    pub fn step(&mut self, store: &mut ParamStore, acc: &GradAccumulator, lr: f32) {
+    /// First and second moments, in `ParamId` order.
+    #[cfg(test)]
+    pub(crate) fn moments(&self) -> (&[Tensor], &[Tensor]) {
+        (&self.m, &self.v)
+    }
+
+    /// Applies one update from the gradients of one backward pass, at
+    /// learning rate `lr` (pass `self.config().lr` when no schedule is
+    /// active). A parameter bound several times gets the sum of its binds'
+    /// gradients; one without a gradient is left as it is, moments
+    /// included. Drop the tape first: while it shares the weight
+    /// buffers, the update writes to copies of them.
+    ///
+    /// The step runs on two lanes, the caller and a pool helper, and is
+    /// the same bits whichever lane does what: each parameter's binds
+    /// are summed in the order they were recorded, the squared norms of
+    /// those sums in [`crate::ParamId`] order, and every weight is updated
+    /// from its own element alone.
+    pub fn step(&mut self, store: &mut ParamStore, grads: &Gradients, lr: f32) {
+        self.step_on(store, grads, lr, LANES);
+    }
+
+    /// [`AdamW::step`] with up to `lanes` threads.
+    pub(crate) fn step_on(
+        &mut self,
+        store: &mut ParamStore,
+        grads: &Gradients,
+        lr: f32,
+        lanes: usize,
+    ) {
         self.t += 1;
         let t = self.t as i32;
         let c = self.cfg;
+        let mut binds: Vec<Vec<&Tensor>> = vec![Vec::new(); self.m.len()];
+        for (id, g) in grads.params() {
+            binds[id.0].push(g);
+        }
+        // One parameter per work item: its summed gradient, and the norm
+        // of the sum when the clip needs it.
+        let sums: Vec<Option<(Tensor, f32)>> = pool::parallel_map(lanes, binds.len(), |i| {
+            let (first, rest) = binds[i].split_first()?;
+            let mut sum = (*first).clone();
+            for g in rest {
+                sum.add_scaled(g, 1.0);
+            }
+            let norm = c.grad_clip.map_or(0.0, |_| sum.norm());
+            Some((sum, norm))
+        });
         let clip_scale = match c.grad_clip {
             Some(max) => {
-                let norm = acc.global_norm();
+                let norm = sums
+                    .iter()
+                    .flatten()
+                    .map(|(_, n)| n * n)
+                    .sum::<f32>()
+                    .sqrt();
                 if norm > max && norm > 0.0 {
                     max / norm
                 } else {
@@ -93,21 +148,37 @@ impl AdamW {
         };
         let bias1 = 1.0 - c.beta1.powi(t);
         let bias2 = 1.0 - c.beta2.powi(t);
-        let scale = acc.mean_scale();
-        for (i, (m, v)) in self.m.iter_mut().zip(&mut self.v).enumerate() {
-            let id = ParamId(i);
-            let Some(g) = acc.sum_grad(id) else {
+
+        // The element-wise update, range-split: every parameter's
+        // (weight, moments, summed gradient) cut into `UPDATE_CHUNK`
+        // pieces that either lane may take.
+        let mut pieces = Vec::new();
+        let params = store.tensors_mut().zip(&mut self.m).zip(&mut self.v);
+        for (i, (((p, m), v), sum)) in params.zip(&sums).enumerate() {
+            let Some((g, _)) = sum else {
                 continue;
             };
-            // One in-place pass per parameter over (weight, moments,
-            // summed gradient). The mean and the clip are two separate
-            // roundings, as when each was its own pass over the tensor
-            // (`x * 1.0` is exact, so an inactive clip changes nothing).
-            let p = store.get_mut(id).as_mut_slice();
-            assert_eq!(p.len(), g.len(), "gradient shape mismatch for {id:?}");
-            let moments = m.as_mut_slice().iter_mut().zip(v.as_mut_slice());
-            for ((pv, (mv, vv)), &gsum) in p.iter_mut().zip(moments).zip(g.as_slice()) {
-                let gv = gsum * scale * clip_scale;
+            assert_eq!(
+                p.len(),
+                g.len(),
+                "gradient shape mismatch for parameter {i}"
+            );
+            let chunks = p
+                .as_mut_slice()
+                .chunks_mut(UPDATE_CHUNK)
+                .zip(m.as_mut_slice().chunks_mut(UPDATE_CHUNK))
+                .zip(v.as_mut_slice().chunks_mut(UPDATE_CHUNK))
+                .zip(g.as_slice().chunks(UPDATE_CHUNK));
+            pieces.extend(chunks.map(Mutex::new));
+        }
+        pool::parallel_map(lanes, pieces.len(), |k| {
+            let mut piece = pieces[k].lock().expect("each piece is locked once");
+            let (((p, m), v), g) = &mut *piece;
+            let moments = m.iter_mut().zip(v.iter_mut());
+            for ((pv, (mv, vv)), &gsum) in p.iter_mut().zip(moments).zip(g.iter()) {
+                // The clip is its own rounding (`x * 1.0` is exact, so an
+                // inactive clip changes nothing).
+                let gv = gsum * clip_scale;
                 // m = b1*m + (1-b1)*g ; v = b2*v + (1-b2)*g^2
                 *mv = c.beta1 * *mv + (1.0 - c.beta1) * gv;
                 *vv = c.beta2 * *vv + (1.0 - c.beta2) * gv * gv;
@@ -116,7 +187,7 @@ impl AdamW {
                 // Decoupled weight decay.
                 *pv -= lr * (mhat / (vhat.sqrt() + c.eps) + c.weight_decay * *pv);
             }
-        }
+        });
     }
 }
 
@@ -170,14 +241,14 @@ impl OneCycleLr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nn::{GradAccumulator, Linear, ParamStore};
-    use crate::tape::Tape;
+    use crate::nn::{Linear, ParamStore};
+    use crate::tape::{ParamId, Tape};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn adamw_fits_linear_regression() {
-        // Fit y = 3x - 2 with a 1->1 linear layer.
+        // Fit y = 3x - 2 with a 1->1 linear layer, one batch of 16 a step.
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let mut store = ParamStore::new();
         let lin = Linear::new(&mut store, "l", 1, 1, &mut rng);
@@ -190,21 +261,18 @@ mod tests {
             },
         );
         let xs: Vec<f32> = (0..16).map(|i| i as f32 / 8.0 - 1.0).collect();
+        let targets: Vec<f32> = xs.iter().map(|x| 3.0 * x - 2.0).collect();
         for _ in 0..400 {
-            let mut acc = GradAccumulator::new(&store);
-            for &x in &xs {
-                let target = 3.0 * x - 2.0;
-                let mut tape = Tape::new();
-                let xv = tape.leaf(Tensor::scalar(x));
-                let y = lin.forward(&mut tape, &store, xv);
-                let t = tape.leaf(Tensor::scalar(target));
-                let d = tape.sub(y, t);
-                let sq = tape.mul(d, d);
-                let loss = tape.mean(sq);
-                let grads = tape.backward(loss);
-                acc.add(grads.params());
-            }
-            opt.step(&mut store, &acc, 0.05);
+            let mut tape = Tape::new();
+            let xv = tape.constant(Tensor::from_vec(16, 1, xs.clone()));
+            let y = lin.forward(&mut tape, &store, xv);
+            let t = tape.constant(Tensor::from_vec(16, 1, targets.clone()));
+            let d = tape.sub(y, t);
+            let sq = tape.mul(d, d);
+            let loss = tape.mean(sq);
+            let grads = tape.backward(loss);
+            drop(tape);
+            opt.step(&mut store, &grads, 0.05);
         }
         let w = store.get(lin.w).item();
         let b = store.get(lin.b).item();
@@ -226,15 +294,14 @@ mod tests {
             },
         );
         // Zero gradient: only decay acts.
-        let mut acc = GradAccumulator::new(&store);
         let mut tape = Tape::new();
         let p = store.bind(&mut tape, id);
         let z = tape.scale(p, 0.0);
         let s = tape.sum(z);
         let g = tape.backward(s);
-        acc.add(g.params());
+        drop(tape);
         let before = store.get(id).item();
-        opt.step(&mut store, &acc, 0.1);
+        opt.step(&mut store, &g, 0.1);
         let after = store.get(id).item();
         assert!(
             after < before,
@@ -242,9 +309,10 @@ mod tests {
         );
     }
 
-    /// `AdamW::step` as it was before the passes were fused: mean-gradient
-    /// map, clip map, one `zip_map` per moment, then the update loop. Kept
-    /// as the reference the single-pass body must match bit for bit.
+    /// `AdamW::step` as it was before the passes were fused: clip map, one
+    /// `zip_map` per moment, then the update loop, over each parameter's
+    /// summed gradient. Kept as the reference the single-pass body must
+    /// match bit for bit.
     struct MultiPassAdamW {
         cfg: AdamWConfig,
         m: Vec<Tensor>,
@@ -253,13 +321,13 @@ mod tests {
     }
 
     impl MultiPassAdamW {
-        fn step(&mut self, store: &mut ParamStore, acc: &GradAccumulator, lr: f32) {
+        fn step(&mut self, store: &mut ParamStore, sums: &[Option<Tensor>], lr: f32) {
             self.t += 1;
             let t = self.t as i32;
             let c = self.cfg;
             let clip_scale = match c.grad_clip {
                 Some(max) => {
-                    let norm = acc.global_norm();
+                    let norm = global_norm(sums);
                     if norm > max && norm > 0.0 {
                         max / norm
                     } else {
@@ -270,9 +338,8 @@ mod tests {
             };
             let bias1 = 1.0 - c.beta1.powi(t);
             let bias2 = 1.0 - c.beta2.powi(t);
-            for i in 0..store.len() {
-                let id = ParamId(i);
-                let Some(mut g) = acc.mean_grad(id) else {
+            for (i, sum) in sums.iter().enumerate() {
+                let Some(mut g) = sum.clone() else {
                     continue;
                 };
                 if clip_scale != 1.0 {
@@ -282,7 +349,7 @@ mod tests {
                 self.v[i] =
                     self.v[i].zip_map(&g, |vv, gv| c.beta2 * vv + (1.0 - c.beta2) * gv * gv);
                 let (m, v) = (&self.m[i], &self.v[i]);
-                let data = store.get_mut(id).as_mut_slice();
+                let data = store.get_mut(ParamId(i)).as_mut_slice();
                 for ((pv, &mv), &vv) in data.iter_mut().zip(m.as_slice()).zip(v.as_slice()) {
                     let mhat = mv / bias1;
                     let vhat = vv / bias2;
@@ -290,6 +357,19 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The global gradient norm: each summed gradient's norm squared,
+    /// summed in `ParamId` order.
+    fn global_norm(sums: &[Option<Tensor>]) -> f32 {
+        sums.iter()
+            .flatten()
+            .map(|g| {
+                let n = g.norm();
+                n * n
+            })
+            .sum::<f32>()
+            .sqrt()
     }
 
     #[test]
@@ -315,29 +395,42 @@ mod tests {
             let sched = OneCycleLr::new(1e-2, 50);
             let mut clipped = 0;
             for step in 0..50 {
-                // One to three samples per step (`count` 1..=3), large
-                // gradients on every third step so the clip engages on
-                // some steps and not on others, and the last parameter
-                // left without a gradient on odd steps.
+                // Every parameter bound one to three times (its gradient
+                // is the sum of its binds'), large gradients on every
+                // third step so the clip engages on some steps and not on
+                // others, and the last parameter left unbound on odd
+                // steps. `sum(p ⊙ r)` hands each bind exactly `r`.
                 let magnitude = if step % 3 == 0 { 40.0 } else { 0.5 };
-                let mut acc = GradAccumulator::new(&store);
+                let mut tape = Tape::new();
+                let mut terms = Vec::new();
+                let mut sums: Vec<Option<Tensor>> = vec![None; store.len()];
                 for _ in 0..1 + step % 3 {
-                    let sample: Vec<(ParamId, Tensor)> = store
-                        .iter()
-                        .filter(|(id, _)| step % 2 == 0 || id.0 + 1 < store.len())
-                        .map(|(id, p)| {
-                            let data = (0..p.len())
-                                .map(|_| rng.gen_range(-1.0f32..1.0) * magnitude)
-                                .collect();
-                            (id, Tensor::from_vec(p.rows(), p.cols(), data))
-                        })
-                        .collect();
-                    acc.add(sample.iter().map(|(id, g)| (*id, g)));
+                    for (id, p) in store.iter() {
+                        if step % 2 == 1 && id.0 + 1 == store.len() {
+                            continue;
+                        }
+                        let data = (0..p.len())
+                            .map(|_| rng.gen_range(-1.0f32..1.0) * magnitude)
+                            .collect();
+                        let r = Tensor::from_vec(p.rows(), p.cols(), data);
+                        let bound = store.bind(&mut tape, id);
+                        let rv = tape.constant(r.clone());
+                        let prod = tape.mul(bound, rv);
+                        terms.push(tape.sum(prod));
+                        let sum = &mut sums[id.0];
+                        *sum = Some(match sum.take() {
+                            Some(s) => s.zip_map(&r, |a, b| a + b),
+                            None => r,
+                        });
+                    }
                 }
-                clipped += usize::from(acc.global_norm() > 5.0);
+                let loss = terms[1..].iter().fold(terms[0], |acc, &t| tape.add(acc, t));
+                let grads = tape.backward(loss);
+                drop(tape);
+                clipped += usize::from(global_norm(&sums) > 5.0);
                 let lr = sched.lr_at(step);
-                opt.step(&mut store, &acc, lr);
-                reference.step(&mut reference_store, &acc, lr);
+                opt.step(&mut store, &grads, lr);
+                reference.step(&mut reference_store, &sums, lr);
                 let state = |s: &ParamStore, m: &[Tensor], v: &[Tensor]| -> Vec<u32> {
                     let weights = s.iter().map(|(_, t)| t);
                     weights

@@ -1,5 +1,7 @@
-//! A persistent, deterministic work-stealing pool for batched evaluation
-//! and concurrent search.
+//! A persistent, deterministic work-stealing pool: the two lanes of a
+//! training step, batched evaluation and concurrent search all run on it.
+//! It lives in this leaf crate so the tensor substrate can use it;
+//! `dlcm_eval::pool` re-exports it for everything above.
 //!
 //! [`parallel_map`] distributes `0..len` across up to `threads` workers
 //! through a shared atomic cursor (work stealing: a worker that draws a
@@ -299,9 +301,9 @@ impl Pool {
         while *spawned < want {
             *spawned += 1;
             std::thread::Builder::new()
-                .name(format!("dlcm-eval-{}", *spawned))
+                .name(format!("dlcm-pool-{}", *spawned))
                 .spawn(worker_loop)
-                .expect("spawn evaluation pool worker");
+                .expect("spawn pool worker");
         }
     }
 }
@@ -357,8 +359,8 @@ mod tests {
     #[test]
     fn grains_around_the_auto_choice_keep_index_order() {
         // Grains straddling the auto choice land chunk edges mid-batch at
-        // every alignment; `tests/chunk_boundaries.rs` checks the same
-        // edges stay invisible through the evaluator and the cache.
+        // every alignment; dlcm-eval's `tests/chunk_boundaries.rs` checks
+        // the same edges stay invisible through the evaluator and the cache.
         let len = 23;
         let auto = auto_grain(len, 4);
         let reference: Vec<usize> = (0..len).map(|i| i * i + 1).collect();

@@ -14,6 +14,18 @@
 //! everything derived from constants alone is skipped, so a training
 //! step costs the arithmetic its parameter gradients need and no more.
 //!
+//! [`Tape::backward`] runs on two lanes. The caller walks the *chain*:
+//! every data gradient, node by node from the target down. A leaf's
+//! gradient is read by nothing on that walk, so each weight-gradient
+//! product `Aᵀ·g` whose right operand is a leaf (every weight of an
+//! `x·W` is one) is handed to a pool helper, which computes it while the
+//! chain goes on; when the chain is done, the caller takes the products
+//! still waiting from the other end of the line. Each gradient still sums
+//! its contributions in the order the chain reached them — a product's
+//! place is recorded when it is handed over — so the result does not
+//! depend on which lane computed what, or on whether the helper joined
+//! at all.
+//!
 //! # Examples
 //!
 //! ```
@@ -25,8 +37,16 @@
 //! assert_eq!(grads.get(x).unwrap().as_slice(), &[4.0]); // dy/dx = 2x
 //! ```
 
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+
 use crate::math;
+use crate::pool;
 use crate::tensor::Tensor;
+
+/// Threads a backward pass and an optimizer step are split across: the
+/// caller and one pool helper. A fixed part of the design; with one lane
+/// (a test-only argument) the caller runs both halves itself.
+pub(crate) const LANES: usize = 2;
 
 /// Handle to a node recorded on a [`Tape`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -123,6 +143,128 @@ struct Node {
 /// be reused while the map exists.
 type Transposed = std::collections::HashMap<*const Vec<f32>, Tensor>;
 
+/// One contribution to a leaf's gradient, in the order the chain
+/// produced it.
+enum Part {
+    /// Computed on the chain.
+    Ready(Tensor),
+    /// The next weight-gradient product in [`Products`] order.
+    Product,
+}
+
+/// What the chain of [`Tape::backward`] hands back: every non-leaf
+/// gradient, summed, and every leaf contribution still to be summed.
+struct Chain {
+    grads: Vec<Option<Tensor>>,
+    /// `(leaf node, contribution)` in the order the chain produced them.
+    leaf_parts: Vec<(usize, Part)>,
+}
+
+/// What one lane of [`Tape::backward`] returns: the chain (lane 0 only)
+/// and the products the lane computed, keyed by their place in
+/// [`Products`] order.
+struct LaneOut {
+    chain: Option<Chain>,
+    products: Vec<(usize, Tensor)>,
+}
+
+/// The weight-gradient products `Aᵀ·g` the chain hands over, in the
+/// order the chain reaches them. The helper lane claims them from the
+/// front while the chain runs; the chain's lane, once the chain is done,
+/// claims what is left from the back — where the largest product, the
+/// first layer's, was handed over last.
+#[derive(Default)]
+struct Products<'t> {
+    queue: Mutex<Queue<'t>>,
+    wake: Condvar,
+}
+
+#[derive(Default)]
+struct Queue<'t> {
+    /// `(A, g)` of every product handed over so far.
+    jobs: Vec<(&'t Tensor, Tensor)>,
+    /// How many jobs have been claimed from the front, and how many from
+    /// the back; the rest are unclaimed.
+    front: usize,
+    back: usize,
+    /// No product will be added: the chain has returned or unwound.
+    closed: bool,
+    /// The helper is waiting on `wake` for the next product.
+    waiting: bool,
+}
+
+impl<'t> Products<'t> {
+    fn lock(&self) -> MutexGuard<'_, Queue<'t>> {
+        // `CloseOnDrop` locks too, and a drop must not panic. No code
+        // panics while holding the lock, so a poisoned queue is still a
+        // consistent one.
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn push(&self, a: &'t Tensor, g: Tensor) {
+        let mut queue = self.lock();
+        queue.jobs.push((a, g));
+        if queue.waiting {
+            self.wake.notify_one();
+        }
+    }
+
+    /// Computes unclaimed products, claiming each from the front or the
+    /// back, until none is left and the chain is done. Only a lane
+    /// claiming from the front waits for the chain; the chain's own lane
+    /// claims from the back once the chain has closed the queue.
+    fn compute(&self, from_back: bool) -> Vec<(usize, Tensor)> {
+        let mut done = Vec::new();
+        let mut queue = self.lock();
+        loop {
+            let end = queue.jobs.len() - queue.back;
+            if queue.front < end {
+                let k = if from_back {
+                    queue.back += 1;
+                    end - 1
+                } else {
+                    queue.front += 1;
+                    queue.front - 1
+                };
+                let (a, g) = queue.jobs[k].clone();
+                drop(queue);
+                done.push((k, a.t_matmul(&g)));
+                queue = self.lock();
+            } else if queue.closed {
+                return done;
+            } else {
+                queue.waiting = true;
+                queue = self
+                    .wake
+                    .wait(queue)
+                    .unwrap_or_else(PoisonError::into_inner);
+                queue.waiting = false;
+            }
+        }
+    }
+}
+
+/// Closes the product queue when the chain leaves — by returning or by
+/// unwinding — so a helper waiting for the next product is released
+/// either way.
+struct CloseOnDrop<'a, 't>(&'a Products<'t>);
+
+impl Drop for CloseOnDrop<'_, '_> {
+    fn drop(&mut self) {
+        self.0.lock().closed = true;
+        self.0.wake.notify_one();
+    }
+}
+
+/// Adds `contrib` to a gradient slot: the first contribution is the
+/// slot, each later one is added to it.
+fn accumulate_into(slot: &mut Option<Tensor>, contrib: Tensor) {
+    match slot {
+        Some(existing) => existing.add_scaled(&contrib, 1.0),
+        slot => *slot = Some(contrib),
+    }
+}
+
 /// Gradients produced by [`Tape::backward`], indexed by [`Var`].
 #[derive(Debug)]
 pub struct Gradients {
@@ -139,7 +281,8 @@ impl Gradients {
     }
 
     /// Iterates over `(ParamId, gradient)` pairs for every parameter leaf
-    /// that received a gradient.
+    /// that received a gradient, one pair per bind, in the order the binds
+    /// were recorded.
     pub fn params(&self) -> impl Iterator<Item = (ParamId, &Tensor)> + '_ {
         self.params
             .iter()
@@ -479,24 +622,68 @@ impl Tape {
     /// Backpropagates from `target` (must be `1 x 1`) and returns gradients
     /// for every node with a differentiable leaf upstream.
     ///
+    /// The caller runs the chain of data gradients while a pool helper
+    /// computes the weight-gradient products of leaves; once the chain is
+    /// done the caller helps with the products left (see the module
+    /// docs). The gradients are the same bits whichever lane computes
+    /// what.
+    ///
     /// # Panics
     ///
-    /// Panics if `target` is not a scalar node.
+    /// Panics if `target` is not a scalar node, and re-raises a panic of
+    /// either lane once both have stopped.
     pub fn backward(&self, target: Var) -> Gradients {
+        self.backward_on(target, LANES)
+    }
+
+    /// [`Tape::backward`] with up to `lanes` threads. The chain is index
+    /// 0 of the two-way split and the helper's products index 1, and the
+    /// pool claims indices in order, so a lane waiting for products waits
+    /// only on a chain that is running or has finished; with one lane the
+    /// caller runs the chain, then every product.
+    pub(crate) fn backward_on(&self, target: Var, lanes: usize) -> Gradients {
         assert_eq!(
             self.value(target).len(),
             1,
             "backward target must be scalar, got {:?}",
             self.value(target).shape()
         );
-        let mut grads: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
-        grads[target.0] = Some(Tensor::ones(1, 1));
-        let mut transposed = Transposed::new();
+        let products = Products::default();
+        let lanes = pool::parallel_map(lanes, 2, |lane| {
+            if lane == 0 {
+                let chain = self.chain(target, &products);
+                LaneOut {
+                    chain: Some(chain),
+                    products: products.compute(true),
+                }
+            } else {
+                LaneOut {
+                    chain: None,
+                    products: products.compute(false),
+                }
+            }
+        });
+        let mut chain = None;
+        let mut done = Vec::new();
+        for lane in lanes {
+            chain = chain.or(lane.chain);
+            done.extend(lane.products);
+        }
+        let Chain {
+            mut grads,
+            leaf_parts,
+        } = chain.expect("lane 0 runs the chain");
 
-        for idx in (0..=target.0).rev() {
-            let Some(g) = grads[idx].take() else { continue };
-            self.accumulate(idx, &g, &mut grads, &mut transposed);
-            grads[idx] = Some(g);
+        // Each leaf sums its contributions in the order the chain made
+        // them, whichever lane computed a product.
+        done.sort_unstable_by_key(|&(k, _)| k);
+        let mut done = done.into_iter().map(|(_, product)| product);
+        for (leaf, part) in leaf_parts {
+            let contrib = match part {
+                Part::Ready(t) => t,
+                Part::Product => done.next().expect("one product per deferred part"),
+            };
+            accumulate_into(&mut grads[leaf], contrib);
         }
 
         let params = self
@@ -508,23 +695,47 @@ impl Tape {
         Gradients { grads, params }
     }
 
-    fn accumulate(
-        &self,
+    /// The chain lane: every gradient from `target` down, node by node,
+    /// handing each leaf's weight-gradient products to `products`.
+    fn chain<'t>(&'t self, target: Var, products: &Products<'t>) -> Chain {
+        let _close = CloseOnDrop(products);
+        let mut chain = Chain {
+            grads: vec![None; self.nodes.len()],
+            leaf_parts: Vec::new(),
+        };
+        chain.grads[target.0] = Some(Tensor::ones(1, 1));
+        let mut transposed = Transposed::new();
+        for idx in (0..=target.0).rev() {
+            let Some(g) = chain.grads[idx].take() else {
+                continue;
+            };
+            self.accumulate(idx, &g, &mut chain, &mut transposed, products);
+            chain.grads[idx] = Some(g);
+        }
+        chain
+    }
+
+    fn accumulate<'t>(
+        &'t self,
         idx: usize,
         g: &Tensor,
-        grads: &mut [Option<Tensor>],
+        chain: &mut Chain,
         transposed: &mut Transposed,
+        products: &Products<'t>,
     ) {
         let needs_grad = |v: Var| self.nodes[v.0].needs_grad;
+        let is_leaf = |v: Var| matches!(self.nodes[v.0].op, Op::Leaf);
         // A contribution owed to a node with no differentiable leaf
-        // upstream is dropped: nothing reads it.
-        let add = |grads: &mut [Option<Tensor>], v: Var, contrib: Tensor| {
+        // upstream is dropped: nothing reads it. One owed to a leaf waits
+        // in line with the leaf's products.
+        let add = |chain: &mut Chain, v: Var, contrib: Tensor| {
             if !needs_grad(v) {
                 return;
             }
-            match &mut grads[v.0] {
-                Some(existing) => existing.add_scaled(&contrib, 1.0),
-                slot => *slot = Some(contrib),
+            if is_leaf(v) {
+                chain.leaf_parts.push((v.0, Part::Ready(contrib)));
+            } else {
+                accumulate_into(&mut chain.grads[v.0], contrib);
             }
         };
         match &self.nodes[idx].op {
@@ -533,56 +744,63 @@ impl Tape {
                 // The two products dominate the backward pass, so each
                 // is computed only for a side that keeps its gradient.
                 if needs_grad(*a) {
-                    // `g x Bᵀ` as `Tensor::matmul_t` computes it, with
-                    // the transpose taken once per weight, not per use.
+                    // `g x Bᵀ`, with the transpose taken once per weight,
+                    // not per use.
                     let b = self.value(*b);
                     let bt = transposed
                         .entry(b.buffer_id())
                         .or_insert_with(|| b.transpose());
-                    add(grads, *a, g.matmul(bt));
+                    add(chain, *a, g.matmul(bt));
                 }
                 if needs_grad(*b) {
-                    add(grads, *b, self.value(*a).t_matmul(g));
+                    if is_leaf(*b) {
+                        // Nothing on the chain reads a leaf's gradient:
+                        // hand the product over.
+                        products.push(self.value(*a), g.clone());
+                        chain.leaf_parts.push((b.0, Part::Product));
+                    } else {
+                        add(chain, *b, self.value(*a).t_matmul(g));
+                    }
                 }
             }
             Op::Add(a, b) => {
-                add(grads, *a, g.clone());
-                add(grads, *b, g.clone());
+                add(chain, *a, g.clone());
+                add(chain, *b, g.clone());
             }
             Op::Sub(a, b) => {
-                add(grads, *a, g.clone());
-                add(grads, *b, g.map(|x| -x));
+                add(chain, *a, g.clone());
+                add(chain, *b, g.map(|x| -x));
             }
             Op::Mul(a, b) => {
-                add(grads, *a, g.zip_map(self.value(*b), |gv, bv| gv * bv));
-                add(grads, *b, g.zip_map(self.value(*a), |gv, av| gv * av));
+                add(chain, *a, g.zip_map(self.value(*b), |gv, bv| gv * bv));
+                add(chain, *b, g.zip_map(self.value(*a), |gv, av| gv * av));
             }
             Op::Div(a, b) => {
                 let bv = self.value(*b);
-                add(grads, *a, g.zip_map(bv, |gv, b| gv / b));
+                add(chain, *a, g.zip_map(bv, |gv, b| gv / b));
                 let av = self.value(*a);
                 let mut db = g.zip_map(av, |gv, a| gv * a);
                 db = db.zip_map(bv, |x, b| -x / (b * b));
-                add(grads, *b, db);
+                add(chain, *b, db);
             }
             Op::AddRowBroadcast(a, bias) => {
-                add(grads, *a, g.clone());
-                add(grads, *bias, g.col_sum());
+                add(chain, *a, g.clone());
+                add(chain, *bias, g.col_sum());
             }
-            Op::Scale(a, s) => add(grads, *a, g.map(|x| x * s)),
-            Op::AddScalar(a, _) => add(grads, *a, g.clone()),
+            Op::Scale(a, s) => add(chain, *a, g.map(|x| x * s)),
+            Op::AddScalar(a, _) => add(chain, *a, g.clone()),
             Op::Sigmoid(a) => {
                 let out = &self.nodes[idx].value;
-                add(grads, *a, g.zip_map(out, |gv, s| gv * s * (1.0 - s)));
+                add(chain, *a, g.zip_map(out, |gv, s| gv * s * (1.0 - s)));
             }
             Op::Tanh(a) => {
                 let out = &self.nodes[idx].value;
-                add(grads, *a, g.zip_map(out, |gv, t| gv * (1.0 - t * t)));
+                add(chain, *a, g.zip_map(out, |gv, t| gv * (1.0 - t * t)));
             }
             Op::Relu(a) => {
                 let x = self.value(*a);
                 add(
-                    grads,
+                    chain,
                     *a,
                     g.zip_map(x, |gv, xv| if xv > 0.0 { gv } else { 0.0 }),
                 );
@@ -591,32 +809,32 @@ impl Tape {
                 let out = &self.nodes[idx].value;
                 let alpha = *alpha;
                 add(
-                    grads,
+                    chain,
                     *a,
                     g.zip_map(out, |gv, o| if o > 0.0 { gv } else { gv * (o + alpha) }),
                 );
             }
             Op::Softplus(a) => {
                 let x = self.value(*a);
-                add(grads, *a, g.zip_map(x, |gv, xv| gv * math::sigmoid(xv)));
+                add(chain, *a, g.zip_map(x, |gv, xv| gv * math::sigmoid(xv)));
             }
             Op::Exp(a) => {
                 let out = &self.nodes[idx].value;
-                add(grads, *a, g.zip_map(out, |gv, o| gv * o));
+                add(chain, *a, g.zip_map(out, |gv, o| gv * o));
             }
             Op::Ln(a) => {
                 let x = self.value(*a);
-                add(grads, *a, g.zip_map(x, |gv, xv| gv / xv));
+                add(chain, *a, g.zip_map(x, |gv, xv| gv / xv));
             }
             Op::Abs(a) => {
                 let x = self.value(*a);
                 add(
-                    grads,
+                    chain,
                     *a,
                     g.zip_map(x, |gv, xv| if xv >= 0.0 { gv } else { -gv }),
                 );
             }
-            Op::Neg(a) => add(grads, *a, g.map(|x| -x)),
+            Op::Neg(a) => add(chain, *a, g.map(|x| -x)),
             Op::ConcatCols(a, b) => {
                 let (ra, ca) = self.value(*a).shape();
                 let (_, cb) = self.value(*b).shape();
@@ -627,17 +845,17 @@ impl Tape {
                     da.extend_from_slice(&row[..ca]);
                     db.extend_from_slice(&row[ca..]);
                 }
-                add(grads, *a, Tensor::from_vec(ra, ca, da));
-                add(grads, *b, Tensor::from_vec(ra, cb, db));
+                add(chain, *a, Tensor::from_vec(ra, ca, da));
+                add(chain, *b, Tensor::from_vec(ra, cb, db));
             }
             Op::Mean(a) => {
                 let (m, n) = self.value(*a).shape();
                 let gv = g.item() / (m * n) as f32;
-                add(grads, *a, Tensor::full(m, n, gv));
+                add(chain, *a, Tensor::full(m, n, gv));
             }
             Op::Sum(a) => {
                 let (m, n) = self.value(*a).shape();
-                add(grads, *a, Tensor::full(m, n, g.item()));
+                add(chain, *a, Tensor::full(m, n, g.item()));
             }
             Op::MeanRows(a) => {
                 let (m, n) = self.value(*a).shape();
@@ -646,7 +864,7 @@ impl Tape {
                 for _ in 0..m {
                     data.extend(g.as_slice().iter().map(|&x| x * inv));
                 }
-                add(grads, *a, Tensor::from_vec(m, n, data));
+                add(chain, *a, Tensor::from_vec(m, n, data));
             }
             Op::RowSelect(a, r) => {
                 let (m, n) = self.value(*a).shape();
@@ -655,10 +873,10 @@ impl Tape {
                     let dst = da.as_mut_slice();
                     dst[r * n..(r + 1) * n].copy_from_slice(g.as_slice());
                 }
-                add(grads, *a, da);
+                add(chain, *a, da);
             }
             Op::Dropout(a, mask) => {
-                add(grads, *a, g.zip_map(mask, |gv, k| gv * k));
+                add(chain, *a, g.zip_map(mask, |gv, k| gv * k));
             }
             Op::GatherRows(a, indices) => {
                 let (m, n) = self.value(*a).shape();
@@ -671,7 +889,7 @@ impl Tape {
                         }
                     }
                 }
-                add(grads, *a, da);
+                add(chain, *a, da);
             }
             Op::StackRows(vars) => {
                 let mut offset = 0;
@@ -682,12 +900,15 @@ impl Tape {
                         dv.extend_from_slice(g.row_slice(offset + r));
                     }
                     offset += m;
-                    add(grads, v, Tensor::from_vec(m, n, dv));
+                    add(chain, v, Tensor::from_vec(m, n, dv));
                 }
             }
         }
     }
 }
+
+#[cfg(test)]
+mod step_tests;
 
 #[cfg(test)]
 mod tests {

@@ -234,28 +234,6 @@ impl Tensor {
         self.transpose().matmul(other)
     }
 
-    /// Matrix product `self x otherᵀ`.
-    ///
-    /// Transposes `other` once and runs the shared
-    /// [`crate::kernel::matmul_into`], whose inner loop is a contiguous
-    /// multiply-accumulate: each output element still sums its `k`
-    /// products in ascending order from `+0.0`, so (for finite inputs)
-    /// the result equals the row-by-row dot product bit for bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != other.cols()`.
-    pub fn matmul_t(&self, other: &Tensor) -> Tensor {
-        assert_eq!(
-            self.cols,
-            other.cols,
-            "matmul_t shape mismatch: {:?} x {:?}ᵀ",
-            self.shape(),
-            other.shape()
-        );
-        self.matmul(&other.transpose())
-    }
-
     /// Returns the transposed matrix. Copied tile by tile
     /// (`TRANSPOSE_TILE` square), so both the rows read and the rows
     /// written stay in cache instead of one side striding through the
@@ -486,17 +464,11 @@ mod tests {
         assert_eq!(a.t_matmul(&b), a.transpose().matmul(&b));
     }
 
-    #[test]
-    fn matmul_t_matches_explicit_transpose() {
-        let a = Tensor::from_rows(&[&[1.0, 2.0, 3.0]]);
-        let b = Tensor::from_rows(&[&[1.0, 0.0, 1.0], &[2.0, 1.0, 0.0]]);
-        assert_eq!(a.matmul_t(&b), a.matmul(&b.transpose()));
-    }
-
-    /// The row-by-row dot product `matmul_t` used to be: one scalar
-    /// accumulator per output element, `k` ascending from `+0.0`. Kept as
-    /// the reference the kernel-backed body must match bit for bit.
-    fn matmul_t_dot_reference(a: &Tensor, b: &Tensor) -> Tensor {
+    /// The row-by-row dot product the backward pass's `g x Bᵀ` used to
+    /// be: one scalar accumulator per output element, `k` ascending from
+    /// `+0.0`. Kept as the reference the transpose-then-kernel form must
+    /// match bit for bit.
+    fn dot_product_reference(a: &Tensor, b: &Tensor) -> Tensor {
         let (m, k, n) = (a.rows, a.cols, b.rows);
         let mut out = vec![0.0f32; m * n];
         for i in 0..m {
@@ -576,22 +548,22 @@ mod tests {
     }
 
     #[test]
-    fn matmul_t_is_bit_identical_to_the_dot_product_loop() {
+    fn matmul_by_a_transpose_is_bit_identical_to_the_dot_product_loop() {
         use rand::SeedableRng;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(16);
         for (case, &(m, k, n)) in product_shapes().iter().enumerate() {
             let a = random_with_zeros(&mut rng, m, k, case % 3 == 0);
             let b = random_with_zeros(&mut rng, n, k, case % 4 == 0);
             assert_same_bits(
-                &a.matmul_t(&b),
-                &matmul_t_dot_reference(&a, &b),
+                &a.matmul(&b.transpose()),
+                &dot_product_reference(&a, &b),
                 &format!("{m}x{k} · ({n}x{k})ᵀ"),
             );
         }
         // All-negative-zero operands: the dot product ends on +0.0, and
         // so must the zero-skipping kernel.
         let neg = Tensor::full(2, 3, -0.0);
-        let out = neg.matmul_t(&Tensor::full(4, 3, 1.5));
+        let out = neg.matmul(&Tensor::full(4, 3, 1.5).transpose());
         assert!(out
             .as_slice()
             .iter()

@@ -3,14 +3,17 @@
 //! captured — for the recursive [`CostModel`] and for one §4.4 ablation
 //! architecture, with dropout active, several epochs and the gradient
 //! clip engaged — and on the same weights at any featurization thread
-//! count. "Bit-identical weights" is the contract every change to the
-//! tensor substrate (backward pass, kernels, optimizer) is held to.
+//! count; and so must the other trainer, the Halide-style baseline's
+//! `HalideModel::train`. "Bit-identical weights" is the contract every
+//! change to the tensor substrate (backward pass, kernels, optimizer) is
+//! held to.
 
 use std::path::Path;
 
+use dlcm::baseline::{HalideModel, HalideTrainConfig};
 use dlcm::datagen::{BuildConfig, DatasetConfig, ParallelDatasetBuilder, ShardBatches};
 use dlcm::ir::fingerprint::{fnv1a, to_hex, FNV1A_INIT};
-use dlcm::machine::{Machine, Measurement};
+use dlcm::machine::{Machine, MachineConfig, Measurement};
 use dlcm::model::ablation::FlatLstmModel;
 use dlcm::model::{
     train_stream, CostModel, CostModelConfig, Featurizer, FeaturizerConfig, SpeedupPredictor,
@@ -25,6 +28,9 @@ use dlcm::tensor::nn::ParamStore;
 /// learned to skip gradients nothing reads (PR 16).
 const COST_MODEL_GOLDEN: &str = "5466441b9f227731";
 const FLAT_LSTM_GOLDEN: &str = "6fd118a30ddc4a8a";
+/// Weights `HalideModel::train` ends on, captured on the commit before
+/// the optimizer step took its gradients straight from the tape.
+const HALIDE_GOLDEN: &str = "2cadfa3e224e460c";
 
 /// FNV-1a over every weight's bit pattern, in registration order.
 fn weights_fingerprint(store: &ParamStore) -> String {
@@ -106,4 +112,34 @@ fn flat_lstm_ablation_trains_to_the_golden_weights_at_any_thread_count() {
     let [one, two] = trained_fingerprints("flat_lstm", || FlatLstmModel::new(model_cfg(), 5));
     assert_eq!(one, FLAT_LSTM_GOLDEN);
     assert_eq!(two, FLAT_LSTM_GOLDEN);
+}
+
+/// The part of a serialized `HalideModel` the golden pins: its weights
+/// (the codec skips the other fields).
+#[derive(serde::Deserialize)]
+struct HalideWeights {
+    store: ParamStore,
+}
+
+#[test]
+fn halide_baseline_trains_to_the_golden_weights() {
+    let dataset = ParallelDatasetBuilder::new(BuildConfig::new(DatasetConfig::tiny(16)))
+        .generate(&Measurement::exact(Machine::default()))
+        .0;
+    let indices: Vec<usize> = (0..dataset.len()).collect();
+    let mut model = HalideModel::new(MachineConfig::default(), 5);
+    // Six steps an epoch, 24 in all; two of them over the gradient clip.
+    model.train(
+        &dataset,
+        &indices,
+        &HalideTrainConfig {
+            epochs: 4,
+            batch_size: 8,
+            max_lr: 5e-3,
+            seed: 16,
+        },
+    );
+    let json = serde_json::to_string(&model).unwrap();
+    let weights: HalideWeights = serde_json::from_str(&json).unwrap();
+    assert_eq!(weights_fingerprint(&weights.store), HALIDE_GOLDEN);
 }
