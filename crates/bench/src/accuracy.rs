@@ -119,13 +119,13 @@ pub fn per_family_metrics(
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct AccuracyReport {
     /// Distinct programs in the corpus.
-    num_programs: usize,
+    pub(crate) num_programs: usize,
     /// Labeled points in the corpus.
-    num_points: usize,
+    pub(crate) num_points: usize,
     /// Training epochs behind the evaluated weights.
-    epochs: usize,
+    pub(crate) epochs: usize,
     /// Points in the training split.
-    train_points: usize,
+    pub(crate) train_points: usize,
     /// Points in the held-out test split.
     pub test_points: usize,
     /// Held-out MAPE.

@@ -5,8 +5,8 @@
 //! `results/corpus/`, fanning work across `--threads` workers and
 //! deduplicating samples by content fingerprint. Thread count never
 //! changes the output: the manifest and every shard are byte-identical
-//! for any `--threads` value (the same guarantee `exp_search` makes for
-//! its CSVs).
+//! for any `--threads` value (the same guarantee `modelctl reproduce`
+//! makes for every file it writes).
 //!
 //! ```text
 //! cargo run --release -p dlcm-bench --bin datagen -- \

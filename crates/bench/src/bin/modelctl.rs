@@ -4,9 +4,9 @@
 //! (`dlcm_model::ModelArtifact`); this binary manages it end to end:
 //!
 //! - `train` — run the canonical training pipeline (sharded corpus,
-//!   streamed minibatches), save the artifact — the only writer of
-//!   `results/model_artifact/` — and check that reloading it reproduces
-//!   the trained model's predictions bit for bit;
+//!   streamed minibatches), save the artifact to
+//!   `results/model_artifact/` (or `--out DIR`) and check that reloading
+//!   it reproduces the trained model's predictions bit for bit;
 //! - `info` — print a saved artifact's manifest (schema, provenance,
 //!   held-out metrics) without deserializing the weights into a model;
 //! - `eval` — reload a saved artifact, re-evaluate it on the held-out
@@ -14,7 +14,14 @@
 //!   reproduce exactly** (evaluation is deterministic, so any drift
 //!   means the artifact does not describe these weights), printing the
 //!   §6 headline metrics beside the paper's; then write them, with the
-//!   per-family breakdown, to `results/accuracy.json` — its only writer;
+//!   per-family breakdown, to `results/accuracy.json`;
+//! - `reproduce` — the paper's evaluation in one process: train and
+//!   save the artifact exactly as `train` does (same epochs as `train`'s
+//!   default), then, from that one in-memory artifact and held-out
+//!   evaluation, write `accuracy.json` (as `eval` does), Figures 4–8,
+//!   Table 2, the Halide comparison, the §4.4 ablation and the ledger
+//!   `RESULTS.md` + `RESULTS.json` (`dlcm_bench::Ledger`). Every file is
+//!   byte-identical at any `--threads`;
 //! - `serve --listen ADDR` — put a `dlcm_serve::InferenceService` over
 //!   the artifact on a TCP socket via `dlcm_net::NetServer` and run in
 //!   the foreground until a client
@@ -48,6 +55,7 @@
 //! modelctl train [--quick] [--threads N] [--shards K] [--epochs N] [--out DIR]
 //! modelctl info  [--artifact DIR]
 //! modelctl eval  [--quick] [--threads N] [--shards K] [--artifact DIR]
+//! modelctl reproduce [--quick] [--threads N] [--shards K]
 //! modelctl serve --listen ADDR [--artifact DIR] [--threads N] [--cache-capacity N]
 //!                [--max-connections N] [--max-in-flight N]
 //! modelctl reload [ADDR | --addr ADDR] --artifact DIR
@@ -63,11 +71,11 @@
 //! (`dlcm_bench::Flags`), so a flag the subcommand does not list, or a
 //! stray argument, is a usage error (exit 2).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use dlcm_bench::{
     accuracy_report, corpus_dir, evaluate_artifact, load_artifact, model_artifact_dir, results_dir,
-    run_flywheel, run_promotion, train_from_corpus, write_json, Flags, FlywheelConfig,
+    run_flywheel, run_promotion, train_from_corpus, write_json, Evaluation, Flags, FlywheelConfig,
 };
 use dlcm_model::{evaluate, ModelArtifact};
 use dlcm_net::{NetClient, NetConfig, NetServer};
@@ -76,6 +84,7 @@ use dlcm_serve::{InferenceService, ServeConfig};
 const TRAIN: &str = "modelctl train [--quick] [--threads N] [--shards K] [--epochs N] [--out DIR]";
 const INFO: &str = "modelctl info [--artifact DIR]";
 const EVAL: &str = "modelctl eval [--quick] [--threads N] [--shards K] [--artifact DIR]";
+const REPRODUCE: &str = "modelctl reproduce [--quick] [--threads N] [--shards K]";
 const SERVE: &str = "modelctl serve --listen ADDR [--artifact DIR] [--threads N] \
                      [--cache-capacity N] [--max-connections N] [--max-in-flight N]";
 const RELOAD: &str = "modelctl reload [ADDR | --addr ADDR] --artifact DIR";
@@ -93,6 +102,7 @@ fn main() {
         "train" => train(parse(TRAIN)),
         "info" => info(parse(INFO)),
         "eval" => eval(parse(EVAL)),
+        "reproduce" => reproduce(parse(REPRODUCE)),
         "serve" => serve(parse(SERVE)),
         "reload" => reload(parse(RELOAD)),
         "promote" => promote(parse(PROMOTE)),
@@ -100,7 +110,7 @@ fn main() {
         other => {
             eprintln!("unknown or missing subcommand {other:?}");
             eprintln!(
-                "usage: modelctl <train|info|eval|serve|reload|promote|flywheel> [options]  \
+                "usage: modelctl <train|info|eval|reproduce|serve|reload|promote|flywheel> [options]  \
                  (see --bin modelctl docs)"
             );
             std::process::exit(2);
@@ -125,18 +135,38 @@ fn addr_of(flags: &Flags) -> String {
         .to_string()
 }
 
+/// Training epochs when `--epochs` is not passed (and always for
+/// `reproduce`).
+fn default_epochs(quick: bool) -> usize {
+    if quick {
+        8
+    } else {
+        60
+    }
+}
+
 fn train(flags: Flags) {
     let quick = flags.has("quick");
     let threads = flags.positive("threads", 1);
-    let epochs = flags.positive("epochs", if quick { 8 } else { 60 });
+    let epochs = flags.positive("epochs", default_epochs(quick));
     let out = artifact_dir(&flags, "out");
     eprintln!("=== modelctl train (quick={quick}, threads={threads}, epochs={epochs}) ===");
-    let (artifact, evaluation) =
-        train_from_corpus(quick, threads, flags.positive("shards", 4), epochs);
-    artifact.save(&out).expect("save model artifact");
-    // The acceptance contract: a reloaded artifact reproduces the
-    // trained model's predictions bit for bit.
-    let reloaded = ModelArtifact::load(&out).expect("reload saved artifact");
+    train_and_save(quick, threads, flags.positive("shards", 4), epochs, &out);
+}
+
+/// The one training path: train on the canonical corpus, save the
+/// artifact to `out` and assert that reloading it reproduces the trained
+/// model's predictions bit for bit.
+fn train_and_save(
+    quick: bool,
+    threads: usize,
+    shards: usize,
+    epochs: usize,
+    out: &Path,
+) -> (ModelArtifact, Evaluation) {
+    let (artifact, evaluation) = train_from_corpus(quick, threads, shards, epochs);
+    artifact.save(out).expect("save model artifact");
+    let reloaded = ModelArtifact::load(out).expect("reload saved artifact");
     assert_eq!(
         evaluation.test_preds,
         evaluate(reloaded.model(), &evaluation.test_set).1,
@@ -152,6 +182,27 @@ fn train(flags: Flags) {
         m.metrics.spearman,
         m.metrics.test_points
     );
+    (artifact, evaluation)
+}
+
+/// `reproduce`: the whole chain in one process — train and save the
+/// artifact as `train` does, run every experiment on it
+/// (`dlcm_bench::reproduce`) and write the ledger.
+fn reproduce(flags: Flags) {
+    let quick = flags.has("quick");
+    let threads = flags.positive("threads", 1);
+    let epochs = default_epochs(quick);
+    eprintln!("=== modelctl reproduce (quick={quick}, threads={threads}, epochs={epochs}) ===");
+    let (artifact, evaluation) = train_and_save(
+        quick,
+        threads,
+        flags.positive("shards", 4),
+        epochs,
+        &model_artifact_dir(),
+    );
+    let ledger = dlcm_bench::reproduce(quick, threads, &artifact, &evaluation, epochs);
+    ledger.write();
+    println!("{}", ledger.markdown());
 }
 
 fn info(flags: Flags) {

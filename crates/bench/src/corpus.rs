@@ -8,15 +8,13 @@ use std::time::Instant;
 
 use dlcm_datagen::{
     open_split, prepare, BuildConfig, BuildStats, Dataset, DatasetConfig, ParallelDatasetBuilder,
-    ProgramGenConfig, ShardedDataset, Split,
+    ProgramGenConfig, ShardManifest, ShardedDataset, Split,
 };
 use dlcm_machine::{Machine, Measurement};
 use dlcm_model::{
     train_stream, BatchSource, CostModel, CostModelConfig, Featurizer, FeaturizerConfig,
     HeldOutMetrics, LabeledFeatures, ModelArtifact, TrainConfig,
 };
-
-use crate::Flags;
 
 /// Directory where experiment artifacts are written.
 pub fn results_dir() -> PathBuf {
@@ -36,7 +34,7 @@ pub fn corpus_dir() -> PathBuf {
 
 /// Directory where `modelctl train` writes the versioned trained-model
 /// artifact by default (`dlcm_model::ModelArtifact`: `manifest.json` +
-/// `weights.json`) and where the search/figure experiments look for it.
+/// `weights.json`); `modelctl reproduce` writes it there too.
 pub fn model_artifact_dir() -> PathBuf {
     results_dir().join("model_artifact")
 }
@@ -111,16 +109,6 @@ fn canonical_corpus(quick: bool, threads: usize, num_shards: usize) -> ShardedDa
     ensure_corpus(&corpus_dir(), corpus_config(quick, threads, num_shards)).0
 }
 
-/// The canonical corpus, resolved through [`ensure_corpus`], as an
-/// in-memory dataset for the downstream figure/table experiments
-/// (which declare `--quick`, `--threads N` and `--shards K` for it).
-pub fn load_or_generate_dataset(flags: &Flags) -> Dataset {
-    let (threads, shards) = (flags.positive("threads", 1), flags.positive("shards", 4));
-    canonical_corpus(flags.has("quick"), threads, shards)
-        .load_dataset()
-        .expect("load corpus")
-}
-
 /// Loads and validates a versioned model artifact, exiting with a
 /// pointer to its producer on any [`dlcm_model::ArtifactError`].
 pub fn load_artifact(dir: &Path) -> ModelArtifact {
@@ -133,22 +121,6 @@ pub fn load_artifact(dir: &Path) -> ModelArtifact {
         );
         std::process::exit(2);
     })
-}
-
-/// The trained model + featurizer the search/figure experiments score
-/// with: the validated artifact at `dir` (their `--model-artifact DIR`),
-/// or at [`model_artifact_dir`] when `None`. The featurizer always
-/// comes from the artifact's schema.
-pub fn load_model_and_featurizer(dir: Option<&str>) -> (CostModel, Featurizer) {
-    let dir = dir.map_or_else(model_artifact_dir, PathBuf::from);
-    let artifact = load_artifact(&dir);
-    eprintln!(
-        "using model artifact at {dir:?} (corpus {}, test MAPE {:.3})",
-        artifact.manifest().corpus_fingerprint,
-        artifact.manifest().metrics.mape
-    );
-    let featurizer = artifact.featurizer();
-    (artifact.into_model(), featurizer)
 }
 
 /// A model scored on the held-out test split of its training corpus:
@@ -167,10 +139,18 @@ pub struct Evaluation {
     pub test_preds: Vec<f64>,
     /// Held-out metrics computed from those predictions.
     pub metrics: HeldOutMetrics,
+    /// Chained fingerprint of the corpus's newest generation.
+    pub(crate) corpus_chain: String,
 }
 
 impl Evaluation {
-    fn new(model: &CostModel, dataset: Dataset, split: Split, test: Vec<LabeledFeatures>) -> Self {
+    fn new(
+        model: &CostModel,
+        corpus: &ShardManifest,
+        dataset: Dataset,
+        split: Split,
+        test: Vec<LabeledFeatures>,
+    ) -> Self {
         let (metrics, test_preds) = HeldOutMetrics::evaluate(model, &test);
         Self {
             dataset,
@@ -178,6 +158,10 @@ impl Evaluation {
             test_set: test,
             test_preds,
             metrics,
+            corpus_chain: corpus
+                .generations
+                .last()
+                .map_or_else(String::new, |g| g.chain.clone()),
         }
     }
 }
@@ -227,7 +211,13 @@ pub fn train_from_corpus(
         (rows * epochs) as f64 / seconds
     );
 
-    let evaluation = Evaluation::new(&model, corpus.dataset, corpus.split, corpus.test_set);
+    let evaluation = Evaluation::new(
+        &model,
+        sharded.manifest(),
+        corpus.dataset,
+        corpus.split,
+        corpus.test_set,
+    );
     let artifact = ModelArtifact::new(
         model,
         featurizer.config(),
@@ -264,5 +254,11 @@ pub fn evaluate_artifact(
     let dataset = sharded.load_dataset().expect("load corpus");
     let split = dataset.split(0);
     let test_set = prepare(&artifact.featurizer(), &dataset, &split.test);
-    Evaluation::new(artifact.model(), dataset, split, test_set)
+    Evaluation::new(
+        artifact.model(),
+        sharded.manifest(),
+        dataset,
+        split,
+        test_set,
+    )
 }

@@ -1,56 +1,53 @@
 //! FIG-4, FIG-5, FIG-7, FIG-8: the prediction-quality figures of §6,
-//! regenerated from the model artifact `modelctl train` saved.
+//! drawn from the held-out predictions of one [`Evaluation`]:
 //!
 //! - Figure 4: predicted vs measured speedups for 100 test programs x
 //!   their schedules, sorted ascending (`fig4.csv`);
 //! - Figure 5: the APE histogram and APE-vs-speedup scatter
 //!   (`fig5_hist.csv`, `fig5_scatter.csv`);
 //! - Figure 7: per-program Pearson/Spearman coefficients (`fig7.csv`);
-//! - Figure 8: 16 per-program measured/predicted scatters (`fig8.csv`).
+//! - Figure 8: 16 per-program measured/predicted scatters (`fig8.csv`);
 //!
-//! `cargo run --release -p dlcm-bench --bin exp_figures [--quick]
-//! [--threads N] [--shards K] [--model-artifact DIR]`
+//! plus the per-family partition `accuracy.json` carries, as
+//! `family_accuracy.csv`.
 
 use std::collections::BTreeMap;
 
-use dlcm_bench::{
-    load_model_and_featurizer, load_or_generate_dataset, per_family_metrics, write_csv, Flags,
-};
-use dlcm_datagen::prepare;
-use dlcm_model::{metrics, LabeledFeatures};
+use dlcm_model::metrics;
+
+use crate::{write_csv, AccuracyReport, Evaluation};
 
 /// Figure 7's "good rank" cut: a test program counts as well-ranked
 /// when its per-program Spearman rho strictly exceeds this. Matches the
 /// paper's §6 discussion of Figure 7 (most programs rank above 0.75).
-const FIG7_SPEARMAN_THRESHOLD: f64 = 0.75;
+pub(crate) const FIG7_SPEARMAN_THRESHOLD: f64 = 0.75;
 
 /// Whether a per-program Spearman clears the Figure 7 cut.
 fn fig7_good_rank(spearman: f64) -> bool {
     spearman > FIG7_SPEARMAN_THRESHOLD
 }
 
-const USAGE: &str = "exp_figures [--quick] [--threads N] [--shards K] [--model-artifact DIR]";
+/// Figure 7's summary: how many test programs (with at least four
+/// held-out points) rank with Spearman rho above 0.75.
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+pub(crate) struct Fig7Summary {
+    /// Test programs with a per-program coefficient.
+    pub(crate) programs: usize,
+    /// Of those, programs whose Spearman rho exceeds the cut.
+    pub(crate) good_rank: usize,
+}
 
-fn main() {
-    let flags = Flags::parse(std::env::args().skip(1), USAGE);
-    let quick = flags.has("quick");
-    eprintln!("=== FIG-4/5/7/8: prediction-quality figures (quick={quick}) ===");
-    let dataset = load_or_generate_dataset(&flags);
-    let (model, featurizer) = load_model_and_featurizer(flags.string("model-artifact"));
-    let split = dataset.split(0);
-    let test_set: Vec<LabeledFeatures> = prepare(&featurizer, &dataset, &split.test);
+/// Writes every figure CSV (and `family_accuracy.csv` from `report`'s
+/// per-family rows) for `evaluation`'s held-out predictions.
+pub(crate) fn write_figures(evaluation: &Evaluation, report: &AccuracyReport) -> Fig7Summary {
+    let Evaluation { dataset, split, .. } = evaluation;
+    let preds = &evaluation.test_preds;
     let programs: Vec<usize> = split
         .test
         .iter()
         .map(|&i| dataset.points[i].program)
         .collect();
-
-    eprintln!("predicting {} test points ...", test_set.len());
-    let preds: Vec<f64> = {
-        let (_, p) = dlcm_model::evaluate(&model, &test_set);
-        p
-    };
-    let targets: Vec<f64> = test_set.iter().map(|s| s.target).collect();
+    let targets: Vec<f64> = evaluation.test_set.iter().map(|s| s.target).collect();
 
     // ---- Figure 4: sorted predicted vs measured (subset of ~100 programs).
     let subset_programs: Vec<usize> = {
@@ -61,7 +58,7 @@ fn main() {
     };
     let mut fig4: Vec<(f64, f64)> = targets
         .iter()
-        .zip(&preds)
+        .zip(preds)
         .zip(&programs)
         .filter(|(_, p)| subset_programs.contains(p))
         .map(|((&t, &p), _)| (t, p))
@@ -84,7 +81,7 @@ fn main() {
     );
 
     // ---- Figure 5 (top): APE histogram with the paper's 0.06-wide bins.
-    let ape = metrics::ape(&targets, &preds);
+    let ape = metrics::ape(&targets, preds);
     let mut bins = [0usize; 17];
     for &e in &ape {
         let b = ((e / 0.06) as usize).min(16);
@@ -110,19 +107,11 @@ fn main() {
             .collect::<Vec<_>>(),
     );
     // Paper's qualitative claim: error is lower near speedup 1.
-    let near: Vec<f64> = targets
+    let (near, far): (Vec<(&f64, &f64)>, Vec<_>) = targets
         .iter()
         .zip(&ape)
-        .filter(|(&t, _)| (0.5..2.0).contains(&t))
-        .map(|(_, &e)| e)
-        .collect();
-    let far: Vec<f64> = targets
-        .iter()
-        .zip(&ape)
-        .filter(|(&t, _)| !(0.5..2.0).contains(&t))
-        .map(|(_, &e)| e)
-        .collect();
-    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
+        .partition(|(&t, _)| (0.5..2.0).contains(&t));
+    let mean = |v: &[(&f64, &f64)]| v.iter().map(|(_, &e)| e).sum::<f64>() / v.len().max(1) as f64;
     println!(
         "Figure 5: mean APE near speedup 1: {:.3}; far from 1: {:.3} (paper: error grows away from 1)",
         mean(&near),
@@ -131,7 +120,7 @@ fn main() {
 
     // ---- Figures 7 & 8: per-program coefficients and scatters.
     let mut by_program: BTreeMap<usize, Vec<(f64, f64)>> = BTreeMap::new();
-    for ((&t, &p), &prog) in targets.iter().zip(&preds).zip(&programs) {
+    for ((&t, &p), &prog) in targets.iter().zip(preds).zip(&programs) {
         by_program.entry(prog).or_default().push((t, p));
     }
     let mut fig7 = Vec::new();
@@ -140,21 +129,21 @@ fn main() {
         if pts.len() < 4 {
             continue;
         }
-        let t: Vec<f64> = pts.iter().map(|x| x.0).collect();
-        let p: Vec<f64> = pts.iter().map(|x| x.1).collect();
+        let (t, p): (Vec<f64>, Vec<f64>) = pts.iter().copied().unzip();
         let pearson = metrics::pearson(&t, &p);
         let spearman = metrics::spearman(&t, &p);
-        if fig7_good_rank(spearman) {
-            good_rank += 1;
-        }
+        good_rank += usize::from(fig7_good_rank(spearman));
         fig7.push(format!("{prog},{pearson:.4},{spearman:.4}"));
     }
-    let n7 = fig7.len();
+    let summary = Fig7Summary {
+        programs: fig7.len(),
+        good_rank,
+    };
     write_csv("fig7.csv", "program,pearson,spearman", &fig7);
     println!(
-        "Figure 7: {n7} test programs; {} have per-program Spearman > {FIG7_SPEARMAN_THRESHOLD} ({:.0}%)",
-        good_rank,
-        100.0 * good_rank as f64 / n7.max(1) as f64
+        "Figure 7: {} test programs; {good_rank} have per-program Spearman > \
+         {FIG7_SPEARMAN_THRESHOLD}",
+        summary.programs
     );
 
     let fig8: Vec<String> = by_program
@@ -166,15 +155,14 @@ fn main() {
         })
         .collect();
     write_csv("fig8.csv", "program,measured,predicted", &fig8);
-    println!("Figure 8: wrote measured/predicted pairs for 16 test programs");
 
     // ---- Per-family breakdown: the same partition accuracy.json
     // carries, as a CSV for plotting alongside the figures.
-    let rows = per_family_metrics(&dataset, &split.test, &targets, &preds);
     write_csv(
         "family_accuracy.csv",
         "family,test_points,mape,r2,spearman,ss_res",
-        &rows
+        &report
+            .per_family
             .iter()
             .map(|r| {
                 format!(
@@ -184,16 +172,7 @@ fn main() {
             })
             .collect::<Vec<_>>(),
     );
-    let tagged: usize = rows
-        .iter()
-        .filter(|r| r.family != dlcm_bench::UNTAGGED_FAMILY)
-        .map(|r| r.test_points)
-        .sum();
-    println!(
-        "Per-family: {} rows, {tagged} tagged test points ({} total)",
-        rows.len(),
-        targets.len()
-    );
+    summary
 }
 
 #[cfg(test)]

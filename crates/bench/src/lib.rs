@@ -1,8 +1,8 @@
 //! # dlcm-bench
 //!
-//! Experiment binaries that regenerate every table and figure of the
-//! paper's evaluation (§6). See DESIGN.md for the experiment index;
-//! performance is measured by the separate `benchmark/` package (see
+//! The binaries that regenerate every table and figure of the paper's
+//! evaluation (§6). See DESIGN.md for the experiment index; performance
+//! is measured by the separate `benchmark/` package (see
 //! `benchmark/README.md`). Artifacts are written to `results/` at the
 //! workspace root, each by exactly one producer:
 //!
@@ -13,37 +13,41 @@
 //!   versioned `model_artifact/`; `modelctl eval` → re-evaluates it and
 //!   writes `accuracy.json` (§6 headline metrics); `modelctl flywheel` /
 //!   `promote` → `flywheel.json` / `promotion.json`;
-//! - `exp_figures` → Figures 4, 5, 7, 8 CSVs from the trained model;
-//! - `exp_search` → Figure 6 + Table 2 (BSE / BSM / MCTS / Halide);
-//! - `exp_ablation` → §4.4 alternative-architecture comparison;
-//! - `exp_halide_r2` → §6 R² comparison against the Halide-style model.
+//! - `modelctl reproduce` → the whole chain in one process ([`reproduce`]):
+//!   train and save the artifact as `train` does, then `accuracy.json`,
+//!   Figures 4–8, Table 2, the Halide comparison, the §4.4 ablation and
+//!   the [`Ledger`] (`RESULTS.md` + `RESULTS.json`).
 //!
 //! Every binary accepts `--quick` for a scaled-down smoke run and
-//! rejects flags it does not declare ([`Flags`]). The library is three
-//! modules behind this facade: command-line flags, corpus + artifact
-//! resolution, and the accuracy report — plus the flywheel and its
+//! rejects flags it does not declare ([`Flags`]). The library behind
+//! them: command-line flags, corpus + artifact resolution, the accuracy
+//! report, the experiments and their ledger, plus the flywheel and its
 //! promotion gate.
 
 #![warn(missing_docs)]
 
 mod accuracy;
 mod corpus;
+mod figures;
 mod flags;
 mod flywheel;
+mod ledger;
+mod reproduce;
 
 pub use accuracy::{
     accuracy_report, per_family_metrics, AccuracyReport, FamilyMetrics, UNTAGGED_FAMILY,
 };
 pub use corpus::{
     corpus_config, corpus_dir, ensure_corpus, evaluate_artifact, harness, load_artifact,
-    load_model_and_featurizer, load_or_generate_dataset, model_artifact_dir, results_dir,
-    train_from_corpus, Evaluation,
+    model_artifact_dir, results_dir, train_from_corpus, Evaluation,
 };
 pub use flags::Flags;
 pub use flywheel::{
     replay_window, run_flywheel, run_promotion, CandidateVerdict, FlywheelCandidate,
     FlywheelConfig, FlywheelReport, PromotionReport, PromotionSide,
 };
+pub use ledger::Ledger;
+pub use reproduce::reproduce;
 
 /// Writes a CSV file into the results directory.
 pub fn write_csv(name: &str, header: &str, rows: &[String]) {

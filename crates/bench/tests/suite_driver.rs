@@ -1,8 +1,8 @@
-//! The exp_search concurrency contract at the library level: the full §6
-//! suite swept through the concurrent driver must produce **byte-equal**
-//! fig6/table2-style CSV rows at any search-thread count. (CI enforces
-//! the same property on the real binary by diffing its CSVs across
-//! `--search-threads` settings; this test keeps the guarantee in
+//! The suite sweep's concurrency contract at the library level: the full
+//! §6 suite swept through the concurrent driver must produce
+//! **byte-equal** fig6/table2-style CSV rows at any search-thread count.
+//! (CI enforces the same property on `modelctl reproduce` by diffing its
+//! outputs across `--threads` settings; this test keeps the guarantee in
 //! `cargo test` without needing the trained model artifact — execution
 //! evaluators stand in for the model roles.)
 
@@ -15,8 +15,8 @@ fn exec_model(_role: usize) -> Box<dyn Evaluator> {
     Box::new(ParallelEvaluator::new(dlcm_bench::harness(), 0, 1))
 }
 
-/// A scaled-down exp_search: MCTS first, then BSE, per benchmark, through
-/// one shared cache; rows formatted exactly like the binary's CSVs.
+/// A scaled-down suite sweep: MCTS first, then BSE, per benchmark, through
+/// one shared cache; rows formatted exactly like `fig6.csv` / `table2.csv`.
 fn suite_rows(search_threads: usize, eval_threads: usize) -> (Vec<String>, Vec<String>) {
     let space = SearchSpace {
         tile_sizes: vec![16, 32],

@@ -81,8 +81,8 @@ impl<'m> ModelEvaluator<'m> {
     /// field, which makes Table 2's acceleration ratios depend on the
     /// machine running the experiment (and on how many threads it used).
     /// With a simulated charge the ratio is a pure function of the search
-    /// trace — `exp_search` relies on this to emit byte-identical CSVs at
-    /// any `--threads` setting. `infer_time` always keeps the measured
+    /// trace — `modelctl reproduce` relies on this to emit byte-identical
+    /// CSVs at any `--threads` setting. `infer_time` always keeps the measured
     /// wall-clock component.
     #[must_use]
     pub fn with_simulated_cost(mut self, seconds_per_candidate: f64) -> Self {

@@ -181,7 +181,7 @@ fn cached_evaluator_batch_equals_sequential() {
     assert_eq!(cached.stats().cache_hits, 3);
     assert_eq!(cached.stats().num_evals, candidates().len());
 
-    // Cached over parallel: the composition exp_search uses.
+    // Cached over parallel: the composition the suite sweep uses.
     let mut stack = &SharedCachedEvaluator::new(ParallelEvaluator::new(
         Measurement::new(Machine::default()),
         seed,

@@ -214,8 +214,8 @@ impl From<io::Error> for ArtifactError {
 }
 
 /// A trained model plus the manifest that makes it reusable: the unit
-/// the serving tier (`dlcm-serve`) and the `--model-artifact` experiment
-/// flags load instead of retraining.
+/// the serving tier (`dlcm-serve`) and `modelctl`'s `--artifact` flags
+/// load instead of retraining.
 #[derive(Debug, Clone)]
 pub struct ModelArtifact {
     manifest: ArtifactManifest,

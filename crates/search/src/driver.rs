@@ -34,8 +34,8 @@
 //!
 //! Under those conditions — distinct programs across jobs, fixed spec
 //! order within a job — the driver's output, *stats included*, is
-//! byte-identical at any `search_threads` setting; `exp_search` leans on
-//! this to emit identical CSVs at any `--search-threads` value
+//! byte-identical at any `search_threads` setting; `modelctl reproduce`
+//! leans on this to emit identical CSVs at any `--threads` value
 //! (`tests/driver_parity.rs` and the CI diff job enforce it).
 
 use dlcm_eval::pool::parallel_map;
@@ -162,43 +162,6 @@ impl SearchDriver {
                 .map(|spec| run_one(&job.program, spec, exec, model_eval))
                 .collect()
         })
-    }
-
-    /// [`SearchDriver::run_suite`] for suites whose specs are all
-    /// model-driven ([`SearchSpec::BeamModel`]) — no shared execution
-    /// evaluator to wire up.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any job carries an execution-backed spec
-    /// ([`SearchSpec::BeamExec`] or [`SearchSpec::Mcts`]).
-    pub fn run_model_suite<'m, F>(
-        &self,
-        jobs: &[SearchJob],
-        model_eval: &F,
-    ) -> Vec<Vec<SearchResult>>
-    where
-        F: Fn(usize) -> Box<dyn Evaluator + 'm> + Sync,
-    {
-        self.run_suite(jobs, &ModelOnly, model_eval)
-    }
-}
-
-/// Stand-in execution tier for [`SearchDriver::run_model_suite`]:
-/// reaching it means a job smuggled in an execution-backed spec.
-struct ModelOnly;
-
-impl SyncEvaluator for ModelOnly {
-    fn speedup_batch_shared(
-        &self,
-        _program: &Program,
-        _schedules: &[dlcm_ir::Schedule],
-    ) -> (Vec<f64>, dlcm_eval::EvalStats) {
-        panic!("model-only suite ran an execution-backed spec; use run_suite with a real evaluator")
-    }
-
-    fn total_stats(&self) -> dlcm_eval::EvalStats {
-        dlcm_eval::EvalStats::default()
     }
 }
 

@@ -65,7 +65,7 @@ fn exec_model(_role: usize) -> Box<dyn Evaluator> {
     ))
 }
 
-/// The exp_search shape per benchmark: MCTS first (warms the shared
+/// The suite sweep's shape per benchmark (`modelctl reproduce`): MCTS first (warms the shared
 /// cache), then BSE (reuses its measurements), then a model-driven beam.
 fn suite_jobs() -> Vec<SearchJob> {
     let programs = vec![
@@ -178,21 +178,6 @@ fn per_search_stats_are_standalone_not_global_diffs() {
         first.stats.num_evals,
         "all real evaluations happened in the first search"
     );
-}
-
-#[test]
-fn model_only_suite_needs_no_execution_tier() {
-    let jobs = vec![SearchJob {
-        program: stencil("model-only", 96),
-        specs: vec![SearchSpec::BeamModel {
-            search: BeamSearch::new(3, small_space()),
-            role: 0,
-        }],
-    }];
-    let driver = SearchDriver::new(4);
-    let results = driver.run_model_suite(&jobs, &exec_model);
-    assert_eq!(results.len(), 1);
-    assert!(results[0][0].stats.num_evals > 0);
 }
 
 #[test]
