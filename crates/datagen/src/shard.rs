@@ -155,10 +155,6 @@ struct StoredPoint {
 }
 
 impl serde::Deserialize for ShardRecord {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        serde::json::from_value(v)
-    }
-
     fn from_json(p: &mut serde::json::Parser<'_>) -> Result<Self, serde::Error> {
         use serde::json::Tag;
         use serde::Error;

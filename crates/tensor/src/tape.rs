@@ -68,7 +68,6 @@ enum Op {
     Div(Var, Var),
     AddRowBroadcast(Var, Var),
     Scale(Var, f32),
-    AddScalar(Var, #[allow(dead_code)] f32),
     Sigmoid(Var),
     Tanh(Var),
     Relu(Var),
@@ -82,8 +81,6 @@ enum Op {
     Mean(Var),
     Sum(Var),
     Dropout(Var, Tensor),
-    RowSelect(Var, usize),
-    MeanRows(Var),
     GatherRows(Var, Vec<usize>),
     StackRows(Vec<Var>),
 }
@@ -101,7 +98,6 @@ impl Op {
             | Op::AddRowBroadcast(a, b)
             | Op::ConcatCols(a, b) => pred(*a) || pred(*b),
             Op::Scale(a, _)
-            | Op::AddScalar(a, _)
             | Op::Sigmoid(a)
             | Op::Tanh(a)
             | Op::Relu(a)
@@ -114,8 +110,6 @@ impl Op {
             | Op::Mean(a)
             | Op::Sum(a)
             | Op::Dropout(a, _)
-            | Op::RowSelect(a, _)
-            | Op::MeanRows(a)
             | Op::GatherRows(a, _) => pred(*a),
             Op::StackRows(vars) => vars.iter().any(|&v| pred(v)),
         }
@@ -433,12 +427,6 @@ impl Tape {
         self.push(value, Op::Scale(a, s))
     }
 
-    /// Adds a constant to every element.
-    pub fn add_scalar(&mut self, a: Var, s: f32) -> Var {
-        let value = self.value(a).map(|x| x + s);
-        self.push(value, Op::AddScalar(a, s))
-    }
-
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
         let value = self.value(a).map(math::sigmoid);
@@ -535,23 +523,6 @@ impl Tape {
     pub fn sum(&mut self, a: Var) -> Var {
         let value = Tensor::scalar(self.value(a).sum());
         self.push(value, Op::Sum(a))
-    }
-
-    /// Mean over rows, producing a `1 x cols` row vector.
-    pub fn mean_rows(&mut self, a: Var) -> Var {
-        let (m, _n) = self.value(a).shape();
-        let mut value = self.value(a).col_sum();
-        let inv = 1.0 / m as f32;
-        for v in value.as_mut_slice() {
-            *v *= inv;
-        }
-        self.push(value, Op::MeanRows(a))
-    }
-
-    /// Selects row `r` of a matrix as a `1 x cols` vector.
-    pub fn row_select(&mut self, a: Var, r: usize) -> Var {
-        let value = Tensor::row(self.value(a).row_slice(r).to_vec());
-        self.push(value, Op::RowSelect(a, r))
     }
 
     /// Gathers rows `indices` of a matrix into a `k x cols` matrix
@@ -788,7 +759,6 @@ impl Tape {
                 add(chain, *bias, g.col_sum());
             }
             Op::Scale(a, s) => add(chain, *a, g.map(|x| x * s)),
-            Op::AddScalar(a, _) => add(chain, *a, g.clone()),
             Op::Sigmoid(a) => {
                 let out = &self.nodes[idx].value;
                 add(chain, *a, g.zip_map(out, |gv, s| gv * s * (1.0 - s)));
@@ -856,24 +826,6 @@ impl Tape {
             Op::Sum(a) => {
                 let (m, n) = self.value(*a).shape();
                 add(chain, *a, Tensor::full(m, n, g.item()));
-            }
-            Op::MeanRows(a) => {
-                let (m, n) = self.value(*a).shape();
-                let inv = 1.0 / m as f32;
-                let mut data = Vec::with_capacity(m * n);
-                for _ in 0..m {
-                    data.extend(g.as_slice().iter().map(|&x| x * inv));
-                }
-                add(chain, *a, Tensor::from_vec(m, n, data));
-            }
-            Op::RowSelect(a, r) => {
-                let (m, n) = self.value(*a).shape();
-                let mut da = Tensor::zeros(m, n);
-                {
-                    let dst = da.as_mut_slice();
-                    dst[r * n..(r + 1) * n].copy_from_slice(g.as_slice());
-                }
-                add(chain, *a, da);
             }
             Op::Dropout(a, mask) => {
                 add(chain, *a, g.zip_map(mask, |gv, k| gv * k));
@@ -986,8 +938,7 @@ mod tests {
     #[test]
     fn grad_scale_add_scalar() {
         let x = Tensor::from_rows(&[&[1.0, -2.0]]);
-        check_unary(|t, v| t.scale(v, 2.5), x.clone(), 1e-2);
-        check_unary(|t, v| t.add_scalar(v, 3.0), x, 1e-2);
+        check_unary(|t, v| t.scale(v, 2.5), x, 1e-2);
     }
 
     #[test]
@@ -1103,25 +1054,6 @@ mod tests {
         let m = tape.mean(a);
         let grads = tape.backward(m);
         assert_eq!(grads.get(a).unwrap(), &Tensor::full(2, 2, 0.25));
-
-        let mut tape = Tape::new();
-        let a = tape.leaf(Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]));
-        let r = tape.row_select(a, 1);
-        let s = tape.sum(r);
-        let grads = tape.backward(s);
-        assert_eq!(grads.get(a).unwrap().as_slice(), &[0.0, 0.0, 1.0, 1.0]);
-    }
-
-    #[test]
-    fn grad_mean_rows() {
-        let a0 = Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let mut tape = Tape::new();
-        let a = tape.leaf(a0);
-        let m = tape.mean_rows(a);
-        assert_eq!(tape.value(m).as_slice(), &[2.0, 3.0]);
-        let s = tape.sum(m);
-        let grads = tape.backward(s);
-        assert_eq!(grads.get(a).unwrap(), &Tensor::full(2, 2, 0.5));
     }
 
     #[test]

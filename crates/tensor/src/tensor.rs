@@ -418,10 +418,6 @@ struct StoredTensor {
 }
 
 impl Deserialize for Tensor {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        serde::json::from_value(v)
-    }
-
     fn from_json(p: &mut serde::json::Parser<'_>) -> Result<Self, serde::Error> {
         let StoredTensor { rows, cols, data } = StoredTensor::from_json(p)?;
         if rows.checked_mul(cols) != Some(data.len()) {

@@ -3,12 +3,12 @@
 //!
 //! The codec streams: a derived type writes its fields into a
 //! `serde::json::Writer` and matches keys out of a `serde::json::Parser`,
-//! and its `to_value` / `from_value` are bridges *through* that path —
-//! so the `Value` tree cannot be the reference for the bytes. The
-//! reference is [`GOLDEN_BYTES`]: an FNV-1a digest of every document
-//! below, compact and pretty, **captured on the commit before the
-//! streaming codec** (tree writer, PR 18). Everything else here pins
-//! what the decoder accepts and refuses.
+//! and its `to_value` is a bridge *through* that path (reading has no
+//! tree path at all) — so the `Value` tree cannot be the reference for
+//! the bytes. The reference is [`GOLDEN_BYTES`]: an FNV-1a digest of
+//! every document below, compact and pretty, **captured on the commit
+//! before the streaming codec** (tree writer, PR 18). Everything else
+//! here pins what the decoder accepts and refuses, map keys included.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Debug;
@@ -25,6 +25,7 @@ use dlcm::net::{
     ErrorReply, ModelInfoReport, NetStats, ReloadRejectKind, Request, Response, StatsReport,
 };
 use dlcm::serve::ServeStats;
+use dlcm::tensor::ParamId;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::json::MAX_DEPTH;
@@ -206,13 +207,12 @@ impl Battery {
         same(&serde_json::from_str(&compact).expect("compact text decodes"));
         same(&serde_json::from_str(&pretty).expect("pretty text decodes"));
         // The tree is the same document: the `Value` writer over
-        // `to_value` gives the streamed bytes, the text parses to that
-        // tree, and the tree decodes to the value.
+        // `to_value` gives the streamed bytes, and the text parses to
+        // that tree.
         let tree = x.to_value();
         assert_eq!(serde_json::to_string(&tree).unwrap(), compact);
         assert_eq!(serde_json::to_string_pretty(&tree).unwrap(), pretty);
         assert_eq!(serde_json::from_str::<Value>(&pretty).unwrap(), tree);
-        same(&T::from_value(&tree).expect("tree decodes"));
         self.deepest = self.deepest.max(nesting(&compact));
         self.text.push_str(&compact);
         self.text.push_str(&pretty);
@@ -516,4 +516,28 @@ fn map_keys_are_stringified_and_hash_maps_sorted() {
         serde_json::from_str::<BTreeMap<String, bool>>(&text).unwrap(),
         escaped
     );
+
+    // Every branch of the key path: a name is read in its quoted form
+    // first (a string key, even one spelled like a number or a bool),
+    // then as bare text (a number key — newtype ids and the `f64`
+    // spelling past 2^53 included — or a bool key).
+    fn round_trip<M: Serialize + Deserialize + PartialEq + Debug>(map: &M, want: &str) {
+        let text = serde_json::to_string(map).unwrap();
+        assert_eq!(text, want);
+        assert_eq!(&serde_json::from_str::<M>(&text).unwrap(), map);
+    }
+    let strings: BTreeMap<String, u8> = [("12", 1), ("true", 2), ("q\"", 3)]
+        .into_iter()
+        .map(|(k, v)| (k.to_string(), v))
+        .collect();
+    round_trip(&strings, r#"{"12":1,"q\"":3,"true":2}"#);
+    let params: BTreeMap<ParamId, i8> = [(ParamId(12), -1), (ParamId(3), 5)].into_iter().collect();
+    round_trip(&params, r#"{"3":5,"12":-1}"#);
+    let wide: BTreeMap<u64, u8> = [((1 << 53) + 2, 1), (u64::MAX, 2)].into_iter().collect();
+    round_trip(
+        &wide,
+        r#"{"9007199254740994.0":1,"1.8446744073709552e19":2}"#,
+    );
+    let flags: BTreeMap<bool, u8> = [(true, 1), (false, 0)].into_iter().collect();
+    round_trip(&flags, r#"{"false":0,"true":1}"#);
 }
