@@ -17,12 +17,11 @@ use dlcm_tensor::{Tape, Tensor};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::features::{featurize_pair, NUM_FEATURES};
 
 /// Training hyper-parameters for the baseline.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HalideTrainConfig {
     /// Epochs over the training set.
     pub epochs: usize,
@@ -46,7 +45,7 @@ impl Default for HalideTrainConfig {
 }
 
 /// The baseline cost model: z-scored 54-feature input → MLP → speedup.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HalideModel {
     store: ParamStore,
     net: Mlp,
@@ -55,8 +54,7 @@ pub struct HalideModel {
     feat_mean: Vec<f64>,
     /// Per-feature standard deviation.
     feat_std: Vec<f64>,
-    /// Evaluation accounting (not part of the model artifact).
-    #[serde(skip)]
+    /// Evaluation accounting.
     stats: EvalStats,
 }
 
@@ -82,6 +80,11 @@ impl HalideModel {
             feat_std: vec![1.0; NUM_FEATURES],
             stats: EvalStats::default(),
         }
+    }
+
+    /// The trained weights.
+    pub fn store(&self) -> &ParamStore {
+        &self.store
     }
 
     fn normalize(&self, raw: &[f64]) -> Vec<f32> {

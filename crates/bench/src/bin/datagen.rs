@@ -10,35 +10,32 @@
 //!
 //! ```text
 //! cargo run --release -p dlcm-bench --bin datagen -- \
-//!     [--threads N] [--shards K] [--quick] [--force]
+//!     [--threads N] [--quick] [--force]
 //! ```
 //!
 //! Whether the corpus on disk is reused is the decision every consumer
 //! makes too (`dlcm_bench::ensure_corpus`: same dataset configuration
-//! and seed-shard count — generations appended by the flywheel are kept);
+//! and four seed shards — generations appended by the flywheel are kept);
 //! `--force` regenerates even then.
 
 use dlcm_bench::{corpus_config, corpus_dir, ensure_corpus, write_json, Flags};
 use dlcm_datagen::ShardManifest;
 
-const USAGE: &str = "datagen [--quick] [--threads N] [--shards K] [--force]";
+const USAGE: &str = "datagen [--quick] [--threads N] [--force]";
 
 fn main() {
     let flags = Flags::parse(std::env::args().skip(1), USAGE);
     let quick = flags.has("quick");
     let threads = flags.positive("threads", 1);
-    let num_shards = flags.positive("shards", 4);
     let dir = corpus_dir();
 
-    eprintln!(
-        "=== DATAGEN: sharded corpus (quick={quick}, threads={threads}, shards={num_shards}) ==="
-    );
+    eprintln!("=== DATAGEN: sharded corpus (quick={quick}, threads={threads}) ===");
     if flags.has("force") {
         // Without its commit point the resolver finds no corpus here.
         let _ = std::fs::remove_file(ShardManifest::path(&dir));
     }
     let start = std::time::Instant::now();
-    let (corpus, stats) = ensure_corpus(&dir, corpus_config(quick, threads, num_shards));
+    let (corpus, stats) = ensure_corpus(&dir, corpus_config(quick, threads));
     let elapsed = start.elapsed().as_secs_f64();
     corpus.verify().expect("corpus shard fingerprints");
     let manifest = corpus.manifest();

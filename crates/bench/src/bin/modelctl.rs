@@ -52,12 +52,12 @@
 //!   `promote --candidates`.
 //!
 //! ```text
-//! modelctl train [--quick] [--threads N] [--shards K] [--epochs N] [--out DIR]
+//! modelctl train [--quick] [--threads N] [--epochs N] [--out DIR]
 //! modelctl info  [--artifact DIR]
-//! modelctl eval  [--quick] [--threads N] [--shards K] [--artifact DIR]
-//! modelctl reproduce [--quick] [--threads N] [--shards K]
+//! modelctl eval  [--quick] [--threads N] [--artifact DIR]
+//! modelctl reproduce [--quick] [--threads N]
 //! modelctl serve --listen ADDR [--artifact DIR] [--threads N] [--cache-capacity N]
-//!                [--max-connections N] [--max-in-flight N]
+//!                [--max-connections N]
 //! modelctl reload [ADDR | --addr ADDR] --artifact DIR
 //! modelctl promote [ADDR | --addr ADDR] [--artifact DIR | --candidates DIR1,DIR2,...]
 //!                  [--window N] [--dry-run] [--quick]
@@ -81,12 +81,12 @@ use dlcm_model::{evaluate, ModelArtifact};
 use dlcm_net::{NetClient, NetConfig, NetServer};
 use dlcm_serve::{InferenceService, ServeConfig};
 
-const TRAIN: &str = "modelctl train [--quick] [--threads N] [--shards K] [--epochs N] [--out DIR]";
+const TRAIN: &str = "modelctl train [--quick] [--threads N] [--epochs N] [--out DIR]";
 const INFO: &str = "modelctl info [--artifact DIR]";
-const EVAL: &str = "modelctl eval [--quick] [--threads N] [--shards K] [--artifact DIR]";
-const REPRODUCE: &str = "modelctl reproduce [--quick] [--threads N] [--shards K]";
+const EVAL: &str = "modelctl eval [--quick] [--threads N] [--artifact DIR]";
+const REPRODUCE: &str = "modelctl reproduce [--quick] [--threads N]";
 const SERVE: &str = "modelctl serve --listen ADDR [--artifact DIR] [--threads N] \
-                     [--cache-capacity N] [--max-connections N] [--max-in-flight N]";
+                     [--cache-capacity N] [--max-connections N]";
 const RELOAD: &str = "modelctl reload [ADDR | --addr ADDR] --artifact DIR";
 const PROMOTE: &str = "modelctl promote [ADDR | --addr ADDR] \
                        [--artifact DIR | --candidates DIR1,DIR2,...] [--window N] [--dry-run] \
@@ -151,7 +151,7 @@ fn train(flags: Flags) {
     let epochs = flags.positive("epochs", default_epochs(quick));
     let out = artifact_dir(&flags, "out");
     eprintln!("=== modelctl train (quick={quick}, threads={threads}, epochs={epochs}) ===");
-    train_and_save(quick, threads, flags.positive("shards", 4), epochs, &out);
+    train_and_save(quick, threads, epochs, &out);
 }
 
 /// The one training path: train on the canonical corpus, save the
@@ -160,11 +160,10 @@ fn train(flags: Flags) {
 fn train_and_save(
     quick: bool,
     threads: usize,
-    shards: usize,
     epochs: usize,
     out: &Path,
 ) -> (ModelArtifact, Evaluation) {
-    let (artifact, evaluation) = train_from_corpus(quick, threads, shards, epochs);
+    let (artifact, evaluation) = train_from_corpus(quick, threads, epochs);
     artifact.save(out).expect("save model artifact");
     let reloaded = ModelArtifact::load(out).expect("reload saved artifact");
     assert_eq!(
@@ -193,13 +192,7 @@ fn reproduce(flags: Flags) {
     let threads = flags.positive("threads", 1);
     let epochs = default_epochs(quick);
     eprintln!("=== modelctl reproduce (quick={quick}, threads={threads}, epochs={epochs}) ===");
-    let (artifact, evaluation) = train_and_save(
-        quick,
-        threads,
-        flags.positive("shards", 4),
-        epochs,
-        &model_artifact_dir(),
-    );
+    let (artifact, evaluation) = train_and_save(quick, threads, epochs, &model_artifact_dir());
     let ledger = dlcm_bench::reproduce(quick, threads, &artifact, &evaluation, epochs);
     ledger.write();
     println!("{}", ledger.markdown());
@@ -226,7 +219,7 @@ fn eval(flags: Flags) {
     let dir = artifact_dir(&flags, "artifact");
     eprintln!("=== modelctl eval (quick={quick}, threads={threads}, artifact={dir:?}) ===");
     let artifact = load_artifact(&dir);
-    let evaluation = evaluate_artifact(&artifact, quick, threads, flags.positive("shards", 4));
+    let evaluation = evaluate_artifact(&artifact, quick, threads);
     // `s`tored in the manifest vs `h`eld-out re-evaluation.
     let (s, h) = (artifact.manifest().metrics, evaluation.metrics);
     let epochs = artifact.manifest().train.as_ref().map_or(0, |t| t.epochs);
@@ -402,7 +395,6 @@ fn serve(flags: Flags) {
     let dir = artifact_dir(&flags, "artifact");
     let net_cfg = NetConfig {
         max_connections: flags.positive("max-connections", NetConfig::default().max_connections),
-        max_in_flight: flags.positive("max-in-flight", NetConfig::default().max_in_flight),
     };
     let serve_cfg = ServeConfig {
         threads,
@@ -410,8 +402,8 @@ fn serve(flags: Flags) {
     };
     eprintln!(
         "=== modelctl serve --listen {addr} (artifact={dir:?}, threads={threads}, \
-         cache_capacity={}, max_connections={}, max_in_flight={}) ===",
-        serve_cfg.cache_capacity, net_cfg.max_connections, net_cfg.max_in_flight
+         cache_capacity={}, max_connections={}) ===",
+        serve_cfg.cache_capacity, net_cfg.max_connections
     );
     let artifact = load_artifact(&dir);
     let service = InferenceService::from_artifact(artifact, serve_cfg);

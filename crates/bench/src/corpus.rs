@@ -39,6 +39,10 @@ pub fn model_artifact_dir() -> PathBuf {
     results_dir().join("model_artifact")
 }
 
+/// Generation-0 shard files of the canonical corpus: part of what makes
+/// a corpus "the same corpus" ([`ensure_corpus`]).
+const SEED_SHARDS: usize = 4;
+
 /// The shared measurement harness (paper protocol: median of 30 runs,
 /// 2% noise, simulated Xeon E5-2680v3).
 pub fn harness() -> Measurement {
@@ -48,13 +52,13 @@ pub fn harness() -> Measurement {
 /// The canonical corpus build configuration: all nine scenario families
 /// ([`ProgramGenConfig::wide`]), scaled down from the paper's 56,250 x
 /// 32 to fit the simulated environment (`quick` shrinks it further for
-/// smoke tests), sharded and labeled through the parallel,
-/// deduplicating builder.
-pub fn corpus_config(quick: bool, threads: usize, num_shards: usize) -> BuildConfig {
+/// smoke tests), written as four seed shards and labeled through the
+/// parallel, deduplicating builder.
+pub fn corpus_config(quick: bool, threads: usize) -> BuildConfig {
     let (num_programs, schedules_per_program) = if quick { (48, 8) } else { (128, 32) };
     BuildConfig {
         threads,
-        num_shards,
+        num_shards: SEED_SHARDS,
         ..BuildConfig::new(DatasetConfig {
             num_programs,
             schedules_per_program,
@@ -105,8 +109,8 @@ pub fn ensure_corpus(dir: &Path, cfg: BuildConfig) -> (ShardedDataset, Option<Bu
 }
 
 /// [`ensure_corpus`] over the canonical corpus under [`corpus_dir`].
-fn canonical_corpus(quick: bool, threads: usize, num_shards: usize) -> ShardedDataset {
-    ensure_corpus(&corpus_dir(), corpus_config(quick, threads, num_shards)).0
+fn canonical_corpus(quick: bool, threads: usize) -> ShardedDataset {
+    ensure_corpus(&corpus_dir(), corpus_config(quick, threads)).0
 }
 
 /// Loads and validates a versioned model artifact, exiting with a
@@ -173,15 +177,14 @@ impl Evaluation {
 /// result as a versioned [`ModelArtifact`] carrying the corpus content
 /// fingerprint and the held-out metrics.
 ///
-/// Deterministic end to end: the same `(quick, num_shards, epochs)`
-/// yields a byte-identical artifact at any `threads` setting.
+/// Deterministic end to end: the same `(quick, epochs)` yields a
+/// byte-identical artifact at any `threads` setting.
 pub fn train_from_corpus(
     quick: bool,
     threads: usize,
-    num_shards: usize,
     epochs: usize,
 ) -> (ModelArtifact, Evaluation) {
-    let sharded = canonical_corpus(quick, threads, num_shards);
+    let sharded = canonical_corpus(quick, threads);
     let featurizer = Featurizer::new(FeaturizerConfig::default());
     let train_cfg = TrainConfig {
         epochs,
@@ -232,13 +235,8 @@ pub fn train_from_corpus(
 /// canonical corpus ([`ensure_corpus`]; `quick` selects it as for every
 /// other binary). Exits with an explanation when that is not the corpus
 /// the artifact was trained on — its metrics would not be comparable.
-pub fn evaluate_artifact(
-    artifact: &ModelArtifact,
-    quick: bool,
-    threads: usize,
-    num_shards: usize,
-) -> Evaluation {
-    let sharded = canonical_corpus(quick, threads, num_shards);
+pub fn evaluate_artifact(artifact: &ModelArtifact, quick: bool, threads: usize) -> Evaluation {
+    let sharded = canonical_corpus(quick, threads);
     let corpus_fingerprint = sharded.manifest().content_fingerprint();
     if artifact.corpus_fingerprint() != Some(corpus_fingerprint) {
         eprintln!(

@@ -104,12 +104,12 @@ fn run(bin: &str, args: &[&str], results: &Path) -> std::process::Output {
 fn the_datagen_binary_keeps_an_extended_corpus() {
     let results = tmp_dir("datagen_bin");
     let datagen = env!("CARGO_BIN_EXE_datagen");
-    let args = ["--quick", "--threads", "2", "--shards", "4"];
+    let args = ["--quick", "--threads", "2"];
     assert!(run(datagen, &args, &results).status.success());
     let corpus = results.join("corpus");
     assert_eq!(
         ShardedDataset::open(&corpus).unwrap().manifest().config,
-        corpus_config(true, 1, 4).dataset
+        corpus_config(true, 1).dataset
     );
     extend(&corpus);
     let extended = manifest_bytes(&corpus);

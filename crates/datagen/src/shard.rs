@@ -104,10 +104,6 @@ pub enum ShardRecord {
 }
 
 impl serde::Serialize for ShardRecord {
-    fn to_value(&self) -> serde::Value {
-        serde::json::to_value(self)
-    }
-
     fn write_json(&self, w: &mut serde::json::Writer) {
         w.begin_object();
         match self {

@@ -55,7 +55,7 @@ fn corpus_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
     files
 }
 
-/// The acceptance-criterion parity: `--threads 4 --shards 4` emits a
+/// The acceptance-criterion parity: 4 threads over 4 shards emit a
 /// byte-identical manifest and shard set to sequential generation.
 #[test]
 fn threads_do_not_change_a_single_byte() {

@@ -326,20 +326,11 @@ pub fn train_stream<M: SpeedupPredictor, B: BatchSource + ?Sized>(
 /// 64 rows through [`SpeedupPredictor::infer_batch`] — the one
 /// inference forward every surface shares.
 pub fn evaluate<M: SpeedupPredictor>(model: &M, set: &[LabeledFeatures]) -> (f64, Vec<f64>) {
-    let mut by_structure: std::collections::BTreeMap<u64, Vec<usize>> = Default::default();
-    for (i, s) in set.iter().enumerate() {
-        by_structure
-            .entry(s.feats.structure_key())
-            .or_default()
-            .push(i);
-    }
     let mut preds = vec![0.0; set.len()];
-    for group in by_structure.values() {
-        for chunk in group.chunks(64) {
-            let refs: Vec<&ProgramFeatures> = chunk.iter().map(|&i| &set[i].feats).collect();
-            for (&i, pred) in chunk.iter().zip(model.infer_batch(&refs)) {
-                preds[i] = pred;
-            }
+    for chunk in group_into_batches(set.iter().map(|s| s.feats.structure_key()), 64) {
+        let refs: Vec<&ProgramFeatures> = chunk.iter().map(|&i| &set[i].feats).collect();
+        for (&i, pred) in chunk.iter().zip(model.infer_batch(&refs)) {
+            preds[i] = pred;
         }
     }
     let targets: Vec<f64> = set.iter().map(|s| s.target).collect();

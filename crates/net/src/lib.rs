@@ -30,8 +30,9 @@
 //! untouched — `tests/lifecycle.rs` drives the full contract over the
 //! wire.
 //!
-//! Everything memory-bearing is bounded: the accept queue, in-flight
-//! evaluation permits, the frame length, and (via
+//! Everything memory-bearing is bounded: the accept queue, the requests
+//! in evaluation (one per worker, `max_connections`), the frame length,
+//! the time a started frame may stall, and (via
 //! `ServeConfig::cache_capacity`) every result-cache tier underneath.
 
 pub mod client;

@@ -23,18 +23,18 @@
 //! an illegal one panics inside its own request, which `catch_unwind`
 //! answers `BadRequest` — nothing in the service outlives the request.
 //!
-//! Three gates, each with a typed rejection:
+//! Two gates, each with a typed rejection:
 //!
 //! 1. **Accept queue** (16 sockets): full → `Overloaded` at connect.
-//! 2. **In-flight permits** (`max_in_flight`): a `Speedups` request that
-//!    cannot take a permit is answered `Overloaded` without touching the
-//!    evaluator (the connection stays usable).
-//! 3. **Deadlines**: a request whose `deadline_ms` expired before
+//!    Each of the `max_connections` workers serves one request at a
+//!    time, so no more than `max_connections` requests are ever in
+//!    evaluation at once.
+//! 2. **Deadlines**: a request whose `deadline_ms` expired before
 //!    dispatch is answered [`ErrorReply::Timeout`] and never scored; one
 //!    that finishes late still gets its scores, but the service's
 //!    `deadline_missed` counter ticks.
 //!
-//! All three outcomes surface in [`dlcm_serve::ServeStats`] via the service's
+//! Both outcomes surface in [`dlcm_serve::ServeStats`] via the service's
 //! `note_*` hooks plus the [`NetStats`] gauges, so `/stats` (the
 //! [`Request::Stats`] message) describes the whole stack.
 //!
@@ -87,59 +87,23 @@ const ACCEPT_QUEUE: usize = 16;
 /// capped at [`DEFAULT_MAX_FRAME_LEN`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetConfig {
-    /// Worker threads, i.e. connections served concurrently.
+    /// Worker threads, i.e. connections served (and requests in
+    /// evaluation) concurrently.
     pub max_connections: usize,
-    /// `Speedups` requests allowed into evaluation at once; the rest
-    /// are rejected with `Overloaded` (never queued blind).
-    pub max_in_flight: usize,
 }
 
 impl Default for NetConfig {
     fn default() -> Self {
-        Self {
-            max_connections: 8,
-            max_in_flight: 8,
-        }
-    }
-}
-
-/// Counting semaphore for in-flight evaluation permits. `try_acquire`
-/// only — admission control *sheds* load with a typed rejection rather
-/// than queueing requests invisibly.
-struct Permits {
-    available: Mutex<usize>,
-}
-
-impl Permits {
-    fn new(n: usize) -> Self {
-        Self {
-            available: Mutex::new(n.max(1)),
-        }
-    }
-
-    fn try_acquire(&self) -> bool {
-        let mut available = self.available.lock().expect("permits");
-        if *available > 0 {
-            *available -= 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn release(&self) {
-        *self.available.lock().expect("permits") += 1;
+        Self { max_connections: 8 }
     }
 }
 
 /// State shared by the acceptor, the workers, and the handle.
 struct Shared<M: SpeedupPredictor> {
     service: InferenceService<M>,
-    cfg: NetConfig,
     queue: Mutex<VecDeque<TcpStream>>,
     queue_cv: Condvar,
     shutdown: AtomicBool,
-    permits: Permits,
     connections_accepted: AtomicUsize,
     active_connections: AtomicUsize,
     rejected_queue_full: AtomicUsize,
@@ -228,11 +192,9 @@ where
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             service,
-            cfg,
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            permits: Permits::new(cfg.max_in_flight),
             connections_accepted: AtomicUsize::new(0),
             active_connections: AtomicUsize::new(0),
             rejected_queue_full: AtomicUsize::new(0),
@@ -558,21 +520,10 @@ where
                     shared.send_error(&mut stream, &ErrorReply::BadRequest { message });
                     continue;
                 }
-                if !shared.permits.try_acquire() {
-                    shared.service.note_rejected_overload();
-                    shared.send_error(
-                        &mut stream,
-                        &ErrorReply::Overloaded {
-                            limit: shared.cfg.max_in_flight,
-                        },
-                    );
-                    continue;
-                }
                 let expired_before_dispatch = deadline_ms
                     .map(|ms| arrival.elapsed() >= Duration::from_millis(ms))
                     .unwrap_or(false);
                 if expired_before_dispatch {
-                    shared.permits.release();
                     shared.service.note_rejected_deadline();
                     shared.send_error(
                         &mut stream,
@@ -587,7 +538,6 @@ where
                 let scored = panic::catch_unwind(AssertUnwindSafe(|| {
                     shared.service.speedup_batch_shared(&program, &schedules).0
                 }));
-                shared.permits.release();
                 match scored {
                     Ok(scores) => {
                         if let Some(ms) = deadline_ms {

@@ -46,6 +46,7 @@
 
 use std::fmt;
 use std::io::{self, ErrorKind, Read, Write};
+use std::time::{Duration, Instant};
 
 use dlcm_ir::{Program, Schedule};
 use dlcm_serve::ServeStats;
@@ -64,6 +65,11 @@ pub const HEADER_LEN: usize = 10;
 /// largest generated program plus a full candidate wave, while bounding
 /// what one frame can make the receiver allocate.
 pub const DEFAULT_MAX_FRAME_LEN: u32 = 16 << 20;
+
+/// How long a started frame may go without a byte before the read gives
+/// up with [`FrameError::Truncated`]: a peer that stalls mid-frame must
+/// not hold a server worker (and its shutdown) forever.
+const MID_FRAME_STALL: Duration = Duration::from_secs(5);
 
 /// What kind of body a frame carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -221,8 +227,8 @@ pub struct NetStats {
 /// whose message is diagnostic only).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ErrorReply {
-    /// The server is at its in-flight evaluation limit (or its accept
-    /// queue is full, when sent at connect time). Back off and retry.
+    /// The server's accept queue is full (sent at connect time). Back
+    /// off and retry.
     Overloaded {
         /// The limit that was hit.
         limit: usize,
@@ -316,7 +322,8 @@ pub enum FrameError {
     /// it is how clients hang up.
     Closed,
     /// The connection ended *mid-frame*: some header or body bytes
-    /// arrived, then EOF. The remainder will never come.
+    /// arrived, then EOF, or (on a socket with a read timeout) nothing
+    /// for 5 s. The remainder will never come.
     Truncated {
         /// Which part of the frame was cut off.
         context: &'static str,
@@ -371,7 +378,8 @@ impl std::error::Error for FrameError {}
 /// `context` names the frame part for [`FrameError::Truncated`];
 /// `idle_ok` is true only while waiting for the *first* byte of a frame
 /// (a timeout there means "idle", a timeout mid-frame keeps waiting —
-/// frames are small, so a live peer finishes them promptly).
+/// frames are small, so a live peer finishes them promptly — until
+/// [`MID_FRAME_STALL`] has passed without a byte).
 fn fill<R: Read>(
     r: &mut R,
     buf: &mut [u8],
@@ -379,6 +387,7 @@ fn fill<R: Read>(
     idle_ok: bool,
 ) -> Result<(), FrameError> {
     let mut filled = 0;
+    let mut last_progress = Instant::now();
     while filled < buf.len() {
         match r.read(&mut buf[filled..]) {
             Ok(0) => {
@@ -388,14 +397,20 @@ fn fill<R: Read>(
                     FrameError::Truncated { context }
                 })
             }
-            Ok(n) => filled += n,
+            Ok(n) => {
+                filled += n;
+                last_progress = Instant::now();
+            }
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 if filled == 0 && idle_ok {
                     return Err(FrameError::Idle);
                 }
                 // Mid-frame timeout: the peer started a frame, keep
-                // waiting for the rest.
+                // waiting for the rest while it still sends.
+                if last_progress.elapsed() >= MID_FRAME_STALL {
+                    return Err(FrameError::Truncated { context });
+                }
             }
             Err(e) => return Err(FrameError::Io(e)),
         }

@@ -81,10 +81,7 @@ fn eight_concurrent_clients_get_bit_identical_scores() {
             threads: 2,
             ..ServeConfig::default()
         },
-        NetConfig {
-            max_connections: 8,
-            max_in_flight: 8,
-        },
+        NetConfig { max_connections: 8 },
     );
     let addr = server.local_addr();
 
@@ -190,13 +187,7 @@ fn server_stays_within_cache_capacity_under_distinct_key_traffic() {
 
 #[test]
 fn zero_deadline_is_rejected_typed_and_overload_limit_holds() {
-    let server = bind_server(
-        ServeConfig::default(),
-        NetConfig {
-            max_in_flight: 1,
-            ..NetConfig::default()
-        },
-    );
+    let server = bind_server(ServeConfig::default(), NetConfig::default());
     let mut client = NetClient::connect(server.local_addr()).expect("connect");
     let p = program("p", 64);
 

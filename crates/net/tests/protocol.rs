@@ -83,6 +83,41 @@ fn truncated_frame_then_disconnect_never_wedges_the_server() {
 }
 
 #[test]
+fn a_peer_that_stalls_mid_frame_does_not_hold_shutdown() {
+    let server = bind_server(NetConfig::default());
+
+    // A header promising 64 bytes, 8 of them, then silence with the
+    // socket left open.
+    let mut raw = TcpStream::connect(server.local_addr()).expect("connect raw");
+    let mut header = [0u8; HEADER_LEN];
+    header[..4].copy_from_slice(&MAGIC);
+    header[4] = WIRE_VERSION;
+    header[5] = 1; // request
+    header[6..].copy_from_slice(&64u32.to_be_bytes());
+    raw.write_all(&header).expect("header");
+    raw.write_all(b"{\"Speedu").expect("partial body");
+    // Let a worker take the connection and start on the body.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while server.stats().net.active_connections < 1 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "worker never picked up"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.shutdown();
+        let _unused = done.send(());
+    });
+    finished
+        .recv_timeout(Duration::from_secs(15))
+        .expect("shutdown must not wait on a stalled peer");
+    drop(raw);
+}
+
+#[test]
 fn oversized_frame_is_rejected_by_the_length_cap() {
     let server = bind_server(NetConfig::default());
     let mut raw = TcpStream::connect(server.local_addr()).expect("connect raw");
@@ -268,10 +303,7 @@ fn full_accept_queue_sheds_connections_with_a_typed_overload() {
     // One worker and the 16-socket accept queue: the worker parks on a
     // held connection, sixteen more wait in the queue, and the next one
     // must be turned away with a typed Overloaded frame.
-    let server = bind_server(NetConfig {
-        max_connections: 1,
-        ..NetConfig::default()
-    });
+    let server = bind_server(NetConfig { max_connections: 1 });
     let addr = server.local_addr();
 
     let held = NetClient::connect(addr).expect("held connection");

@@ -88,8 +88,8 @@ pub struct ServeStats {
     pub forward_rows: usize,
     /// Mean rows per forward pass.
     pub mean_batch_rows: f64,
-    /// Requests turned away at admission because the front end was at
-    /// its in-flight limit (always 0 for a bare in-process service —
+    /// Requests turned away at admission because the front end was
+    /// full (always 0 for a bare in-process service —
     /// populated through [`InferenceService::note_rejected_overload`]
     /// by admission-controlled front ends such as `dlcm-net`).
     pub rejected_overload: usize,
@@ -369,7 +369,7 @@ impl<M: SpeedupPredictor> InferenceService<M> {
     }
 
     /// Records a request an admission-controlled front end turned away
-    /// because the service was at its in-flight limit. The request never
+    /// because it was full (`dlcm-net`'s accept queue). The request never
     /// reached evaluation; this keeps it visible in [`ServeStats`].
     pub fn note_rejected_overload(&self) {
         self.rejected_overload.fetch_add(1, Ordering::Relaxed);

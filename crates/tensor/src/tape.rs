@@ -74,15 +74,12 @@ enum Op {
     Elu(Var, f32),
     Softplus(Var),
     Exp(Var),
-    Ln(Var),
     Abs(Var),
-    Neg(Var),
     ConcatCols(Var, Var),
     Mean(Var),
     Sum(Var),
     Dropout(Var, Tensor),
     GatherRows(Var, Vec<usize>),
-    StackRows(Vec<Var>),
 }
 
 impl Op {
@@ -104,14 +101,11 @@ impl Op {
             | Op::Elu(a, _)
             | Op::Softplus(a)
             | Op::Exp(a)
-            | Op::Ln(a)
             | Op::Abs(a)
-            | Op::Neg(a)
             | Op::Mean(a)
             | Op::Sum(a)
             | Op::Dropout(a, _)
             | Op::GatherRows(a, _) => pred(*a),
-            Op::StackRows(vars) => vars.iter().any(|&v| pred(v)),
         }
     }
 }
@@ -477,26 +471,10 @@ impl Tape {
         self.push(value, Op::Exp(a))
     }
 
-    /// Elementwise natural logarithm.
-    ///
-    /// # Panics
-    ///
-    /// Debug-panics if any input element is non-positive.
-    pub fn ln(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(f32::ln);
-        self.push(value, Op::Ln(a))
-    }
-
     /// Elementwise absolute value.
     pub fn abs(&mut self, a: Var) -> Var {
         let value = self.value(a).map(f32::abs);
         self.push(value, Op::Abs(a))
-    }
-
-    /// Elementwise negation.
-    pub fn neg(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(|x| -x);
-        self.push(value, Op::Neg(a))
     }
 
     /// Concatenates two matrices with equal row counts along columns.
@@ -536,26 +514,6 @@ impl Tape {
         }
         let value = Tensor::from_vec(indices.len(), n, data);
         self.push(value, Op::GatherRows(a, indices.to_vec()))
-    }
-
-    /// Stacks same-width vars vertically into one matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vars` is empty or widths differ.
-    pub fn stack_rows(&mut self, vars: &[Var]) -> Var {
-        assert!(!vars.is_empty(), "stack_rows requires at least one var");
-        let n = self.value(vars[0]).cols();
-        let mut data = Vec::new();
-        let mut rows = 0;
-        for &v in vars {
-            let t = self.value(v);
-            assert_eq!(t.cols(), n, "stack_rows width mismatch");
-            rows += t.rows();
-            data.extend_from_slice(t.as_slice());
-        }
-        let value = Tensor::from_vec(rows, n, data);
-        self.push(value, Op::StackRows(vars.to_vec()))
     }
 
     /// Inverted dropout with keep-probability `1 - p`.
@@ -792,10 +750,6 @@ impl Tape {
                 let out = &self.nodes[idx].value;
                 add(chain, *a, g.zip_map(out, |gv, o| gv * o));
             }
-            Op::Ln(a) => {
-                let x = self.value(*a);
-                add(chain, *a, g.zip_map(x, |gv, xv| gv / xv));
-            }
             Op::Abs(a) => {
                 let x = self.value(*a);
                 add(
@@ -804,7 +758,6 @@ impl Tape {
                     g.zip_map(x, |gv, xv| if xv >= 0.0 { gv } else { -gv }),
                 );
             }
-            Op::Neg(a) => add(chain, *a, g.map(|x| -x)),
             Op::ConcatCols(a, b) => {
                 let (ra, ca) = self.value(*a).shape();
                 let (_, cb) = self.value(*b).shape();
@@ -842,18 +795,6 @@ impl Tape {
                     }
                 }
                 add(chain, *a, da);
-            }
-            Op::StackRows(vars) => {
-                let mut offset = 0;
-                for &v in vars {
-                    let (m, n) = self.value(v).shape();
-                    let mut dv = Vec::with_capacity(m * n);
-                    for r in 0..m {
-                        dv.extend_from_slice(g.row_slice(offset + r));
-                    }
-                    offset += m;
-                    add(chain, v, Tensor::from_vec(m, n, dv));
-                }
             }
         }
     }
@@ -925,14 +866,7 @@ mod tests {
         check_unary(|t, v| t.elu(v, 1.0), x.clone(), 2e-2);
         check_unary(|t, v| t.softplus(v), x.clone(), 2e-2);
         check_unary(|t, v| t.exp(v), x.clone(), 2e-2);
-        check_unary(|t, v| t.abs(v), x.clone(), 2e-2);
-        check_unary(|t, v| t.neg(v), x, 2e-2);
-    }
-
-    #[test]
-    fn grad_ln_positive_domain() {
-        let x = Tensor::from_rows(&[&[0.5, 1.5, 3.0]]);
-        check_unary(|t, v| t.ln(v), x, 2e-2);
+        check_unary(|t, v| t.abs(v), x, 2e-2);
     }
 
     #[test]

@@ -396,10 +396,6 @@ impl fmt::Debug for Tensor {
 }
 
 impl Serialize for Tensor {
-    fn to_value(&self) -> serde::Value {
-        serde::json::to_value(self)
-    }
-
     fn write_json(&self, w: &mut serde::json::Writer) {
         w.begin_object();
         w.field("rows", &self.rows);

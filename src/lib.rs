@@ -29,7 +29,7 @@
 //!   hot-swappable versioned [`model::ModelArtifact`]s;
 //! - [`net`] — the network-facing serving tier: a length-prefixed TCP
 //!   frame protocol over [`serve`] with admission control (bounded
-//!   accept queue, in-flight permits, per-request deadlines), typed
+//!   accept queue, per-request deadlines), typed
 //!   rejections, `/stats`, and graceful drain;
 //! - [`baseline`] — the Halide-2019-style 54-feature comparator, also an
 //!   [`eval::Evaluator`];

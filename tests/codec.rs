@@ -3,9 +3,10 @@
 //!
 //! The codec streams: a derived type writes its fields into a
 //! `serde::json::Writer` and matches keys out of a `serde::json::Parser`,
-//! and its `to_value` is a bridge *through* that path (reading has no
-//! tree path at all) — so the `Value` tree cannot be the reference for
-//! the bytes. The reference is [`GOLDEN_BYTES`]: an FNV-1a digest of
+//! and its `to_value` is the trait's default, a bridge *through* that
+//! path (every impl but `Value`'s inherits it; reading has no tree path
+//! at all) — so the `Value` tree cannot be the reference for the bytes.
+//! The reference is [`GOLDEN_BYTES`]: an FNV-1a digest of
 //! every document below, compact and pretty, **captured on the commit
 //! before the streaming codec** (tree writer, PR 18). Everything else
 //! here pins what the decoder accepts and refuses, map keys included.
@@ -395,13 +396,11 @@ fn a_document_too_deep_to_read_back_is_not_written() {
     assert!(err.to_string().contains("nested deeper"), "{err}");
 }
 
-#[derive(Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 struct Probe {
     id: u32,
     name: String,
     limit: Option<f64>,
-    #[serde(skip)]
-    scratch: Vec<u8>,
 }
 
 #[derive(Debug, PartialEq, Serialize, Deserialize)]
@@ -419,7 +418,6 @@ fn field_rules_are_the_tree_codecs() {
         id: 7,
         name: "n".to_string(),
         limit: None,
-        scratch: vec![],
     };
     assert_eq!(probe(r#"{"id":7,"name":"n","limit":null}"#).unwrap(), want);
     // Any order, unknown keys of any shape skipped.
@@ -443,19 +441,6 @@ fn field_rules_are_the_tree_codecs() {
     assert!(err.contains("missing field `name`"), "{err}");
     let err = probe(r#"{"id":7,"name":"n"}"#).unwrap_err().to_string();
     assert!(err.contains("missing field `limit`"), "{err}");
-    // A skipped field is neither written nor read.
-    let dirty = Probe {
-        scratch: vec![1, 2, 3],
-        limit: Some(0.5),
-        ..Probe::default()
-    };
-    let text = serde_json::to_string(&dirty).unwrap();
-    assert_eq!(text, r#"{"id":0,"name":"","limit":0.5}"#);
-    assert_eq!(probe(&text).unwrap().scratch, Vec::<u8>::new());
-    assert_eq!(
-        probe(r#"{"id":0,"name":"","limit":0.5,"scratch":"ignored"}"#).unwrap(),
-        probe(&text).unwrap()
-    );
     // Malformed text behind an unknown key is still malformed.
     assert!(probe(r#"{"id":7,"name":"n","limit":null,"x":[1,}"#).is_err());
     assert!(probe(r#"{"id":7,"name":"n","limit":null} x"#).is_err());

@@ -169,7 +169,6 @@ fn loopback_server_matches_model_evaluator_across_a_reload() {
             "127.0.0.1:0",
             NetConfig {
                 max_connections: clients + 1,
-                ..NetConfig::default()
             },
         )
         .expect("bind an ephemeral port");

@@ -114,13 +114,6 @@ fn flat_lstm_ablation_trains_to_the_golden_weights_at_any_thread_count() {
     assert_eq!(two, FLAT_LSTM_GOLDEN);
 }
 
-/// The part of a serialized `HalideModel` the golden pins: its weights
-/// (the codec skips the other fields).
-#[derive(serde::Deserialize)]
-struct HalideWeights {
-    store: ParamStore,
-}
-
 #[test]
 fn halide_baseline_trains_to_the_golden_weights() {
     let dataset = ParallelDatasetBuilder::new(BuildConfig::new(DatasetConfig::tiny(16)))
@@ -139,7 +132,5 @@ fn halide_baseline_trains_to_the_golden_weights() {
             seed: 16,
         },
     );
-    let json = serde_json::to_string(&model).unwrap();
-    let weights: HalideWeights = serde_json::from_str(&json).unwrap();
-    assert_eq!(weights_fingerprint(&weights.store), HALIDE_GOLDEN);
+    assert_eq!(weights_fingerprint(model.store()), HALIDE_GOLDEN);
 }
