@@ -7,15 +7,14 @@
 //! under content-derived keys so every re-derived candidate is answered
 //! without paying the wrapped evaluator's compile / run / inference
 //! cost; this module holds the pieces it is built from — the default
-//! capacity and the bounded per-program memo.
+//! capacity and the bounded per-program memo of
+//! [`crate::ParallelEvaluator`]'s baseline times.
 //!
 //! Correctness rests on the determinism contract of [`crate::Evaluator`]:
 //! implementations return the same value for the same `(program,
 //! schedule)` given their construction seed, so replaying a cached value
 //! is indistinguishable from re-evaluating — `tests/cache_props.rs`
 //! asserts this over randomized schedule sequences.
-
-use dlcm_ir::Program;
 
 /// Default entry bound for the result cache
 /// ([`crate::SharedCachedEvaluator`]) and for the serving tier built on
@@ -27,31 +26,28 @@ use dlcm_ir::Program;
 /// assertions in tests and Table 2 accounting are unaffected).
 pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 20;
 
-/// Cap on the per-program memos (fingerprints in
-/// [`crate::SharedCachedEvaluator`], baseline times in
-/// [`crate::ParallelEvaluator`]): entries hold whole programs, and a
-/// corpus-scale run labels thousands of distinct programs exactly once
-/// each — the memo must stay a small recent window, not a second copy of
-/// the corpus.
+/// Cap on the per-program memo (baseline times in
+/// [`crate::ParallelEvaluator`]): a corpus-scale run labels thousands of
+/// distinct programs exactly once each — the memo must stay a small
+/// recent window, not a table of the whole corpus.
 pub(crate) const PROGRAM_MEMO_CAP: usize = 64;
 
-/// Looks up `program` in a FIFO-bounded `(program, value)` memo,
-/// computing and inserting via `compute` on a miss (evicting the oldest
-/// entry at [`PROGRAM_MEMO_CAP`]). Shared by the fingerprint memo of
-/// the result cache and the baseline-time memo of the parallel
-/// evaluator.
+/// Looks up a program by its [`dlcm_ir::Program::cache_key`] in a
+/// FIFO-bounded `(key, value)` memo, computing and inserting via
+/// `compute` on a miss (evicting the oldest entry at
+/// [`PROGRAM_MEMO_CAP`]).
 pub(crate) fn memoized<T: Copy>(
-    memo: &mut Vec<(Program, T)>,
-    program: &Program,
+    memo: &mut Vec<(u64, T)>,
+    key: u64,
     compute: impl FnOnce() -> T,
-) -> (T, bool) {
-    if let Some((_, value)) = memo.iter().find(|(p, _)| p == program) {
-        return (*value, true);
+) -> T {
+    if let Some(&(_, value)) = memo.iter().find(|&&(k, _)| k == key) {
+        return value;
     }
     let value = compute();
     if memo.len() == PROGRAM_MEMO_CAP {
         memo.remove(0);
     }
-    memo.push((program.clone(), value));
-    (value, false)
+    memo.push((key, value));
+    value
 }

@@ -66,16 +66,19 @@ pub struct ParallelEvaluator {
 #[derive(Debug, Clone, Default)]
 struct State {
     stats: EvalStats,
-    /// Baseline time per program seen, keyed by the program itself
+    /// Baseline time per program seen, keyed by [`Program::cache_key`]
     /// (names are not unique — generated programs and scaled benchmark
-    /// builders reuse them). A FIFO-bounded map, not a last-seen memo:
-    /// concurrent searches interleave batches for different programs,
-    /// while corpus-scale labeling must not accumulate a second copy of
-    /// every program. An evicted program re-measures (and re-charges) its
-    /// baseline, so per-search stats determinism needs the concurrently
-    /// active program set to fit the window — suite sweeps hold tens of
-    /// programs against a cap of 64.
-    base_times: Vec<(Program, f64)>,
+    /// builders reuse them — so the key covers the whole structure, and
+    /// a renamed copy is the same workload with the same baseline). A
+    /// FIFO-bounded map, not a last-seen memo: concurrent searches
+    /// interleave batches for different programs, while corpus-scale
+    /// labeling must not grow it with the corpus. Keying hashes the
+    /// program before the state lock is taken, so the lock guards a scan
+    /// of at most 64 words. An evicted program re-measures (and
+    /// re-charges) its baseline, so per-search stats determinism needs
+    /// the concurrently active program set to fit the window — suite
+    /// sweeps hold tens of programs against a cap of 64.
+    base_times: Vec<(u64, f64)>,
 }
 
 impl Clone for ParallelEvaluator {
@@ -114,9 +117,10 @@ impl ParallelEvaluator {
     /// under the state lock so concurrent callers racing on a brand-new
     /// program still measure it once.
     fn base_time(&self, program: &Program) -> (f64, EvalStats) {
+        let key = program.cache_key();
         let mut state = self.state.lock().expect("evaluator state");
         let mut charged = EvalStats::default();
-        let (t, _) = crate::cache::memoized(&mut state.base_times, program, || {
+        let t = crate::cache::memoized(&mut state.base_times, key, || {
             let repeats = f64::from(self.measurement.repeats.max(1));
             let t = self
                 .measurement

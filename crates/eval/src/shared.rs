@@ -27,8 +27,8 @@
 //! `dlcm_serve::InferenceService`.
 //!
 //! [`SharedCachedEvaluator`] is the centerpiece: the one result cache,
-//! memoizing speedups under `(model fingerprint, program content
-//! fingerprint, normalized schedule)` keys behind sharded locks so
+//! memoizing speedups under `(model fingerprint, program key,
+//! normalized schedule key)` triples behind sharded locks so
 //! concurrent searches share measurements without serializing on one
 //! table — and so a serving tier that hot-swaps model artifacts can
 //! never alias entries across them. A single search loop uses it through
@@ -156,17 +156,18 @@ impl<E: SyncEvaluator + ?Sized> Evaluator for ScopedEvaluator<'_, E> {
     }
 }
 
-/// Number of independently locked cache shards. Keys are fingerprint
+/// Number of independently locked cache shards. Keys are structural
 /// hashes, so any power of two spreads them evenly; 16 keeps lock
 /// contention negligible at suite-level concurrency (≤ a few dozen
 /// searches) without bloating the struct.
 const CACHE_SHARDS: usize = 16;
 
-/// Cache key of the sharded tier: `(model fingerprint, program content
-/// fingerprint, normalized schedule key)`. The leading model component is
-/// what keeps entries from aliasing across model swaps — two artifacts
-/// scoring the identical `(program, schedule)` produce different values,
-/// so they must occupy different entries. Evaluators that never swap
+/// Cache key of the sharded tier: `(model fingerprint, program key,
+/// schedule key)`, the last two being [`Program::cache_key`] and
+/// [`Schedule::cache_key`]. The leading model component is what keeps
+/// entries from aliasing across model swaps — two artifacts scoring the
+/// identical `(program, schedule)` produce different values, so they
+/// must occupy different entries. Evaluators that never swap
 /// models key under the constant `0`.
 pub type SharedCacheKey = (u64, u64, u64);
 
@@ -176,14 +177,16 @@ pub type SharedCacheKey = (u64, u64, u64);
 /// the [`SyncEvaluator`] path, whose wrapped evaluator never changes
 /// model; the epoch's fingerprint on the serving tier's
 /// [`SharedCachedEvaluator::speedup_batch_pinned`] path),
-/// [`Program::content_fingerprint`]
+/// [`Program::cache_key`]
 /// (names are not unique across generated and scaled programs — and
 /// conversely, regenerated programs that differ *only* by name are the
 /// same workload and share an entry), [`Schedule::cache_key`]
 /// (normalized, so equivalent tag orders share an entry) — held in 16
 /// independently locked shards selected by key hash, so concurrent
 /// searches hit disjoint shards with high probability and never
-/// serialize on one table.
+/// serialize on one table. Both halves hash the IR's structure in
+/// place ([`dlcm_ir::fingerprint::structural_key`]), so keying a call
+/// takes no lock, keeps no program memo and clones no program.
 ///
 /// Lock traffic is **batched**: each call deduplicates its keys once,
 /// probes them with one lock acquisition per *touched* shard (every
@@ -200,7 +203,7 @@ pub type SharedCacheKey = (u64, u64, u64);
 /// least-recently-used keys on overflow — so a long-lived serving
 /// process stays within a fixed memory envelope no matter how many
 /// distinct candidates open-loop traffic pushes through it. Keys spread
-/// by fingerprint hash, so shard loads stay near the mean and a working
+/// by key hash, so shard loads stay near the mean and a working
 /// set comfortably under the budget is never evicted (the hot-set
 /// regression test below pins this).
 ///
@@ -209,7 +212,7 @@ pub type SharedCacheKey = (u64, u64, u64);
 /// insert the same value, and a key evicted and recomputed gets the exact
 /// same value back). **Per-call stats deltas** are deterministic
 /// whenever concurrent callers touch disjoint programs (the suite driver's
-/// situation — keys embed the program fingerprint, so distinct benchmarks
+/// situation — keys embed the program key, so distinct benchmarks
 /// never interact) or are ordered (searches of one program run
 /// sequentially within a driver job). Two racing searches of the *same*
 /// program may split hits and misses between them differently from run to
@@ -219,9 +222,6 @@ pub type SharedCacheKey = (u64, u64, u64);
 pub struct SharedCachedEvaluator<E> {
     inner: E,
     shards: Vec<Mutex<LruMap<SharedCacheKey, f64>>>,
-    /// Content-fingerprint memo, keyed by the program itself (a map, not
-    /// a last-seen slot: concurrent searches interleave programs).
-    programs: Mutex<Vec<(Program, u64)>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
     evictions: AtomicUsize,
@@ -250,7 +250,6 @@ impl<E> SharedCachedEvaluator<E> {
             shards: (0..CACHE_SHARDS)
                 .map(|_| Mutex::new(LruMap::with_capacity(per_shard)))
                 .collect(),
-            programs: Mutex::new(Vec::new()),
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
             evictions: AtomicUsize::new(0),
@@ -303,12 +302,10 @@ impl<E> SharedCachedEvaluator<E> {
     }
 
     fn shard_index(&self, key: SharedCacheKey) -> usize {
-        // The raw FNV fingerprints have poor low-bit dispersion for
-        // near-identical schedules (e.g. a tile-size sweep lands on a few
-        // even shards only), which both skews lock contention and starves
-        // per-shard LRU budgets. A splitmix64 finalizer spreads the key
-        // across all shards before the modulus. (XOR keeps the routing of
-        // fingerprint-0 evaluators identical to the pre-model-key layout.)
+        // The model fingerprint is raw FNV, whose low bits disperse
+        // poorly; a splitmix64 finalizer over the XOR of the triple
+        // spreads every key across all shards before the modulus, so
+        // neither lock contention nor the per-shard LRU budgets skew.
         let mut h = key.0 ^ key.1 ^ key.2;
         h ^= h >> 30;
         h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -316,11 +313,6 @@ impl<E> SharedCachedEvaluator<E> {
         h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
         h ^= h >> 31;
         (h as usize) % CACHE_SHARDS
-    }
-
-    fn program_fingerprint(&self, program: &Program) -> u64 {
-        let mut memo = self.programs.lock().expect("fingerprint memo");
-        crate::cache::memoized(&mut memo, program, || program.content_fingerprint()).0
     }
 
     /// Scores a batch with the model identity **pinned for the whole
@@ -343,7 +335,7 @@ impl<E> SharedCachedEvaluator<E> {
         schedules: &[Schedule],
         score: impl FnOnce(&[Schedule]) -> (Vec<f64>, EvalStats),
     ) -> (Vec<f64>, EvalStats) {
-        let pfp = self.program_fingerprint(program);
+        let pkey = program.cache_key();
 
         // The one dedupe of the call: unique keys in first-occurrence
         // order (each with the schedule it first occurred on) and, per
@@ -353,7 +345,7 @@ impl<E> SharedCachedEvaluator<E> {
         let positions: Vec<usize> = schedules
             .iter()
             .map(|schedule| {
-                let key = (model_fp, pfp, schedule.cache_key());
+                let key = (model_fp, pkey, schedule.cache_key());
                 *index_of.entry(key).or_insert_with(|| {
                     unique.push((key, schedule));
                     unique.len() - 1
@@ -517,11 +509,6 @@ mod tests {
         assert_eq!(shared.misses(), 6, "3 unique tiles per program");
         assert_eq!(shared.hits(), 18, "everything else answers from cache");
         assert_eq!(shared.len(), 6);
-        assert_eq!(
-            shared.programs.lock().unwrap().len(),
-            2,
-            "alternation must memoize both fingerprints, not thrash one slot"
-        );
     }
 
     #[test]
@@ -687,7 +674,7 @@ mod tests {
         // Satellite regression: a hot working set smaller than the shared
         // capacity budget keeps hitting at 100% no matter how long the
         // traffic runs. 64 unique keys against a 256-entry budget
-        // (16 per shard): keys spread by fingerprint hash, so the
+        // (16 per shard): keys spread by key hash, so the
         // deterministic shard loads stay under the per-shard bound and no
         // hot key is ever evicted.
         let p = program("hot", 96);

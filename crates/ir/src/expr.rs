@@ -5,6 +5,8 @@
 //! dimensions and `n` the loop depth; each row is a linear combination of
 //! the loop iterators plus a constant (last column).
 
+use std::hash::{Hash, Hasher};
+
 use serde::{Deserialize, Serialize};
 
 use crate::program::BufferId;
@@ -229,6 +231,35 @@ pub enum Expr {
     Neg(Box<Expr>),
     /// Binary arithmetic.
     Binary(BinOp, Box<Expr>, Box<Expr>),
+}
+
+/// Hashed by structure: a tag per variant, then the payload, with a
+/// constant by its bits (`f32` is not `Hash`). Keys therefore follow
+/// [`crate::Program::content_fingerprint`]'s notion of equality — `-0.0`
+/// and `0.0` differ, as their `Debug` renderings do — not `==` on floats.
+impl Hash for Expr {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        match self {
+            Expr::Const(c) => {
+                state.write_u8(0);
+                c.to_bits().hash(state);
+            }
+            Expr::Load(a) => {
+                state.write_u8(1);
+                a.hash(state);
+            }
+            Expr::Neg(e) => {
+                state.write_u8(2);
+                e.hash(state);
+            }
+            Expr::Binary(op, l, r) => {
+                state.write_u8(3);
+                op.hash(state);
+                l.hash(state);
+                r.hash(state);
+            }
+        }
+    }
 }
 
 impl Expr {

@@ -28,7 +28,7 @@ pub struct CompId(pub usize);
 pub struct IterId(pub usize);
 
 /// A dense rectangular array of `f32`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Buffer {
     /// Human-readable name.
     pub name: String,
@@ -76,7 +76,7 @@ impl Buffer {
 }
 
 /// A loop iterator with constant bounds `lower..upper`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Iter {
     /// Human-readable name.
     pub name: String,
@@ -94,7 +94,7 @@ impl Iter {
 }
 
 /// Whether a computation overwrites or accumulates into its buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum CompKind {
     /// `store = expr`.
     Assign,
@@ -103,7 +103,7 @@ pub enum CompKind {
 }
 
 /// A single assignment statement nested under a loop nest.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub struct Computation {
     /// Human-readable name.
     pub name: String,
@@ -141,7 +141,7 @@ impl Computation {
 }
 
 /// A node of the loop tree: either a nested loop or a computation leaf.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub enum TreeNode {
     /// A loop level.
     Loop(LoopNode),
@@ -150,7 +150,7 @@ pub enum TreeNode {
 }
 
 /// An internal node of the loop tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub struct LoopNode {
     /// The iterator this loop binds.
     pub iter: IterId,
@@ -223,8 +223,9 @@ impl Program {
     /// benchmark builders) get distinct fingerprints, and two programs
     /// with identical content share one even when named apart. Random
     /// corpora re-draw small programs under different generated names —
-    /// this is the key under which result caches and corpus dedup
-    /// recognize them as the same workload.
+    /// this is the identity under which shard records, split grouping
+    /// and corpus dedup recognize them as the same workload. Persisted:
+    /// see [`crate::fingerprint`] for why it stays FNV over `Debug`.
     pub fn content_fingerprint(&self) -> u64 {
         crate::fingerprint::stable_fingerprint(&(
             &self.buffers,
@@ -232,6 +233,15 @@ impl Program {
             &self.comps,
             &self.roots,
         ))
+    }
+
+    /// In-memory key of the same fields [`Program::content_fingerprint`]
+    /// covers, through [`crate::fingerprint::structural_key`]: two
+    /// programs share a key exactly when they share a content
+    /// fingerprint, so renamed copies share result-cache entries. For
+    /// lookups within one process; never persisted.
+    pub fn cache_key(&self) -> u64 {
+        crate::fingerprint::structural_key(&(&self.buffers, &self.iters, &self.comps, &self.roots))
     }
 
     /// Checks structural invariants, returning a description of the first

@@ -229,10 +229,13 @@ impl Schedule {
         Schedule::new(transforms)
     }
 
-    /// Stable hash of the [`Schedule::normalized`] form, suitable as the
-    /// schedule half of a `(program, schedule)` cache key.
+    /// In-memory key of the [`Schedule::normalized`] form
+    /// ([`crate::fingerprint::structural_key`]), the schedule half of a
+    /// `(program, schedule)` cache key. Never persisted: what is stored
+    /// on disk keys a schedule by
+    /// [`crate::fingerprint::stable_fingerprint`].
     pub fn cache_key(&self) -> u64 {
-        crate::fingerprint::stable_fingerprint(&self.normalized().transforms)
+        crate::fingerprint::structural_key(&self.normalized().transforms)
     }
 
     /// One-line rendering of the whole schedule.

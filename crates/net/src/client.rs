@@ -5,6 +5,8 @@ use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 
 use dlcm_ir::{Program, Schedule};
+use serde::json::Writer;
+use serde::Serialize;
 
 use crate::wire::{
     self, ErrorReply, FrameError, FrameKind, ModelInfoReport, Request, Response, StatsReport,
@@ -49,6 +51,30 @@ impl From<io::Error> for NetError {
     }
 }
 
+/// A [`Request::Speedups`] over borrowed parts, so a call encodes the
+/// caller's program and schedules without cloning them. Hand-written
+/// because the vendored derive rejects generic types, lifetimes
+/// included; it writes exactly the bytes the derived `Request::Speedups`
+/// encoding writes (the tests below compare the two).
+struct SpeedupsView<'a> {
+    program: &'a Program,
+    schedules: &'a [Schedule],
+    deadline_ms: Option<u64>,
+}
+
+impl Serialize for SpeedupsView<'_> {
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_object();
+        w.key("Speedups");
+        w.begin_object();
+        w.field("program", self.program);
+        w.field("schedules", self.schedules);
+        w.field("deadline_ms", &self.deadline_ms);
+        w.end_object();
+        w.end_object();
+    }
+}
+
 /// A blocking connection to a [`crate::NetServer`]. One request is in
 /// flight at a time (send, then read the matching reply); open one
 /// client per thread for concurrency — the parity tests drive eight.
@@ -67,8 +93,9 @@ impl NetClient {
     }
 
     /// Sends one request frame and reads the matching reply, lifting
-    /// typed server rejections into [`NetError::Remote`].
-    fn call(&mut self, request: &Request) -> Result<Response, NetError> {
+    /// typed server rejections into [`NetError::Remote`]. `request` is a
+    /// [`Request`] or a view that encodes to the same bytes.
+    fn call(&mut self, request: &impl Serialize) -> Result<Response, NetError> {
         wire::write_message(&mut self.stream, FrameKind::Request, request)?;
         let frame = wire::read_frame(&mut self.stream, DEFAULT_MAX_FRAME_LEN)?;
         match frame.kind {
@@ -103,9 +130,9 @@ impl NetClient {
         schedules: &[Schedule],
         deadline_ms: Option<u64>,
     ) -> Result<Vec<f64>, NetError> {
-        let response = self.call(&Request::Speedups {
-            program: program.clone(),
-            schedules: schedules.to_vec(),
+        let response = self.call(&SpeedupsView {
+            program,
+            schedules,
             deadline_ms,
         })?;
         match response {
@@ -174,6 +201,79 @@ impl NetClient {
             other => Err(NetError::Protocol(format!(
                 "expected ShuttingDown reply, got {other:?}"
             ))),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dlcm_ir::{BinOp, CompId, Expr, LinExpr, ProgramBuilder, Transform};
+
+    fn program(name: &str, n: i64, reduce: bool) -> Program {
+        let mut b = ProgramBuilder::new(name);
+        let i = b.iter("i", 0, n);
+        let j = b.iter("j", 0, n);
+        let inp = b.input("in", &[n, n + 2]);
+        let out = b.buffer("out", &[n, n]);
+        let acc = b.access(inp, &[i.into(), LinExpr::from(j) + 2], &[i, j]);
+        let body = Expr::binary(BinOp::Mul, Expr::Load(acc), Expr::Const(-0.5));
+        if reduce {
+            b.reduce("c", &[i, j], BinOp::Add, out, &[i.into(), i.into()], body);
+        } else {
+            b.assign("c", &[i, j], out, &[i.into(), j.into()], body);
+        }
+        b.build().unwrap()
+    }
+
+    fn frame(msg: &impl Serialize) -> Vec<u8> {
+        let mut buf = Vec::new();
+        wire::write_message(&mut buf, FrameKind::Request, msg).unwrap();
+        buf
+    }
+
+    #[test]
+    fn speedups_view_encodes_like_the_derived_request() {
+        let tile = Transform::Tile {
+            comp: CompId(0),
+            level_a: 0,
+            level_b: 1,
+            size_a: 8,
+            size_b: 16,
+        };
+        let par = Transform::Parallelize {
+            comp: CompId(0),
+            level: 0,
+        };
+        let schedule_lists = [
+            vec![],
+            vec![Schedule::empty()],
+            vec![
+                Schedule::new(vec![tile.clone(), par.clone()]),
+                Schedule::empty(),
+            ],
+            vec![Schedule::new(vec![par]); 3],
+        ];
+        let programs = [
+            program("p", 16, false),
+            program("a \"quoted\" name", 7, true),
+        ];
+        for program in &programs {
+            for schedules in &schedule_lists {
+                for deadline_ms in [None, Some(0), Some(250), Some(u64::MAX)] {
+                    let view = frame(&SpeedupsView {
+                        program,
+                        schedules,
+                        deadline_ms,
+                    });
+                    let derived = frame(&Request::Speedups {
+                        program: program.clone(),
+                        schedules: schedules.clone(),
+                        deadline_ms,
+                    });
+                    assert_eq!(view, derived);
+                }
+            }
         }
     }
 }
