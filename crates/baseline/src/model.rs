@@ -159,25 +159,25 @@ impl HalideModel {
         let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
         let mut order: Vec<usize> = (0..xs.len()).collect();
         let mut step = 0;
+        let mut tape = Tape::for_training();
         for _epoch in 0..cfg.epochs {
             order.shuffle(&mut rng);
             for chunk in order.chunks(cfg.batch_size) {
                 // Batched forward: stack the chunk into one matrix.
-                let rows: Vec<Tensor> = chunk.iter().map(|&i| Tensor::row(xs[i].clone())).collect();
-                let x = Tensor::stack_rows(&rows);
+                let rows = chunk.iter().map(|&i| xs[i].as_slice());
+                let x = Tensor::from_row_slices(chunk.len(), xs[chunk[0]].len(), rows);
                 let target =
                     Tensor::from_vec(chunk.len(), 1, chunk.iter().map(|&i| ys[i]).collect());
-                let mut tape = Tape::for_training();
                 let xv = tape.constant(x);
                 let raw = self.net.forward(&mut tape, &self.store, xv, &mut rng);
                 let pred = tape.softplus(raw);
                 let tv = tape.constant(target);
                 let loss = mse(&mut tape, pred, tv);
+                // `backward` releases the tape's values, so the step
+                // updates the weights in place.
                 let grads = tape.backward(loss);
-                // Released, the tape no longer shares the weight buffers:
-                // the step updates them in place.
-                drop(tape);
                 opt.step(&mut self.store, &grads, sched.lr_at(step));
+                tape = grads.into_tape();
                 step += 1;
             }
         }

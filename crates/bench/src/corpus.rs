@@ -34,7 +34,7 @@ pub fn corpus_dir() -> PathBuf {
 
 /// Directory where `modelctl train` writes the versioned trained-model
 /// artifact by default (`dlcm_model::ModelArtifact`: `manifest.json` +
-/// `weights.json`); `modelctl reproduce` writes it there too.
+/// `weights.bin`); `modelctl reproduce` writes it there too.
 pub fn model_artifact_dir() -> PathBuf {
     results_dir().join("model_artifact")
 }

@@ -159,15 +159,16 @@ fn flywheel_is_bit_identical_across_runs_and_thread_counts() {
     assert_eq!(seq.candidates.len(), 2);
     for k in 0..2 {
         let name = format!("cand{k}");
-        let weights = std::fs::read(out_seq.join(&name).join("weights.json")).unwrap();
+        let weights_of = |out: &Path| std::fs::read(ModelArtifact::weights_path(&out.join(&name)));
+        let weights = weights_of(&out_seq).unwrap();
         assert_eq!(
             weights,
-            std::fs::read(out_par.join(&name).join("weights.json")).unwrap(),
+            weights_of(&out_par).unwrap(),
             "{name} weights differ between 1 and 4 threads"
         );
         assert_eq!(
             weights,
-            std::fs::read(out_rep.join(&name).join("weights.json")).unwrap(),
+            weights_of(&out_rep).unwrap(),
             "{name} weights differ between repeat runs"
         );
         assert_eq!(

@@ -12,7 +12,7 @@
 //!   reader re-fingerprints every program it loads and refuses a record
 //!   whose stored value differs, so these functions must keep producing
 //!   the same bytes for as long as such records exist. [`fnv1a`] is the
-//!   same hash over raw bytes (shard files, `weights.json`).
+//!   same hash over raw bytes (shard files, `weights.bin`).
 //! - **In-memory keys** — [`structural_key`], and the two `cache_key`
 //!   methods built on it
 //!   ([`Program::cache_key`](crate::Program::cache_key),

@@ -15,13 +15,12 @@ use dlcm_tensor::nn::{Activation, LstmCell, Mlp, ParamStore};
 use dlcm_tensor::{Tape, Tensor, Var};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::costmodel::{CostModelConfig, SpeedupPredictor};
 use crate::featurize::ProgramFeatures;
 
 /// Ablation 1: computation embeddings → sequence LSTM → regression.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FlatLstmModel {
     cfg: CostModelConfig,
     store: ParamStore,
@@ -82,14 +81,15 @@ impl SpeedupPredictor for FlatLstmModel {
         let b = batch.len();
         let n = batch[0].comp_vectors.len();
         let d = self.cfg.input_dim;
-        let mut data = Vec::with_capacity(b * n * d);
         for f in batch {
             assert_eq!(f.comp_vectors.len(), n, "batch must be structure-identical");
-            for v in &f.comp_vectors {
-                data.extend_from_slice(v);
-            }
         }
-        let x = tape.constant(Tensor::from_vec(b * n, d, data));
+        let vectors = batch.iter().flat_map(|f| &f.comp_vectors);
+        let x = tape.constant(Tensor::from_row_slices(
+            b * n,
+            d,
+            vectors.map(Vec::as_slice),
+        ));
         let rows = self.embed.forward(tape, &self.store, x, rng);
         // Sequence over computations in textual order, ignoring the tree.
         let seq: Vec<Var> = (0..n)
@@ -115,7 +115,7 @@ impl SpeedupPredictor for FlatLstmModel {
 /// Ablation 2: concatenated computation embeddings → regression MLP.
 /// Supports at most `max_comps` computations ("we have set the maximum
 /// number of computations to 4 when testing this alternative").
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ConcatFfnModel {
     cfg: CostModelConfig,
     /// Maximum number of computations (zero-padded below).
@@ -181,14 +181,15 @@ impl SpeedupPredictor for ConcatFfnModel {
         );
         let d = self.cfg.input_dim;
         let h = self.cfg.hidden();
-        let mut data = Vec::with_capacity(b * n * d);
         for f in batch {
             assert_eq!(f.comp_vectors.len(), n, "batch must be structure-identical");
-            for v in &f.comp_vectors {
-                data.extend_from_slice(v);
-            }
         }
-        let x = tape.constant(Tensor::from_vec(b * n, d, data));
+        let vectors = batch.iter().flat_map(|f| &f.comp_vectors);
+        let x = tape.constant(Tensor::from_row_slices(
+            b * n,
+            d,
+            vectors.map(Vec::as_slice),
+        ));
         let rows = self.embed.forward(tape, &self.store, x, rng);
         let mut cat = {
             let idx: Vec<usize> = (0..b).map(|s| s * n).collect();

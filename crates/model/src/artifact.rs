@@ -17,29 +17,39 @@
 //! - the held-out [`HeldOutMetrics`] recorded at training time, so a
 //!   loaded artifact can be re-validated against its own manifest.
 //!
-//! # On-disk format (version 1)
+//! # On-disk format (version 2)
 //!
-//! An artifact is a directory of two JSON files:
+//! An artifact is a directory of two files:
 //!
 //! ```text
 //! artifact/
-//! ├── manifest.json   ArtifactManifest (pretty-printed, versioned)
-//! └── weights.json    the CostModel, serialized compactly
+//! ├── manifest.json   ArtifactManifest (pretty-printed JSON, versioned)
+//! └── weights.bin     every weight's f32 bits, little-endian
 //! ```
+//!
+//! `weights.bin` has no header: it is the model's parameters in
+//! `ParamStore` registration order (the order [`CostModel::new`]
+//! registers them for `manifest.model_config`), each tensor's elements
+//! row-major, four bytes each — 4 × [`CostModel::num_params`] bytes.
+//! The manifest's `model_config` is the schema that gives those bytes
+//! their shapes: a loader checks the file's length against it
+//! ([`CostModelConfig::num_params`]) before it builds the model.
 //!
 //! Following the corpus shard-format convention, every 64-bit
 //! fingerprint is stored as a 16-hex-digit *string*
 //! ([`dlcm_ir::fingerprint::to_hex`]) — JSON numbers are doubles and
 //! would silently lose precision above 2^53. `manifest.json` records a
-//! byte-level FNV-1a fingerprint of `weights.json`, so corruption is
+//! byte-level FNV-1a fingerprint of `weights.bin`, so corruption is
 //! detected at load time rather than as wrong predictions later.
 //!
-//! Serialization is deterministic (fixed field order, shortest
-//! round-trip float rendering), so **save → load → save is
-//! byte-identical**, and a loaded model's predictions are bit-identical
-//! to the in-memory model that was saved. Loads fail with a typed
-//! [`ArtifactError`] on unknown format versions, corrupt weights, or a
-//! manifest whose schema disagrees with the weights.
+//! The weights are their own bits, so **save → load → save is
+//! byte-identical** and a loaded model's predictions are bit-identical
+//! to the in-memory model that was saved. A NaN or infinite weight is
+//! refused on save and on load. Loads fail with a typed
+//! [`ArtifactError`] on any format version but this one (version 1
+//! stored the weights as JSON in `weights.json`; it is not read —
+//! retrain with `modelctl train`), corrupt weights, a weights file whose
+//! length disagrees with the manifest's schema, or a non-finite weight.
 //!
 //! # Examples
 //!
@@ -64,6 +74,8 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use dlcm_ir::fingerprint::{fnv1a, parse_hex, to_hex, FNV1A_INIT};
+use dlcm_tensor::nn::ParamStore;
+use dlcm_tensor::ParamId;
 use serde::{Deserialize, Serialize};
 
 use crate::costmodel::{CostModel, CostModelConfig, SpeedupPredictor};
@@ -73,13 +85,13 @@ use crate::train::{evaluate, LabeledFeatures, TrainConfig};
 
 /// Version tag written into every artifact manifest; bump on any change
 /// to the manifest or weights layout.
-pub const ARTIFACT_FORMAT_VERSION: u32 = 1;
+pub const ARTIFACT_FORMAT_VERSION: u32 = 2;
 
 /// File name of the manifest inside an artifact directory.
 pub const MANIFEST_FILE: &str = "manifest.json";
 
-/// File name of the serialized weights inside an artifact directory.
-pub const WEIGHTS_FILE: &str = "weights.json";
+/// File name of the weights inside an artifact directory.
+pub const WEIGHTS_FILE: &str = "weights.bin";
 
 /// Held-out evaluation metrics recorded when the artifact was saved
 /// (the §6 headline quantities). Evaluation is deterministic, so a
@@ -144,7 +156,7 @@ pub struct ArtifactManifest {
     /// [`ArtifactManifest::corpus_fingerprint`] this makes a training
     /// run reproducible from the manifest alone.
     pub train: Option<TrainConfig>,
-    /// Byte-level FNV-1a fingerprint of `weights.json`, in hex; checked
+    /// Byte-level FNV-1a fingerprint of `weights.bin`, in hex; checked
     /// on load so corrupt or truncated weights are rejected up front.
     pub weights_fingerprint: String,
 }
@@ -180,6 +192,15 @@ pub enum ArtifactError {
         /// Human-readable description of the disagreement.
         detail: String,
     },
+    /// A weight is NaN or infinite: refused on save, and on load.
+    NonFiniteWeight {
+        /// Name the parameter was registered under (`embed.0.w`, …).
+        param: String,
+        /// Row-major index of the first non-finite element.
+        index: usize,
+        /// The element.
+        value: f32,
+    },
 }
 
 impl fmt::Display for ArtifactError {
@@ -196,11 +217,16 @@ impl fmt::Display for ArtifactError {
             ArtifactError::CorruptWeights { expected, found } => write!(
                 f,
                 "weights fingerprint mismatch: manifest says {expected}, file hashes to {found} \
-                 (corrupt or tampered weights.json)"
+                 (corrupt or tampered {WEIGHTS_FILE})"
             ),
             ArtifactError::SchemaMismatch { detail } => {
                 write!(f, "artifact schema mismatch: {detail}")
             }
+            ArtifactError::NonFiniteWeight {
+                param,
+                index,
+                value,
+            } => write!(f, "weight {index} of parameter {param} is {value}"),
         }
     }
 }
@@ -232,7 +258,6 @@ impl ModelArtifact {
         corpus_fingerprint: u64,
         metrics: HeldOutMetrics,
     ) -> Self {
-        let weights = serialize_weights(&model);
         let manifest = ArtifactManifest {
             version: ARTIFACT_FORMAT_VERSION,
             model_config: model.config().clone(),
@@ -240,7 +265,7 @@ impl ModelArtifact {
             corpus_fingerprint: to_hex(corpus_fingerprint),
             metrics,
             train: None,
-            weights_fingerprint: to_hex(fnv1a(FNV1A_INIT, weights.as_bytes())),
+            weights_fingerprint: to_hex(weights_fingerprint(model.store())),
         };
         Self { manifest, model }
     }
@@ -290,7 +315,7 @@ impl ModelArtifact {
 
     /// The weights fingerprint, parsed back to a `u64`: the artifact's
     /// identity for cache keying and hot-swap reporting. Distinct weights
-    /// have distinct fingerprints (byte-level FNV-1a of `weights.json`),
+    /// have distinct fingerprints (byte-level FNV-1a of `weights.bin`),
     /// and the value survives a save/load round trip unchanged.
     pub fn weights_fingerprint(&self) -> u64 {
         // The manifest field is written by `to_hex` at construction, so
@@ -309,27 +334,35 @@ impl ModelArtifact {
         dir.join(WEIGHTS_FILE)
     }
 
-    /// Writes `manifest.json` + `weights.json` into `dir` (created if
-    /// missing). Serialization is deterministic: saving a loaded
-    /// artifact reproduces the files byte for byte.
+    /// Writes `manifest.json` + `weights.bin` into `dir` (created if
+    /// missing). Saving a loaded artifact reproduces the files byte for
+    /// byte.
     ///
     /// # Errors
     ///
-    /// Propagates filesystem failures as [`ArtifactError::Io`].
+    /// [`ArtifactError::NonFiniteWeight`] (nothing is written) when a
+    /// weight is NaN or infinite; filesystem failures as
+    /// [`ArtifactError::Io`].
     pub fn save(&self, dir: &Path) -> Result<(), ArtifactError> {
+        let store = self.model.store();
+        check_finite(store)?;
+        let mut weights = Vec::with_capacity(store.num_scalars() * size_of::<f32>());
+        for (_, t) in store.iter() {
+            weights.extend(t.as_slice().iter().flat_map(|x| x.to_le_bytes()));
+        }
         std::fs::create_dir_all(dir)?;
-        let weights = serialize_weights(&self.model);
-        std::fs::write(Self::weights_path(dir), weights.as_bytes())?;
+        std::fs::write(Self::weights_path(dir), weights)?;
         let manifest =
             serde_json::to_string_pretty(&self.manifest).expect("manifest serialization");
         std::fs::write(Self::manifest_path(dir), manifest.as_bytes())?;
         Ok(())
     }
 
-    /// Loads and validates an artifact directory: rejects unknown format
-    /// versions, weights whose bytes disagree with the manifest
-    /// fingerprint, and manifests whose schema disagrees with the
-    /// deserialized model.
+    /// Loads and validates an artifact directory: rejects any format
+    /// version but [`ARTIFACT_FORMAT_VERSION`], weights whose bytes
+    /// disagree with the manifest fingerprint, a featurizer schema that
+    /// cannot feed the model, a weights file whose length is not the
+    /// manifest's model's, and non-finite weights.
     ///
     /// # Errors
     ///
@@ -349,47 +382,84 @@ impl ModelArtifact {
             });
         }
 
-        let weights_raw = std::fs::read_to_string(Self::weights_path(dir))?;
-        let found = to_hex(fnv1a(FNV1A_INIT, weights_raw.as_bytes()));
+        let weights = std::fs::read(Self::weights_path(dir))?;
+        let found = to_hex(fnv1a(FNV1A_INIT, &weights));
         if found != manifest.weights_fingerprint {
             return Err(ArtifactError::CorruptWeights {
                 expected: manifest.weights_fingerprint.clone(),
                 found,
             });
         }
-        let model: CostModel =
-            serde_json::from_str(&weights_raw).map_err(|e| ArtifactError::Parse {
-                file: WEIGHTS_FILE,
-                detail: e.to_string(),
-            })?;
-
-        if model.config() != &manifest.model_config {
-            return Err(ArtifactError::SchemaMismatch {
-                detail: format!(
-                    "manifest model_config {:?} != weights config {:?}",
-                    manifest.model_config,
-                    model.config()
-                ),
-            });
-        }
-        if manifest.featurizer.vector_width() != manifest.model_config.input_dim {
+        let config = &manifest.model_config;
+        if manifest.featurizer.vector_width() != config.input_dim {
             return Err(ArtifactError::SchemaMismatch {
                 detail: format!(
                     "featurizer schema produces width {} but the model expects input_dim {}",
                     manifest.featurizer.vector_width(),
-                    manifest.model_config.input_dim
+                    config.input_dim
                 ),
             });
         }
+        // Checked before a model is allocated for a schema read from disk.
+        let expected = config
+            .num_params()
+            .and_then(|n| n.checked_mul(size_of::<f32>()));
+        if expected != Some(weights.len()) {
+            return Err(ArtifactError::SchemaMismatch {
+                detail: format!(
+                    "{WEIGHTS_FILE} holds {} bytes, but manifest model_config {config:?} needs {}",
+                    weights.len(),
+                    expected.map_or("more than can be addressed".to_string(), |n| {
+                        format!("{n} bytes")
+                    })
+                ),
+            });
+        }
+        // The initial weights are overwritten below; the seed is moot.
+        let mut model = CostModel::new(config.clone(), 0);
+        let mut bytes = weights.chunks_exact(size_of::<f32>());
+        let store = model.store_mut();
+        for i in 0..store.len() {
+            for (x, b) in store
+                .get_mut(ParamId(i))
+                .as_mut_slice()
+                .iter_mut()
+                .zip(&mut bytes)
+            {
+                *x = f32::from_le_bytes(b.try_into().expect("four-byte chunks"));
+            }
+        }
+        check_finite(model.store())?;
         Ok(Self { manifest, model })
     }
 }
 
-/// The exact byte rendering of the weights file: compact JSON. One
-/// function so [`ModelArtifact::new`] (fingerprinting) and
-/// [`ModelArtifact::save`] (writing) can never drift apart.
-fn serialize_weights(model: &CostModel) -> String {
-    serde_json::to_string(model).expect("weights serialization")
+/// FNV-1a over the bytes [`ModelArtifact::save`] writes to `weights.bin`,
+/// hashed as they are produced rather than from a copy.
+fn weights_fingerprint(store: &ParamStore) -> u64 {
+    store
+        .iter()
+        .flat_map(|(_, t)| t.as_slice())
+        .fold(FNV1A_INIT, |h, x| fnv1a(h, &x.to_le_bytes()))
+}
+
+/// The first NaN or infinite weight, as an error naming its parameter.
+fn check_finite(store: &ParamStore) -> Result<(), ArtifactError> {
+    for (id, t) in store.iter() {
+        if let Some((index, &value)) = t
+            .as_slice()
+            .iter()
+            .enumerate()
+            .find(|(_, x)| !x.is_finite())
+        {
+            return Err(ArtifactError::NonFiniteWeight {
+                param: store.name(id).to_string(),
+                index,
+                value,
+            });
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -476,6 +546,145 @@ mod tests {
         }
         std::fs::remove_dir_all(&dir_a).ok();
         std::fs::remove_dir_all(&dir_b).ok();
+    }
+
+    /// Replaces `weights.bin` with `bytes` and, when `refingerprint`,
+    /// records their fingerprint in the manifest so the file passes the
+    /// corruption check and reaches the schema checks behind it.
+    fn rewrite_weights(dir: &Path, artifact: &ModelArtifact, bytes: &[u8], refingerprint: bool) {
+        std::fs::write(ModelArtifact::weights_path(dir), bytes).unwrap();
+        if refingerprint {
+            let mut manifest = artifact.manifest().clone();
+            manifest.weights_fingerprint = to_hex(fnv1a(FNV1A_INIT, bytes));
+            std::fs::write(
+                ModelArtifact::manifest_path(dir),
+                serde_json::to_string_pretty(&manifest).unwrap(),
+            )
+            .unwrap();
+        }
+    }
+
+    #[test]
+    fn weights_file_is_every_weight_little_endian_in_registration_order() {
+        let dir = tmpdir("layout");
+        let artifact = tiny_artifact();
+        artifact.save(&dir).unwrap();
+        let bytes = std::fs::read(ModelArtifact::weights_path(&dir)).unwrap();
+        let store = artifact.model().store();
+        let want: Vec<u8> = store
+            .iter()
+            .flat_map(|(_, t)| t.as_slice().iter().flat_map(|x| x.to_le_bytes()))
+            .collect();
+        assert_eq!(bytes.len(), 4 * artifact.model().num_params());
+        assert_eq!(bytes, want);
+        assert_eq!(
+            artifact.weights_fingerprint(),
+            fnv1a(FNV1A_INIT, &bytes),
+            "the fingerprint `new` hashes is the file's"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn truncated_and_over_long_weights_are_rejected() {
+        let dir = tmpdir("length");
+        let artifact = tiny_artifact();
+        artifact.save(&dir).unwrap();
+        let bytes = std::fs::read(ModelArtifact::weights_path(&dir)).unwrap();
+        let truncated = &bytes[..bytes.len() - 4];
+        let mut over_long = bytes.clone();
+        over_long.extend_from_slice(&1.0f32.to_le_bytes());
+        let mut odd = bytes.clone();
+        odd.push(0);
+
+        // Against the manifest's fingerprint, any other length is corrupt.
+        rewrite_weights(&dir, &artifact, truncated, false);
+        assert!(matches!(
+            ModelArtifact::load(&dir),
+            Err(ArtifactError::CorruptWeights { .. })
+        ));
+        // Fingerprinted, it is still not the schema's length.
+        for wrong in [truncated, &over_long, &odd] {
+            rewrite_weights(&dir, &artifact, wrong, true);
+            match ModelArtifact::load(&dir) {
+                Err(ArtifactError::SchemaMismatch { detail }) => {
+                    assert!(detail.contains(&format!("holds {} bytes", wrong.len())));
+                }
+                other => panic!("expected SchemaMismatch, got {other:?}"),
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_version_1_directory_is_unsupported() {
+        // Version 1 kept the weights as JSON in `weights.json`.
+        let dir = tmpdir("v1");
+        let artifact = tiny_artifact();
+        let mut manifest = artifact.manifest().clone();
+        manifest.version = 1;
+        std::fs::write(
+            ModelArtifact::manifest_path(&dir),
+            serde_json::to_string_pretty(&manifest).unwrap(),
+        )
+        .unwrap();
+        std::fs::write(dir.join("weights.json"), "{}").unwrap();
+        match ModelArtifact::load(&dir) {
+            Err(ArtifactError::UnsupportedVersion { found, supported }) => {
+                assert_eq!((found, supported), (1, ARTIFACT_FORMAT_VERSION));
+            }
+            other => panic!("expected UnsupportedVersion, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_non_finite_weight_is_not_saved() {
+        let dir = std::env::temp_dir().join(format!("dlcm_artifact_nan_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut model = tiny_artifact().into_model();
+        let id = dlcm_tensor::ParamId(2);
+        model.store_mut().get_mut(id).set(0, 3, f32::NAN);
+        let name = model.store().name(id).to_string();
+        let artifact =
+            ModelArtifact::new(model, FeaturizerConfig::default(), 0, Default::default());
+        match artifact.save(&dir) {
+            Err(ArtifactError::NonFiniteWeight {
+                param,
+                index,
+                value,
+            }) => {
+                assert_eq!((param, index), (name, 3));
+                assert!(value.is_nan());
+            }
+            other => panic!("expected NonFiniteWeight, got {other:?}"),
+        }
+        assert!(!dir.exists(), "nothing is written");
+    }
+
+    #[test]
+    fn a_non_finite_weight_is_not_loaded() {
+        let dir = tmpdir("inf");
+        let artifact = tiny_artifact();
+        artifact.save(&dir).unwrap();
+        let mut bytes = std::fs::read(ModelArtifact::weights_path(&dir)).unwrap();
+        // The first weight of the second parameter.
+        let at = 4 * artifact.model().store().get(dlcm_tensor::ParamId(0)).len();
+        bytes[at..at + 4].copy_from_slice(&f32::NEG_INFINITY.to_le_bytes());
+        rewrite_weights(&dir, &artifact, &bytes, true);
+        match ModelArtifact::load(&dir) {
+            Err(ArtifactError::NonFiniteWeight {
+                param,
+                index,
+                value,
+            }) => {
+                let name = artifact.model().store().name(dlcm_tensor::ParamId(1));
+                assert_eq!((param.as_str(), index), (name, 0));
+                assert_eq!(value, f32::NEG_INFINITY);
+            }
+            other => panic!("expected NonFiniteWeight, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

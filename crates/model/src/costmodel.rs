@@ -69,6 +69,39 @@ impl CostModelConfig {
     pub fn hidden(&self) -> usize {
         *self.embed_widths.last().expect("non-empty embed widths")
     }
+
+    /// How many weights [`CostModel::new`] registers for this
+    /// configuration, or `None` when it has no embedding layer or the
+    /// count overflows. A loader checks a stored weights file against
+    /// this before it allocates a model for a configuration read from
+    /// disk.
+    pub fn num_params(&self) -> Option<usize> {
+        // An MLP over `widths`: a weight matrix and a bias row per layer.
+        let mlp = |widths: &[usize]| {
+            widths.windows(2).try_fold(0usize, |n, w| {
+                n.checked_add(w[0].checked_mul(w[1])?.checked_add(w[1])?)
+            })
+        };
+        let h = *self.embed_widths.last()?;
+        let embed: Vec<usize> = std::iter::once(self.input_dim)
+            .chain(self.embed_widths.iter().copied())
+            .collect();
+        let regress: Vec<usize> = std::iter::once(h)
+            .chain(self.regress_widths.iter().copied())
+            .chain(std::iter::once(1))
+            .collect();
+        // Each LSTM cell (input and state width `h`): per gate, `Wx` and
+        // `Wh` (`h x h`) and a bias row.
+        let lstm = h
+            .checked_mul(h)?
+            .checked_mul(2)?
+            .checked_add(h)?
+            .checked_mul(4)?;
+        let merge = mlp(&[h.checked_mul(2)?, self.merge_hidden, h])?;
+        [mlp(&embed)?, lstm, lstm, merge, mlp(&regress)?]
+            .into_iter()
+            .try_fold(0usize, usize::checked_add)
+    }
 }
 
 /// Models that map [`ProgramFeatures`] to a predicted speedup. Implemented
@@ -124,7 +157,7 @@ pub trait SpeedupPredictor: Send + Sync {
 }
 
 /// The paper's recursive cost model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CostModel {
     pub(crate) cfg: CostModelConfig,
     pub(crate) store: ParamStore,
@@ -305,16 +338,11 @@ impl SpeedupPredictor for CostModel {
         // Pack every computation vector of every sample into one matrix
         // (sample-major rows).
         let d = self.cfg.input_dim;
-        let mut data = Vec::with_capacity(rows * comps * d);
-        for f in batch {
-            for v in &f.comp_vectors {
-                assert_eq!(v.len(), d, "feature width mismatch");
-                data.extend_from_slice(v);
-            }
-        }
+        let vectors = batch.iter().flat_map(|f| &f.comp_vectors);
+        let packed = Tensor::from_row_slices(rows * comps, d, vectors.map(Vec::as_slice));
         // A constant: nothing reads the gradient of the features, and
         // skipping it spares the backward pass its largest product.
-        let x = tape.constant(Tensor::from_vec(rows * comps, d, data));
+        let x = tape.constant(packed);
         self.forward_packed(tape, x, shared, rows, rng)
     }
 
@@ -536,14 +564,31 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip_preserves_predictions() {
-        let m = tiny_model();
-        let feats = tiny_feats();
-        let json = serde_json::to_string(&m).unwrap();
-        let back: CostModel = serde_json::from_str(&json).unwrap();
-        let a = m.predict(&feats);
-        let b = back.predict(&feats);
-        assert!((a - b).abs() < 1e-6);
+    fn num_params_counts_what_new_registers() {
+        let width = FeaturizerConfig::default().vector_width();
+        for cfg in [
+            CostModelConfig::paper(width),
+            CostModelConfig::fast(width),
+            tiny_model().cfg,
+            CostModelConfig {
+                embed_widths: vec![7],
+                regress_widths: vec![],
+                ..tiny_model().cfg
+            },
+        ] {
+            let registered = CostModel::new(cfg.clone(), 0).num_params();
+            assert_eq!(cfg.num_params(), Some(registered), "{cfg:?}");
+        }
+        let no_embedding = CostModelConfig {
+            embed_widths: vec![],
+            ..tiny_model().cfg
+        };
+        assert_eq!(no_embedding.num_params(), None);
+        let overflowing = CostModelConfig {
+            embed_widths: vec![usize::MAX / 2, 8],
+            ..tiny_model().cfg
+        };
+        assert_eq!(overflowing.num_params(), None);
     }
 
     #[test]

@@ -266,6 +266,9 @@ pub fn train_stream<M: SpeedupPredictor, B: BatchSource + ?Sized>(
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
     let mut step = 0usize;
     let mut epochs = Vec::with_capacity(cfg.epochs);
+    // One tape for the whole run: every step records into the storage of
+    // the step before (see `Gradients::into_tape`).
+    let mut tape = Tape::for_training();
 
     for epoch in 0..cfg.epochs {
         let mut order: Vec<usize> = (0..num_batches).collect();
@@ -280,18 +283,17 @@ pub fn train_stream<M: SpeedupPredictor, B: BatchSource + ?Sized>(
             // samples (paper A.1).
             let refs: Vec<&ProgramFeatures> = batch.iter().map(|s| &s.feats).collect();
             let targets: Vec<f32> = batch.iter().map(|s| s.target as f32).collect();
-            let mut tape = Tape::for_training();
             let mut srng = train_rng(cfg.seed ^ ((step as u64) << 20), step);
             let pred = model.forward_batch(&mut tape, &refs, &mut srng);
             let tv = tape.constant(Tensor::from_vec(refs.len(), 1, targets));
             let loss = mape_loss(&mut tape, pred, tv);
             epoch_loss += f64::from(tape.value(loss).item());
+            // `backward` releases the tape's values, so the optimizer
+            // updates the weights in place rather than through a
+            // copy-on-write clone of each.
             let grads = tape.backward(loss);
-            // The tape shares every weight buffer it bound; released, the
-            // optimizer updates the weights in place rather than through
-            // a copy-on-write clone of each.
-            drop(tape);
             opt.step(model.store_mut(), &grads, lr);
+            tape = grads.into_tape();
         }
         let train_mape = epoch_loss / num_batches as f64;
         let val_mape = if val_set.is_empty() {

@@ -140,7 +140,7 @@ pub enum Request {
     /// failure leaves the incumbent model serving and comes back as a
     /// typed [`ErrorReply::ReloadRejected`].
     Reload {
-        /// Artifact directory (`manifest.json` + `weights.json`) on the
+        /// Artifact directory (`manifest.json` + `weights.bin`) on the
         /// server's filesystem.
         artifact_dir: String,
     },
@@ -279,7 +279,7 @@ pub enum ErrorReply {
 pub enum ReloadRejectKind {
     /// The artifact could not be loaded: missing or unreadable files,
     /// parse failures, unsupported format version, or a weights
-    /// fingerprint mismatch (corrupt/tampered `weights.json`).
+    /// fingerprint mismatch (corrupt/tampered `weights.bin`).
     ArtifactInvalid,
     /// The artifact loaded cleanly but was trained under a different
     /// featurizer schema than the server encodes queries with.

@@ -141,12 +141,12 @@ fn reload_over_the_wire_swaps_generations_atomically() {
 fn corrupt_artifact_is_rejected_typed_and_incumbent_keeps_serving() {
     let dir_a = save_artifact("corrupt_a", 42);
     let dir_bad = save_artifact("corrupt_bad", 1337);
-    // Flip a digit in the stored weights: the artifact parses but its
-    // content no longer matches the manifest's weights fingerprint.
-    let weights_path = dir_bad.join("weights.json");
-    let weights = std::fs::read_to_string(&weights_path).expect("read weights");
-    let tampered = weights.replacen('1', "2", 1);
-    assert_ne!(weights, tampered, "tamper must change the payload");
+    // Flip a bit of one stored weight: the file has the right length but
+    // its content no longer matches the manifest's weights fingerprint.
+    let weights_path = ModelArtifact::weights_path(&dir_bad);
+    let weights = std::fs::read(&weights_path).expect("read weights");
+    let mut tampered = weights.clone();
+    tampered[weights.len() / 2] ^= 1;
     std::fs::write(&weights_path, tampered).expect("write tampered weights");
 
     let p = program("p", 96);

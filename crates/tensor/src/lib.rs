@@ -35,18 +35,19 @@
 //! let mlp = Mlp::new(&mut store, "net", &[1, 8, 1], Activation::Tanh, 0.0, false, &mut rng);
 //! let mut opt = AdamW::new(&store, AdamWConfig::default());
 //!
+//! let mut tape = Tape::new();
 //! for _ in 0..50 {
-//!     let mut tape = Tape::new();
 //!     // Data nobody differentiates is a constant; weights are params.
 //!     let x = tape.constant(Tensor::from_vec(4, 1, vec![-1.0, 0.0, 0.5, 1.0]));
 //!     let y = mlp.forward(&mut tape, &store, x, &mut rng);
 //!     let t = tape.constant(Tensor::from_vec(4, 1, vec![1.0, 0.0, 0.25, 1.0]));
 //!     let loss = dlcm_tensor::loss::mse(&mut tape, y, t);
+//!     // `backward` consumes the tape and releases its values, so the
+//!     // step updates the weights in place rather than copies of them…
 //!     let grads = tape.backward(loss);
-//!     // Released, the tape no longer shares the weight buffers: the
-//!     // step updates them in place.
-//!     drop(tape);
 //!     opt.step(&mut store, &grads, 1e-2);
+//!     // …and the next step records into the same storage.
+//!     tape = grads.into_tape();
 //! }
 //! ```
 
@@ -59,6 +60,7 @@ pub mod math;
 pub mod nn;
 pub mod optim;
 pub mod pool;
+mod recycle;
 mod tape;
 mod tensor;
 

@@ -7,7 +7,6 @@
 //! an optimizer.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::init::glorot_uniform;
 use crate::kernel::{Arena, MatId};
@@ -26,7 +25,7 @@ use crate::tensor::Tensor;
 /// let id = store.register("w", Tensor::zeros(2, 2));
 /// assert_eq!(store.get(id).shape(), (2, 2));
 /// ```
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct ParamStore {
     names: Vec<String>,
     tensors: Vec<Tensor>,
@@ -95,7 +94,7 @@ impl ParamStore {
 }
 
 /// A fully-connected layer `y = x W + b`.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Linear {
     /// Weight matrix id, shape `in_dim x out_dim`.
     pub w: ParamId,
@@ -152,7 +151,7 @@ impl Linear {
 }
 
 /// Activation functions available to [`Mlp`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Activation {
     /// Exponential linear unit (the paper's choice).
     Elu,
@@ -191,7 +190,7 @@ impl Activation {
 /// hidden layer, mirroring the paper's "succession of the activation
 /// function and the dropout layer ... applied to all the neural networks of
 /// this model" (appendix A.1).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Mlp {
     layers: Vec<Linear>,
     activation: Activation,
@@ -282,7 +281,7 @@ impl Mlp {
 /// Gates: `i = σ(xWi + hUi + bi)`, `f = σ(xWf + hUf + bf)`,
 /// `g = tanh(xWg + hUg + bg)`, `o = σ(xWo + hUo + bo)`;
 /// `c' = f⊙c + i⊙g`, `h' = o⊙tanh(c')`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LstmCell {
     wx: [ParamId; 4],
     wh: [ParamId; 4],
@@ -665,16 +664,5 @@ mod tests {
             store.len(),
             "every LSTM parameter should get a gradient"
         );
-    }
-
-    #[test]
-    fn param_store_serde_roundtrip() {
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let mut store = ParamStore::new();
-        Linear::new(&mut store, "l", 3, 2, &mut rng);
-        let json = serde_json::to_string(&store).unwrap();
-        let back: ParamStore = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.len(), store.len());
-        assert_eq!(back.get(ParamId(0)), store.get(ParamId(0)));
     }
 }

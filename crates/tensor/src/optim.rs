@@ -6,8 +6,6 @@
 
 use std::sync::Mutex;
 
-use serde::{Deserialize, Serialize};
-
 use crate::nn::ParamStore;
 use crate::pool;
 use crate::tape::{Gradients, LANES};
@@ -19,7 +17,7 @@ use crate::tensor::Tensor;
 const UPDATE_CHUNK: usize = 4096;
 
 /// Configuration for [`AdamW`].
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct AdamWConfig {
     /// Base learning rate (may be overridden per-step by a schedule).
     pub lr: f32,
@@ -56,6 +54,10 @@ pub struct AdamW {
     m: Vec<Tensor>,
     v: Vec<Tensor>,
     t: u64,
+    /// Per parameter, during a step: the sum of its binds' gradients and
+    /// the sum's norm (`None` without a gradient). Kept between steps,
+    /// empty, so a step allocates no bookkeeping.
+    sums: Vec<Option<(Tensor, f32)>>,
 }
 
 impl AdamW {
@@ -69,7 +71,13 @@ impl AdamW {
             .iter()
             .map(|(_, t)| Tensor::zeros(t.rows(), t.cols()))
             .collect();
-        Self { cfg, m, v, t: 0 }
+        Self {
+            cfg,
+            m,
+            v,
+            t: 0,
+            sums: vec![None; store.len()],
+        }
     }
 
     /// Number of steps taken so far.
@@ -115,24 +123,28 @@ impl AdamW {
         self.t += 1;
         let t = self.t as i32;
         let c = self.cfg;
-        let mut binds: Vec<Vec<&Tensor>> = vec![Vec::new(); self.m.len()];
-        for (id, g) in grads.params() {
-            binds[id.0].push(g);
-        }
-        // One parameter per work item: its summed gradient, and the norm
-        // of the sum when the clip needs it.
-        let sums: Vec<Option<(Tensor, f32)>> = pool::parallel_map(lanes, binds.len(), |i| {
-            let (first, rest) = binds[i].split_first()?;
-            let mut sum = (*first).clone();
-            for g in rest {
-                sum.add_scaled(g, 1.0);
-            }
-            let norm = c.grad_clip.map_or(0.0, |_| sum.norm());
-            Some((sum, norm))
+        // One parameter per work item, claimed by whichever lane is free:
+        // its binds' gradients summed in the order they were recorded,
+        // and the norm of the sum when the clip needs it.
+        let work = Mutex::new(self.sums.iter_mut().enumerate());
+        pool::parallel_map(lanes, lanes, |_| loop {
+            let Some((i, slot)) = lock(&work).next() else {
+                break;
+            };
+            let mut binds = grads.params().filter(|(id, _)| id.0 == i);
+            *slot = binds.next().map(|(_, first)| {
+                let mut sum = first.clone();
+                for (_, g) in binds {
+                    sum.add_scaled(g, 1.0);
+                }
+                let norm = c.grad_clip.map_or(0.0, |_| sum.norm());
+                (sum, norm)
+            });
         });
         let clip_scale = match c.grad_clip {
             Some(max) => {
-                let norm = sums
+                let norm = self
+                    .sums
                     .iter()
                     .flatten()
                     .map(|(_, n)| n * n)
@@ -151,29 +163,29 @@ impl AdamW {
 
         // The element-wise update, range-split: every parameter's
         // (weight, moments, summed gradient) cut into `UPDATE_CHUNK`
-        // pieces that either lane may take.
-        let mut pieces = Vec::new();
+        // pieces that either lane may take, one at a time.
         let params = store.tensors_mut().zip(&mut self.m).zip(&mut self.v);
-        for (i, (((p, m), v), sum)) in params.zip(&sums).enumerate() {
-            let Some((g, _)) = sum else {
-                continue;
+        let pieces = params
+            .zip(&self.sums)
+            .enumerate()
+            .filter_map(|(i, (pmv, sum))| Some((i, pmv, &sum.as_ref()?.0)))
+            .flat_map(|(i, ((p, m), v), g)| {
+                assert_eq!(
+                    p.len(),
+                    g.len(),
+                    "gradient shape mismatch for parameter {i}"
+                );
+                p.as_mut_slice()
+                    .chunks_mut(UPDATE_CHUNK)
+                    .zip(m.as_mut_slice().chunks_mut(UPDATE_CHUNK))
+                    .zip(v.as_mut_slice().chunks_mut(UPDATE_CHUNK))
+                    .zip(g.as_slice().chunks(UPDATE_CHUNK))
+            });
+        let pieces = Mutex::new(pieces);
+        pool::parallel_map(lanes, lanes, |_| loop {
+            let Some((((p, m), v), g)) = lock(&pieces).next() else {
+                break;
             };
-            assert_eq!(
-                p.len(),
-                g.len(),
-                "gradient shape mismatch for parameter {i}"
-            );
-            let chunks = p
-                .as_mut_slice()
-                .chunks_mut(UPDATE_CHUNK)
-                .zip(m.as_mut_slice().chunks_mut(UPDATE_CHUNK))
-                .zip(v.as_mut_slice().chunks_mut(UPDATE_CHUNK))
-                .zip(g.as_slice().chunks(UPDATE_CHUNK));
-            pieces.extend(chunks.map(Mutex::new));
-        }
-        pool::parallel_map(lanes, pieces.len(), |k| {
-            let mut piece = pieces[k].lock().expect("each piece is locked once");
-            let (((p, m), v), g) = &mut *piece;
             let moments = m.iter_mut().zip(v.iter_mut());
             for ((pv, (mv, vv)), &gsum) in p.iter_mut().zip(moments).zip(g.iter()) {
                 // The clip is its own rounding (`x * 1.0` is exact, so an
@@ -188,13 +200,21 @@ impl AdamW {
                 *pv -= lr * (mhat / (vhat.sqrt() + c.eps) + c.weight_decay * *pv);
             }
         });
+        self.sums.fill(None);
     }
+}
+
+/// Locks a work list shared by the lanes of a step. Nothing panics while
+/// holding it, so a poisoned list is still a consistent one.
+fn lock<T>(work: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    work.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// One-Cycle learning-rate policy (Smith & Topin, 2017): linear warm-up to
 /// `max_lr` over the first `pct_start` of training, then cosine annealing
 /// down to `max_lr / final_div`.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct OneCycleLr {
     /// Peak learning rate (paper: 1e-3).
     pub max_lr: f32,
@@ -271,7 +291,6 @@ mod tests {
             let sq = tape.mul(d, d);
             let loss = tape.mean(sq);
             let grads = tape.backward(loss);
-            drop(tape);
             opt.step(&mut store, &grads, 0.05);
         }
         let w = store.get(lin.w).item();
@@ -299,7 +318,6 @@ mod tests {
         let z = tape.scale(p, 0.0);
         let s = tape.sum(z);
         let g = tape.backward(s);
-        drop(tape);
         let before = store.get(id).item();
         opt.step(&mut store, &g, 0.1);
         let after = store.get(id).item();
@@ -426,7 +444,6 @@ mod tests {
                 }
                 let loss = terms[1..].iter().fold(terms[0], |acc, &t| tape.add(acc, t));
                 let grads = tape.backward(loss);
-                drop(tape);
                 clipped += usize::from(global_norm(&sums) > 5.0);
                 let lr = sched.lr_at(step);
                 opt.step(&mut store, &grads, lr);

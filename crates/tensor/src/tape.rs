@@ -26,6 +26,15 @@
 //! depend on which lane computed what, or on whether the helper joined
 //! at all.
 //!
+//! [`Tape::backward`] consumes the tape: it releases every recorded
+//! value (so the weights it bound are no longer shared, and an optimizer
+//! updates them in place) and keeps the emptied tape, with the storage
+//! of its nodes and of the backward pass, inside the [`Gradients`] it
+//! returns. [`Gradients::into_tape`] hands that tape back, so a training
+//! loop records every step into the storage of the one before; with the
+//! tensor buffers the crate recycles, a steady-state step asks the
+//! allocator for no block of 1 KiB or more.
+//!
 //! # Examples
 //!
 //! ```
@@ -35,12 +44,15 @@
 //! let y = tape.mul(x, x); // y = x^2
 //! let grads = tape.backward(y);
 //! assert_eq!(grads.get(x).unwrap().as_slice(), &[4.0]); // dy/dx = 2x
+//! let tape = grads.into_tape(); // empty, ready for the next graph
+//! assert!(tape.is_empty());
 //! ```
 
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use crate::math;
 use crate::pool;
+use crate::recycle;
 use crate::tensor::Tensor;
 
 /// Threads a backward pass and an optimizer step are split across: the
@@ -121,15 +133,16 @@ struct Node {
 }
 
 /// Transposes taken during one [`Tape::backward`] call, keyed by the
-/// buffer transposed. An LSTM or merge weight is bound once per use
-/// (every level of a nest, every step of a sequence) and every bind of a
-/// parameter shares one buffer, so the backward pass would otherwise
-/// transpose the same matrix over and over. The key is the buffer, not
-/// the [`ParamId`]: nothing stops a caller of [`Tape::param`] from
-/// binding two different tensors under one id. The tape keeps every
-/// node's value alive for the whole call, so a buffer's identity cannot
-/// be reused while the map exists.
-type Transposed = std::collections::HashMap<*const Vec<f32>, Tensor>;
+/// buffer transposed (`Tensor::buffer_id`). An LSTM or merge weight is
+/// bound once per use (every level of a nest, every step of a sequence)
+/// and every bind of a parameter shares one buffer, so the backward pass
+/// would otherwise transpose the same matrix over and over. The key is
+/// the buffer, not the [`ParamId`]: nothing stops a caller of
+/// [`Tape::param`] from binding two different tensors under one id. The
+/// tape keeps every node's value alive for the whole call, and the map
+/// is emptied before the call returns, so a buffer's identity cannot be
+/// reused while it is a key.
+type Transposed = std::collections::HashMap<usize, Tensor>;
 
 /// One contribution to a leaf's gradient, in the order the chain
 /// produced it.
@@ -140,20 +153,39 @@ enum Part {
     Product,
 }
 
-/// What the chain of [`Tape::backward`] hands back: every non-leaf
+/// What the chain of [`Tape::backward`] works on: every non-leaf
 /// gradient, summed, and every leaf contribution still to be summed.
 struct Chain {
     grads: Vec<Option<Tensor>>,
     /// `(leaf node, contribution)` in the order the chain produced them.
     leaf_parts: Vec<(usize, Part)>,
+    transposed: Transposed,
 }
 
-/// What one lane of [`Tape::backward`] returns: the chain (lane 0 only)
-/// and the products the lane computed, keyed by their place in
-/// [`Products`] order.
-struct LaneOut {
-    chain: Option<Chain>,
-    products: Vec<(usize, Tensor)>,
+/// The storage of a [`Tape::backward`] call, kept (empty) on the tape
+/// between calls.
+#[derive(Default)]
+struct Spare {
+    grads: Vec<Option<Tensor>>,
+    params: Vec<(ParamId, usize)>,
+    leaf_parts: Vec<(usize, Part)>,
+    transposed: Transposed,
+    jobs: Vec<Job>,
+    done: Vec<(usize, Tensor)>,
+    /// Each lane's buffer for the `Aᵀ` of the products it computes.
+    lane_scratch: [Vec<f32>; 2],
+}
+
+/// One weight-gradient product `Aᵀ·g` handed over by the chain.
+struct Job {
+    /// Node of `A`.
+    a: usize,
+    g: Tensor,
+    /// The buffer the product is computed in, taken by the chain: every
+    /// buffer a backward pass takes or gives back is taken or given on
+    /// the chain's lane, in the chain's order, so how many a step needs
+    /// does not depend on which lane ran when.
+    out: Vec<f32>,
 }
 
 /// The weight-gradient products `Aᵀ·g` the chain hands over, in the
@@ -161,16 +193,18 @@ struct LaneOut {
 /// front while the chain runs; the chain's lane, once the chain is done,
 /// claims what is left from the back — where the largest product, the
 /// first layer's, was handed over last.
-#[derive(Default)]
-struct Products<'t> {
-    queue: Mutex<Queue<'t>>,
+struct Products {
+    queue: Mutex<Queue>,
     wake: Condvar,
+    /// `Aᵀ` buffers: the chain's lane's, then the helper's.
+    lane_scratch: [Mutex<Vec<f32>>; 2],
 }
 
-#[derive(Default)]
-struct Queue<'t> {
-    /// `(A, g)` of every product handed over so far.
-    jobs: Vec<(&'t Tensor, Tensor)>,
+struct Queue {
+    /// Every product handed over so far.
+    jobs: Vec<Job>,
+    /// `(place in jobs, Aᵀ·g)` of every product computed so far.
+    done: Vec<(usize, Tensor)>,
     /// How many jobs have been claimed from the front, and how many from
     /// the back; the rest are unclaimed.
     front: usize,
@@ -181,28 +215,51 @@ struct Queue<'t> {
     waiting: bool,
 }
 
-impl<'t> Products<'t> {
-    fn lock(&self) -> MutexGuard<'_, Queue<'t>> {
+impl Products {
+    fn new(jobs: Vec<Job>, done: Vec<(usize, Tensor)>, lane_scratch: [Vec<f32>; 2]) -> Self {
+        Self {
+            lane_scratch: lane_scratch.map(Mutex::new),
+            queue: Mutex::new(Queue {
+                jobs,
+                done,
+                front: 0,
+                back: 0,
+                closed: false,
+                waiting: false,
+            }),
+            wake: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Queue> {
         // `CloseOnDrop` locks too, and a drop must not panic. No code
         // panics while holding the lock, so a poisoned queue is still a
         // consistent one.
         self.queue.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn push(&self, a: &'t Tensor, g: Tensor) {
+    fn push(&self, a: &Tensor, a_node: Var, g: Tensor) {
+        let out = recycle::take(a.cols() * g.cols());
         let mut queue = self.lock();
-        queue.jobs.push((a, g));
+        queue.jobs.push(Job {
+            a: a_node.0,
+            g,
+            out,
+        });
         if queue.waiting {
             self.wake.notify_one();
         }
     }
 
-    /// Computes unclaimed products, claiming each from the front or the
-    /// back, until none is left and the chain is done. Only a lane
-    /// claiming from the front waits for the chain; the chain's own lane
-    /// claims from the back once the chain has closed the queue.
-    fn compute(&self, from_back: bool) -> Vec<(usize, Tensor)> {
-        let mut done = Vec::new();
+    /// Computes unclaimed products of `tape`'s values, claiming each
+    /// from the front or the back, until none is left and the chain is
+    /// done. Only a lane claiming from the front waits for the chain;
+    /// the chain's own lane claims from the back once the chain has
+    /// closed the queue.
+    fn compute(&self, tape: &Tape, from_back: bool) {
+        let mut scratch = self.lane_scratch[usize::from(!from_back)]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let mut queue = self.lock();
         loop {
             let end = queue.jobs.len() - queue.back;
@@ -214,12 +271,14 @@ impl<'t> Products<'t> {
                     queue.front += 1;
                     queue.front - 1
                 };
-                let (a, g) = queue.jobs[k].clone();
+                let job = &mut queue.jobs[k];
+                let (a, g, out) = (job.a, job.g.clone(), std::mem::take(&mut job.out));
                 drop(queue);
-                done.push((k, a.t_matmul(&g)));
+                let product = tape.nodes[a].value.t_matmul_in(&g, &mut scratch, out);
                 queue = self.lock();
+                queue.done.push((k, product));
             } else if queue.closed {
-                return done;
+                return;
             } else {
                 queue.waiting = true;
                 queue = self
@@ -235,9 +294,9 @@ impl<'t> Products<'t> {
 /// Closes the product queue when the chain leaves — by returning or by
 /// unwinding — so a helper waiting for the next product is released
 /// either way.
-struct CloseOnDrop<'a, 't>(&'a Products<'t>);
+struct CloseOnDrop<'a>(&'a Products);
 
-impl Drop for CloseOnDrop<'_, '_> {
+impl Drop for CloseOnDrop<'_> {
     fn drop(&mut self) {
         self.0.lock().closed = true;
         self.0.wake.notify_one();
@@ -253,11 +312,21 @@ fn accumulate_into(slot: &mut Option<Tensor>, contrib: Tensor) {
     }
 }
 
-/// Gradients produced by [`Tape::backward`], indexed by [`Var`].
-#[derive(Debug)]
+/// Gradients produced by [`Tape::backward`], indexed by [`Var`], and the
+/// emptied tape that produced them ([`Gradients::into_tape`]).
 pub struct Gradients {
     grads: Vec<Option<Tensor>>,
     params: Vec<(ParamId, usize)>,
+    tape: Tape,
+}
+
+impl std::fmt::Debug for Gradients {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Gradients")
+            .field("grads", &self.grads)
+            .field("params", &self.params)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Gradients {
@@ -276,6 +345,22 @@ impl Gradients {
             .iter()
             .filter_map(move |&(pid, idx)| self.grads[idx].as_ref().map(|g| (pid, g)))
     }
+
+    /// Drops the gradients and returns the tape that produced them,
+    /// empty, in the mode it was created in: recording the next graph
+    /// into it reuses the storage of this one.
+    pub fn into_tape(self) -> Tape {
+        let Gradients {
+            mut grads,
+            mut params,
+            mut tape,
+        } = self;
+        grads.clear();
+        params.clear();
+        tape.spare.grads = grads;
+        tape.spare.params = params;
+        tape
+    }
 }
 
 /// A define-by-run autodiff tape.
@@ -286,6 +371,7 @@ impl Gradients {
 pub struct Tape {
     nodes: Vec<Node>,
     train: bool,
+    spare: Spare,
 }
 
 impl Default for Tape {
@@ -300,6 +386,7 @@ impl Tape {
         Self {
             nodes: Vec::with_capacity(256),
             train: false,
+            spare: Spare::default(),
         }
     }
 
@@ -308,6 +395,7 @@ impl Tape {
         Self {
             nodes: Vec::with_capacity(256),
             train: true,
+            spare: Spare::default(),
         }
     }
 
@@ -482,12 +570,13 @@ impl Tape {
         let (ra, ca) = self.value(a).shape();
         let (rb, cb) = self.value(b).shape();
         assert_eq!(ra, rb, "concat_cols row mismatch: {ra} vs {rb}");
-        let mut data = Vec::with_capacity(ra * (ca + cb));
-        for r in 0..ra {
-            data.extend_from_slice(self.value(a).row_slice(r));
-            data.extend_from_slice(self.value(b).row_slice(r));
-        }
-        let value = Tensor::from_vec(ra, ca + cb, data);
+        let (av, bv) = (self.value(a), self.value(b));
+        let value = Tensor::with_fill(ra, ca + cb, |data| {
+            for r in 0..ra {
+                data.extend_from_slice(av.row_slice(r));
+                data.extend_from_slice(bv.row_slice(r));
+            }
+        });
         self.push(value, Op::ConcatCols(a, b))
     }
 
@@ -506,13 +595,14 @@ impl Tape {
     /// Gathers rows `indices` of a matrix into a `k x cols` matrix
     /// (rows may repeat; gradients scatter-add back).
     pub fn gather_rows(&mut self, a: Var, indices: &[usize]) -> Var {
-        let (m, n) = self.value(a).shape();
-        let mut data = Vec::with_capacity(indices.len() * n);
-        for &r in indices {
-            assert!(r < m, "gather row {r} out of bounds ({m} rows)");
-            data.extend_from_slice(self.value(a).row_slice(r));
-        }
-        let value = Tensor::from_vec(indices.len(), n, data);
+        let av = self.value(a);
+        let (m, n) = av.shape();
+        let value = Tensor::with_fill(indices.len(), n, |data| {
+            for &r in indices {
+                assert!(r < m, "gather row {r} out of bounds ({m} rows)");
+                data.extend_from_slice(av.row_slice(r));
+            }
+        });
         self.push(value, Op::GatherRows(a, indices.to_vec()))
     }
 
@@ -531,19 +621,15 @@ impl Tape {
         }
         let (m, n) = self.value(a).shape();
         let keep = 1.0 - p;
-        let mask = Tensor::from_vec(
-            m,
-            n,
-            (0..m * n)
-                .map(|_| {
-                    if rng.gen::<f32>() < keep {
-                        1.0 / keep
-                    } else {
-                        0.0
-                    }
-                })
-                .collect(),
-        );
+        let mask = Tensor::with_fill(m, n, |mask| {
+            mask.extend((0..m * n).map(|_| {
+                if rng.gen::<f32>() < keep {
+                    1.0 / keep
+                } else {
+                    0.0
+                }
+            }));
+        });
         let value = self.value(a).zip_map(&mask, |x, k| x * k);
         self.push(value, Op::Dropout(a, mask))
     }
@@ -557,11 +643,15 @@ impl Tape {
     /// docs). The gradients are the same bits whichever lane computes
     /// what.
     ///
+    /// The tape is consumed: its values are released before this
+    /// returns — the weights it bound are no longer shared — and the
+    /// emptied tape waits in the result for [`Gradients::into_tape`].
+    ///
     /// # Panics
     ///
     /// Panics if `target` is not a scalar node, and re-raises a panic of
     /// either lane once both have stopped.
-    pub fn backward(&self, target: Var) -> Gradients {
+    pub fn backward(self, target: Var) -> Gradients {
         self.backward_on(target, LANES)
     }
 
@@ -570,88 +660,123 @@ impl Tape {
     /// pool claims indices in order, so a lane waiting for products waits
     /// only on a chain that is running or has finished; with one lane the
     /// caller runs the chain, then every product.
-    pub(crate) fn backward_on(&self, target: Var, lanes: usize) -> Gradients {
+    pub(crate) fn backward_on(mut self, target: Var, lanes: usize) -> Gradients {
         assert_eq!(
             self.value(target).len(),
             1,
             "backward target must be scalar, got {:?}",
             self.value(target).shape()
         );
-        let products = Products::default();
-        let lanes = pool::parallel_map(lanes, 2, |lane| {
-            if lane == 0 {
-                let chain = self.chain(target, &products);
-                LaneOut {
-                    chain: Some(chain),
-                    products: products.compute(true),
-                }
-            } else {
-                LaneOut {
-                    chain: None,
-                    products: products.compute(false),
-                }
-            }
+        let Spare {
+            mut grads,
+            mut params,
+            leaf_parts,
+            transposed,
+            jobs,
+            done,
+            mut lane_scratch,
+        } = std::mem::take(&mut self.spare);
+        grads.resize(self.nodes.len(), None);
+        // Either lane may compute any product: size both transpose
+        // buffers for the widest `A` up front, so neither grows mid-run.
+        let widest = self.nodes.iter().filter_map(|n| match n.op {
+            Op::Matmul(a, b) if self.is_weight_operand(b) => Some(self.value(a).len()),
+            _ => None,
         });
-        let mut chain = None;
-        let mut done = Vec::new();
-        for lane in lanes {
-            chain = chain.or(lane.chain);
-            done.extend(lane.products);
+        let widest = widest.max().unwrap_or(0);
+        for scratch in &mut lane_scratch {
+            scratch.clear();
+            scratch.reserve(widest);
         }
+        let chain = Mutex::new(Chain {
+            grads,
+            leaf_parts,
+            transposed,
+        });
+        let products = Products::new(jobs, done, lane_scratch);
+        let tape = &self;
+        pool::parallel_map(lanes, 2, |lane| {
+            if lane == 0 {
+                let mut chain = chain.lock().unwrap_or_else(PoisonError::into_inner);
+                tape.chain(target, &mut chain, &products);
+            }
+            products.compute(tape, lane == 0);
+        });
         let Chain {
             mut grads,
-            leaf_parts,
-        } = chain.expect("lane 0 runs the chain");
+            mut leaf_parts,
+            mut transposed,
+        } = chain.into_inner().unwrap_or_else(PoisonError::into_inner);
+        let Queue {
+            mut jobs, mut done, ..
+        } = products
+            .queue
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        let lane_scratch = products
+            .lane_scratch
+            .map(|s| s.into_inner().unwrap_or_else(PoisonError::into_inner));
 
         // Each leaf sums its contributions in the order the chain made
         // them, whichever lane computed a product.
         done.sort_unstable_by_key(|&(k, _)| k);
-        let mut done = done.into_iter().map(|(_, product)| product);
-        for (leaf, part) in leaf_parts {
+        let mut computed = done.drain(..).map(|(_, product)| product);
+        for (leaf, part) in leaf_parts.drain(..) {
             let contrib = match part {
                 Part::Ready(t) => t,
-                Part::Product => done.next().expect("one product per deferred part"),
+                Part::Product => computed.next().expect("one product per deferred part"),
             };
             accumulate_into(&mut grads[leaf], contrib);
         }
+        drop(computed);
+        jobs.clear();
+        transposed.clear();
 
-        let params = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, n)| n.param.map(|p| (p, i)))
-            .collect();
-        Gradients { grads, params }
+        params.extend(
+            self.nodes
+                .iter()
+                .enumerate()
+                .filter_map(|(i, n)| n.param.map(|p| (p, i))),
+        );
+        self.nodes.clear();
+        self.spare = Spare {
+            leaf_parts,
+            transposed,
+            jobs,
+            done,
+            lane_scratch,
+            ..Spare::default()
+        };
+        Gradients {
+            grads,
+            params,
+            tape: self,
+        }
+    }
+
+    /// Whether `b`, the right operand of a product, gets its gradient
+    /// `Aᵀ·g` as a product handed to [`Products`]: a differentiable leaf
+    /// (every weight of an `x·W` is one).
+    fn is_weight_operand(&self, b: Var) -> bool {
+        let node = &self.nodes[b.0];
+        node.needs_grad && matches!(node.op, Op::Leaf)
     }
 
     /// The chain lane: every gradient from `target` down, node by node,
     /// handing each leaf's weight-gradient products to `products`.
-    fn chain<'t>(&'t self, target: Var, products: &Products<'t>) -> Chain {
+    fn chain(&self, target: Var, chain: &mut Chain, products: &Products) {
         let _close = CloseOnDrop(products);
-        let mut chain = Chain {
-            grads: vec![None; self.nodes.len()],
-            leaf_parts: Vec::new(),
-        };
         chain.grads[target.0] = Some(Tensor::ones(1, 1));
-        let mut transposed = Transposed::new();
         for idx in (0..=target.0).rev() {
             let Some(g) = chain.grads[idx].take() else {
                 continue;
             };
-            self.accumulate(idx, &g, &mut chain, &mut transposed, products);
+            self.accumulate(idx, &g, chain, products);
             chain.grads[idx] = Some(g);
         }
-        chain
     }
 
-    fn accumulate<'t>(
-        &'t self,
-        idx: usize,
-        g: &Tensor,
-        chain: &mut Chain,
-        transposed: &mut Transposed,
-        products: &Products<'t>,
-    ) {
+    fn accumulate(&self, idx: usize, g: &Tensor, chain: &mut Chain, products: &Products) {
         let needs_grad = |v: Var| self.nodes[v.0].needs_grad;
         let is_leaf = |v: Var| matches!(self.nodes[v.0].op, Op::Leaf);
         // A contribution owed to a node with no differentiable leaf
@@ -676,16 +801,18 @@ impl Tape {
                     // `g x Bᵀ`, with the transpose taken once per weight,
                     // not per use.
                     let b = self.value(*b);
-                    let bt = transposed
+                    let bt = chain
+                        .transposed
                         .entry(b.buffer_id())
                         .or_insert_with(|| b.transpose());
-                    add(chain, *a, g.matmul(bt));
+                    let contrib = g.matmul(bt);
+                    add(chain, *a, contrib);
                 }
                 if needs_grad(*b) {
-                    if is_leaf(*b) {
+                    if self.is_weight_operand(*b) {
                         // Nothing on the chain reads a leaf's gradient:
                         // hand the product over.
-                        products.push(self.value(*a), g.clone());
+                        products.push(self.value(*a), *a, g.clone());
                         chain.leaf_parts.push((b.0, Part::Product));
                     } else {
                         add(chain, *b, self.value(*a).t_matmul(g));
@@ -761,15 +888,11 @@ impl Tape {
             Op::ConcatCols(a, b) => {
                 let (ra, ca) = self.value(*a).shape();
                 let (_, cb) = self.value(*b).shape();
-                let mut da = Vec::with_capacity(ra * ca);
-                let mut db = Vec::with_capacity(ra * cb);
-                for r in 0..ra {
-                    let row = g.row_slice(r);
-                    da.extend_from_slice(&row[..ca]);
-                    db.extend_from_slice(&row[ca..]);
-                }
-                add(chain, *a, Tensor::from_vec(ra, ca, da));
-                add(chain, *b, Tensor::from_vec(ra, cb, db));
+                let rows = || (0..ra).map(|r| g.row_slice(r));
+                let da = Tensor::from_row_slices(ra, ca, rows().map(|row| &row[..ca]));
+                let db = Tensor::from_row_slices(ra, cb, rows().map(|row| &row[ca..]));
+                add(chain, *a, da);
+                add(chain, *b, db);
             }
             Op::Mean(a) => {
                 let (m, n) = self.value(*a).shape();

@@ -310,7 +310,6 @@ fn two_lane_step_is_bit_identical_to_the_sequential_step() {
         for step in 0..50 {
             let (tape, loss) = net.graph(&store, step);
             let grads = tape.backward_on(loss, lanes);
-            drop(tape);
             let (tape, loss) = net.graph(&reference_store, step);
             let binds = bind_gradients(&tape, &reference_backward(&tape, loss));
             drop(tape);

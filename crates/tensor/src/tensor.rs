@@ -4,16 +4,20 @@
 //! `f32` matrices in row-major order. Vectors are represented as `1 x n`
 //! matrices, scalars as `1 x 1`. The backing storage is an [`Arc`] so that
 //! binding model parameters into a per-sample tape does not copy weights.
+//! Buffers of 1 KiB or more come from, and go back to, the crate's shelf
+//! of recycled buffers (`crate::recycle`), so a loop that rebuilds the
+//! same shapes — a training step — stops going to the allocator for them.
 
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use crate::recycle;
 
 /// A dense row-major `rows x cols` matrix of `f32`.
 ///
 /// Cloning is O(1): the backing buffer is shared until mutated
-/// (copy-on-write through [`Arc::make_mut`]).
+/// (copy-on-write). The last owner to drop a buffer shelves it for the
+/// next tensor built.
 ///
 /// # Examples
 ///
@@ -27,7 +31,9 @@ use serde::{Deserialize, Serialize};
 pub struct Tensor {
     rows: usize,
     cols: usize,
-    data: Arc<Vec<f32>>,
+    /// Always `Some` until the tensor is dropped: `Drop` takes the `Arc`
+    /// out to learn, race-free, whether it held the last reference.
+    data: Option<Arc<Vec<f32>>>,
 }
 
 /// Side of the square tiles [`Tensor::transpose`] copies.
@@ -39,11 +45,7 @@ const NORM_BLOCK: usize = 32;
 impl Tensor {
     /// Creates a tensor filled with zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        Self {
-            rows,
-            cols,
-            data: Arc::new(vec![0.0; rows * cols]),
-        }
+        Self::full(rows, cols, 0.0)
     }
 
     /// Creates a tensor filled with ones.
@@ -53,11 +55,7 @@ impl Tensor {
 
     /// Creates a tensor where every element is `value`.
     pub fn full(rows: usize, cols: usize, value: f32) -> Self {
-        Self {
-            rows,
-            cols,
-            data: Arc::new(vec![value; rows * cols]),
-        }
+        Self::with_fill(rows, cols, |buf| buf.resize(rows * cols, value))
     }
 
     /// Creates a tensor from a row-major buffer.
@@ -75,8 +73,21 @@ impl Tensor {
         Self {
             rows,
             cols,
-            data: Arc::new(data),
+            data: Some(Arc::new(data)),
         }
+    }
+
+    /// Creates a `rows x cols` tensor whose row-major elements `fill`
+    /// pushes into the empty buffer it is handed — a recycled one when
+    /// the tensor is 1 KiB or more, with room for every element.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fill` leaves other than `rows * cols` elements.
+    pub(crate) fn with_fill(rows: usize, cols: usize, fill: impl FnOnce(&mut Vec<f32>)) -> Self {
+        let mut data = recycle::take(rows * cols);
+        fill(&mut data);
+        Self::from_vec(rows, cols, data)
     }
 
     /// Creates a `1 x n` row vector.
@@ -97,13 +108,32 @@ impl Tensor {
     /// Panics if the rows have inconsistent lengths or `rows` is empty.
     pub fn from_rows(rows: &[&[f32]]) -> Self {
         assert!(!rows.is_empty(), "at least one row is required");
-        let cols = rows[0].len();
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for r in rows {
-            assert_eq!(r.len(), cols, "all rows must have the same length");
-            data.extend_from_slice(r);
-        }
-        Self::from_vec(rows.len(), cols, data)
+        Self::from_row_slices(rows.len(), rows[0].len(), rows.iter().copied())
+    }
+
+    /// Creates a `rows x cols` tensor from `rows` slices of `cols`
+    /// elements each, in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slice is not `cols` long or there are not `rows` of
+    /// them.
+    pub fn from_row_slices<'a>(
+        rows: usize,
+        cols: usize,
+        slices: impl IntoIterator<Item = &'a [f32]>,
+    ) -> Self {
+        Self::with_fill(rows, cols, |buf| {
+            for r in slices {
+                assert_eq!(r.len(), cols, "all rows must have the same length");
+                buf.extend_from_slice(r);
+            }
+        })
+    }
+
+    /// The backing buffer.
+    fn buf(&self) -> &Arc<Vec<f32>> {
+        self.data.as_ref().expect("a live tensor has a buffer")
     }
 
     /// Returns `(rows, cols)`.
@@ -141,7 +171,7 @@ impl Tensor {
             r < self.rows && c < self.cols,
             "index ({r},{c}) out of bounds"
         );
-        self.data[r * self.cols + c]
+        self.as_slice()[r * self.cols + c]
     }
 
     /// Sets the element at `(r, c)`.
@@ -155,7 +185,7 @@ impl Tensor {
             "index ({r},{c}) out of bounds"
         );
         let cols = self.cols;
-        Arc::make_mut(&mut self.data)[r * cols + c] = v;
+        self.as_mut_slice()[r * cols + c] = v;
     }
 
     /// Returns the single element of a `1 x 1` tensor.
@@ -170,23 +200,34 @@ impl Tensor {
             "item() requires a 1x1 tensor, got {:?}",
             self.shape()
         );
-        self.data[0]
+        self.as_slice()[0]
     }
 
     /// Read-only view of the underlying row-major buffer.
     pub fn as_slice(&self) -> &[f32] {
-        &self.data
+        self.buf()
     }
 
-    /// Mutable view of the underlying buffer (copy-on-write).
+    /// Mutable view of the underlying buffer. A buffer shared with a
+    /// clone is copied first (into a recycled buffer), so the clones
+    /// keep their values.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut Arc::make_mut(&mut self.data)[..]
+        let arc = self.data.as_mut().expect("a live tensor has a buffer");
+        if Arc::get_mut(arc).is_none() {
+            let mut copy = recycle::take(arc.len());
+            copy.extend_from_slice(arc);
+            // The other owners may all have let go meanwhile.
+            if let Some(old) = Arc::into_inner(std::mem::replace(arc, Arc::new(copy))) {
+                recycle::give(old);
+            }
+        }
+        Arc::get_mut(arc).expect("the buffer was just made unique")
     }
 
     /// Read-only view of row `r`.
     pub fn row_slice(&self, r: usize) -> &[f32] {
         assert!(r < self.rows, "row {r} out of bounds");
-        &self.data[r * self.cols..(r + 1) * self.cols]
+        &self.as_slice()[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Matrix product `self x other`, through the crate's one product
@@ -204,11 +245,12 @@ impl Tensor {
             other.shape()
         );
         let (m, k, n) = (self.rows, self.cols, other.cols);
-        let mut out = vec![0.0f32; m * n];
         // The inner loop lives in `kernel::matmul_into`, shared with the
         // arena inference path so tape and SoA products cannot drift.
-        crate::kernel::matmul_into(&self.data, m, k, &other.data, n, &mut out);
-        Tensor::from_vec(m, n, out)
+        Tensor::with_fill(m, n, |out| {
+            out.resize(m * n, 0.0);
+            crate::kernel::matmul_into(self.as_slice(), m, k, other.as_slice(), n, out);
+        })
     }
 
     /// Matrix product `selfᵀ x other` (the backward pass's `Aᵀ x g`).
@@ -234,42 +276,76 @@ impl Tensor {
         self.transpose().matmul(other)
     }
 
+    /// [`Tensor::t_matmul`] with `selfᵀ` built in `scratch` and the
+    /// product in `out` (an empty buffer with room for it), so the caller
+    /// decides where both come from: the backward pass's lanes keep a
+    /// transpose buffer each and take product buffers in a fixed order.
+    /// The same bits as [`Tensor::t_matmul`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.rows() != other.rows()`.
+    pub(crate) fn t_matmul_in(
+        &self,
+        other: &Tensor,
+        scratch: &mut Vec<f32>,
+        mut out: Vec<f32>,
+    ) -> Tensor {
+        assert_eq!(
+            self.rows,
+            other.rows,
+            "t_matmul shape mismatch: {:?}ᵀ x {:?}",
+            self.shape(),
+            other.shape()
+        );
+        let (m, k, n) = (self.cols, self.rows, other.cols);
+        self.transpose_into(scratch);
+        out.clear();
+        out.resize(m * n, 0.0);
+        crate::kernel::matmul_into(scratch, m, k, other.as_slice(), n, &mut out);
+        Tensor::from_vec(m, n, out)
+    }
+
     /// Returns the transposed matrix. Copied tile by tile
     /// (`TRANSPOSE_TILE` square), so both the rows read and the rows
     /// written stay in cache instead of one side striding through the
     /// whole matrix per element.
     pub fn transpose(&self) -> Tensor {
+        Tensor::with_fill(self.cols, self.rows, |out| self.transpose_into(out))
+    }
+
+    /// The elements of `selfᵀ`, row-major, into `out` (emptied first).
+    fn transpose_into(&self, out: &mut Vec<f32>) {
         let (rows, cols) = (self.rows, self.cols);
-        let mut out = vec![0.0f32; self.len()];
+        let data = self.as_slice();
+        out.clear();
+        out.resize(rows * cols, 0.0);
         for r0 in (0..rows).step_by(TRANSPOSE_TILE) {
             let r1 = (r0 + TRANSPOSE_TILE).min(rows);
             for c0 in (0..cols).step_by(TRANSPOSE_TILE) {
                 let c1 = (c0 + TRANSPOSE_TILE).min(cols);
                 for r in r0..r1 {
-                    let src = &self.data[r * cols + c0..r * cols + c1];
+                    let src = &data[r * cols + c0..r * cols + c1];
                     for (c, &v) in (c0..c1).zip(src) {
                         out[c * rows + r] = v;
                     }
                 }
             }
         }
-        Tensor::from_vec(cols, rows, out)
     }
 
     /// Identity of the shared backing buffer: equal for a tensor and its
     /// clones (until one is written to), distinct for any two buffers
     /// alive at the same time.
-    pub(crate) fn buffer_id(&self) -> *const Vec<f32> {
-        Arc::as_ptr(&self.data)
+    pub(crate) fn buffer_id(&self) -> usize {
+        Arc::as_ptr(self.buf()) as usize
     }
 
     /// Elementwise map.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        Tensor::from_vec(
-            self.rows,
-            self.cols,
-            self.data.iter().map(|&x| f(x)).collect(),
-        )
+        Tensor::with_fill(self.rows, self.cols, |out| {
+            out.extend(self.as_slice().iter().map(|&x| f(x)));
+        })
     }
 
     /// Elementwise combination of two same-shaped tensors.
@@ -279,15 +355,10 @@ impl Tensor {
     /// Panics on shape mismatch.
     pub fn zip_map(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
         assert_eq!(self.shape(), other.shape(), "zip_map shape mismatch");
-        Tensor::from_vec(
-            self.rows,
-            self.cols,
-            self.data
-                .iter()
-                .zip(other.data.iter())
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
-        )
+        Tensor::with_fill(self.rows, self.cols, |out| {
+            let pairs = self.as_slice().iter().zip(other.as_slice());
+            out.extend(pairs.map(|(&a, &b)| f(a, b)));
+        })
     }
 
     /// In-place `self += scale * other`.
@@ -298,14 +369,14 @@ impl Tensor {
     pub fn add_scaled(&mut self, other: &Tensor, scale: f32) {
         assert_eq!(self.shape(), other.shape(), "add_scaled shape mismatch");
         let dst = self.as_mut_slice();
-        for (d, &s) in dst.iter_mut().zip(other.data.iter()) {
+        for (d, &s) in dst.iter_mut().zip(other.as_slice()) {
             *d += scale * s;
         }
     }
 
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
-        self.data.iter().sum()
+        self.as_slice().iter().sum()
     }
 
     /// Mean of all elements (0.0 for an empty tensor).
@@ -319,13 +390,14 @@ impl Tensor {
 
     /// Column sums as a `1 x cols` row vector.
     pub fn col_sum(&self) -> Tensor {
-        let mut out = vec![0.0f32; self.cols];
-        for r in 0..self.rows {
-            for (o, &v) in out.iter_mut().zip(self.row_slice(r)) {
-                *o += v;
+        Tensor::with_fill(1, self.cols, |out| {
+            out.resize(self.cols, 0.0);
+            for r in 0..self.rows {
+                for (o, &v) in out.iter_mut().zip(self.row_slice(r)) {
+                    *o += v;
+                }
             }
-        }
-        Tensor::row(out)
+        })
     }
 
     /// L2 norm of all elements: the square root of their squares summed
@@ -341,7 +413,7 @@ impl Tensor {
     /// result is the plain loop's, bit for bit.
     pub fn norm(&self) -> f32 {
         let mut acc = 0.0f32;
-        for block in self.data.chunks(NORM_BLOCK) {
+        for block in self.as_slice().chunks(NORM_BLOCK) {
             let magnitudes = block
                 .iter()
                 .fold(0u32, |m, x| m | (x.to_bits() & 0x7fff_ffff));
@@ -356,7 +428,7 @@ impl Tensor {
 
     /// Returns `true` if any element is NaN or infinite.
     pub fn has_non_finite(&self) -> bool {
-        self.data.iter().any(|x| !x.is_finite())
+        self.as_slice().iter().any(|x| !x.is_finite())
     }
 
     /// Stacks `1 x n` row vectors into an `m x n` matrix.
@@ -367,13 +439,13 @@ impl Tensor {
     pub fn stack_rows(rows: &[Tensor]) -> Tensor {
         assert!(!rows.is_empty(), "stack_rows requires at least one row");
         let cols = rows[0].cols;
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for r in rows {
-            assert_eq!(r.rows, 1, "stack_rows expects 1 x n tensors");
-            assert_eq!(r.cols, cols, "stack_rows width mismatch");
-            data.extend_from_slice(r.as_slice());
-        }
-        Tensor::from_vec(rows.len(), cols, data)
+        Tensor::with_fill(rows.len(), cols, |data| {
+            for r in rows {
+                assert_eq!(r.rows, 1, "stack_rows expects 1 x n tensors");
+                assert_eq!(r.cols, cols, "stack_rows width mismatch");
+                data.extend_from_slice(r.as_slice());
+            }
+        })
     }
 }
 
@@ -386,8 +458,8 @@ impl fmt::Debug for Tensor {
             write!(
                 f,
                 ", [{:.4}, {:.4}, ... ; norm={:.4}]",
-                self.data[0],
-                self.data[1],
+                self.as_slice()[0],
+                self.as_slice()[1],
                 self.norm()
             )?;
         }
@@ -395,31 +467,13 @@ impl fmt::Debug for Tensor {
     }
 }
 
-impl Serialize for Tensor {
-    fn write_json(&self, w: &mut serde::json::Writer) {
-        w.begin_object();
-        w.field("rows", &self.rows);
-        w.field("cols", &self.cols);
-        w.field("data", self.data.as_ref());
-        w.end_object();
-    }
-}
-
-/// What a [`Tensor`] is on disk, before its shape is checked.
-#[derive(Deserialize)]
-struct StoredTensor {
-    rows: usize,
-    cols: usize,
-    data: Vec<f32>,
-}
-
-impl Deserialize for Tensor {
-    fn from_json(p: &mut serde::json::Parser<'_>) -> Result<Self, serde::Error> {
-        let StoredTensor { rows, cols, data } = StoredTensor::from_json(p)?;
-        if rows.checked_mul(cols) != Some(data.len()) {
-            return Err(serde::Error::msg("tensor buffer/shape mismatch"));
+impl Drop for Tensor {
+    fn drop(&mut self) {
+        // `into_inner` hands the buffer to exactly one of several owners
+        // dropping at once, so a shared buffer is shelved exactly once.
+        if let Some(buf) = self.data.take().and_then(Arc::into_inner) {
+            recycle::give(buf);
         }
-        Ok(Tensor::from_vec(rows, cols, data))
     }
 }
 
@@ -467,7 +521,7 @@ mod tests {
             for j in 0..n {
                 let mut acc = 0.0f32;
                 for kk in 0..k {
-                    acc += a.data[i * k + kk] * b.data[j * k + kk];
+                    acc += a.as_slice()[i * k + kk] * b.as_slice()[j * k + kk];
                 }
                 out[i * n + j] = acc;
             }
@@ -482,8 +536,8 @@ mod tests {
         let (m, k, n) = (a.cols, a.rows, b.cols);
         let mut out = vec![0.0f32; m * n];
         for kk in 0..k {
-            let arow = &a.data[kk * m..(kk + 1) * m];
-            let brow = &b.data[kk * n..(kk + 1) * n];
+            let arow = &a.as_slice()[kk * m..(kk + 1) * m];
+            let brow = &b.as_slice()[kk * n..(kk + 1) * n];
             for (i, &av) in arow.iter().enumerate() {
                 if av == 0.0 {
                     continue;
@@ -671,14 +725,6 @@ mod tests {
         let s = Tensor::stack_rows(&[r1, r2]);
         assert_eq!(s.shape(), (2, 2));
         assert_eq!(s.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let a = Tensor::from_rows(&[&[1.5, -2.0], &[0.0, 4.25]]);
-        let json = serde_json::to_string(&a).unwrap();
-        let back: Tensor = serde_json::from_str(&json).unwrap();
-        assert_eq!(a, back);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Tier-1 coverage of the JSON codec every frame, shard line and
-//! artifact goes through (`vendor/serde`, `vendor/serde_json`).
+//! artifact manifest goes through (`vendor/serde`, `vendor/serde_json`).
 //!
 //! The codec streams: a derived type writes its fields into a
 //! `serde::json::Writer` and matches keys out of a `serde::json::Parser`,
@@ -20,7 +20,6 @@ use dlcm::datagen::{
 };
 use dlcm::ir::fingerprint::{fnv1a, to_hex, FNV1A_INIT};
 use dlcm::ir::{Program, Schedule};
-use dlcm::model::{CostModel, CostModelConfig, FeaturizerConfig};
 use dlcm::net::wire::decode_body;
 use dlcm::net::{
     ErrorReply, ModelInfoReport, NetStats, ReloadRejectKind, Request, Response, StatsReport,
@@ -34,8 +33,12 @@ use serde::{Deserialize, Serialize, Value};
 
 /// FNV-1a over the compact then pretty text of every document
 /// [`every_document_keeps_its_bytes_and_round_trips`] checks, in order. Captured at cbee815 (the tree codec); a change here
-/// is a change to the wire, the corpus and the artifact at once.
-const GOLDEN_BYTES: &str = "7041e4a7a5ae6317";
+/// is a change to the wire, the corpus and the artifact manifest at once.
+/// Re-pinned once, from `7041e4a7a5ae6317`, when the model weights left
+/// the battery (the artifact stores them as raw `f32` bytes, not JSON);
+/// the battery as it stood before, with that one document taken out,
+/// digests to this value too.
+const GOLDEN_BYTES: &str = "23bc61146a6ff04f";
 
 /// Scores and counters that stress number formatting: a subnormal, 17
 /// significant digits, an exponent form, integers at the 2^53 edge.
@@ -63,19 +66,6 @@ fn generated() -> Vec<(Program, Vec<Schedule>)> {
             (program, wave)
         })
         .collect()
-}
-
-fn model() -> CostModel {
-    CostModel::new(
-        CostModelConfig {
-            input_dim: FeaturizerConfig::default().vector_width(),
-            embed_widths: vec![8],
-            merge_hidden: 4,
-            regress_widths: vec![4],
-            dropout: 0.0,
-        },
-        19,
-    )
 }
 
 fn stats() -> StatsReport {
@@ -197,11 +187,7 @@ struct Battery {
 
 impl Battery {
     fn check<T: Serialize + Deserialize + PartialEq + Debug>(&mut self, x: &T) {
-        self.check_by(x, |back| assert_eq!(back, x));
-    }
-
-    /// `same` compares a decoded value with the original.
-    fn check_by<T: Serialize + Deserialize>(&mut self, x: &T, same: impl Fn(&T)) {
+        let same = |back: &T| assert_eq!(back, x);
         let compact = serde_json::to_string(x).expect("compact");
         let pretty = serde_json::to_string_pretty(x).expect("pretty");
         // Round trip, from either layout.
@@ -250,11 +236,6 @@ fn every_document_keeps_its_bytes_and_round_trips() {
     for benchmark in suite() {
         battery.check(&(benchmark.build)(0.05));
     }
-    let model = model();
-    let weights = serde_json::to_string(&model).unwrap();
-    battery.check_by(&model, |back| {
-        assert_eq!(serde_json::to_string(back).unwrap(), weights);
-    });
     for record in records(&generated) {
         battery.check(&record);
     }
