@@ -103,8 +103,20 @@ pub enum ShardRecord {
     },
 }
 
+/// The tags of [`ShardRecord`]'s variants, in declaration order.
+const RECORD_TAGS: [&str; 2] = [serde::json_key!("Program"), serde::json_key!("Point")];
+
+/// The members of a [`ShardRecord::Program`] payload, in writer order.
+const PROGRAM_KEYS: [&str; 4] = [
+    serde::json_key!("index"),
+    serde::json_key!("fingerprint"),
+    serde::json_key!("family"),
+    serde::json_key!("program"),
+];
+
 impl serde::Serialize for ShardRecord {
     fn write_json(&self, w: &mut serde::json::Writer) {
+        let [index_key, fingerprint_key, family_key, program_key] = PROGRAM_KEYS;
         w.begin_object();
         match self {
             ShardRecord::Program {
@@ -113,14 +125,14 @@ impl serde::Serialize for ShardRecord {
                 family,
                 program,
             } => {
-                w.key("Program");
+                w.key_lit(RECORD_TAGS[0]);
                 w.begin_object();
-                w.field("index", index);
-                w.field("fingerprint", fingerprint);
+                w.field_lit(index_key, index);
+                w.field_lit(fingerprint_key, fingerprint);
                 if let Some(family) = family {
-                    w.field("family", family);
+                    w.field_lit(family_key, family);
                 }
-                w.field("program", program);
+                w.field_lit(program_key, program);
             }
             ShardRecord::Point {
                 program,
@@ -128,12 +140,12 @@ impl serde::Serialize for ShardRecord {
                 speedup,
                 schedule,
             } => {
-                w.key("Point");
+                w.key_lit(RECORD_TAGS[1]);
                 w.begin_object();
-                w.field("program", program);
-                w.field("structure", structure);
-                w.field("speedup", speedup);
-                w.field("schedule", schedule);
+                w.field_lit(serde::json_key!("program"), program);
+                w.field_lit(serde::json_key!("structure"), structure);
+                w.field_lit(serde::json_key!("speedup"), speedup);
+                w.field_lit(serde::json_key!("schedule"), schedule);
             }
         }
         w.end_object();
@@ -154,23 +166,20 @@ impl serde::Deserialize for ShardRecord {
     fn from_json(p: &mut serde::json::Parser<'_>) -> Result<Self, serde::Error> {
         use serde::json::Tag;
         use serde::Error;
-        let tag = match p.begin_enum("ShardRecord")? {
-            Tag::Keyed(tag) => tag,
-            Tag::Unit(_) => return Err(Error::msg("expected externally tagged ShardRecord")),
-        };
-        let record = match &*tag {
-            "Program" => {
+        let record = match p.begin_enum("ShardRecord", &RECORD_TAGS)? {
+            Tag::Keyed(0) => {
                 let (mut index, mut fingerprint, mut family, mut program) =
                     (None, None, None, None);
+                let mut next = 0;
                 p.begin_object()?;
-                while let Some(key) = p.next_key()? {
-                    match &*key {
-                        "index" if index.is_none() => index = Some(usize::from_json(p)?),
-                        "fingerprint" if fingerprint.is_none() => {
+                while let Some(at) = p.next_field(&PROGRAM_KEYS, &mut next)? {
+                    match at {
+                        0 if index.is_none() => index = Some(usize::from_json(p)?),
+                        1 if fingerprint.is_none() => {
                             fingerprint = Some(String::from_json(p)?);
                         }
-                        "family" if family.is_none() => family = Some(String::from_json(p)?),
-                        "program" if program.is_none() => program = Some(Program::from_json(p)?),
+                        2 if family.is_none() => family = Some(String::from_json(p)?),
+                        3 if program.is_none() => program = Some(Program::from_json(p)?),
                         _ => p.skip_value()?,
                     }
                 }
@@ -182,7 +191,8 @@ impl serde::Deserialize for ShardRecord {
                     program: program.ok_or_else(|| Error::missing_field("program"))?,
                 }
             }
-            "Point" => {
+            // 1: `Point`, the other tag.
+            Tag::Keyed(_) => {
                 let StoredPoint {
                     program,
                     structure,
@@ -196,11 +206,7 @@ impl serde::Deserialize for ShardRecord {
                     schedule,
                 }
             }
-            other => {
-                return Err(Error::msg(format!(
-                    "unknown variant `{other}` of ShardRecord"
-                )))
-            }
+            Tag::Unit(_) => return Err(Error::msg("expected externally tagged ShardRecord")),
         };
         p.end_enum("ShardRecord")?;
         Ok(record)

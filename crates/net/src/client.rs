@@ -65,11 +65,11 @@ struct SpeedupsView<'a> {
 impl Serialize for SpeedupsView<'_> {
     fn write_json(&self, w: &mut Writer) {
         w.begin_object();
-        w.key("Speedups");
+        w.key_lit(serde::json_key!("Speedups"));
         w.begin_object();
-        w.field("program", self.program);
-        w.field("schedules", self.schedules);
-        w.field("deadline_ms", &self.deadline_ms);
+        w.field_lit(serde::json_key!("program"), self.program);
+        w.field_lit(serde::json_key!("schedules"), self.schedules);
+        w.field_lit(serde::json_key!("deadline_ms"), &self.deadline_ms);
         w.end_object();
         w.end_object();
     }

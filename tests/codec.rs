@@ -2,7 +2,8 @@
 //! artifact manifest goes through (`vendor/serde`, `vendor/serde_json`).
 //!
 //! The codec streams: a derived type writes its fields into a
-//! `serde::json::Writer` and matches keys out of a `serde::json::Parser`,
+//! `serde::json::Writer` and reads them out of a `serde::json::Parser`
+//! that expects the writer's key order and accepts any other,
 //! and its `to_value` is the trait's default, a bridge *through* that
 //! path (every impl but `Value`'s inherits it; reading has no tree path
 //! at all) — so the `Value` tree cannot be the reference for the bytes.
@@ -392,6 +393,25 @@ enum Shape {
     Named { x: i64 },
 }
 
+/// Field names one of which is a prefix of the other, in both orders.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct Levels {
+    level: u8,
+    level_a: u8,
+    b_level: u8,
+    b: u8,
+}
+
+/// Tags one of which is a prefix of another, in both orders.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+enum Tiling {
+    Til,
+    Tile(u8),
+    TileInner { size: u8 },
+    Tiles,
+    Ti(u8),
+}
+
 #[test]
 fn field_rules_are_the_tree_codecs() {
     let probe = |json: &str| serde_json::from_str::<Probe>(json);
@@ -425,6 +445,61 @@ fn field_rules_are_the_tree_codecs() {
     // Malformed text behind an unknown key is still malformed.
     assert!(probe(r#"{"id":7,"name":"n","limit":null,"x":[1,}"#).is_err());
     assert!(probe(r#"{"id":7,"name":"n","limit":null} x"#).is_err());
+
+    // The decoder expects each key where the compact writer puts it,
+    // and every other spelling of the same document decodes the same:
+    // writer order with whitespace, pretty-printed, a key spelled with
+    // an escape, a duplicate or an unknown key right after an expected
+    // one.
+    let pretty = serde_json::to_string_pretty(&want).unwrap();
+    for same in [
+        r#"{ "id": 7, "name": "n", "limit": null }"#,
+        "{\n  \"id\":7,\n\t\"name\" :\"n\",\r\n\"limit\":null\n}",
+        &pretty,
+        r#"{"id":7,"n\u0061me":"n","limit":null}"#,
+        r#"{"id":7,"name":"n","name":"m","limit":null}"#,
+        r#"{"id":7,"name":"n","id":8,"limit":null}"#,
+        r#"{"id":7,"x":{"id":8},"name":"n","limit":null}"#,
+        r#"{"id":7,"name":"n","limit":null,"limit":1}"#,
+    ] {
+        assert_eq!(probe(same).unwrap(), want, "{same}");
+    }
+    // A document that stops after the first expected key.
+    for (cut, message) in [
+        (r#"{"id":7"#, "expected `,` or `}` at byte 7"),
+        (r#"{"id":7,"#, r#"expected `"` at byte 8"#),
+        (r#"{"id":7}"#, "missing field `name`"),
+        (r#"{"id":"#, "expected a JSON value at byte 6"),
+        (r#"{"id""#, "expected `:` at byte 5"),
+    ] {
+        let err = probe(cut).unwrap_err().to_string();
+        assert!(err.contains(message), "{cut}: {err}");
+    }
+    // Keys that share a prefix: the expected key's closing quote and
+    // colon keep `level` from matching `level_a` (or `b` `b_level`).
+    let levels = Levels {
+        level: 1,
+        level_a: 2,
+        b_level: 3,
+        b: 4,
+    };
+    let text = serde_json::to_string(&levels).unwrap();
+    assert_eq!(text, r#"{"level":1,"level_a":2,"b_level":3,"b":4}"#);
+    for same in [
+        text.as_str(),
+        r#"{"level_a":2,"level":1,"b":4,"b_level":3}"#,
+        r#"{"level":1,"level_ab":9,"level_a":2,"b_level":3,"b_":9,"b":4}"#,
+    ] {
+        assert_eq!(
+            serde_json::from_str::<Levels>(same).unwrap(),
+            levels,
+            "{same}"
+        );
+    }
+    let err = serde_json::from_str::<Levels>(r#"{"level_a":2,"b_level":3,"b":4}"#)
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("missing field `level`"), "{err}");
 }
 
 #[test]
@@ -457,6 +532,44 @@ fn enums_stay_externally_tagged() {
         err.to_string().contains("unknown variant `Cube` of Shape"),
         "{err}"
     );
+
+    // Tags that are prefixes of one another, and tags spelled the ways
+    // the compact writer does not spell them.
+    for (text, tiling) in [
+        (r#""Til""#, Tiling::Til),
+        (r#""Tiles""#, Tiling::Tiles),
+        (r#"{"Tile":3}"#, Tiling::Tile(3)),
+        (r#"{"Ti":5}"#, Tiling::Ti(5)),
+        (r#"{"TileInner":{"size":4}}"#, Tiling::TileInner { size: 4 }),
+        (r#" { "Tile" : 3 } "#, Tiling::Tile(3)),
+        (r#""Ti\u006c""#, Tiling::Til),
+        (r#"{"Til\u0065":3}"#, Tiling::Tile(3)),
+    ] {
+        assert_eq!(
+            serde_json::from_str::<Tiling>(text).unwrap(),
+            tiling,
+            "{text}"
+        );
+        if !text.contains([' ', '\\']) {
+            assert_eq!(serde_json::to_string(&tiling).unwrap(), text);
+        }
+    }
+    for (bad, message) in [
+        (r#""Tile""#, "unknown variant `Tile` of Tiling"),
+        (r#"{"Til":3}"#, "unknown variant `Til` of Tiling"),
+        (r#""Tiler""#, "unknown variant `Tiler` of Tiling"),
+        (r#"{"TileI":3}"#, "unknown variant `TileI` of Tiling"),
+        (r#"{"T":3}"#, "unknown variant `T` of Tiling"),
+        (
+            r#"{"Tile":3,"Ti":5}"#,
+            "invalid representation for enum Tiling",
+        ),
+        (r#"{"Tile":3"#, "expected `,` or `}` at byte 9"),
+        (r#"{"Tile""#, "expected `:` at byte 7"),
+    ] {
+        let err = serde_json::from_str::<Tiling>(bad).unwrap_err().to_string();
+        assert!(err.contains(message), "{bad}: {err}");
+    }
 }
 
 #[test]
