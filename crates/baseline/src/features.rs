@@ -9,7 +9,7 @@
 //! the same static analysis the machine model uses.
 
 use dlcm_ir::{apply_schedule, Program, Schedule, ScheduledProgram};
-use dlcm_machine::{analyze_program, CompProfile, MachineConfig};
+use dlcm_machine::{analyze_program, CompProfile, CACHES};
 
 /// Number of engineered features (matching Halide's 54).
 pub const NUM_FEATURES: usize = 54;
@@ -56,7 +56,7 @@ fn misses_per_point(prof: &CompProfile, size: u64) -> f64 {
 /// # Panics
 ///
 /// Panics if the scheduled program has no computations.
-pub fn halide_features(sp: &ScheduledProgram, cfg: &MachineConfig) -> Vec<f64> {
+pub fn halide_features(sp: &ScheduledProgram) -> Vec<f64> {
     let profiles = analyze_program(sp);
     assert!(!profiles.is_empty(), "program has no computations");
     let p = &profiles;
@@ -88,9 +88,7 @@ pub fn halide_features(sp: &ScheduledProgram, cfg: &MachineConfig) -> Vec<f64> {
         })
         .sum();
 
-    let l1 = cfg.caches.first().map_or(32 * 1024, |c| c.size_bytes);
-    let l2 = cfg.caches.get(1).map_or(256 * 1024, |c| c.size_bytes);
-    let l3 = cfg.caches.get(2).map_or(30 * 1024 * 1024, |c| c.size_bytes);
+    let [l1, l2, l3] = CACHES.map(|c| c.size_bytes);
 
     let par_trips = |c: &CompProfile| c.parallel_depth().map_or(0.0, |d| c.loops[d].trips as f64);
     let par_chunk = |c: &CompProfile| {
@@ -239,9 +237,8 @@ pub fn halide_features(sp: &ScheduledProgram, cfg: &MachineConfig) -> Vec<f64> {
 pub fn featurize_pair(
     program: &Program,
     schedule: &Schedule,
-    cfg: &MachineConfig,
 ) -> Result<Vec<f64>, dlcm_ir::ScheduleError> {
-    Ok(halide_features(&apply_schedule(program, schedule)?, cfg))
+    Ok(halide_features(&apply_schedule(program, schedule)?))
 }
 
 #[cfg(test)]
@@ -262,17 +259,15 @@ mod tests {
 
     #[test]
     fn feature_vector_is_54_wide_and_finite() {
-        let cfg = MachineConfig::default();
-        let v = featurize_pair(&program(), &Schedule::empty(), &cfg).unwrap();
+        let v = featurize_pair(&program(), &Schedule::empty()).unwrap();
         assert_eq!(v.len(), NUM_FEATURES);
         assert!(v.iter().all(|x| x.is_finite()));
     }
 
     #[test]
     fn schedule_changes_features() {
-        let cfg = MachineConfig::default();
         let p = program();
-        let base = featurize_pair(&p, &Schedule::empty(), &cfg).unwrap();
+        let base = featurize_pair(&p, &Schedule::empty()).unwrap();
         let sched = Schedule::new(vec![
             Transform::Tile {
                 comp: CompId(0),
@@ -290,7 +285,7 @@ mod tests {
                 factor: 8,
             },
         ]);
-        let opt = featurize_pair(&p, &sched, &cfg).unwrap();
+        let opt = featurize_pair(&p, &sched).unwrap();
         assert_ne!(base, opt);
         // Parallel fraction (feature 25) flips from 0 to 1.
         assert_eq!(base[24], 0.0);
@@ -301,10 +296,9 @@ mod tests {
 
     #[test]
     fn features_deterministic() {
-        let cfg = MachineConfig::default();
         let p = program();
-        let a = featurize_pair(&p, &Schedule::empty(), &cfg).unwrap();
-        let b = featurize_pair(&p, &Schedule::empty(), &cfg).unwrap();
+        let a = featurize_pair(&p, &Schedule::empty()).unwrap();
+        let b = featurize_pair(&p, &Schedule::empty()).unwrap();
         assert_eq!(a, b);
     }
 }

@@ -29,7 +29,6 @@ mod tests {
     use super::*;
     use dlcm_eval::Evaluator;
     use dlcm_ir::Schedule;
-    use dlcm_machine::MachineConfig;
 
     #[test]
     fn halide_model_is_a_unified_evaluator() {
@@ -48,7 +47,7 @@ mod tests {
         );
         let p = b.build().unwrap();
 
-        let mut model: Box<dyn Evaluator> = Box::new(HalideModel::new(MachineConfig::default(), 0));
+        let mut model: Box<dyn Evaluator> = Box::new(HalideModel::new(0));
         let candidates = vec![
             Schedule::empty(),
             Schedule::new(vec![dlcm_ir::Transform::Parallelize {

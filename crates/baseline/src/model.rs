@@ -9,7 +9,6 @@ use std::time::Instant;
 use dlcm_datagen::Dataset;
 use dlcm_eval::{EvalStats, Evaluator};
 use dlcm_ir::{Program, Schedule};
-use dlcm_machine::MachineConfig;
 use dlcm_tensor::loss::mse;
 use dlcm_tensor::nn::{Activation, Mlp, ParamStore};
 use dlcm_tensor::optim::{AdamW, AdamWConfig, OneCycleLr};
@@ -49,7 +48,6 @@ impl Default for HalideTrainConfig {
 pub struct HalideModel {
     store: ParamStore,
     net: Mlp,
-    machine_cfg: MachineConfig,
     /// Per-feature mean (from the training set).
     feat_mean: Vec<f64>,
     /// Per-feature standard deviation.
@@ -60,7 +58,7 @@ pub struct HalideModel {
 
 impl HalideModel {
     /// Creates an untrained model (identity normalization).
-    pub fn new(machine_cfg: MachineConfig, seed: u64) -> Self {
+    pub fn new(seed: u64) -> Self {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut store = ParamStore::new();
         let net = Mlp::new(
@@ -75,7 +73,6 @@ impl HalideModel {
         Self {
             store,
             net,
-            machine_cfg,
             feat_mean: vec![0.0; NUM_FEATURES],
             feat_std: vec![1.0; NUM_FEATURES],
             stats: EvalStats::default(),
@@ -97,7 +94,7 @@ impl HalideModel {
     /// Predicted speedup for a `(program, schedule)` pair. Returns a small
     /// positive floor for illegal schedules.
     pub fn predict(&self, program: &Program, schedule: &Schedule) -> f64 {
-        let Ok(raw) = featurize_pair(program, schedule, &self.machine_cfg) else {
+        let Ok(raw) = featurize_pair(program, schedule) else {
             return f64::MIN_POSITIVE;
         };
         let x = self.normalize(&raw);
@@ -118,7 +115,7 @@ impl HalideModel {
             .iter()
             .filter_map(|&i| {
                 let pt = &dataset.points[i];
-                featurize_pair(dataset.program_of(pt), &pt.schedule, &self.machine_cfg)
+                featurize_pair(dataset.program_of(pt), &pt.schedule)
                     .ok()
                     .map(|f| (f, pt.speedup))
             })
@@ -151,7 +148,6 @@ impl HalideModel {
             AdamWConfig {
                 lr: cfg.max_lr,
                 weight_decay: 1e-4,
-                ..AdamWConfig::default()
             },
         );
         let n_batches = xs.len().div_ceil(cfg.batch_size);
@@ -223,7 +219,7 @@ mod tests {
 
     fn tiny_dataset(seed: u64) -> Dataset {
         ParallelDatasetBuilder::new(BuildConfig::new(DatasetConfig::tiny(seed)))
-            .generate(&Measurement::exact(Machine::default()))
+            .generate(&Measurement::exact(Machine))
             .0
     }
 
@@ -231,7 +227,7 @@ mod tests {
     fn training_improves_fit() {
         let ds = tiny_dataset(21);
         let idx: Vec<usize> = (0..ds.len()).collect();
-        let mut model = HalideModel::new(MachineConfig::default(), 0);
+        let mut model = HalideModel::new(0);
         let (y, p0) = model.evaluate(&ds, &idx);
         let before = dlcm_model::metrics::r2(&y, &p0);
         model.train(
@@ -257,7 +253,7 @@ mod tests {
     #[test]
     fn predict_is_positive_for_any_schedule() {
         let ds = tiny_dataset(22);
-        let model = HalideModel::new(MachineConfig::default(), 1);
+        let model = HalideModel::new(1);
         let pt = &ds.points[0];
         assert!(model.predict(ds.program_of(pt), &pt.schedule) > 0.0);
     }

@@ -46,7 +46,7 @@ const SEED_SHARDS: usize = 4;
 /// The shared measurement harness (paper protocol: median of 30 runs,
 /// 2% noise, simulated Xeon E5-2680v3).
 pub fn harness() -> Measurement {
-    Measurement::new(Machine::default())
+    Measurement::new(Machine)
 }
 
 /// The canonical corpus build configuration: all nine scenario families

@@ -7,7 +7,7 @@
 //! hash (a committed file cannot name the commit containing it) and never
 //! a wall-clock, so the ledger is byte-identical at any `--threads`.
 
-use dlcm_model::{metrics, ArtifactManifest};
+use dlcm_model::{ArtifactManifest, HeldOutMetrics};
 use serde::Serialize;
 
 use crate::figures::{Fig7Summary, FIG7_SPEARMAN_THRESHOLD};
@@ -113,12 +113,13 @@ fn predictor_row(
     preds: &[f64],
     paper: [Option<f64>; 4],
 ) -> PredictorRow {
+    let m = HeldOutMetrics::from_predictions(y, preds);
     PredictorRow {
         predictor: predictor.to_string(),
-        mape: metrics::mape(y, preds),
-        pearson: metrics::pearson(y, preds),
-        spearman: metrics::spearman(y, preds),
-        r2: metrics::r2(y, preds),
+        mape: m.mape,
+        pearson: m.pearson,
+        spearman: m.spearman,
+        r2: m.r2,
         paper,
     }
 }
@@ -339,9 +340,7 @@ mod tests {
         prepare, BuildConfig, DatasetConfig, ParallelDatasetBuilder, ProgramGenConfig,
     };
     use dlcm_machine::{Machine, Measurement};
-    use dlcm_model::{
-        CostModel, CostModelConfig, Featurizer, FeaturizerConfig, HeldOutMetrics, ModelArtifact,
-    };
+    use dlcm_model::{CostModel, CostModelConfig, Featurizer, FeaturizerConfig, ModelArtifact};
     use rand::{Rng, SeedableRng};
 
     /// `Σ |y − c| / y`, the objective the constant minimises.
@@ -387,8 +386,7 @@ mod tests {
             },
             ..DatasetConfig::tiny(23)
         });
-        let (dataset, _) =
-            ParallelDatasetBuilder::new(cfg).generate(&Measurement::new(Machine::default()));
+        let (dataset, _) = ParallelDatasetBuilder::new(cfg).generate(&Measurement::new(Machine));
         let split = dataset.split(0);
         let featurizer = Featurizer::new(FeaturizerConfig::default());
         let test_set = prepare(&featurizer, &dataset, &split.test);
@@ -398,13 +396,7 @@ mod tests {
             .enumerate()
             .map(|(k, t)| t * [1.1, 0.85][k % 2])
             .collect();
-        let metrics = HeldOutMetrics {
-            mape: metrics::mape(&y, &preds),
-            pearson: metrics::pearson(&y, &preds),
-            spearman: metrics::spearman(&y, &preds),
-            r2: metrics::r2(&y, &preds),
-            test_points: y.len(),
-        };
+        let metrics = HeldOutMetrics::from_predictions(&y, &preds);
         let evaluation = Evaluation {
             dataset,
             split,

@@ -16,7 +16,7 @@
 use dlcm_baseline::{HalideModel, HalideTrainConfig};
 use dlcm_datagen::{prepare, BuildConfig, DatasetConfig, ParallelDatasetBuilder, ProgramGenConfig};
 use dlcm_eval::{Evaluator, ModelEvaluator, ParallelEvaluator, SharedCachedEvaluator};
-use dlcm_machine::{parallel_baseline, MachineConfig};
+use dlcm_machine::parallel_baseline;
 use dlcm_model::ablation::{ConcatFfnModel, FlatLstmModel};
 use dlcm_model::{
     evaluate, metrics, train, CostModel, LabeledFeatures, ModelArtifact, SpeedupPredictor,
@@ -123,7 +123,7 @@ pub fn reproduce(
         "training the corpus Halide-style model (MSE) on {} points ...",
         split.train.len()
     );
-    let mut halide_corpus = HalideModel::new(MachineConfig::default(), 0);
+    let mut halide_corpus = HalideModel::new(0);
     halide_corpus.train(dataset, &split.train, &HalideTrainConfig::default());
     let (y, halide_preds) = halide_corpus.evaluate(dataset, &split.test);
 
@@ -196,7 +196,7 @@ fn suite_sweep(
         })
     })
     .generate(&harness);
-    let mut halide_gap = HalideModel::new(MachineConfig::default(), 0);
+    let mut halide_gap = HalideModel::new(0);
     let idx: Vec<usize> = (0..gap_ds.len()).collect();
     halide_gap.train(&gap_ds, &idx, &HalideTrainConfig::default());
 

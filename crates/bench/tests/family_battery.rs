@@ -108,7 +108,7 @@ fn every_enumerated_candidate_passes_apply_schedule() {
             });
             // Finalization (parallelize + vectorize heuristics) must
             // preserve legality too — it is what search actually serves.
-            let finalized = finalize(&program, &space, schedule);
+            let finalized = finalize(&program, schedule);
             apply_schedule(&program, &finalized).unwrap_or_else(|e| {
                 panic!(
                     "finalized candidate {s} illegal for program {k} ({}): {e:?}",

@@ -18,14 +18,8 @@ fn tmp_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// Scaled-down replay window under `DLCM_TEST_QUICK`.
-fn window() -> usize {
-    if std::env::var_os("DLCM_TEST_QUICK").is_some() {
-        3
-    } else {
-        6
-    }
-}
+/// Replay window of the flywheel turn.
+const WINDOW: usize = 6;
 
 /// A small deterministic seed corpus (generation 0).
 fn seed_corpus(dir: &Path) {
@@ -43,7 +37,7 @@ fn seed_corpus(dir: &Path) {
             ..DatasetConfig::tiny(7)
         })
     })
-    .write_corpus(&Measurement::new(Machine::default()), dir)
+    .write_corpus(&Measurement::new(Machine), dir)
     .unwrap();
 }
 
@@ -73,7 +67,7 @@ fn config(artifact: &Path, corpus: &Path, out: &Path, threads: usize) -> Flywhee
         out.to_path_buf(),
         true,
     );
-    cfg.window = window();
+    cfg.window = WINDOW;
     cfg.epochs = 1;
     cfg.threads = threads;
     cfg
@@ -112,7 +106,7 @@ fn flywheel_is_bit_identical_across_runs_and_thread_counts() {
 
     // The window produced real mispredicts (an untrained incumbent
     // against execution ground truth), and everything was checked.
-    assert_eq!(seq.queries, window() * 6);
+    assert_eq!(seq.queries, WINDOW * 6);
     assert_eq!(seq.mispredicts.checked, seq.queries);
     assert!(
         seq.generation.num_points > 0,

@@ -31,7 +31,7 @@ fn wide_corpus(name: &str) -> Dataset {
         })
     };
     ParallelDatasetBuilder::new(cfg)
-        .write_corpus(&Measurement::new(Machine::default()), &dir)
+        .write_corpus(&Measurement::new(Machine), &dir)
         .expect("write corpus");
     let dataset = ShardedDataset::open(&dir)
         .expect("open")

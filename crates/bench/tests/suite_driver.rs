@@ -21,7 +21,6 @@ fn suite_rows(search_threads: usize, eval_threads: usize) -> (Vec<String>, Vec<S
     let space = SearchSpace {
         tile_sizes: vec![16, 32],
         unroll_factors: vec![4],
-        ..SearchSpace::default()
     };
     let harness = dlcm_bench::harness();
     let suite = dlcm_benchsuite::suite();

@@ -116,7 +116,7 @@ struct BuiltPrograms {
 ///     num_shards: 4,
 ///     ..BuildConfig::new(DatasetConfig::default())
 /// });
-/// let harness = Measurement::new(Machine::default());
+/// let harness = Measurement::new(Machine);
 /// let (manifest, stats) = builder
 ///     .write_corpus(&harness, std::path::Path::new("results/corpus"))
 ///     .unwrap();

@@ -200,7 +200,7 @@ mod tests {
 
     fn tiny_dataset(seed: u64) -> Dataset {
         ParallelDatasetBuilder::new(BuildConfig::new(DatasetConfig::tiny(seed)))
-            .generate(&Measurement::exact(Machine::default()))
+            .generate(&Measurement::exact(Machine))
             .0
     }
 

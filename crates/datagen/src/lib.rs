@@ -46,7 +46,7 @@
 //! use dlcm_machine::{Machine, Measurement};
 //!
 //! let builder = ParallelDatasetBuilder::new(BuildConfig::new(DatasetConfig::tiny(42)));
-//! let (dataset, _stats) = builder.generate(&Measurement::exact(Machine::default()));
+//! let (dataset, _stats) = builder.generate(&Measurement::exact(Machine));
 //! assert!(!dataset.is_empty());
 //! let split = dataset.split(0);
 //! assert!(!split.train.is_empty());
@@ -69,7 +69,7 @@
 //! });
 //! let dir = Path::new("results/corpus");
 //! let (manifest, stats) = builder
-//!     .write_corpus(&Measurement::new(Machine::default()), dir)
+//!     .write_corpus(&Measurement::new(Machine), dir)
 //!     .unwrap();
 //! println!(
 //!     "{} points in {} shards ({} duplicates dropped, {} cache hits)",

@@ -37,7 +37,7 @@ fn build_config(seed: u64) -> BuildConfig {
 }
 
 fn harness() -> Measurement {
-    Measurement::new(Machine::default())
+    Measurement::new(Machine)
 }
 
 fn tmp_dir(name: &str) -> PathBuf {

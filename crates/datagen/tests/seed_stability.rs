@@ -36,7 +36,7 @@ fn default_config_corpus_is_bit_identical_to_pre_pr_output() {
     );
     let builder = ParallelDatasetBuilder::new(cfg);
     let (manifest, _) = builder
-        .write_corpus(&Measurement::new(Machine::default()), &dir)
+        .write_corpus(&Measurement::new(Machine), &dir)
         .expect("write corpus");
 
     let shard_fps: Vec<String> = manifest

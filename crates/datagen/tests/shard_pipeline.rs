@@ -35,7 +35,7 @@ fn build_config(seed: u64, threads: usize, num_shards: usize) -> BuildConfig {
 }
 
 fn harness() -> Measurement {
-    Measurement::new(Machine::default())
+    Measurement::new(Machine)
 }
 
 fn tmp_dir(name: &str) -> std::path::PathBuf {

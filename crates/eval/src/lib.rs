@@ -66,7 +66,7 @@
 //! # b.assign("c", &[i], out, &[i.into()], Expr::Load(acc));
 //! # let program = b.build().unwrap();
 //! let mut ev: Box<dyn Evaluator> =
-//!     Box::new(ParallelEvaluator::new(Measurement::exact(Machine::default()), 0, 1));
+//!     Box::new(ParallelEvaluator::new(Measurement::exact(Machine), 0, 1));
 //! let candidates = vec![
 //!     Schedule::empty(),
 //!     Schedule::new(vec![Transform::Parallelize { comp: CompId(0), level: 0 }]),
@@ -150,11 +150,8 @@ mod tests {
     #[test]
     fn trait_is_object_safe_and_boxable() {
         let p = program();
-        let mut ev: Box<dyn Evaluator> = Box::new(ParallelEvaluator::new(
-            Measurement::exact(Machine::default()),
-            0,
-            1,
-        ));
+        let mut ev: Box<dyn Evaluator> =
+            Box::new(ParallelEvaluator::new(Measurement::exact(Machine), 0, 1));
         let s = ev.speedup(&p, &Schedule::empty());
         assert!((s - 1.0).abs() < 1e-9);
         let batch = ev.speedup_batch(

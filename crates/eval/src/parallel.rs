@@ -291,7 +291,7 @@ mod tests {
     #[test]
     fn execution_evaluator_tracks_time_and_count() {
         let p = copy(1024);
-        let mut ev = ParallelEvaluator::new(Measurement::exact(Machine::default()), 0, 1);
+        let mut ev = ParallelEvaluator::new(Measurement::exact(Machine), 0, 1);
         let s1 = ev.speedup(&p, &Schedule::empty());
         assert!((s1 - 1.0).abs() < 1e-9);
         let s2 = ev.speedup(
@@ -324,7 +324,7 @@ mod tests {
             b.build().unwrap()
         };
         let big = copy(1024);
-        let mut ev = ParallelEvaluator::new(Measurement::exact(Machine::default()), 0, 1);
+        let mut ev = ParallelEvaluator::new(Measurement::exact(Machine), 0, 1);
         let s_small = ev.speedup(&small, &Schedule::empty());
         let s_big = ev.speedup(&big, &Schedule::empty());
         // Empty schedule over the correct baseline is exactly 1.0 for
@@ -336,7 +336,7 @@ mod tests {
     #[test]
     fn execution_base_time_charged_once() {
         let p = copy(1024);
-        let mut ev = ParallelEvaluator::new(Measurement::exact(Machine::default()), 0, 1);
+        let mut ev = ParallelEvaluator::new(Measurement::exact(Machine), 0, 1);
         ev.speedup(&p, &Schedule::empty());
         let t1 = ev.stats().search_time;
         ev.speedup(&p, &Schedule::empty());
@@ -349,10 +349,10 @@ mod tests {
     fn parallel_matches_sequential_bit_for_bit() {
         let p = mm(128);
         let schedules = wave();
-        let mut seq = ParallelEvaluator::new(Measurement::new(Machine::default()), 11, 1);
+        let mut seq = ParallelEvaluator::new(Measurement::new(Machine), 11, 1);
         let expected: Vec<f64> = schedules.iter().map(|s| seq.speedup(&p, s)).collect();
         for threads in [1, 2, 4, 8] {
-            let mut par = ParallelEvaluator::new(Measurement::new(Machine::default()), 11, threads);
+            let mut par = ParallelEvaluator::new(Measurement::new(Machine), 11, threads);
             let got = par.speedup_batch(&p, &schedules);
             assert_eq!(got, expected, "threads={threads} changed scores");
             assert_eq!(par.stats().num_evals, seq.stats().num_evals);
@@ -391,8 +391,8 @@ mod tests {
         ]);
         for len in [7, 9] {
             let batch = &schedules[..len];
-            let mut one = ParallelEvaluator::new(Measurement::new(Machine::default()), 11, 1);
-            let mut four = ParallelEvaluator::new(Measurement::new(Machine::default()), 11, 4);
+            let mut one = ParallelEvaluator::new(Measurement::new(Machine), 11, 1);
+            let mut four = ParallelEvaluator::new(Measurement::new(Machine), 11, 4);
             let want = one.speedup_batch(&p, batch);
             let got = four.speedup_batch(&p, batch);
             assert_eq!(got, want, "batch of {len} changed scores");
@@ -408,7 +408,7 @@ mod tests {
     #[test]
     fn base_time_charged_once_across_batches() {
         let p = mm(64);
-        let mut ev = ParallelEvaluator::new(Measurement::exact(Machine::default()), 0, 4);
+        let mut ev = ParallelEvaluator::new(Measurement::exact(Machine), 0, 4);
         ev.speedup_batch(&p, &wave());
         let t1 = ev.stats().search_time;
         ev.speedup_batch(&p, &wave());
@@ -425,7 +425,7 @@ mod tests {
         // below would re-pay a baseline on every batch.
         let a = mm(32);
         let b = mm(48);
-        let mut ev = ParallelEvaluator::new(Measurement::exact(Machine::default()), 0, 1);
+        let mut ev = ParallelEvaluator::new(Measurement::exact(Machine), 0, 1);
         ev.speedup_batch(&a, &wave());
         ev.speedup_batch(&b, &wave());
         let warm = ev.stats().search_time;
@@ -435,7 +435,7 @@ mod tests {
         // The second round charges exactly the candidate cost: compare
         // against a fresh evaluator scoring the same two waves minus the
         // baselines it pays.
-        let mut fresh = ParallelEvaluator::new(Measurement::exact(Machine::default()), 0, 1);
+        let mut fresh = ParallelEvaluator::new(Measurement::exact(Machine), 0, 1);
         fresh.speedup_batch(&a, &wave());
         fresh.speedup_batch(&b, &wave());
         let fresh_round = fresh.stats().search_time;
@@ -450,7 +450,7 @@ mod tests {
         // Corpus-scale labeling sweeps thousands of distinct programs,
         // one batch each: the baseline memo must stay a bounded window,
         // not a second copy of the corpus.
-        let ev = ParallelEvaluator::new(Measurement::exact(Machine::default()), 0, 1);
+        let ev = ParallelEvaluator::new(Measurement::exact(Machine), 0, 1);
         for i in 0..80 {
             let p = mm(16 + i);
             ev.speedup_batch_shared(&p, &[Schedule::empty()]);
@@ -465,7 +465,7 @@ mod tests {
     #[test]
     fn shared_calls_return_per_call_deltas() {
         let p = mm(64);
-        let ev = ParallelEvaluator::new(Measurement::exact(Machine::default()), 0, 2);
+        let ev = ParallelEvaluator::new(Measurement::exact(Machine), 0, 2);
         let (first, d1) = ev.speedup_batch_shared(&p, &wave());
         let (second, d2) = ev.speedup_batch_shared(&p, &wave());
         assert_eq!(first, second, "shared scoring is deterministic");

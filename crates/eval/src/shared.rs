@@ -120,7 +120,7 @@ impl<E: SyncEvaluator + ?Sized> Evaluator for &E {
 /// # b.assign("c", &[i], out, &[i.into()], Expr::Load(acc));
 /// # let program = b.build().unwrap();
 /// let shared = SharedCachedEvaluator::new(ParallelEvaluator::new(
-///     Measurement::exact(Machine::default()),
+///     Measurement::exact(Machine),
 ///     0,
 ///     1,
 /// ));
@@ -479,11 +479,7 @@ mod tests {
     }
 
     fn exact_cache() -> SharedCachedEvaluator<ParallelEvaluator> {
-        SharedCachedEvaluator::new(ParallelEvaluator::new(
-            Measurement::exact(Machine::default()),
-            0,
-            1,
-        ))
+        SharedCachedEvaluator::new(ParallelEvaluator::new(Measurement::exact(Machine), 0, 1))
     }
 
     #[test]
@@ -493,12 +489,9 @@ mod tests {
         // uncached evaluator measures, paying for each unique key once.
         let a = program("a", 96);
         let b = program("b", 128);
-        let shared = SharedCachedEvaluator::new(ParallelEvaluator::new(
-            Measurement::new(Machine::default()),
-            7,
-            1,
-        ));
-        let mut uncached = ParallelEvaluator::new(Measurement::new(Machine::default()), 7, 1);
+        let shared =
+            SharedCachedEvaluator::new(ParallelEvaluator::new(Measurement::new(Machine), 7, 1));
+        let mut uncached = ParallelEvaluator::new(Measurement::new(Machine), 7, 1);
         for round in 0..3 {
             for p in [&a, &b] {
                 let (got, _) = shared.speedup_batch_shared(p, &wave());
@@ -514,11 +507,8 @@ mod tests {
     #[test]
     fn repeats_and_duplicates_hit_the_cache() {
         let p = program("p", 512);
-        let shared = SharedCachedEvaluator::new(ParallelEvaluator::new(
-            Measurement::new(Machine::default()),
-            3,
-            1,
-        ));
+        let shared =
+            SharedCachedEvaluator::new(ParallelEvaluator::new(Measurement::new(Machine), 3, 1));
         let mut ev = &shared;
         // Batch with an internal duplicate: 3 candidates, 2 unique.
         let batch = vec![tile(32), tile(64), tile(32)];
@@ -613,7 +603,7 @@ mod tests {
         // the cache.
         let p = program("p", 128);
         let bounded = SharedCachedEvaluator::with_capacity(
-            ParallelEvaluator::new(Measurement::exact(Machine::default()), 0, 1),
+            ParallelEvaluator::new(Measurement::exact(Machine), 0, 1),
             1,
         );
         assert_eq!(bounded.capacity(), CACHE_SHARDS);
@@ -679,7 +669,7 @@ mod tests {
         // hot key is ever evicted.
         let p = program("hot", 96);
         let shared = SharedCachedEvaluator::with_capacity(
-            ParallelEvaluator::new(Measurement::exact(Machine::default()), 0, 1),
+            ParallelEvaluator::new(Measurement::exact(Machine), 0, 1),
             256,
         );
         let hot: Vec<Schedule> = (1..=64).map(tile).collect();
@@ -701,7 +691,7 @@ mod tests {
     fn open_loop_traffic_stays_within_the_capacity_budget() {
         let p = program("flood", 96);
         let shared = SharedCachedEvaluator::with_capacity(
-            ParallelEvaluator::new(Measurement::exact(Machine::default()), 0, 1),
+            ParallelEvaluator::new(Measurement::exact(Machine), 0, 1),
             64,
         );
         assert_eq!(shared.capacity(), 64, "64 splits evenly across shards");
@@ -782,11 +772,8 @@ mod tests {
         // programs — the determinism contract's guaranteed regime).
         let programs: Vec<Program> = (0..4).map(|i| program("p", 64 + 16 * i)).collect();
         let run = |threads: usize| -> Vec<(Vec<f64>, EvalStats)> {
-            let shared = SharedCachedEvaluator::new(ParallelEvaluator::new(
-                Measurement::new(Machine::default()),
-                3,
-                1,
-            ));
+            let shared =
+                SharedCachedEvaluator::new(ParallelEvaluator::new(Measurement::new(Machine), 3, 1));
             crate::pool::parallel_map(threads, programs.len(), |i| {
                 let mut scope = ScopedEvaluator::new(&shared);
                 let first = scope.speedup_batch(&programs[i], &wave());

@@ -83,13 +83,13 @@ fn execution_evaluator_batch_equals_sequential() {
     let schedules = candidates();
     let seed = 42;
 
-    let mut sequential = ParallelEvaluator::new(Measurement::new(Machine::default()), seed, 1);
+    let mut sequential = ParallelEvaluator::new(Measurement::new(Machine), seed, 1);
     let one_by_one: Vec<f64> = schedules
         .iter()
         .map(|s| sequential.speedup(&program, s))
         .collect();
 
-    let mut batched = ParallelEvaluator::new(Measurement::new(Machine::default()), seed, 1);
+    let mut batched = ParallelEvaluator::new(Measurement::new(Machine), seed, 1);
     let batch = batched.speedup_batch(&program, &schedules);
 
     assert_eq!(
@@ -134,15 +134,14 @@ fn parallel_evaluator_batch_equals_sequential() {
     let schedules = candidates();
     let seed = 42;
 
-    let mut sequential = ParallelEvaluator::new(Measurement::new(Machine::default()), seed, 1);
+    let mut sequential = ParallelEvaluator::new(Measurement::new(Machine), seed, 1);
     let one_by_one: Vec<f64> = schedules
         .iter()
         .map(|s| sequential.speedup(&program, s))
         .collect();
 
     for threads in [1, 3, 8] {
-        let mut parallel =
-            ParallelEvaluator::new(Measurement::new(Machine::default()), seed, threads);
+        let mut parallel = ParallelEvaluator::new(Measurement::new(Machine), seed, threads);
         let batch = parallel.speedup_batch(&program, &schedules);
         assert_eq!(
             batch, one_by_one,
@@ -165,28 +164,22 @@ fn cached_evaluator_batch_equals_sequential() {
     schedules.extend(candidates().into_iter().take(3));
     let seed = 42;
 
-    let mut sequential = ParallelEvaluator::new(Measurement::new(Machine::default()), seed, 1);
+    let mut sequential = ParallelEvaluator::new(Measurement::new(Machine), seed, 1);
     let one_by_one: Vec<f64> = schedules
         .iter()
         .map(|s| sequential.speedup(&program, s))
         .collect();
 
-    let mut cached = &SharedCachedEvaluator::new(ParallelEvaluator::new(
-        Measurement::new(Machine::default()),
-        seed,
-        1,
-    ));
+    let mut cached =
+        &SharedCachedEvaluator::new(ParallelEvaluator::new(Measurement::new(Machine), seed, 1));
     let batch = cached.speedup_batch(&program, &schedules);
     assert_eq!(batch, one_by_one, "cached batch must match sequential");
     assert_eq!(cached.stats().cache_hits, 3);
     assert_eq!(cached.stats().num_evals, candidates().len());
 
     // Cached over parallel: the composition the suite sweep uses.
-    let mut stack = &SharedCachedEvaluator::new(ParallelEvaluator::new(
-        Measurement::new(Machine::default()),
-        seed,
-        4,
-    ));
+    let mut stack =
+        &SharedCachedEvaluator::new(ParallelEvaluator::new(Measurement::new(Machine), seed, 4));
     let stacked = stack.speedup_batch(&program, &schedules);
     assert_eq!(stacked, one_by_one, "cached+parallel must match sequential");
 }
@@ -228,7 +221,7 @@ fn chunked_dispatch_covers_odd_batches_and_batch_smaller_than_workers() {
     let wave = long_wave();
     let seed = 42;
 
-    let mut sequential = ParallelEvaluator::new(Measurement::new(Machine::default()), seed, 1);
+    let mut sequential = ParallelEvaluator::new(Measurement::new(Machine), seed, 1);
     let reference: Vec<f64> = wave
         .iter()
         .map(|s| sequential.speedup(&program, s))
@@ -236,8 +229,7 @@ fn chunked_dispatch_covers_odd_batches_and_batch_smaller_than_workers() {
 
     for threads in [2, 5, 16] {
         for take in [1usize, 3, 7, 13] {
-            let mut par =
-                ParallelEvaluator::new(Measurement::new(Machine::default()), seed, threads);
+            let mut par = ParallelEvaluator::new(Measurement::new(Machine), seed, threads);
             let got = par.speedup_batch(&program, &wave[..take]);
             assert_eq!(
                 got,
@@ -246,7 +238,7 @@ fn chunked_dispatch_covers_odd_batches_and_batch_smaller_than_workers() {
             );
         }
         // Full wave again, checking the folded accounting too.
-        let mut par = ParallelEvaluator::new(Measurement::new(Machine::default()), seed, threads);
+        let mut par = ParallelEvaluator::new(Measurement::new(Machine), seed, threads);
         let got = par.speedup_batch(&program, &wave);
         assert_eq!(got, reference);
         assert_eq!(par.stats().num_evals, sequential.stats().num_evals);

@@ -40,12 +40,9 @@ fn cached_matches_inner_over_randomized_sequences() {
         let seed = 1000 + trial;
         let mut rng = ChaCha8Rng::seed_from_u64(trial);
 
-        let mut reference = ParallelEvaluator::new(Measurement::new(Machine::default()), seed, 1);
-        let shared = SharedCachedEvaluator::new(ParallelEvaluator::new(
-            Measurement::new(Machine::default()),
-            seed,
-            1,
-        ));
+        let mut reference = ParallelEvaluator::new(Measurement::new(Machine), seed, 1);
+        let shared =
+            SharedCachedEvaluator::new(ParallelEvaluator::new(Measurement::new(Machine), seed, 1));
         let mut cached = &shared;
 
         for _ in 0..25 {
@@ -89,11 +86,8 @@ fn cache_never_leaks_across_same_named_programs() {
     // exactly 1.0 only if each is measured against its own baseline.
     for trial in 0..4u64 {
         let corpus = corpus(trial);
-        let shared = SharedCachedEvaluator::new(ParallelEvaluator::new(
-            Measurement::exact(Machine::default()),
-            0,
-            1,
-        ));
+        let shared =
+            SharedCachedEvaluator::new(ParallelEvaluator::new(Measurement::exact(Machine), 0, 1));
         let mut cached = &shared;
         for (program, _) in &corpus {
             let s = cached.speedup(program, &Schedule::empty());

@@ -117,7 +117,7 @@ fn run_plan(threads: usize) -> Vec<(Vec<f64>, EvalStats)> {
     let program = mm(96);
     let schedules = pool_of_schedules();
     let shared = SharedCachedEvaluator::new(ParallelEvaluator::new(
-        Measurement::new(Machine::default()),
+        Measurement::new(Machine),
         7,
         threads,
     ));

@@ -8,10 +8,11 @@
 use std::collections::HashMap;
 
 use dlcm_ir::{BufferId, CompId, IterId, LoopSource, SNode, ScheduledProgram};
-use serde::{Deserialize, Serialize};
+
+use crate::config::LINE_BYTES;
 
 /// A loop enclosing a computation, as seen by the analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoopCtx {
     /// Unique visit id of the loop node within the scheduled tree (used to
     /// find common ancestors between computations).
@@ -32,7 +33,7 @@ pub struct LoopCtx {
 }
 
 /// Analysis of one memory access of a computation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccessProfile {
     /// Accessed buffer.
     pub buffer: BufferId,
@@ -55,7 +56,7 @@ pub struct AccessProfile {
 }
 
 /// Full analysis of one computation under the schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompProfile {
     /// The computation.
     pub comp: CompId,
@@ -134,7 +135,7 @@ pub fn analyze_program(sp: &ScheduledProgram) -> Vec<CompProfile> {
         producer.insert(sp.program.comp(c).store.buffer, c);
     }
 
-    let line_elems = 16u64; // 64-byte lines of f32
+    let line_elems = LINE_BYTES / std::mem::size_of::<f32>() as u64;
 
     sp.program
         .comp_ids()

@@ -16,7 +16,10 @@
 use dlcm_ir::ScheduledProgram;
 
 use crate::analysis::{analyze_program, CompProfile};
-use crate::config::MachineConfig;
+use crate::config::{
+    parallel_speedup, CACHES, DIV_COST, FREQ_HZ, ISSUE_WIDTH, LINE_BYTES, LOOP_OVERHEAD_CYCLES,
+    MEM_BANDWIDTH, MEM_PARALLEL_CORES, PARALLEL_FORK_COST, SIMD_EFFICIENCY, VECTOR_LANES,
+};
 
 /// Breakdown of the estimated time of one computation (seconds).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,13 +36,15 @@ pub struct CompCost {
     pub total: f64,
 }
 
-/// The simulated CPU.
+/// The simulated CPU: the one machine described by constants
+/// ([`crate::CACHES`] and the cache line, cores, clock, SIMD width and
+/// bandwidths beside it).
 ///
 /// # Examples
 ///
 /// ```
 /// # use dlcm_ir::*;
-/// use dlcm_machine::{Machine, MachineConfig};
+/// use dlcm_machine::Machine;
 /// # let mut b = ProgramBuilder::new("p");
 /// # let i = b.iter("i", 0, 1024);
 /// # let inp = b.input("in", &[1024]);
@@ -47,33 +52,15 @@ pub struct CompCost {
 /// # let acc = b.access(inp, &[i.into()], &[i]);
 /// # b.assign("c", &[i], out, &[i.into()], Expr::Load(acc));
 /// # let p = b.build().unwrap();
-/// let machine = Machine::new(MachineConfig::default());
+/// let machine = Machine;
 /// let sp = apply_schedule(&p, &Schedule::empty()).unwrap();
 /// let seconds = machine.execute(&sp);
 /// assert!(seconds > 0.0);
 /// ```
-#[derive(Debug, Clone)]
-pub struct Machine {
-    cfg: MachineConfig,
-}
-
-impl Default for Machine {
-    fn default() -> Self {
-        Self::new(MachineConfig::default())
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Machine;
 
 impl Machine {
-    /// Creates a machine from a hardware description.
-    pub fn new(cfg: MachineConfig) -> Self {
-        Self { cfg }
-    }
-
-    /// The hardware description.
-    pub fn config(&self) -> &MachineConfig {
-        &self.cfg
-    }
-
     /// Estimated execution time of a scheduled program, in seconds
     /// (deterministic — see [`crate::measure::Measurement`] for the noisy
     /// measurement harness).
@@ -94,7 +81,6 @@ impl Machine {
 
     /// Cost model for one computation profile.
     pub fn comp_cost(&self, prof: &CompProfile) -> CompCost {
-        let cfg = &self.cfg;
         let points = prof.total_points.max(0) as f64;
         if points == 0.0 || prof.loops.is_empty() {
             return CompCost {
@@ -112,7 +98,7 @@ impl Machine {
         let unit_stride = prof.accesses.iter().all(|a| a.innermost_stride.abs() <= 1);
         let simd_speedup = if vec_factor > 1 {
             if unit_stride {
-                (vec_factor.min(cfg.vector_lanes as i64) as f64) * cfg.simd_efficiency
+                (vec_factor.min(VECTOR_LANES as i64) as f64) * SIMD_EFFICIENCY
             } else {
                 // Gather/scatter: barely worth it.
                 1.1
@@ -124,12 +110,11 @@ impl Machine {
         // --- Arithmetic ----------------------------------------------------
         let [adds, muls, subs, divs] = prof.op_counts;
         let cheap_ops = (adds + muls + subs) as f64;
-        let cycles_per_point = (cheap_ops / cfg.issue_width
-            + divs as f64 * cfg.div_cost
-            + prof.num_loads as f64 * 0.5)
-            .max(0.5);
+        let cycles_per_point =
+            (cheap_ops / ISSUE_WIDTH + divs as f64 * DIV_COST + prof.num_loads as f64 * 0.5)
+                .max(0.5);
         let compute_cycles = points * cycles_per_point / simd_speedup;
-        let mut compute = compute_cycles / cfg.freq_hz;
+        let mut compute = compute_cycles / FREQ_HZ;
 
         // --- Loop bookkeeping ----------------------------------------------
         let unroll = innermost.unroll_factor.unwrap_or(1).max(1) as f64;
@@ -144,12 +129,12 @@ impl Machine {
                 overhead_iters += iters;
             }
         }
-        let mut loop_overhead = overhead_iters * cfg.loop_overhead_cycles / cfg.freq_hz;
+        let mut loop_overhead = overhead_iters * LOOP_OVERHEAD_CYCLES / FREQ_HZ;
 
         // --- Memory hierarchy ----------------------------------------------
-        let line = cfg.line_bytes as f64;
+        let line = LINE_BYTES as f64;
         let elem_bytes = 4.0f64;
-        let n_levels = cfg.caches.len();
+        let n_levels = CACHES.len();
         // Per transfer boundary: caches[0..n] then DRAM (index n_levels).
         let mut level_time = vec![0.0f64; n_levels + 1];
         for acc in &prof.accesses {
@@ -160,13 +145,13 @@ impl Machine {
                 Some(lca) => {
                     let window_bytes =
                         acc.footprints[lca.min(acc.footprints.len() - 1)] as f64 * elem_bytes;
-                    cfg.caches
+                    CACHES
                         .iter()
                         .position(|c| window_bytes <= c.size_bytes as f64)
                         .unwrap_or(n_levels)
                 }
             };
-            for (ci, cache) in cfg.caches.iter().enumerate() {
+            for (ci, cache) in CACHES.iter().enumerate() {
                 if ci >= resident_level {
                     break; // served by a faster (or equal) level already
                 }
@@ -184,7 +169,7 @@ impl Machine {
             // DRAM traffic = misses of the last cache level.
             if resident_level > n_levels {
                 let last = n_levels - 1;
-                let cache = &cfg.caches[last];
+                let cache = &CACHES[last];
                 let fit_depth = (0..acc.footprints.len())
                     .find(|&d| acc.footprints[d] as f64 * elem_bytes <= cache.size_bytes as f64)
                     .unwrap_or(acc.footprints.len() - 1);
@@ -194,24 +179,24 @@ impl Machine {
                 if acc.is_store {
                     bytes *= 1.5;
                 }
-                level_time[n_levels] += bytes / cfg.mem_bandwidth;
+                level_time[n_levels] += bytes / MEM_BANDWIDTH;
             }
         }
 
         // --- Parallel scaling ------------------------------------------------
         let mut fork_overhead = 0.0;
         if let Some(pd) = prof.parallel_depth() {
-            let par = cfg.parallel_speedup(prof.loops[pd].trips);
+            let par = parallel_speedup(prof.loops[pd].trips);
             compute /= par;
             loop_overhead /= par;
             for (ci, t) in level_time.iter_mut().enumerate() {
-                if ci < n_levels && !cfg.caches[ci].shared {
+                if ci < n_levels && !CACHES[ci].shared {
                     *t /= par; // private caches scale with cores
                 } else {
-                    *t /= par.min(cfg.mem_parallel_cores); // shared bandwidth
+                    *t /= par.min(MEM_PARALLEL_CORES); // shared bandwidth
                 }
             }
-            fork_overhead = prof.outer_iters(pd) as f64 * cfg.parallel_fork_cost;
+            fork_overhead = prof.outer_iters(pd) as f64 * PARALLEL_FORK_COST;
         }
 
         let memory: f64 = level_time.iter().sum();
@@ -230,10 +215,6 @@ impl Machine {
 mod tests {
     use super::*;
     use dlcm_ir::*;
-
-    fn machine() -> Machine {
-        Machine::new(MachineConfig::default())
-    }
 
     fn matmul(n: i64) -> Program {
         let mut b = ProgramBuilder::new("mm");
@@ -275,7 +256,7 @@ mod tests {
     }
 
     fn time_of(p: &Program, s: &Schedule) -> f64 {
-        machine().execute(&apply_schedule(p, s).unwrap())
+        Machine.execute(&apply_schedule(p, s).unwrap())
     }
 
     #[test]
@@ -461,11 +442,11 @@ mod tests {
     fn cost_breakdown_is_consistent() {
         let p = matmul(128);
         let sp = apply_schedule(&p, &Schedule::empty()).unwrap();
-        let detail = machine().execute_detailed(&sp);
+        let detail = Machine.execute_detailed(&sp);
         assert_eq!(detail.len(), 1);
         let c = detail[0];
         assert!(c.total >= c.compute.max(c.memory));
-        assert!((machine().execute(&sp) - c.total).abs() < 1e-12);
+        assert!((Machine.execute(&sp) - c.total).abs() < 1e-12);
     }
 
     #[test]

@@ -11,6 +11,13 @@
 //! harness with seeded noise and the same median-of-30 protocol
 //! ([`Measurement`]).
 //!
+//! The machine is one CPU, as in §4.3 of the paper: its cores, clock,
+//! SIMD width, cache hierarchy and bandwidths are constants (the cache
+//! array [`CACHES`] and the crate-private ones beside it), not settings,
+//! so [`Machine`] is a unit struct. The cost model and the static
+//! analysis read their cache-line size from one constant, `LINE_BYTES`,
+//! and the Halide-style baseline its cache sizes from [`CACHES`].
+//!
 //! The model responds to the mechanisms the paper's code transformations
 //! exploit — cache working sets (tiling), stride classes (interchange),
 //! producer/consumer reuse (fusion), core scaling (parallelization), SIMD
@@ -48,7 +55,7 @@ mod cost;
 mod measure;
 
 pub use analysis::{analyze_program, AccessProfile, CompProfile, LoopCtx};
-pub use config::{CacheLevel, MachineConfig};
+pub use config::{CacheLevel, CACHES};
 pub use cost::{CompCost, Machine};
 pub use measure::{parallel_baseline, Measurement};
 
@@ -58,5 +65,4 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Machine>();
     assert_send_sync::<Measurement>();
-    assert_send_sync::<MachineConfig>();
 };

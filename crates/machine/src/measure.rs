@@ -26,7 +26,7 @@ pub struct Measurement {
 impl Default for Measurement {
     fn default() -> Self {
         Self {
-            machine: Machine::default(),
+            machine: Machine,
             noise_sigma: 0.02,
             repeats: 30,
         }
@@ -168,7 +168,7 @@ mod tests {
     fn median_filters_noise_close_to_truth() {
         let p = stencil_chain();
         let m = Measurement::default();
-        let exact = Measurement::exact(m.machine.clone());
+        let exact = Measurement::exact(m.machine);
         let sp = apply_schedule(&p, &Schedule::empty()).unwrap();
         let t_true = exact.measure(&sp, 0);
         let t_noisy = m.measure(&sp, 12345);
@@ -181,7 +181,7 @@ mod tests {
     #[test]
     fn speedup_of_empty_schedule_is_one() {
         let p = stencil_chain();
-        let m = Measurement::exact(Machine::default());
+        let m = Measurement::exact(Machine);
         let s = m.speedup(&p, &Schedule::empty(), 7).unwrap();
         assert!((s - 1.0).abs() < 1e-9);
     }

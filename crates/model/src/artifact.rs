@@ -112,6 +112,18 @@ pub struct HeldOutMetrics {
 }
 
 impl HeldOutMetrics {
+    /// §6's four held-out numbers of `preds` against the measured
+    /// `targets`, over `targets.len()` points.
+    pub fn from_predictions(targets: &[f64], preds: &[f64]) -> HeldOutMetrics {
+        HeldOutMetrics {
+            mape: metrics::mape(targets, preds),
+            pearson: metrics::pearson(targets, preds),
+            spearman: metrics::spearman(targets, preds),
+            r2: metrics::r2(targets, preds),
+            test_points: targets.len(),
+        }
+    }
+
     /// Scores `model` on a featurized held-out set: the metrics an
     /// artifact records, plus the predictions they were computed from
     /// (in `test_set` order).
@@ -119,16 +131,9 @@ impl HeldOutMetrics {
         model: &M,
         test_set: &[LabeledFeatures],
     ) -> (HeldOutMetrics, Vec<f64>) {
-        let (mape, preds) = evaluate(model, test_set);
+        let (_, preds) = evaluate(model, test_set);
         let targets: Vec<f64> = test_set.iter().map(|s| s.target).collect();
-        let held_out = HeldOutMetrics {
-            mape,
-            pearson: metrics::pearson(&targets, &preds),
-            spearman: metrics::spearman(&targets, &preds),
-            r2: metrics::r2(&targets, &preds),
-            test_points: test_set.len(),
-        };
-        (held_out, preds)
+        (Self::from_predictions(&targets, &preds), preds)
     }
 }
 

@@ -33,7 +33,7 @@
 //! };
 //!
 //! let (dataset, _stats) = ParallelDatasetBuilder::new(BuildConfig::new(DatasetConfig::tiny(0)))
-//!     .generate(&Measurement::exact(Machine::default()));
+//!     .generate(&Measurement::exact(Machine));
 //! let split = dataset.split(0);
 //! let featurizer = Featurizer::new(FeaturizerConfig::default());
 //! let train_set = prepare(&featurizer, &dataset, &split.train);

@@ -257,7 +257,6 @@ pub fn train_stream<M: SpeedupPredictor, B: BatchSource + ?Sized>(
         AdamWConfig {
             lr: cfg.max_lr,
             weight_decay: cfg.weight_decay,
-            ..AdamWConfig::default()
         },
     );
 
@@ -349,7 +348,7 @@ mod tests {
 
     fn tiny_dataset(seed: u64) -> Dataset {
         ParallelDatasetBuilder::new(BuildConfig::new(DatasetConfig::tiny(seed)))
-            .generate(&Measurement::exact(Machine::default()))
+            .generate(&Measurement::exact(Machine))
             .0
     }
 

@@ -4,8 +4,8 @@
 //!
 //! # Worker model
 //!
-//! One acceptor thread polls a nonblocking listener and pushes accepted
-//! sockets onto a **bounded accept queue**; `max_connections` worker
+//! One acceptor thread blocks in `accept` and pushes accepted sockets
+//! onto a **bounded accept queue**; `max_connections` worker
 //! threads pop sockets and serve each connection request-by-request
 //! until the client hangs up. A socket arriving while the queue is full
 //! is turned away immediately with a typed
@@ -45,7 +45,9 @@
 //! currently serving, answers queued-but-unserved sockets with a typed
 //! `ShuttingDown` error, and joins all threads. In-flight queries are
 //! **drained, not dropped** — no client that got its request accepted
-//! loses its answer to shutdown.
+//! loses its answer to shutdown. Both take one stop path: raise the
+//! flag, wake every waiting thread, then connect once to the listener
+//! so the blocking `accept` returns and the acceptor sees the flag.
 //!
 //! # Determinism
 //!
@@ -56,7 +58,7 @@
 
 use std::collections::VecDeque;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -73,9 +75,10 @@ use crate::wire::{
     Response, StatsReport, DEFAULT_MAX_FRAME_LEN,
 };
 
-/// How often idle workers and the acceptor wake to poll the shutdown
-/// flag. Latency of a *graceful drain*, not of requests (a pending
-/// request wakes its worker immediately through the socket).
+/// How long an idle connection's read waits before its worker looks at
+/// the shutdown flag again (a pending request wakes it at once through
+/// the socket), and how long the acceptor backs off after a failed
+/// `accept`.
 const POLL_INTERVAL: Duration = Duration::from_millis(20);
 
 /// Accepted sockets allowed to wait for a free worker before new
@@ -104,6 +107,10 @@ struct Shared<M: SpeedupPredictor> {
     queue: Mutex<VecDeque<TcpStream>>,
     queue_cv: Condvar,
     shutdown: AtomicBool,
+    /// Signalled, under the queue lock, when `shutdown` is raised.
+    stopped: Condvar,
+    /// The bound address, which `stop` connects to.
+    addr: SocketAddr,
     connections_accepted: AtomicUsize,
     active_connections: AtomicUsize,
     rejected_queue_full: AtomicUsize,
@@ -135,6 +142,31 @@ impl<M: SpeedupPredictor> Shared<M> {
             fingerprint: to_hex(self.service.active_model_fingerprint()),
             model_swaps: self.service.model_swaps(),
         }
+    }
+
+    /// The one stop path of drain and the `Shutdown` frame: raises the
+    /// flag, wakes the idle workers and [`NetServer::wait_for_shutdown`],
+    /// then connects once to the listener so the acceptor's blocking
+    /// `accept` returns and sees the flag. Only the first call acts.
+    fn stop(&self) {
+        if self.shutdown.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        {
+            // Under the lock: a thread that read the flag unset holds
+            // it until it waits, so it cannot miss the notification.
+            let _queue = self.queue.lock().expect("accept queue");
+            self.queue_cv.notify_all();
+            self.stopped.notify_all();
+        }
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _unused = TcpStream::connect(wake);
     }
 
     fn send_error(&self, stream: &mut TcpStream, reply: &ErrorReply) {
@@ -188,13 +220,14 @@ where
         cfg: NetConfig,
     ) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             service,
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
+            stopped: Condvar::new(),
+            addr,
             connections_accepted: AtomicUsize::new(0),
             active_connections: AtomicUsize::new(0),
             rejected_queue_full: AtomicUsize::new(0),
@@ -252,8 +285,9 @@ where
     /// `Shutdown` frame) — the foreground-server idiom behind
     /// `modelctl serve --listen`.
     pub fn wait_for_shutdown(&self) {
+        let mut queue = self.shared.queue.lock().expect("accept queue");
         while !self.shared.shutdown.load(Ordering::SeqCst) {
-            thread::sleep(POLL_INTERVAL);
+            queue = self.shared.stopped.wait(queue).expect("accept queue");
         }
     }
 
@@ -266,8 +300,7 @@ where
     }
 
     fn drain(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.queue_cv.notify_all();
+        self.shared.stop();
         if let Some(acceptor) = self.acceptor.take() {
             let _unused = acceptor.join();
         }
@@ -301,8 +334,14 @@ where
 
 /// Accepts sockets until shutdown, enforcing the bounded accept queue.
 fn accept_loop<M: SpeedupPredictor>(shared: &Shared<M>, listener: TcpListener) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // `stop` connects once after raising the flag, so every stop
+        // ends a blocked `accept` here; that socket is dropped unread.
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((mut stream, _peer)) => {
                 shared.connections_accepted.fetch_add(1, Ordering::Relaxed);
                 let mut queue = shared.queue.lock().expect("accept queue");
@@ -323,9 +362,7 @@ fn accept_loop<M: SpeedupPredictor>(shared: &Shared<M>, listener: TcpListener) {
                     shared.queue_cv.notify_one();
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(POLL_INTERVAL);
-            }
+            // Out of descriptors and the like: back off, then retry.
             Err(_) => thread::sleep(POLL_INTERVAL),
         }
     }
@@ -348,11 +385,7 @@ where
                 if shared.shutdown.load(Ordering::SeqCst) {
                     break None;
                 }
-                let (q, _timeout) = shared
-                    .queue_cv
-                    .wait_timeout(queue, POLL_INTERVAL)
-                    .expect("accept queue");
-                queue = q;
+                queue = shared.queue_cv.wait(queue).expect("accept queue");
             }
         };
         let Some(stream) = stream else { return };
@@ -452,8 +485,7 @@ where
                 }
             }
             Request::Shutdown => {
-                shared.shutdown.store(true, Ordering::SeqCst);
-                shared.queue_cv.notify_all();
+                shared.stop();
                 let _unused =
                     wire::write_message(&mut stream, FrameKind::Response, &Response::ShuttingDown);
                 return;

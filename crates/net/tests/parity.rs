@@ -236,3 +236,25 @@ fn graceful_shutdown_drains_and_refuses_new_work() {
         }
     );
 }
+
+#[test]
+fn wait_for_shutdown_returns_once_a_client_sends_shutdown() {
+    let server = bind_server(ServeConfig::default(), NetConfig::default());
+    let addr = server.local_addr();
+    let (done, returned) = std::sync::mpsc::channel();
+    let foreground = thread::spawn(move || {
+        server.wait_for_shutdown();
+        let _unused = done.send(());
+        server.shutdown()
+    });
+
+    let mut client = NetClient::connect(addr).expect("connect");
+    client.ping().expect("serving before the Shutdown frame");
+    client.shutdown_server().expect("shutdown acknowledged");
+    // A bound on a hang, not on latency.
+    returned
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("wait_for_shutdown returned after the Shutdown frame");
+    let report = foreground.join().expect("foreground thread");
+    assert_eq!(report.net.requests, 2, "the ping and the Shutdown frame");
+}

@@ -17,12 +17,11 @@ use std::collections::HashMap;
 
 use dlcm_eval::{EvalStats, Evaluator};
 use dlcm_ir::{Legality, Program, Schedule};
-use serde::{Deserialize, Serialize};
 
 use crate::space::{expand_in, finalize_in, Candidate, SearchSpace};
 
 /// Outcome of one search run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchResult {
     /// The best finalized schedule found.
     pub schedule: Schedule,
@@ -34,7 +33,7 @@ pub struct SearchResult {
 }
 
 /// Beam search.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BeamSearch {
     /// Beam width (candidates kept per stage).
     pub width: usize,
@@ -69,7 +68,7 @@ impl BeamSearch {
         let mut frontier: Vec<(Candidate, f64, Schedule)> = Vec::new();
         {
             let root = Candidate::root(program);
-            let finalized = finalize_in(&legality, &self.space, &root.schedule);
+            let finalized = finalize_in(&legality, &root.schedule);
             let score = evaluator.speedup(program, &finalized);
             seen.insert(finalized.cache_key(), score);
             frontier.push((root, score, finalized));
@@ -95,7 +94,7 @@ impl BeamSearch {
                         next.push((child, Some(score), finalized.clone()));
                         continue;
                     }
-                    let child_final = finalize_in(&legality, &self.space, &child.schedule);
+                    let child_final = finalize_in(&legality, &child.schedule);
                     let key = child_final.cache_key();
                     if let Some(&known) = seen.get(&key) {
                         next.push((child, Some(known), child_final));
@@ -173,20 +172,19 @@ mod tests {
     #[test]
     fn beam_with_execution_beats_heuristic_baseline() {
         let p = mm(256);
-        let mut ev = ParallelEvaluator::new(Measurement::exact(Machine::default()), 0, 1);
+        let mut ev = ParallelEvaluator::new(Measurement::exact(Machine), 0, 1);
         let beam = BeamSearch::new(
             3,
             SearchSpace {
                 tile_sizes: vec![32, 64],
                 unroll_factors: vec![4],
-                ..SearchSpace::default()
             },
         );
         let result = beam.search(&p, &mut ev);
         // Empty-schedule finalized (parallel+vector only) is the first
         // candidate; the search must do at least as well.
-        let mut ev2 = ParallelEvaluator::new(Measurement::exact(Machine::default()), 0, 1);
-        let baseline = finalize(&p, &beam.space, &Schedule::empty());
+        let mut ev2 = ParallelEvaluator::new(Measurement::exact(Machine), 0, 1);
+        let baseline = finalize(&p, &Schedule::empty());
         let base_score = ev2.speedup(&p, &baseline);
         assert!(
             result.score >= base_score,
@@ -204,10 +202,9 @@ mod tests {
         let space = SearchSpace {
             tile_sizes: vec![16, 32],
             unroll_factors: vec![2, 4],
-            ..SearchSpace::default()
         };
         let run = |w: usize| {
-            let mut ev = ParallelEvaluator::new(Measurement::exact(Machine::default()), 0, 1);
+            let mut ev = ParallelEvaluator::new(Measurement::exact(Machine), 0, 1);
             BeamSearch::new(w, space.clone()).search(&p, &mut ev).score
         };
         let narrow = run(1);
@@ -224,14 +221,13 @@ mod tests {
         let space = SearchSpace {
             tile_sizes: vec![16, 32],
             unroll_factors: vec![2, 4],
-            ..SearchSpace::default()
         };
-        let mut ev = ParallelEvaluator::new(Measurement::exact(Machine::default()), 0, 1);
+        let mut ev = ParallelEvaluator::new(Measurement::exact(Machine), 0, 1);
         let result = BeamSearch::new(4, space.clone()).search(&p, &mut ev);
         // Finalization funnels many decision prefixes onto shared
         // schedules; the evaluator must have seen each unique one once.
         let mut cached = &dlcm_eval::SharedCachedEvaluator::new(ParallelEvaluator::new(
-            Measurement::exact(Machine::default()),
+            Measurement::exact(Machine),
             0,
             1,
         ));
@@ -248,7 +244,7 @@ mod tests {
     #[test]
     fn result_schedule_is_legal() {
         let p = mm(64);
-        let mut ev = ParallelEvaluator::new(Measurement::exact(Machine::default()), 0, 1);
+        let mut ev = ParallelEvaluator::new(Measurement::exact(Machine), 0, 1);
         let result = BeamSearch::default().search(&p, &mut ev);
         assert!(dlcm_ir::apply_schedule(&p, &result.schedule).is_ok());
     }
@@ -257,11 +253,8 @@ mod tests {
     fn boxed_evaluator_drives_search() {
         // `Box<dyn Evaluator>` must work end to end (object safety).
         let p = mm(64);
-        let mut ev: Box<dyn Evaluator> = Box::new(ParallelEvaluator::new(
-            Measurement::exact(Machine::default()),
-            0,
-            1,
-        ));
+        let mut ev: Box<dyn Evaluator> =
+            Box::new(ParallelEvaluator::new(Measurement::exact(Machine), 0, 1));
         let result = BeamSearch::default().search(&p, &mut *ev);
         assert!(result.stats.num_evals > 0);
     }

@@ -108,12 +108,12 @@ pub struct SearchJob {
 /// # b.assign("c", &[i], out, &[i.into()], Expr::Load(acc));
 /// # let program = b.build().unwrap();
 /// let shared = SharedCachedEvaluator::new(ParallelEvaluator::new(
-///     Measurement::new(Machine::default()),
+///     Measurement::new(Machine),
 ///     0,
 ///     2,
 /// ));
 /// fn model(_role: usize) -> Box<dyn Evaluator> {
-///     Box::new(ParallelEvaluator::new(Measurement::new(Machine::default()), 0, 1))
+///     Box::new(ParallelEvaluator::new(Measurement::new(Machine), 0, 1))
 /// }
 /// let jobs = vec![SearchJob {
 ///     program,

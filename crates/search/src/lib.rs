@@ -1,6 +1,6 @@
 //! # dlcm-search
 //!
-//! Search-space exploration for the DLCM reproduction of *"A Deep
+//! The schedule search of the DLCM reproduction of *"A Deep
 //! Learning Based Cost Model for Automatic Code Optimization"* (MLSys
 //! 2021), §5: the transformation decision tree of Figure 3, beam search,
 //! and MCTS, each driven by any [`dlcm_eval::Evaluator`] — (simulated)
@@ -35,7 +35,7 @@
 //! # let acc = b.access(inp, &[i.into()], &[i]);
 //! # b.assign("c", &[i], out, &[i.into()], Expr::Load(acc));
 //! # let program = b.build().unwrap();
-//! let mut evaluator = ParallelEvaluator::new(Measurement::exact(Machine::default()), 0, 1);
+//! let mut evaluator = ParallelEvaluator::new(Measurement::exact(Machine), 0, 1);
 //! let result = BeamSearch::default().search(&program, &mut evaluator);
 //! println!(
 //!     "best: {} ({}x, {} evals)",

@@ -15,21 +15,23 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::beam::SearchResult;
 use crate::space::{expand_in, finalize_in, Candidate, SearchSpace};
 
+/// Weight of the UCB visit bonus against a child's mean score (scores
+/// are normalized by the best seen so far).
+const UCB_WEIGHT: f64 = 0.7;
+
+/// Size of the best-schedule set executed at the end (the paper's
+/// "parameter of the approach").
+const EXEC_TOP_K: usize = 3;
+
 /// MCTS configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Mcts {
     /// Number of selection/expansion/rollout iterations.
     pub iterations: usize,
-    /// UCB exploration constant (on max-normalized scores).
-    pub exploration: f64,
-    /// Size of the best-schedule set executed at the end (the paper's
-    /// "parameter of the approach").
-    pub exec_top_k: usize,
     /// The candidate space.
     pub space: SearchSpace,
     /// RNG seed for rollouts.
@@ -40,8 +42,6 @@ impl Default for Mcts {
     fn default() -> Self {
         Self {
             iterations: 120,
-            exploration: 0.7,
-            exec_top_k: 3,
             space: SearchSpace::default(),
             seed: 0,
         }
@@ -91,7 +91,7 @@ impl Mcts {
             }
             set.push((score, schedule));
             set.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite scores"));
-            set.truncate(self.exec_top_k.max(1));
+            set.truncate(EXEC_TOP_K);
         };
         let mut global_max = f64::MIN_POSITIVE;
 
@@ -115,8 +115,7 @@ impl Mcts {
                                 0.0
                             };
                             mean / global_max
-                                + self.exploration
-                                    * (parent_visits.ln() / n.visits.max(1e-9)).sqrt()
+                                + UCB_WEIGHT * (parent_visits.ln() / n.visits.max(1e-9)).sqrt()
                         };
                         ucb(&nodes[a])
                             .partial_cmp(&ucb(&nodes[b]))
@@ -160,7 +159,7 @@ impl Mcts {
                 guard += 1;
                 assert!(guard < 64, "rollout did not terminate");
             }
-            let finalized = finalize_in(&legality, &self.space, &cand.schedule);
+            let finalized = finalize_in(&legality, &cand.schedule);
             let key = finalized.cache_key();
             let score = match rollout_scores.get(&key) {
                 Some(&known) => known,
@@ -231,14 +230,13 @@ mod tests {
     #[test]
     fn mcts_finds_a_legal_improving_schedule() {
         let p = mm(128);
-        let mut model_ev = ParallelEvaluator::new(Measurement::exact(Machine::default()), 0, 1);
-        let mut exec_ev = ParallelEvaluator::new(Measurement::exact(Machine::default()), 0, 1);
+        let mut model_ev = ParallelEvaluator::new(Measurement::exact(Machine), 0, 1);
+        let mut exec_ev = ParallelEvaluator::new(Measurement::exact(Machine), 0, 1);
         let mcts = Mcts {
             iterations: 40,
             space: SearchSpace {
                 tile_sizes: vec![16, 32],
                 unroll_factors: vec![4],
-                ..SearchSpace::default()
             },
             ..Mcts::default()
         };
@@ -253,7 +251,7 @@ mod tests {
         // executed top-k correction set, and at least one per distinct
         // retained schedule.
         assert!(result.stats.num_evals > 0);
-        assert!(result.stats.num_evals <= 40 + mcts.exec_top_k);
+        assert!(result.stats.num_evals <= 40 + EXEC_TOP_K);
         assert!(result.stats.search_time > 0.0);
     }
 
@@ -261,8 +259,8 @@ mod tests {
     fn mcts_is_deterministic_per_seed() {
         let p = mm(64);
         let run = || {
-            let mut m = ParallelEvaluator::new(Measurement::exact(Machine::default()), 0, 1);
-            let mut e = ParallelEvaluator::new(Measurement::exact(Machine::default()), 0, 1);
+            let mut m = ParallelEvaluator::new(Measurement::exact(Machine), 0, 1);
+            let mut e = ParallelEvaluator::new(Measurement::exact(Machine), 0, 1);
             Mcts {
                 iterations: 15,
                 seed: 9,

@@ -15,23 +15,22 @@
 //! program once rather than once per child.
 
 use dlcm_ir::{CompId, Legality, Program, Schedule, Transform};
-use serde::{Deserialize, Serialize};
 
-/// Pools and toggles defining the candidate space.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// SIMD width the vectorization heuristic tags (8 `f32` lanes of AVX2).
+const VECTOR_FACTOR: i64 = 8;
+
+/// Smallest innermost extent the vectorization heuristic fires on.
+const MIN_VECTOR_EXTENT: i64 = 16;
+
+/// The value pools of the candidate space: which tile sizes and unroll
+/// factors a tile or unroll decision offers. Fusion and interchange are
+/// always explored, over every legal pair.
+#[derive(Debug, Clone)]
 pub struct SearchSpace {
     /// Tile sizes explored per tiled level.
     pub tile_sizes: Vec<i64>,
     /// Unroll factors explored.
     pub unroll_factors: Vec<i64>,
-    /// Explore loop fusion (for multi-computation programs).
-    pub explore_fusion: bool,
-    /// Explore loop interchange.
-    pub explore_interchange: bool,
-    /// SIMD width used by the vectorization heuristic.
-    pub vector_factor: i64,
-    /// Minimum innermost extent for the vectorization heuristic to fire.
-    pub min_vector_extent: i64,
 }
 
 impl Default for SearchSpace {
@@ -39,16 +38,12 @@ impl Default for SearchSpace {
         Self {
             tile_sizes: vec![32, 64, 128],
             unroll_factors: vec![2, 4, 8, 16],
-            explore_fusion: true,
-            explore_interchange: true,
-            vector_factor: 8,
-            min_vector_extent: 16,
         }
     }
 }
 
 /// Search progress through the staged decision tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
     /// Deciding fusion (once, program-wide).
     Fusion,
@@ -63,7 +58,7 @@ pub enum Stage {
 }
 
 /// A (possibly partial) point in the search tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Candidate {
     /// Transform prefix chosen so far (canonical order).
     pub schedule: Schedule,
@@ -154,7 +149,7 @@ pub(crate) fn expand_in(
     let advance = next_stage(program, cand.stage);
     let mut trials = Vec::new();
     match cand.stage {
-        Stage::Fusion if space.explore_fusion => {
+        Stage::Fusion => {
             let n = program.num_comps();
             for b in 1..n {
                 for a in 0..b {
@@ -172,8 +167,7 @@ pub(crate) fn expand_in(
                 }
             }
         }
-        Stage::Fusion => {}
-        Stage::Interchange(c) if space.explore_interchange => {
+        Stage::Interchange(c) => {
             let depth = program.comp(CompId(c)).depth();
             for a in 0..depth {
                 for b in a + 1..depth {
@@ -185,7 +179,6 @@ pub(crate) fn expand_in(
                 }
             }
         }
-        Stage::Interchange(_) => {}
         Stage::Tile(c) => {
             let comp = CompId(c);
             let order = current_order(program, &cand.schedule, comp);
@@ -244,16 +237,12 @@ pub(crate) fn expand_in(
 /// Applies the §4 heuristics to a complete candidate: parallelize the
 /// outermost legal loop of each computation and vectorize the innermost
 /// loop when its extent is large enough. Returns the finalized schedule.
-pub fn finalize(program: &Program, space: &SearchSpace, schedule: &Schedule) -> Schedule {
-    finalize_in(&Legality::new(program), space, schedule)
+pub fn finalize(program: &Program, schedule: &Schedule) -> Schedule {
+    finalize_in(&Legality::new(program), schedule)
 }
 
 /// [`finalize`] against a caller-held legality context.
-pub(crate) fn finalize_in(
-    legality: &Legality<'_>,
-    space: &SearchSpace,
-    schedule: &Schedule,
-) -> Schedule {
+pub(crate) fn finalize_in(legality: &Legality<'_>, schedule: &Schedule) -> Schedule {
     let program = legality.program();
     let mut s = schedule.clone();
     // No tag is legal on top of an illegal schedule.
@@ -274,10 +263,10 @@ pub(crate) fn finalize_in(
         // Vectorize the innermost loop when the conditions are met.
         if let Some(&inner) = order.last() {
             let extent = program.extent(program.comp(comp).iters[inner]);
-            if extent >= space.min_vector_extent {
+            if extent >= MIN_VECTOR_EXTENT {
                 let t = Transform::Vectorize {
                     comp,
-                    factor: space.vector_factor,
+                    factor: VECTOR_FACTOR,
                 };
                 if legality.extend(&mut state, &t).is_ok() {
                     s.transforms.push(t);
@@ -389,8 +378,7 @@ mod tests {
     #[test]
     fn finalize_adds_heuristic_tags() {
         let p = mm(64);
-        let space = SearchSpace::default();
-        let s = finalize(&p, &space, &Schedule::empty());
+        let s = finalize(&p, &Schedule::empty());
         assert!(s
             .transforms
             .iter()
@@ -419,7 +407,7 @@ mod tests {
             Expr::binary(BinOp::Add, Expr::Load(acc), Expr::Const(1.0)),
         );
         let p = b.build().unwrap();
-        let s = finalize(&p, &SearchSpace::default(), &Schedule::empty());
+        let s = finalize(&p, &Schedule::empty());
         assert!(s.is_empty(), "no tag should apply: {}", s.describe());
     }
 }

@@ -51,18 +51,13 @@ fn small_space() -> SearchSpace {
     SearchSpace {
         tile_sizes: vec![16, 32],
         unroll_factors: vec![4],
-        ..SearchSpace::default()
     }
 }
 
 /// Execution evaluator standing in for the model role (the same stand-in
 /// the MCTS unit tests use): deterministic, needs no trained artifact.
 fn exec_model(_role: usize) -> Box<dyn Evaluator> {
-    Box::new(ParallelEvaluator::new(
-        Measurement::exact(Machine::default()),
-        0,
-        1,
-    ))
+    Box::new(ParallelEvaluator::new(Measurement::exact(Machine), 0, 1))
 }
 
 /// The suite sweep's shape per benchmark (`modelctl reproduce`): MCTS first (warms the shared
@@ -101,7 +96,7 @@ fn suite_jobs() -> Vec<SearchJob> {
 fn run_suite(search_threads: usize, eval_threads: usize) -> Vec<Vec<SearchResult>> {
     let jobs = suite_jobs();
     let shared = SharedCachedEvaluator::new(ParallelEvaluator::new(
-        Measurement::new(Machine::default()),
+        Measurement::new(Machine),
         0,
         eval_threads,
     ));
@@ -151,11 +146,8 @@ fn per_search_stats_are_standalone_not_global_diffs() {
     // each search's stats must equal what a dedicated evaluator would
     // have charged, even though the shared totals accumulate both.
     let program = mm("solo", 64);
-    let shared = SharedCachedEvaluator::new(ParallelEvaluator::new(
-        Measurement::new(Machine::default()),
-        0,
-        1,
-    ));
+    let shared =
+        SharedCachedEvaluator::new(ParallelEvaluator::new(Measurement::new(Machine), 0, 1));
     let beam = BeamSearch::new(3, small_space());
 
     let mut first_scope = ScopedEvaluator::new(&shared);
@@ -188,19 +180,13 @@ fn scoped_deltas_sum_to_plain_evaluator_stats() {
     let program = stencil("parity", 96);
     let beam = BeamSearch::new(3, small_space());
 
-    let shared = SharedCachedEvaluator::new(ParallelEvaluator::new(
-        Measurement::new(Machine::default()),
-        0,
-        1,
-    ));
+    let shared =
+        SharedCachedEvaluator::new(ParallelEvaluator::new(Measurement::new(Machine), 0, 1));
     let mut scoped = ScopedEvaluator::new(&shared);
     let via_shared = beam.search(&program, &mut scoped);
 
-    let mut plain = &SharedCachedEvaluator::new(ParallelEvaluator::new(
-        Measurement::new(Machine::default()),
-        0,
-        1,
-    ));
+    let mut plain =
+        &SharedCachedEvaluator::new(ParallelEvaluator::new(Measurement::new(Machine), 0, 1));
     let via_plain = beam.search(&program, &mut plain);
 
     assert_eq!(via_shared.schedule, via_plain.schedule);

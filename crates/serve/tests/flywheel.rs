@@ -87,15 +87,8 @@ impl SyncEvaluator for ConstTruth {
     }
 }
 
-/// Scaled-down iteration count under `DLCM_TEST_QUICK` (the tier-1
-/// wall-clock knob); full pressure otherwise.
-fn rounds() -> usize {
-    if std::env::var_os("DLCM_TEST_QUICK").is_some() {
-        8
-    } else {
-        40
-    }
-}
+/// Distinct programs pushed through the bounded cache.
+const ROUNDS: usize = 40;
 
 /// Sort key making drained record sets comparable across runs whose
 /// capture-thread interleavings may differ.
@@ -272,7 +265,7 @@ fn evicted_cache_replay_never_double_counts() {
     assert!(service.enable_mispredict_capture(Box::new(ConstTruth(1.0e6))));
 
     let wave = wave();
-    let programs: Vec<Program> = (0..rounds())
+    let programs: Vec<Program> = (0..ROUNDS)
         .map(|k| program("evict", 16 + 2 * k as i64))
         .collect();
     for p in &programs {

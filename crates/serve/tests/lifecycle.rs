@@ -71,15 +71,8 @@ fn reference(m: &CostModel, programs: &[Program]) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// Scaled-down iteration count under `DLCM_TEST_QUICK` (the tier-1
-/// wall-clock knob); full pressure otherwise.
-fn rounds() -> usize {
-    if std::env::var_os("DLCM_TEST_QUICK").is_some() {
-        8
-    } else {
-        40
-    }
-}
+/// Waves each client thread sends.
+const ROUNDS: usize = 40;
 
 #[test]
 fn hot_swap_under_concurrent_load_is_atomic() {
@@ -110,7 +103,6 @@ fn hot_swap_under_concurrent_load_is_atomic() {
     let saw_a = AtomicUsize::new(0);
     let saw_b = AtomicUsize::new(0);
     const CLIENTS: usize = 8;
-    let rounds = rounds();
     std::thread::scope(|scope| {
         for t in 0..CLIENTS {
             let service = &service;
@@ -118,7 +110,7 @@ fn hot_swap_under_concurrent_load_is_atomic() {
             let (ref_a, ref_b) = (&ref_a, &ref_b);
             let (saw_a, saw_b) = (&saw_a, &saw_b);
             scope.spawn(move || {
-                for round in 0..rounds {
+                for round in 0..ROUNDS {
                     let pi = (t + round) % programs.len();
                     let (scores, _) = service.speedup_batch_shared(&programs[pi], &wave());
                     if scores == ref_a[pi] {
@@ -141,7 +133,7 @@ fn hot_swap_under_concurrent_load_is_atomic() {
 
     assert_eq!(
         saw_a.load(Ordering::Relaxed) + saw_b.load(Ordering::Relaxed),
-        CLIENTS * rounds,
+        CLIENTS * ROUNDS,
         "every wave was attributed to exactly one generation"
     );
 
@@ -154,7 +146,7 @@ fn hot_swap_under_concurrent_load_is_atomic() {
     // Stats coherence on the quiesced service.
     let stats = service.stats();
     assert_eq!(stats.model_swaps, 1);
-    assert_eq!(stats.queries, (CLIENTS * rounds + programs.len()) * 5);
+    assert_eq!(stats.queries, (CLIENTS * ROUNDS + programs.len()) * 5);
     assert_eq!(stats.cache_hits + stats.cache_misses, stats.queries);
     assert_eq!(stats.forward_rows, stats.cache_misses);
 }

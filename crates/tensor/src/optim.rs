@@ -2,7 +2,10 @@
 //!
 //! The paper trains with AdamW (decoupled weight decay, coefficient 0.0075)
 //! under the One-Cycle learning-rate policy (max LR 1e-3); both are
-//! implemented here from their original formulations.
+//! implemented here from their original formulations. Only the learning
+//! rate and the weight decay are settings ([`AdamWConfig`]); the moment
+//! decays (β₁ 0.9, β₂ 0.999), ε (1e-8) and the global-norm gradient clip
+//! (5.0) are constants, the one set of values every trainer uses.
 
 use std::sync::Mutex;
 
@@ -16,32 +19,30 @@ use crate::tensor::Tensor;
 /// nothing next to updating it.
 const UPDATE_CHUNK: usize = 4096;
 
+/// First-moment decay.
+pub(crate) const BETA1: f32 = 0.9;
+/// Second-moment decay.
+pub(crate) const BETA2: f32 = 0.999;
+/// Numerical-stability epsilon.
+pub(crate) const EPS: f32 = 1e-8;
+/// Largest global gradient norm a step applies; a larger summed gradient
+/// is scaled down to it.
+pub(crate) const GRAD_CLIP: f32 = 5.0;
+
 /// Configuration for [`AdamW`].
 #[derive(Debug, Clone, Copy)]
 pub struct AdamWConfig {
     /// Base learning rate (may be overridden per-step by a schedule).
     pub lr: f32,
-    /// First-moment decay.
-    pub beta1: f32,
-    /// Second-moment decay.
-    pub beta2: f32,
-    /// Numerical-stability epsilon.
-    pub eps: f32,
     /// Decoupled weight-decay coefficient (paper: 0.0075).
     pub weight_decay: f32,
-    /// Optional global-norm gradient clipping.
-    pub grad_clip: Option<f32>,
 }
 
 impl Default for AdamWConfig {
     fn default() -> Self {
         Self {
             lr: 1e-3,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
             weight_decay: 0.0075,
-            grad_clip: Some(5.0),
         }
     }
 }
@@ -125,7 +126,7 @@ impl AdamW {
         let c = self.cfg;
         // One parameter per work item, claimed by whichever lane is free:
         // its binds' gradients summed in the order they were recorded,
-        // and the norm of the sum when the clip needs it.
+        // and the norm of the sum for the clip.
         let work = Mutex::new(self.sums.iter_mut().enumerate());
         pool::parallel_map(lanes, lanes, |_| loop {
             let Some((i, slot)) = lock(&work).next() else {
@@ -137,29 +138,24 @@ impl AdamW {
                 for (_, g) in binds {
                     sum.add_scaled(g, 1.0);
                 }
-                let norm = c.grad_clip.map_or(0.0, |_| sum.norm());
+                let norm = sum.norm();
                 (sum, norm)
             });
         });
-        let clip_scale = match c.grad_clip {
-            Some(max) => {
-                let norm = self
-                    .sums
-                    .iter()
-                    .flatten()
-                    .map(|(_, n)| n * n)
-                    .sum::<f32>()
-                    .sqrt();
-                if norm > max && norm > 0.0 {
-                    max / norm
-                } else {
-                    1.0
-                }
-            }
-            None => 1.0,
+        let norm = self
+            .sums
+            .iter()
+            .flatten()
+            .map(|(_, n)| n * n)
+            .sum::<f32>()
+            .sqrt();
+        let clip_scale = if norm > GRAD_CLIP {
+            GRAD_CLIP / norm
+        } else {
+            1.0
         };
-        let bias1 = 1.0 - c.beta1.powi(t);
-        let bias2 = 1.0 - c.beta2.powi(t);
+        let bias1 = 1.0 - BETA1.powi(t);
+        let bias2 = 1.0 - BETA2.powi(t);
 
         // The element-wise update, range-split: every parameter's
         // (weight, moments, summed gradient) cut into `UPDATE_CHUNK`
@@ -192,12 +188,12 @@ impl AdamW {
                 // inactive clip changes nothing).
                 let gv = gsum * clip_scale;
                 // m = b1*m + (1-b1)*g ; v = b2*v + (1-b2)*g^2
-                *mv = c.beta1 * *mv + (1.0 - c.beta1) * gv;
-                *vv = c.beta2 * *vv + (1.0 - c.beta2) * gv * gv;
+                *mv = BETA1 * *mv + (1.0 - BETA1) * gv;
+                *vv = BETA2 * *vv + (1.0 - BETA2) * gv * gv;
                 let mhat = *mv / bias1;
                 let vhat = *vv / bias2;
                 // Decoupled weight decay.
-                *pv -= lr * (mhat / (vhat.sqrt() + c.eps) + c.weight_decay * *pv);
+                *pv -= lr * (mhat / (vhat.sqrt() + EPS) + c.weight_decay * *pv);
             }
         });
         self.sums.fill(None);
@@ -277,7 +273,6 @@ mod tests {
             AdamWConfig {
                 lr: 0.05,
                 weight_decay: 0.0,
-                ..AdamWConfig::default()
             },
         );
         let xs: Vec<f32> = (0..16).map(|i| i as f32 / 8.0 - 1.0).collect();
@@ -308,8 +303,6 @@ mod tests {
             AdamWConfig {
                 lr: 0.1,
                 weight_decay: 0.5,
-                grad_clip: None,
-                ..AdamWConfig::default()
             },
         );
         // Zero gradient: only decay acts.
@@ -343,19 +336,14 @@ mod tests {
             self.t += 1;
             let t = self.t as i32;
             let c = self.cfg;
-            let clip_scale = match c.grad_clip {
-                Some(max) => {
-                    let norm = global_norm(sums);
-                    if norm > max && norm > 0.0 {
-                        max / norm
-                    } else {
-                        1.0
-                    }
-                }
-                None => 1.0,
+            let norm = global_norm(sums);
+            let clip_scale = if norm > GRAD_CLIP {
+                GRAD_CLIP / norm
+            } else {
+                1.0
             };
-            let bias1 = 1.0 - c.beta1.powi(t);
-            let bias2 = 1.0 - c.beta2.powi(t);
+            let bias1 = 1.0 - BETA1.powi(t);
+            let bias2 = 1.0 - BETA2.powi(t);
             for (i, sum) in sums.iter().enumerate() {
                 let Some(mut g) = sum.clone() else {
                     continue;
@@ -363,15 +351,14 @@ mod tests {
                 if clip_scale != 1.0 {
                     g = g.map(|x| x * clip_scale);
                 }
-                self.m[i] = self.m[i].zip_map(&g, |mv, gv| c.beta1 * mv + (1.0 - c.beta1) * gv);
-                self.v[i] =
-                    self.v[i].zip_map(&g, |vv, gv| c.beta2 * vv + (1.0 - c.beta2) * gv * gv);
+                self.m[i] = self.m[i].zip_map(&g, |mv, gv| BETA1 * mv + (1.0 - BETA1) * gv);
+                self.v[i] = self.v[i].zip_map(&g, |vv, gv| BETA2 * vv + (1.0 - BETA2) * gv * gv);
                 let (m, v) = (&self.m[i], &self.v[i]);
                 let data = store.get_mut(ParamId(i)).as_mut_slice();
                 for ((pv, &mv), &vv) in data.iter_mut().zip(m.as_slice()).zip(v.as_slice()) {
                     let mhat = mv / bias1;
                     let vhat = vv / bias2;
-                    *pv -= lr * (mhat / (vhat.sqrt() + c.eps) + c.weight_decay * *pv);
+                    *pv -= lr * (mhat / (vhat.sqrt() + EPS) + c.weight_decay * *pv);
                 }
             }
         }
@@ -393,80 +380,75 @@ mod tests {
     #[test]
     fn single_pass_step_is_bit_identical_to_the_multi_pass_reference() {
         use rand::Rng;
-        for grad_clip in [Some(5.0), None] {
-            let mut rng = ChaCha8Rng::seed_from_u64(16);
-            let mut store = ParamStore::new();
-            Linear::new(&mut store, "a", 7, 5, &mut rng);
-            Linear::new(&mut store, "b", 5, 1, &mut rng);
-            let mut reference_store = store.clone();
-            let cfg = AdamWConfig {
-                grad_clip,
-                ..AdamWConfig::default()
-            };
-            let mut opt = AdamW::new(&store, cfg);
-            let mut reference = MultiPassAdamW {
-                cfg,
-                m: opt.m.clone(),
-                v: opt.v.clone(),
-                t: 0,
-            };
-            let sched = OneCycleLr::new(1e-2, 50);
-            let mut clipped = 0;
-            for step in 0..50 {
-                // Every parameter bound one to three times (its gradient
-                // is the sum of its binds'), large gradients on every
-                // third step so the clip engages on some steps and not on
-                // others, and the last parameter left unbound on odd
-                // steps. `sum(p ⊙ r)` hands each bind exactly `r`.
-                let magnitude = if step % 3 == 0 { 40.0 } else { 0.5 };
-                let mut tape = Tape::new();
-                let mut terms = Vec::new();
-                let mut sums: Vec<Option<Tensor>> = vec![None; store.len()];
-                for _ in 0..1 + step % 3 {
-                    for (id, p) in store.iter() {
-                        if step % 2 == 1 && id.0 + 1 == store.len() {
-                            continue;
-                        }
-                        let data = (0..p.len())
-                            .map(|_| rng.gen_range(-1.0f32..1.0) * magnitude)
-                            .collect();
-                        let r = Tensor::from_vec(p.rows(), p.cols(), data);
-                        let bound = store.bind(&mut tape, id);
-                        let rv = tape.constant(r.clone());
-                        let prod = tape.mul(bound, rv);
-                        terms.push(tape.sum(prod));
-                        let sum = &mut sums[id.0];
-                        *sum = Some(match sum.take() {
-                            Some(s) => s.zip_map(&r, |a, b| a + b),
-                            None => r,
-                        });
+        let mut rng = ChaCha8Rng::seed_from_u64(16);
+        let mut store = ParamStore::new();
+        Linear::new(&mut store, "a", 7, 5, &mut rng);
+        Linear::new(&mut store, "b", 5, 1, &mut rng);
+        let mut reference_store = store.clone();
+        let cfg = AdamWConfig::default();
+        let mut opt = AdamW::new(&store, cfg);
+        let mut reference = MultiPassAdamW {
+            cfg,
+            m: opt.m.clone(),
+            v: opt.v.clone(),
+            t: 0,
+        };
+        let sched = OneCycleLr::new(1e-2, 50);
+        let mut clipped = 0;
+        for step in 0..50 {
+            // Every parameter bound one to three times (its gradient
+            // is the sum of its binds'), large gradients on every
+            // third step so the clip engages on some steps and not on
+            // others, and the last parameter left unbound on odd
+            // steps. `sum(p ⊙ r)` hands each bind exactly `r`.
+            let magnitude = if step % 3 == 0 { 40.0 } else { 0.5 };
+            let mut tape = Tape::new();
+            let mut terms = Vec::new();
+            let mut sums: Vec<Option<Tensor>> = vec![None; store.len()];
+            for _ in 0..1 + step % 3 {
+                for (id, p) in store.iter() {
+                    if step % 2 == 1 && id.0 + 1 == store.len() {
+                        continue;
                     }
+                    let data = (0..p.len())
+                        .map(|_| rng.gen_range(-1.0f32..1.0) * magnitude)
+                        .collect();
+                    let r = Tensor::from_vec(p.rows(), p.cols(), data);
+                    let bound = store.bind(&mut tape, id);
+                    let rv = tape.constant(r.clone());
+                    let prod = tape.mul(bound, rv);
+                    terms.push(tape.sum(prod));
+                    let sum = &mut sums[id.0];
+                    *sum = Some(match sum.take() {
+                        Some(s) => s.zip_map(&r, |a, b| a + b),
+                        None => r,
+                    });
                 }
-                let loss = terms[1..].iter().fold(terms[0], |acc, &t| tape.add(acc, t));
-                let grads = tape.backward(loss);
-                clipped += usize::from(global_norm(&sums) > 5.0);
-                let lr = sched.lr_at(step);
-                opt.step(&mut store, &grads, lr);
-                reference.step(&mut reference_store, &sums, lr);
-                let state = |s: &ParamStore, m: &[Tensor], v: &[Tensor]| -> Vec<u32> {
-                    let weights = s.iter().map(|(_, t)| t);
-                    weights
-                        .chain(m)
-                        .chain(v)
-                        .flat_map(|t| t.as_slice().iter().map(|x| x.to_bits()))
-                        .collect()
-                };
-                assert_eq!(
-                    state(&store, &opt.m, &opt.v),
-                    state(&reference_store, &reference.m, &reference.v),
-                    "weights or moments diverged at step {step} (clip {grad_clip:?})"
-                );
             }
-            assert!(
-                clipped > 0 && clipped < 50,
-                "{clipped} of 50 steps over the clip"
+            let loss = terms[1..].iter().fold(terms[0], |acc, &t| tape.add(acc, t));
+            let grads = tape.backward(loss);
+            clipped += usize::from(global_norm(&sums) > GRAD_CLIP);
+            let lr = sched.lr_at(step);
+            opt.step(&mut store, &grads, lr);
+            reference.step(&mut reference_store, &sums, lr);
+            let state = |s: &ParamStore, m: &[Tensor], v: &[Tensor]| -> Vec<u32> {
+                let weights = s.iter().map(|(_, t)| t);
+                weights
+                    .chain(m)
+                    .chain(v)
+                    .flat_map(|t| t.as_slice().iter().map(|x| x.to_bits()))
+                    .collect()
+            };
+            assert_eq!(
+                state(&store, &opt.m, &opt.v),
+                state(&reference_store, &reference.m, &reference.v),
+                "weights or moments diverged at step {step}"
             );
         }
+        assert!(
+            clipped > 0 && clipped < 50,
+            "{clipped} of 50 steps over the clip"
+        );
     }
 
     #[test]

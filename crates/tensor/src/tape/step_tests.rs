@@ -15,7 +15,7 @@ use rand_chacha::ChaCha8Rng;
 
 use super::{Op, ParamId, Tape, Var};
 use crate::nn::ParamStore;
-use crate::optim::{AdamW, AdamWConfig, OneCycleLr};
+use crate::optim::{AdamW, AdamWConfig, OneCycleLr, BETA1, BETA2, EPS, GRAD_CLIP};
 use crate::pool;
 use crate::tensor::Tensor;
 
@@ -132,7 +132,6 @@ impl ReferenceAdamW {
         self.t += 1;
         let t = self.t as i32;
         let c = self.cfg;
-        let max = c.grad_clip.expect("the battery runs with the clip on");
         let norm = sums
             .iter()
             .flatten()
@@ -142,13 +141,13 @@ impl ReferenceAdamW {
             })
             .sum::<f32>()
             .sqrt();
-        let clip_scale = if norm > max && norm > 0.0 {
-            max / norm
+        let clip_scale = if norm > GRAD_CLIP {
+            GRAD_CLIP / norm
         } else {
             1.0
         };
-        let bias1 = 1.0 - c.beta1.powi(t);
-        let bias2 = 1.0 - c.beta2.powi(t);
+        let bias1 = 1.0 - BETA1.powi(t);
+        let bias2 = 1.0 - BETA2.powi(t);
         for (i, (m, v)) in self.m.iter_mut().zip(&mut self.v).enumerate() {
             let Some(g) = &sums[i] else {
                 continue;
@@ -157,11 +156,11 @@ impl ReferenceAdamW {
             let moments = m.as_mut_slice().iter_mut().zip(v.as_mut_slice());
             for ((pv, (mv, vv)), &gsum) in p.iter_mut().zip(moments).zip(g.as_slice()) {
                 let gv = gsum * scale * clip_scale;
-                *mv = c.beta1 * *mv + (1.0 - c.beta1) * gv;
-                *vv = c.beta2 * *vv + (1.0 - c.beta2) * gv * gv;
+                *mv = BETA1 * *mv + (1.0 - BETA1) * gv;
+                *vv = BETA2 * *vv + (1.0 - BETA2) * gv * gv;
                 let mhat = *mv / bias1;
                 let vhat = *vv / bias2;
-                *pv -= lr * (mhat / (vhat.sqrt() + c.eps) + c.weight_decay * *pv);
+                *pv -= lr * (mhat / (vhat.sqrt() + EPS) + c.weight_decay * *pv);
             }
         }
         clip_scale != 1.0

@@ -16,11 +16,10 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(0.25);
-    let harness = Measurement::new(Machine::default());
+    let harness = Measurement::new(Machine);
     let space = SearchSpace {
         tile_sizes: vec![32, 64, 128],
         unroll_factors: vec![2, 4, 8],
-        ..SearchSpace::default()
     };
 
     println!(

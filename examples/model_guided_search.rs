@@ -15,7 +15,7 @@ use dlcm::search::{BeamSearch, Mcts, SearchSpace};
 fn main() {
     // --- Train a model on random programs ---------------------------------
     println!("generating training data ...");
-    let harness = Measurement::new(Machine::default());
+    let harness = Measurement::new(Machine);
     let (dataset, _stats) = ParallelDatasetBuilder::new(BuildConfig::new(DatasetConfig {
         num_programs: 64,
         schedules_per_program: 24,

@@ -102,7 +102,7 @@ fn main() {
     assert!(err < 1e-4, "schedule must preserve semantics");
 
     // --- Performance on the simulated Xeon --------------------------------
-    let harness = Measurement::new(Machine::default());
+    let harness = Measurement::new(Machine);
     let t_base = harness
         .measure_schedule(&program, &Schedule::empty(), 0)
         .expect("legal");

@@ -38,7 +38,7 @@ fn main() {
         })
     });
     let corpus = std::env::temp_dir().join("dlcm_example_corpus");
-    let harness = Measurement::new(Machine::default());
+    let harness = Measurement::new(Machine);
     let (manifest, stats) = builder
         .write_corpus(&harness, &corpus)
         .expect("write corpus");

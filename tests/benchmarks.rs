@@ -9,7 +9,7 @@ use dlcm::search::{BeamSearch, SearchSpace};
 
 #[test]
 fn every_benchmark_is_measurable_at_paper_scale() {
-    let machine = Machine::default();
+    let machine = Machine;
     for bench in benchsuite::suite() {
         let p = (bench.build)(1.0);
         let sp = apply_schedule(&p, &Schedule::empty()).expect("baseline schedulable");
@@ -24,7 +24,7 @@ fn every_benchmark_is_measurable_at_paper_scale() {
 
 #[test]
 fn parallel_baseline_speeds_up_parallel_friendly_benchmarks() {
-    let harness = Measurement::exact(Machine::default());
+    let harness = Measurement::exact(Machine);
     for bench in benchsuite::suite() {
         let p = (bench.build)(0.5);
         let baseline = parallel_baseline(&p);
@@ -47,11 +47,10 @@ fn parallel_baseline_speeds_up_parallel_friendly_benchmarks() {
 
 #[test]
 fn beam_search_improves_over_parallel_baseline_on_most_benchmarks() {
-    let harness = Measurement::exact(Machine::default());
+    let harness = Measurement::exact(Machine);
     let space = SearchSpace {
         tile_sizes: vec![32, 64],
         unroll_factors: vec![4],
-        ..SearchSpace::default()
     };
     let mut improved = 0;
     let mut total = 0;
@@ -101,7 +100,7 @@ fn stencil_benchmarks_are_the_hard_parallel_cases() {
 #[test]
 fn conv_relu_fusion_is_found_and_profitable() {
     let p = benchsuite::conv_relu(0.2);
-    let harness = Measurement::exact(Machine::default());
+    let harness = Measurement::exact(Machine);
     let unfused = harness.measure_schedule(&p, &Schedule::empty(), 0).unwrap();
     let fuse = Schedule::new(vec![dlcm::ir::Transform::Fuse {
         comp: dlcm::ir::CompId(1),

@@ -9,23 +9,14 @@ use dlcm::model::{
 };
 use dlcm::search::{BeamSearch, SearchSpace};
 
-/// Scaled-down workloads under `DLCM_TEST_QUICK` (the tier-1 wall-clock
-/// knob): the two slowest tests in the workspace live here, and quick
-/// mode trims their training/measurement volume while keeping every
-/// assertion meaningful.
-fn quick() -> bool {
-    std::env::var_os("DLCM_TEST_QUICK").is_some()
-}
-
 fn small_dataset(seed: u64) -> Dataset {
-    let (num_programs, schedules_per_program) = if quick() { (8, 12) } else { (16, 24) };
     ParallelDatasetBuilder::new(BuildConfig::new(DatasetConfig {
-        num_programs,
-        schedules_per_program,
+        num_programs: 16,
+        schedules_per_program: 24,
         seed,
         ..DatasetConfig::tiny(seed)
     }))
-    .generate(&Measurement::exact(Machine::default()))
+    .generate(&Measurement::exact(Machine))
     .0
 }
 
@@ -56,18 +47,14 @@ fn trained_model_ranks_held_out_schedules_of_seen_programs() {
     // speedup distribution.
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
     let program = progen.generate(&mut rng, "p");
-    let (pool, train_n, epochs) = if quick() {
-        (120, 90, 60)
-    } else {
-        (200, 150, 120)
-    };
+    let (pool, train_n, epochs) = (200, 150, 120);
     let schedules = schedgen.generate_distinct(&program, pool, &mut rng);
     assert!(
         schedules.len() >= pool,
         "schedule space too small for the ranking property: {}",
         schedules.len()
     );
-    let harness = Measurement::exact(Machine::default());
+    let harness = Measurement::exact(Machine);
     let featurizer = Featurizer::new(FeaturizerConfig::default());
     let samples: Vec<LabeledFeatures> = schedules
         .iter()
@@ -122,7 +109,7 @@ fn model_guided_beam_search_runs_on_unseen_program() {
         &train_set,
         &[],
         &TrainConfig {
-            epochs: if quick() { 3 } else { 6 },
+            epochs: 6,
             batch_size: 16,
             ..TrainConfig::default()
         },
@@ -130,17 +117,16 @@ fn model_guided_beam_search_runs_on_unseen_program() {
 
     let program = dlcm::benchsuite::heat2d(0.1);
     let space = SearchSpace {
-        tile_sizes: if quick() { vec![16] } else { vec![16, 32] },
+        tile_sizes: vec![16, 32],
         unroll_factors: vec![4],
-        ..SearchSpace::default()
     };
-    let beam = if quick() { 2 } else { 3 };
+    let beam = 3;
 
     let mut model_ev = ModelEvaluator::new(&model, featurizer.clone());
     let bsm = BeamSearch::new(beam, space.clone()).search(&program, &mut model_ev);
     assert!(dlcm::ir::apply_schedule(&program, &bsm.schedule).is_ok());
 
-    let mut exec_ev = ParallelEvaluator::new(Measurement::exact(Machine::default()), 0, 1);
+    let mut exec_ev = ParallelEvaluator::new(Measurement::exact(Machine), 0, 1);
     let bse = BeamSearch::new(beam, space).search(&program, &mut exec_ev);
     assert!(
         bse.stats.search_time > bsm.stats.search_time,
@@ -150,7 +136,7 @@ fn model_guided_beam_search_runs_on_unseen_program() {
     );
     // The ground-truth search finds a schedule at least as good as the
     // model-guided one when both are measured.
-    let harness = Measurement::exact(Machine::default());
+    let harness = Measurement::exact(Machine);
     let t = |s: &dlcm::ir::Schedule| harness.measure_schedule(&program, s, 0).unwrap();
     assert!(t(&bse.schedule) <= t(&bsm.schedule) * 1.001);
 }
@@ -162,16 +148,14 @@ fn halide_baseline_drives_beam_search_through_unified_api() {
     // cost-model evaluators, so beam search is oblivious to the backend.
     use dlcm::baseline::HalideModel;
     use dlcm::eval::Evaluator;
-    use dlcm::machine::MachineConfig;
 
     let program = dlcm::benchsuite::cvtcolor(0.1);
-    let mut ev: Box<dyn Evaluator> = Box::new(HalideModel::new(MachineConfig::default(), 0));
+    let mut ev: Box<dyn Evaluator> = Box::new(HalideModel::new(0));
     let result = BeamSearch::new(
         2,
         SearchSpace {
             tile_sizes: vec![32],
             unroll_factors: vec![4],
-            ..SearchSpace::default()
         },
     )
     .search(&program, &mut *ev);
@@ -200,7 +184,7 @@ fn sharded_corpus_streams_into_training() {
             ..DatasetConfig::tiny(8)
         })
     });
-    let harness = Measurement::exact(Machine::default());
+    let harness = Measurement::exact(Machine);
     let (manifest, stats) = builder.write_corpus(&harness, &dir).unwrap();
     assert_eq!(manifest.total_programs, 12);
     assert_eq!(manifest.total_points, stats.num_points);

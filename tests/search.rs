@@ -33,7 +33,6 @@ fn space() -> SearchSpace {
     SearchSpace {
         tile_sizes: vec![8, 32, 128],
         unroll_factors: vec![4, 16],
-        ..SearchSpace::default()
     }
 }
 
@@ -48,7 +47,6 @@ fn jobs() -> Vec<SearchJob> {
                         iterations: 24,
                         space: space(),
                         seed: 17,
-                        ..Mcts::default()
                     },
                     role: 0,
                 },

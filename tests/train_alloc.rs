@@ -67,7 +67,7 @@ fn batches() -> Vec<(Vec<ProgramFeatures>, Vec<f32>)> {
         ..DatasetConfig::tiny(31)
     };
     let (dataset, _) = ParallelDatasetBuilder::new(BuildConfig::new(config))
-        .generate(&Measurement::exact(Machine::default()));
+        .generate(&Measurement::exact(Machine));
     let featurizer = Featurizer::new(FeaturizerConfig::default());
     let rows: Vec<(ProgramFeatures, f32)> = dataset
         .points

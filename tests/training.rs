@@ -13,7 +13,7 @@ use std::path::Path;
 use dlcm::baseline::{HalideModel, HalideTrainConfig};
 use dlcm::datagen::{BuildConfig, DatasetConfig, ParallelDatasetBuilder, ShardBatches};
 use dlcm::ir::fingerprint::{fnv1a, to_hex, FNV1A_INIT};
-use dlcm::machine::{Machine, MachineConfig, Measurement};
+use dlcm::machine::{Machine, Measurement};
 use dlcm::model::ablation::FlatLstmModel;
 use dlcm::model::{
     train_stream, CostModel, CostModelConfig, Featurizer, FeaturizerConfig, SpeedupPredictor,
@@ -54,7 +54,7 @@ fn write_corpus(dir: &Path) {
             ..DatasetConfig::tiny(16)
         })
     })
-    .write_corpus(&Measurement::exact(Machine::default()), dir)
+    .write_corpus(&Measurement::exact(Machine), dir)
     .unwrap();
 }
 
@@ -117,10 +117,10 @@ fn flat_lstm_ablation_trains_to_the_golden_weights_at_any_thread_count() {
 #[test]
 fn halide_baseline_trains_to_the_golden_weights() {
     let dataset = ParallelDatasetBuilder::new(BuildConfig::new(DatasetConfig::tiny(16)))
-        .generate(&Measurement::exact(Machine::default()))
+        .generate(&Measurement::exact(Machine))
         .0;
     let indices: Vec<usize> = (0..dataset.len()).collect();
-    let mut model = HalideModel::new(MachineConfig::default(), 5);
+    let mut model = HalideModel::new(5);
     // Six steps an epoch, 24 in all; two of them over the gradient clip.
     model.train(
         &dataset,
