@@ -118,11 +118,38 @@ pub trait Evaluator {
 
     /// Accounting snapshot: evaluations performed and time charged so far.
     fn stats(&self) -> EvalStats;
+
+    /// [`Evaluator::speedup_batch`], also returning the [`EvalStats`] this
+    /// call charged — what lets one evaluator serve several searches in
+    /// turn, each summing the charges of its own calls. The default is
+    /// the difference of [`Evaluator::stats`] around the call, which can
+    /// miss the charge in the last bits of a time once earlier calls have
+    /// charged. An evaluator that accumulates its stats call by call
+    /// returns the charge itself, and then a caller's charges, summed from
+    /// zero, are bit for bit what a fresh evaluator would report for its
+    /// calls ([`ModelEvaluator`] does).
+    fn speedup_batch_charged(
+        &mut self,
+        program: &Program,
+        schedules: &[Schedule],
+    ) -> (Vec<f64>, EvalStats) {
+        let before = self.stats();
+        let scores = self.speedup_batch(program, schedules);
+        (scores, self.stats().since(&before))
+    }
 }
 
 impl Evaluator for Box<dyn Evaluator + '_> {
     fn speedup_batch(&mut self, program: &Program, schedules: &[Schedule]) -> Vec<f64> {
         (**self).speedup_batch(program, schedules)
+    }
+
+    fn speedup_batch_charged(
+        &mut self,
+        program: &Program,
+        schedules: &[Schedule],
+    ) -> (Vec<f64>, EvalStats) {
+        (**self).speedup_batch_charged(program, schedules)
     }
 
     fn stats(&self) -> EvalStats {

@@ -12,7 +12,16 @@
 //! Grouped inference is bit-identical to one forward pass per candidate
 //! (each batch row is computed independently), so batching changes
 //! throughput, never scores.
+//!
+//! A [`ModelEvaluator`] remembers the scores of the program it is
+//! scoring, keyed by [`Schedule::cache_key`], and answers a repeated
+//! schedule from them — the searches of one job (MCTS, then beam search
+//! with the model) share one evaluator, and the beam search meets many
+//! schedules MCTS already scored. Scores are pure per `(model,
+//! featurizer, program, schedule)`, so remembering changes time, never a
+//! score; and every candidate asked about is charged as if scored.
 
+use std::collections::HashMap;
 use std::time::Instant;
 
 use dlcm_ir::{Program, Schedule};
@@ -60,6 +69,10 @@ pub struct ModelEvaluator<'m> {
     featurizer: Featurizer,
     stats: EvalStats,
     sim_infer_cost: Option<f64>,
+    /// [`Program::cache_key`] of the program `scores` belong to.
+    program: Option<u64>,
+    /// Scores of that program's schedules, by [`Schedule::cache_key`].
+    scores: HashMap<u64, f64>,
 }
 
 impl<'m> ModelEvaluator<'m> {
@@ -70,6 +83,8 @@ impl<'m> ModelEvaluator<'m> {
             featurizer,
             stats: EvalStats::default(),
             sim_infer_cost: None,
+            program: None,
+            scores: HashMap::new(),
         }
     }
 
@@ -98,17 +113,46 @@ impl<'m> ModelEvaluator<'m> {
 
 impl Evaluator for ModelEvaluator<'_> {
     fn speedup_batch(&mut self, program: &Program, schedules: &[Schedule]) -> Vec<f64> {
-        let start = Instant::now();
-        let (out, _) = score_wave(self.model, &self.featurizer, 1, program, schedules);
-
-        self.stats.num_evals += schedules.len();
-        let dt = start.elapsed().as_secs_f64();
-        self.stats.infer_time += dt;
-        self.stats.search_time += match self.sim_infer_cost {
-            Some(per_candidate) => per_candidate * schedules.len() as f64,
-            None => dt,
-        };
+        let (out, charged) = self.speedup_batch_charged(program, schedules);
+        self.stats += charged;
         out
+    }
+
+    fn speedup_batch_charged(
+        &mut self,
+        program: &Program,
+        schedules: &[Schedule],
+    ) -> (Vec<f64>, EvalStats) {
+        let start = Instant::now();
+        let program_key = program.cache_key();
+        if self.program != Some(program_key) {
+            self.scores.clear();
+            self.program = Some(program_key);
+        }
+        let keys: Vec<u64> = schedules.iter().map(Schedule::cache_key).collect();
+        let (fresh_keys, fresh): (Vec<u64>, Vec<Schedule>) = keys
+            .iter()
+            .zip(schedules)
+            .filter(|(key, _)| !self.scores.contains_key(key))
+            .map(|(&key, schedule)| (key, schedule.clone()))
+            .unzip();
+        if !fresh.is_empty() {
+            let (scored, _) = score_wave(self.model, &self.featurizer, 1, program, &fresh);
+            self.scores.extend(fresh_keys.into_iter().zip(scored));
+        }
+        let out = keys.iter().map(|key| self.scores[key]).collect();
+
+        let dt = start.elapsed().as_secs_f64();
+        let charged = EvalStats {
+            num_evals: schedules.len(),
+            infer_time: dt,
+            search_time: match self.sim_infer_cost {
+                Some(per_candidate) => per_candidate * schedules.len() as f64,
+                None => dt,
+            },
+            ..EvalStats::default()
+        };
+        (out, charged)
     }
 
     fn stats(&self) -> EvalStats {
@@ -179,5 +223,38 @@ mod tests {
         assert_eq!(ev.stats().num_evals, 3);
         assert!(ev.stats().infer_time > 0.0);
         assert_eq!(ev.stats().compile_time, 0.0);
+    }
+
+    /// A schedule the evaluator already scored for this program is
+    /// answered from memory with the same bits and charged like a fresh
+    /// one; scoring another program forgets the first one's scores.
+    #[test]
+    fn repeated_schedules_are_remembered_per_program_and_charged() {
+        let p = program();
+        let model = tiny_model();
+        let featurizer = Featurizer::new(FeaturizerConfig::default());
+        let schedules = vec![
+            Schedule::empty(),
+            Schedule::new(vec![Transform::Parallelize {
+                comp: CompId(0),
+                level: 0,
+            }]),
+        ];
+        let mut ev = ModelEvaluator::new(&model, featurizer).with_simulated_cost(0.25);
+        let first = ev.speedup_batch(&p, &schedules);
+        let again = ev.speedup_batch(&p, &schedules[1..]);
+        assert_eq!(again[0].to_bits(), first[1].to_bits());
+        assert_eq!(ev.scores.len(), 2, "nothing was scored twice");
+        assert_eq!(ev.stats().num_evals, 3);
+        assert_eq!(ev.stats().search_time, 0.75);
+
+        let mut other = ProgramBuilder::new("q");
+        let i = other.iter("i", 0, 32);
+        let inp = other.input("in", &[32]);
+        let out = other.buffer("out", &[32]);
+        let acc = other.access(inp, &[i.into()], &[i]);
+        other.assign("c", &[i], out, &[i.into()], Expr::Load(acc));
+        ev.speedup(&other.build().unwrap(), &Schedule::empty());
+        assert_eq!(ev.scores.len(), 1, "the first program's scores are gone");
     }
 }

@@ -17,9 +17,10 @@
 //! - [`Legality`] / [`LegalPrefix`]: the one legality engine. A
 //!   `Legality` is built once per program (it owns the dependence
 //!   analysis, run lazily and at most once); a `LegalPrefix` is the
-//!   validated state after some transforms, extended one transform at a
-//!   time with [`Legality::extend`] — what searches and generators use to
-//!   try many children of one candidate;
+//!   validated state after some transforms (flat tables, cheap to
+//!   clone), extended one transform at a time with [`Legality::extend`]
+//!   — what searches carry per candidate and generators use to try many
+//!   children of one prefix;
 //! - [`apply_schedule`]: the one-shot wrapper over the same engine
 //!   (legality checking + structural application), producing a
 //!   [`ScheduledProgram`];

@@ -18,15 +18,18 @@
 //! - [`LegalPrefix`] is **per validated schedule prefix**: the loop
 //!   forest, fusion aliases and nesting orders after the transforms
 //!   applied so far, plus the last transform's phase so canonical order
-//!   is checked per extension. It is a plain value: clone it to try
-//!   several one-transform extensions of the same prefix.
+//!   is checked per extension. It is a flat value — node tables linked by
+//!   index, whose clone costs the same few allocations on any nest — so
+//!   a search carries one per candidate and clones it to try each
+//!   one-transform extension.
 //!
 //! [`Legality::extend`] validates and applies one transform on top of a
 //! prefix; [`Legality::prefix`] and [`Legality::apply`] replay a whole
 //! schedule through it, and [`apply_schedule`] is the one-shot wrapper
 //! (fresh context, `apply`). A search that tries a dozen children of one
-//! candidate therefore analyzes once, replays the candidate once, and
-//! pays one `extend` per child — not a from-scratch re-application each.
+//! candidate therefore analyzes once, replays nothing, and pays one
+//! clone and one `extend` per child — not a from-scratch re-application
+//! each.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -35,7 +38,6 @@ use std::sync::OnceLock;
 use serde::{Deserialize, Serialize};
 
 use crate::deps::{analyze, Dependence, Dist, FusionCheck, FusionViolation};
-use crate::expr::AccessMatrix;
 use crate::program::{CompId, IterId, LoopNode, Program, TreeNode};
 use crate::transform::{Schedule, Transform};
 
@@ -90,19 +92,6 @@ pub struct SLoop {
     pub unroll_factor: Option<i64>,
     /// Ordered children.
     pub children: Vec<SNode>,
-}
-
-impl SLoop {
-    fn plain(source: LoopSource, extent: i64, children: Vec<SNode>) -> Self {
-        Self {
-            source,
-            extent,
-            parallel: false,
-            vector_factor: None,
-            unroll_factor: None,
-            children,
-        }
-    }
 }
 
 /// A node of the scheduled loop tree.
@@ -365,91 +354,74 @@ impl ScheduledProgram {
 
     /// The chain of loops enclosing `comp`, outermost first.
     pub fn loop_path(&self, comp: CompId) -> Vec<&SLoop> {
-        let path = comp_path(&self.roots, comp).expect("computation present in tree");
-        let mut out = Vec::with_capacity(path.len().saturating_sub(1));
-        let mut node = &self.roots[path[0]];
-        for &idx in &path[1..] {
-            let SNode::Loop(l) = node else { unreachable!() };
-            out.push(l.as_ref());
-            node = &l.children[idx];
+        fn rec<'a>(node: &'a SNode, comp: CompId, out: &mut Vec<&'a SLoop>) -> bool {
+            match node {
+                SNode::Comp(c) => *c == comp,
+                SNode::Loop(l) => {
+                    out.push(l);
+                    if l.children.iter().any(|ch| rec(ch, comp, out)) {
+                        return true;
+                    }
+                    out.pop();
+                    false
+                }
+            }
         }
+        let mut out = Vec::new();
+        let found = self.roots.iter().any(|r| rec(r, comp, &mut out));
+        assert!(found, "computation present in tree");
         out
     }
 }
 
-fn collect_comps(node: &SNode, out: &mut Vec<CompId>) {
-    match node {
-        SNode::Comp(c) => out.push(*c),
-        SNode::Loop(l) => {
-            for c in &l.children {
-                collect_comps(c, out);
-            }
+/// Marks an absent link in a [`LegalPrefix`]'s node table.
+const NONE: u32 = u32::MAX;
+
+/// `first_child` of a computation node `Legality::root` has not yet met
+/// in the program tree (computations have no children otherwise).
+const UNPLACED: u32 = u32::MAX - 1;
+
+/// Everything about a scheduled loop but its children.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Header {
+    source: LoopSource,
+    extent: i64,
+    parallel: bool,
+    vector_factor: Option<i64>,
+    unroll_factor: Option<i64>,
+}
+
+impl Header {
+    fn plain(source: LoopSource, extent: i64) -> Self {
+        Self {
+            source,
+            extent,
+            parallel: false,
+            vector_factor: None,
+            unroll_factor: None,
         }
     }
 }
 
-/// Finds the child-index path from the forest roots to a computation leaf.
-fn comp_path(roots: &[SNode], comp: CompId) -> Option<Vec<usize>> {
-    fn rec(node: &SNode, comp: CompId, path: &mut Vec<usize>) -> bool {
-        match node {
-            SNode::Comp(c) => *c == comp,
-            SNode::Loop(l) => {
-                for (i, ch) in l.children.iter().enumerate() {
-                    path.push(i);
-                    if rec(ch, comp, path) {
-                        return true;
-                    }
-                    path.pop();
-                }
-                false
-            }
+/// One node of a [`LegalPrefix`]'s forest. Computation `c` is node `c`;
+/// loops follow. Links are node indices, [`NONE`] when absent.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    /// `None` for a computation leaf.
+    header: Option<Header>,
+    parent: u32,
+    first_child: u32,
+    next_sibling: u32,
+}
+
+impl Node {
+    fn new(header: Option<Header>, parent: u32) -> Self {
+        Self {
+            header,
+            parent,
+            first_child: NONE,
+            next_sibling: NONE,
         }
-    }
-    for (i, root) in roots.iter().enumerate() {
-        let mut path = vec![i];
-        if rec(root, comp, &mut path) {
-            return Some(path);
-        }
-    }
-    None
-}
-
-fn loop_at_mut<'a>(roots: &'a mut [SNode], prefix: &[usize]) -> &'a mut SLoop {
-    let mut node = &mut roots[prefix[0]];
-    for &idx in &prefix[1..] {
-        let SNode::Loop(l) = node else {
-            panic!("path through non-loop")
-        };
-        node = &mut l.children[idx];
-    }
-    match node {
-        SNode::Loop(l) => l,
-        SNode::Comp(_) => panic!("expected loop at prefix"),
-    }
-}
-
-fn loop_at<'a>(roots: &'a [SNode], prefix: &[usize]) -> &'a SLoop {
-    let mut node = &roots[prefix[0]];
-    for &idx in &prefix[1..] {
-        let SNode::Loop(l) = node else {
-            panic!("path through non-loop")
-        };
-        node = &l.children[idx];
-    }
-    match node {
-        SNode::Loop(l) => l,
-        SNode::Comp(_) => panic!("expected loop at prefix"),
-    }
-}
-
-fn convert_tree(program: &Program, node: &TreeNode) -> SNode {
-    match node {
-        TreeNode::Comp(c) => SNode::Comp(*c),
-        TreeNode::Loop(LoopNode { iter, children }) => SNode::Loop(Box::new(SLoop::plain(
-            LoopSource::Orig { iter: *iter },
-            program.extent(*iter),
-            children.iter().map(|c| convert_tree(program, c)).collect(),
-        ))),
     }
 }
 
@@ -504,27 +476,113 @@ pub struct Legality<'p> {
 /// Only [`Legality`] builds and advances one, so holding a `LegalPrefix`
 /// means every transform behind it passed validation. Use it with the
 /// context that produced it.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The state is flat: a table of nodes linked by index (computation `c`
+/// is node `c`, loops follow), the fusion aliases as a sorted list and
+/// the nesting orders as one row per computation. A clone therefore
+/// costs the same few allocations whatever the size of the nest, and
+/// searches carry one per candidate instead of replaying its schedule.
+/// Equality is structural: two prefixes are equal when their forests,
+/// aliases, nesting orders and phases are, however their tables are laid
+/// out.
+#[derive(Debug, Clone)]
 pub struct LegalPrefix {
-    roots: Vec<SNode>,
-    aliases: HashMap<IterId, IterId>,
-    /// Per-computation current nesting order: `nest_order[c][position] =
-    /// original level`.
-    nest_order: Vec<Vec<usize>>,
+    nodes: Vec<Node>,
+    /// The first root of the forest; roots chain through `next_sibling`.
+    first_root: u32,
+    /// Fusion aliases (fused iter → host iter), sorted by fused iter.
+    aliases: Vec<(IterId, IterId)>,
+    /// Current nesting orders, `stride` entries per computation:
+    /// `nest_order[c * stride + position] = original level`.
+    nest_order: Vec<usize>,
+    stride: usize,
     /// [`Transform::phase`] of the last transform applied (0 when none).
     phase: u8,
 }
 
 impl LegalPrefix {
-    /// The transformed loop forest so far.
-    pub fn roots(&self) -> &[SNode] {
-        &self.roots
+    /// The transformed loop forest so far, materialized as a tree.
+    pub fn forest(&self) -> Vec<SNode> {
+        self.map_forest(&mut SNode::Comp, &mut |mut l, children| {
+            l.children = children;
+            SNode::Loop(Box::new(l))
+        })
+    }
+
+    /// Rebuilds the forest bottom-up: `leaf` maps each computation and
+    /// `node` each loop — its header as an [`SLoop`] without children —
+    /// together with its mapped children, in order.
+    pub fn map_forest<T>(
+        &self,
+        leaf: &mut impl FnMut(CompId) -> T,
+        node: &mut impl FnMut(SLoop, Vec<T>) -> T,
+    ) -> Vec<T> {
+        self.map_siblings(self.first_root, leaf, node)
+    }
+
+    fn map_siblings<T>(
+        &self,
+        first: u32,
+        leaf: &mut impl FnMut(CompId) -> T,
+        node: &mut impl FnMut(SLoop, Vec<T>) -> T,
+    ) -> Vec<T> {
+        let mut out = Vec::with_capacity(self.siblings(first).count());
+        for n in self.siblings(first) {
+            let Node {
+                header,
+                first_child,
+                ..
+            } = self.nodes[n as usize];
+            out.push(match header {
+                None => leaf(CompId(n as usize)),
+                Some(h) => {
+                    let children = self.map_siblings(first_child, leaf, node);
+                    let header = SLoop {
+                        source: h.source,
+                        extent: h.extent,
+                        parallel: h.parallel,
+                        vector_factor: h.vector_factor,
+                        unroll_factor: h.unroll_factor,
+                        children: Vec::new(),
+                    };
+                    node(header, children)
+                }
+            });
+        }
+        out
     }
 
     /// Iterator aliases introduced by fusion so far (fused iter → host
-    /// iter).
-    pub fn aliases(&self) -> &HashMap<IterId, IterId> {
+    /// iter), sorted by fused iter.
+    pub fn aliases(&self) -> &[(IterId, IterId)] {
         &self.aliases
+    }
+}
+
+impl PartialEq for LegalPrefix {
+    fn eq(&self, other: &Self) -> bool {
+        /// Whether the sibling chains from `x` in `a` and from `y` in `b`
+        /// hold the same subtrees in the same order.
+        fn same(a: &LegalPrefix, mut x: u32, b: &LegalPrefix, mut y: u32) -> bool {
+            while x != NONE && y != NONE {
+                let (nx, ny) = (&a.nodes[x as usize], &b.nodes[y as usize]);
+                let equal = match (nx.header, ny.header) {
+                    (None, None) => x == y,
+                    (Some(hx), Some(hy)) => hx == hy && same(a, nx.first_child, b, ny.first_child),
+                    _ => false,
+                };
+                if !equal {
+                    return false;
+                }
+                (x, y) = (nx.next_sibling, ny.next_sibling);
+            }
+            x == y
+        }
+        self.phase == other.phase
+            && self.stride == other.stride
+            && self.aliases == other.aliases
+            && self.nest_order == other.nest_order
+            && same(self, self.first_root, other, other.first_root)
     }
 }
 
@@ -549,19 +607,72 @@ impl<'p> Legality<'p> {
 
     /// The empty prefix: the unscheduled program.
     pub fn root(&self) -> LegalPrefix {
+        /// Appends `children` under `parent` and returns the first one.
+        fn build(
+            program: &Program,
+            nodes: &mut Vec<Node>,
+            parent: u32,
+            children: &[TreeNode],
+        ) -> u32 {
+            let mut first = NONE;
+            let mut prev = NONE;
+            for child in children {
+                let id = match child {
+                    TreeNode::Comp(c) => {
+                        // A leaf naming a computation the program lacks, or
+                        // one already placed, would corrupt the links.
+                        let node = nodes
+                            .get_mut(c.0)
+                            .filter(|n| n.header.is_none() && n.first_child == UNPLACED)
+                            .unwrap_or_else(|| {
+                                panic!(
+                                    "the program tree names computation c{} twice or out of range",
+                                    c.0
+                                )
+                            });
+                        node.first_child = NONE;
+                        node.parent = parent;
+                        c.0 as u32
+                    }
+                    TreeNode::Loop(LoopNode { iter, children }) => {
+                        let id = nodes.len() as u32;
+                        let header =
+                            Header::plain(LoopSource::Orig { iter: *iter }, program.extent(*iter));
+                        nodes.push(Node::new(Some(header), parent));
+                        nodes[id as usize].first_child = build(program, nodes, id, children);
+                        id
+                    }
+                };
+                if prev == NONE {
+                    first = id;
+                } else {
+                    nodes[prev as usize].next_sibling = id;
+                }
+                prev = id;
+            }
+            first
+        }
         let program = self.program;
+        // Computations first, then the loops: as many as the program has
+        // iterators, as a rule.
+        let mut nodes = Vec::with_capacity(program.num_comps() + program.iters.len());
+        let mut unplaced = Node::new(None, NONE);
+        unplaced.first_child = UNPLACED;
+        nodes.resize(program.num_comps(), unplaced);
+        let first_root = build(program, &mut nodes, NONE, &program.roots);
+        let stride = program.comps.iter().map(|c| c.depth()).max().unwrap_or(0);
+        let mut nest_order = vec![0; program.num_comps() * stride];
+        for (c, comp) in program.comps.iter().enumerate() {
+            for level in 0..comp.depth() {
+                nest_order[c * stride + level] = level;
+            }
+        }
         LegalPrefix {
-            roots: program
-                .roots
-                .iter()
-                .map(|r| convert_tree(program, r))
-                .collect(),
-            aliases: HashMap::new(),
-            nest_order: program
-                .comps
-                .iter()
-                .map(|c| (0..c.depth()).collect())
-                .collect(),
+            nodes,
+            first_root,
+            aliases: Vec::new(),
+            nest_order,
+            stride,
             phase: 0,
         }
     }
@@ -626,16 +737,16 @@ impl<'p> Legality<'p> {
         Ok(ScheduledProgram {
             program: self.program.clone(),
             schedule: schedule.clone(),
-            roots: state.roots,
-            aliases: state.aliases,
+            roots: state.forest(),
+            aliases: state.aliases.iter().copied().collect(),
         })
     }
 }
 
 /// Checks that a dependence distance vector, read in `order` (positions
 /// → original levels), stays lexicographically non-negative.
-fn dist_lex_ok(d: &[Dist], order: &[usize]) -> bool {
-    for &level in order {
+fn dist_lex_ok(d: &[Dist], order: impl IntoIterator<Item = usize>) -> bool {
+    for level in order {
         if level >= d.len() {
             continue;
         }
@@ -648,66 +759,126 @@ fn dist_lex_ok(d: &[Dist], order: &[usize]) -> bool {
     true // all-zero: loop independent, textual order preserved
 }
 
-/// The dependences whose two ends are both in `comps`.
-fn deps_between<'a>(
-    deps: &'a [Dependence],
-    comps: &'a [CompId],
-) -> impl Iterator<Item = &'a Dependence> {
-    deps.iter()
-        .filter(move |d| comps.contains(&d.src) && comps.contains(&d.dst))
-}
-
 /// One method per transform. Each runs every check before its first
 /// mutation, which is what lets [`Legality::extend`] promise that a
-/// rejection leaves the state untouched.
+/// rejection leaves the state untouched. The checks walk the node table
+/// through parent and sibling links; none of them allocates.
 impl LegalPrefix {
+    fn header(&self, n: u32) -> &Header {
+        self.nodes[n as usize].header.as_ref().expect("a loop node")
+    }
+
+    fn header_mut(&mut self, n: u32) -> &mut Header {
+        self.nodes[n as usize].header.as_mut().expect("a loop node")
+    }
+
+    fn parent(&self, n: u32) -> Option<u32> {
+        let parent = self.nodes[n as usize].parent;
+        (parent != NONE).then_some(parent)
+    }
+
+    /// `first` and the siblings after it.
+    fn siblings(&self, first: u32) -> impl Iterator<Item = u32> + '_ {
+        std::iter::successors((first != NONE).then_some(first), |&n| {
+            let next = self.nodes[n as usize].next_sibling;
+            (next != NONE).then_some(next)
+        })
+    }
+
+    fn children(&self, n: u32) -> impl Iterator<Item = u32> + '_ {
+        self.siblings(self.nodes[n as usize].first_child)
+    }
+
+    /// The loops enclosing node `n`, innermost first.
+    fn ancestors(&self, n: u32) -> impl Iterator<Item = u32> + '_ {
+        std::iter::successors(self.parent(n), |&a| self.parent(a))
+    }
+
+    /// Number of loops enclosing node `n`.
+    fn loop_depth(&self, n: u32) -> usize {
+        self.ancestors(n).count()
+    }
+
+    /// The forest root node `n` hangs under (`n` itself for a root).
+    fn root_of(&self, n: u32) -> u32 {
+        self.ancestors(n).last().unwrap_or(n)
+    }
+
+    /// Whether loop `l` encloses computation `c`.
+    fn encloses(&self, l: u32, c: CompId) -> bool {
+        self.ancestors(c.0 as u32).any(|a| a == l)
+    }
+
+    /// The computations under node `top`, in tree order: a pre-order walk
+    /// that climbs back through parent links instead of keeping a stack.
+    fn comps_under(&self, top: u32) -> impl Iterator<Item = CompId> + '_ {
+        let mut next = Some(top);
+        std::iter::from_fn(move || {
+            while let Some(n) = next {
+                let node = &self.nodes[n as usize];
+                next = if node.first_child != NONE {
+                    Some(node.first_child)
+                } else {
+                    let mut m = n;
+                    loop {
+                        if m == top {
+                            break None;
+                        }
+                        let sibling = self.nodes[m as usize].next_sibling;
+                        if sibling != NONE {
+                            break Some(sibling);
+                        }
+                        m = self.nodes[m as usize].parent;
+                    }
+                };
+                if node.header.is_none() {
+                    return Some(CompId(n as usize));
+                }
+            }
+            None
+        })
+    }
+
+    /// The dependences whose two ends are both under loop `l`.
+    fn deps_under<'a>(
+        &'a self,
+        deps: &'a [Dependence],
+        l: u32,
+    ) -> impl Iterator<Item = &'a Dependence> + 'a {
+        deps.iter()
+            .filter(move |d| self.encloses(l, d.src) && self.encloses(l, d.dst))
+    }
+
+    /// Current nesting order of `comp` (position → original level).
+    fn order(&self, program: &Program, comp: CompId) -> &[usize] {
+        let start = comp.0 * self.stride;
+        &self.nest_order[start..start + program.comp(comp).depth()]
+    }
+
     fn resolve(&self, mut it: IterId) -> IterId {
-        while let Some(&next) = self.aliases.get(&it) {
-            it = next;
+        while let Ok(i) = self.aliases.binary_search_by_key(&it, |&(from, _)| from) {
+            it = self.aliases[i].1;
         }
         it
     }
 
-    /// Position (prefix length - 1 into the comp path) of the loop deriving
-    /// from original level `level` of `comp`, preferring the outermost
-    /// match (tile-outer before tile-inner).
+    /// The outermost loop deriving from original level `level` of `comp`
+    /// (tile-outer before tile-inner).
     fn find_level_loop(
         &self,
         program: &Program,
         comp: CompId,
         level: usize,
-        outer: bool,
-    ) -> Result<(Vec<usize>, usize), ScheduleError> {
+    ) -> Result<u32, ScheduleError> {
         let c = program.comp(comp);
         if level >= c.depth() {
             return Err(ScheduleError::LevelOutOfRange { comp, level });
         }
         let target = self.resolve(c.iters[level]);
-        let path = comp_path(&self.roots, comp).ok_or(ScheduleError::UnknownComp(comp))?;
-        let mut matches = Vec::new();
-        for plen in 1..path.len() {
-            let l = loop_at(&self.roots, &path[..plen]);
-            if self.resolve(l.source.iter()) == target {
-                matches.push(plen);
-            }
-        }
-        let plen = if outer {
-            matches.first().copied()
-        } else {
-            matches.last().copied()
-        }
-        .ok_or(ScheduleError::LevelOutOfRange { comp, level })?;
-        Ok((path, plen))
-    }
-
-    /// Comps under the loop at `prefix`.
-    fn affected_comps(&self, prefix: &[usize]) -> Vec<CompId> {
-        let mut out = Vec::new();
-        let l = loop_at(&self.roots, prefix);
-        for ch in &l.children {
-            collect_comps(ch, &mut out);
-        }
-        out
+        self.ancestors(comp.0 as u32)
+            .filter(|&l| self.resolve(self.header(l).source.iter()) == target)
+            .last()
+            .ok_or(ScheduleError::LevelOutOfRange { comp, level })
     }
 
     fn interchange(
@@ -724,97 +895,82 @@ impl LegalPrefix {
                 detail: Detail::Fixed("interchange of a level with itself"),
             });
         }
-        let (path_a, pa) = self.find_level_loop(ctx.program, comp, level_a, true)?;
-        let (_, pb) = self.find_level_loop(ctx.program, comp, level_b, true)?;
-        let (pa, pb) = (pa.min(pb), pa.max(pb));
-        // Branch-free chain from outer to inner.
-        for plen in pa..pb {
-            let l = loop_at(&self.roots, &path_a[..plen]);
-            if l.children.len() != 1 {
+        let a = self.find_level_loop(ctx.program, comp, level_a)?;
+        let b = self.find_level_loop(ctx.program, comp, level_b)?;
+        let (outer, inner) = if self.loop_depth(a) <= self.loop_depth(b) {
+            (a, b)
+        } else {
+            (b, a)
+        };
+        // Branch-free chain from outer to inner: the outermost branching
+        // loop strictly above `inner` is the one reported.
+        if outer != inner {
+            let mut branching = None;
+            for l in self.ancestors(inner) {
+                let children = self.children(l).count();
+                if children != 1 {
+                    branching = Some((l, children));
+                }
+                if l == outer {
+                    break;
+                }
+            }
+            if let Some((l, children)) = branching {
                 return Err(ScheduleError::NotBranchFree {
                     comp,
                     detail: Detail::LoopChildren {
-                        depth: plen - 1,
-                        children: l.children.len(),
+                        depth: self.loop_depth(l),
+                        children,
                     },
                 });
             }
         }
         // Dependence legality: distances read in the *new* order must stay
-        // lexicographically non-negative.
-        let affected = self.affected_comps(&path_a[..pa]);
-        let new_orders: Vec<(CompId, Vec<usize>)> = affected
-            .iter()
-            .map(|&c| {
-                let mut order = self.nest_order[c.0].clone();
-                let ia = order.iter().position(|&l| l == level_a);
-                let ib = order.iter().position(|&l| l == level_b);
-                if let (Some(ia), Some(ib)) = (ia, ib) {
-                    order.swap(ia, ib);
-                }
-                (c, order)
-            })
-            .collect();
-        for dep in deps_between(ctx.deps(), &affected) {
+        // lexicographically non-negative. A nesting order is a permutation
+        // of its computation's levels, so it holds both levels exactly
+        // when both are below its length, and then the interchange swaps
+        // them.
+        let swapped = |order: &[usize], l: usize| {
+            if level_a.max(level_b) >= order.len() {
+                l
+            } else if l == level_a {
+                level_b
+            } else if l == level_b {
+                level_a
+            } else {
+                l
+            }
+        };
+        for dep in self.deps_under(ctx.deps(), outer) {
             if dep.reorderable {
                 continue;
             }
             let Some(d) = &dep.distance else {
                 return Err(illegal(t, Detail::Fixed("non-uniform dependence")));
             };
-            let order = &new_orders
-                .iter()
-                .find(|(c, _)| *c == dep.dst)
-                .expect("dst affected")
-                .1;
-            if !dist_lex_ok(d, order) {
+            let order = self.order(ctx.program, dep.dst);
+            if !dist_lex_ok(d, order.iter().map(|&l| swapped(order, l))) {
                 return Err(illegal(t, Detail::Reversed(d.clone())));
             }
         }
         // Structurally swap the two loop headers.
-        let header_a = {
-            let l = loop_at(&self.roots, &path_a[..pa]);
-            (
-                l.source,
-                l.extent,
-                l.parallel,
-                l.vector_factor,
-                l.unroll_factor,
-            )
-        };
-        let header_b = {
-            let l = loop_at(&self.roots, &path_a[..pb]);
-            (
-                l.source,
-                l.extent,
-                l.parallel,
-                l.vector_factor,
-                l.unroll_factor,
-            )
-        };
-        {
-            let l = loop_at_mut(&mut self.roots, &path_a[..pa]);
-            (
-                l.source,
-                l.extent,
-                l.parallel,
-                l.vector_factor,
-                l.unroll_factor,
-            ) = header_b;
-        }
-        {
-            let l = loop_at_mut(&mut self.roots, &path_a[..pb]);
-            (
-                l.source,
-                l.extent,
-                l.parallel,
-                l.vector_factor,
-                l.unroll_factor,
-            ) = header_a;
-        }
+        let (header_a, header_b) = (*self.header(outer), *self.header(inner));
+        *self.header_mut(outer) = header_b;
+        *self.header_mut(inner) = header_a;
         // Update nesting orders.
-        for (c, order) in new_orders {
-            self.nest_order[c.0] = order;
+        let stride = self.stride;
+        for c in ctx.program.comp_ids() {
+            if !self.encloses(outer, c) {
+                continue;
+            }
+            let depth = ctx.program.comp(c).depth();
+            let row = &mut self.nest_order[c.0 * stride..c.0 * stride + depth];
+            if let (Some(ia), Some(ib)) = (
+                row.iter().position(|&l| l == level_a),
+                row.iter().position(|&l| l == level_b),
+            ) {
+                row.swap(ia, ib);
+            }
         }
         Ok(())
     }
@@ -833,67 +989,61 @@ impl LegalPrefix {
         size_b: i64,
     ) -> Result<(), ScheduleError> {
         check_comp(ctx.program, comp)?;
-        let (path, pa) = self.find_level_loop(ctx.program, comp, level_a, true)?;
-        let (_, pb) = self.find_level_loop(ctx.program, comp, level_b, true)?;
-        if pb != pa + 1 {
+        let a = self.find_level_loop(ctx.program, comp, level_a)?;
+        let b = self.find_level_loop(ctx.program, comp, level_b)?;
+        // Both enclose `comp`, so `b` sits right under `a` exactly when
+        // `a` is its parent.
+        if self.parent(b) != Some(a) {
             return Err(ScheduleError::NotAdjacent { comp });
         }
+        if self.children(a).count() != 1 {
+            return Err(ScheduleError::NotBranchFree {
+                comp,
+                detail: Detail::Fixed("tiled outer loop has siblings inside"),
+            });
+        }
+        let (outer, inner) = (*self.header(a), *self.header(b));
+        if !matches!(outer.source, LoopSource::Orig { .. })
+            || !matches!(inner.source, LoopSource::Orig { .. })
         {
-            let outer = loop_at(&self.roots, &path[..pa]);
-            if outer.children.len() != 1 {
-                return Err(ScheduleError::NotBranchFree {
-                    comp,
-                    detail: Detail::Fixed("tiled outer loop has siblings inside"),
+            return Err(ScheduleError::AlreadyTransformed {
+                detail: Detail::Fixed("loop is already tiled"),
+            });
+        }
+        for (level, size, l) in [(level_a, size_a, outer), (level_b, size_b, inner)] {
+            if size < 2 || size > l.extent {
+                return Err(ScheduleError::BadFactor {
+                    detail: Detail::TileSize {
+                        size,
+                        level,
+                        extent: l.extent,
+                    },
                 });
-            }
-            let inner = loop_at(&self.roots, &path[..pb]);
-            if !matches!(outer.source, LoopSource::Orig { .. })
-                || !matches!(inner.source, LoopSource::Orig { .. })
-            {
-                return Err(ScheduleError::AlreadyTransformed {
-                    detail: Detail::Fixed("loop is already tiled"),
-                });
-            }
-            for (level, size, l) in [(level_a, size_a, outer), (level_b, size_b, inner)] {
-                if size < 2 || size > l.extent {
-                    return Err(ScheduleError::BadFactor {
-                        detail: Detail::TileSize {
-                            size,
-                            level,
-                            extent: l.extent,
-                        },
-                    });
-                }
             }
         }
         // Legality: the band must be fully permutable unless carried by an
         // outer loop.
-        let affected = self.affected_comps(&path[..pa]);
-        for dep in deps_between(ctx.deps(), &affected) {
+        for dep in self.deps_under(ctx.deps(), a) {
             if dep.reorderable {
                 continue;
             }
             let Some(d) = &dep.distance else {
                 return Err(illegal(t, Detail::Fixed("non-uniform dependence")));
             };
-            // Carried by an outer loop (before position pa in nest order)?
-            let order = &self.nest_order[dep.dst.0];
-            let outer_levels: Vec<usize> = order
+            // Carried by a level nested outside the band: the levels other
+            // than the band's, up to the first at or past `level_a`'s
+            // position.
+            let order = self.order(ctx.program, dep.dst);
+            let pos_a = order
                 .iter()
-                .copied()
-                .filter(|&l| l != level_a && l != level_b)
-                .take_while(|&l| {
-                    // Levels nested outside the band: positions before pa.
-                    let pos = order.iter().position(|&x| x == l).unwrap();
-                    pos < order
-                        .iter()
-                        .position(|&x| x == level_a)
-                        .unwrap_or(usize::MAX)
-                })
-                .collect();
-            let carried_outside = outer_levels
+                .position(|&x| x == level_a)
+                .unwrap_or(usize::MAX);
+            let carried_outside = order
                 .iter()
-                .any(|&l| l < d.len() && matches!(d[l], Dist::Exact(v) if v > 0));
+                .enumerate()
+                .filter(|&(_, &l)| l != level_a && l != level_b)
+                .take_while(|&(pos, _)| pos < pos_a)
+                .any(|(_, &l)| l < d.len() && matches!(d[l], Dist::Exact(v) if v > 0));
             if carried_outside {
                 continue;
             }
@@ -910,54 +1060,61 @@ impl LegalPrefix {
             }
         }
         // Structural rewrite: a { b { body } } →
-        // a0 { b0 { a1 { b1 { body } } } }.
-        let outer = loop_at_mut(&mut self.roots, &path[..pa]);
-        let SNode::Loop(inner) = outer.children.pop().expect("checked single child") else {
-            panic!("tile inner must be a loop");
-        };
+        // a0 { b0 { a1 { b1 { body } } } }. `a` becomes a0 and keeps its
+        // tags, `b` becomes a plain b0, and a1 / b1 are new nodes.
         let (ia, na) = (outer.source.iter(), outer.extent);
         let (ib, nb) = (inner.source.iter(), inner.extent);
-        let body = inner.children;
-        let b1 = SLoop::plain(
-            LoopSource::TileInner {
-                iter: ib,
-                tile: size_b,
-            },
-            size_b,
-            body,
+        let a1 = self.nodes.len() as u32;
+        let b1 = a1 + 1;
+        let mut a1_node = Node::new(
+            Some(Header::plain(
+                LoopSource::TileInner {
+                    iter: ia,
+                    tile: size_a,
+                },
+                size_a,
+            )),
+            b,
         );
-        let a1 = SLoop::plain(
-            LoopSource::TileInner {
-                iter: ia,
-                tile: size_a,
-            },
-            size_a,
-            vec![SNode::Loop(Box::new(b1))],
+        a1_node.first_child = b1;
+        let mut b1_node = Node::new(
+            Some(Header::plain(
+                LoopSource::TileInner {
+                    iter: ib,
+                    tile: size_b,
+                },
+                size_b,
+            )),
+            a1,
         );
-        let b0 = SLoop::plain(
+        b1_node.first_child = self.nodes[b as usize].first_child;
+        self.nodes.push(a1_node);
+        self.nodes.push(b1_node);
+        let mut body = self.nodes[b1 as usize].first_child;
+        while body != NONE {
+            self.nodes[body as usize].parent = b1;
+            body = self.nodes[body as usize].next_sibling;
+        }
+        self.nodes[b as usize].first_child = a1;
+        *self.header_mut(b) = Header::plain(
             LoopSource::TileOuter {
                 iter: ib,
                 tile: size_b,
             },
             nb.div_euclid(size_b) + i64::from(nb % size_b != 0),
-            vec![SNode::Loop(Box::new(a1))],
         );
-        outer.source = LoopSource::TileOuter {
+        let h = self.header_mut(a);
+        h.source = LoopSource::TileOuter {
             iter: ia,
             tile: size_a,
         };
-        outer.extent = na.div_euclid(size_a) + i64::from(na % size_a != 0);
-        outer.children = vec![SNode::Loop(Box::new(b0))];
+        h.extent = na.div_euclid(size_a) + i64::from(na % size_a != 0);
         Ok(())
     }
 
-    fn innermost_loop_prefix(&self, comp: CompId) -> Result<Vec<usize>, ScheduleError> {
-        let mut path = comp_path(&self.roots, comp).ok_or(ScheduleError::UnknownComp(comp))?;
-        if path.len() < 2 {
-            return Err(ScheduleError::LevelOutOfRange { comp, level: 0 });
-        }
-        path.pop();
-        Ok(path)
+    fn innermost_loop(&self, comp: CompId) -> Result<u32, ScheduleError> {
+        self.parent(comp.0 as u32)
+            .ok_or(ScheduleError::LevelOutOfRange { comp, level: 0 })
     }
 
     fn unroll(
@@ -967,8 +1124,7 @@ impl LegalPrefix {
         factor: i64,
     ) -> Result<(), ScheduleError> {
         check_comp(ctx.program, comp)?;
-        let prefix = self.innermost_loop_prefix(comp)?;
-        let l = loop_at_mut(&mut self.roots, &prefix);
+        let l = self.header_mut(self.innermost_loop(comp)?);
         if factor < 2 || factor > l.extent {
             return Err(ScheduleError::BadFactor {
                 detail: Detail::UnrollFactor {
@@ -994,14 +1150,13 @@ impl LegalPrefix {
         level: usize,
     ) -> Result<(), ScheduleError> {
         check_comp(ctx.program, comp)?;
-        let (path, plen) = self.find_level_loop(ctx.program, comp, level, true)?;
-        let affected = self.affected_comps(&path[..plen]);
-        for dep in deps_between(ctx.deps(), &affected) {
+        let l = self.find_level_loop(ctx.program, comp, level)?;
+        for dep in self.deps_under(ctx.deps(), l) {
             let Some(d) = &dep.distance else {
                 return Err(illegal(t, Detail::Fixed("non-uniform dependence")));
             };
             // Carried by a loop outside the parallel one?
-            let order = &self.nest_order[dep.dst.0];
+            let order = self.order(ctx.program, dep.dst);
             let par_pos = order.iter().position(|&l| l == level).unwrap_or(usize::MAX);
             let carried_outside = order.iter().enumerate().any(|(pos, &l)| {
                 pos < par_pos && l < d.len() && matches!(d[l], Dist::Exact(v) if v > 0)
@@ -1019,8 +1174,7 @@ impl LegalPrefix {
                 ));
             }
         }
-        let l = loop_at_mut(&mut self.roots, &path[..plen]);
-        l.parallel = true;
+        self.header_mut(l).parallel = true;
         Ok(())
     }
 
@@ -1032,10 +1186,10 @@ impl LegalPrefix {
         factor: i64,
     ) -> Result<(), ScheduleError> {
         check_comp(ctx.program, comp)?;
-        let prefix = self.innermost_loop_prefix(comp)?;
+        let l = self.innermost_loop(comp)?;
         let (level, extent, already) = {
-            let l = loop_at(&self.roots, &prefix);
-            let target = self.resolve(l.source.iter());
+            let h = self.header(l);
+            let target = self.resolve(h.source.iter());
             let lvl = ctx
                 .program
                 .comp(comp)
@@ -1046,7 +1200,7 @@ impl LegalPrefix {
                     comp,
                     level: usize::MAX,
                 })?;
-            (lvl, l.extent, l.vector_factor.is_some())
+            (lvl, h.extent, h.vector_factor.is_some())
         };
         if already {
             return Err(ScheduleError::AlreadyTransformed {
@@ -1058,8 +1212,7 @@ impl LegalPrefix {
                 detail: Detail::VectorFactor { factor, extent },
             });
         }
-        let affected = self.affected_comps(&prefix);
-        for dep in deps_between(ctx.deps(), &affected) {
+        for dep in self.deps_under(ctx.deps(), l) {
             // Associative reductions may be vectorized (lane-wise partial
             // accumulators), as production compilers do under fast-math.
             if dep.reorderable {
@@ -1068,7 +1221,7 @@ impl LegalPrefix {
             let Some(d) = &dep.distance else {
                 return Err(illegal(t, Detail::Fixed("non-uniform dependence")));
             };
-            let order = &self.nest_order[dep.dst.0];
+            let order = self.order(ctx.program, dep.dst);
             let vec_pos = order.iter().position(|&l| l == level).unwrap_or(usize::MAX);
             let carried_outside = order.iter().enumerate().any(|(pos, &l)| {
                 pos < vec_pos && l < d.len() && matches!(d[l], Dist::Exact(v) if v > 0)
@@ -1080,8 +1233,7 @@ impl LegalPrefix {
                 return Err(illegal(t, Detail::CarriedInnermost { level }));
             }
         }
-        let l = loop_at_mut(&mut self.roots, &prefix);
-        l.vector_factor = Some(factor);
+        self.header_mut(l).vector_factor = Some(factor);
         Ok(())
     }
 
@@ -1100,35 +1252,39 @@ impl LegalPrefix {
         if depth == 0 {
             return Err(mismatch(Detail::Fixed("fusion depth must be at least 1")));
         }
-        let path_b = comp_path(&self.roots, comp).ok_or(ScheduleError::UnknownComp(comp))?;
-        let path_a = comp_path(&self.roots, with).ok_or(ScheduleError::UnknownComp(with))?;
-        if path_a[0] == path_b[0] {
+        let (donor, host) = (comp.0 as u32, with.0 as u32);
+        let (donor_root, host_root) = (self.root_of(donor), self.root_of(host));
+        if host_root == donor_root {
             return Err(mismatch(Detail::Fixed(
                 "computations already share a root nest",
             )));
         }
-        if path_a[0] > path_b[0] {
+        if self.siblings(donor_root).any(|r| r == host_root) {
             return Err(mismatch(Detail::Fixed(
                 "fusion host must be textually earlier",
             )));
         }
-        if depth + 1 > path_a.len() || depth + 1 > path_b.len() {
+        if depth > self.loop_depth(host) || depth > self.loop_depth(donor) {
             return Err(mismatch(Detail::FusionDepth { depth }));
         }
         // The donor's outer loops must form a branch-free chain so the
-        // whole remainder moves as one unit.
-        for plen in 1..=depth {
-            let l = loop_at(&self.roots, &path_b[..plen]);
-            if plen < depth && l.children.len() != 1 {
+        // whole remainder moves as one unit. Walking down from its root,
+        // each loop above the fusion depth has one child: the next loop.
+        let mut donor_loop = donor_root;
+        for level in 1..=depth {
+            if level < depth && self.children(donor_loop).count() != 1 {
                 return Err(ScheduleError::NotBranchFree {
                     comp,
                     detail: Detail::Fixed("donor nest branches above the fusion depth"),
                 });
             }
-            if !matches!(l.source, LoopSource::Orig { .. }) {
+            if !matches!(self.header(donor_loop).source, LoopSource::Orig { .. }) {
                 return Err(ScheduleError::AlreadyTransformed {
                     detail: Detail::Fixed("cannot fuse through tiled loops"),
                 });
+            }
+            if level < depth {
+                donor_loop = self.nodes[donor_loop as usize].first_child;
             }
         }
         // Matching bounds: after fusion the donor's iterators alias the
@@ -1136,7 +1292,6 @@ impl LegalPrefix {
         // (equal extents alone would shift the donor's accesses).
         let ca = program.comp(with);
         let cb = program.comp(comp);
-        let mut shared_extents = Vec::with_capacity(depth);
         for level in 0..depth {
             let ia = program.iter_of(self.resolve(ca.iters[level]));
             let ib = program.iter_of(self.resolve(cb.iters[level]));
@@ -1147,46 +1302,27 @@ impl LegalPrefix {
                     donor: (ib.lower, ib.upper),
                 }));
             }
-            shared_extents.push(ia.extent());
         }
+        let shared_extents: Vec<i64> = (0..depth)
+            .map(|level| program.iter_of(self.resolve(ca.iters[level])).extent())
+            .collect();
         // Dependence legality across the two nests: every access pair with
         // a write, solved over the first `depth` (aliased) levels, must
         // yield a lexicographically non-negative distance.
-        let host_comps = {
-            let mut v = Vec::new();
-            collect_comps(&self.roots[path_a[0]], &mut v);
-            v
+        let accesses = |c: CompId| {
+            let c = program.comp(c);
+            std::iter::once((&c.store.matrix, c.store.buffer, true)).chain(
+                c.expr
+                    .loads()
+                    .into_iter()
+                    .map(|a| (&a.matrix, a.buffer, false)),
+            )
         };
-        let donor_comps = {
-            let mut v = Vec::new();
-            collect_comps(&self.roots[path_b[0]], &mut v);
-            v
-        };
-        for &x in &host_comps {
-            for &y in &donor_comps {
-                let cx = program.comp(x);
-                let cy = program.comp(y);
-                let x_acc: Vec<(&AccessMatrix, crate::program::BufferId, bool)> =
-                    std::iter::once((&cx.store.matrix, cx.store.buffer, true))
-                        .chain(
-                            cx.expr
-                                .loads()
-                                .into_iter()
-                                .map(|a| (&a.matrix, a.buffer, false)),
-                        )
-                        .collect();
-                let y_acc: Vec<(&AccessMatrix, crate::program::BufferId, bool)> =
-                    std::iter::once((&cy.store.matrix, cy.store.buffer, true))
-                        .chain(
-                            cy.expr
-                                .loads()
-                                .into_iter()
-                                .map(|a| (&a.matrix, a.buffer, false)),
-                        )
-                        .collect();
-                for (mx, bx, wx) in &x_acc {
-                    for (my, by, wy) in &y_acc {
-                        if bx != by || !(*wx || *wy) {
+        for x in self.comps_under(host_root) {
+            for y in self.comps_under(donor_root) {
+                for (mx, bx, wx) in accesses(x) {
+                    for (my, by, wy) in accesses(y) {
+                        if bx != by || !(wx || wy) {
                             continue;
                         }
                         match crate::deps::fusion_distance(mx, my, depth, &shared_extents) {
@@ -1200,30 +1336,47 @@ impl LegalPrefix {
             }
         }
         // Record aliases for every donor computation's outer iterators.
-        for &y in &donor_comps {
+        let donors: Vec<CompId> = self.comps_under(donor_root).collect();
+        for y in donors {
             let cy = program.comp(y);
             for l in 0..depth.min(cy.depth()) {
                 let from = self.resolve(cy.iters[l]);
                 let to = self.resolve(ca.iters[l]);
                 if from != to {
-                    self.aliases.insert(from, to);
+                    match self.aliases.binary_search_by_key(&from, |&(f, _)| f) {
+                        Ok(i) => self.aliases[i].1 = to,
+                        Err(i) => self.aliases.insert(i, (from, to)),
+                    }
                 }
             }
         }
-        // Structural move: detach the donor remainder and append it under
-        // the host loop at `depth`.
-        let donor_root_idx = path_b[0];
-        let mut remainder = {
-            // Navigate depth loops down and take the children of the loop
-            // at prefix length `depth`.
-            let l = loop_at_mut(&mut self.roots, &path_b[..depth]);
-            std::mem::take(&mut l.children)
-        };
-        self.roots.remove(donor_root_idx);
-        // Host path indices shift if the donor root was before it — it is
-        // not (host is earlier), so path_a stays valid.
-        let host_loop = loop_at_mut(&mut self.roots, &path_a[..depth]);
-        host_loop.children.append(&mut remainder);
+        // Structural move: detach the donor remainder, unlink the donor's
+        // root and append the remainder under the host loop at `depth`.
+        // The donor's emptied outer loops stay in the table, unreachable.
+        let host_loop = self
+            .ancestors(host)
+            .nth(self.loop_depth(host) - depth)
+            .expect("depth checked against the host nest");
+        let remainder = std::mem::replace(&mut self.nodes[donor_loop as usize].first_child, NONE);
+        let after_donor = self.nodes[donor_root as usize].next_sibling;
+        if self.first_root == donor_root {
+            self.first_root = after_donor;
+        } else {
+            let before = self
+                .siblings(self.first_root)
+                .find(|&r| self.nodes[r as usize].next_sibling == donor_root)
+                .expect("the donor root is a root");
+            self.nodes[before as usize].next_sibling = after_donor;
+        }
+        match self.children(host_loop).last() {
+            Some(last) => self.nodes[last as usize].next_sibling = remainder,
+            None => self.nodes[host_loop as usize].first_child = remainder,
+        }
+        let mut moved = remainder;
+        while moved != NONE {
+            self.nodes[moved as usize].parent = host_loop;
+            moved = self.nodes[moved as usize].next_sibling;
+        }
         Ok(())
     }
 }
@@ -1436,6 +1589,16 @@ mod tests {
             }]),
             "illegal fusion: fusion depth 3 exceeds a nest depth"
         );
+    }
+
+    /// A tree leaf naming a computation the program lacks is refused
+    /// outright instead of being linked into the node table.
+    #[test]
+    #[should_panic(expected = "names computation c0 twice or out of range")]
+    fn a_leaf_without_its_computation_is_refused() {
+        let mut hollow = program();
+        hollow.comps.clear();
+        Legality::new(&hollow).root();
     }
 
     /// The analysis is deferred to the first transform that reads a

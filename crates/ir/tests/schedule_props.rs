@@ -6,7 +6,9 @@
 //! Written as seeded randomized property loops (64 cases per property,
 //! like the original proptest configuration) over the vendored RNG.
 
+use dlcm_datagen::{ProgramGenConfig, ProgramGenerator};
 use dlcm_ir::*;
+use dlcm_search::{expand, finalize, Candidate, SearchSpace};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -364,8 +366,16 @@ fn incremental_extension_matches_one_shot_application() {
             match apply_schedule(&p, &prefix.clone().with(t.clone())) {
                 Ok(sp) => {
                     assert_eq!(step, Ok(()), "case {case}: {}", sp.schedule.describe());
-                    assert_eq!(state.roots(), sp.roots, "case {case}");
-                    assert_eq!(state.aliases(), &sp.aliases, "case {case}");
+                    assert_eq!(state.forest(), sp.roots, "case {case}");
+                    assert_eq!(
+                        state
+                            .aliases()
+                            .iter()
+                            .copied()
+                            .collect::<std::collections::HashMap<_, _>>(),
+                        sp.aliases,
+                        "case {case}"
+                    );
                     assert_eq!(cold.prefix(&sp.schedule).as_ref(), Ok(&state));
                     prefix = sp.schedule;
                     accepted += 1;
@@ -393,4 +403,60 @@ fn incremental_extension_matches_one_shot_application() {
         9,
         "a ScheduleError variant never occurred"
     );
+}
+
+/// The state a search carries against a cold replay. Over the ten suite
+/// programs and a seeded bank of generated programs from all nine
+/// families, random walks down the candidate tree check every child
+/// `expand` creates — the beams' children and MCTS's expansions; an MCTS
+/// rollout step returns one of them (`draw_child`'s own test):
+///
+/// - its carried state equals `Legality::prefix` of its schedule, the
+///   equality being structural, whatever the node tables' layouts;
+/// - finalizing from that state gives `finalize`'s one-shot schedule.
+#[test]
+fn carried_states_equal_cold_replays() {
+    let space = SearchSpace {
+        tile_sizes: vec![4, 16, 32, 128],
+        unroll_factors: vec![2, 8],
+    };
+    let mut programs: Vec<Program> = dlcm_benchsuite::suite()
+        .iter()
+        .map(|bench| (bench.build)(0.1))
+        .collect();
+    let generator = ProgramGenerator::new(ProgramGenConfig::wide());
+    let mut rng = ChaCha8Rng::seed_from_u64(0xCA11);
+    programs.extend((0..24).map(|i| generator.generate(&mut rng, &format!("bank{i}"))));
+    let mut checked = 0;
+    for p in &programs {
+        let legality = Legality::new(p);
+        for _ in 0..8 {
+            let mut cand = Candidate::root(p);
+            while !cand.is_complete() {
+                let children = expand(p, &space, &cand);
+                for child in &children {
+                    let cold = legality
+                        .prefix(&child.schedule)
+                        .expect("children are legal");
+                    assert_eq!(
+                        child.state(),
+                        &cold,
+                        "{}: {}",
+                        p.name,
+                        child.schedule.describe()
+                    );
+                    assert_eq!(
+                        child.clone().finalize(&legality),
+                        finalize(p, &child.schedule),
+                        "{}: {}",
+                        p.name,
+                        child.schedule.describe()
+                    );
+                    checked += 1;
+                }
+                cand = children[rng.gen_range(0..children.len())].clone();
+            }
+        }
+    }
+    assert!(checked > 5000, "{checked} candidates checked");
 }

@@ -22,7 +22,7 @@
 //! the program ... are directly applied to the program structure
 //! representation").
 
-use dlcm_ir::{CompId, Legality, LoopSource, Program, SNode, Schedule, Transform};
+use dlcm_ir::{CompId, Legality, LoopSource, Program, Schedule, Transform};
 use serde::{Deserialize, Serialize};
 
 /// Size limits of the fixed-width encoding.
@@ -176,7 +176,10 @@ impl Featurizer {
                     .expect("fusion subset of a legal schedule");
             }
         }
-        let tree = structural.roots().iter().map(convert).collect();
+        let tree = structural.map_forest(&mut |c| FeatNode::Comp(c.0), &mut |l, children| {
+            debug_assert!(matches!(l.source, LoopSource::Orig { .. }));
+            FeatNode::Loop(children)
+        });
 
         ProgramFeatures { comp_vectors, tree }
     }
@@ -335,16 +338,6 @@ impl Featurizer {
 
         debug_assert_eq!(v.len(), cfg.vector_width());
         v
-    }
-}
-
-fn convert(node: &SNode) -> FeatNode {
-    match node {
-        SNode::Comp(c) => FeatNode::Comp(c.0),
-        SNode::Loop(l) => {
-            debug_assert!(matches!(l.source, LoopSource::Orig { .. }));
-            FeatNode::Loop(l.children.iter().map(convert).collect())
-        }
     }
 }
 

@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use dlcm_eval::{EvalStats, Evaluator};
 use dlcm_ir::{Legality, Program, Schedule};
 
-use crate::space::{expand_in, finalize_in, Candidate, SearchSpace};
+use crate::space::{expand_in, Candidate, SearchSpace};
 
 /// Outcome of one search run.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,7 +68,7 @@ impl BeamSearch {
         let mut frontier: Vec<(Candidate, f64, Schedule)> = Vec::new();
         {
             let root = Candidate::root(program);
-            let finalized = finalize_in(&legality, &root.schedule);
+            let finalized = root.clone().finalize(&legality);
             let score = evaluator.speedup(program, &finalized);
             seen.insert(finalized.cache_key(), score);
             frontier.push((root, score, finalized));
@@ -94,7 +94,7 @@ impl BeamSearch {
                         next.push((child, Some(score), finalized.clone()));
                         continue;
                     }
-                    let child_final = finalize_in(&legality, &child.schedule);
+                    let child_final = child.clone().finalize(&legality);
                     let key = child_final.cache_key();
                     if let Some(&known) = seen.get(&key) {
                         next.push((child, Some(known), child_final));

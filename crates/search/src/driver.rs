@@ -24,7 +24,10 @@
 //!   scores through its own [`dlcm_eval::ScopedEvaluator`], which
 //!   accumulates only that search's [`dlcm_eval::EvalStats`] deltas, so
 //!   Table 2's per-search accounting never sees a concurrent neighbour's
-//!   work; and
+//!   work; a job's model-driven searches share one model evaluator per
+//!   role and each sums only the charges of its own calls
+//!   ([`dlcm_eval::Evaluator::speedup_batch_charged`]), so sharing a
+//!   `ModelEvaluator` moves no stat by a bit; and
 //! - **cache-reuse accounting is ordered where it matters** — the specs
 //!   of one [`SearchJob`] run sequentially on one worker (MCTS warms the
 //!   cache BSE then reuses, exactly as the serial experiment ran), while
@@ -39,8 +42,8 @@
 //! (`tests/driver_parity.rs` and the CI diff job enforce it).
 
 use dlcm_eval::pool::parallel_map;
-use dlcm_eval::{Evaluator, ScopedEvaluator, SyncEvaluator};
-use dlcm_ir::Program;
+use dlcm_eval::{EvalStats, Evaluator, ScopedEvaluator, SyncEvaluator};
+use dlcm_ir::{Program, Schedule};
 
 use crate::beam::{BeamSearch, SearchResult};
 use crate::mcts::Mcts;
@@ -49,15 +52,18 @@ use crate::mcts::Mcts;
 ///
 /// Model-driven specs carry a `role` the caller's evaluator factory maps
 /// to a concrete model (e.g. role 0 = the trained cost model, role 1 =
-/// the Halide-style baseline); a fresh model evaluator is built per spec,
-/// which keeps its (cheap, per-candidate-deterministic) accounting
-/// standalone without any sharing machinery.
+/// the Halide-style baseline). One model evaluator is built per role and
+/// job and serves every spec of that role in the job, so what it learned
+/// scoring one search's candidates (a model evaluator remembers the
+/// scores of the program it is scoring) answers the next search's; each
+/// search still reports only what its own calls were charged.
 #[derive(Debug, Clone)]
 pub enum SearchSpec {
     /// Beam search driven by the shared execution-backed evaluator
     /// (the paper's BSE).
     BeamExec(BeamSearch),
-    /// Beam search driven by a per-spec model evaluator (BSM, Halide).
+    /// Beam search driven by the job's model evaluator for `role` (BSM,
+    /// Halide).
     BeamModel {
         /// Beam configuration.
         search: BeamSearch,
@@ -142,9 +148,9 @@ impl SearchDriver {
     ///
     /// `exec` is the one shared execution-backed evaluator every
     /// [`SearchSpec::BeamExec`] and MCTS correction step borrows;
-    /// `model_eval` builds a fresh exclusive evaluator for a model
-    /// `role` (called once per model-driven spec, on the worker running
-    /// the job).
+    /// `model_eval` builds an exclusive evaluator for a model `role`
+    /// (called once per job and role, when the job's first spec of that
+    /// role runs, on the worker running the job).
     pub fn run_suite<'m, E, F>(
         &self,
         jobs: &[SearchJob],
@@ -157,15 +163,25 @@ impl SearchDriver {
     {
         parallel_map(self.search_threads, jobs.len(), |j| {
             let job = &jobs[j];
+            let mut models = Vec::new();
             job.specs
                 .iter()
-                .map(|spec| run_one(&job.program, spec, exec, model_eval))
+                .map(|spec| run_one(&job.program, spec, exec, model_eval, &mut models))
                 .collect()
         })
     }
 }
 
-fn run_one<'m, E, F>(program: &Program, spec: &SearchSpec, exec: &E, model_eval: &F) -> SearchResult
+/// The job's model evaluators, one per role, in the order first asked for.
+type Models<'m> = Vec<(usize, Box<dyn Evaluator + 'm>)>;
+
+fn run_one<'m, E, F>(
+    program: &Program,
+    spec: &SearchSpec,
+    exec: &E,
+    model_eval: &F,
+    models: &mut Models<'m>,
+) -> SearchResult
 where
     E: SyncEvaluator + ?Sized,
     F: Fn(usize) -> Box<dyn Evaluator + 'm> + Sync,
@@ -176,13 +192,64 @@ where
             search.search(program, &mut scoped)
         }
         SearchSpec::BeamModel { search, role } => {
-            let mut ev = model_eval(*role);
-            search.search(program, &mut *ev)
+            search.search(program, &mut Lent::new(models, *role, model_eval))
         }
         SearchSpec::Mcts { search, role } => {
-            let mut ev = model_eval(*role);
             let mut scoped = ScopedEvaluator::new(exec);
-            search.search(program, &mut *ev, &mut scoped)
+            search.search(
+                program,
+                &mut Lent::new(models, *role, model_eval),
+                &mut scoped,
+            )
         }
+    }
+}
+
+/// One search's use of its job's model evaluator for a role: scores
+/// through it, and accounts only the charges of this search's calls,
+/// summed from zero as a fresh evaluator would sum them.
+struct Lent<'a, 'm> {
+    model: &'a mut (dyn Evaluator + 'm),
+    own: EvalStats,
+}
+
+impl<'a, 'm> Lent<'a, 'm> {
+    /// Lends the job's evaluator for `role`, built by `model_eval` if no
+    /// earlier spec of the job asked for it.
+    fn new<F>(models: &'a mut Models<'m>, role: usize, model_eval: &F) -> Self
+    where
+        F: Fn(usize) -> Box<dyn Evaluator + 'm>,
+    {
+        let at = match models.iter().position(|(r, _)| *r == role) {
+            Some(at) => at,
+            None => {
+                models.push((role, model_eval(role)));
+                models.len() - 1
+            }
+        };
+        Self {
+            model: &mut *models[at].1,
+            own: EvalStats::default(),
+        }
+    }
+}
+
+impl Evaluator for Lent<'_, '_> {
+    fn speedup_batch(&mut self, program: &Program, schedules: &[Schedule]) -> Vec<f64> {
+        self.speedup_batch_charged(program, schedules).0
+    }
+
+    fn speedup_batch_charged(
+        &mut self,
+        program: &Program,
+        schedules: &[Schedule],
+    ) -> (Vec<f64>, EvalStats) {
+        let (scores, charged) = self.model.speedup_batch_charged(program, schedules);
+        self.own += charged;
+        (scores, charged)
+    }
+
+    fn stats(&self) -> EvalStats {
+        self.own
     }
 }

@@ -12,12 +12,11 @@ use std::collections::HashMap;
 use dlcm_eval::Evaluator;
 use dlcm_ir::{Legality, Program, Schedule};
 use rand::seq::SliceRandom;
-use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::beam::SearchResult;
-use crate::space::{expand_in, finalize_in, Candidate, SearchSpace};
+use crate::space::{draw_child, expand_in, Candidate, SearchSpace};
 
 /// Weight of the UCB visit bonus against a child's mean score (scores
 /// are normalized by the best seen so far).
@@ -151,15 +150,11 @@ impl Mcts {
             let mut cand = nodes[start].candidate.clone();
             let mut guard = 0;
             while !cand.is_complete() {
-                let options = expand_in(&legality, &self.space, &cand);
-                cand = options
-                    .into_iter()
-                    .max_by_key(|_| rng.gen::<u32>())
-                    .expect("skip child always present");
+                cand = draw_child(&legality, &self.space, cand, &mut rng);
                 guard += 1;
                 assert!(guard < 64, "rollout did not terminate");
             }
-            let finalized = finalize_in(&legality, &cand.schedule);
+            let finalized = cand.finalize(&legality);
             let key = finalized.cache_key();
             let score = match rollout_scores.get(&key) {
                 Some(&known) => known,

@@ -7,14 +7,18 @@
 //! when the conditions are met.
 //!
 //! Validity (the paper's step 2) goes through one [`Legality`] context
-//! per program: [`expand`] and [`finalize`] replay the candidate's prefix
-//! once and then try each child as one [`Legality::extend`] on top of
-//! it. The searches build the context once per search and call the
-//! crate-internal `expand_in` / `finalize_in`; the public functions wrap
-//! them with a throw-away context, so even a lone call analyzes the
-//! program once rather than once per child.
+//! per program, and every [`Candidate`] carries the [`LegalPrefix`] its
+//! schedule leaves: expanding a candidate tries each child as one
+//! [`Legality::extend`] of a copy of that state and hands the accepted
+//! copy to the child, and finalizing extends it with the heuristic tags.
+//! Nothing replays a schedule. The searches build the context once per
+//! search and call the crate-internal `expand_in` / `draw_child` and
+//! [`Candidate::finalize`]; the public [`expand`] wraps `expand_in` with
+//! a throw-away context, and the public [`finalize`] replays its schedule
+//! once, as it has no candidate to read a state from.
 
-use dlcm_ir::{CompId, Legality, Program, Schedule, Transform};
+use dlcm_ir::{CompId, LegalPrefix, Legality, Program, Schedule, Transform};
+use rand::Rng;
 
 /// SIMD width the vectorization heuristic tags (8 `f32` lanes of AVX2).
 const VECTOR_FACTOR: i64 = 8;
@@ -58,12 +62,18 @@ pub enum Stage {
 }
 
 /// A (possibly partial) point in the search tree.
+///
+/// Built by [`Candidate::root`] and [`expand`] only, which keep the
+/// legality state it carries in step with its schedule: read the fields,
+/// do not rewrite them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Candidate {
     /// Transform prefix chosen so far (canonical order).
     pub schedule: Schedule,
     /// Next decision to make.
     pub stage: Stage,
+    /// What `schedule` leaves in the legality engine.
+    state: LegalPrefix,
 }
 
 impl Candidate {
@@ -77,7 +87,21 @@ impl Candidate {
         Self {
             schedule: Schedule::empty(),
             stage,
+            state: Legality::new(program).root(),
         }
+    }
+
+    /// The legality state the candidate's schedule leaves: equal to a
+    /// fresh `Legality::prefix` replay of it.
+    pub fn state(&self) -> &LegalPrefix {
+        &self.state
+    }
+
+    /// [`finalize`] of the candidate's schedule, extending the state it
+    /// carries instead of replaying the schedule. `legality` must be a
+    /// context of the candidate's program.
+    pub fn finalize(self, legality: &Legality<'_>) -> Schedule {
+        finalize_state(legality, self.schedule, self.state)
     }
 
     /// `true` when no further decisions remain.
@@ -103,12 +127,14 @@ fn next_stage(program: &Program, stage: Stage) -> Stage {
 }
 
 /// Current nesting order of a computation's original levels under the
-/// interchanges chosen so far *for that computation*. Deliberately a
-/// function of the schedule alone: the legality engine's own nesting
-/// order also moves when a fused sibling is interchanged, and reading
-/// that here would change which tiles and tags get enumerated.
-fn current_order(program: &Program, schedule: &Schedule, comp: CompId) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..program.comp(comp).depth()).collect();
+/// interchanges chosen so far *for that computation*, written into
+/// `order`. Deliberately a function of the schedule alone: the legality
+/// engine's own nesting order also moves when a fused sibling is
+/// interchanged, and reading that here would change which tiles and tags
+/// get enumerated.
+fn current_order(program: &Program, schedule: &Schedule, comp: CompId, order: &mut Vec<usize>) {
+    order.clear();
+    order.extend(0..program.comp(comp).depth());
     for t in &schedule.transforms {
         if let Transform::Interchange {
             comp: c,
@@ -129,7 +155,107 @@ fn current_order(program: &Program, schedule: &Schedule, comp: CompId) -> Vec<us
             }
         }
     }
-    order
+}
+
+/// Calls `visit` with each transform the candidate's stage offers, in the
+/// order its children are listed.
+fn for_each_trial(
+    program: &Program,
+    space: &SearchSpace,
+    cand: &Candidate,
+    mut visit: impl FnMut(Transform),
+) {
+    match cand.stage {
+        Stage::Fusion => {
+            let n = program.num_comps();
+            for b in 1..n {
+                for a in 0..b {
+                    let max_depth = program
+                        .comp(CompId(a))
+                        .depth()
+                        .min(program.comp(CompId(b)).depth());
+                    for depth in 1..=max_depth {
+                        visit(Transform::Fuse {
+                            comp: CompId(b),
+                            with: CompId(a),
+                            depth,
+                        });
+                    }
+                }
+            }
+        }
+        Stage::Interchange(c) => {
+            let depth = program.comp(CompId(c)).depth();
+            for a in 0..depth {
+                for b in a + 1..depth {
+                    visit(Transform::Interchange {
+                        comp: CompId(c),
+                        level_a: a,
+                        level_b: b,
+                    });
+                }
+            }
+        }
+        Stage::Tile(c) => {
+            let comp = CompId(c);
+            let mut order = Vec::new();
+            current_order(program, &cand.schedule, comp, &mut order);
+            // Only sizes in `[2, extent]` of their level: the engine
+            // rejects any other as `BadFactor`. A level's tiled loop is an
+            // original loop of its own iterator or of one fused into it
+            // with the same bounds, so the level's extent is that loop's.
+            let sizes = |level: usize| {
+                let extent = program.extent(program.comp(comp).iters[level]);
+                space
+                    .tile_sizes
+                    .iter()
+                    .copied()
+                    .filter(move |size| (2..=extent).contains(size))
+            };
+            for pair in order.windows(2) {
+                let (la, lb) = (pair[0], pair[1]);
+                for sa in sizes(la) {
+                    for sb in sizes(lb) {
+                        visit(Transform::Tile {
+                            comp,
+                            level_a: la,
+                            level_b: lb,
+                            size_a: sa,
+                            size_b: sb,
+                        });
+                    }
+                }
+            }
+        }
+        Stage::Unroll(c) => {
+            for &f in &space.unroll_factors {
+                visit(Transform::Unroll {
+                    comp: CompId(c),
+                    factor: f,
+                });
+            }
+        }
+        Stage::Done => {}
+    }
+}
+
+/// Calls `visit` with each legal extension of the candidate, in order,
+/// and the state it leaves. A rejected `extend` leaves its state
+/// untouched, so a scratch copy of the candidate's state is made only
+/// when the previous one was accepted — and handed to `visit` with it.
+fn for_each_legal_child(
+    legality: &Legality<'_>,
+    space: &SearchSpace,
+    cand: &Candidate,
+    mut visit: impl FnMut(Transform, LegalPrefix),
+) {
+    let mut scratch = None;
+    for_each_trial(legality.program(), space, cand, |t| {
+        let state = scratch.get_or_insert_with(|| cand.state.clone());
+        if legality.extend(state, &t).is_ok() {
+            visit(t, scratch.take().expect("just filled"));
+        }
+    });
 }
 
 /// Expands one decision stage of a candidate into its children (always
@@ -145,112 +271,78 @@ pub(crate) fn expand_in(
     space: &SearchSpace,
     cand: &Candidate,
 ) -> Vec<Candidate> {
-    let program = legality.program();
-    let advance = next_stage(program, cand.stage);
-    let mut trials = Vec::new();
-    match cand.stage {
-        Stage::Fusion => {
-            let n = program.num_comps();
-            for b in 1..n {
-                for a in 0..b {
-                    let max_depth = program
-                        .comp(CompId(a))
-                        .depth()
-                        .min(program.comp(CompId(b)).depth());
-                    for depth in 1..=max_depth {
-                        trials.push(Transform::Fuse {
-                            comp: CompId(b),
-                            with: CompId(a),
-                            depth,
-                        });
-                    }
-                }
-            }
-        }
-        Stage::Interchange(c) => {
-            let depth = program.comp(CompId(c)).depth();
-            for a in 0..depth {
-                for b in a + 1..depth {
-                    trials.push(Transform::Interchange {
-                        comp: CompId(c),
-                        level_a: a,
-                        level_b: b,
-                    });
-                }
-            }
-        }
-        Stage::Tile(c) => {
-            let comp = CompId(c);
-            let order = current_order(program, &cand.schedule, comp);
-            for pos in 0..order.len().saturating_sub(1) {
-                let (la, lb) = (order[pos], order[pos + 1]);
-                for &sa in &space.tile_sizes {
-                    for &sb in &space.tile_sizes {
-                        trials.push(Transform::Tile {
-                            comp,
-                            level_a: la,
-                            level_b: lb,
-                            size_a: sa,
-                            size_b: sb,
-                        });
-                    }
-                }
-            }
-        }
-        Stage::Unroll(c) => {
-            for &f in &space.unroll_factors {
-                trials.push(Transform::Unroll {
-                    comp: CompId(c),
-                    factor: f,
-                });
-            }
-        }
-        Stage::Done => {}
-    }
-    // The skip child.
+    let stage = next_stage(legality.program(), cand.stage);
     let mut out = vec![Candidate {
-        schedule: cand.schedule.clone(),
-        stage: advance,
+        stage,
+        ..cand.clone()
     }];
-    if trials.is_empty() {
-        return out;
-    }
-    // An illegal prefix has no legal extension: the skip child only.
-    let Ok(base) = legality.prefix(&cand.schedule) else {
-        return out;
-    };
-    // A rejected `extend` leaves its state untouched, so the scratch copy
-    // is renewed only after a child was accepted into it.
-    let mut scratch = base.clone();
-    for t in trials {
-        if legality.extend(&mut scratch, &t).is_ok() {
-            out.push(Candidate {
-                schedule: cand.schedule.clone().with(t),
-                stage: advance,
-            });
-            scratch = base.clone();
-        }
-    }
+    for_each_legal_child(legality, space, cand, |t, state| {
+        out.push(Candidate {
+            schedule: extended(&cand.schedule, t),
+            stage,
+            state,
+        });
+    });
     out
+}
+
+/// `schedule` with `t` appended, in one allocation.
+fn extended(schedule: &Schedule, t: Transform) -> Schedule {
+    let mut transforms = Vec::with_capacity(schedule.transforms.len() + 1);
+    transforms.extend_from_slice(&schedule.transforms);
+    transforms.push(t);
+    Schedule::new(transforms)
+}
+
+/// One rollout step: draws one `u32` per child of `cand` — the skip child
+/// first, then each legal extension in [`expand`]'s order — and returns
+/// the child with the largest draw (the last of equal draws), building
+/// only that one.
+pub(crate) fn draw_child(
+    legality: &Legality<'_>,
+    space: &SearchSpace,
+    cand: Candidate,
+    rng: &mut impl Rng,
+) -> Candidate {
+    let stage = next_stage(legality.program(), cand.stage);
+    let mut best_draw = rng.gen::<u32>();
+    let mut best = None;
+    for_each_legal_child(legality, space, &cand, |t, state| {
+        let draw = rng.gen::<u32>();
+        if draw >= best_draw {
+            best_draw = draw;
+            best = Some((t, state));
+        }
+    });
+    match best {
+        None => Candidate { stage, ..cand },
+        Some((t, state)) => Candidate {
+            schedule: cand.schedule.with(t),
+            stage,
+            state,
+        },
+    }
 }
 
 /// Applies the §4 heuristics to a complete candidate: parallelize the
 /// outermost legal loop of each computation and vectorize the innermost
 /// loop when its extent is large enough. Returns the finalized schedule.
 pub fn finalize(program: &Program, schedule: &Schedule) -> Schedule {
-    finalize_in(&Legality::new(program), schedule)
+    let legality = Legality::new(program);
+    match legality.prefix(schedule) {
+        Ok(state) => finalize_state(&legality, schedule.clone(), state),
+        // No tag is legal on top of an illegal schedule.
+        Err(_) => schedule.clone(),
+    }
 }
 
-/// [`finalize`] against a caller-held legality context.
-pub(crate) fn finalize_in(legality: &Legality<'_>, schedule: &Schedule) -> Schedule {
+fn finalize_state(legality: &Legality<'_>, mut s: Schedule, mut state: LegalPrefix) -> Schedule {
     let program = legality.program();
-    let mut s = schedule.clone();
-    // No tag is legal on top of an illegal schedule.
-    let Ok(mut state) = legality.prefix(schedule) else {
-        return s;
-    };
+    // At most two tags per computation.
+    s.transforms.reserve(2 * program.num_comps());
+    let mut order = Vec::new();
     for comp in program.comp_ids() {
-        let order = current_order(program, &s, comp);
+        current_order(program, &s, comp, &mut order);
         // Parallelize the outermost loop whose parallelization is legal,
         // scanning outside-in (Halide-style heuristic).
         for &level in &order {
@@ -334,14 +426,16 @@ mod tests {
         };
         // After interchanging levels 0 and 2 the adjacent pairs are
         // (2,1) and (1,0).
-        let cand = Candidate {
-            schedule: Schedule::new(vec![Transform::Interchange {
-                comp: CompId(0),
-                level_a: 0,
-                level_b: 2,
-            }]),
-            stage: Stage::Tile(0),
-        };
+        let interchanged = Schedule::new(vec![Transform::Interchange {
+            comp: CompId(0),
+            level_a: 0,
+            level_b: 2,
+        }]);
+        let cand = expand(&p, &space, &Candidate::root(&p))
+            .into_iter()
+            .find(|c| c.schedule == interchanged)
+            .expect("the interchange is legal");
+        assert_eq!(cand.stage, Stage::Tile(0));
         let children = expand(&p, &space, &cand);
         let tiles: Vec<(usize, usize)> = children
             .iter()
@@ -409,5 +503,71 @@ mod tests {
         let p = b.build().unwrap();
         let s = finalize(&p, &Schedule::empty());
         assert!(s.is_empty(), "no tag should apply: {}", s.describe());
+    }
+
+    /// `mm` feeding a pointwise consumer: two computations, so the walk
+    /// passes through fusion as well.
+    fn mm_then_scale(n: i64) -> Program {
+        let mut b = ProgramBuilder::new("mm_scale");
+        let i = b.iter("i", 0, n);
+        let j = b.iter("j", 0, n);
+        let k = b.iter("k", 0, n);
+        let a_buf = b.input("a", &[n, n]);
+        let b_buf = b.input("b", &[n, n]);
+        let prod = b.buffer("prod", &[n, n]);
+        let out = b.buffer("out", &[n, n]);
+        let iters = [i, j, k];
+        let a_acc = b.access(a_buf, &[i.into(), k.into()], &iters);
+        let b_acc = b.access(b_buf, &[k.into(), j.into()], &iters);
+        b.reduce(
+            "mm",
+            &iters,
+            BinOp::Add,
+            prod,
+            &[i.into(), j.into()],
+            Expr::binary(BinOp::Mul, Expr::Load(a_acc), Expr::Load(b_acc)),
+        );
+        let i2 = b.iter("i2", 0, n);
+        let j2 = b.iter("j2", 0, n);
+        let p_acc = b.access(prod, &[i2.into(), j2.into()], &[i2, j2]);
+        b.assign(
+            "scale",
+            &[i2, j2],
+            out,
+            &[i2.into(), j2.into()],
+            Expr::binary(BinOp::Mul, Expr::Load(p_acc), Expr::Const(2.0)),
+        );
+        b.build().unwrap()
+    }
+
+    /// A rollout step draws what picking the max-draw child of `expand`
+    /// draws, in the same order, and returns that child — schedule,
+    /// stage and carried state — though it builds no other.
+    #[test]
+    fn a_drawn_child_is_the_child_expand_would_yield() {
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
+
+        let space = SearchSpace {
+            tile_sizes: vec![4, 16, 128],
+            unroll_factors: vec![2, 4],
+        };
+        for p in [mm(32), mm_then_scale(32)] {
+            let legality = Legality::new(&p);
+            for seed in 0..16 {
+                let mut picked = ChaCha8Rng::seed_from_u64(seed);
+                let mut drawn = picked.clone();
+                let mut cand = Candidate::root(&p);
+                while !cand.is_complete() {
+                    let expected = expand_in(&legality, &space, &cand)
+                        .into_iter()
+                        .max_by_key(|_| picked.gen::<u32>())
+                        .expect("the skip child");
+                    cand = draw_child(&legality, &space, cand, &mut drawn);
+                    assert_eq!(cand, expected, "seed {seed}");
+                }
+                assert_eq!(picked.gen::<u64>(), drawn.gen::<u64>(), "seed {seed}");
+            }
+        }
     }
 }

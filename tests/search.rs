@@ -8,13 +8,20 @@
 //! is the contract every change to the legality engine, the candidate
 //! space or the search loops is held to.
 
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use dlcm::benchsuite;
-use dlcm::eval::{Evaluator, ModelEvaluator, ParallelEvaluator, SharedCachedEvaluator};
+use dlcm::eval::{
+    Evaluator, ModelEvaluator, ParallelEvaluator, ScopedEvaluator, SharedCachedEvaluator,
+};
 use dlcm::ir::fingerprint::{fnv1a, to_hex, FNV1A_INIT};
+use dlcm::ir::Legality;
 use dlcm::machine::Measurement;
 use dlcm::model::{CostModel, CostModelConfig, Featurizer, FeaturizerConfig};
 use dlcm::search::{
-    BeamSearch, Mcts, SearchDriver, SearchJob, SearchResult, SearchSpace, SearchSpec,
+    expand, finalize, BeamSearch, Candidate, Mcts, SearchDriver, SearchJob, SearchResult,
+    SearchSpace, SearchSpec,
 };
 
 /// Re-pinned by PR 20, when the activations became `dlcm_tensor::math`:
@@ -112,5 +119,90 @@ fn suite_searches_find_the_golden_schedules_at_any_search_thread_count() {
             "search_threads={search_threads}: a schedule, score or evaluation count moved:\n{}",
             lines.join("\n")
         );
+    }
+}
+
+/// Candidates carry the legality state of their schedule: over the first
+/// few hundred candidates of each suite program's tree, breadth first,
+/// the carried state equals a cold `Legality::prefix` replay and
+/// finalizing from it equals the one-shot `finalize`.
+#[test]
+fn carried_states_match_cold_replays_on_the_suite() {
+    for bench in benchsuite::suite() {
+        let program = (bench.build)(SCALE);
+        let legality = Legality::new(&program);
+        let mut queue = VecDeque::from([Candidate::root(&program)]);
+        let mut seen = 0;
+        while let Some(cand) = queue.pop_front() {
+            assert_eq!(
+                Ok(cand.state()),
+                legality.prefix(&cand.schedule).as_ref(),
+                "{}: {}",
+                bench.name,
+                cand.schedule.describe()
+            );
+            assert_eq!(
+                cand.clone().finalize(&legality),
+                finalize(&program, &cand.schedule)
+            );
+            seen += 1;
+            if seen < 300 && !cand.is_complete() {
+                queue.extend(expand(&program, &space(), &cand));
+            }
+        }
+    }
+}
+
+/// A job's MCTS and model-guided beam search share one model evaluator
+/// (the factory runs once per job and role), and each still reports what
+/// a dedicated evaluator would have charged it, bit for bit.
+#[test]
+fn a_job_builds_one_model_evaluator_and_each_search_is_charged_alone() {
+    let featurizer = Featurizer::new(FeaturizerConfig::default());
+    let model = CostModel::new(
+        CostModelConfig::fast(FeaturizerConfig::default().vector_width()),
+        0,
+    );
+    let fresh = || ModelEvaluator::new(&model, featurizer.clone()).with_simulated_cost(0.004);
+    let built = AtomicUsize::new(0);
+    let factory = |_role: usize| -> Box<dyn Evaluator + '_> {
+        built.fetch_add(1, Ordering::Relaxed);
+        Box::new(fresh())
+    };
+    let mcts = Mcts {
+        iterations: 24,
+        space: space(),
+        seed: 17,
+    };
+    let beam = BeamSearch::new(3, space());
+    let program = (benchsuite::suite()[1].build)(SCALE);
+    let jobs = [SearchJob {
+        program: program.clone(),
+        specs: vec![
+            SearchSpec::Mcts {
+                search: mcts.clone(),
+                role: 0,
+            },
+            SearchSpec::BeamModel {
+                search: beam.clone(),
+                role: 0,
+            },
+        ],
+    }];
+    let exec = SharedCachedEvaluator::new(ParallelEvaluator::new(Measurement::default(), 0, 1));
+    let shared = SearchDriver::new(1).run_suite(&jobs, &exec, &factory);
+    assert_eq!(built.load(Ordering::Relaxed), 1);
+
+    let exec = SharedCachedEvaluator::new(ParallelEvaluator::new(Measurement::default(), 0, 1));
+    let alone = vec![
+        mcts.search(&program, &mut fresh(), &mut ScopedEvaluator::new(&exec)),
+        beam.search(&program, &mut fresh()),
+    ];
+    for (a, b) in shared[0].iter().zip(&alone) {
+        assert_eq!(a.schedule, b.schedule);
+        assert_eq!(a.score.to_bits(), b.score.to_bits());
+        assert_eq!(a.stats.num_evals, b.stats.num_evals);
+        assert_eq!(a.stats.search_time.to_bits(), b.stats.search_time.to_bits());
+        assert_eq!(a.stats.cache_hits, b.stats.cache_hits);
     }
 }
