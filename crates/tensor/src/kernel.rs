@@ -63,14 +63,18 @@ const TILE: usize = 32;
 ///
 /// There is no ISA-specific code: the nest is plain Rust over
 /// fixed-width arrays, vectorised by the compiler for whatever target
-/// the build names. Wider registers change how many columns one
-/// instruction covers, never what a column computes — Rust emits a
+/// the build names — on x86_64 that is `x86-64-v3` (AVX2, from the
+/// workspace's `.cargo/config.toml`), so a 32-wide tile is four 256-bit
+/// accumulators. Wider registers change how many columns one
+/// instruction covers, never what a column computes: Rust emits a
 /// separate IEEE multiply and add per element under any target (it
-/// never contracts them into an FMA, whatever the CPU supports), which
-/// CI's `target-cpu` leg pins at `x86-64-v3`. A run-time AVX2
-/// instantiation of this body was built, measured end to end and not
-/// kept: the baseline build was the faster one in ten of ten
-/// `search_suite` pairs (CHANGES.md, PR 18).
+/// never contracts them into an FMA, whatever the CPU supports), and
+/// CI's `baseline-target` leg runs the goldens on an SSE2 build to
+/// prove it. Compiling the whole build for v3 is what pays; a run-time
+/// AVX2 instantiation of this body alone, inside an SSE2 build, was
+/// built, measured end to end and not kept — the plain baseline build
+/// was the faster one in ten of ten `search_suite` pairs (ROADMAP.md
+/// § Measured).
 pub fn matmul_into(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);

@@ -11,12 +11,16 @@
 //! ulp or so (CHANGES.md, PR 20, lists what moved).
 //!
 //! They are written like [`crate::kernel::matmul_into`]: selects instead
-//! of branches, no table (a gather does not vectorise on SSE2), no
-//! intrinsics, no `unsafe`, no `target_feature`, `#[inline(always)]`, so
-//! the element-wise loops that call them vectorise for whatever target
-//! the build names; Rust never contracts a multiply and an add into an
+//! of branches, no table (a gather does not vectorise on the SSE2
+//! baseline, which stays a supported build), no intrinsics, no
+//! `unsafe`, no `target_feature`, `#[inline(always)]`, so the
+//! element-wise loops that call them vectorise for whatever target the
+//! build names. On x86_64 that is `x86-64-v3` (the workspace's
+//! `.cargo/config.toml`): eight lanes per instruction, and the selects
+//! become blends. Rust never contracts a multiply and an add into an
 //! FMA, so wider registers change how many elements an instruction
-//! covers, never what an element computes.
+//! covers, never what an element computes; the pinned tables below hold
+//! in the default build and in the SSE2 one (`-C target-cpu=x86-64`).
 //!
 //! **Accuracy**: within 2 ulp of the correctly rounded result wherever
 //! that result is a normal `f32` (measured over every `f32` in the
