@@ -51,12 +51,13 @@ fn misses_per_point(prof: &CompProfile, size: u64) -> f64 {
         / points
 }
 
-/// Computes the 54-feature vector for a scheduled program.
+/// Computes the 54-feature vector for a scheduled program; `schedule` is
+/// the schedule `sp` applies (feature 50 counts its transforms).
 ///
 /// # Panics
 ///
 /// Panics if the scheduled program has no computations.
-pub fn halide_features(sp: &ScheduledProgram) -> Vec<f64> {
+pub fn halide_features(sp: &ScheduledProgram<'_>, schedule: &Schedule) -> Vec<f64> {
     let profiles = analyze_program(sp);
     assert!(!profiles.is_empty(), "program has no computations");
     let p = &profiles;
@@ -109,7 +110,7 @@ pub fn halide_features(sp: &ScheduledProgram) -> Vec<f64> {
     let inner_extent = |c: &CompProfile| c.innermost().map_or(0.0, |l| l.trips as f64);
     let outer_extent = |c: &CompProfile| c.loops.first().map_or(0.0, |l| l.trips as f64);
     let store_fp = |c: &CompProfile| c.accesses[0].footprints[0] as f64;
-    let red_levels = |c: &CompProfile| sp.program.comp(c.comp).reduction_levels.len() as f64;
+    let red_levels = |c: &CompProfile| sp.program().comp(c.comp).reduction_levels.len() as f64;
 
     let v = vec![
         // --- global shape (1-8) ------------------------------------------
@@ -120,7 +121,7 @@ pub fn halide_features(sp: &ScheduledProgram) -> Vec<f64> {
         mean(p, |c| c.num_loads as f64), // 5
         mean(p, |c| c.depth() as f64),   // 6
         maxf(p, |c| c.depth() as f64),   // 7
-        sp.roots.len() as f64,           // 8
+        sp.num_roots() as f64,           // 8
         // --- op mix (9-12) -------------------------------------------------
         mean(p, |c| c.op_counts[0] as f64), // 9 adds
         mean(p, |c| c.op_counts[1] as f64), // 10 muls
@@ -198,11 +199,11 @@ pub fn halide_features(sp: &ScheduledProgram) -> Vec<f64> {
         mean(p, |c| f64::from(red_levels(c) > 0.0)), // 41
         mean(p, red_levels),                         // 42
         log1p(mean(p, |c| {
-            sp.program
+            sp.program()
                 .comp(c.comp)
                 .reduction_levels
                 .iter()
-                .map(|&l| sp.program.extent(sp.program.comp(c.comp).iters[l]) as f64)
+                .map(|&l| sp.program().extent(sp.program().comp(c.comp).iters[l]) as f64)
                 .product::<f64>()
         })), // 43
         // --- per-comp extremes (44-49) -----------------------------------------------
@@ -213,7 +214,7 @@ pub fn halide_features(sp: &ScheduledProgram) -> Vec<f64> {
         log1p(maxf(p, inner_extent)),              // 48
         log1p(maxf(p, outer_extent)),              // 49
         // --- schedule size & intensity (50-54) ------------------------------------------
-        sp.schedule.len() as f64,                    // 50
+        schedule.len() as f64,                       // 50
         flops / (root_fp * 4.0).max(1.0),            // 51 arithmetic intensity
         log1p(mean(p, |c| misses_per_point(c, l2))), // 52
         mean(p, |c| {
@@ -223,7 +224,7 @@ pub fn halide_features(sp: &ScheduledProgram) -> Vec<f64> {
                 .sum::<f64>()
                 / c.accesses.len().max(1) as f64
         }), // 53
-        log1p(total_points / sp.roots.len().max(1) as f64), // 54
+        log1p(total_points / sp.num_roots().max(1) as f64), // 54
     ];
     debug_assert_eq!(v.len(), NUM_FEATURES);
     v
@@ -238,7 +239,8 @@ pub fn featurize_pair(
     program: &Program,
     schedule: &Schedule,
 ) -> Result<Vec<f64>, dlcm_ir::ScheduleError> {
-    Ok(halide_features(&apply_schedule(program, schedule)?))
+    let sp = apply_schedule(program, schedule)?;
+    Ok(halide_features(&sp, schedule))
 }
 
 #[cfg(test)]

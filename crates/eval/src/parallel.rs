@@ -26,7 +26,7 @@
 
 use std::sync::Mutex;
 
-use dlcm_ir::{Program, Schedule};
+use dlcm_ir::{Legality, Program, Schedule};
 use dlcm_machine::Measurement;
 
 use crate::{pool, EvalStats, Evaluator, SyncEvaluator};
@@ -52,6 +52,13 @@ const COMPILE_COST: f64 = 2.0;
 /// Batches smaller than 8 candidates skip the pool and run inline —
 /// scores are bit-identical either way (the pool assembles by index), so
 /// the cutover is purely a latency choice.
+///
+/// Every candidate is measured with the construction seed and every
+/// baseline with `seed ^ 0xBA5E`, and [`Measurement::measure`] draws its
+/// noise from the seed alone. So the noise does not vary between
+/// candidates: each score is the noise-free speedup times one constant,
+/// the median multiplier of the baseline seed's draws over that of the
+/// candidate seed's.
 #[derive(Debug)]
 pub struct ParallelEvaluator {
     measurement: Measurement,
@@ -139,12 +146,13 @@ impl ParallelEvaluator {
 
     /// Scores one candidate against a baseline time, returning the speedup
     /// and the stats to charge for it. Pure: no `&mut`, no batch-position
-    /// dependence.
-    fn score(&self, program: &Program, base: f64, schedule: &Schedule) -> (f64, EvalStats) {
+    /// dependence — the shared `legality` only caches the program's
+    /// dependence analysis, which changes cost, never a verdict.
+    fn score(&self, legality: &Legality<'_>, base: f64, schedule: &Schedule) -> (f64, EvalStats) {
         let repeats = f64::from(self.measurement.repeats.max(1));
-        match self
-            .measurement
-            .measure_schedule(program, schedule, self.seed)
+        match legality
+            .apply(schedule)
+            .map(|sp| self.measurement.measure(&sp, self.seed))
         {
             Ok(t) => (
                 base / t.max(f64::MIN_POSITIVE),
@@ -190,8 +198,11 @@ impl SyncEvaluator for ParallelEvaluator {
         } else {
             self.threads
         };
+        // One legality context for the batch: its dependence analysis runs
+        // at most once, whichever worker needs it first.
+        let legality = Legality::new(program);
         let scored = pool::parallel_map(threads, schedules.len(), |i| {
-            self.score(program, base, &schedules[i])
+            self.score(&legality, base, &schedules[i])
         });
         // Fold stats in candidate order, one += per candidate on both the
         // global accumulator and the returned delta: the same association

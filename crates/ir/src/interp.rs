@@ -1,6 +1,7 @@
 //! Reference interpreter for scheduled programs.
 //!
-//! The interpreter executes the (transformed) loop tree over real `f32`
+//! The interpreter executes the transformed loop forest — the node table
+//! of the [`ScheduledProgram`]'s validated prefix — over real `f32`
 //! buffers. It is the semantics oracle of this reproduction: property
 //! tests assert that any schedule accepted by
 //! [`crate::schedule::apply_schedule`] produces the same outputs as the
@@ -11,7 +12,7 @@ use std::collections::HashMap;
 
 use crate::expr::Expr;
 use crate::program::{BufferId, CompId, CompKind, Program};
-use crate::schedule::{LoopSource, SLoop, SNode, ScheduledProgram};
+use crate::schedule::{LegalPrefix, LoopSource, SLoop, ScheduledProgram};
 use crate::transform::Schedule;
 
 /// Errors raised by the interpreter.
@@ -76,10 +77,10 @@ impl std::error::Error for InterpError {}
 /// assert_eq!(outputs[&out], vec![1.0, 2.0, 3.0, 4.0]);
 /// ```
 pub fn interpret(
-    sp: &ScheduledProgram,
+    sp: &ScheduledProgram<'_>,
     inputs: &HashMap<BufferId, Vec<f32>>,
 ) -> Result<HashMap<BufferId, Vec<f32>>, InterpError> {
-    let program = &sp.program;
+    let (program, state) = (sp.program(), sp.prefix());
     let mut bufs: Vec<Vec<f32>> = Vec::with_capacity(program.buffers.len());
     for (i, buf) in program.buffers.iter().enumerate() {
         let len = buf.len() as usize;
@@ -101,14 +102,13 @@ pub fn interpret(
     }
 
     let mut exec = Exec {
-        sp,
+        program,
+        state,
         vals: vec![0; program.iters.len()],
         tile_base: vec![0; program.iters.len()],
         bufs,
     };
-    for root in &sp.roots {
-        exec.node(root);
-    }
+    exec.nodes(state.first_root);
 
     Ok(program
         .buffers
@@ -175,7 +175,9 @@ pub fn max_relative_error(a: &HashMap<BufferId, Vec<f32>>, b: &HashMap<BufferId,
 }
 
 struct Exec<'a> {
-    sp: &'a ScheduledProgram,
+    program: &'a Program,
+    /// The forest being executed.
+    state: &'a LegalPrefix,
     /// Current absolute value of each (resolved) iterator.
     vals: Vec<i64>,
     /// Tile base offsets for tiled iterators.
@@ -184,31 +186,32 @@ struct Exec<'a> {
 }
 
 impl Exec<'_> {
-    fn node(&mut self, n: &SNode) {
-        match n {
-            SNode::Comp(c) => self.comp(*c),
-            SNode::Loop(l) => self.sloop(l),
+    /// Runs node `first` and the siblings after it, in order.
+    fn nodes(&mut self, first: u32) {
+        let state = self.state;
+        for n in state.siblings(first) {
+            let node = &state.nodes[n as usize];
+            match &node.header {
+                None => self.comp(CompId(n as usize)),
+                Some(l) => self.sloop(l, node.first_child),
+            }
         }
     }
 
-    fn sloop(&mut self, l: &SLoop) {
-        let it = self.sp.resolve(l.source.iter());
-        let iter = self.sp.program.iter_of(it);
+    fn sloop(&mut self, l: &SLoop, body: u32) {
+        let it = self.state.resolve(l.source.iter());
+        let iter = self.program.iter_of(it);
         match l.source {
             LoopSource::Orig { .. } => {
                 for v in iter.lower..iter.upper {
                     self.vals[it.0] = v;
-                    for c in &l.children {
-                        self.node(c);
-                    }
+                    self.nodes(body);
                 }
             }
             LoopSource::TileOuter { tile, .. } => {
                 for t in 0..l.extent {
                     self.tile_base[it.0] = iter.lower + t * tile;
-                    for c in &l.children {
-                        self.node(c);
-                    }
+                    self.nodes(body);
                 }
             }
             LoopSource::TileInner { tile, .. } => {
@@ -216,25 +219,23 @@ impl Exec<'_> {
                 let hi = (base + tile).min(iter.upper);
                 for v in base..hi {
                     self.vals[it.0] = v;
-                    for c in &l.children {
-                        self.node(c);
-                    }
+                    self.nodes(body);
                 }
             }
         }
     }
 
     fn comp(&mut self, id: CompId) {
-        let comp = self.sp.program.comp(id);
+        let comp = self.program.comp(id);
         // Bind the computation's iterator values (through fusion aliases).
         let values: Vec<i64> = comp
             .iters
             .iter()
-            .map(|&it| self.vals[self.sp.resolve(it).0])
+            .map(|&it| self.vals[self.state.resolve(it).0])
             .collect();
         let rhs = self.eval(&comp.expr, &values);
         let idx = comp.store.matrix.eval(&values);
-        let buf = self.sp.program.buffer(comp.store.buffer);
+        let buf = self.program.buffer(comp.store.buffer);
         let off = buf.offset(&idx);
         let slot = &mut self.bufs[comp.store.buffer.0][off];
         match comp.kind {
@@ -250,7 +251,7 @@ impl Exec<'_> {
             Expr::Binary(op, l, r) => op.apply(self.eval(l, values), self.eval(r, values)),
             Expr::Load(a) => {
                 let idx = a.matrix.eval(values);
-                let buf = self.sp.program.buffer(a.buffer);
+                let buf = self.program.buffer(a.buffer);
                 self.bufs[a.buffer.0][buf.offset(&idx)]
             }
         }

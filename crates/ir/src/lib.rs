@@ -23,7 +23,9 @@
 //!   children of one prefix;
 //! - [`apply_schedule`]: the one-shot wrapper over the same engine
 //!   (legality checking + structural application), producing a
-//!   [`ScheduledProgram`];
+//!   [`ScheduledProgram`] — the validated prefix of the whole schedule
+//!   over the borrowed program, which the interpreter and the machine
+//!   model read directly;
 //! - [`interpret`]: a reference interpreter used as a semantics oracle —
 //!   legal schedules must not change program outputs.
 //!
@@ -93,7 +95,7 @@ pub use program::{
     ProgramBuilder, TreeNode,
 };
 pub use schedule::{
-    apply_schedule, Detail, LegalPrefix, Legality, LoopSource, SLoop, SNode, ScheduleError,
+    apply_schedule, Detail, LegalPrefix, Legality, LoopSource, SLoop, ScheduleError,
     ScheduledProgram,
 };
 pub use transform::{Schedule, Transform};
@@ -105,5 +107,5 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Program>();
     assert_send_sync::<Schedule>();
-    assert_send_sync::<ScheduledProgram>();
+    assert_send_sync::<ScheduledProgram<'static>>();
 };

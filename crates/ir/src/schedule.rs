@@ -1,10 +1,10 @@
-//! Schedule application: turning `(Program, Schedule)` into a transformed
-//! loop tree, with legality checking at every step.
+//! Schedule application: validating `(Program, Schedule)` and producing
+//! the transformed loop forest, with legality checking at every step.
 //!
 //! This is the part of Tiramisu the paper's step 2 relies on ("the
 //! compiler checks the validity of each candidate"). Each transform is
 //! validated against the dependence analysis of [`crate::deps`] and then
-//! applied structurally to a scheduled loop tree ([`SNode`]).
+//! applied structurally to the flat loop forest of a [`LegalPrefix`].
 //!
 //! There is one engine, split by what its state depends on:
 //!
@@ -29,20 +29,19 @@
 //! (fresh context, `apply`). A search that tries a dozen children of one
 //! candidate therefore analyzes once, replays nothing, and pays one
 //! clone and one `extend` per child — not a from-scratch re-application
-//! each.
+//! each. A [`ScheduledProgram`] is a whole schedule's prefix beside the
+//! program it was validated against: nothing is copied or rebuilt to
+//! execute, analyze or interpret it.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::OnceLock;
-
-use serde::{Deserialize, Serialize};
 
 use crate::deps::{analyze, Dependence, Dist, FusionCheck, FusionViolation};
 use crate::program::{CompId, IterId, LoopNode, Program, TreeNode};
 use crate::transform::{Schedule, Transform};
 
 /// Where a scheduled loop comes from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoopSource {
     /// The full range of an original iterator.
     Orig {
@@ -76,8 +75,8 @@ impl LoopSource {
     }
 }
 
-/// A loop of the scheduled program.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A loop of the scheduled program: its header, without its children.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SLoop {
     /// Provenance of the loop.
     pub source: LoopSource,
@@ -90,17 +89,18 @@ pub struct SLoop {
     pub vector_factor: Option<i64>,
     /// Unroll tag.
     pub unroll_factor: Option<i64>,
-    /// Ordered children.
-    pub children: Vec<SNode>,
 }
 
-/// A node of the scheduled loop tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum SNode {
-    /// A loop.
-    Loop(Box<SLoop>),
-    /// A computation leaf.
-    Comp(CompId),
+impl SLoop {
+    fn plain(source: LoopSource, extent: i64) -> Self {
+        Self {
+            source,
+            extent,
+            parallel: false,
+            vector_factor: None,
+            unroll_factor: None,
+        }
+    }
 }
 
 /// The values behind a [`ScheduleError`] explanation.
@@ -327,50 +327,45 @@ impl fmt::Display for ScheduleError {
 
 impl std::error::Error for ScheduleError {}
 
-/// A program with a fully applied, validated schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ScheduledProgram {
-    /// The source program.
-    pub program: Program,
-    /// The schedule that was applied.
-    pub schedule: Schedule,
-    /// Transformed loop forest.
-    pub roots: Vec<SNode>,
-    /// Iterator aliases introduced by fusion (fused iter → host iter).
-    pub aliases: HashMap<IterId, IterId>,
+/// A program with a fully applied, validated schedule: the
+/// [`LegalPrefix`] of the whole schedule beside the program it was
+/// validated against.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ScheduledProgram<'p> {
+    program: &'p Program,
+    state: LegalPrefix,
 }
 
-impl ScheduledProgram {
-    /// Resolves an iterator through fusion aliases.
-    pub fn resolve(&self, mut it: IterId) -> IterId {
-        let mut guard = 0;
-        while let Some(&next) = self.aliases.get(&it) {
-            it = next;
-            guard += 1;
-            assert!(guard <= self.aliases.len(), "alias cycle");
-        }
-        it
+impl<'p> ScheduledProgram<'p> {
+    /// The source program.
+    pub fn program(&self) -> &'p Program {
+        self.program
     }
 
-    /// The chain of loops enclosing `comp`, outermost first.
-    pub fn loop_path(&self, comp: CompId) -> Vec<&SLoop> {
-        fn rec<'a>(node: &'a SNode, comp: CompId, out: &mut Vec<&'a SLoop>) -> bool {
-            match node {
-                SNode::Comp(c) => *c == comp,
-                SNode::Loop(l) => {
-                    out.push(l);
-                    if l.children.iter().any(|ch| rec(ch, comp, out)) {
-                        return true;
-                    }
-                    out.pop();
-                    false
-                }
-            }
-        }
-        let mut out = Vec::new();
-        let found = self.roots.iter().any(|r| rec(r, comp, &mut out));
-        assert!(found, "computation present in tree");
-        out
+    /// The validated state of the whole schedule.
+    pub fn prefix(&self) -> &LegalPrefix {
+        &self.state
+    }
+
+    /// Resolves an iterator through fusion aliases.
+    pub fn resolve(&self, it: IterId) -> IterId {
+        self.state.resolve(it)
+    }
+
+    /// Number of root nests of the transformed forest.
+    pub fn num_roots(&self) -> usize {
+        self.state.siblings(self.state.first_root).count()
+    }
+
+    /// The loops enclosing `comp`, outermost first, each with its node
+    /// index: an identity that two computations' chains share exactly
+    /// where they share a loop.
+    pub fn loops(&self, comp: CompId) -> impl ExactSizeIterator<Item = (usize, SLoop)> + '_ {
+        let (state, leaf) = (&self.state, comp.0 as u32);
+        (0..state.loop_depth(leaf)).rev().map(move |up| {
+            let n = state.ancestors(leaf).nth(up).expect("within the depth");
+            (n as usize, *state.header(n))
+        })
     }
 }
 
@@ -381,41 +376,19 @@ const NONE: u32 = u32::MAX;
 /// in the program tree (computations have no children otherwise).
 const UNPLACED: u32 = u32::MAX - 1;
 
-/// Everything about a scheduled loop but its children.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Header {
-    source: LoopSource,
-    extent: i64,
-    parallel: bool,
-    vector_factor: Option<i64>,
-    unroll_factor: Option<i64>,
-}
-
-impl Header {
-    fn plain(source: LoopSource, extent: i64) -> Self {
-        Self {
-            source,
-            extent,
-            parallel: false,
-            vector_factor: None,
-            unroll_factor: None,
-        }
-    }
-}
-
 /// One node of a [`LegalPrefix`]'s forest. Computation `c` is node `c`;
 /// loops follow. Links are node indices, [`NONE`] when absent.
 #[derive(Debug, Clone, Copy)]
-struct Node {
+pub(crate) struct Node {
     /// `None` for a computation leaf.
-    header: Option<Header>,
+    pub(crate) header: Option<SLoop>,
     parent: u32,
-    first_child: u32,
+    pub(crate) first_child: u32,
     next_sibling: u32,
 }
 
 impl Node {
-    fn new(header: Option<Header>, parent: u32) -> Self {
+    fn new(header: Option<SLoop>, parent: u32) -> Self {
         Self {
             header,
             parent,
@@ -487,9 +460,9 @@ pub struct Legality<'p> {
 /// out.
 #[derive(Debug, Clone)]
 pub struct LegalPrefix {
-    nodes: Vec<Node>,
+    pub(crate) nodes: Vec<Node>,
     /// The first root of the forest; roots chain through `next_sibling`.
-    first_root: u32,
+    pub(crate) first_root: u32,
     /// Fusion aliases (fused iter → host iter), sorted by fused iter.
     aliases: Vec<(IterId, IterId)>,
     /// Current nesting orders, `stride` entries per computation:
@@ -501,17 +474,9 @@ pub struct LegalPrefix {
 }
 
 impl LegalPrefix {
-    /// The transformed loop forest so far, materialized as a tree.
-    pub fn forest(&self) -> Vec<SNode> {
-        self.map_forest(&mut SNode::Comp, &mut |mut l, children| {
-            l.children = children;
-            SNode::Loop(Box::new(l))
-        })
-    }
-
     /// Rebuilds the forest bottom-up: `leaf` maps each computation and
-    /// `node` each loop — its header as an [`SLoop`] without children —
-    /// together with its mapped children, in order.
+    /// `node` each loop — its header — together with its mapped children,
+    /// in order.
     pub fn map_forest<T>(
         &self,
         leaf: &mut impl FnMut(CompId) -> T,
@@ -537,25 +502,11 @@ impl LegalPrefix {
                 None => leaf(CompId(n as usize)),
                 Some(h) => {
                     let children = self.map_siblings(first_child, leaf, node);
-                    let header = SLoop {
-                        source: h.source,
-                        extent: h.extent,
-                        parallel: h.parallel,
-                        vector_factor: h.vector_factor,
-                        unroll_factor: h.unroll_factor,
-                        children: Vec::new(),
-                    };
-                    node(header, children)
+                    node(h, children)
                 }
             });
         }
         out
-    }
-
-    /// Iterator aliases introduced by fusion so far (fused iter → host
-    /// iter), sorted by fused iter.
-    pub fn aliases(&self) -> &[(IterId, IterId)] {
-        &self.aliases
     }
 }
 
@@ -637,7 +588,7 @@ impl<'p> Legality<'p> {
                     TreeNode::Loop(LoopNode { iter, children }) => {
                         let id = nodes.len() as u32;
                         let header =
-                            Header::plain(LoopSource::Orig { iter: *iter }, program.extent(*iter));
+                            SLoop::plain(LoopSource::Orig { iter: *iter }, program.extent(*iter));
                         nodes.push(Node::new(Some(header), parent));
                         nodes[id as usize].first_child = build(program, nodes, id, children);
                         id
@@ -732,13 +683,10 @@ impl<'p> Legality<'p> {
     /// # Errors
     ///
     /// As [`Legality::prefix`].
-    pub fn apply(&self, schedule: &Schedule) -> Result<ScheduledProgram, ScheduleError> {
-        let state = self.prefix(schedule)?;
+    pub fn apply(&self, schedule: &Schedule) -> Result<ScheduledProgram<'p>, ScheduleError> {
         Ok(ScheduledProgram {
-            program: self.program.clone(),
-            schedule: schedule.clone(),
-            roots: state.forest(),
-            aliases: state.aliases.iter().copied().collect(),
+            program: self.program,
+            state: self.prefix(schedule)?,
         })
     }
 }
@@ -764,11 +712,11 @@ fn dist_lex_ok(d: &[Dist], order: impl IntoIterator<Item = usize>) -> bool {
 /// rejection leaves the state untouched. The checks walk the node table
 /// through parent and sibling links; none of them allocates.
 impl LegalPrefix {
-    fn header(&self, n: u32) -> &Header {
+    fn header(&self, n: u32) -> &SLoop {
         self.nodes[n as usize].header.as_ref().expect("a loop node")
     }
 
-    fn header_mut(&mut self, n: u32) -> &mut Header {
+    fn header_mut(&mut self, n: u32) -> &mut SLoop {
         self.nodes[n as usize].header.as_mut().expect("a loop node")
     }
 
@@ -778,7 +726,7 @@ impl LegalPrefix {
     }
 
     /// `first` and the siblings after it.
-    fn siblings(&self, first: u32) -> impl Iterator<Item = u32> + '_ {
+    pub(crate) fn siblings(&self, first: u32) -> impl Iterator<Item = u32> + '_ {
         std::iter::successors((first != NONE).then_some(first), |&n| {
             let next = self.nodes[n as usize].next_sibling;
             (next != NONE).then_some(next)
@@ -855,7 +803,7 @@ impl LegalPrefix {
         &self.nest_order[start..start + program.comp(comp).depth()]
     }
 
-    fn resolve(&self, mut it: IterId) -> IterId {
+    pub(crate) fn resolve(&self, mut it: IterId) -> IterId {
         while let Ok(i) = self.aliases.binary_search_by_key(&it, |&(from, _)| from) {
             it = self.aliases[i].1;
         }
@@ -1067,7 +1015,7 @@ impl LegalPrefix {
         let a1 = self.nodes.len() as u32;
         let b1 = a1 + 1;
         let mut a1_node = Node::new(
-            Some(Header::plain(
+            Some(SLoop::plain(
                 LoopSource::TileInner {
                     iter: ia,
                     tile: size_a,
@@ -1078,7 +1026,7 @@ impl LegalPrefix {
         );
         a1_node.first_child = b1;
         let mut b1_node = Node::new(
-            Some(Header::plain(
+            Some(SLoop::plain(
                 LoopSource::TileInner {
                     iter: ib,
                     tile: size_b,
@@ -1096,7 +1044,7 @@ impl LegalPrefix {
             body = self.nodes[body as usize].next_sibling;
         }
         self.nodes[b as usize].first_child = a1;
-        *self.header_mut(b) = Header::plain(
+        *self.header_mut(b) = SLoop::plain(
             LoopSource::TileOuter {
                 iter: ib,
                 tile: size_b,
@@ -1422,13 +1370,13 @@ fn check_comp(program: &Program, comp: CompId) -> Result<(), ScheduleError> {
 ///     comp: CompId(0), level_a: 0, level_b: 1, size_a: 16, size_b: 16,
 /// }]);
 /// let scheduled = apply_schedule(&program, &schedule)?;
-/// assert_eq!(scheduled.loop_path(CompId(0)).len(), 4); // 2 loops → 4 after tiling
+/// assert_eq!(scheduled.loops(CompId(0)).len(), 4); // 2 loops → 4 after tiling
 /// # Ok::<(), dlcm_ir::ScheduleError>(())
 /// ```
-pub fn apply_schedule(
-    program: &Program,
+pub fn apply_schedule<'p>(
+    program: &'p Program,
     schedule: &Schedule,
-) -> Result<ScheduledProgram, ScheduleError> {
+) -> Result<ScheduledProgram<'p>, ScheduleError> {
     Legality::new(program).apply(schedule)
 }
 

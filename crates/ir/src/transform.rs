@@ -198,8 +198,8 @@ impl Schedule {
     /// Canonical form for content-keyed caching.
     ///
     /// Within the tag phase (unroll / parallelize / vectorize) transforms
-    /// set independent flags on disjoint aspects of the loop tree, so any
-    /// two tag orders produce the same [`crate::ScheduledProgram`]; they
+    /// set independent fields of the loop headers, so any two tag orders
+    /// produce equal [`crate::ScheduledProgram`]s; they
     /// are sorted into a fixed order here so all equivalent spellings share
     /// one cache entry. The structural phases (fuse, interchange, tile) are
     /// order-sensitive and keep their relative order (the sort is stable

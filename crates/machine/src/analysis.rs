@@ -5,17 +5,15 @@
 //! reused by the Halide-style baseline featurizer (`dlcm-baseline`), which
 //! hand-engineers its features from exactly this kind of information.
 
-use std::collections::HashMap;
-
-use dlcm_ir::{BufferId, CompId, IterId, LoopSource, SNode, ScheduledProgram};
+use dlcm_ir::{BufferId, CompId, IterId, LoopSource, ScheduledProgram};
 
 use crate::config::LINE_BYTES;
 
 /// A loop enclosing a computation, as seen by the analysis.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoopCtx {
-    /// Unique visit id of the loop node within the scheduled tree (used to
-    /// find common ancestors between computations).
+    /// Node index of the loop within the scheduled forest, unique per
+    /// loop (used to find common ancestors between computations).
     pub uid: usize,
     /// The (resolved) original iterator the loop derives from.
     pub iter: IterId,
@@ -117,35 +115,46 @@ impl CompProfile {
 /// assert_eq!(profiles[0].total_points, 32);
 /// assert_eq!(profiles[0].accesses[0].footprints[0], 32);
 /// ```
-pub fn analyze_program(sp: &ScheduledProgram) -> Vec<CompProfile> {
-    let mut walker = Walker {
-        sp,
-        next_uid: 0,
-        stack: Vec::new(),
-        found: Vec::new(),
-    };
-    for root in &sp.roots {
-        walker.walk(root);
-    }
-    let paths: HashMap<CompId, Vec<LoopCtx>> = walker.found.into_iter().collect();
+pub fn analyze_program(sp: &ScheduledProgram<'_>) -> Vec<CompProfile> {
+    let program = sp.program();
+    // The loops enclosing each computation, indexed by computation.
+    let paths: Vec<Vec<LoopCtx>> = program
+        .comp_ids()
+        .map(|c| {
+            sp.loops(c)
+                .map(|(uid, l)| LoopCtx {
+                    uid,
+                    iter: sp.resolve(l.source.iter()),
+                    trips: l.extent,
+                    step: match l.source {
+                        LoopSource::TileOuter { tile, .. } => tile,
+                        _ => 1,
+                    },
+                    parallel: l.parallel,
+                    vector_factor: l.vector_factor,
+                    unroll_factor: l.unroll_factor,
+                })
+                .collect()
+        })
+        .collect();
 
     // Producer map: last computation writing each buffer.
-    let mut producer: HashMap<BufferId, CompId> = HashMap::new();
-    for c in sp.program.comp_ids() {
-        producer.insert(sp.program.comp(c).store.buffer, c);
+    let mut producer: Vec<Option<CompId>> = vec![None; program.buffers.len()];
+    for c in program.comp_ids() {
+        producer[program.comp(c).store.buffer.0] = Some(c);
     }
 
     let line_elems = LINE_BYTES / std::mem::size_of::<f32>() as u64;
 
-    sp.program
+    let mut profiles: Vec<CompProfile> = program
         .comp_ids()
         .map(|cid| {
-            let comp = sp.program.comp(cid);
-            let loops = paths.get(&cid).cloned().unwrap_or_default();
+            let comp = program.comp(cid);
+            let loops = &paths[cid.0];
             let total_points = comp
                 .iters
                 .iter()
-                .map(|&it| sp.program.extent(sp.resolve(it)))
+                .map(|&it| program.extent(sp.resolve(it)))
                 .product::<i64>()
                 .max(0);
 
@@ -155,22 +164,23 @@ pub fn analyze_program(sp: &ScheduledProgram) -> Vec<CompProfile> {
                 .map(|l| comp.iters.iter().position(|&it| sp.resolve(it) == l.iter))
                 .collect();
 
-            let accesses = comp
-                .accesses()
+            let comp_accesses = comp.accesses();
+            let accesses = comp_accesses
                 .iter()
                 .enumerate()
                 .map(|(ai, acc)| {
-                    let buf = sp.program.buffer(acc.buffer);
+                    let buf = program.buffer(acc.buffer);
                     let ndims = buf.dims.len();
-                    // Row strides of the flattened buffer.
-                    let mut rowstride = vec![1i64; ndims];
-                    for r in (0..ndims.saturating_sub(1)).rev() {
-                        rowstride[r] = rowstride[r + 1] * buf.dims[r + 1];
-                    }
-                    // Innermost stride.
-                    let innermost_stride = match (loops.last(), orig_levels.last()) {
-                        (Some(_), Some(Some(lvl))) => (0..ndims)
-                            .map(|r| acc.matrix.get(r, *lvl) * rowstride[r])
+                    // Innermost stride, through the row strides of the
+                    // flattened buffer (last dimension first).
+                    let innermost_stride = match orig_levels.last() {
+                        Some(Some(lvl)) => (0..ndims)
+                            .rev()
+                            .scan(1i64, |rowstride, r| {
+                                let step = acc.matrix.get(r, *lvl) * *rowstride;
+                                *rowstride *= buf.dims[r];
+                                Some(step)
+                            })
                             .sum::<i64>()
                             .abs(),
                         _ => 0,
@@ -206,19 +216,17 @@ pub fn analyze_program(sp: &ScheduledProgram) -> Vec<CompProfile> {
                     let producer_lca_depth = if ai == 0 || buf.is_input {
                         None
                     } else {
-                        producer.get(&acc.buffer).and_then(|&p| {
+                        producer[acc.buffer.0].map(|p| {
                             if p == cid {
                                 // Self-produced values: reuse window is the
                                 // whole nest.
-                                Some(loops.len())
+                                loops.len()
                             } else {
-                                paths.get(&p).map(|ploops| {
-                                    loops
-                                        .iter()
-                                        .zip(ploops)
-                                        .take_while(|(a, b)| a.uid == b.uid)
-                                        .count()
-                                })
+                                loops
+                                    .iter()
+                                    .zip(&paths[p.0])
+                                    .take_while(|(a, b)| a.uid == b.uid)
+                                    .count()
                             }
                         })
                     };
@@ -235,50 +243,19 @@ pub fn analyze_program(sp: &ScheduledProgram) -> Vec<CompProfile> {
 
             CompProfile {
                 comp: cid,
-                loops,
+                // Moved in below, once no other computation reads it.
+                loops: Vec::new(),
                 total_points,
                 op_counts: comp.expr.op_counts(),
-                num_loads: comp.expr.loads().len(),
+                num_loads: comp_accesses.len() - 1,
                 accesses,
             }
         })
-        .collect()
-}
-
-struct Walker<'a> {
-    sp: &'a ScheduledProgram,
-    next_uid: usize,
-    stack: Vec<LoopCtx>,
-    found: Vec<(CompId, Vec<LoopCtx>)>,
-}
-
-impl Walker<'_> {
-    fn walk(&mut self, node: &SNode) {
-        match node {
-            SNode::Comp(c) => self.found.push((*c, self.stack.clone())),
-            SNode::Loop(l) => {
-                let uid = self.next_uid;
-                self.next_uid += 1;
-                let step = match l.source {
-                    LoopSource::TileOuter { tile, .. } => tile,
-                    _ => 1,
-                };
-                self.stack.push(LoopCtx {
-                    uid,
-                    iter: self.sp.resolve(l.source.iter()),
-                    trips: l.extent,
-                    step,
-                    parallel: l.parallel,
-                    vector_factor: l.vector_factor,
-                    unroll_factor: l.unroll_factor,
-                });
-                for c in &l.children {
-                    self.walk(c);
-                }
-                self.stack.pop();
-            }
-        }
+        .collect();
+    for (profile, loops) in profiles.iter_mut().zip(paths) {
+        profile.loops = loops;
     }
+    profiles
 }
 
 #[cfg(test)]

@@ -64,7 +64,7 @@ impl Machine {
     /// Estimated execution time of a scheduled program, in seconds
     /// (deterministic — see [`crate::measure::Measurement`] for the noisy
     /// measurement harness).
-    pub fn execute(&self, sp: &ScheduledProgram) -> f64 {
+    pub fn execute(&self, sp: &ScheduledProgram<'_>) -> f64 {
         analyze_program(sp)
             .iter()
             .map(|p| self.comp_cost(p).total)
@@ -72,7 +72,7 @@ impl Machine {
     }
 
     /// Detailed per-computation cost breakdown.
-    pub fn execute_detailed(&self, sp: &ScheduledProgram) -> Vec<CompCost> {
+    pub fn execute_detailed(&self, sp: &ScheduledProgram<'_>) -> Vec<CompCost> {
         analyze_program(sp)
             .iter()
             .map(|p| self.comp_cost(p))

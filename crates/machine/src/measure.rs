@@ -52,9 +52,14 @@ impl Measurement {
     }
 
     /// Measures a scheduled program: median of `repeats` noisy runs.
-    /// `seed` makes the measurement deterministic and distinct per
-    /// (program, schedule) when derived from them.
-    pub fn measure(&self, sp: &ScheduledProgram, seed: u64) -> f64 {
+    ///
+    /// The noise multipliers are drawn from `seed` alone — nothing of the
+    /// program or the schedule enters them — so the result is the
+    /// machine's time times the median multiplier of `seed`'s draws. Two
+    /// candidates measured under one seed carry the same multiplier, and
+    /// a speedup of two measurements under fixed seeds is the true ratio
+    /// times a constant of those seeds.
+    pub fn measure(&self, sp: &ScheduledProgram<'_>, seed: u64) -> f64 {
         let t = self.machine.execute(sp);
         if self.noise_sigma == 0.0 || self.repeats <= 1 {
             return t;

@@ -5,8 +5,8 @@
 //! A search tries thousands of transforms, about half of them rejected,
 //! and carries a legality state per candidate. So a rejection allocates
 //! nothing, a state copies in a constant number of blocks whatever the
-//! size of its loop nest, and one search allocates within a recorded
-//! budget.
+//! size of its loop nest, applying a schedule allocates no more than
+//! validating it, and one search allocates within a recorded budget.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -14,10 +14,10 @@ use std::cell::Cell;
 use dlcm::benchsuite;
 use dlcm::eval::{Evaluator, ModelEvaluator, ParallelEvaluator, SharedCachedEvaluator};
 use dlcm::ir::{
-    BinOp, CompId, Expr, LegalPrefix, Legality, LinExpr, Program, ProgramBuilder, Schedule,
-    Transform,
+    apply_schedule, BinOp, CompId, Expr, LegalPrefix, Legality, LinExpr, Program, ProgramBuilder,
+    Schedule, Transform,
 };
-use dlcm::machine::Measurement;
+use dlcm::machine::{parallel_baseline, Measurement};
 use dlcm::model::{CostModel, CostModelConfig, Featurizer, FeaturizerConfig};
 use dlcm::search::{BeamSearch, Mcts, SearchDriver, SearchJob, SearchSpace, SearchSpec};
 
@@ -226,6 +226,34 @@ fn cloning_a_prefix_costs_the_same_on_any_nest() {
         counts.iter().all(|&c| c == counts[0]) && counts[0] <= 3,
         "blocks per clone (2-deep, 2-deep tiled, 9-deep, 9-deep tiled): {counts:?}"
     );
+}
+
+/// A scheduled program is the validated prefix over the borrowed
+/// program: `apply_schedule` allocates exactly the blocks of a cold
+/// `Legality::prefix` of the same schedule — no copy of the program, no
+/// boxed loop tree, no alias map.
+#[test]
+fn applying_a_schedule_allocates_what_validating_it_does() {
+    for bench in benchsuite::suite() {
+        let p = (bench.build)(0.1);
+        for schedule in [Schedule::empty(), parallel_baseline(&p)] {
+            let (applied, applying) = blocks(|| apply_schedule(&p, &schedule).is_ok());
+            let (validated, validating) = blocks(|| Legality::new(&p).prefix(&schedule).is_ok());
+            assert!(
+                applied && validated,
+                "{}: [{}]",
+                bench.name,
+                schedule.describe()
+            );
+            assert_eq!(
+                applying,
+                validating,
+                "{}: [{}]",
+                bench.name,
+                schedule.describe()
+            );
+        }
+    }
 }
 
 /// Blocks the search below allocated before states were carried, when
