@@ -197,13 +197,25 @@ impl HalideModel {
 
 impl Evaluator for HalideModel {
     fn speedup_batch(&mut self, program: &Program, schedules: &[Schedule]) -> Vec<f64> {
+        self.speedup_batch_charged(program, schedules).0
+    }
+
+    fn speedup_batch_charged(
+        &mut self,
+        program: &Program,
+        schedules: &[Schedule],
+    ) -> (Vec<f64>, EvalStats) {
         let start = Instant::now();
         let out = schedules.iter().map(|s| self.predict(program, s)).collect();
-        self.stats.num_evals += schedules.len();
         let dt = start.elapsed().as_secs_f64();
-        self.stats.infer_time += dt;
-        self.stats.search_time += dt;
-        out
+        let charged = EvalStats {
+            num_evals: schedules.len(),
+            infer_time: dt,
+            search_time: dt,
+            ..EvalStats::default()
+        };
+        self.stats += charged;
+        (out, charged)
     }
 
     fn stats(&self) -> EvalStats {

@@ -30,17 +30,19 @@
 //!   counters surface in [`EvalStats`]).
 //!
 //! The trait is object safe: search and bench hold `&mut dyn Evaluator`
-//! (or `Box<dyn Evaluator>`) and never know which backend is scoring.
+//! (a `Box<dyn Evaluator>` lends one as `&mut *boxed`) and never know
+//! which backend is scoring. A search calls its evaluators only through
+//! [`Evaluator::speedup_batch_charged`] and reports the sum of the charges
+//! its own calls returned, so one evaluator can serve several searches in
+//! turn and each reports its own calls' charges alone.
 //!
 //! On top of the exclusive tier sits the **shared** tier for concurrent
 //! search (see the [`mod@shared`] module docs): [`SyncEvaluator`] is the
 //! `&self` counterpart of [`Evaluator`] whose calls return their own
 //! [`EvalStats`] deltas, [`SharedCachedEvaluator`] wraps any such
 //! evaluator in the sharded-lock result cache several searches can
-//! borrow at once, and [`ScopedEvaluator`] gives each such search
-//! standalone accounting. A blanket adapter makes `&E` an [`Evaluator`]
-//! for every `E: SyncEvaluator`, so `&mut dyn Evaluator` call-sites take
-//! shared evaluators unchanged:
+//! borrow at once, and [`ScopedEvaluator`] — the one bridge back to
+//! the exclusive tier — is the [`Evaluator`] each such search holds:
 //!
 //! ```text
 //!   SharedCachedEvaluator<ParallelEvaluator>   // dedup first, fan out misses;
@@ -78,7 +80,6 @@
 
 #![warn(missing_docs)]
 
-mod cache;
 pub mod lru;
 mod model;
 mod parallel;
@@ -87,12 +88,13 @@ mod stats;
 
 use dlcm_ir::{Program, Schedule};
 
-pub use cache::DEFAULT_CACHE_CAPACITY;
 pub use dlcm_tensor::pool;
 pub use lru::LruMap;
 pub use model::{score_wave, ModelEvaluator};
 pub use parallel::ParallelEvaluator;
-pub use shared::{ScopedEvaluator, SharedCacheKey, SharedCachedEvaluator, SyncEvaluator};
+pub use shared::{
+    ScopedEvaluator, SharedCacheKey, SharedCachedEvaluator, SyncEvaluator, DEFAULT_CACHE_CAPACITY,
+};
 pub use stats::EvalStats;
 
 /// Scores `(program, schedule)` candidates during search and evaluation.
@@ -120,14 +122,14 @@ pub trait Evaluator {
     fn stats(&self) -> EvalStats;
 
     /// [`Evaluator::speedup_batch`], also returning the [`EvalStats`] this
-    /// call charged — what lets one evaluator serve several searches in
-    /// turn, each summing the charges of its own calls. The default is
-    /// the difference of [`Evaluator::stats`] around the call, which can
-    /// miss the charge in the last bits of a time once earlier calls have
-    /// charged. An evaluator that accumulates its stats call by call
-    /// returns the charge itself, and then a caller's charges, summed from
-    /// zero, are bit for bit what a fresh evaluator would report for its
-    /// calls ([`ModelEvaluator`] does).
+    /// call charged — the only way a search calls an evaluator, so one
+    /// evaluator can serve several searches in turn, each summing the
+    /// charges of its own calls from zero. The charge counts in
+    /// [`Evaluator::stats`] as a plain call's does. The default is the
+    /// difference of [`Evaluator::stats`] around the call, which can miss
+    /// the charge in the last bits of a time once earlier calls have
+    /// charged; every evaluator in this workspace returns its exact charge
+    /// instead.
     fn speedup_batch_charged(
         &mut self,
         program: &Program,
@@ -136,24 +138,6 @@ pub trait Evaluator {
         let before = self.stats();
         let scores = self.speedup_batch(program, schedules);
         (scores, self.stats().since(&before))
-    }
-}
-
-impl Evaluator for Box<dyn Evaluator + '_> {
-    fn speedup_batch(&mut self, program: &Program, schedules: &[Schedule]) -> Vec<f64> {
-        (**self).speedup_batch(program, schedules)
-    }
-
-    fn speedup_batch_charged(
-        &mut self,
-        program: &Program,
-        schedules: &[Schedule],
-    ) -> (Vec<f64>, EvalStats) {
-        (**self).speedup_batch_charged(program, schedules)
-    }
-
-    fn stats(&self) -> EvalStats {
-        (**self).stats()
     }
 }
 

@@ -24,6 +24,7 @@ use std::hash::Hash;
 /// Slot index standing in for "no node" in the intrusive list.
 const NIL: usize = usize::MAX;
 
+#[derive(Clone, Debug)]
 struct Node<K, V> {
     key: K,
     value: V,
@@ -51,6 +52,7 @@ struct Node<K, V> {
 /// assert_eq!(lru.get(&1), Some(&"one"));
 /// assert_eq!(lru.len(), 2);
 /// ```
+#[derive(Clone, Debug)]
 pub struct LruMap<K, V> {
     capacity: usize,
     index: HashMap<K, usize>,

@@ -113,9 +113,7 @@ impl<'m> ModelEvaluator<'m> {
 
 impl Evaluator for ModelEvaluator<'_> {
     fn speedup_batch(&mut self, program: &Program, schedules: &[Schedule]) -> Vec<f64> {
-        let (out, charged) = self.speedup_batch_charged(program, schedules);
-        self.stats += charged;
-        out
+        self.speedup_batch_charged(program, schedules).0
     }
 
     fn speedup_batch_charged(
@@ -152,6 +150,7 @@ impl Evaluator for ModelEvaluator<'_> {
             },
             ..EvalStats::default()
         };
+        self.stats += charged;
         (out, charged)
     }
 

@@ -29,7 +29,7 @@ use std::sync::Mutex;
 use dlcm_ir::{Legality, Program, Schedule};
 use dlcm_machine::Measurement;
 
-use crate::{pool, EvalStats, Evaluator, SyncEvaluator};
+use crate::{pool, EvalStats, Evaluator, LruMap, SyncEvaluator};
 
 /// Batches smaller than this run inline on the caller's thread. At
 /// ~4.5µs per simulated execution, a sub-8-candidate batch finishes in the
@@ -39,6 +39,11 @@ const PAR_CUTOVER: usize = 8;
 
 /// Simulated seconds charged to compile one candidate.
 const COMPILE_COST: f64 = 2.0;
+
+/// Programs whose baseline time the evaluator remembers: a corpus-scale
+/// run labels thousands of distinct programs exactly once each, so the
+/// memo must stay a small recent window, not a table of the whole corpus.
+const BASELINE_MEMO_CAP: usize = 64;
 
 /// Execution evaluation fanned out across the persistent worker pool.
 ///
@@ -70,22 +75,20 @@ pub struct ParallelEvaluator {
 /// Interior bookkeeping, grouped under one lock. The lock is held only
 /// for baseline measurement and stats folding — never across candidate
 /// scoring.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct State {
     stats: EvalStats,
     /// Baseline time per program seen, keyed by [`Program::cache_key`]
     /// (names are not unique — generated programs and scaled benchmark
     /// builders reuse them — so the key covers the whole structure, and
-    /// a renamed copy is the same workload with the same baseline). A
-    /// FIFO-bounded map, not a last-seen memo: concurrent searches
-    /// interleave batches for different programs, while corpus-scale
-    /// labeling must not grow it with the corpus. Keying hashes the
-    /// program before the state lock is taken, so the lock guards a scan
-    /// of at most 64 words. An evicted program re-measures (and
-    /// re-charges) its baseline, so per-search stats determinism needs
-    /// the concurrently active program set to fit the window — suite
-    /// sweeps hold tens of programs against a cap of 64.
-    base_times: Vec<(u64, f64)>,
+    /// a renamed copy is the same workload with the same baseline). An
+    /// LRU bounded at [`BASELINE_MEMO_CAP`], not a last-seen memo:
+    /// concurrent searches interleave batches for different programs,
+    /// while corpus-scale labeling must not grow it with the corpus. An
+    /// evicted program re-measures (and re-charges) its baseline, so
+    /// per-search stats determinism needs the concurrently active program
+    /// set to fit the window — suite sweeps hold tens of programs.
+    base_times: LruMap<u64, f64>,
 }
 
 impl Clone for ParallelEvaluator {
@@ -108,7 +111,10 @@ impl ParallelEvaluator {
             measurement,
             seed,
             threads: threads.max(1),
-            state: Mutex::new(State::default()),
+            state: Mutex::new(State {
+                stats: EvalStats::default(),
+                base_times: LruMap::with_capacity(BASELINE_MEMO_CAP),
+            }),
         }
     }
 
@@ -126,20 +132,20 @@ impl ParallelEvaluator {
     fn base_time(&self, program: &Program) -> (f64, EvalStats) {
         let key = program.cache_key();
         let mut state = self.state.lock().expect("evaluator state");
-        let mut charged = EvalStats::default();
-        let t = crate::cache::memoized(&mut state.base_times, key, || {
-            let repeats = f64::from(self.measurement.repeats.max(1));
-            let t = self
-                .measurement
-                .measure_schedule(program, &Schedule::empty(), self.seed ^ 0xBA5E)
-                .expect("empty schedule is legal");
-            charged = EvalStats {
-                compile_time: COMPILE_COST,
-                search_time: COMPILE_COST + repeats * t,
-                ..EvalStats::default()
-            };
-            t
-        });
+        if let Some(&t) = state.base_times.get(&key) {
+            return (t, EvalStats::default());
+        }
+        let repeats = f64::from(self.measurement.repeats.max(1));
+        let t = self
+            .measurement
+            .measure_schedule(program, &Schedule::empty(), self.seed ^ 0xBA5E)
+            .expect("empty schedule is legal");
+        let charged = EvalStats {
+            compile_time: COMPILE_COST,
+            search_time: COMPILE_COST + repeats * t,
+            ..EvalStats::default()
+        };
+        state.base_times.insert(key, t);
         state.stats += charged;
         (t, charged)
     }
@@ -227,6 +233,14 @@ impl SyncEvaluator for ParallelEvaluator {
 impl Evaluator for ParallelEvaluator {
     fn speedup_batch(&mut self, program: &Program, schedules: &[Schedule]) -> Vec<f64> {
         self.speedup_batch_shared(program, schedules).0
+    }
+
+    fn speedup_batch_charged(
+        &mut self,
+        program: &Program,
+        schedules: &[Schedule],
+    ) -> (Vec<f64>, EvalStats) {
+        self.speedup_batch_shared(program, schedules)
     }
 
     fn stats(&self) -> EvalStats {
@@ -468,7 +482,7 @@ mod tests {
         }
         let memo_len = ev.state.lock().unwrap().base_times.len();
         assert!(
-            memo_len <= crate::cache::PROGRAM_MEMO_CAP,
+            memo_len <= BASELINE_MEMO_CAP,
             "memo grew unbounded: {memo_len} entries"
         );
     }

@@ -4,7 +4,9 @@
 //! cached, and parallel evaluation without changing any search result —
 //! the cached and parallel paths are held to the same equality below.
 
-use dlcm_eval::{Evaluator, ModelEvaluator, ParallelEvaluator, SharedCachedEvaluator};
+use dlcm_eval::{
+    Evaluator, ModelEvaluator, ParallelEvaluator, ScopedEvaluator, SharedCachedEvaluator,
+};
 use dlcm_ir::{BinOp, CompId, Expr, Program, ProgramBuilder, Schedule, Transform};
 use dlcm_machine::{Machine, Measurement};
 use dlcm_model::{CostModel, CostModelConfig, Featurizer, FeaturizerConfig};
@@ -170,17 +172,18 @@ fn cached_evaluator_batch_equals_sequential() {
         .map(|s| sequential.speedup(&program, s))
         .collect();
 
-    let mut cached =
-        &SharedCachedEvaluator::new(ParallelEvaluator::new(Measurement::new(Machine), seed, 1));
+    let shared =
+        SharedCachedEvaluator::new(ParallelEvaluator::new(Measurement::new(Machine), seed, 1));
+    let mut cached = ScopedEvaluator::new(&shared);
     let batch = cached.speedup_batch(&program, &schedules);
     assert_eq!(batch, one_by_one, "cached batch must match sequential");
     assert_eq!(cached.stats().cache_hits, 3);
     assert_eq!(cached.stats().num_evals, candidates().len());
 
     // Cached over parallel: the composition the suite sweep uses.
-    let mut stack =
-        &SharedCachedEvaluator::new(ParallelEvaluator::new(Measurement::new(Machine), seed, 4));
-    let stacked = stack.speedup_batch(&program, &schedules);
+    let stack =
+        SharedCachedEvaluator::new(ParallelEvaluator::new(Measurement::new(Machine), seed, 4));
+    let stacked = ScopedEvaluator::new(&stack).speedup_batch(&program, &schedules);
     assert_eq!(stacked, one_by_one, "cached+parallel must match sequential");
 }
 

@@ -9,7 +9,7 @@
 //! proptest in this environment).
 
 use dlcm_datagen::{ProgramGenConfig, ProgramGenerator, ScheduleGenConfig, ScheduleGenerator};
-use dlcm_eval::{Evaluator, ParallelEvaluator, SharedCachedEvaluator};
+use dlcm_eval::{Evaluator, ParallelEvaluator, ScopedEvaluator, SharedCachedEvaluator};
 use dlcm_ir::{Program, Schedule};
 use dlcm_machine::{Machine, Measurement};
 use rand::{Rng, SeedableRng};
@@ -43,7 +43,7 @@ fn cached_matches_inner_over_randomized_sequences() {
         let mut reference = ParallelEvaluator::new(Measurement::new(Machine), seed, 1);
         let shared =
             SharedCachedEvaluator::new(ParallelEvaluator::new(Measurement::new(Machine), seed, 1));
-        let mut cached = &shared;
+        let mut cached = ScopedEvaluator::new(&shared);
 
         for _ in 0..25 {
             let (program, schedules) = &corpus[rng.gen_range(0..corpus.len())];
@@ -88,7 +88,7 @@ fn cache_never_leaks_across_same_named_programs() {
         let corpus = corpus(trial);
         let shared =
             SharedCachedEvaluator::new(ParallelEvaluator::new(Measurement::exact(Machine), 0, 1));
-        let mut cached = &shared;
+        let mut cached = ScopedEvaluator::new(&shared);
         for (program, _) in &corpus {
             let s = cached.speedup(program, &Schedule::empty());
             assert!(

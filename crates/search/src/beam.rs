@@ -11,7 +11,9 @@
 //! evaluators are deterministic, so a schedule scored once never needs to
 //! be scored again. Dedup only skips re-evaluations of identical
 //! schedules, which by the determinism contract return identical values —
-//! search results are bit-identical with or without it.
+//! search results are bit-identical with or without it. Every call goes
+//! through [`Evaluator::speedup_batch_charged`], and the run's stats are
+//! the sum of the charges those calls returned.
 
 use std::collections::HashMap;
 
@@ -27,7 +29,8 @@ pub struct SearchResult {
     pub schedule: Schedule,
     /// The evaluator's score for it (speedup over unoptimized).
     pub score: f64,
-    /// Evaluation accounting accumulated by this run (candidate count and
+    /// Evaluation accounting of this run: the sum, from zero, of the
+    /// charges its own evaluator calls returned (candidate count and
     /// accounted search time — see [`dlcm_eval::EvalStats`]).
     pub stats: EvalStats,
 }
@@ -58,7 +61,7 @@ impl BeamSearch {
 
     /// Runs the search, scoring candidates through `evaluator`.
     pub fn search(&self, program: &Program, evaluator: &mut dyn Evaluator) -> SearchResult {
-        let stats_before = evaluator.stats();
+        let mut stats = EvalStats::default();
         let legality = Legality::new(program);
 
         // Finalized schedules already scored in an earlier wave, keyed by
@@ -69,7 +72,10 @@ impl BeamSearch {
         {
             let root = Candidate::root(program);
             let finalized = root.clone().finalize(&legality);
-            let score = evaluator.speedup(program, &finalized);
+            let (scores, charged) =
+                evaluator.speedup_batch_charged(program, std::slice::from_ref(&finalized));
+            stats += charged;
+            let score = scores[0];
             seen.insert(finalized.cache_key(), score);
             frontier.push((root, score, finalized));
         }
@@ -110,7 +116,8 @@ impl BeamSearch {
             }
 
             let batch: Vec<Schedule> = wave.iter().map(|(_, s, _)| s.clone()).collect();
-            let scores = evaluator.speedup_batch(program, &batch);
+            let (scores, charged) = evaluator.speedup_batch_charged(program, &batch);
+            stats += charged;
             for ((key, _, slots), score) in wave.into_iter().zip(scores) {
                 seen.insert(key, score);
                 for slot in slots {
@@ -134,7 +141,7 @@ impl BeamSearch {
         SearchResult {
             schedule,
             score,
-            stats: evaluator.stats().since(&stats_before),
+            stats,
         }
     }
 }
@@ -226,16 +233,17 @@ mod tests {
         let result = BeamSearch::new(4, space.clone()).search(&p, &mut ev);
         // Finalization funnels many decision prefixes onto shared
         // schedules; the evaluator must have seen each unique one once.
-        let mut cached = &dlcm_eval::SharedCachedEvaluator::new(ParallelEvaluator::new(
+        let shared = dlcm_eval::SharedCachedEvaluator::new(ParallelEvaluator::new(
             Measurement::exact(Machine),
             0,
             1,
         ));
-        let cached_result = BeamSearch::new(4, space).search(&p, &mut cached);
+        let cached_result =
+            BeamSearch::new(4, space).search(&p, &mut dlcm_eval::ScopedEvaluator::new(&shared));
         assert_eq!(cached_result.schedule, result.schedule);
         assert_eq!(cached_result.score, result.score);
         assert_eq!(
-            cached.stats().cache_hits,
+            shared.hits(),
             0,
             "search-level dedup must leave nothing for the cache layer to catch within one run"
         );

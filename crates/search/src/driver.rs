@@ -20,14 +20,16 @@
 //!   `Mcts::search` call builds its own `dlcm_ir::Legality` context
 //!   (dependence analysis at most once per search, every child one
 //!   `extend`), so nothing about legality is shared between jobs;
-//! - **per-search stats stay standalone** — each execution-backed search
-//!   scores through its own [`dlcm_eval::ScopedEvaluator`], which
-//!   accumulates only that search's [`dlcm_eval::EvalStats`] deltas, so
-//!   Table 2's per-search accounting never sees a concurrent neighbour's
-//!   work; a job's model-driven searches share one model evaluator per
-//!   role and each sums only the charges of its own calls
-//!   ([`dlcm_eval::Evaluator::speedup_batch_charged`]), so sharing a
-//!   `ModelEvaluator` moves no stat by a bit; and
+//! - **per-search stats stay standalone** — a search sums, from zero,
+//!   the charges its own calls return
+//!   ([`dlcm_eval::Evaluator::speedup_batch_charged`]). Each
+//!   execution-backed search scores through its own
+//!   [`dlcm_eval::ScopedEvaluator`], whose charges are the shared calls'
+//!   own [`dlcm_eval::EvalStats`] deltas, so Table 2's per-search
+//!   accounting never sees a concurrent neighbour's work; a job's
+//!   model-driven searches share one model evaluator per role, handed to
+//!   each as `&mut *boxed`, so sharing a `ModelEvaluator` moves no stat by
+//!   a bit; and
 //! - **cache-reuse accounting is ordered where it matters** — the specs
 //!   of one [`SearchJob`] run sequentially on one worker (MCTS warms the
 //!   cache BSE then reuses, exactly as the serial experiment ran), while
@@ -42,8 +44,8 @@
 //! (`tests/driver_parity.rs` and the CI diff job enforce it).
 
 use dlcm_eval::pool::parallel_map;
-use dlcm_eval::{EvalStats, Evaluator, ScopedEvaluator, SyncEvaluator};
-use dlcm_ir::{Program, Schedule};
+use dlcm_eval::{Evaluator, ScopedEvaluator, SyncEvaluator};
+use dlcm_ir::Program;
 
 use crate::beam::{BeamSearch, SearchResult};
 use crate::mcts::Mcts;
@@ -187,69 +189,34 @@ where
     F: Fn(usize) -> Box<dyn Evaluator + 'm> + Sync,
 {
     match spec {
-        SearchSpec::BeamExec(search) => {
-            let mut scoped = ScopedEvaluator::new(exec);
-            search.search(program, &mut scoped)
-        }
+        SearchSpec::BeamExec(search) => search.search(program, &mut ScopedEvaluator::new(exec)),
         SearchSpec::BeamModel { search, role } => {
-            search.search(program, &mut Lent::new(models, *role, model_eval))
+            search.search(program, model(models, *role, model_eval))
         }
-        SearchSpec::Mcts { search, role } => {
-            let mut scoped = ScopedEvaluator::new(exec);
-            search.search(
-                program,
-                &mut Lent::new(models, *role, model_eval),
-                &mut scoped,
-            )
-        }
+        SearchSpec::Mcts { search, role } => search.search(
+            program,
+            model(models, *role, model_eval),
+            &mut ScopedEvaluator::new(exec),
+        ),
     }
 }
 
-/// One search's use of its job's model evaluator for a role: scores
-/// through it, and accounts only the charges of this search's calls,
-/// summed from zero as a fresh evaluator would sum them.
-struct Lent<'a, 'm> {
-    model: &'a mut (dyn Evaluator + 'm),
-    own: EvalStats,
-}
-
-impl<'a, 'm> Lent<'a, 'm> {
-    /// Lends the job's evaluator for `role`, built by `model_eval` if no
-    /// earlier spec of the job asked for it.
-    fn new<F>(models: &'a mut Models<'m>, role: usize, model_eval: &F) -> Self
-    where
-        F: Fn(usize) -> Box<dyn Evaluator + 'm>,
-    {
-        let at = match models.iter().position(|(r, _)| *r == role) {
-            Some(at) => at,
-            None => {
-                models.push((role, model_eval(role)));
-                models.len() - 1
-            }
-        };
-        Self {
-            model: &mut *models[at].1,
-            own: EvalStats::default(),
+/// The job's evaluator for `role`, built by `model_eval` if no earlier
+/// spec of the job asked for it.
+fn model<'a, 'm, F>(
+    models: &'a mut Models<'m>,
+    role: usize,
+    model_eval: &F,
+) -> &'a mut (dyn Evaluator + 'm)
+where
+    F: Fn(usize) -> Box<dyn Evaluator + 'm>,
+{
+    let at = match models.iter().position(|(r, _)| *r == role) {
+        Some(at) => at,
+        None => {
+            models.push((role, model_eval(role)));
+            models.len() - 1
         }
-    }
-}
-
-impl Evaluator for Lent<'_, '_> {
-    fn speedup_batch(&mut self, program: &Program, schedules: &[Schedule]) -> Vec<f64> {
-        self.speedup_batch_charged(program, schedules).0
-    }
-
-    fn speedup_batch_charged(
-        &mut self,
-        program: &Program,
-        schedules: &[Schedule],
-    ) -> (Vec<f64>, EvalStats) {
-        let (scores, charged) = self.model.speedup_batch_charged(program, schedules);
-        self.own += charged;
-        (scores, charged)
-    }
-
-    fn stats(&self) -> EvalStats {
-        self.own
-    }
+    };
+    &mut *models[at].1
 }

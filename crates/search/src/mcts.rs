@@ -6,10 +6,14 @@
 //! explored, the set of the best code transformations is executed" — a
 //! two-step approach: the model prunes the space, and a small number of
 //! real executions corrects the model's error.
+//!
+//! Both evaluators are called only through
+//! [`Evaluator::speedup_batch_charged`]; the run's stats are the sum of
+//! the model calls' charges plus the execution call's charge.
 
 use std::collections::HashMap;
 
-use dlcm_eval::Evaluator;
+use dlcm_eval::{EvalStats, Evaluator};
 use dlcm_ir::{Legality, Program, Schedule};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -60,15 +64,15 @@ impl Mcts {
     /// Runs MCTS: `model_eval` scores rollouts; `exec_eval` (the
     /// correction step) executes the retained top-k set in one batched
     /// call and the best measured schedule wins. The returned
-    /// [`SearchResult::stats`] combines both evaluators' accounting.
+    /// [`SearchResult::stats`] is the model calls' summed charges plus the
+    /// execution call's charge.
     pub fn search(
         &self,
         program: &Program,
         model_eval: &mut dyn Evaluator,
         exec_eval: &mut dyn Evaluator,
     ) -> SearchResult {
-        let model_before = model_eval.stats();
-        let exec_before = exec_eval.stats();
+        let mut model_stats = EvalStats::default();
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
         let legality = Legality::new(program);
 
@@ -159,9 +163,11 @@ impl Mcts {
             let score = match rollout_scores.get(&key) {
                 Some(&known) => known,
                 None => {
-                    let fresh = model_eval.speedup(program, &finalized);
-                    rollout_scores.insert(key, fresh);
-                    fresh
+                    let (scores, charged) =
+                        model_eval.speedup_batch_charged(program, std::slice::from_ref(&finalized));
+                    model_stats += charged;
+                    rollout_scores.insert(key, scores[0]);
+                    scores[0]
                 }
             };
             global_max = global_max.max(score);
@@ -176,7 +182,7 @@ impl Mcts {
 
         // --- Correction step: execute the retained set in one batch ---------
         let retained: Vec<Schedule> = best_set.iter().map(|(_, s)| s.clone()).collect();
-        let measured = exec_eval.speedup_batch(program, &retained);
+        let (measured, exec_stats) = exec_eval.speedup_batch_charged(program, &retained);
         let (best_schedule, best_measured) = retained
             .into_iter()
             .zip(measured)
@@ -186,7 +192,7 @@ impl Mcts {
         SearchResult {
             schedule: best_schedule,
             score: best_measured,
-            stats: model_eval.stats().since(&model_before) + exec_eval.stats().since(&exec_before),
+            stats: model_stats + exec_stats,
         }
     }
 }

@@ -6,10 +6,12 @@
 //! programs.
 
 use dlcm_eval::{
-    EvalStats, Evaluator, ParallelEvaluator, ScopedEvaluator, SharedCachedEvaluator, SyncEvaluator,
+    EvalStats, Evaluator, ModelEvaluator, ParallelEvaluator, ScopedEvaluator,
+    SharedCachedEvaluator, SyncEvaluator,
 };
-use dlcm_ir::{BinOp, Expr, Program, ProgramBuilder};
+use dlcm_ir::{BinOp, Expr, Program, ProgramBuilder, Schedule};
 use dlcm_machine::{Machine, Measurement};
+use dlcm_model::{CostModel, CostModelConfig, Featurizer, FeaturizerConfig};
 use dlcm_search::{
     BeamSearch, Mcts, SearchDriver, SearchJob, SearchResult, SearchSpace, SearchSpec,
 };
@@ -175,26 +177,116 @@ fn per_search_stats_are_standalone_not_global_diffs() {
 #[test]
 fn scoped_deltas_sum_to_plain_evaluator_stats() {
     // A single search through a scope over a fresh shared evaluator must
-    // report exactly what the evaluator-wide totals of a plain `&E`
-    // handle report: same evals, same hit/miss counts.
+    // report exactly what the evaluator-wide totals report: same evals,
+    // same hit/miss counts, same time.
     let program = stencil("parity", 96);
     let beam = BeamSearch::new(3, small_space());
 
     let shared =
         SharedCachedEvaluator::new(ParallelEvaluator::new(Measurement::new(Machine), 0, 1));
-    let mut scoped = ScopedEvaluator::new(&shared);
-    let via_shared = beam.search(&program, &mut scoped);
+    let result = beam.search(&program, &mut ScopedEvaluator::new(&shared));
 
-    let mut plain =
-        &SharedCachedEvaluator::new(ParallelEvaluator::new(Measurement::new(Machine), 0, 1));
-    let via_plain = beam.search(&program, &mut plain);
-
-    assert_eq!(via_shared.schedule, via_plain.schedule);
-    assert_eq!(via_shared.score, via_plain.score);
-    let a: EvalStats = via_shared.stats;
-    let b: EvalStats = via_plain.stats;
+    let a: EvalStats = result.stats;
+    let b: EvalStats = shared.total_stats();
     assert_eq!(a.num_evals, b.num_evals);
     assert_eq!(a.cache_hits, b.cache_hits);
     assert_eq!(a.cache_misses, b.cache_misses);
     assert_eq!(a.search_time, b.search_time);
+}
+
+/// Forwards [`Evaluator::speedup_batch_charged`] and records the sum of
+/// the charges it returned; a search that called anything else would
+/// panic.
+struct Recorder<'a> {
+    inner: &'a mut dyn Evaluator,
+    charged: EvalStats,
+}
+
+impl<'a> Recorder<'a> {
+    fn new(inner: &'a mut dyn Evaluator) -> Self {
+        Self {
+            inner,
+            charged: EvalStats::default(),
+        }
+    }
+}
+
+impl Evaluator for Recorder<'_> {
+    fn speedup_batch(&mut self, _: &Program, _: &[Schedule]) -> Vec<f64> {
+        panic!("a search scores only through speedup_batch_charged")
+    }
+
+    fn speedup_batch_charged(
+        &mut self,
+        program: &Program,
+        schedules: &[Schedule],
+    ) -> (Vec<f64>, EvalStats) {
+        let (scores, charge) = self.inner.speedup_batch_charged(program, schedules);
+        self.charged += charge;
+        (scores, charge)
+    }
+
+    fn stats(&self) -> EvalStats {
+        panic!("a search sums its own charges instead of reading stats")
+    }
+}
+
+fn bits(s: &EvalStats) -> [u64; 6] {
+    [
+        s.num_evals as u64,
+        s.search_time.to_bits(),
+        s.compile_time.to_bits(),
+        s.infer_time.to_bits(),
+        s.cache_hits as u64,
+        s.cache_misses as u64,
+    ]
+}
+
+#[test]
+fn searches_on_reused_evaluators_report_the_sum_of_their_charges() {
+    // Both evaluators have served an earlier search, so their own stats
+    // are far from zero: a search's stats must still be exactly the sum
+    // of the charges its calls returned.
+    let featurizer = Featurizer::new(FeaturizerConfig::default());
+    let model = CostModel::new(CostModelConfig::fast(featurizer.config().vector_width()), 3);
+    let mut model_eval = ModelEvaluator::new(&model, featurizer).with_simulated_cost(0.004);
+    let shared =
+        SharedCachedEvaluator::new(ParallelEvaluator::new(Measurement::new(Machine), 0, 1));
+    let program = mm("reused", 64);
+    let beam = BeamSearch::new(3, small_space());
+    let mcts = Mcts {
+        iterations: 16,
+        space: small_space(),
+        seed: 5,
+    };
+    beam.search(&stencil("warm", 96), &mut model_eval);
+    beam.search(&program, &mut ScopedEvaluator::new(&shared));
+    Mcts {
+        seed: 6,
+        ..mcts.clone()
+    }
+    .search(
+        &program,
+        &mut model_eval,
+        &mut ScopedEvaluator::new(&shared),
+    );
+    assert!(model_eval.stats().num_evals > 0 && shared.total_stats().num_evals > 0);
+
+    let mut bsm = Recorder::new(&mut model_eval);
+    let result = beam.search(&program, &mut bsm);
+    assert_eq!(bits(&result.stats), bits(&bsm.charged), "BSM");
+
+    let mut exec = ScopedEvaluator::new(&shared);
+    let mut rollouts = Recorder::new(&mut model_eval);
+    let mut correction = Recorder::new(&mut exec);
+    let result = mcts.search(&program, &mut rollouts, &mut correction);
+    assert!(
+        correction.charged.cache_hits > 0 && correction.charged.cache_misses > 0,
+        "the correction step meets a warm cache that does not hold every schedule"
+    );
+    assert_eq!(
+        bits(&result.stats),
+        bits(&(rollouts.charged + correction.charged)),
+        "MCTS"
+    );
 }

@@ -40,7 +40,8 @@
 //! The service implements `dlcm_eval::SyncEvaluator`, the same `&self`
 //! tier the concurrent suite driver (`dlcm_search::SearchDriver`) and
 //! per-search `ScopedEvaluator` accounting are built on — so beam and
-//! MCTS searches run against a *served* model unchanged.
+//! MCTS searches run against a *served* model unchanged, holding
+//! `ScopedEvaluator::new(&service)` as their `&mut dyn Evaluator`.
 //!
 //! Determinism contract (the workspace-wide one, extended to serving):
 //! served scores are **bit-identical** to in-process evaluation through

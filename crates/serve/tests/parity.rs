@@ -2,7 +2,7 @@
 //! in-process evaluation at any client-thread count.
 
 use dlcm_eval::pool::parallel_map;
-use dlcm_eval::{Evaluator, ModelEvaluator, SyncEvaluator};
+use dlcm_eval::{Evaluator, ModelEvaluator, ScopedEvaluator, SyncEvaluator};
 use dlcm_ir::{CompId, Expr, Program, ProgramBuilder, Schedule, Transform};
 use dlcm_model::{
     CostModel, CostModelConfig, Featurizer, FeaturizerConfig, HeldOutMetrics, ModelArtifact,
@@ -178,8 +178,7 @@ fn beam_search_against_the_service_matches_in_process_search() {
     let expected = search.search(&p, &mut direct);
 
     let service = InferenceService::new(m.clone(), featurizer, ServeConfig::default());
-    let mut handle = &service;
-    let served = search.search(&p, &mut handle);
+    let served = search.search(&p, &mut ScopedEvaluator::new(&service));
 
     assert_eq!(served.schedule, expected.schedule);
     assert_eq!(served.score, expected.score);
