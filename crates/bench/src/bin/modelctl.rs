@@ -44,10 +44,10 @@
 //!   every side's metrics land in `results/promotion.json`; `--dry-run`
 //!   records the verdict without swapping;
 //! - `flywheel` — close the data loop in-process: serve a fixed-seed
-//!   replay window from the incumbent with mispredict capture on, drain
-//!   the WARN+ divergences into a new corpus generation, warm-start
-//!   retrain two candidate artifacts over the union corpus, and write
-//!   `results/flywheel.json`. The candidates land in `--out DIR`
+//!   replay window from the incumbent, check each first-seen row against
+//!   ground truth, append the WARN+ divergences as a new corpus
+//!   generation, warm-start retrain two candidate artifacts over the
+//!   union corpus, and write `results/flywheel.json`. The candidates land in `--out DIR`
 //!   (default `results/flywheel/cand0` and `cand1`), ready for
 //!   `promote --candidates`.
 //!
@@ -330,10 +330,10 @@ fn promote(flags: Flags) {
 }
 
 /// `flywheel`: the whole data loop in one command — serve a fixed-seed
-/// replay window from the incumbent with mispredict capture on, append
-/// the drained WARN+ rows to the corpus as a new generation, warm-start
-/// retrain two candidates over the union corpus, and write
-/// `results/flywheel.json`. Hand the candidates to
+/// replay window from the incumbent, check each first-seen row against
+/// ground truth, append the WARN+ rows to the corpus as a new
+/// generation, warm-start retrain two candidates over the union corpus,
+/// and write `results/flywheel.json`. Hand the candidates to
 /// `promote --candidates` to close the loop.
 fn flywheel(flags: Flags) {
     let dir =

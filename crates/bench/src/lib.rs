@@ -43,8 +43,9 @@ pub use corpus::{
 };
 pub use flags::Flags;
 pub use flywheel::{
-    replay_window, run_flywheel, run_promotion, CandidateVerdict, FlywheelCandidate,
-    FlywheelConfig, FlywheelReport, PromotionReport, PromotionSide,
+    band_for, replay_window, run_flywheel, run_promotion, CandidateVerdict, ErrorBand,
+    FlywheelCandidate, FlywheelConfig, FlywheelReport, MispredictCapture, MispredictCounters,
+    PromotionReport, PromotionSide,
 };
 pub use ledger::Ledger;
 pub use reproduce::reproduce;

@@ -2,7 +2,7 @@
 //!
 //! The seed corpus written by [`crate::ParallelDatasetBuilder`] is
 //! generation 0 of an append-only history. Later generations — in
-//! practice, mispredict captures drained from the serving tier — arrive
+//! practice, the mispredicts the data flywheel keeps — arrive
 //! as already-labeled [`AppendSample`]s and are appended through
 //! [`append_generation`]:
 //!
@@ -38,8 +38,8 @@ use crate::shard::{
     chain_fingerprint, fingerprint_hex, GenerationInfo, ShardRecord, ShardWriter, ShardedDataset,
 };
 
-/// One labeled sample offered for corpus append: the serving tier's
-/// mispredict records reduce to exactly this (the measured ground-truth
+/// One labeled sample offered for corpus append: the data flywheel's
+/// kept mispredicts are exactly this (the measured ground-truth
 /// speedup, not the model's prediction, is what enters the corpus).
 #[derive(Debug, Clone)]
 pub struct AppendSample {
@@ -51,7 +51,7 @@ pub struct AppendSample {
     pub speedup: f64,
     /// Scenario-family tag carried into the appended `Program` record
     /// ([`crate::Pattern::name`]); `None` when provenance is unknown —
-    /// mispredict captures from the serving tier do not know which
+    /// the data flywheel's mispredicts do not know which
     /// generator family produced the program.
     pub family: Option<String>,
 }

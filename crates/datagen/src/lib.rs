@@ -22,8 +22,8 @@
 //!
 //! Corpora are *generation-versioned*: the builder's output is
 //! generation 0 of an append-only history, and [`append_generation`]
-//! adds later generations (e.g. mispredicts captured by the serving
-//! tier) as new shards whose [`GenerationInfo::chain`] fingerprints
+//! adds later generations (e.g. the mispredicts the data flywheel
+//! checks against ground truth) as new shards whose [`GenerationInfo::chain`] fingerprints
 //! chain onto the parent's, deduplicated against the whole history via
 //! the [`DedupIndex`] built from the shards. The manifest is the only
 //! record of that history and the single commit point of an append.

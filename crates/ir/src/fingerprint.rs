@@ -8,7 +8,7 @@
 //!   a value's `Debug` rendering through FNV-1a. They are written to disk
 //!   and compared across processes: shard records and the corpus manifest
 //!   chain (`dlcm-datagen`), split grouping and corpus dedup, the model
-//!   artifact manifest, and the serving tier's mispredict keys. A shard
+//!   artifact manifest, and the data flywheel's mispredict keys. A shard
 //!   reader re-fingerprints every program it loads and refuses a record
 //!   whose stored value differs, so these functions must keep producing
 //!   the same bytes for as long as such records exist. [`fnv1a`] is the

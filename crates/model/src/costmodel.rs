@@ -13,9 +13,11 @@
 //! 3. **Regression layer** — a shallow feedforward network maps the
 //!    program embedding to the predicted speedup.
 //!
-//! The output passes through softplus so predicted speedups are positive
-//! by construction (speedups are positive targets; the paper trains with
-//! MAPE, which requires this).
+//! The output passes through [`exp_head`], `exp(8·tanh(raw/8))`, so
+//! predicted speedups are positive by construction (speedups are positive
+//! targets; the paper trains with MAPE, which requires this). The
+//! ablation models share the head; only the Halide-style baseline
+//! (`dlcm-baseline`) ends in softplus.
 
 use dlcm_tensor::nn::{Activation, LstmCell, Mlp, ParamStore};
 use dlcm_tensor::{Tape, Tensor, Var};

@@ -19,13 +19,10 @@
 //!   one call that ran it;
 //! - [`ServeConfig`] sets the pool width and the cache bound;
 //! - [`ServeStats`] exposes throughput, latency, forward-pass, cache
-//!   hit-rate, model-swap, and mispredict-capture counters;
-//! - mispredict capture
-//!   ([`InferenceService::enable_mispredict_capture`]) spot-checks every
-//!   first-seen served row against ground truth, bands divergences
-//!   PASS/WARN/HIGH/CRITICAL by relative error ([`band_for`]), and
-//!   retains WARN+ rows in a bounded log — the capture half of the data
-//!   flywheel (see DESIGN.md § "Data flywheel").
+//!   hit-rate and model-swap counters. Checking served scores against
+//!   ground truth is not the service's job: the data flywheel
+//!   (`dlcm_bench::run_flywheel`) checks its own replay window (see
+//!   DESIGN.md § "Data flywheel").
 //!
 //! The served model is **hot-swappable** ([`InferenceService::reload`] /
 //! [`ArtifactReloadable::reload_artifact`]): the active model lives in an
@@ -53,14 +50,9 @@
 #![warn(missing_docs)]
 
 mod epoch;
-mod mispredict;
 mod service;
 
 pub use epoch::ModelEpoch;
-pub use mispredict::{
-    band_for, ErrorBand, MispredictCounters, MispredictRecord, BAND_CRITICAL_THRESHOLD,
-    BAND_HIGH_THRESHOLD, BAND_WARN_THRESHOLD,
-};
 pub use service::{ArtifactReloadable, InferenceService, ReloadError, ServeConfig, ServeStats};
 
 // The whole point of the service is to be shared across client threads;

@@ -4,7 +4,7 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use dlcm_eval::{
@@ -15,7 +15,6 @@ use dlcm_model::{Featurizer, ModelArtifact, SpeedupPredictor};
 use serde::{Deserialize, Serialize};
 
 use crate::epoch::{ModelEpoch, ModelSlot};
-use crate::mispredict::{CaptureState, MispredictCounters, MispredictRecord};
 
 /// Service tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -103,19 +102,20 @@ pub struct ServeStats {
     /// Hot model swaps completed since the service started (see
     /// [`InferenceService::reload`]).
     pub model_swaps: usize,
-    /// Served rows spot-checked against ground truth by mispredict
-    /// capture (0 unless [`InferenceService::enable_mispredict_capture`]
-    /// was called).
+    /// Always 0, like the five `mispredict_*` fields after it: the
+    /// service checks no served row against ground truth (the data
+    /// flywheel checks its own replay window). The six fields stay
+    /// because the wire's `Stats` frame carries them.
     pub mispredict_checked: usize,
-    /// Checked rows banded WARN (relative error in `[0.10, 0.25)`).
+    /// Always 0 (see `mispredict_checked`).
     pub mispredict_warn: usize,
-    /// Checked rows banded HIGH (relative error in `[0.25, 0.50)`).
+    /// Always 0 (see `mispredict_checked`).
     pub mispredict_high: usize,
-    /// Checked rows banded CRITICAL (relative error `>= 0.50`).
+    /// Always 0 (see `mispredict_checked`).
     pub mispredict_critical: usize,
-    /// WARN+ records pushed into the bounded mispredict log (monotonic).
+    /// Always 0 (see `mispredict_checked`).
     pub mispredict_logged: usize,
-    /// Mispredict records dropped oldest-first to honor the log bound.
+    /// Always 0 (see `mispredict_checked`).
     pub mispredict_dropped: usize,
     /// Summed wall-clock seconds spent inside client calls.
     pub total_latency: f64,
@@ -224,10 +224,9 @@ pub trait ArtifactReloadable {
 /// persistent evaluation pool.
 ///
 /// The service implements [`SyncEvaluator`], so everything built on the
-/// shared evaluation tier — `dlcm_search::SearchDriver` suites,
-/// `ScopedEvaluator` per-search accounting, the `&service`-is-an-
-/// `Evaluator` blanket adapter — runs against a *served* model
-/// unchanged.
+/// shared evaluation tier — `dlcm_search::SearchDriver` suites and any
+/// search holding `ScopedEvaluator::new(&service)` as its evaluator —
+/// runs against a *served* model unchanged.
 ///
 /// Determinism contract: served scores are bit-identical to in-process
 /// evaluation (`dlcm_eval::ModelEvaluator` over the same model and
@@ -267,7 +266,6 @@ pub struct InferenceService<M: SpeedupPredictor> {
     rejected_overload: AtomicUsize,
     rejected_deadline: AtomicUsize,
     deadline_missed: AtomicUsize,
-    capture: OnceLock<CaptureState>,
 }
 
 impl<M: SpeedupPredictor> InferenceService<M> {
@@ -306,40 +304,7 @@ impl<M: SpeedupPredictor> InferenceService<M> {
             rejected_overload: AtomicUsize::new(0),
             rejected_deadline: AtomicUsize::new(0),
             deadline_missed: AtomicUsize::new(0),
-            capture: OnceLock::new(),
         }
-    }
-
-    /// Installs mispredict capture (at most once per service): every
-    /// first-seen served row is spot-checked against `truth` — ground
-    /// truth, in practice a `dlcm_eval::ParallelEvaluator` over the
-    /// execution harness — and WARN+ divergences are retained in a log
-    /// bounded at 1024 records (oldest dropped first). Returns `false`
-    /// (and changes nothing) if capture was already enabled.
-    ///
-    /// The check runs *after* a response's values are fixed, so capture
-    /// can never change an answer; it adds truth-evaluation latency
-    /// only to calls that carry first-seen rows.
-    pub fn enable_mispredict_capture(&self, truth: Box<dyn SyncEvaluator>) -> bool {
-        self.capture.set(CaptureState::new(truth)).is_ok()
-    }
-
-    /// Removes and returns every retained mispredict record, oldest
-    /// first (empty when capture is disabled or nothing diverged). The
-    /// flywheel drains this into a new corpus generation.
-    pub fn drain_mispredicts(&self) -> Vec<MispredictRecord> {
-        self.capture
-            .get()
-            .map(CaptureState::drain)
-            .unwrap_or_default()
-    }
-
-    /// Capture accounting (all zeros when capture is disabled).
-    pub fn mispredict_counters(&self) -> MispredictCounters {
-        self.capture
-            .get()
-            .map(CaptureState::counters)
-            .unwrap_or_default()
     }
 
     /// Atomically replaces the served model: queries that pinned the old
@@ -405,7 +370,6 @@ impl<M: SpeedupPredictor> InferenceService<M> {
         let forward_rows = core.forward_rows.load(Ordering::Relaxed);
         let hits = self.cache.hits();
         let misses = self.cache.misses();
-        let mispredict = self.mispredict_counters();
         ServeStats {
             queries: ledger.queries,
             client_calls: ledger.calls,
@@ -420,7 +384,6 @@ impl<M: SpeedupPredictor> InferenceService<M> {
             cache_capacity: self.cache.capacity(),
             cache_evictions: self.cache.evictions(),
             micro_batches,
-            coalesced_batches: 0,
             forward_rows,
             mean_batch_rows: if micro_batches > 0 {
                 forward_rows as f64 / micro_batches as f64
@@ -431,18 +394,14 @@ impl<M: SpeedupPredictor> InferenceService<M> {
             rejected_deadline: self.rejected_deadline.load(Ordering::Relaxed),
             deadline_missed: self.deadline_missed.load(Ordering::Relaxed),
             model_swaps: core.slot.swaps(),
-            mispredict_checked: mispredict.checked,
-            mispredict_warn: mispredict.warn,
-            mispredict_high: mispredict.high,
-            mispredict_critical: mispredict.critical,
-            mispredict_logged: mispredict.logged,
-            mispredict_dropped: mispredict.dropped,
             total_latency: ledger.latency,
             mean_latency: if ledger.calls > 0 {
                 ledger.latency / ledger.calls as f64
             } else {
                 0.0
             },
+            // `coalesced_batches` and the `mispredict_*` fields.
+            ..ServeStats::default()
         }
     }
 }
@@ -501,13 +460,6 @@ impl<M: SpeedupPredictor> SyncEvaluator for InferenceService<M> {
                 });
         let mut delta = charged;
         delta.num_evals = schedules.len();
-        // Mispredict capture observes the *final* values under the same
-        // pinned epoch that produced them — it can never change an
-        // answer, and a swap landing mid-call attributes the check to
-        // the epoch that actually served it.
-        if let Some(capture) = self.capture.get() {
-            capture.observe(program, schedules, &values, epoch.fingerprint());
-        }
         {
             let mut ledger = self.ledger.lock().expect("client ledger");
             ledger.calls += 1;

@@ -129,8 +129,8 @@ fn concurrent_clients_get_bit_identical_answers() {
 
 #[test]
 fn odd_wave_sizes_and_singletons_serve_identically() {
-    // The service's micro-batcher now forwards through the SoA arena
-    // kernel (`CostModel::infer_batch`); waves of 1, 3, and 7 — each a
+    // The service's miss path forwards through the SoA arena kernel
+    // (`CostModel::infer_batch`); waves of 1, 3, and 7 — each a
     // prefix of the 5-schedule wave plus extensions, containing
     // structure groups of exactly one row — must still match in-process
     // evaluation bit for bit.
