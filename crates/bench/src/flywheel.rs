@@ -8,9 +8,9 @@
 //!    window through a real `dlcm_serve::InferenceService`;
 //! 2. **check** — after each wave, a [`MispredictCapture`] scores the
 //!    wave's first-seen rows against ground truth (behind the shared
-//!    worker pool), grades each served score by [`band_for`], and keeps
-//!    the WARN+ rows as `dlcm_datagen::AppendSample`s labeled by their
-//!    *measured* speedups;
+//!    worker pool), grades each served score by
+//!    [`band_for`](crate::band_for), and keeps the WARN+ rows as
+//!    `dlcm_datagen::AppendSample`s labeled by their *measured* speedups;
 //! 3. **append** — `dlcm_datagen::append_generation` adds them to the
 //!    corpus as a new generation, deduplicated against the whole
 //!    history, chain-fingerprinted onto the parent generation;
@@ -29,18 +29,17 @@
 //! the same incumbent and corpus reproduce bit-identical generation
 //! fingerprints and candidate weights at any `--threads` setting.
 
-use std::collections::{HashSet, VecDeque};
 use std::fmt;
 use std::io;
 use std::path::PathBuf;
 use std::time::Instant;
 
 use dlcm_datagen::{
-    append_generation, open_split, AppendSample, GenerationInfo, ProgramGenConfig,
-    ProgramGenerator, ScheduleGenConfig, ScheduleGenerator, ShardedDataset,
+    append_generation, open_split, GenerationInfo, ProgramGenConfig, ProgramGenerator,
+    ScheduleGenConfig, ScheduleGenerator, ShardedDataset,
 };
 use dlcm_eval::{Evaluator, ModelEvaluator, ParallelEvaluator, SyncEvaluator};
-use dlcm_ir::fingerprint::{stable_fingerprint, to_hex};
+use dlcm_ir::fingerprint::to_hex;
 use dlcm_ir::{Program, Schedule};
 use dlcm_model::{train_stream, HeldOutMetrics, ModelArtifact, TrainConfig};
 use dlcm_net::NetClient;
@@ -50,6 +49,7 @@ use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 
 use crate::harness;
+use crate::mispredict::{MispredictCapture, MispredictCounters};
 
 /// Wave-seed bases reserved per replay driver, so no two of them ever
 /// share a cache key: `loadgen` owns `client << 32`, the promotion gate
@@ -63,147 +63,6 @@ const WAVE_LEN: usize = 6;
 /// Candidate artifacts one flywheel turn retrains, each under its own
 /// minibatch-shuffle seed (`0..CANDIDATES`).
 const CANDIDATES: usize = 2;
-
-/// Relative error below which a prediction is on target.
-const BAND_WARN_THRESHOLD: f64 = 0.10;
-/// Relative error at which a divergence escalates from WARN to HIGH.
-const BAND_HIGH_THRESHOLD: f64 = 0.25;
-/// Relative error at which a divergence escalates from HIGH to CRITICAL.
-const BAND_CRITICAL_THRESHOLD: f64 = 0.50;
-
-/// Mispredicts a [`MispredictCapture`] keeps; the oldest drop first.
-const LOG_CAPACITY: usize = 1024;
-
-/// Severity of one prediction's divergence from ground truth, by
-/// relative error (see [`band_for`]). Ordered: `Pass < Warn < High <
-/// Critical`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum ErrorBand {
-    /// Relative error below 0.10 — on target; never kept.
-    Pass,
-    /// Relative error in `[0.10, 0.25)`.
-    Warn,
-    /// Relative error in `[0.25, 0.50)`.
-    High,
-    /// Relative error `>= 0.50`, or a non-finite one.
-    Critical,
-}
-
-/// Grades `predicted` against `measured` ground truth: a pure function
-/// of its two arguments, so bands are identical on every replay.
-///
-/// The relative error is `|predicted - measured| / max(|measured|, ε)`;
-/// a non-finite error (NaN or infinite inputs) is [`ErrorBand::Critical`].
-pub fn band_for(predicted: f64, measured: f64) -> ErrorBand {
-    let rel = (predicted - measured).abs() / measured.abs().max(f64::EPSILON);
-    if !rel.is_finite() {
-        return ErrorBand::Critical;
-    }
-    if rel < BAND_WARN_THRESHOLD {
-        ErrorBand::Pass
-    } else if rel < BAND_HIGH_THRESHOLD {
-        ErrorBand::Warn
-    } else if rel < BAND_CRITICAL_THRESHOLD {
-        ErrorBand::High
-    } else {
-        ErrorBand::Critical
-    }
-}
-
-/// What a [`MispredictCapture`] counted, reported in `flywheel.json`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
-pub struct MispredictCounters {
-    /// Rows checked against ground truth (first occurrence only).
-    pub checked: usize,
-    /// Checked rows graded [`ErrorBand::Warn`].
-    pub warn: usize,
-    /// Checked rows graded [`ErrorBand::High`].
-    pub high: usize,
-    /// Checked rows graded [`ErrorBand::Critical`].
-    pub critical: usize,
-    /// WARN+ rows kept, drops included.
-    pub logged: usize,
-    /// Kept rows dropped oldest-first to stay within 1024.
-    pub dropped: usize,
-}
-
-/// The flywheel's check stage: grades served scores against ground
-/// truth and keeps the rows worth learning from.
-///
-/// A row is checked the first time its `(program content fingerprint,
-/// stable fingerprint of the literal schedule)` is offered, never
-/// again — so what is checked depends on the window's content alone,
-/// not on the service's cache or thread count. WARN+ rows become
-/// [`AppendSample`]s labeled by the *measured* speedup; the newest 1024
-/// are kept.
-#[derive(Debug)]
-pub struct MispredictCapture<E> {
-    truth: E,
-    seen: HashSet<(u64, u64)>,
-    kept: VecDeque<AppendSample>,
-    counters: MispredictCounters,
-}
-
-impl<E: SyncEvaluator> MispredictCapture<E> {
-    /// A capture that asks `truth` — in the flywheel the execution
-    /// harness behind a `ParallelEvaluator` — for ground truth.
-    pub fn new(truth: E) -> Self {
-        Self {
-            truth,
-            seen: HashSet::new(),
-            kept: VecDeque::new(),
-            counters: MispredictCounters::default(),
-        }
-    }
-
-    /// Checks the first-seen rows of one served wave: `served[i]` is the
-    /// score the service answered for `schedules[i]`.
-    pub fn check(&mut self, program: &Program, schedules: &[Schedule], served: &[f64]) {
-        let program_fp = program.content_fingerprint();
-        let fresh: Vec<usize> = (0..schedules.len())
-            .filter(|&i| {
-                self.seen
-                    .insert((program_fp, stable_fingerprint(&schedules[i])))
-            })
-            .collect();
-        if fresh.is_empty() {
-            return;
-        }
-        let subset: Vec<Schedule> = fresh.iter().map(|&i| schedules[i].clone()).collect();
-        let (measured, _) = self.truth.speedup_batch_shared(program, &subset);
-        self.counters.checked += fresh.len();
-        for (&i, speedup) in fresh.iter().zip(measured) {
-            let count = match band_for(served[i], speedup) {
-                ErrorBand::Pass => continue,
-                ErrorBand::Warn => &mut self.counters.warn,
-                ErrorBand::High => &mut self.counters.high,
-                ErrorBand::Critical => &mut self.counters.critical,
-            };
-            *count += 1;
-            if self.kept.len() == LOG_CAPACITY {
-                self.kept.pop_front();
-                self.counters.dropped += 1;
-            }
-            self.kept.push_back(AppendSample {
-                program: program.clone(),
-                schedule: schedules[i].clone(),
-                speedup,
-                family: None,
-            });
-            self.counters.logged += 1;
-        }
-    }
-
-    /// What has been counted so far.
-    pub fn counters(&self) -> MispredictCounters {
-        self.counters
-    }
-
-    /// The kept rows, oldest first.
-    pub fn into_samples(self) -> Vec<AppendSample> {
-        self.kept.into()
-    }
-}
 
 /// The replay traffic every driver sends — `loadgen`, the promotion
 /// gate and the flywheel window — so served and in-process runs see the

@@ -32,6 +32,7 @@ mod figures;
 mod flags;
 mod flywheel;
 mod ledger;
+mod mispredict;
 mod reproduce;
 
 pub use accuracy::{
@@ -43,11 +44,11 @@ pub use corpus::{
 };
 pub use flags::Flags;
 pub use flywheel::{
-    band_for, replay_window, run_flywheel, run_promotion, CandidateVerdict, ErrorBand,
-    FlywheelCandidate, FlywheelConfig, FlywheelReport, MispredictCapture, MispredictCounters,
-    PromotionReport, PromotionSide,
+    replay_window, run_flywheel, run_promotion, CandidateVerdict, FlywheelCandidate,
+    FlywheelConfig, FlywheelReport, PromotionReport, PromotionSide,
 };
 pub use ledger::Ledger;
+pub use mispredict::{band_for, ErrorBand, MispredictCapture, MispredictCounters};
 pub use reproduce::reproduce;
 
 /// Writes a CSV file into the results directory.
