@@ -48,6 +48,9 @@ fn main() {
         );
         return;
     };
+    // Written before anything is printed: a closed stdout panics the
+    // first `println!`, and the run must still leave its record.
+    write_json("datagen_stats.json", &stats);
 
     println!("--- corpus written to {dir:?} in {elapsed:.1}s ---");
     println!("programs            : {}", manifest.total_programs);
@@ -64,5 +67,4 @@ fn main() {
             shard.file, shard.num_programs, shard.num_points, shard.fingerprint
         );
     }
-    write_json("datagen_stats.json", &stats);
 }

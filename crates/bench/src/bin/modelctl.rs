@@ -18,10 +18,11 @@
 //! - `reproduce` — the paper's evaluation in one process: train and
 //!   save the artifact exactly as `train` does (same epochs as `train`'s
 //!   default), then, from that one in-memory artifact and held-out
-//!   evaluation, write `accuracy.json` (as `eval` does), Figures 4–8,
-//!   Table 2, the Halide comparison, the §4.4 ablation and the ledger
-//!   `RESULTS.md` + `RESULTS.json` (`dlcm_bench::Ledger`). Every file is
-//!   byte-identical at any `--threads`;
+//!   evaluation, run the §6 accuracy (the report `eval` writes), Figures
+//!   4–8, Table 2, the Halide comparison and the §4.4 ablation, and
+//!   write every number to the ledger `RESULTS.md` + `RESULTS.json`
+//!   (`dlcm_bench::Ledger`), beside the per-point CSVs of Figures 4, 5,
+//!   7 and 8. Every file is byte-identical at any `--threads`;
 //! - `serve --listen ADDR` — put a `dlcm_serve::InferenceService` over
 //!   the artifact on a TCP socket via `dlcm_net::NetServer` and run in
 //!   the foreground until a client
@@ -224,6 +225,12 @@ fn eval(flags: Flags) {
     let (s, h) = (artifact.manifest().metrics, evaluation.metrics);
     let epochs = artifact.manifest().train.as_ref().map_or(0, |t| t.epochs);
     let rep = accuracy_report(&evaluation, epochs);
+    // Written before anything is printed, so a closed stdout (which
+    // panics the first `println!`) cannot lose it; a re-evaluation that
+    // does not reproduce the manifest writes nothing.
+    if h == s {
+        write_json("accuracy.json", &rep);
+    }
     println!(
         "{:<12} {:>12} {:>12} {:>8}",
         "metric", "manifest", "re-eval", "paper"
@@ -258,7 +265,6 @@ fn eval(flags: Flags) {
             row.spearman
         );
     }
-    write_json("accuracy.json", &rep);
     println!(
         "artifact validated: {} held-out points reproduce the manifest metrics exactly",
         h.test_points
@@ -325,8 +331,8 @@ fn promote(flags: Flags) {
             );
         }
     }
-    println!("{report}");
     write_json("promotion.json", &report);
+    println!("{report}");
 }
 
 /// `flywheel`: the whole data loop in one command — serve a fixed-seed
@@ -356,6 +362,7 @@ fn flywheel(flags: Flags) {
         eprintln!("modelctl flywheel failed: {e}");
         std::process::exit(1);
     });
+    write_json("flywheel.json", &report);
     println!(
         "flywheel: served {} queries from incumbent {}, checked {} ({} WARN / {} HIGH / {} \
          CRITICAL, {} logged, {} dropped); generation {} appended {} points ({} duplicates \
@@ -381,7 +388,6 @@ fn flywheel(flags: Flags) {
             cand.dir, cand.seed, cand.weights_fingerprint, cand.held_out_mape
         );
     }
-    write_json("flywheel.json", &report);
 }
 
 /// `serve --listen ADDR`: the artifact on a TCP socket, in the

@@ -6,16 +6,13 @@
 //! - Figure 5: the APE histogram and APE-vs-speedup scatter
 //!   (`fig5_hist.csv`, `fig5_scatter.csv`);
 //! - Figure 7: per-program Pearson/Spearman coefficients (`fig7.csv`);
-//! - Figure 8: 16 per-program measured/predicted scatters (`fig8.csv`);
-//!
-//! plus the per-family partition `accuracy.json` carries, as
-//! `family_accuracy.csv`.
+//! - Figure 8: 16 per-program measured/predicted scatters (`fig8.csv`).
 
 use std::collections::BTreeMap;
 
 use dlcm_model::metrics;
 
-use crate::{write_csv, AccuracyReport, Evaluation};
+use crate::{write_csv, Evaluation};
 
 /// Figure 7's "good rank" cut: a test program counts as well-ranked
 /// when its per-program Spearman rho strictly exceeds this. Matches the
@@ -37,9 +34,8 @@ pub(crate) struct Fig7Summary {
     pub(crate) good_rank: usize,
 }
 
-/// Writes every figure CSV (and `family_accuracy.csv` from `report`'s
-/// per-family rows) for `evaluation`'s held-out predictions.
-pub(crate) fn write_figures(evaluation: &Evaluation, report: &AccuracyReport) -> Fig7Summary {
+/// Writes every figure CSV for `evaluation`'s held-out predictions.
+pub(crate) fn write_figures(evaluation: &Evaluation) -> Fig7Summary {
     let Evaluation { dataset, split, .. } = evaluation;
     let preds = &evaluation.test_preds;
     let programs: Vec<usize> = split
@@ -156,22 +152,6 @@ pub(crate) fn write_figures(evaluation: &Evaluation, report: &AccuracyReport) ->
         .collect();
     write_csv("fig8.csv", "program,measured,predicted", &fig8);
 
-    // ---- Per-family breakdown: the same partition accuracy.json
-    // carries, as a CSV for plotting alongside the figures.
-    write_csv(
-        "family_accuracy.csv",
-        "family,test_points,mape,r2,spearman,ss_res",
-        &report
-            .per_family
-            .iter()
-            .map(|r| {
-                format!(
-                    "{},{},{:.6},{:.6},{:.6},{:.6}",
-                    r.family, r.test_points, r.mape, r.r2, r.spearman, r.ss_res
-                )
-            })
-            .collect::<Vec<_>>(),
-    );
     summary
 }
 

@@ -375,8 +375,9 @@ mod tests {
         assert_eq!(mape_optimal_constant(&labels), 0.1);
     }
 
-    #[test]
-    fn aggregate_and_family_rows_are_the_accuracy_report_s() {
+    /// A held-out evaluation of 16 generated programs (predictions 10%
+    /// high and 15% low in turn), its accuracy report and an artifact.
+    fn fixture() -> (Evaluation, AccuracyReport, ModelArtifact) {
         let cfg = BuildConfig::new(DatasetConfig {
             num_programs: 16,
             progen: ProgramGenConfig {
@@ -408,6 +409,12 @@ mod tests {
         let report = crate::accuracy_report(&evaluation, 3);
         let model = CostModel::new(CostModelConfig::fast(featurizer.config().vector_width()), 0);
         let artifact = ModelArtifact::new(model, featurizer.config(), 7, metrics);
+        (evaluation, report, artifact)
+    }
+
+    #[test]
+    fn aggregate_and_family_rows_are_the_accuracy_report_s() {
+        let (evaluation, report, artifact) = fixture();
         let ablation = AblationReport {
             recursive_mape: 1.0,
             flat_lstm_mape: 1.2,
@@ -425,7 +432,7 @@ mod tests {
             &evaluation,
             &report,
             artifact.manifest(),
-            &preds,
+            &evaluation.test_preds,
             fig7,
             vec![],
             ablation,
@@ -471,5 +478,115 @@ mod tests {
         );
         // Every family shows, empty ones as zero points.
         assert_eq!(ledger.per_family.len(), dlcm_datagen::Pattern::ALL.len());
+    }
+
+    /// `(name, value)` of every numeric field of `row`.
+    fn suite_fields(row: &SuiteRow) -> [(&'static str, f64); 9] {
+        [
+            ("bse", row.bse),
+            ("bsm", row.bsm),
+            ("mcts", row.mcts),
+            ("halide", row.halide),
+            ("halide_corpus", row.halide_corpus),
+            ("bsm_search_accel", row.bsm_search_accel),
+            ("bsm_degradation_pct", row.bsm_degradation_pct),
+            ("mcts_search_accel", row.mcts_search_accel),
+            ("mcts_degradation_pct", row.mcts_degradation_pct),
+        ]
+    }
+
+    /// Every search and ablation number `RESULTS.json` carries reads
+    /// back bit for bit: the ledger is their only record.
+    #[test]
+    fn search_rows_and_ablation_survive_the_json_codec_bit_for_bit() {
+        let (evaluation, report, artifact) = fixture();
+        // Values whose shortest decimal needs all 17 digits, a subnormal,
+        // the largest finite and integers, across two distinct rows.
+        let row = |benchmark: &str, k: f64| SuiteRow {
+            benchmark: benchmark.to_string(),
+            bse: 0.1 + 0.2 * k,
+            bsm: std::f64::consts::PI * k,
+            mcts: 1.0 / (3.0 * k),
+            halide: 5e-324 * k,
+            halide_corpus: f64::MAX / k,
+            bsm_search_accel: 106.5 * k.sqrt(),
+            bsm_degradation_pct: 2.0 * k,
+            mcts_search_accel: (k + 0.5).ln(),
+            mcts_degradation_pct: 1e-7 / k,
+        };
+        let search = vec![row("conv2d", 1.0), row("heat2d", 7.0)];
+        let ablation = AblationReport {
+            recursive_mape: 0.1 + 0.2,
+            flat_lstm_mape: 2.0f64.sqrt() / 7.0,
+            concat_ffn_mape: std::f64::consts::E / 5.0,
+            flat_lstm_relative: (2.0f64.sqrt() / 7.0) / 0.3,
+            concat_ffn_relative: 1.0 / 3.0,
+            paper_flat_relative: 1.15,
+            paper_ffn_relative: 1.39,
+        };
+        let fig7 = Fig7Summary {
+            programs: 3,
+            good_rank: 2,
+        };
+        let ledger = Ledger::new(
+            &evaluation,
+            &report,
+            artifact.manifest(),
+            &evaluation.test_preds,
+            fig7,
+            search.clone(),
+            ablation.clone(),
+        );
+        let mut bytes = Vec::new();
+        serde_json::to_writer_pretty(&mut bytes, &ledger).unwrap();
+        let parsed: serde::Value =
+            serde_json::from_str(std::str::from_utf8(&bytes).unwrap()).unwrap();
+        let num = |v: &serde::Value, name: &str| v.get_field(name).unwrap().as_num().unwrap();
+
+        let serde::Value::Arr(rows) = parsed.get_field("search").unwrap() else {
+            panic!("`search` is not an array")
+        };
+        assert_eq!(rows.len(), search.len());
+        for (got, want) in rows.iter().zip(&search) {
+            let serde::Value::Obj(fields) = got else {
+                panic!("a search row is not an object")
+            };
+            assert_eq!(
+                fields.len(),
+                1 + suite_fields(want).len(),
+                "a field not checked"
+            );
+            assert_eq!(
+                got.get_field("benchmark").unwrap(),
+                &serde::Value::Str(want.benchmark.clone())
+            );
+            for (name, value) in suite_fields(want) {
+                assert_eq!(
+                    num(got, name).to_bits(),
+                    value.to_bits(),
+                    "{} {name}",
+                    want.benchmark
+                );
+            }
+        }
+
+        let got = parsed.get_field("ablation").unwrap();
+        let a = &ablation;
+        let want = [
+            ("recursive_mape", a.recursive_mape),
+            ("flat_lstm_mape", a.flat_lstm_mape),
+            ("concat_ffn_mape", a.concat_ffn_mape),
+            ("flat_lstm_relative", a.flat_lstm_relative),
+            ("concat_ffn_relative", a.concat_ffn_relative),
+            ("paper_flat_relative", a.paper_flat_relative),
+            ("paper_ffn_relative", a.paper_ffn_relative),
+        ];
+        let serde::Value::Obj(fields) = got else {
+            panic!("`ablation` is not an object")
+        };
+        assert_eq!(fields.len(), want.len(), "a field not checked");
+        for (name, value) in want {
+            assert_eq!(num(got, name).to_bits(), value.to_bits(), "ablation {name}");
+        }
     }
 }

@@ -14,9 +14,11 @@
 //!   writes `accuracy.json` (§6 headline metrics); `modelctl flywheel` /
 //!   `promote` → `flywheel.json` / `promotion.json`;
 //! - `modelctl reproduce` → the whole chain in one process ([`reproduce`]):
-//!   train and save the artifact as `train` does, then `accuracy.json`,
-//!   Figures 4–8, Table 2, the Halide comparison, the §4.4 ablation and
-//!   the [`Ledger`] (`RESULTS.md` + `RESULTS.json`).
+//!   train and save the artifact as `train` does, then run the §6
+//!   accuracy, Figures 4–8, Table 2, the Halide comparison and the §4.4
+//!   ablation. Every aggregate number goes to the [`Ledger`]
+//!   (`RESULTS.md` + `RESULTS.json`), its one record; only Figures 4, 5,
+//!   7 and 8 also get per-point CSVs.
 //!
 //! Every binary accepts `--quick` for a scaled-down smoke run and
 //! rejects flags it does not declare ([`Flags`]). The library behind

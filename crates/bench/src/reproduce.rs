@@ -1,17 +1,18 @@
 //! `modelctl reproduce`: every §6 experiment in one process, over the
 //! one [`Evaluation`] and the one in-memory artifact `modelctl train`'s
 //! pipeline just produced. Nothing is re-read, re-featurized or
-//! re-predicted; each stage writes its own file and hands its numbers to
-//! the [`Ledger`]:
+//! re-predicted; every aggregate number lands in the [`Ledger`]
+//! (`RESULTS.md` + `RESULTS.json`), its one record:
 //!
-//! - `accuracy.json` — §6 headline metrics and the per-family breakdown;
-//! - Figures 4, 5, 7, 8 and `family_accuracy.csv` ([`crate::figures`]);
-//! - Figure 6 + Table 2 (`fig6.csv`, `table2.csv`) — one suite sweep,
-//!   each benchmark one driver job running MCTS, BSE, BSM and the two
-//!   Halide-style searches;
-//! - `halide_r2.json` — §6's comparison against the Halide-style model
-//!   trained on the corpus, pointwise and as a search driver;
-//! - `ablation.json` — §4.4's alternative architectures.
+//! - §6 headline metrics and the per-family breakdown (the same
+//!   [`crate::AccuracyReport`] `modelctl eval` writes as `accuracy.json`);
+//! - Figures 4, 5, 7, 8 ([`crate::figures`], which also writes their
+//!   per-point CSVs);
+//! - Figure 6 + Table 2 — one suite sweep, each benchmark one driver job
+//!   running MCTS, BSE, BSM and the two Halide-style searches;
+//! - §6's comparison against the Halide-style model trained on the
+//!   corpus, pointwise and as a search driver;
+//! - §4.4's alternative architectures.
 
 use dlcm_baseline::{HalideModel, HalideTrainConfig};
 use dlcm_datagen::{prepare, BuildConfig, DatasetConfig, ParallelDatasetBuilder, ProgramGenConfig};
@@ -19,13 +20,12 @@ use dlcm_eval::{Evaluator, ModelEvaluator, ParallelEvaluator, SharedCachedEvalua
 use dlcm_machine::parallel_baseline;
 use dlcm_model::ablation::{ConcatFfnModel, FlatLstmModel};
 use dlcm_model::{
-    evaluate, metrics, train, CostModel, LabeledFeatures, ModelArtifact, SpeedupPredictor,
-    TrainConfig,
+    evaluate, train, CostModel, LabeledFeatures, ModelArtifact, SpeedupPredictor, TrainConfig,
 };
 use dlcm_search::{BeamSearch, Mcts, SearchDriver, SearchJob, SearchSpace, SearchSpec};
 use serde::Serialize;
 
-use crate::{accuracy_report, harness, write_csv, write_json, Evaluation, Ledger};
+use crate::{accuracy_report, harness, Evaluation, Ledger};
 
 /// Simulated seconds of model inference per candidate (the paper's LSTM
 /// forward pass runs in a few milliseconds). Charged instead of measured
@@ -65,7 +65,7 @@ pub(crate) struct SuiteRow {
     pub(crate) mcts_degradation_pct: f64,
 }
 
-/// `ablation.json`: §4.4's relative test-MAPE increases.
+/// §4.4's relative test-MAPE increases (the ledger's `ablation`).
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub(crate) struct AblationReport {
     pub(crate) recursive_mape: f64,
@@ -77,36 +77,10 @@ pub(crate) struct AblationReport {
     pub(crate) paper_ffn_relative: f64,
 }
 
-/// Measured end-to-end speedup of each model's chosen schedule on one
-/// benchmark (beam search, width 4, identical spaces).
-#[derive(Serialize)]
-struct SearchQualityRow {
-    benchmark: String,
-    ours_speedup: f64,
-    halide_speedup: f64,
-}
-
-/// `halide_r2.json`. The paper reports Halide 0.96 vs Tiramisu 0.89 —
-/// comparable, but Halide needs 54 engineered features.
-#[derive(Serialize)]
-struct R2Report {
-    halide_r2: f64,
-    ours_r2: f64,
-    halide_spearman: f64,
-    ours_spearman: f64,
-    paper_halide_r2: f64,
-    paper_ours_r2: f64,
-    /// Mean measured speedup across the suite when each model drives the
-    /// same beam search (the end-to-end complement of the pointwise R²).
-    search_ours_mean_speedup: f64,
-    search_halide_mean_speedup: f64,
-    search: Vec<SearchQualityRow>,
-}
-
 /// Runs every experiment on `artifact` (trained for `epochs` epochs) and
-/// its held-out `evaluation`, writes each experiment's file, and returns
-/// the ledger built from their numbers. Every output is byte-identical
-/// at any `threads`.
+/// its held-out `evaluation`, writes the per-point figure CSVs, and
+/// returns the ledger built from every experiment's numbers. Every output
+/// is byte-identical at any `threads`.
 pub fn reproduce(
     quick: bool,
     threads: usize,
@@ -115,8 +89,7 @@ pub fn reproduce(
     epochs: usize,
 ) -> Ledger {
     let report = accuracy_report(evaluation, epochs);
-    write_json("accuracy.json", &report);
-    let fig7 = crate::figures::write_figures(evaluation, &report);
+    let fig7 = crate::figures::write_figures(evaluation);
 
     let Evaluation { dataset, split, .. } = evaluation;
     eprintln!(
@@ -125,37 +98,10 @@ pub fn reproduce(
     );
     let mut halide_corpus = HalideModel::new(0);
     halide_corpus.train(dataset, &split.train, &HalideTrainConfig::default());
-    let (y, halide_preds) = halide_corpus.evaluate(dataset, &split.test);
+    let (_, halide_preds) = halide_corpus.evaluate(dataset, &split.test);
 
     let suite = suite_sweep(quick, threads, artifact, &halide_corpus);
-    let search: Vec<SearchQualityRow> = suite
-        .iter()
-        .map(|row| SearchQualityRow {
-            benchmark: row.benchmark.clone(),
-            ours_speedup: row.bsm,
-            halide_speedup: row.halide_corpus,
-        })
-        .collect();
-    let mean =
-        |f: fn(&SearchQualityRow) -> f64| search.iter().map(f).sum::<f64>() / search.len() as f64;
-    let ours = &evaluation.test_preds;
-    write_json(
-        "halide_r2.json",
-        &R2Report {
-            halide_r2: metrics::r2(&y, &halide_preds),
-            ours_r2: metrics::r2(&y, ours),
-            halide_spearman: metrics::spearman(&y, &halide_preds),
-            ours_spearman: metrics::spearman(&y, ours),
-            paper_halide_r2: 0.96,
-            paper_ours_r2: 0.89,
-            search_ours_mean_speedup: mean(|r| r.ours_speedup),
-            search_halide_mean_speedup: mean(|r| r.halide_speedup),
-            search,
-        },
-    );
-
     let ablation = ablation(quick, artifact, evaluation);
-    write_json("ablation.json", &ablation);
     Ledger::new(
         evaluation,
         &report,
@@ -168,8 +114,7 @@ pub fn reproduce(
 }
 
 /// FIG-6 + TAB-2: one driver job per §6 benchmark, running MCTS, BSE,
-/// BSM, the domain-gap Halide-style search and the corpus-trained one,
-/// and writing `fig6.csv` / `table2.csv`.
+/// BSM, the domain-gap Halide-style search and the corpus-trained one.
 fn suite_sweep(
     quick: bool,
     threads: usize,
@@ -250,7 +195,7 @@ fn suite_sweep(
         SharedCachedEvaluator::new(ParallelEvaluator::new(harness.clone(), 0, threads));
     let results = SearchDriver::new(threads).run_suite(&jobs, &shared_exec, &factory);
 
-    let rows: Vec<SuiteRow> = suite
+    suite
         .iter()
         .zip(&jobs)
         .zip(&results)
@@ -284,38 +229,7 @@ fn suite_sweep(
                 mcts_degradation_pct: degr(mcts_speedup),
             }
         })
-        .collect();
-    write_csv(
-        "fig6.csv",
-        "benchmark,beam_exec,beam_model,mcts_model,halide",
-        &rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "{},{:.4},{:.4},{:.4},{:.4}",
-                    r.benchmark, r.bse, r.bsm, r.mcts, r.halide
-                )
-            })
-            .collect::<Vec<_>>(),
-    );
-    write_csv(
-        "table2.csv",
-        "benchmark,bsm_search_accel,bsm_perf_degradation_pct,mcts_search_accel,mcts_perf_degradation_pct",
-        &rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "{},{:.1},{:.1},{:.1},{:.1}",
-                    r.benchmark,
-                    r.bsm_search_accel,
-                    r.bsm_degradation_pct,
-                    r.mcts_search_accel,
-                    r.mcts_degradation_pct
-                )
-            })
-            .collect::<Vec<_>>(),
-    );
-    rows
+        .collect()
 }
 
 /// EXP-ABL (§4.4): the recursive model against the flat-LSTM and

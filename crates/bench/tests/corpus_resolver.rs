@@ -1,11 +1,12 @@
 //! The one corpus resolver: a corpus the flywheel has extended is the
 //! same corpus (reused, byte for byte), a changed dataset configuration
 //! or seed-shard count is not (regenerated) — from the library and from
-//! the `datagen` binary alike — and the binaries reject flags they do
-//! not declare instead of running the default configuration.
+//! the `datagen` binary alike —, the binaries reject flags they do not
+//! declare instead of running the default configuration, and `datagen`
+//! writes its stats before it prints, so a closed stdout loses nothing.
 
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 use dlcm_bench::{corpus_config, ensure_corpus};
 use dlcm_datagen::{
@@ -128,6 +129,26 @@ fn the_datagen_binary_keeps_an_extended_corpus() {
     assert!(forced.status.success());
     let manifest = ShardedDataset::open(&corpus).unwrap().manifest().clone();
     assert_eq!((manifest.generations.len(), manifest.shards.len()), (1, 4));
+    let _ = std::fs::remove_dir_all(&results);
+}
+
+#[test]
+fn datagen_with_a_closed_stdout_still_writes_its_stats() {
+    let results = tmp_dir("closed_stdout");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_datagen"))
+        .arg("--quick")
+        .env("DLCM_RESULTS", &results)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn datagen");
+    // Drop the read end at once: the first `println!` then fails.
+    drop(child.stdout.take());
+    child.wait().expect("wait for datagen");
+    assert!(
+        results.join("datagen_stats.json").exists(),
+        "a closed stdout lost the run's record"
+    );
     let _ = std::fs::remove_dir_all(&results);
 }
 

@@ -1,6 +1,6 @@
 //! The suite sweep's concurrency contract at the library level: the full
 //! §6 suite swept through the concurrent driver must produce
-//! **byte-equal** fig6/table2-style CSV rows at any search-thread count.
+//! **byte-equal** Figure 6 / Table 2 rows at any search-thread count.
 //! (CI enforces the same property on `modelctl reproduce` by diffing its
 //! outputs across `--threads` settings; this test keeps the guarantee in
 //! `cargo test` without needing the trained model artifact — execution
@@ -16,7 +16,8 @@ fn exec_model(_role: usize) -> Box<dyn Evaluator> {
 }
 
 /// A scaled-down suite sweep: MCTS first, then BSE, per benchmark, through
-/// one shared cache; rows formatted exactly like `fig6.csv` / `table2.csv`.
+/// one shared cache; Figure 6 speedups and Table 2 ratios as CSV rows,
+/// at four and one decimals.
 fn suite_rows(search_threads: usize, eval_threads: usize) -> (Vec<String>, Vec<String>) {
     let space = SearchSpace {
         tile_sizes: vec![16, 32],

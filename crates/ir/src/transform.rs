@@ -190,11 +190,6 @@ impl Schedule {
             .all(|w| w[0].phase() <= w[1].phase())
     }
 
-    /// Iterates over transforms targeting `comp`.
-    pub fn for_comp(&self, comp: CompId) -> impl Iterator<Item = &Transform> {
-        self.transforms.iter().filter(move |t| t.comp() == comp)
-    }
-
     /// Canonical form for content-keyed caching.
     ///
     /// Within the tag phase (unroll / parallelize / vectorize) transforms
@@ -381,20 +376,5 @@ mod tests {
         assert!(!illegal.is_canonical());
         assert_eq!(illegal.normalized().transforms, illegal.transforms);
         assert_ne!(illegal.cache_key(), legal.cache_key());
-    }
-
-    #[test]
-    fn for_comp_filters() {
-        let s = Schedule::new(vec![
-            Transform::Unroll {
-                comp: CompId(0),
-                factor: 2,
-            },
-            Transform::Unroll {
-                comp: CompId(1),
-                factor: 4,
-            },
-        ]);
-        assert_eq!(s.for_comp(CompId(1)).count(), 1);
     }
 }

@@ -430,23 +430,6 @@ impl Tensor {
     pub fn has_non_finite(&self) -> bool {
         self.as_slice().iter().any(|x| !x.is_finite())
     }
-
-    /// Stacks `1 x n` row vectors into an `m x n` matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows` is empty or widths differ.
-    pub fn stack_rows(rows: &[Tensor]) -> Tensor {
-        assert!(!rows.is_empty(), "stack_rows requires at least one row");
-        let cols = rows[0].cols;
-        Tensor::with_fill(rows.len(), cols, |data| {
-            for r in rows {
-                assert_eq!(r.rows, 1, "stack_rows expects 1 x n tensors");
-                assert_eq!(r.cols, cols, "stack_rows width mismatch");
-                data.extend_from_slice(r.as_slice());
-            }
-        })
-    }
 }
 
 impl fmt::Debug for Tensor {
@@ -716,15 +699,6 @@ mod tests {
         b.set(0, 0, 5.0);
         assert_eq!(a.get(0, 0), 0.0);
         assert_eq!(b.get(0, 0), 5.0);
-    }
-
-    #[test]
-    fn stack_rows_concatenates() {
-        let r1 = Tensor::row(vec![1.0, 2.0]);
-        let r2 = Tensor::row(vec![3.0, 4.0]);
-        let s = Tensor::stack_rows(&[r1, r2]);
-        assert_eq!(s.shape(), (2, 2));
-        assert_eq!(s.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]
