@@ -173,7 +173,7 @@ fn train_and_save(
         "reloaded artifact must reproduce in-memory predictions bit-identically"
     );
     let m = artifact.manifest();
-    println!(
+    eprintln!(
         "saved model artifact to {out:?} (round trip verified): corpus {}, test MAPE {:.3}, \
          Pearson {:.3}, Spearman {:.3} over {} held-out points",
         m.corpus_fingerprint,

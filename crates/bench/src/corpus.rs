@@ -192,8 +192,8 @@ pub fn train_from_corpus(
         eval_every: 5,
         ..TrainConfig::default()
     };
-    let corpus = open_split(&sharded, &featurizer, train_cfg.batch_size, threads)
-        .expect("open corpus for streaming");
+    let corpus =
+        open_split(&sharded, &featurizer, train_cfg.batch_size).expect("open corpus for streaming");
 
     let mut model = CostModel::new(CostModelConfig::fast(featurizer.config().vector_width()), 0);
     eprintln!(
@@ -209,7 +209,7 @@ pub fn train_from_corpus(
     // epochs per second of `train_stream`, validation passes included),
     // so a larger run can be budgeted from a smaller one's output.
     let rows = corpus.train.num_points();
-    println!(
+    eprintln!(
         "trained {rows} rows × {epochs} epochs in {seconds:.1} s ({:.0} row-epochs/s)",
         (rows * epochs) as f64 / seconds
     );

@@ -69,7 +69,7 @@ pub(crate) fn write_figures(evaluation: &Evaluation) -> Fig7Summary {
             .map(|(i, (t, p))| format!("{i},{t:.6},{p:.6}"))
             .collect::<Vec<_>>(),
     );
-    println!(
+    eprintln!(
         "Figure 4: {} transformed programs; measured range {:.3}..{:.3}",
         fig4.len(),
         fig4.first().map_or(0.0, |x| x.0),
@@ -108,7 +108,7 @@ pub(crate) fn write_figures(evaluation: &Evaluation) -> Fig7Summary {
         .zip(&ape)
         .partition(|(&t, _)| (0.5..2.0).contains(&t));
     let mean = |v: &[(&f64, &f64)]| v.iter().map(|(_, &e)| e).sum::<f64>() / v.len().max(1) as f64;
-    println!(
+    eprintln!(
         "Figure 5: mean APE near speedup 1: {:.3}; far from 1: {:.3} (paper: error grows away from 1)",
         mean(&near),
         mean(&far)
@@ -136,7 +136,7 @@ pub(crate) fn write_figures(evaluation: &Evaluation) -> Fig7Summary {
         good_rank,
     };
     write_csv("fig7.csv", "program,pearson,spearman", &fig7);
-    println!(
+    eprintln!(
         "Figure 7: {} test programs; {good_rank} have per-program Spearman > \
          {FIG7_SPEARMAN_THRESHOLD}",
         summary.programs

@@ -217,12 +217,7 @@ pub fn run_flywheel(cfg: &FlywheelConfig) -> io::Result<FlywheelReport> {
     // every candidate.
     let sharded = ShardedDataset::open(&cfg.corpus_dir)?;
     let corpus_fingerprint = sharded.manifest().content_fingerprint();
-    let corpus = open_split(
-        &sharded,
-        &featurizer,
-        TrainConfig::default().batch_size,
-        threads,
-    )?;
+    let corpus = open_split(&sharded, &featurizer, TrainConfig::default().batch_size)?;
 
     let mut candidates = Vec::with_capacity(CANDIDATES);
     for k in 0..CANDIDATES {

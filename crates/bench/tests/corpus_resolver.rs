@@ -3,7 +3,8 @@
 //! or seed-shard count is not (regenerated) — from the library and from
 //! the `datagen` binary alike —, the binaries reject flags they do not
 //! declare instead of running the default configuration, and `datagen`
-//! writes its stats before it prints, so a closed stdout loses nothing.
+//! and `modelctl reproduce` write their records before they print, so a
+//! closed stdout loses nothing.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -149,6 +150,30 @@ fn datagen_with_a_closed_stdout_still_writes_its_stats() {
         results.join("datagen_stats.json").exists(),
         "a closed stdout lost the run's record"
     );
+    let _ = std::fs::remove_dir_all(&results);
+}
+
+/// `modelctl reproduce` prints its progress to stderr and its stdout
+/// only after the ledger is written, so a closed stdout still leaves
+/// `RESULTS.md` and `RESULTS.json`.
+#[test]
+fn reproduce_with_a_closed_stdout_still_writes_its_ledger() {
+    let results = tmp_dir("closed_stdout_reproduce");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_modelctl"))
+        .args(["reproduce", "--quick"])
+        .env("DLCM_RESULTS", &results)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn modelctl reproduce");
+    drop(child.stdout.take());
+    child.wait().expect("wait for modelctl reproduce");
+    for ledger in ["RESULTS.md", "RESULTS.json"] {
+        assert!(
+            results.join(ledger).exists(),
+            "a closed stdout lost {ledger}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&results);
 }
 

@@ -79,7 +79,7 @@
 //!     stats.eval.cache_hits
 //! );
 //! let featurizer = Featurizer::new(FeaturizerConfig::default());
-//! let corpus = open_split(&ShardedDataset::open(dir).unwrap(), &featurizer, 32, 4).unwrap();
+//! let corpus = open_split(&ShardedDataset::open(dir).unwrap(), &featurizer, 32).unwrap();
 //! // … dlcm_model::train_stream(&mut model, &corpus.train, &corpus.val_set, &cfg)
 //! ```
 

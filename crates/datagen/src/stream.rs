@@ -4,10 +4,11 @@
 //! [`dlcm_model::BatchSource`]; [`ShardBatches`] implements that source
 //! over a shard directory. Raw records (programs, schedules, labels) are
 //! read once at open time, but *features* — the expensive, wide part —
-//! are computed per minibatch, in parallel, when the training loop asks
-//! for it. Batches are structure-identical by construction: the shard
-//! format stores each point's feature-tree structure key, so grouping
-//! needs no up-front featurization pass. [`open_split`] is the whole
+//! are computed per minibatch, inline from one per-program
+//! [`dlcm_model::FeatureBase`], when the training loop asks for it.
+//! Batches are structure-identical by construction: the shard format
+//! stores each point's feature-tree structure key, so grouping needs no
+//! up-front featurization pass. [`open_split`] is the whole
 //! recipe in one call: one read of the corpus becomes the by-program
 //! split, the streamed training source and the featurized
 //! validation/test sets.
@@ -16,7 +17,6 @@ use std::collections::HashSet;
 use std::io;
 use std::path::Path;
 
-use dlcm_eval::pool;
 use dlcm_ir::Program;
 use dlcm_model::{
     featurize_samples, group_into_batches, BatchSource, Featurizer, LabeledFeatures, SampleRef,
@@ -77,7 +77,6 @@ pub fn open_split(
     corpus: &ShardedDataset,
     featurizer: &Featurizer,
     batch_size: usize,
-    threads: usize,
 ) -> io::Result<CorpusSplit> {
     let loaded = corpus.read()?;
     let dataset = loaded.dataset;
@@ -92,7 +91,6 @@ pub fn open_split(
         &loaded.structures,
         featurizer.clone(),
         batch_size,
-        threads,
         Some(&train_programs),
     );
     let val_set = prepare(featurizer, &dataset, &split.val);
@@ -117,14 +115,16 @@ pub fn open_split(
 #[derive(Debug)]
 pub struct ShardBatches {
     featurizer: Featurizer,
-    threads: usize,
     programs: Vec<Option<Program>>,
     points: Vec<DataPoint>,
     batches: Vec<Vec<usize>>,
 }
 
 impl ShardBatches {
-    /// Opens every shard of `dir` for streaming.
+    /// Opens every shard of `dir` for streaming. `threads` is read by
+    /// nothing: a batch is featurized inline, and the argument stays
+    /// only because the benchmark package calls
+    /// [`ShardBatches::open_filtered`] with it.
     ///
     /// # Errors
     ///
@@ -141,7 +141,8 @@ impl ShardBatches {
     /// Opens `dir`, keeping only points whose program index is in `keep`
     /// (pass `None` for all). This is how a by-program train split
     /// streams from a shared corpus: filter to the training programs and
-    /// the validation/test points never enter the pipeline.
+    /// the validation/test points never enter the pipeline. `threads` is
+    /// read by nothing, as in [`ShardBatches::open`].
     ///
     /// # Errors
     ///
@@ -150,7 +151,7 @@ impl ShardBatches {
         dir: &Path,
         featurizer: Featurizer,
         batch_size: usize,
-        threads: usize,
+        _threads: usize,
         keep: Option<&HashSet<usize>>,
     ) -> io::Result<ShardBatches> {
         let loaded = ShardedDataset::open(dir)?.read()?;
@@ -159,7 +160,6 @@ impl ShardBatches {
             &loaded.structures,
             featurizer,
             batch_size,
-            threads,
             keep,
         ))
     }
@@ -171,7 +171,6 @@ impl ShardBatches {
         structures: &[u64],
         featurizer: Featurizer,
         batch_size: usize,
-        threads: usize,
         keep: Option<&HashSet<usize>>,
     ) -> ShardBatches {
         let kept = |program: usize| keep.is_none_or(|k| k.contains(&program));
@@ -191,7 +190,6 @@ impl ShardBatches {
 
         ShardBatches {
             featurizer,
-            threads: threads.max(1),
             programs,
             points,
             // The same helper the in-memory source groups with, so
@@ -212,18 +210,23 @@ impl BatchSource for ShardBatches {
         self.batches.len()
     }
 
+    /// Featurizes the batch inline ([`featurize_samples`]): a batch holds
+    /// one program's points, so one [`dlcm_model::FeatureBase`] serves it.
     fn load_batch(&self, index: usize) -> Vec<LabeledFeatures> {
-        let idxs = &self.batches[index];
-        pool::parallel_map(self.threads.min(idxs.len()), idxs.len(), |k| {
-            let point = &self.points[idxs[k]];
-            let program = self.programs[point.program]
-                .as_ref()
-                .expect("points only reference kept programs");
-            LabeledFeatures {
-                feats: self.featurizer.featurize(program, &point.schedule),
-                target: point.speedup,
-                group: point.program as u64,
-            }
-        })
+        let samples: Vec<SampleRef<'_>> = self.batches[index]
+            .iter()
+            .map(|&i| {
+                let point = &self.points[i];
+                SampleRef {
+                    program: self.programs[point.program]
+                        .as_ref()
+                        .expect("points only reference kept programs"),
+                    schedule: &point.schedule,
+                    speedup: point.speedup,
+                    group: point.program as u64,
+                }
+            })
+            .collect();
+        featurize_samples(&self.featurizer, &samples)
     }
 }

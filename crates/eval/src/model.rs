@@ -36,9 +36,12 @@ use crate::{EvalStats, Evaluator};
 /// per group, scatter to input order. Returns the scores and the number
 /// of forward passes run.
 ///
-/// Featurization and the groups fan over [`parallel_map`]`(threads, …)`
-/// (`threads <= 1` runs inline). Rows are pure per `(model, featurizer,
-/// program, schedule)`, so `threads` changes wall-clock, never a score.
+/// The wave is featurized inline from one [`dlcm_model::FeatureBase`]
+/// of `program` — once the base exists a row costs less than handing it
+/// to a pool worker would — and the groups fan over
+/// [`parallel_map`]`(threads, …)` (`threads <= 1` runs inline). Rows are
+/// pure per `(model, featurizer, program, schedule)`, so `threads`
+/// changes wall-clock, never a score.
 pub fn score_wave(
     model: &dyn SpeedupPredictor,
     featurizer: &Featurizer,
@@ -46,9 +49,8 @@ pub fn score_wave(
     program: &Program,
     schedules: &[Schedule],
 ) -> (Vec<f64>, usize) {
-    let feats: Vec<ProgramFeatures> = parallel_map(threads, schedules.len(), |i| {
-        featurizer.featurize(program, &schedules[i])
-    });
+    let base = featurizer.base(program);
+    let feats: Vec<ProgramFeatures> = schedules.iter().map(|s| base.featurize(s)).collect();
     let groups = dlcm_model::group_by_structure(feats.iter().map(|f| f.structure_key()));
     let scored: Vec<Vec<f64>> = parallel_map(threads, groups.len(), |g| {
         let rows: Vec<&ProgramFeatures> = groups[g].1.iter().map(|&i| &feats[i]).collect();

@@ -21,8 +21,15 @@
 //! nesting (§4.1, "transformations that involve changing the structure of
 //! the program ... are directly applied to the program structure
 //! representation").
+//!
+//! Because tags come from the transformation list, most of an encoding
+//! does not depend on the schedule at all. [`Featurizer::base`] encodes
+//! a program once — its vectors with every tag zero, and its unfused
+//! tree — and [`FeatureBase::featurize`] encodes each schedule of a wave
+//! by writing its tags into a copy; [`Featurizer::featurize`] is the
+//! wave of one.
 
-use dlcm_ir::{CompId, Legality, LoopSource, Program, Schedule, Transform};
+use dlcm_ir::{CompId, LegalPrefix, Legality, LoopSource, Program, Schedule, Transform};
 use serde::{Deserialize, Serialize};
 
 /// Size limits of the fixed-width encoding.
@@ -125,18 +132,44 @@ pub struct Featurizer {
     cfg: FeaturizerConfig,
 }
 
-/// Per-(comp, level) transformation tags collected from a schedule.
-#[derive(Debug, Clone, Copy, Default)]
-struct LevelTags {
-    fused: bool,
-    interchanged: bool,
-    tiled: bool,
-    tile_factor: i64,
-    unrolled: bool,
-    unroll_factor: i64,
-    parallel: bool,
-    vectorized: bool,
-    vector_factor: i64,
+// Offsets, within one loop level's `LOOP_FEATS` entries, of the nine
+// features a schedule sets; the other four (present, lower, extent,
+// reduction) depend on the program alone.
+const FUSED: usize = 4;
+const INTERCHANGED: usize = 5;
+const TILED: usize = 6;
+const TILE_FACTOR: usize = 7;
+const UNROLLED: usize = 8;
+const UNROLL_FACTOR: usize = 9;
+const PARALLEL: usize = 10;
+const VECTORIZED: usize = 11;
+const VECTOR_FACTOR: usize = 12;
+
+/// The `log1p` transform of a non-boolean feature (negatives clamp to 0).
+fn log(x: i64) -> f32 {
+    (x.max(0) as f32).ln_1p()
+}
+
+/// A program's features before any schedule: each computation's vector
+/// with every schedule tag zero, and the unfused tree. Built once by
+/// [`Featurizer::base`], it encodes any number of that program's
+/// schedules ([`FeatureBase::featurize`]) — a wave of candidates, a
+/// training minibatch.
+///
+/// Of a loop level's [`LOOP_FEATS`] entries only nine depend on the
+/// schedule (fused, interchanged, tiled, tile factor, unrolled, unroll
+/// factor, parallel, vectorized, vector factor); the access block, the
+/// store buffer's shape and the operation counts depend on the program
+/// alone. An untagged entry is `+0.0` (`f32::from(false)`, or the
+/// `log1p` of a zero factor), so a copy of the base with a schedule's
+/// tags written in holds exactly the bits of that pair's encoding.
+#[derive(Debug)]
+pub struct FeatureBase<'p> {
+    legality: Legality<'p>,
+    /// Untagged computation vectors, indexed by [`CompId`] order.
+    comp_vectors: Vec<Vec<f32>>,
+    /// The unfused program's tree.
+    tree: Vec<FeatNode>,
 }
 
 impl Featurizer {
@@ -150,99 +183,51 @@ impl Featurizer {
         self.cfg
     }
 
-    /// Encodes a `(program, schedule)` pair.
+    /// Encodes a `(program, schedule)` pair: the one-schedule case of
+    /// [`Featurizer::base`] and [`FeatureBase::featurize`], writing the
+    /// tags into the base itself instead of a copy. To encode several
+    /// schedules of one program, build the base once.
+    ///
+    /// # Panics
+    ///
+    /// As [`Featurizer::base`] and [`FeatureBase::featurize`].
+    pub fn featurize(&self, program: &Program, schedule: &Schedule) -> ProgramFeatures {
+        let FeatureBase {
+            legality,
+            mut comp_vectors,
+            tree,
+        } = self.base(program);
+        let fused = stamp(&legality, &mut comp_vectors, schedule);
+        ProgramFeatures {
+            comp_vectors,
+            tree: fused.unwrap_or(tree),
+        }
+    }
+
+    /// Encodes `program`'s features before any schedule.
     ///
     /// # Panics
     ///
     /// Panics if a computation exceeds the configured depth / access /
-    /// rank limits, or if a `Fuse` transform in `schedule` is illegal
-    /// (callers only featurize schedules that passed validation).
-    pub fn featurize(&self, program: &Program, schedule: &Schedule) -> ProgramFeatures {
-        let tags = self.collect_tags(program, schedule);
+    /// rank limits.
+    pub fn base<'p>(&self, program: &'p Program) -> FeatureBase<'p> {
+        let legality = Legality::new(program);
         let comp_vectors = program
             .comp_ids()
-            .map(|c| self.comp_vector(program, c, &tags[c.0]))
+            .map(|c| self.comp_vector(program, c))
             .collect();
-
-        // Structure: apply only the fusion transforms, then mirror the
-        // resulting nesting. Fusion reads no dependence analysis, so this
-        // pass never runs one.
-        let legality = Legality::new(program);
-        let mut structural = legality.root();
-        for t in &schedule.transforms {
-            if matches!(t, Transform::Fuse { .. }) {
-                legality
-                    .extend(&mut structural, t)
-                    .expect("fusion subset of a legal schedule");
-            }
+        let tree = feature_tree(&legality.root());
+        FeatureBase {
+            legality,
+            comp_vectors,
+            tree,
         }
-        let tree = structural.map_forest(&mut |c| FeatNode::Comp(c.0), &mut |l, children| {
-            debug_assert!(matches!(l.source, LoopSource::Orig { .. }));
-            FeatNode::Loop(children)
-        });
-
-        ProgramFeatures { comp_vectors, tree }
-    }
-
-    fn collect_tags(&self, program: &Program, schedule: &Schedule) -> Vec<Vec<LevelTags>> {
-        let mut tags: Vec<Vec<LevelTags>> = program
-            .comps
-            .iter()
-            .map(|c| vec![LevelTags::default(); c.depth()])
-            .collect();
-        for t in &schedule.transforms {
-            match *t {
-                Transform::Fuse { comp, with, depth } => {
-                    for c in [comp, with] {
-                        for l in 0..depth.min(tags[c.0].len()) {
-                            tags[c.0][l].fused = true;
-                        }
-                    }
-                }
-                Transform::Interchange {
-                    comp,
-                    level_a,
-                    level_b,
-                } => {
-                    tags[comp.0][level_a].interchanged = true;
-                    tags[comp.0][level_b].interchanged = true;
-                }
-                Transform::Tile {
-                    comp,
-                    level_a,
-                    level_b,
-                    size_a,
-                    size_b,
-                } => {
-                    tags[comp.0][level_a].tiled = true;
-                    tags[comp.0][level_a].tile_factor = size_a;
-                    tags[comp.0][level_b].tiled = true;
-                    tags[comp.0][level_b].tile_factor = size_b;
-                }
-                Transform::Unroll { comp, factor } => {
-                    if let Some(last) = tags[comp.0].last_mut() {
-                        last.unrolled = true;
-                        last.unroll_factor = factor;
-                    }
-                }
-                Transform::Parallelize { comp, level } => {
-                    tags[comp.0][level].parallel = true;
-                }
-                Transform::Vectorize { comp, factor } => {
-                    if let Some(last) = tags[comp.0].last_mut() {
-                        last.vectorized = true;
-                        last.vector_factor = factor;
-                    }
-                }
-            }
-        }
-        tags
     }
 
     // `l` is a loop level compared against comp.depth(), not a bare
-    // slice index over `tags`.
+    // slice index.
     #[allow(clippy::needless_range_loop)]
-    fn comp_vector(&self, program: &Program, c: CompId, tags: &[LevelTags]) -> Vec<f32> {
+    fn comp_vector(&self, program: &Program, c: CompId) -> Vec<f32> {
         let cfg = self.cfg;
         let comp = program.comp(c);
         assert!(
@@ -252,28 +237,18 @@ impl Featurizer {
             cfg.max_depth
         );
         let mut v = Vec::with_capacity(cfg.vector_width());
-        let log = |x: i64| (x.max(0) as f32).ln_1p();
 
-        // --- Loop-nest vector -------------------------------------------
+        // --- Loop-nest vector (a schedule writes the tags) --------------
         for l in 0..cfg.max_depth {
             if l < comp.depth() {
                 let it = program.iter_of(comp.iters[l]);
-                let t = tags[l];
                 v.extend_from_slice(&[
                     1.0,
                     log(it.lower),
                     log(it.extent()),
                     f32::from(comp.is_reduction_level(l)),
-                    f32::from(t.fused),
-                    f32::from(t.interchanged),
-                    f32::from(t.tiled),
-                    log(t.tile_factor),
-                    f32::from(t.unrolled),
-                    log(t.unroll_factor),
-                    f32::from(t.parallel),
-                    f32::from(t.vectorized),
-                    log(t.vector_factor),
                 ]);
+                v.extend(std::iter::repeat_n(0.0, LOOP_FEATS - FUSED));
             } else {
                 v.extend(std::iter::repeat_n(0.0, LOOP_FEATS));
             }
@@ -338,6 +313,122 @@ impl Featurizer {
 
         debug_assert_eq!(v.len(), cfg.vector_width());
         v
+    }
+}
+
+/// Mirrors a scheduled loop forest as a feature tree.
+fn feature_tree(prefix: &LegalPrefix) -> Vec<FeatNode> {
+    prefix.map_forest(&mut |c| FeatNode::Comp(c.0), &mut |l, children| {
+        debug_assert!(matches!(l.source, LoopSource::Orig { .. }));
+        FeatNode::Loop(children)
+    })
+}
+
+/// Writes `schedule`'s tags into `vectors`, the untagged vectors of
+/// `legality`'s program, and returns the post-fusion tree when the
+/// schedule fuses (`None`: the unfused tree stands). A later transform's
+/// factor at a level overwrites an earlier one's.
+///
+/// # Panics
+///
+/// Panics if a transform names a loop level its computation lacks, or
+/// if a `Fuse` transform is illegal.
+fn stamp(
+    legality: &Legality<'_>,
+    vectors: &mut [Vec<f32>],
+    schedule: &Schedule,
+) -> Option<Vec<FeatNode>> {
+    let program = legality.program();
+    let mut set = |comp: CompId, level: usize, tags: &[(usize, f32)]| {
+        let depth = program.comp(comp).depth();
+        assert!(level < depth, "c{} has no loop level {level}", comp.0);
+        let at = level * LOOP_FEATS;
+        for &(tag, value) in tags {
+            vectors[comp.0][at + tag] = value;
+        }
+    };
+    let innermost = |comp: CompId| program.comp(comp).depth().checked_sub(1);
+    let mut fuses = false;
+    for t in &schedule.transforms {
+        match *t {
+            Transform::Fuse { comp, with, depth } => {
+                fuses = true;
+                for c in [comp, with] {
+                    for l in 0..depth.min(program.comp(c).depth()) {
+                        set(c, l, &[(FUSED, 1.0)]);
+                    }
+                }
+            }
+            Transform::Interchange {
+                comp,
+                level_a,
+                level_b,
+            } => {
+                set(comp, level_a, &[(INTERCHANGED, 1.0)]);
+                set(comp, level_b, &[(INTERCHANGED, 1.0)]);
+            }
+            Transform::Tile {
+                comp,
+                level_a,
+                level_b,
+                size_a,
+                size_b,
+            } => {
+                set(comp, level_a, &[(TILED, 1.0), (TILE_FACTOR, log(size_a))]);
+                set(comp, level_b, &[(TILED, 1.0), (TILE_FACTOR, log(size_b))]);
+            }
+            Transform::Unroll { comp, factor } => {
+                if let Some(l) = innermost(comp) {
+                    set(comp, l, &[(UNROLLED, 1.0), (UNROLL_FACTOR, log(factor))]);
+                }
+            }
+            Transform::Parallelize { comp, level } => set(comp, level, &[(PARALLEL, 1.0)]),
+            Transform::Vectorize { comp, factor } => {
+                if let Some(l) = innermost(comp) {
+                    set(comp, l, &[(VECTORIZED, 1.0), (VECTOR_FACTOR, log(factor))]);
+                }
+            }
+        }
+    }
+    // Structure: apply only the fusion transforms, then mirror the
+    // resulting nesting. Fusion reads no dependence analysis, so this
+    // pass never runs one.
+    fuses.then(|| {
+        let mut structural = legality.root();
+        for t in &schedule.transforms {
+            if matches!(t, Transform::Fuse { .. }) {
+                legality
+                    .extend(&mut structural, t)
+                    .expect("fusion subset of a legal schedule");
+            }
+        }
+        feature_tree(&structural)
+    })
+}
+
+impl<'p> FeatureBase<'p> {
+    /// The program this base encodes.
+    pub fn program(&self) -> &'p Program {
+        self.legality.program()
+    }
+
+    /// Encodes one of the program's schedules: a copy of the untagged
+    /// vectors with the schedule's tags written in, and a copy of the
+    /// unfused tree unless the schedule fuses (then the tree is built
+    /// from [`Legality`], as the schedule's fusion shapes it).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a transform names a loop level its computation lacks,
+    /// or if a `Fuse` transform in `schedule` is illegal (callers only
+    /// featurize schedules that passed validation).
+    pub fn featurize(&self, schedule: &Schedule) -> ProgramFeatures {
+        let mut comp_vectors = self.comp_vectors.clone();
+        let fused = stamp(&self.legality, &mut comp_vectors, schedule);
+        ProgramFeatures {
+            comp_vectors,
+            tree: fused.unwrap_or_else(|| self.tree.clone()),
+        }
     }
 }
 

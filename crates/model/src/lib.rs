@@ -63,7 +63,9 @@ pub use artifact::{
 pub use costmodel::{
     group_by_structure, infer_scores, train_rng, CostModel, CostModelConfig, SpeedupPredictor,
 };
-pub use featurize::{FeatNode, Featurizer, FeaturizerConfig, ProgramFeatures, LOOP_FEATS};
+pub use featurize::{
+    FeatNode, FeatureBase, Featurizer, FeaturizerConfig, ProgramFeatures, LOOP_FEATS,
+};
 pub use train::{
     evaluate, featurize_samples, group_into_batches, train, train_stream, BatchSource, EpochStats,
     LabeledFeatures, SampleRef, TrainConfig, TrainReport,

@@ -18,7 +18,7 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::costmodel::{train_rng, SpeedupPredictor};
-use crate::featurize::{Featurizer, ProgramFeatures};
+use crate::featurize::{FeatureBase, Featurizer, ProgramFeatures};
 use crate::metrics;
 
 /// One precomputed training sample.
@@ -51,17 +51,25 @@ pub struct SampleRef<'a> {
     pub group: u64,
 }
 
-/// Featurizes a slice of samples, in order.
+/// Featurizes a slice of samples, in order. A run of samples over one
+/// program (the same `&Program`) shares one [`FeatureBase`].
 pub fn featurize_samples(
     featurizer: &Featurizer,
     samples: &[SampleRef<'_>],
 ) -> Vec<LabeledFeatures> {
+    let mut base: Option<FeatureBase<'_>> = None;
     samples
         .iter()
-        .map(|s| LabeledFeatures {
-            feats: featurizer.featurize(s.program, s.schedule),
-            target: s.speedup,
-            group: s.group,
+        .map(|s| {
+            let base = match &mut base {
+                Some(b) if std::ptr::eq(b.program(), s.program) => b,
+                slot => slot.insert(featurizer.base(s.program)),
+            };
+            LabeledFeatures {
+                feats: base.featurize(s.schedule),
+                target: s.speedup,
+                group: s.group,
+            }
         })
         .collect()
 }
@@ -242,8 +250,9 @@ pub fn train<M: SpeedupPredictor>(
 /// order (deterministic given [`TrainConfig::seed`]); the One-Cycle
 /// schedule spans `epochs * num_batches` optimizer steps. Featurization
 /// cost is wherever the source puts it — `dlcm_datagen::ShardBatches`
-/// featurizes each minibatch on demand, in parallel, so training memory
-/// stays proportional to one batch rather than the corpus.
+/// featurizes each minibatch on demand, from one [`FeatureBase`] per
+/// program, so training memory stays proportional to one batch rather
+/// than the corpus.
 pub fn train_stream<M: SpeedupPredictor, B: BatchSource + ?Sized>(
     model: &mut M,
     source: &B,

@@ -12,9 +12,10 @@
 //!   speedup queries. Queries are deduplicated through one shared,
 //!   schedule-keyed result cache (`dlcm_eval::SharedCachedEvaluator`);
 //!   the misses of a call are scored by `dlcm_eval::score_wave` — the
-//!   function in-process `ModelEvaluator` runs: featurize, group by
-//!   tree structure, one forward pass per group — fanned over the
-//!   persistent evaluation pool (`dlcm_eval::pool`). Calls share the
+//!   function in-process `ModelEvaluator` runs: featurize inline from
+//!   one base of the program, group by tree structure, one forward pass
+//!   per group — the groups fanned over the persistent evaluation pool
+//!   (`dlcm_eval::pool`). Calls share the
 //!   cache and nothing else, so a forward pass that panics unwinds the
 //!   one call that ran it;
 //! - [`ServeConfig`] sets the pool width and the cache bound;

@@ -19,8 +19,9 @@ use crate::epoch::{ModelEpoch, ModelSlot};
 /// Service tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ServeConfig {
-    /// Worker-pool width used for parallel featurization and for fanning
-    /// the structure groups of one call's misses across forward passes.
+    /// Worker-pool width used for fanning the structure groups of one
+    /// call's misses across forward passes (the misses are featurized
+    /// inline, from one base of the program).
     /// Like every `--threads` knob in this workspace, it changes
     /// wall-clock only, never scores.
     pub threads: usize,

@@ -28,11 +28,21 @@ use crate::tensor::Tensor;
 /// it sweeps them across the column tiles of `b`.
 const NNZ_BLOCK: usize = 64;
 
-/// Widest column tile of [`matmul_into`]: 32 accumulators are four
-/// 256-bit or eight 128-bit registers, so a tile's running sums, the
-/// broadcast `a` value and a loaded strip of `b` fit the sixteen vector
-/// registers of an x86-64 build at either width.
+/// Widest column tile of [`matmul_into`]: a row pair's tile holds 2 × 32
+/// running sums, eight 256-bit registers, so with a loaded strip of `b`
+/// and the two broadcast `a` values it fits the sixteen vector registers
+/// of an x86-64 build (an SSE2 build, at 128 bits, spills some of them).
 const TILE: usize = 32;
+
+/// Rows at least this wide are scanned for non-zeros a chunk at a time
+/// ([`Block::fill`]). Of the model's products only the first layer's
+/// featurized rows (983 inputs, a few dozen non-zero) are this wide; the
+/// hidden layers (600 at most) are dense, and on dense rows the chunk
+/// test only adds work.
+const WIDE_ROW: usize = 768;
+
+/// Elements per chunk of the wide-row scan: one 256-bit compare.
+const CHUNK: usize = 8;
 
 /// Shared matmul kernel: `out += a x b`, where `a` is `m x k`, `b` is
 /// `k x n`, `out` is `m x n`, all row-major. A product starts from a
@@ -41,7 +51,7 @@ const TILE: usize = 32;
 /// This is the *single* f32 product loop in the crate —
 /// [`crate::Tensor::matmul`] (also the backward pass's `g x Bᵀ`, against
 /// a transposed `B`), [`crate::Tensor::t_matmul`] (its `Aᵀ x g`) and
-/// [`Arena::matmul`] all call it. Two facts shape it, and each leaves
+/// [`Arena::matmul`] all call it. Three facts shape it, and each leaves
 /// every output bit where the plain i-k-j loop
 /// (`for i { for k { if a[i][k] != 0 { out[i][..] += a[i][k] * b[k][..] } } }`)
 /// puts it:
@@ -49,10 +59,14 @@ const TILE: usize = 32;
 /// - **One zero test per `(row, k)`.** Featurization rows are mostly
 ///   zeros (a few dozen non-zeros in ~1 000), so each row of `a` is scanned
 ///   once, in ascending `k`, and its non-zeros are compacted into blocks
-///   of 64 (`NNZ_BLOCK`) `(value, row of b)` pairs; the column tiles then
-///   walk the compacted block and never look at a zero again. The pairs
-///   skipped are exactly those the plain loop's `== 0.0` skips (`±0.0`;
-///   a NaN is kept), and a block preserves their order.
+///   of up to 64 (`NNZ_BLOCK`) `(value, row of b)` pairs; the column
+///   tiles then walk the compacted block and never look at a zero again.
+///   The pairs skipped are exactly those the plain loop's `== 0.0` skips
+///   (`±0.0`; a NaN is kept), and a block preserves their order. A row at
+///   least `WIDE_ROW` wide is scanned eight elements at a time first: a
+///   chunk whose eight bit patterns are all `±0.0` is skipped in one
+///   test, and any other chunk (a NaN is not zero) gets the per-element
+///   test — the same set of skipped `k`s, found with fewer branches.
 /// - **Register accumulators.** For each column tile (32 wide, then 16,
 ///   8, 4, 1 for the remainder) the running sums are loaded from `out`
 ///   once, stay in registers across the whole block, and are stored
@@ -60,12 +74,26 @@ const TILE: usize = 32;
 ///   An output element still starts from what `out` held and adds its
 ///   products one at a time in ascending `k`; floating-point addition
 ///   is not reassociated, columns never mix.
+/// - **Two rows per pass over `b` when they skip the same `k`s.** Rows
+///   are taken in pairs; each row of a pair compacts its next block, and
+///   when the two blocks name the same rows of `b` (so both rows skipped
+///   the same `k`s — the wave's rows of one computation usually do), one
+///   tile holds both rows' sums and each loaded strip of `b` feeds both.
+///   A pair changes which register holds a sum, not the order of the
+///   additions: each output element still starts from `out` and adds its
+///   own row's products in ascending `k`, and the zero test is still one
+///   test per `(row, k)`, since the pair is decided from the compacted
+///   blocks after the scan. When the blocks differ, each row sweeps its
+///   own block alone, from those same blocks, so a failed pair costs a
+///   comparison — of where the two scans stopped, then of the two
+///   lists — and no second scan of `a` (rows under dropout almost never
+///   pair). A lone last row takes the one-row path.
 ///
 /// There is no ISA-specific code: the nest is plain Rust over
 /// fixed-width arrays, vectorised by the compiler for whatever target
 /// the build names — on x86_64 that is `x86-64-v3` (AVX2, from the
-/// workspace's `.cargo/config.toml`), so a 32-wide tile is four 256-bit
-/// accumulators. Wider registers change how many columns one
+/// workspace's `.cargo/config.toml`), so a 32-wide tile row is four
+/// 256-bit accumulators. Wider registers change how many columns one
 /// instruction covers, never what a column computes: Rust emits a
 /// separate IEEE multiply and add per element under any target (it
 /// never contracts them into an FMA, whatever the CPU supports), and
@@ -79,77 +107,176 @@ pub fn matmul_into(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
-    let mut vals = [0.0f32; NNZ_BLOCK];
-    let mut offs = [0usize; NNZ_BLOCK];
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let orow = &mut out[i * n..(i + 1) * n];
-        let mut nnz = 0;
-        for (kk, &av) in arow.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            vals[nnz] = av;
-            offs[nnz] = kk * n;
-            nnz += 1;
-            if nnz == NNZ_BLOCK {
-                sweep_tiles(&vals, &offs, b, orow);
-                nnz = 0;
+    if n == 0 {
+        return;
+    }
+    let mut first = Block::new();
+    let mut second = Block::new();
+    let mut a_pairs = a.chunks_exact(2 * k.max(1));
+    let mut out_pairs = out.chunks_exact_mut(2 * n);
+    for (arows, orows) in a_pairs.by_ref().zip(out_pairs.by_ref()) {
+        let (a0, a1) = arows.split_at(k);
+        let (o0, o1) = orows.split_at_mut(n);
+        let (mut k0, mut k1) = (0, 0);
+        while k0 < k || k1 < k {
+            k0 = first.fill(a0, k0, n);
+            k1 = second.fill(a1, k1, n);
+            // Equal blocks end their scans at the same `k`, so unequal
+            // stops (nearly every pair under dropout) settle it at once.
+            if k0 == k1 && first.offs() == second.offs() {
+                sweep([first.vals(), second.vals()], first.offs(), b, [o0, o1]);
+            } else {
+                sweep([first.vals()], first.offs(), b, [o0]);
+                sweep([second.vals()], second.offs(), b, [o1]);
             }
         }
-        if nnz > 0 {
-            sweep_tiles(&vals[..nnz], &offs[..nnz], b, orow);
+    }
+    if m % 2 == 1 {
+        let a0 = &a[(m - 1) * k..];
+        let o0 = out_pairs.into_remainder();
+        let mut k0 = 0;
+        while k0 < k {
+            k0 = first.fill(a0, k0, n);
+            sweep([first.vals()], first.offs(), b, [&mut *o0]);
         }
     }
 }
 
-/// Adds one compacted block of a row of `a` — `vals[t]` times the row of
-/// `b` starting at `offs[t]` — into the output row, column tile by
-/// column tile.
+/// One compacted block of a row of `a`: its next non-zeros in ascending
+/// `k`, each with the offset of its row of `b`.
+struct Block {
+    vals: [f32; NNZ_BLOCK],
+    offs: [usize; NNZ_BLOCK],
+    len: usize,
+}
+
+impl Block {
+    fn new() -> Self {
+        Self {
+            vals: [0.0; NNZ_BLOCK],
+            offs: [0; NNZ_BLOCK],
+            len: 0,
+        }
+    }
+
+    fn vals(&self) -> &[f32] {
+        &self.vals[..self.len]
+    }
+
+    fn offs(&self) -> &[usize] {
+        &self.offs[..self.len]
+    }
+
+    /// Refills the block from `row[from..]` (`n` is the width of `b`)
+    /// and returns where the scan stopped: at the end of the row, or
+    /// where the block filled up. Skips exactly the elements that
+    /// compare `== 0.0`, whichever scan a row gets.
+    #[inline(always)]
+    fn fill(&mut self, row: &[f32], mut from: usize, n: usize) -> usize {
+        // The count lives in a local, not in `self`, so the scan keeps
+        // it in a register.
+        let mut len = 0;
+        let mut keep = |av: f32, kk: usize, len: &mut usize| {
+            if av != 0.0 {
+                self.vals[*len] = av;
+                self.offs[*len] = kk * n;
+                *len += 1;
+            }
+        };
+        // A block with no room for a whole chunk ends at the chunk
+        // boundary; the next fill resumes there.
+        let mut room = true;
+        if row.len() >= WIDE_ROW {
+            while row.len() - from >= CHUNK {
+                if NNZ_BLOCK - len < CHUNK {
+                    room = false;
+                    break;
+                }
+                let chunk: &[f32; CHUNK] = row[from..from + CHUNK]
+                    .try_into()
+                    .expect("a CHUNK-wide slice is a CHUNK-wide array");
+                // Shifting the sign bit out leaves 0 for `±0.0` only.
+                if chunk.iter().fold(0, |bits, v| bits | (v.to_bits() << 1)) != 0 {
+                    for (kk, &av) in (from..).zip(chunk) {
+                        keep(av, kk, &mut len);
+                    }
+                }
+                from += CHUNK;
+            }
+        }
+        while room && from < row.len() && len < NNZ_BLOCK {
+            keep(row[from], from, &mut len);
+            from += 1;
+        }
+        self.len = len;
+        from
+    }
+}
+
+/// Adds one compacted block into `R` output rows, column tile by column
+/// tile: row `r` gets `vals[r][t]` times the row of `b` starting at
+/// `offs[t]`. `R` is 1, or 2 for a pair whose blocks name the same rows
+/// of `b`.
 #[inline(always)]
-fn sweep_tiles(vals: &[f32], offs: &[usize], b: &[f32], orow: &mut [f32]) {
-    let n = orow.len();
+fn sweep<const R: usize>(vals: [&[f32]; R], offs: &[usize], b: &[f32], mut orows: [&mut [f32]; R]) {
+    if offs.is_empty() {
+        return;
+    }
+    let n = orows[0].len();
     let mut j = 0;
     while n - j >= TILE {
-        tile::<TILE>(vals, offs, b, j, orow);
+        tile::<R, TILE>(&vals, offs, b, j, &mut orows);
         j += TILE;
     }
     if n - j >= 16 {
-        tile::<16>(vals, offs, b, j, orow);
+        tile::<R, 16>(&vals, offs, b, j, &mut orows);
         j += 16;
     }
     if n - j >= 8 {
-        tile::<8>(vals, offs, b, j, orow);
+        tile::<R, 8>(&vals, offs, b, j, &mut orows);
         j += 8;
     }
     if n - j >= 4 {
-        tile::<4>(vals, offs, b, j, orow);
+        tile::<R, 4>(&vals, offs, b, j, &mut orows);
         j += 4;
     }
     while j < n {
-        tile::<1>(vals, offs, b, j, orow);
+        tile::<R, 1>(&vals, offs, b, j, &mut orows);
         j += 1;
     }
 }
 
-/// One `W`-column tile: `orow[j..j + W]` accumulates the block's
-/// products in block order, in a local array the compiler keeps in
-/// registers.
+/// One `W`-column tile of `R` rows: `orows[r][j..j + W]` accumulates
+/// row `r`'s products in block order, in local arrays the compiler keeps
+/// in registers. The rows share each loaded strip of `b`; each sum adds
+/// exactly the products one row alone would, in the same order.
 #[inline(always)]
-fn tile<const W: usize>(vals: &[f32], offs: &[usize], b: &[f32], j: usize, orow: &mut [f32]) {
-    let dst: &mut [f32; W] = (&mut orow[j..j + W])
-        .try_into()
-        .expect("a W-wide slice is a W-wide array");
-    let mut acc = *dst;
-    for (&av, &off) in vals.iter().zip(offs) {
+fn tile<const R: usize, const W: usize>(
+    vals: &[&[f32]; R],
+    offs: &[usize],
+    b: &[f32],
+    j: usize,
+    orows: &mut [&mut [f32]; R],
+) {
+    let mut acc: [[f32; W]; R] = std::array::from_fn(|r| {
+        orows[r][j..j + W]
+            .try_into()
+            .expect("a W-wide slice is a W-wide array")
+    });
+    for (t, &off) in offs.iter().enumerate() {
         let brow: &[f32; W] = b[off + j..off + j + W]
             .try_into()
             .expect("a W-wide slice is a W-wide array");
-        for (x, &bv) in acc.iter_mut().zip(brow) {
-            *x += av * bv;
+        for (sums, vals) in acc.iter_mut().zip(vals) {
+            let av = vals[t];
+            for (x, &bv) in sums.iter_mut().zip(brow) {
+                *x += av * bv;
+            }
         }
     }
-    *dst = acc;
+    for (orow, sums) in orows.iter_mut().zip(&acc) {
+        orow[j..j + W].copy_from_slice(sums);
+    }
 }
 
 /// Handle to a matrix allocated in an [`Arena`] for the current pass.
@@ -434,34 +561,88 @@ mod tests {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(18);
         // Mostly ordinary values; zeros of both signs (the skip) and
         // subnormals (alone, and as products that underflow) mixed in.
-        let mut value = |zero_share: u32| match rng.gen_range(0..16) {
-            z if z < zero_share => 0.0,
-            13 => -0.0,
-            14 => 1e-40 * rng.gen_range(-4.0f32..4.0),
-            15 => 1e-22 * rng.gen_range(-4.0f32..4.0),
-            _ => rng.gen_range(-2.0f32..2.0),
-        };
+        fn value(rng: &mut impl Rng, zero_share: u32) -> f32 {
+            match rng.gen_range(0..16) {
+                z if z < zero_share => 0.0,
+                13 => -0.0,
+                14 => 1e-40 * rng.gen_range(-4.0f32..4.0),
+                15 => 1e-22 * rng.gen_range(-4.0f32..4.0),
+                _ => rng.gen_range(-2.0f32..2.0),
+            }
+        }
+        fn nonzero(rng: &mut impl Rng) -> f32 {
+            let v = rng.gen_range(0.25f32..2.0);
+            if rng.gen() {
+                v
+            } else {
+                -v
+            }
+        }
         let widths = [
             1, 3, 4, 15, 16, 17, 31, 32, 33, 48, 63, 64, 65, 80, 100, 160,
         ];
-        let depths = [0, 1, NNZ_BLOCK - 1, NNZ_BLOCK, NNZ_BLOCK + 1, 983];
+        // Both sides of a block boundary, of the wide-row scan's
+        // threshold, and the featurized rows' width.
+        let depths = [
+            0,
+            1,
+            NNZ_BLOCK - 1,
+            NNZ_BLOCK,
+            NNZ_BLOCK + 1,
+            WIDE_ROW - 1,
+            WIDE_ROW + CHUNK + 3,
+            983,
+        ];
         let mut case = 0;
         for n in widths {
             for k in depths {
-                for m in [0, 1, 2, 8] {
+                for m in [0, 1, 2, 3, 8, 9] {
                     case += 1;
                     // Dense rows put the block boundary at `k`; sparse
                     // ones (the feature rows' shape) move it around.
                     let zero_share = [0, 4, 12][case % 3];
-                    let mut a: Vec<f32> = (0..m * k).map(|_| value(zero_share)).collect();
-                    if m > 1 && case % 2 == 0 {
+                    let mut a: Vec<f32> = (0..m * k).map(|_| value(&mut rng, zero_share)).collect();
+                    // How the second row of each pair relates to the
+                    // first: independent, the same zero pattern, the
+                    // same pattern but for one position, or the
+                    // opposite pattern everywhere.
+                    let relation = (case / 3) % 4;
+                    for pair in a.chunks_exact_mut(2 * k.max(1)) {
+                        let (r0, r1) = pair.split_at_mut(k);
+                        for (x0, x1) in r0.iter().zip(r1.iter_mut()) {
+                            let same = match relation {
+                                1 | 2 => true,
+                                3 => false,
+                                _ => continue,
+                            };
+                            let zero = (*x0 == 0.0) == same;
+                            *x1 = if zero {
+                                if rng.gen() {
+                                    0.0
+                                } else {
+                                    -0.0
+                                }
+                            } else {
+                                nonzero(&mut rng)
+                            };
+                        }
+                        if relation == 2 && k > 0 {
+                            let at = rng.gen_range(0..k);
+                            r1[at] = if r0[at] == 0.0 {
+                                nonzero(&mut rng)
+                            } else {
+                                0.0
+                            };
+                        }
+                    }
+                    if m > 1 && case % 5 == 0 {
                         a[k..2 * k].fill(0.0);
                     }
-                    let b: Vec<f32> = (0..k * n).map(|_| value(1)).collect();
+                    let b: Vec<f32> = (0..k * n).map(|_| value(&mut rng, 1)).collect();
                     // A product starts from zeros; the kernel's contract
                     // is `+=`, so a pre-filled `out` must work too.
                     let out0: Vec<f32> = if case % 4 == 0 {
-                        (0..m * n).map(|_| value(2)).collect()
+                        (0..m * n).map(|_| value(&mut rng, 2)).collect()
                     } else {
                         vec![0.0; m * n]
                     };
@@ -469,6 +650,42 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_pair_keeps_one_rows_nans_and_signed_zeros_to_itself() {
+        let (k, n) = (WIDE_ROW + 5, 37);
+        let b: Vec<f32> = (0..k * n).map(|i| (i % 7) as f32 - 3.0).collect();
+        // Two rows with one zero pattern, so they pair.
+        let mut pattern = vec![0.0f32; 2 * k];
+        for kk in (3..k).step_by(11) {
+            pattern[kk] = 0.5 + (kk % 5) as f32;
+            pattern[k + kk] = -1.25 - (kk % 3) as f32;
+        }
+        // A NaN in one row of a pair: that row's outputs are NaN, the
+        // other row's are not.
+        let mut a = pattern.clone();
+        a[14] = f32::NAN;
+        assert_kernel_agrees(&a, 2, k, &b, n, &vec![0.0; 2 * n]);
+        let mut out = vec![0.0; 2 * n];
+        matmul_into(&a, 2, k, &b, n, &mut out);
+        assert!(out[..n].iter().all(|v| v.is_nan()));
+        assert!(out[n..].iter().all(|v| !v.is_nan()));
+        // Negative zeros in one row (its pattern is unchanged: the
+        // skip) against a pre-filled `-0.0` out; then a row of `-0.0`
+        // only beside a row with non-zeros, and two rows with nothing
+        // to add.
+        let mut a = pattern.clone();
+        for x in a[..k].iter_mut().step_by(4).filter(|x| **x == 0.0) {
+            *x = -0.0;
+        }
+        assert_kernel_agrees(&a, 2, k, &b, n, &vec![-0.0; 2 * n]);
+        let mut a = pattern.clone();
+        a[..k].fill(-0.0);
+        assert_kernel_agrees(&a, 2, k, &b, n, &vec![-0.0; 2 * n]);
+        let mut a = vec![-0.0f32; 2 * k];
+        a[k..].fill(0.0);
+        assert_kernel_agrees(&a, 2, k, &b, n, &vec![-0.0; 2 * n]);
     }
 
     #[test]

@@ -58,7 +58,7 @@ fn main() {
         ..TrainConfig::default()
     };
     let sharded = ShardedDataset::open(&corpus).expect("open corpus");
-    let data = open_split(&sharded, &featurizer, cfg.batch_size, threads).expect("stream corpus");
+    let data = open_split(&sharded, &featurizer, cfg.batch_size).expect("stream corpus");
     println!(
         "dataset: {} points (train {} / val {} / test {})",
         data.dataset.len(),

@@ -2,8 +2,8 @@
 //! must end on exactly the weights it ended on when these goldens were
 //! captured — for the recursive [`CostModel`] and for one §4.4 ablation
 //! architecture, with dropout active, several epochs and the gradient
-//! clip engaged — and on the same weights at any featurization thread
-//! count; and so must the other trainer, the Halide-style baseline's
+//! clip engaged — and on the same weights when trained again in the
+//! same process; and so must the other trainer, the Halide-style baseline's
 //! `HalideModel::train`. "Bit-identical weights" is the contract every
 //! change to the tensor substrate (backward pass, kernels, optimizer) is
 //! held to.
@@ -81,8 +81,10 @@ fn train_cfg() -> TrainConfig {
     }
 }
 
-/// Trains a fresh model per featurization thread count (1, then 2) over
-/// the same corpus and returns both weight fingerprints.
+/// Trains a fresh model twice over the same corpus and returns both
+/// weight fingerprints. The two runs pass `ShardBatches::open` a
+/// `threads` of 1 and 2, which nothing reads since a batch is
+/// featurized inline; the second run is a repeat in the same process.
 fn trained_fingerprints<M: SpeedupPredictor>(tag: &str, fresh: impl Fn() -> M) -> [String; 2] {
     let dir = std::env::temp_dir().join(format!("dlcm_training_{tag}"));
     write_corpus(&dir);
