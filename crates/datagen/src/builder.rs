@@ -14,10 +14,13 @@
 //!    later occurrence answers from cache;
 //! 3. **dedup** — corpus retention is keyed by exact content
 //!    fingerprints `(Program::content_fingerprint, schedule
-//!    fingerprint)`; a sample whose key already occurred would
-//!    contribute an identical (features, label) pair to training and is
-//!    dropped, across all shards;
-//! 4. **shard** — programs land in `index % num_shards`, each followed by
+//!    fingerprint)` ([`DedupIndex`]); a sample whose key already occurred
+//!    would contribute an identical (features, label) pair to training
+//!    and is dropped, across all shards;
+//! 4. **structure keys** — one `dlcm_model::FeatureBase` per program
+//!    gives each kept point its feature-tree structure key (the
+//!    in-memory `Corpus` the shard reader also returns);
+//! 5. **shard** — programs land in `index % num_shards`, each followed by
 //!    its points; the manifest (counts + content fingerprints), saved
 //!    last, is the only other file and the corpus's commit point.
 //!
@@ -28,25 +31,22 @@
 //! thread count**, and `BuildConfig::threads` changes wall-clock only
 //! (`tests/shard_pipeline.rs` enforces this).
 
-use std::collections::HashSet;
 use std::io;
 use std::path::Path;
 
 use dlcm_eval::{pool, EvalStats, ParallelEvaluator, SharedCachedEvaluator, SyncEvaluator};
-use dlcm_ir::fingerprint::stable_fingerprint;
 use dlcm_ir::{Program, Schedule};
 use dlcm_machine::Measurement;
-use dlcm_model::{Featurizer, FeaturizerConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::dataset::{DataPoint, Dataset, DatasetConfig};
+use crate::dataset::{Corpus, DataPoint, Dataset, DatasetConfig};
+use crate::genlog::DedupIndex;
 use crate::progen::{Pattern, ProgramGenerator};
 use crate::schedgen::ScheduleGenerator;
 use crate::shard::{
-    chain_fingerprint, fingerprint_hex, GenerationInfo, ShardManifest, ShardRecord, ShardWriter,
-    SHARD_FORMAT_VERSION,
+    chain_fingerprint, GenerationInfo, ShardManifest, ShardWriter, SHARD_FORMAT_VERSION,
 };
 
 /// Scale, parallelism, and sharding knobs of the corpus builder.
@@ -54,8 +54,9 @@ use crate::shard::{
 pub struct BuildConfig {
     /// What to generate (counts, seed, generator configs).
     pub dataset: DatasetConfig,
-    /// Worker threads for generation, labeling fan-out, and structure
-    /// featurization. Never changes results — only wall-clock.
+    /// Worker threads for generation, labeling fan-out, and the
+    /// structure-key pass (fanned over programs, one feature base each).
+    /// Never changes results — only wall-clock.
     pub threads: usize,
     /// Number of shard files a written corpus is split into.
     pub num_shards: usize,
@@ -85,23 +86,6 @@ pub struct BuildStats {
     /// candidates, `cache_hits` counts equivalent schedules answered
     /// without re-measurement.
     pub eval: EvalStats,
-}
-
-/// One labeled sample plus the metadata the shard format persists.
-struct BuiltPoint {
-    program: usize,
-    structure: u64,
-    speedup: f64,
-    schedule: Schedule,
-}
-
-/// The generated programs with the per-program metadata the shard
-/// format persists: content fingerprints and (when the configuration
-/// opted in) scenario-family tags.
-struct BuiltPrograms {
-    programs: Vec<Program>,
-    fingerprints: Vec<u64>,
-    families: Vec<Option<String>>,
 }
 
 /// Sharded, parallel, deduplicating dataset builder: the one producer
@@ -139,11 +123,10 @@ impl ParallelDatasetBuilder {
     }
 
     /// Generation + labeling + dedup + structure keys; the shared core of
-    /// [`Self::generate`] and [`Self::write_corpus`]. Returns programs
-    /// (by global index), their content fingerprints, and the retained
-    /// points — ownership is moved out of the generation buffers, so the
-    /// corpus exists in memory once.
-    fn build(&self, measurement: &Measurement) -> (BuiltPrograms, Vec<BuiltPoint>, BuildStats) {
+    /// [`Self::generate`] and [`Self::write_corpus`]. Programs and kept
+    /// schedules are moved out of the generation buffers, so the corpus
+    /// exists in memory once.
+    fn build(&self, measurement: &Measurement) -> (Corpus, BuildStats) {
         let ds = &self.cfg.dataset;
         let threads = self.cfg.threads.max(1);
         let progen = ProgramGenerator::new(ds.progen.clone());
@@ -200,24 +183,25 @@ impl ParallelDatasetBuilder {
         // pair to training. Walked in program-index order, so "first
         // occurrence wins" is well defined. Labeling already happened:
         // thanks to the cache the dropped duplicates cost nothing extra
-        // to have labeled. Programs and retained schedules are *moved*
-        // out of the generation buffer here, not copied.
-        let mut seen: HashSet<(u64, u64)> = HashSet::new();
-        let mut duplicates_dropped = 0usize;
-        let mut programs: Vec<Program> = Vec::with_capacity(generated.len());
-        let mut points: Vec<BuiltPoint> = Vec::new();
-        for (pi, (program, _, schedules)) in generated.into_iter().enumerate() {
-            programs.push(program);
-            for (schedule, speedup) in schedules.into_iter().zip(&labeled[pi]) {
-                if seen.insert((fingerprints[pi], stable_fingerprint(&schedule))) {
-                    points.push(BuiltPoint {
+        // to have labeled.
+        let offered: usize = labeled.iter().map(Vec::len).sum();
+        let mut seen = DedupIndex::default();
+        let mut dataset = Dataset {
+            programs: Vec::with_capacity(generated.len()),
+            points: Vec::new(),
+            families,
+        };
+        for (pi, ((program, _, schedules), speedups)) in
+            generated.into_iter().zip(labeled).enumerate()
+        {
+            dataset.programs.push(program);
+            for (schedule, speedup) in schedules.into_iter().zip(speedups) {
+                if seen.insert(DedupIndex::key(fingerprints[pi], &schedule)) {
+                    dataset.points.push(DataPoint {
                         program: pi,
-                        structure: 0, // filled below
-                        speedup: *speedup,
                         schedule,
+                        speedup,
                     });
-                } else {
-                    duplicates_dropped += 1;
                 }
             }
         }
@@ -225,32 +209,14 @@ impl ParallelDatasetBuilder {
         // Phase 4: feature-tree structure keys (config-independent), so
         // streamed training can group structure-identical minibatches
         // straight from shard records.
-        let featurizer = Featurizer::new(FeaturizerConfig::default());
-        let structures = pool::parallel_map(threads, points.len(), |k| {
-            let point = &points[k];
-            featurizer
-                .featurize(&programs[point.program], &point.schedule)
-                .structure_key()
-        });
-        for (point, structure) in points.iter_mut().zip(structures) {
-            point.structure = structure;
-        }
-
+        let corpus = Corpus::new(dataset, fingerprints, threads);
         let stats = BuildStats {
-            num_programs: programs.len(),
-            num_points: points.len(),
-            duplicates_dropped,
+            num_programs: corpus.dataset.programs.len(),
+            num_points: corpus.dataset.points.len(),
+            duplicates_dropped: offered - corpus.dataset.points.len(),
             eval: evaluator.total_stats(),
         };
-        (
-            BuiltPrograms {
-                programs,
-                fingerprints,
-                families,
-            },
-            points,
-            stats,
-        )
+        (corpus, stats)
     }
 
     /// Builds the corpus in memory.
@@ -260,20 +226,8 @@ impl ParallelDatasetBuilder {
     /// at any [`BuildConfig::threads`] — to what [`Self::write_corpus`]
     /// followed by [`crate::ShardedDataset::load_dataset`] produces.
     pub fn generate(&self, measurement: &Measurement) -> (Dataset, BuildStats) {
-        let (built, points, stats) = self.build(measurement);
-        let dataset = Dataset {
-            programs: built.programs,
-            families: built.families,
-            points: points
-                .into_iter()
-                .map(|p| DataPoint {
-                    program: p.program,
-                    schedule: p.schedule,
-                    speedup: p.speedup,
-                })
-                .collect(),
-        };
-        (dataset, stats)
+        let (corpus, stats) = self.build(measurement);
+        (corpus.dataset, stats)
     }
 
     /// Builds the corpus and writes it as shards + manifest into `dir`
@@ -291,7 +245,7 @@ impl ParallelDatasetBuilder {
         measurement: &Measurement,
         dir: &Path,
     ) -> io::Result<(ShardManifest, BuildStats)> {
-        let (built, points, stats) = self.build(measurement);
+        let (corpus, stats) = self.build(measurement);
         std::fs::create_dir_all(dir)?;
         // Clear shard files from any previous corpus in this directory:
         // a regeneration with fewer shards must not leave stale
@@ -309,26 +263,16 @@ impl ParallelDatasetBuilder {
             .map(|k| ShardWriter::create(dir, k))
             .collect::<io::Result<_>>()?;
 
+        let points = &corpus.dataset.points;
         let mut next_point = 0usize;
-        for (pi, program) in built.programs.iter().enumerate() {
+        for pi in 0..corpus.dataset.programs.len() {
             let writer = &mut writers[pi % num_shards];
             // NB: ShardRecord owns its payload, so each record clones its
             // program/schedule transiently (one record at a time) — peak
             // memory stays one corpus plus one record.
-            writer.write(&ShardRecord::Program {
-                index: pi,
-                fingerprint: fingerprint_hex(built.fingerprints[pi]),
-                family: built.families[pi].clone(),
-                program: program.clone(),
-            })?;
+            writer.write(&corpus.program_record(pi, 0))?;
             while next_point < points.len() && points[next_point].program == pi {
-                let point = &points[next_point];
-                writer.write(&ShardRecord::Point {
-                    program: pi,
-                    structure: fingerprint_hex(point.structure),
-                    speedup: point.speedup,
-                    schedule: point.schedule.clone(),
-                })?;
+                writer.write(&corpus.point_record(next_point, 0))?;
                 next_point += 1;
             }
         }
@@ -357,5 +301,53 @@ impl ParallelDatasetBuilder {
         };
         manifest.save(dir)?;
         Ok((manifest, stats))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::progen::ProgramGenConfig;
+    use crate::shard::ShardedDataset;
+    use dlcm_machine::Machine;
+
+    /// The builder's corpus — structure keys and fingerprints included —
+    /// is the one the shard reader decodes, at any thread count
+    /// (`tests/shard_pipeline.rs` checks the written keys against full
+    /// featurization).
+    #[test]
+    fn built_corpus_is_the_read_corpus() {
+        let dataset = DatasetConfig {
+            num_programs: 16,
+            schedules_per_program: 8,
+            seed: 11,
+            progen: ProgramGenConfig {
+                size_pool: vec![16, 32, 64],
+                max_points: 1 << 16,
+                ..ProgramGenConfig::wide()
+            },
+            ..DatasetConfig::default()
+        };
+        let measurement = Measurement::new(Machine);
+        let mut corpora = Vec::new();
+        for threads in [1, 4] {
+            let builder = ParallelDatasetBuilder::new(BuildConfig {
+                threads,
+                ..BuildConfig::new(dataset.clone())
+            });
+            let (built, _) = builder.build(&measurement);
+            assert_eq!(built.structures.len(), built.dataset.points.len());
+            let dir = std::env::temp_dir().join(format!("dlcm_builder_parity_{threads}"));
+            let _ = std::fs::remove_dir_all(&dir);
+            builder.write_corpus(&measurement, &dir).unwrap();
+            let read = ShardedDataset::open(&dir).unwrap().read().unwrap();
+            assert_eq!(
+                read, built,
+                "threads {threads}: reader disagrees with builder"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+            corpora.push(built);
+        }
+        assert_eq!(corpora[0], corpora[1], "threads changed the corpus");
     }
 }

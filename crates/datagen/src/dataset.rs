@@ -8,12 +8,19 @@
 //! it — in memory ([`crate::ParallelDatasetBuilder::generate`]) or as
 //! the sharded JSONL format of [`crate::ShardWriter`], which
 //! [`crate::ShardedDataset::load_dataset`] loads back into this type.
+//! Inside the crate the corpus is a `Corpus`: the dataset plus the
+//! structure keys and fingerprints the shard format stores beside it,
+//! the one shape the builder returns, the shard reader decodes and both
+//! writers write from.
 
+use dlcm_eval::pool;
 use dlcm_ir::{Program, Schedule};
+use dlcm_model::{Featurizer, FeaturizerConfig};
 use serde::{Deserialize, Serialize};
 
 use crate::progen::ProgramGenConfig;
 use crate::schedgen::ScheduleGenConfig;
+use crate::shard::{fingerprint_hex, ShardRecord};
 
 /// One labeled triplet. `program` indexes [`Dataset::programs`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -152,43 +159,99 @@ impl Dataset {
         let n_prog = self.programs.len();
         let n_train = (n_prog * 6) / 10;
         let n_val = (n_prog * 2) / 10;
-        let mut train_prog: Vec<usize> = Vec::new();
-        let mut val_prog: Vec<usize> = Vec::new();
+        // Each program's bucket: 0 train, 1 validation, 2 test.
+        let mut bucket = vec![2u8; n_prog];
         let mut assigned = 0usize;
         for &g in &order {
             let dest = if assigned < n_train {
-                &mut train_prog
+                0
             } else if assigned < n_train + n_val {
-                &mut val_prog
+                1
             } else {
                 break;
             };
             assigned += groups[g].len();
-            dest.extend(&groups[g]);
+            for &pi in &groups[g] {
+                bucket[pi] = dest;
+            }
         }
 
-        let bucket = |pi: usize| -> u8 {
-            if train_prog.contains(&pi) {
-                0
-            } else if val_prog.contains(&pi) {
-                1
-            } else {
-                2
-            }
-        };
         let mut split = Split {
             train: Vec::new(),
             val: Vec::new(),
             test: Vec::new(),
         };
         for (i, p) in self.points.iter().enumerate() {
-            match bucket(p.program) {
+            match bucket[p.program] {
                 0 => split.train.push(i),
                 1 => split.val.push(i),
                 _ => split.test.push(i),
             }
         }
         split
+    }
+}
+
+/// One corpus in memory: a [`Dataset`] (points ordered by program) plus
+/// the per-record metadata the shard format stores beside it.
+#[derive(Debug, PartialEq)]
+pub(crate) struct Corpus {
+    /// Programs, family tags and points.
+    pub(crate) dataset: Dataset,
+    /// Feature-tree structure key of each point, parallel to
+    /// [`Dataset::points`].
+    pub(crate) structures: Vec<u64>,
+    /// Content fingerprint of each program, parallel to
+    /// [`Dataset::programs`].
+    pub(crate) fingerprints: Vec<u64>,
+}
+
+impl Corpus {
+    /// Completes `dataset` with its programs' content `fingerprints` and
+    /// each point's structure key: one [`dlcm_model::FeatureBase`] per
+    /// program (so the featurizer's limits are checked once per
+    /// program), the programs fanned over `threads` workers. A key is
+    /// pure per `(program, schedule)`, so `threads` changes wall-clock
+    /// only.
+    pub(crate) fn new(dataset: Dataset, fingerprints: Vec<u64>, threads: usize) -> Corpus {
+        let featurizer = Featurizer::new(FeaturizerConfig::default());
+        let points = &dataset.points;
+        let structures = pool::parallel_map(threads.max(1), dataset.programs.len(), |pi| {
+            let base = featurizer.base(&dataset.programs[pi]);
+            let start = points.partition_point(|p| p.program < pi);
+            let end = points.partition_point(|p| p.program <= pi);
+            points[start..end]
+                .iter()
+                .map(|p| base.structure_key(&p.schedule))
+                .collect::<Vec<u64>>()
+        });
+        Corpus {
+            structures: structures.into_iter().flatten().collect(),
+            dataset,
+            fingerprints,
+        }
+    }
+
+    /// The shard record of program `k`, under global index `offset + k`.
+    pub(crate) fn program_record(&self, k: usize, offset: usize) -> ShardRecord {
+        ShardRecord::Program {
+            index: offset + k,
+            fingerprint: fingerprint_hex(self.fingerprints[k]),
+            family: self.dataset.families[k].clone(),
+            program: self.dataset.programs[k].clone(),
+        }
+    }
+
+    /// The shard record of point `i`, its program index shifted by
+    /// `offset`.
+    pub(crate) fn point_record(&self, i: usize, offset: usize) -> ShardRecord {
+        let point = &self.dataset.points[i];
+        ShardRecord::Point {
+            program: offset + point.program,
+            structure: fingerprint_hex(self.structures[i]),
+            speedup: point.speedup,
+            schedule: point.schedule.clone(),
+        }
     }
 }
 

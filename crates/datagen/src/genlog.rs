@@ -25,18 +25,15 @@
 //! naming it is saved. Nothing else is persisted (a `dedup.json` left by
 //! an older build is ignored).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::io;
 use std::path::Path;
 
-use dlcm_eval::pool;
 use dlcm_ir::fingerprint::stable_fingerprint;
 use dlcm_ir::{Program, Schedule};
-use dlcm_model::{Featurizer, FeaturizerConfig};
 
-use crate::shard::{
-    chain_fingerprint, fingerprint_hex, GenerationInfo, ShardRecord, ShardWriter, ShardedDataset,
-};
+use crate::dataset::{Corpus, DataPoint, Dataset};
+use crate::shard::{chain_fingerprint, GenerationInfo, ShardWriter, ShardedDataset};
 
 /// One labeled sample offered for corpus append: the data flywheel's
 /// kept mispredicts are exactly this (the measured ground-truth
@@ -72,6 +69,17 @@ impl DedupIndex {
         self.keys.contains(&(program_fp, schedule_fp))
     }
 
+    /// The dedup key of a point: its program's content fingerprint and
+    /// its schedule's fingerprint.
+    pub(crate) fn key(program_fp: u64, schedule: &Schedule) -> (u64, u64) {
+        (program_fp, stable_fingerprint(schedule))
+    }
+
+    /// Records `key` ([`Self::key`]); `false` when it already occurred.
+    pub(crate) fn insert(&mut self, key: (u64, u64)) -> bool {
+        self.keys.insert(key)
+    }
+
     /// Builds the index of `sharded` through the one validated shard
     /// reader.
     ///
@@ -80,18 +88,14 @@ impl DedupIndex {
     /// Fails on any corpus [`ShardedDataset::load_dataset`] rejects.
     pub fn build(sharded: &ShardedDataset) -> io::Result<DedupIndex> {
         let corpus = sharded.read()?;
-        let keys = corpus
-            .dataset
-            .points
-            .iter()
-            .map(|point| {
-                (
-                    corpus.fingerprints[point.program],
-                    stable_fingerprint(&point.schedule),
-                )
-            })
-            .collect();
-        Ok(DedupIndex { keys })
+        let mut index = DedupIndex::default();
+        for point in &corpus.dataset.points {
+            index.insert(Self::key(
+                corpus.fingerprints[point.program],
+                &point.schedule,
+            ));
+        }
+        Ok(index)
     }
 }
 
@@ -103,8 +107,9 @@ impl DedupIndex {
 /// of arrival order: the same sample *set* always appends a
 /// byte-identical shard and the same chained fingerprint. Survivors are
 /// written to one new shard continuing the index sequence, under fresh
-/// global program indices; `threads` fans the structure-key
-/// featurization and changes wall-clock only.
+/// global program indices; `threads` fans the structure-key pass over
+/// the batch's programs (one feature base each) and changes wall-clock
+/// only.
 ///
 /// A batch whose every sample deduplicates away (or an empty batch)
 /// still appends a generation-log entry — with no shard — so the chain
@@ -126,73 +131,59 @@ pub fn append_generation(
 
     // Key, sort, and dedup. Sorting by content key first makes the
     // retained set — and the shard bytes — a pure function of the sample
-    // *set*, however the caller's capture threads interleaved.
+    // *set*, however the caller's capture threads interleaved. Each
+    // distinct program fingerprint becomes one program of the new
+    // generation, in sorted-key order, declared by its first retained
+    // sample (content-identical samples carry identical tags by
+    // construction, so first-wins is deterministic).
     let mut keyed: Vec<((u64, u64), AppendSample)> = samples
         .into_iter()
         .map(|s| {
             (
-                (
-                    s.program.content_fingerprint(),
-                    stable_fingerprint(&s.schedule),
-                ),
+                DedupIndex::key(s.program.content_fingerprint(), &s.schedule),
                 s,
             )
         })
         .collect();
     keyed.sort_by_key(|(key, _)| *key);
     let offered = keyed.len();
-    let mut retained: Vec<((u64, u64), AppendSample)> = Vec::new();
+    let mut added = Dataset {
+        programs: Vec::new(),
+        points: Vec::new(),
+        families: Vec::new(),
+    };
+    let mut fingerprints: Vec<u64> = Vec::new();
     for (key, sample) in keyed {
-        if dedup.keys.insert(key) {
-            retained.push((key, sample));
+        if !dedup.insert(key) {
+            continue;
         }
+        if fingerprints.last() != Some(&key.0) {
+            fingerprints.push(key.0);
+            added.programs.push(sample.program);
+            added.families.push(sample.family);
+        }
+        added.points.push(DataPoint {
+            program: added.programs.len() - 1,
+            schedule: sample.schedule,
+            speedup: sample.speedup,
+        });
     }
-    let duplicates_dropped = offered - retained.len();
-
-    // Fresh global program indices: one per distinct program
-    // fingerprint in the retained batch, assigned in sorted-key order
-    // starting past the existing corpus.
-    let mut program_index: BTreeMap<u64, usize> = BTreeMap::new();
-    for ((prog_fp, _), _) in &retained {
-        let next = manifest.total_programs + program_index.len();
-        program_index.entry(*prog_fp).or_insert(next);
-    }
-
-    // Structure keys, fanned across the pool (pure per sample).
-    let featurizer = Featurizer::new(FeaturizerConfig::default());
-    let structures: Vec<u64> = pool::parallel_map(threads.max(1), retained.len(), |k| {
-        let (_, sample) = &retained[k];
-        featurizer
-            .featurize(&sample.program, &sample.schedule)
-            .structure_key()
-    });
+    let duplicates_dropped = offered - added.points.len();
+    let fresh = Corpus::new(added, fingerprints, threads);
+    let (num_programs, num_points) = (fresh.fingerprints.len(), fresh.structures.len());
 
     let generation_id = manifest.generations.len();
     let parent_chain = manifest.generations.last().map(|g| g.chain.clone());
     let mut shard_fps: Vec<String> = Vec::new();
-    if !retained.is_empty() {
+    if num_points > 0 {
+        // Fresh global program indices, past the existing corpus.
+        let offset = manifest.total_programs;
         let mut writer = ShardWriter::create(dir, manifest.shards.len())?;
-        let mut declared: BTreeSet<u64> = BTreeSet::new();
-        for ((prog_fp, _), sample) in &retained {
-            if declared.insert(*prog_fp) {
-                writer.write(&ShardRecord::Program {
-                    index: program_index[prog_fp],
-                    fingerprint: fingerprint_hex(*prog_fp),
-                    // First retained occurrence declares the program;
-                    // content-identical samples carry identical tags by
-                    // construction, so first-wins is deterministic.
-                    family: sample.family.clone(),
-                    program: sample.program.clone(),
-                })?;
-            }
+        for k in 0..num_programs {
+            writer.write(&fresh.program_record(k, offset))?;
         }
-        for (((prog_fp, _), sample), structure) in retained.iter().zip(&structures) {
-            writer.write(&ShardRecord::Point {
-                program: program_index[prog_fp],
-                structure: fingerprint_hex(*structure),
-                speedup: sample.speedup,
-                schedule: sample.schedule.clone(),
-            })?;
+        for i in 0..num_points {
+            writer.write(&fresh.point_record(i, offset))?;
         }
         let mut info = writer.finish()?;
         info.generation = generation_id;
@@ -203,16 +194,16 @@ pub fn append_generation(
     let generation = GenerationInfo {
         id: generation_id,
         label: label.to_string(),
-        num_programs: program_index.len(),
-        num_points: retained.len(),
+        num_programs,
+        num_points,
         duplicates_dropped,
         chain: chain_fingerprint(
             parent_chain.as_deref(),
             shard_fps.iter().map(String::as_str),
         ),
     };
-    manifest.total_programs += program_index.len();
-    manifest.total_points += retained.len();
+    manifest.total_programs += num_programs;
+    manifest.total_points += num_points;
     manifest.duplicates_dropped += duplicates_dropped;
     manifest.generations.push(generation.clone());
     manifest.save(dir)?;

@@ -32,8 +32,10 @@ pub struct ProgramGenConfig {
     /// Maximum iteration points per computation (keeps the simulated
     /// workloads in a realistic range).
     pub max_points: i64,
-    /// Maximum natural loop depth (before tiling splits), ≤ 4 so that
-    /// tiled nests stay within the paper's `n = 7` featurization budget.
+    /// Maximum natural loop depth. The featurizer checks a computation's
+    /// natural depth against its `n = 7` budget and encodes tiling as
+    /// per-level tags, not as extra levels, so this cap of 4 is a
+    /// generator choice rather than a featurization limit.
     pub max_depth: usize,
     /// Relative weights of the scenario families, indexed like
     /// [`Pattern::ALL`]: `[assign, stencil, reduction, conv, reduction

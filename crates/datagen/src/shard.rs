@@ -36,7 +36,7 @@ use dlcm_ir::fingerprint::{fnv1a, FNV1A_INIT};
 use dlcm_ir::{Program, Schedule};
 use serde::{Deserialize, Serialize};
 
-use crate::dataset::{DataPoint, Dataset, DatasetConfig};
+use crate::dataset::{Corpus, DataPoint, Dataset, DatasetConfig};
 
 /// Version tag written into every manifest; bump on any change to the
 /// record or manifest layout. Version 2 added the generation log
@@ -574,15 +574,16 @@ impl ShardedDataset {
         Ok(self.read()?.dataset)
     }
 
-    /// The one decoder of the shard format. Every consumer of corpus
-    /// records — [`Self::load_dataset`], [`crate::ShardBatches`], the
+    /// The one decoder of the shard format, returning the `Corpus` the
+    /// builder wrote. Every consumer of corpus records —
+    /// [`Self::load_dataset`], [`crate::ShardBatches`], the
     /// [`crate::DedupIndex`] — projects from what this returns,
     /// so they all accept and reject the same corpora. Checked here:
     /// program indices are in range and declared once, every program
     /// body hashes to its record's fingerprint, every point references
     /// a program of the manifest and carries a well-formed structure
     /// key, and the program and point counts equal the manifest totals.
-    pub(crate) fn read(&self) -> io::Result<LoadedCorpus> {
+    pub(crate) fn read(&self) -> io::Result<Corpus> {
         let n = self.manifest.total_programs;
         let mut programs: Vec<Option<(Program, u64, Option<String>)>> = vec![None; n];
         let mut points_by_program: Vec<Vec<(DataPoint, u64)>> = vec![Vec::new(); n];
@@ -632,7 +633,7 @@ impl ShardedDataset {
                 }
             }
         }
-        let mut corpus = LoadedCorpus {
+        let mut corpus = Corpus {
             dataset: Dataset {
                 programs: Vec::with_capacity(n),
                 points: Vec::with_capacity(self.manifest.total_points),
@@ -661,20 +662,6 @@ impl ShardedDataset {
         }
         Ok(corpus)
     }
-}
-
-/// A decoded, validated corpus ([`ShardedDataset::read`]): the
-/// [`Dataset`] plus the per-record metadata the shard format stores
-/// beside it.
-pub(crate) struct LoadedCorpus {
-    /// Programs, family tags and points, in [`ShardedDataset::load_dataset`] order.
-    pub(crate) dataset: Dataset,
-    /// Feature-tree structure key of each point, parallel to
-    /// [`Dataset::points`].
-    pub(crate) structures: Vec<u64>,
-    /// Content fingerprint of each program, parallel to
-    /// [`Dataset::programs`].
-    pub(crate) fingerprints: Vec<u64>,
 }
 
 #[cfg(test)]

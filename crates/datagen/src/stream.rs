@@ -22,7 +22,7 @@ use dlcm_model::{
     featurize_samples, group_into_batches, BatchSource, Featurizer, LabeledFeatures, SampleRef,
 };
 
-use crate::dataset::{DataPoint, Dataset, Split};
+use crate::dataset::{Corpus, DataPoint, Dataset, Split};
 use crate::shard::ShardedDataset;
 
 /// Featurizes a subset of a dataset (indices into [`Dataset::points`]),
@@ -78,8 +78,8 @@ pub fn open_split(
     featurizer: &Featurizer,
     batch_size: usize,
 ) -> io::Result<CorpusSplit> {
-    let loaded = corpus.read()?;
-    let dataset = loaded.dataset;
+    let corpus = corpus.read()?;
+    let dataset = &corpus.dataset;
     let split = dataset.split(0);
     let train_programs: HashSet<usize> = split
         .train
@@ -87,16 +87,15 @@ pub fn open_split(
         .map(|&i| dataset.points[i].program)
         .collect();
     let train = ShardBatches::over(
-        &dataset,
-        &loaded.structures,
+        &corpus,
         featurizer.clone(),
         batch_size,
         Some(&train_programs),
     );
-    let val_set = prepare(featurizer, &dataset, &split.val);
-    let test_set = prepare(featurizer, &dataset, &split.test);
+    let val_set = prepare(featurizer, dataset, &split.val);
+    let test_set = prepare(featurizer, dataset, &split.test);
     Ok(CorpusSplit {
-        dataset,
+        dataset: corpus.dataset,
         split,
         train,
         val_set,
@@ -154,25 +153,23 @@ impl ShardBatches {
         _threads: usize,
         keep: Option<&HashSet<usize>>,
     ) -> io::Result<ShardBatches> {
-        let loaded = ShardedDataset::open(dir)?.read()?;
-        Ok(Self::over(
-            &loaded.dataset,
-            &loaded.structures,
-            featurizer,
-            batch_size,
-            keep,
-        ))
+        let corpus = ShardedDataset::open(dir)?.read()?;
+        Ok(Self::over(&corpus, featurizer, batch_size, keep))
     }
 
-    /// Streams the points of `dataset` whose program is in `keep`
-    /// (`None`: all); `structures` holds each point's structure key.
+    /// Streams the points of `corpus` whose program is in `keep`
+    /// (`None`: all), grouped by their stored structure keys.
     fn over(
-        dataset: &Dataset,
-        structures: &[u64],
+        corpus: &Corpus,
         featurizer: Featurizer,
         batch_size: usize,
         keep: Option<&HashSet<usize>>,
     ) -> ShardBatches {
+        let Corpus {
+            dataset,
+            structures,
+            ..
+        } = corpus;
         let kept = |program: usize| keep.is_none_or(|k| k.contains(&program));
         let programs: Vec<Option<Program>> = dataset
             .programs

@@ -2,14 +2,16 @@
 //! thread count, lossless shard round trips, content dedup, and one
 //! validation verdict from every reader of the shard format.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::path::Path;
 
 use dlcm_datagen::{
-    BuildConfig, DatasetConfig, DedupIndex, ParallelDatasetBuilder, ProgramGenConfig, ShardBatches,
-    ShardReader, ShardRecord, ShardWriter, ShardedDataset,
+    append_generation, parse_fingerprint, AppendSample, BuildConfig, DatasetConfig, DedupIndex,
+    ParallelDatasetBuilder, ProgramGenConfig, ShardBatches, ShardReader, ShardRecord, ShardWriter,
+    ShardedDataset,
 };
 use dlcm_ir::fingerprint::stable_fingerprint;
+use dlcm_ir::Transform;
 use dlcm_machine::{Machine, Measurement};
 use dlcm_model::{BatchSource, Featurizer, FeaturizerConfig};
 
@@ -240,6 +242,64 @@ fn shard_batches_filter_and_group() {
     let all = ShardBatches::open(&dir, featurizer, 4, 1).unwrap();
     assert_eq!(all.num_points(), dataset.len());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Both writers key a point by one feature base per program; every
+/// written key — the seed corpus's at one and four threads, and an
+/// appended generation's — must be the key of the point's full
+/// encoding, fused trees included.
+#[test]
+fn written_structure_keys_are_full_featurization_keys() {
+    let featurizer = Featurizer::new(FeaturizerConfig::default());
+    let (other, _) = ParallelDatasetBuilder::new(build_config(13, 1, 1)).generate(&harness());
+    let samples: Vec<AppendSample> = (other.points.iter())
+        .map(|p| AppendSample {
+            program: other.program_of(p).clone(),
+            schedule: p.schedule.clone(),
+            speedup: p.speedup,
+            family: None,
+        })
+        .collect();
+    for threads in [1, 4] {
+        let dir = tmp_dir(&format!("keys_{threads}"));
+        ParallelDatasetBuilder::new(build_config(11, threads, 3))
+            .write_corpus(&harness(), &dir)
+            .unwrap();
+        let appended = append_generation(&dir, "keys", samples.clone(), threads).unwrap();
+        assert!(appended.num_points > 0);
+        let mut programs = HashMap::new();
+        let (mut points, mut fused) = (0, 0);
+        for path in ShardedDataset::open(&dir).unwrap().shard_paths() {
+            for record in ShardReader::open(&path).unwrap() {
+                match record.unwrap() {
+                    ShardRecord::Program { index, program, .. } => {
+                        programs.insert(index, program);
+                    }
+                    ShardRecord::Point {
+                        program,
+                        structure,
+                        schedule,
+                        ..
+                    } => {
+                        let full = featurizer.featurize(&programs[&program], &schedule);
+                        assert_eq!(
+                            parse_fingerprint(&structure),
+                            Some(full.structure_key()),
+                            "threads {threads}: {schedule:?}"
+                        );
+                        points += 1;
+                        fused += usize::from(
+                            (schedule.transforms.iter())
+                                .any(|t| matches!(t, Transform::Fuse { .. })),
+                        );
+                    }
+                }
+            }
+        }
+        assert!(points > 0);
+        assert!(fused > 0, "no written point exercises fusion");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

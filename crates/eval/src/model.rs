@@ -31,10 +31,10 @@ use crate::pool::parallel_map;
 use crate::{EvalStats, Evaluator};
 
 /// Scores one wave of candidate schedules: featurize, group rows by
-/// feature-tree structure in first-seen order (fusion changes the tree
-/// shape, so a wave can span several groups), one batched forward pass
-/// per group, scatter to input order. Returns the scores and the number
-/// of forward passes run.
+/// feature-tree structure ([`dlcm_model::group_into_batches`] with no
+/// size cap; fusion changes the tree shape, so a wave can span several
+/// groups), one batched forward pass per group, scatter to input order.
+/// Returns the scores and the number of forward passes run.
 ///
 /// The wave is featurized inline from one [`dlcm_model::FeatureBase`]
 /// of `program` — once the base exists a row costs less than handing it
@@ -51,13 +51,16 @@ pub fn score_wave(
 ) -> (Vec<f64>, usize) {
     let base = featurizer.base(program);
     let feats: Vec<ProgramFeatures> = schedules.iter().map(|s| base.featurize(s)).collect();
-    let groups = dlcm_model::group_by_structure(feats.iter().map(|f| f.structure_key()));
+    let groups = dlcm_model::group_into_batches(
+        feats.iter().map(ProgramFeatures::structure_key),
+        usize::MAX,
+    );
     let scored: Vec<Vec<f64>> = parallel_map(threads, groups.len(), |g| {
-        let rows: Vec<&ProgramFeatures> = groups[g].1.iter().map(|&i| &feats[i]).collect();
+        let rows: Vec<&ProgramFeatures> = groups[g].iter().map(|&i| &feats[i]).collect();
         dlcm_model::infer_scores(model, &rows)
     });
     let mut out = vec![0.0; schedules.len()];
-    for ((_, idxs), scores) in groups.iter().zip(scored) {
+    for (idxs, scores) in groups.iter().zip(scored) {
         for (&i, score) in idxs.iter().zip(scores) {
             out[i] = score;
         }

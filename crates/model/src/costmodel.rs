@@ -402,21 +402,6 @@ pub fn infer_scores(model: &dyn SpeedupPredictor, rows: &[&ProgramFeatures]) -> 
         .collect()
 }
 
-/// Groups row indices by structure key in first-seen order — the
-/// batching precondition of [`SpeedupPredictor::forward_batch`]
-/// (appendix A.1: batches must be structure-identical). Called beside
-/// [`infer_scores`] by `dlcm_eval::score_wave`, for the same reason.
-pub fn group_by_structure(keys: impl IntoIterator<Item = u64>) -> Vec<(u64, Vec<usize>)> {
-    let mut groups: Vec<(u64, Vec<usize>)> = Vec::new();
-    for (i, key) in keys.into_iter().enumerate() {
-        match groups.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, idxs)) => idxs.push(i),
-            None => groups.push((key, vec![i])),
-        }
-    }
-    groups
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -27,7 +27,9 @@
 //! a program once — its vectors with every tag zero, and its unfused
 //! tree — and [`FeatureBase::featurize`] encodes each schedule of a wave
 //! by writing its tags into a copy; [`Featurizer::featurize`] is the
-//! wave of one.
+//! wave of one. A schedule's structure key depends on its fused tree
+//! alone, so [`FeatureBase::structure_key`] reads it without tagging a
+//! vector.
 
 use dlcm_ir::{CompId, LegalPrefix, Legality, LoopSource, Program, Schedule, Transform};
 use serde::{Deserialize, Serialize};
@@ -104,26 +106,30 @@ impl ProgramFeatures {
     /// with different comp placements — e.g. opposite fusion choices —
     /// must not collide).
     pub fn structure_key(&self) -> u64 {
-        fn visit(node: &FeatNode, h: &mut u64) {
-            match node {
-                FeatNode::Comp(i) => {
-                    *h = h.wrapping_mul(31).wrapping_add(4).wrapping_add(*i as u64)
+        tree_key(&self.tree)
+    }
+}
+
+/// The hash behind [`ProgramFeatures::structure_key`] and
+/// [`FeatureBase::structure_key`].
+fn tree_key(tree: &[FeatNode]) -> u64 {
+    fn visit(node: &FeatNode, h: &mut u64) {
+        match node {
+            FeatNode::Comp(i) => *h = h.wrapping_mul(31).wrapping_add(4).wrapping_add(*i as u64),
+            FeatNode::Loop(ch) => {
+                *h = h.wrapping_mul(31).wrapping_add(2);
+                for c in ch {
+                    visit(c, h);
                 }
-                FeatNode::Loop(ch) => {
-                    *h = h.wrapping_mul(31).wrapping_add(2);
-                    for c in ch {
-                        visit(c, h);
-                    }
-                    *h = h.wrapping_mul(31).wrapping_add(3);
-                }
+                *h = h.wrapping_mul(31).wrapping_add(3);
             }
         }
-        let mut h = 17u64;
-        for n in &self.tree {
-            visit(n, &mut h);
-        }
-        h
     }
+    let mut h = 17u64;
+    for n in tree {
+        visit(n, &mut h);
+    }
+    h
 }
 
 /// Encodes `(program, schedule)` pairs into [`ProgramFeatures`].
@@ -325,9 +331,8 @@ fn feature_tree(prefix: &LegalPrefix) -> Vec<FeatNode> {
 }
 
 /// Writes `schedule`'s tags into `vectors`, the untagged vectors of
-/// `legality`'s program, and returns the post-fusion tree when the
-/// schedule fuses (`None`: the unfused tree stands). A later transform's
-/// factor at a level overwrites an earlier one's.
+/// `legality`'s program, and returns its [`fused_tree`]. A later
+/// transform's factor at a level overwrites an earlier one's.
 ///
 /// # Panics
 ///
@@ -348,11 +353,9 @@ fn stamp(
         }
     };
     let innermost = |comp: CompId| program.comp(comp).depth().checked_sub(1);
-    let mut fuses = false;
     for t in &schedule.transforms {
         match *t {
             Transform::Fuse { comp, with, depth } => {
-                fuses = true;
                 for c in [comp, with] {
                     for l in 0..depth.min(program.comp(c).depth()) {
                         set(c, l, &[(FUSED, 1.0)]);
@@ -390,20 +393,31 @@ fn stamp(
             }
         }
     }
-    // Structure: apply only the fusion transforms, then mirror the
-    // resulting nesting. Fusion reads no dependence analysis, so this
-    // pass never runs one.
-    fuses.then(|| {
-        let mut structural = legality.root();
-        for t in &schedule.transforms {
-            if matches!(t, Transform::Fuse { .. }) {
-                legality
-                    .extend(&mut structural, t)
-                    .expect("fusion subset of a legal schedule");
-            }
-        }
-        feature_tree(&structural)
-    })
+    fused_tree(legality, schedule)
+}
+
+/// The post-fusion tree of `schedule` over `legality`'s program, or
+/// `None` when the schedule fuses nothing (the unfused tree stands).
+/// Only the fusion transforms are applied; fusion reads no dependence
+/// analysis, so this pass never runs one.
+///
+/// # Panics
+///
+/// Panics if a `Fuse` transform is illegal.
+fn fused_tree(legality: &Legality<'_>, schedule: &Schedule) -> Option<Vec<FeatNode>> {
+    let mut fuses = schedule
+        .transforms
+        .iter()
+        .filter(|t| matches!(t, Transform::Fuse { .. }))
+        .peekable();
+    fuses.peek()?;
+    let mut structural = legality.root();
+    for t in fuses {
+        legality
+            .extend(&mut structural, t)
+            .expect("fusion subset of a legal schedule");
+    }
+    Some(feature_tree(&structural))
 }
 
 impl<'p> FeatureBase<'p> {
@@ -428,6 +442,19 @@ impl<'p> FeatureBase<'p> {
         ProgramFeatures {
             comp_vectors,
             tree: fused.unwrap_or_else(|| self.tree.clone()),
+        }
+    }
+
+    /// [`ProgramFeatures::structure_key`] of `schedule`'s encoding,
+    /// from the tree alone: no vector is copied or tagged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a `Fuse` transform in `schedule` is illegal.
+    pub fn structure_key(&self, schedule: &Schedule) -> u64 {
+        match fused_tree(&self.legality, schedule) {
+            Some(tree) => tree_key(&tree),
+            None => tree_key(&self.tree),
         }
     }
 }

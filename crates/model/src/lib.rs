@@ -60,9 +60,7 @@ pub use artifact::{
     ArtifactError, ArtifactManifest, HeldOutMetrics, ModelArtifact, ARTIFACT_FORMAT_VERSION,
     MANIFEST_FILE, WEIGHTS_FILE,
 };
-pub use costmodel::{
-    group_by_structure, infer_scores, train_rng, CostModel, CostModelConfig, SpeedupPredictor,
-};
+pub use costmodel::{infer_scores, train_rng, CostModel, CostModelConfig, SpeedupPredictor};
 pub use featurize::{
     FeatNode, FeatureBase, Featurizer, FeaturizerConfig, ProgramFeatures, LOOP_FEATS,
 };

@@ -33,7 +33,7 @@ fn main() {
             num_programs,
             schedules_per_program: 32,
             seed: 7,
-            progen: ProgramGenConfig::wide(), // all six scenario families
+            progen: ProgramGenConfig::wide(), // all nine scenario families
             ..DatasetConfig::default()
         })
     });
