@@ -149,9 +149,9 @@ pub struct AccuracyReport {
 /// Builds the shared [`AccuracyReport`] for weights trained for
 /// `epochs` epochs.
 pub fn accuracy_report(evaluation: &Evaluation, epochs: usize) -> AccuracyReport {
-    let Evaluation { dataset, split, .. } = evaluation;
+    let (dataset, split) = (evaluation.corpus.dataset(), &evaluation.corpus.split);
     let held_out = &evaluation.metrics;
-    let targets: Vec<f64> = evaluation.test_set.iter().map(|s| s.target).collect();
+    let targets = evaluation.targets();
     AccuracyReport {
         num_programs: dataset.programs.len(),
         num_points: dataset.len(),

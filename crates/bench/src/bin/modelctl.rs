@@ -169,7 +169,7 @@ fn train_and_save(
     let reloaded = ModelArtifact::load(out).expect("reload saved artifact");
     assert_eq!(
         evaluation.test_preds,
-        evaluate(reloaded.model(), &evaluation.test_set).1,
+        evaluate(reloaded.model(), &evaluation.corpus.test_set).1,
         "reloaded artifact must reproduce in-memory predictions bit-identically"
     );
     let m = artifact.manifest();

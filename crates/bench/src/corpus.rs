@@ -1,19 +1,22 @@
 //! Where the two persisted hand-offs live and how a binary gets hold of
 //! them: the one corpus resolver ([`ensure_corpus`]), the one training
 //! pipeline ([`train_from_corpus`], `modelctl train`) and the one
-//! re-evaluation ([`evaluate_artifact`], `modelctl eval`).
+//! re-evaluation ([`evaluate_artifact`], `modelctl eval`). Both cut the
+//! corpus through `dlcm_datagen::open_split`, and the [`Evaluation`]
+//! they return carries that cut, so `reproduce`'s experiments — the
+//! §4.4 ablation's streamed training included — read the same one.
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use dlcm_datagen::{
-    open_split, prepare, BuildConfig, BuildStats, Dataset, DatasetConfig, ParallelDatasetBuilder,
-    ProgramGenConfig, ShardManifest, ShardedDataset, Split,
+    open_split, BuildConfig, BuildStats, CorpusSplit, DatasetConfig, ParallelDatasetBuilder,
+    ProgramGenConfig, ShardManifest, ShardedDataset,
 };
 use dlcm_machine::{Machine, Measurement};
 use dlcm_model::{
     train_stream, BatchSource, CostModel, CostModelConfig, Featurizer, FeaturizerConfig,
-    HeldOutMetrics, LabeledFeatures, ModelArtifact, TrainConfig,
+    HeldOutMetrics, ModelArtifact, TrainConfig,
 };
 
 /// Directory where experiment artifacts are written.
@@ -132,14 +135,10 @@ pub fn load_artifact(dir: &Path) -> ModelArtifact {
 /// [`crate::accuracy_report`] consumes, so a training run and a reload of
 /// its artifact report through the same code.
 pub struct Evaluation {
-    /// The full dataset the corpus holds (family tags included).
-    pub(crate) dataset: Dataset,
-    /// Its by-program split; `split.test` indexes the points behind
-    /// [`Evaluation::test_set`].
-    pub(crate) split: Split,
-    /// Featurized held-out test set.
-    pub test_set: Vec<LabeledFeatures>,
-    /// Model predictions over [`Evaluation::test_set`], in order.
+    /// The corpus cut the model was scored on: its `split.test` indexes
+    /// the points behind its featurized `test_set`.
+    pub corpus: CorpusSplit,
+    /// Model predictions over the corpus's `test_set`, in order.
     pub test_preds: Vec<f64>,
     /// Held-out metrics computed from those predictions.
     pub metrics: HeldOutMetrics,
@@ -148,21 +147,18 @@ pub struct Evaluation {
 }
 
 impl Evaluation {
-    fn new(
-        model: &CostModel,
-        corpus: &ShardManifest,
-        dataset: Dataset,
-        split: Split,
-        test: Vec<LabeledFeatures>,
-    ) -> Self {
-        let (metrics, test_preds) = HeldOutMetrics::evaluate(model, &test);
+    /// Measured speedups of the corpus's `test_set`, in order.
+    pub(crate) fn targets(&self) -> Vec<f64> {
+        self.corpus.test_set.iter().map(|s| s.target).collect()
+    }
+
+    fn new(model: &CostModel, manifest: &ShardManifest, corpus: CorpusSplit) -> Self {
+        let (metrics, test_preds) = HeldOutMetrics::evaluate(model, &corpus.test_set);
         Self {
-            dataset,
-            split,
-            test_set: test,
+            corpus,
             test_preds,
             metrics,
-            corpus_chain: corpus
+            corpus_chain: manifest
                 .generations
                 .last()
                 .map_or_else(String::new, |g| g.chain.clone()),
@@ -214,13 +210,7 @@ pub fn train_from_corpus(
         (rows * epochs) as f64 / seconds
     );
 
-    let evaluation = Evaluation::new(
-        &model,
-        sharded.manifest(),
-        corpus.dataset,
-        corpus.split,
-        corpus.test_set,
-    );
+    let evaluation = Evaluation::new(&model, sharded.manifest(), corpus);
     let artifact = ModelArtifact::new(
         model,
         featurizer.config(),
@@ -249,14 +239,9 @@ pub fn evaluate_artifact(artifact: &ModelArtifact, quick: bool, threads: usize) 
         );
         std::process::exit(1);
     }
-    let dataset = sharded.load_dataset().expect("load corpus");
-    let split = dataset.split(0);
-    let test_set = prepare(&artifact.featurizer(), &dataset, &split.test);
-    Evaluation::new(
-        artifact.model(),
-        sharded.manifest(),
-        dataset,
-        split,
-        test_set,
-    )
+    // The evaluation's training stream is cut as the artifact's was.
+    let train = artifact.manifest().train.clone().unwrap_or_default();
+    let corpus =
+        open_split(&sharded, &artifact.featurizer(), train.batch_size).expect("open corpus");
+    Evaluation::new(artifact.model(), sharded.manifest(), corpus)
 }

@@ -36,14 +36,14 @@ pub(crate) struct Fig7Summary {
 
 /// Writes every figure CSV for `evaluation`'s held-out predictions.
 pub(crate) fn write_figures(evaluation: &Evaluation) -> Fig7Summary {
-    let Evaluation { dataset, split, .. } = evaluation;
+    let (dataset, split) = (evaluation.corpus.dataset(), &evaluation.corpus.split);
     let preds = &evaluation.test_preds;
     let programs: Vec<usize> = split
         .test
         .iter()
         .map(|&i| dataset.points[i].program)
         .collect();
-    let targets: Vec<f64> = evaluation.test_set.iter().map(|s| s.target).collect();
+    let targets = evaluation.targets();
 
     // ---- Figure 4: sorted predicted vs measured (subset of ~100 programs).
     let subset_programs: Vec<usize> = {

@@ -138,8 +138,8 @@ impl Ledger {
         search: Vec<SuiteRow>,
         ablation: AblationReport,
     ) -> Ledger {
-        let Evaluation { dataset, split, .. } = evaluation;
-        let y: Vec<f64> = evaluation.test_set.iter().map(|s| s.target).collect();
+        let (dataset, split) = (evaluation.corpus.dataset(), &evaluation.corpus.split);
+        let y = evaluation.targets();
         let train_labels: Vec<f64> = split
             .train
             .iter()
@@ -337,7 +337,8 @@ impl Ledger {
 mod tests {
     use super::*;
     use dlcm_datagen::{
-        prepare, BuildConfig, DatasetConfig, ParallelDatasetBuilder, ProgramGenConfig,
+        open_split, BuildConfig, DatasetConfig, ParallelDatasetBuilder, ProgramGenConfig,
+        ShardedDataset,
     };
     use dlcm_machine::{Machine, Measurement};
     use dlcm_model::{CostModel, CostModelConfig, Featurizer, FeaturizerConfig, ModelArtifact};
@@ -377,7 +378,8 @@ mod tests {
 
     /// A held-out evaluation of 16 generated programs (predictions 10%
     /// high and 15% low in turn), its accuracy report and an artifact.
-    fn fixture() -> (Evaluation, AccuracyReport, ModelArtifact) {
+    /// `tag` names the fixture's corpus directory, one per test.
+    fn fixture(tag: &str) -> (Evaluation, AccuracyReport, ModelArtifact) {
         let cfg = BuildConfig::new(DatasetConfig {
             num_programs: 16,
             progen: ProgramGenConfig {
@@ -387,11 +389,15 @@ mod tests {
             },
             ..DatasetConfig::tiny(23)
         });
-        let (dataset, _) = ParallelDatasetBuilder::new(cfg).generate(&Measurement::new(Machine));
-        let split = dataset.split(0);
+        let dir = std::env::temp_dir().join(format!("dlcm_ledger_{tag}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        ParallelDatasetBuilder::new(cfg)
+            .write_corpus(&Measurement::new(Machine), &dir)
+            .unwrap();
         let featurizer = Featurizer::new(FeaturizerConfig::default());
-        let test_set = prepare(&featurizer, &dataset, &split.test);
-        let y: Vec<f64> = test_set.iter().map(|s| s.target).collect();
+        let corpus = open_split(&ShardedDataset::open(&dir).unwrap(), &featurizer, 32).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        let y: Vec<f64> = corpus.test_set.iter().map(|s| s.target).collect();
         let preds: Vec<f64> = y
             .iter()
             .enumerate()
@@ -399,9 +405,7 @@ mod tests {
             .collect();
         let metrics = HeldOutMetrics::from_predictions(&y, &preds);
         let evaluation = Evaluation {
-            dataset,
-            split,
-            test_set,
+            corpus,
             test_preds: preds.clone(),
             metrics,
             corpus_chain: "chain".into(),
@@ -414,7 +418,7 @@ mod tests {
 
     #[test]
     fn aggregate_and_family_rows_are_the_accuracy_report_s() {
-        let (evaluation, report, artifact) = fixture();
+        let (evaluation, report, artifact) = fixture("rows");
         let ablation = AblationReport {
             recursive_mape: 1.0,
             flat_lstm_mape: 1.2,
@@ -499,7 +503,7 @@ mod tests {
     /// back bit for bit: the ledger is their only record.
     #[test]
     fn search_rows_and_ablation_survive_the_json_codec_bit_for_bit() {
-        let (evaluation, report, artifact) = fixture();
+        let (evaluation, report, artifact) = fixture("codec");
         // Values whose shortest decimal needs all 17 digits, a subnormal,
         // the largest finite and integers, across two distinct rows.
         let row = |benchmark: &str, k: f64| SuiteRow {

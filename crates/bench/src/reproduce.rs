@@ -12,15 +12,19 @@
 //!   running MCTS, BSE, BSM and the two Halide-style searches;
 //! - §6's comparison against the Halide-style model trained on the
 //!   corpus, pointwise and as a search driver;
-//! - §4.4's alternative architectures.
+//! - §4.4's alternative architectures, each trained on the same streamed
+//!   training split (`dlcm_datagen::ShardBatches`) the artifact was.
 
 use dlcm_baseline::{HalideModel, HalideTrainConfig};
-use dlcm_datagen::{prepare, BuildConfig, DatasetConfig, ParallelDatasetBuilder, ProgramGenConfig};
+use dlcm_datagen::{
+    BuildConfig, DatasetConfig, ParallelDatasetBuilder, ProgramGenConfig, ShardBatches,
+};
 use dlcm_eval::{Evaluator, ModelEvaluator, ParallelEvaluator, SharedCachedEvaluator};
 use dlcm_machine::parallel_baseline;
 use dlcm_model::ablation::{ConcatFfnModel, FlatLstmModel};
 use dlcm_model::{
-    evaluate, train, CostModel, LabeledFeatures, ModelArtifact, SpeedupPredictor, TrainConfig,
+    evaluate, train_stream, CostModel, LabeledFeatures, ModelArtifact, SpeedupPredictor,
+    TrainConfig,
 };
 use dlcm_search::{BeamSearch, Mcts, SearchDriver, SearchJob, SearchSpace, SearchSpec};
 use serde::Serialize;
@@ -91,7 +95,7 @@ pub fn reproduce(
     let report = accuracy_report(evaluation, epochs);
     let fig7 = crate::figures::write_figures(evaluation);
 
-    let Evaluation { dataset, split, .. } = evaluation;
+    let (dataset, split) = (evaluation.corpus.dataset(), &evaluation.corpus.split);
     eprintln!(
         "training the corpus Halide-style model (MSE) on {} points ...",
         split.train.len()
@@ -233,31 +237,16 @@ fn suite_sweep(
 }
 
 /// EXP-ABL (§4.4): the recursive model against the flat-LSTM and
-/// concat-FFN alternatives, each trained in memory on the training
-/// split for the same epochs and scored on the held-out set.
+/// concat-FFN alternatives, each streamed the training split for the
+/// same epochs and scored on the held-out set.
 fn ablation(quick: bool, artifact: &ModelArtifact, evaluation: &Evaluation) -> AblationReport {
-    let Evaluation { dataset, split, .. } = evaluation;
-    let train_set = prepare(&artifact.featurizer(), dataset, &split.train);
+    let (train, test) = (&evaluation.corpus.train, &evaluation.corpus.test_set);
     let cfg = &artifact.manifest().model_config;
     let epochs = if quick { 6 } else { 30 };
-    let recursive_mape = held_out_mape(
-        CostModel::new(cfg.clone(), 0),
-        &train_set,
-        &evaluation.test_set,
-        epochs,
-    );
-    let flat_lstm_mape = held_out_mape(
-        FlatLstmModel::new(cfg.clone(), 0),
-        &train_set,
-        &evaluation.test_set,
-        epochs,
-    );
-    let concat_ffn_mape = held_out_mape(
-        ConcatFfnModel::new(cfg.clone(), 4, 0),
-        &train_set,
-        &evaluation.test_set,
-        epochs,
-    );
+    let recursive_mape = held_out_mape(CostModel::new(cfg.clone(), 0), train, test, epochs);
+    let flat_lstm_mape = held_out_mape(FlatLstmModel::new(cfg.clone(), 0), train, test, epochs);
+    let concat_ffn_mape =
+        held_out_mape(ConcatFfnModel::new(cfg.clone(), 4, 0), train, test, epochs);
     AblationReport {
         recursive_mape,
         flat_lstm_mape,
@@ -269,11 +258,12 @@ fn ablation(quick: bool, artifact: &ModelArtifact, evaluation: &Evaluation) -> A
     }
 }
 
-/// Trains `model` in memory for `epochs` epochs and returns its MAPE on
-/// `test_set`.
+/// Trains `model` on the `train` stream for `epochs` epochs and returns
+/// its MAPE on `test_set`. The batch layout is the stream's, cut when
+/// the [`Evaluation`] was opened: `train_stream` reads no `batch_size`.
 fn held_out_mape<M: SpeedupPredictor>(
     mut model: M,
-    train_set: &[LabeledFeatures],
+    train: &ShardBatches,
     test_set: &[LabeledFeatures],
     epochs: usize,
 ) -> f64 {
@@ -282,6 +272,6 @@ fn held_out_mape<M: SpeedupPredictor>(
         eval_every: usize::MAX,
         ..TrainConfig::default()
     };
-    train(&mut model, train_set, &[], &cfg);
+    train_stream(&mut model, train, &[], &cfg);
     evaluate(&model, test_set).0
 }

@@ -125,13 +125,19 @@ impl Dataset {
     /// corpora re-draw small programs under different names — travel
     /// together, so no workload leaks between splits.
     pub fn split(&self, seed: u64) -> Split {
+        self.split_by(self.programs.iter().map(Program::content_fingerprint), seed)
+    }
+
+    /// [`Dataset::split`] over precomputed content `fingerprints`, one
+    /// per program in [`Dataset::programs`] order (a read corpus already
+    /// holds them).
+    pub(crate) fn split_by(&self, fingerprints: impl IntoIterator<Item = u64>, seed: u64) -> Split {
         // Group program indices by content; groups keep first-occurrence
         // order, so for duplicate-free datasets this degenerates to the
         // old per-program shuffle exactly.
         let mut group_of: std::collections::HashMap<u64, usize> = Default::default();
         let mut groups: Vec<Vec<usize>> = Vec::new();
-        for (pi, program) in self.programs.iter().enumerate() {
-            let fp = program.content_fingerprint();
+        for (pi, fp) in fingerprints.into_iter().enumerate() {
             let g = *group_of.entry(fp).or_insert(groups.len());
             if g == groups.len() {
                 groups.push(Vec::new());

@@ -30,8 +30,8 @@
 //!
 //! Training streams minibatches straight from shards through
 //! [`ShardBatches`] (a `dlcm_model::BatchSource`), featurizing each
-//! batch on demand — the stream is the union of every generation, in
-//! manifest order; [`prepare`] is the in-memory equivalent, and
+//! batch on demand with [`prepare`] — the stream owns the corpus it read,
+//! the union of every generation in manifest order — and
 //! [`open_split`] turns one read of a corpus into the split, the
 //! streamed training source and the featurized validation/test sets.
 //! See DESIGN.md § "Dataset pipeline" and § "Data flywheel" for the

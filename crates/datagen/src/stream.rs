@@ -2,34 +2,33 @@
 //!
 //! `dlcm_model::train_stream` pulls minibatches from a
 //! [`dlcm_model::BatchSource`]; [`ShardBatches`] implements that source
-//! over a shard directory. Raw records (programs, schedules, labels) are
-//! read once at open time, but *features* — the expensive, wide part —
-//! are computed per minibatch, inline from one per-program
-//! [`dlcm_model::FeatureBase`], when the training loop asks for it.
-//! Batches are structure-identical by construction: the shard format
-//! stores each point's feature-tree structure key, so grouping needs no
-//! up-front featurization pass. [`open_split`] is the whole
-//! recipe in one call: one read of the corpus becomes the by-program
-//! split, the streamed training source and the featurized
-//! validation/test sets.
+//! over a shard directory. It owns the raw records (programs, schedules,
+//! labels) it read at open time — the one in-memory copy of the corpus —
+//! and its batches are point indices into them; *features* — the
+//! expensive, wide part — are computed per minibatch by [`prepare`],
+//! from one per-program [`dlcm_model::FeatureBase`], when the training
+//! loop asks for it. Batches are structure-identical by construction:
+//! the shard format stores each point's feature-tree structure key, so
+//! grouping needs no up-front featurization pass. [`open_split`] is the
+//! one place a corpus is cut: one read becomes the by-program split, the
+//! streamed training source (which keeps the whole corpus, read back
+//! through [`CorpusSplit::dataset`]) and the featurized validation/test
+//! sets.
 
 use std::collections::HashSet;
 use std::io;
 use std::path::Path;
 
-use dlcm_ir::Program;
 use dlcm_model::{
     featurize_samples, group_into_batches, BatchSource, Featurizer, LabeledFeatures, SampleRef,
 };
 
-use crate::dataset::{Corpus, DataPoint, Dataset, Split};
+use crate::dataset::{Corpus, Dataset, Split};
 use crate::shard::ShardedDataset;
 
 /// Featurizes a subset of a dataset (indices into [`Dataset::points`]),
-/// in order.
-///
-/// The in-memory convenience path; the streaming equivalent is
-/// [`ShardBatches`], which featurizes lazily per minibatch.
+/// in order. This is how [`ShardBatches`] loads each minibatch, and how
+/// [`open_split`] featurizes the validation and test sets up front.
 pub fn prepare(
     featurizer: &Featurizer,
     dataset: &Dataset,
@@ -50,14 +49,13 @@ pub fn prepare(
     featurize_samples(featurizer, &samples)
 }
 
-/// A corpus cut for one training run ([`open_split`]).
+/// A corpus cut for one training run ([`open_split`]). The corpus itself
+/// lives once, in the training stream; [`CorpusSplit::dataset`] reads it.
 #[derive(Debug)]
 pub struct CorpusSplit {
-    /// The whole corpus, every generation.
-    pub dataset: Dataset,
-    /// Its 60/20/20 by-program split (`Dataset::split(0)`).
+    /// The 60/20/20 by-program split (`Dataset::split(0)`).
     pub split: Split,
-    /// The training programs' points as streamed minibatches.
+    /// The training points as streamed minibatches; owns the corpus.
     pub train: ShardBatches,
     /// Featurized validation points.
     pub val_set: Vec<LabeledFeatures>,
@@ -65,10 +63,18 @@ pub struct CorpusSplit {
     pub test_set: Vec<LabeledFeatures>,
 }
 
-/// Reads `corpus` once and cuts it for training: the by-program split,
-/// the training programs as a [`ShardBatches`] stream (so validation and
-/// test points never enter the training pipeline) and the — much
-/// smaller — validation and test sets featurized up front.
+impl CorpusSplit {
+    /// The whole corpus, every generation and every split.
+    pub fn dataset(&self) -> &Dataset {
+        &self.train.dataset
+    }
+}
+
+/// Reads `corpus` once and cuts it for training: the by-program split
+/// (over the content fingerprints the read already checked), the
+/// training points as a [`ShardBatches`] stream (which keeps the whole
+/// corpus, but batches only training points) and the — much smaller —
+/// validation and test sets featurized up front.
 ///
 /// # Errors
 ///
@@ -79,23 +85,12 @@ pub fn open_split(
     batch_size: usize,
 ) -> io::Result<CorpusSplit> {
     let corpus = corpus.read()?;
-    let dataset = &corpus.dataset;
-    let split = dataset.split(0);
-    let train_programs: HashSet<usize> = split
-        .train
-        .iter()
-        .map(|&i| dataset.points[i].program)
-        .collect();
-    let train = ShardBatches::over(
-        &corpus,
-        featurizer.clone(),
-        batch_size,
-        Some(&train_programs),
-    );
-    let val_set = prepare(featurizer, dataset, &split.val);
-    let test_set = prepare(featurizer, dataset, &split.test);
+    let fingerprints = corpus.fingerprints.iter().copied();
+    let split = corpus.dataset.split_by(fingerprints, 0);
+    let train = ShardBatches::over(corpus, featurizer.clone(), batch_size, &split.train);
+    let val_set = prepare(featurizer, &train.dataset, &split.val);
+    let test_set = prepare(featurizer, &train.dataset, &split.test);
     Ok(CorpusSplit {
-        dataset: corpus.dataset,
         split,
         train,
         val_set,
@@ -106,16 +101,18 @@ pub fn open_split(
 /// A [`BatchSource`] over a shard directory: minibatches of
 /// structure-identical samples, featurized on demand.
 ///
-/// Memory stays proportional to the raw records plus **one** batch of
-/// features; the full `Vec<LabeledFeatures>` of the corpus is never
-/// materialized. Batch layout is deterministic (ordered grouping by
-/// `(program index, structure key)`, chunked to `batch_size`), so a
+/// The stream owns the raw records it was read from — from
+/// [`open_split`], every point of the corpus, not only the streamed
+/// ones; from [`ShardBatches::open_filtered`], only the streamed
+/// points — plus **one** batch of features at a time; the full `Vec<LabeledFeatures>` of the corpus is
+/// never materialized. Batch layout is deterministic (ordered grouping
+/// by `(program index, structure key)`, chunked to `batch_size`), so a
 /// training run over shards is reproducible given the usual seeds.
 #[derive(Debug)]
 pub struct ShardBatches {
     featurizer: Featurizer,
-    programs: Vec<Option<Program>>,
-    points: Vec<DataPoint>,
+    dataset: Dataset,
+    /// Each minibatch's indices into `dataset.points`.
     batches: Vec<Vec<usize>>,
 }
 
@@ -140,8 +137,10 @@ impl ShardBatches {
     /// Opens `dir`, keeping only points whose program index is in `keep`
     /// (pass `None` for all). This is how a by-program train split
     /// streams from a shared corpus: filter to the training programs and
-    /// the validation/test points never enter the pipeline. `threads` is
-    /// read by nothing, as in [`ShardBatches::open`].
+    /// the validation/test points are dropped with the read, so they
+    /// enter neither the batches nor the stream's memory (every program
+    /// record stays). `threads` is read by nothing, as in
+    /// [`ShardBatches::open`].
     ///
     /// # Errors
     ///
@@ -153,52 +152,47 @@ impl ShardBatches {
         _threads: usize,
         keep: Option<&HashSet<usize>>,
     ) -> io::Result<ShardBatches> {
-        let corpus = ShardedDataset::open(dir)?.read()?;
-        Ok(Self::over(&corpus, featurizer, batch_size, keep))
+        let mut corpus = ShardedDataset::open(dir)?.read()?;
+        if let Some(keep) = keep {
+            let points = std::mem::take(&mut corpus.dataset.points);
+            let structures = std::mem::take(&mut corpus.structures);
+            (corpus.dataset.points, corpus.structures) = points
+                .into_iter()
+                .zip(structures)
+                .filter(|(point, _)| keep.contains(&point.program))
+                .unzip();
+        }
+        let points: Vec<usize> = (0..corpus.dataset.len()).collect();
+        Ok(Self::over(corpus, featurizer, batch_size, &points))
     }
 
-    /// Streams the points of `corpus` whose program is in `keep`
-    /// (`None`: all), grouped by their stored structure keys.
-    fn over(
-        corpus: &Corpus,
-        featurizer: Featurizer,
-        batch_size: usize,
-        keep: Option<&HashSet<usize>>,
-    ) -> ShardBatches {
+    /// Streams `points` (ascending indices into the corpus's points),
+    /// grouped by their stored structure keys.
+    fn over(corpus: Corpus, featurizer: Featurizer, batch_size: usize, points: &[usize]) -> Self {
         let Corpus {
             dataset,
             structures,
             ..
         } = corpus;
-        let kept = |program: usize| keep.is_none_or(|k| k.contains(&program));
-        let programs: Vec<Option<Program>> = dataset
-            .programs
+        let keys = points
             .iter()
-            .enumerate()
-            .map(|(index, program)| kept(index).then(|| program.clone()))
-            .collect();
-        let (points, keys): (Vec<DataPoint>, Vec<(u64, u64)>) = dataset
-            .points
-            .iter()
-            .zip(structures)
-            .filter(|(point, _)| kept(point.program))
-            .map(|(point, structure)| (point.clone(), (point.program as u64, *structure)))
-            .unzip();
-
+            .map(|&i| (dataset.points[i].program as u64, structures[i]));
+        // The same helper the in-memory source groups with, so streamed
+        // and in-memory training see identical batch layouts.
+        let mut batches = group_into_batches(keys, batch_size);
+        for index in batches.iter_mut().flatten() {
+            *index = points[*index];
+        }
         ShardBatches {
             featurizer,
-            programs,
-            points,
-            // The same helper the in-memory source groups with, so
-            // streamed and in-memory training see identical batch
-            // layouts.
-            batches: group_into_batches(keys, batch_size),
+            dataset,
+            batches,
         }
     }
 
     /// Number of points that passed the filter.
     pub fn num_points(&self) -> usize {
-        self.points.len()
+        self.batches.iter().map(Vec::len).sum()
     }
 }
 
@@ -207,23 +201,9 @@ impl BatchSource for ShardBatches {
         self.batches.len()
     }
 
-    /// Featurizes the batch inline ([`featurize_samples`]): a batch holds
-    /// one program's points, so one [`dlcm_model::FeatureBase`] serves it.
+    /// Featurizes the batch inline ([`prepare`]): a batch holds one
+    /// program's points, so one [`dlcm_model::FeatureBase`] serves it.
     fn load_batch(&self, index: usize) -> Vec<LabeledFeatures> {
-        let samples: Vec<SampleRef<'_>> = self.batches[index]
-            .iter()
-            .map(|&i| {
-                let point = &self.points[i];
-                SampleRef {
-                    program: self.programs[point.program]
-                        .as_ref()
-                        .expect("points only reference kept programs"),
-                    schedule: &point.schedule,
-                    speedup: point.speedup,
-                    group: point.program as u64,
-                }
-            })
-            .collect();
-        featurize_samples(&self.featurizer, &samples)
+        prepare(&self.featurizer, &self.dataset, &self.batches[index])
     }
 }

@@ -88,15 +88,11 @@ pub fn group_into_batches<K: Ord>(
     for (i, key) in keys.into_iter().enumerate() {
         groups.entry(key).or_default().push(i);
     }
-    groups
-        .into_values()
-        .flat_map(|group| {
-            group
-                .chunks(batch_size.max(1))
-                .map(<[usize]>::to_vec)
-                .collect::<Vec<_>>()
-        })
-        .collect()
+    let mut batches = Vec::new();
+    for group in groups.into_values() {
+        batches.extend(group.chunks(batch_size.max(1)).map(<[usize]>::to_vec));
+    }
+    batches
 }
 
 /// A source of featurized minibatches for [`train_stream`].

@@ -61,7 +61,7 @@ fn main() {
     let data = open_split(&sharded, &featurizer, cfg.batch_size).expect("stream corpus");
     println!(
         "dataset: {} points (train {} / val {} / test {})",
-        data.dataset.len(),
+        data.dataset().len(),
         data.split.train.len(),
         data.split.val.len(),
         data.split.test.len()

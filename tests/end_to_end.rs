@@ -169,9 +169,15 @@ fn sharded_corpus_streams_into_training() {
     // The corpus-scale path end to end: parallel sharded generation →
     // manifest-verified reload → streamed minibatch training — and the
     // streamed model must match training from the equivalent in-memory
-    // dataset exactly (same batches, same seeds, same trajectory).
-    use dlcm::datagen::{ShardBatches, ShardedDataset};
-    use dlcm::model::train_stream;
+    // dataset exactly (same batches, same seeds, same trajectory), for
+    // the whole corpus and for `open_split`'s training split.
+    use dlcm::datagen::{open_split, ShardBatches, ShardedDataset};
+    use dlcm::model::{train_stream, SpeedupPredictor};
+
+    let weight_bits = |model: &CostModel| -> Vec<u32> {
+        let weights = model.store().iter().flat_map(|(_, t)| t.as_slice());
+        weights.map(|v| v.to_bits()).collect()
+    };
 
     let dir = std::env::temp_dir().join("dlcm_e2e_corpus");
     let _ = std::fs::remove_dir_all(&dir);
@@ -219,6 +225,22 @@ fn sharded_corpus_streams_into_training() {
             "streamed != in-memory trajectory"
         );
     }
+
+    // Filtered: the split `open_split` cuts is `Dataset::split(0)`, and
+    // its training stream ends on the weights the slice trainer reaches
+    // on the same points prepared in memory.
+    let corpus = open_split(&sharded, &featurizer, cfg.batch_size).unwrap();
+    let split = dataset.split(0);
+    assert_eq!(corpus.split, split);
+    let mut streamed = CostModel::new(tiny_model_cfg(), 2);
+    train_stream(&mut streamed, &corpus.train, &[], &cfg);
+    let train_set = prepare(&featurizer, &dataset, &split.train);
+    let mut in_memory = CostModel::new(tiny_model_cfg(), 2);
+    train(&mut in_memory, &train_set, &[], &cfg);
+    assert!(
+        weight_bits(&streamed) == weight_bits(&in_memory),
+        "streamed training split != in-memory training split"
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }
